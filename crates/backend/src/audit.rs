@@ -8,8 +8,8 @@
 //!    decoded-domain RMS noise;
 //! 2. under real RNS-CKKS encryption, with a per-op observer that
 //!    decrypt-probes selected intermediate ciphertexts (plus every
-//!    program output) through the engine's [`DecryptProbe`] and measures
-//!    the actual RMS error against the reference value.
+//!    program output) and measures the actual RMS error of each tenant's
+//!    demultiplexed slots against the reference value.
 //!
 //! The result is an [`AuditReport`]: one [`AuditRow`] per executed cipher
 //! operation joining the run ledger's prediction (noise, waterline
@@ -24,7 +24,7 @@
 //! bit-identical outputs to an unaudited one — asserted in this module's
 //! tests via `f64::to_bits`.
 
-use crate::exec::{execute_sequential_with, BackendOptions, ExecEngine, ExecError};
+use crate::exec::{execute, BackendOptions, ExecEngine, ExecError, OpValue};
 use crate::noise::simulate_ops;
 use hecate_compiler::CompiledProgram;
 use hecate_telemetry::trace;
@@ -217,7 +217,8 @@ pub fn audit_encrypted(
     audit_on_engine(&engine, inputs, audit)
 }
 
-/// [`audit_encrypted`] over an already-built engine.
+/// [`audit_encrypted`] over an already-built solo engine: the one-tenant
+/// case of [`audit_batched`].
 ///
 /// # Errors
 /// Returns [`ExecError`] on any execution failure.
@@ -226,73 +227,17 @@ pub fn audit_on_engine(
     inputs: &HashMap<String, Vec<f64>>,
     audit: &AuditOptions,
 ) -> Result<AuditReport, ExecError> {
-    let prog = engine.prog().clone();
-    let expected = simulate_ops(&prog, inputs, engine.degree());
-    let probes = probe_set(&prog, audit.checkpoints);
-    let is_output: Vec<bool> = {
-        let mut v = vec![false; prog.func.len()];
-        for (_, vid) in prog.func.outputs() {
-            v[vid.index()] = true;
-        }
-        v
-    };
-    let probe = engine.probe();
-    let mut rows: Vec<AuditRow> = Vec::new();
-
-    let mut observer = |i: usize, value: &crate::exec::OpValue, predicted_rms: f64| {
-        let Some(ct) = value.as_cipher() else {
-            return Ok(());
-        };
-        let ty = prog.types[i];
-        let measured_rms = if probes[i] {
-            let m = probe.rms_error(ct, &expected[i].values);
-            trace::mark_with("precision-probe", || {
-                vec![
-                    ("i", i.into()),
-                    ("op", prog.func.ops()[i].mnemonic().into()),
-                    ("predicted_rms", predicted_rms.into()),
-                    ("measured_rms", m.into()),
-                ]
-            });
-            Some(m)
-        } else {
-            None
-        };
-        rows.push(AuditRow {
-            op: i,
-            mnemonic: prog.func.ops()[i].mnemonic(),
-            level: ty.level().unwrap_or(0),
-            scale_bits: ty.scale().unwrap_or(0.0),
-            predicted_rms,
-            measured_rms,
-            margin_bits: ty.scale().unwrap_or(0.0) - prog.cfg.waterline,
-            is_output: is_output[i],
-        });
-        Ok(())
-    };
-
-    let run = execute_sequential_with(engine, inputs, Some(&mut observer), None)?;
-
-    let mut reference = HashMap::new();
-    for (name, v) in prog.func.outputs() {
-        reference.insert(name.clone(), expected[v.index()].values.clone());
-    }
-    Ok(AuditReport {
-        min_margin_bits: run.min_margin_bits,
-        rows,
-        outputs: run.outputs,
-        reference,
-        total_us: run.total_us,
-    })
+    let mut reports = audit_batched(engine, &[inputs], audit)?;
+    Ok(reports.pop().expect("one report per tenant"))
 }
 
-/// Audits one slot-batched run: executes the program once for every
-/// tenant packed into a shared ciphertext (the engine must be built with
-/// `batch_occupancy == tenants.len()`), decrypt-probing checkpoints and
-/// outputs per tenant block, and returns one [`AuditReport`] per tenant.
+/// Audits one run of `engine`: executes the program once for every
+/// tenant (`tenants.len()` must equal the engine's occupancy),
+/// decrypt-probing checkpoints and outputs per tenant block, and returns
+/// one [`AuditReport`] per tenant.
 ///
-/// Each tenant's measured RMS compares its *demultiplexed* window against
-/// its own plaintext reference, so the verdict machinery
+/// Each tenant's measured RMS compares its *demultiplexed* clean copies
+/// against its own plaintext reference, so the verdict machinery
 /// ([`AuditReport::violations`]) applies unchanged. Predictions come from
 /// the shared run ledger, whose noise model bounds message magnitude by
 /// the occupancy — packed predictions only grow, keeping the audit
@@ -320,14 +265,14 @@ pub fn audit_batched(
     };
     let mut per_tenant_rows: Vec<Vec<AuditRow>> = vec![Vec::new(); tenants.len()];
 
-    let mut observer = |i: usize, value: &crate::exec::OpValue, predicted_rms: f64| {
-        if value.as_cipher().is_none() {
+    let mut observer = |i: usize, value: &OpValue, predicted_rms: f64| {
+        if !value.is_cipher() {
             return Ok(());
         }
         let ty = prog.types[i];
         let measured: Vec<Option<f64>> = if probes[i] {
             engine
-                .demux_copies(value, i)
+                .demux(value, i, engine.clean_copies(i))
                 .iter()
                 .enumerate()
                 .map(|(t, samples)| {
@@ -373,23 +318,27 @@ pub fn audit_batched(
         Ok(())
     };
 
-    let run = crate::exec::execute_batched_with(engine, tenants, Some(&mut observer), None)?;
+    // One worker: probes run between kernels in SSA order, so the rows
+    // come out in program order.
+    let runs = execute(engine, tenants, 1, Some(&mut observer), None)?;
 
-    let mut reports = Vec::with_capacity(tenants.len());
-    for (t, rows) in per_tenant_rows.into_iter().enumerate() {
-        let mut reference = HashMap::new();
-        for (name, v) in prog.func.outputs() {
-            reference.insert(name.clone(), expected[t][v.index()].values.clone());
-        }
-        reports.push(AuditReport {
-            min_margin_bits: run.min_margin_bits,
+    Ok(runs
+        .into_iter()
+        .zip(per_tenant_rows)
+        .zip(&expected)
+        .map(|((run, rows), expected)| AuditReport {
             rows,
-            outputs: run.tenant_outputs[t].clone(),
-            reference,
+            outputs: run.outputs,
+            reference: prog
+                .func
+                .outputs()
+                .iter()
+                .map(|(name, v)| (name.clone(), expected[v.index()].values.clone()))
+                .collect(),
+            min_margin_bits: run.min_margin_bits,
             total_us: run.total_us,
-        });
-    }
-    Ok(reports)
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -5,15 +5,35 @@
 //! keys the program needs, encrypts the inputs, interprets the IR with
 //! per-operation wall-clock timing, and decrypts the outputs.
 //!
-//! The per-operation kernels live in [`ExecEngine`], a reusable,
-//! share-by-reference engine: constructing one performs the expensive
-//! setup (parameters, key generation, evaluation keys), after which any
-//! number of runs — sequential via [`execute_encrypted`], or scheduled
-//! concurrently by the `hecate-runtime` serving layer — drive the same
-//! engine through [`ExecEngine::exec_op`]. Every engine method takes
-//! `&self`; the only stateful phase, input encryption, creates a fresh
-//! seeded [`Encryptor`] per run so results are reproducible regardless of
-//! how many runs share the engine.
+//! [`ExecEngine`] holds the expensive per-program setup (parameters, key
+//! generation, evaluation keys) and is shared by reference; every method
+//! takes `&self`. **One driver**, [`execute`], runs every encrypted
+//! execution in the workspace — the CLI, audits, solo and packed serving,
+//! the benches:
+//!
+//! - **Ready set.** The SSA arena *is* the dependence DAG. Operations
+//!   whose operands are all computed sit in a min-heap on op index;
+//!   workers pop, run the kernel, publish the value, and push the
+//!   consumers that became ready. With one worker the pop order is
+//!   exactly SSA order (op `k` is ready once `0..k` are done, and nothing
+//!   smaller is left), so liveness peaks, hoist order, and ledger order
+//!   are those of a plain sequential walk.
+//! - **Workers.** The caller is always worker 0; `jobs − 1` scoped
+//!   helpers join it, so `jobs = 1` spawns nothing. All scheduling state
+//!   sits behind one mutex — ops run for tens of microseconds to
+//!   milliseconds, the lock is held for bookkeeping only.
+//! - **Tenants.** A run serves `engine.occupancy()` tenants packed into
+//!   disjoint slot blocks of each ciphertext; solo execution is the
+//!   one-tenant case (one block spanning every slot is exactly
+//!   replication, and its contamination reach is empty).
+//! - **Determinism.** Randomness is confined to key generation (engine
+//!   construction) and input encryption, which happens on the caller in
+//!   operation order from a fresh [`Encryptor`] seeded with `seed + 1`
+//!   before any op is scheduled. Every homomorphic kernel is a
+//!   deterministic function of its operands, so the DAG's fixpoint is
+//!   bit-identical at every worker count and interleaving.
+//! - **Noise.** One [`NoiseLedger`] per run, advanced in completion order
+//!   (always topological); the `max_rms` guard reads the ledger's RMS.
 //!
 //! Two conventions matter:
 //!
@@ -29,8 +49,7 @@
 //!   `w` dividing the slot count.
 
 use crate::fault::FaultPlan;
-use crate::liveness::last_uses;
-use crate::noise::{NoiseLedger, NoiseMonitor};
+use crate::noise::NoiseLedger;
 use hecate_ckks::encoder::EncodeError;
 use hecate_ckks::eval::EvalError;
 use hecate_ckks::params::ParamsError;
@@ -38,13 +57,14 @@ use hecate_ckks::{
     Ciphertext, CkksEncoder, CkksParams, Decryptor, Encryptor, EvalKeys, Evaluator, HoistedDecomp,
     KeyGenerator, Plaintext, PublicKey,
 };
-use hecate_compiler::{min_waterline_margin_bits, op_cost_infos, CompiledProgram, OpCostInfo};
+use hecate_compiler::{op_cost_infos, CompiledProgram, OpCostInfo};
 use hecate_ir::{Op, ValueId};
 use hecate_telemetry::trace;
 use hecate_telemetry::{Counter, Gauge, Histogram};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// A cooperative cancellation handle the executors poll between
@@ -119,13 +139,12 @@ pub struct BackendOptions {
     /// the same ciphertext (Halevi–Shoup hoisting). Bit-identical to the
     /// unhoisted path; off only for baseline measurements.
     pub hoist_rotations: bool,
-    /// Slot-batching occupancy: how many tenants share each ciphertext.
-    /// `1` (the default) is solo execution, bit-identical to before the
-    /// batching subsystem existed. Values ≥ 2 must be powers of two and
-    /// carve the slots into per-tenant blocks sized by the plan's slot
-    /// footprint; rotations then run in packed mode (see
-    /// [`physical_step`]) and inputs go through
-    /// [`ExecEngine::encrypt_inputs_packed`].
+    /// Slot-batching occupancy: how many tenants share each ciphertext
+    /// (and how many input bindings every [`execute`] call on the engine
+    /// takes). `1` (the default) is solo execution. Values ≥ 2 must be
+    /// powers of two and carve the slots into per-tenant blocks sized by
+    /// the plan's slot footprint; rotations then run in packed mode (see
+    /// [`physical_step`]).
     pub batch_occupancy: usize,
 }
 
@@ -152,9 +171,9 @@ pub struct GuardOptions {
     /// Scan every residue row of each result for values outside its
     /// prime's range (an `O(N·prefix)` pass per op; off by default).
     pub validate_repr: bool,
-    /// Track the noise budget with a [`NoiseMonitor`] and abort with
-    /// [`ExecError::BudgetExhausted`] once the modeled RMS noise of any
-    /// value exceeds this bound. `None` disables monitoring.
+    /// Abort with [`ExecError::BudgetExhausted`] once the run ledger's
+    /// modeled RMS noise of any value exceeds this bound. `None` disables
+    /// the check (the ledger itself always runs).
     pub max_rms: Option<f64>,
 }
 
@@ -240,10 +259,11 @@ pub enum ExecError {
         at: usize,
     },
     /// The requested slot-batching occupancy cannot be realized: it is
-    /// not a power of two, or the plan's slot footprint does not fit the
-    /// per-tenant block at this ring degree.
+    /// not a power of two, the plan's slot footprint does not fit the
+    /// per-tenant block at this ring degree, or a run was handed a tenant
+    /// count other than the engine's occupancy.
     BatchUnsupported {
-        /// The requested occupancy.
+        /// The requested occupancy (or offered tenant count).
         occupancy: usize,
         /// Slots available per tenant block at this occupancy.
         block: usize,
@@ -313,20 +333,25 @@ impl From<EncodeError> for ExecError {
     }
 }
 
-/// The result of one encrypted run.
+/// The result of one encrypted run, as seen by one tenant. Tenants packed
+/// into the same run share everything but `outputs`.
 #[derive(Debug)]
 pub struct EncryptedRun {
-    /// Decrypted, decoded outputs (first `vec_size` slots).
+    /// This tenant's decrypted, demultiplexed outputs (`vec_size` slots).
     pub outputs: HashMap<String, Vec<f64>>,
     /// Total homomorphic execution time, microseconds (setup, encryption,
     /// and decryption excluded — matching the paper's latency metric).
+    /// The sum of `op_us`, so it counts kernel time, not wall time, when
+    /// several workers overlap.
     pub total_us: f64,
     /// Per-operation time, microseconds (zero for non-runtime ops).
     pub op_us: Vec<f64>,
-    /// Peak number of simultaneously live ciphertexts.
+    /// Peak number of simultaneously live ciphertexts. Values are freed
+    /// when their last consumer finishes (the paper's SEAL dialect
+    /// optimizes memory the same way); with more than one worker the peak
+    /// depends on the interleaving.
     pub peak_live: usize,
-    /// Peak ciphertext working set in bytes (liveness-planned; the paper's
-    /// SEAL dialect optimizes memory the same way).
+    /// Peak ciphertext working set in bytes, under the same release rule.
     pub peak_bytes: usize,
     /// Ring degree used.
     pub degree: usize,
@@ -345,8 +370,8 @@ enum Val {
 }
 
 /// The runtime value of one IR operation: a free vector, an encoded
-/// plaintext, or a ciphertext. Opaque to callers; produced and consumed by
-/// [`ExecEngine`] kernels.
+/// plaintext, or a ciphertext. Opaque to callers: the audit's
+/// [`OpObserver`] reads one by demultiplexing it through the engine.
 pub struct OpValue(Val);
 
 impl OpValue {
@@ -356,17 +381,8 @@ impl OpValue {
         matches!(self.0, Val::Cipher(_))
     }
 
-    /// The underlying ciphertext, if this value is one — the handle a
-    /// [`hecate_ckks::DecryptProbe`] reads during an audited run.
-    pub fn as_cipher(&self) -> Option<&Ciphertext> {
-        match &self.0 {
-            Val::Cipher(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Bytes this value contributes to the ciphertext working set.
-    pub fn cipher_bytes(&self, degree: usize) -> usize {
+    fn cipher_bytes(&self, degree: usize) -> usize {
         match &self.0 {
             Val::Cipher(c) => 2 * c.prefix() * degree * std::mem::size_of::<u64>(),
             _ => 0,
@@ -418,8 +434,8 @@ pub fn physical_step(step: usize, vec_size: usize, slots: usize, occupancy: usiz
 }
 
 /// Collects the evaluation keys a program needs: relinearization prefixes
-/// and `(rotation step, prefix)` pairs. Solo layout; see
-/// [`key_requirements_for`] for packed engines.
+/// and `(rotation step, prefix)` pairs, in the solo layout (a packed
+/// engine maps steps through [`physical_step`] at its own occupancy).
 pub fn key_requirements(
     prog: &CompiledProgram,
     slots: usize,
@@ -431,7 +447,7 @@ pub fn key_requirements(
 /// [`key_requirements`] for an engine at the given batching occupancy:
 /// rotation steps are mapped through [`physical_step`] so a packed engine
 /// generates Galois keys for the steps it will actually execute.
-pub fn key_requirements_for(
+fn key_requirements_for(
     prog: &CompiledProgram,
     slots: usize,
     chain_len: usize,
@@ -485,15 +501,14 @@ fn replicate(data: &[f64], vec_size: usize, slots: usize) -> Vec<f64> {
 /// Per-run cache of hoisted rotation decompositions, keyed by the
 /// producer value's operation index.
 ///
-/// One [`HoistState`] must live exactly as long as one run: decomposed
-/// `c1` values depend on that run's ciphertexts, so sharing across runs
-/// (or engines) would be incorrect. The sequential and parallel drivers
-/// each create one and thread it through [`ExecEngine::exec_op_with`].
-/// Concurrent workers may race to hoist the same value; both compute the
-/// same bits (the kernels are deterministic), the first insert wins, and
-/// the duplicate is dropped — correctness never depends on the race.
-#[derive(Debug, Default)]
-pub struct HoistState {
+/// One [`HoistState`] lives exactly as long as one run: decomposed `c1`
+/// values depend on that run's ciphertexts, so sharing across runs (or
+/// engines) would be incorrect. Concurrent workers may race to hoist the
+/// same value; both compute the same bits (the kernels are
+/// deterministic), the first insert wins, and the duplicate is dropped —
+/// correctness never depends on the race.
+#[derive(Default)]
+struct HoistState {
     decomps: Mutex<HashMap<usize, Arc<HoistedDecomp>>>,
 }
 
@@ -532,16 +547,15 @@ impl HoistState {
 /// generation, and evaluation-key synthesis for exactly the
 /// relinearization and rotation prefixes the program uses. After that,
 /// every method takes `&self` — a single engine can serve any number of
-/// sequential or concurrent runs, which is what the `hecate-runtime`
-/// session manager relies on (one engine per session × plan, shared
-/// across worker threads).
+/// sequential or concurrent [`execute`] runs, which is what the
+/// `hecate-runtime` session manager relies on (one engine per session ×
+/// plan, shared across worker threads).
 ///
-/// Randomness discipline: key generation consumes `seed`; each call to
-/// [`ExecEngine::encrypt_inputs`] creates a fresh [`Encryptor`] seeded
-/// with `seed + 1` and encrypts inputs in operation order. Homomorphic
-/// kernels are deterministic, so two runs over the same inputs produce
-/// bit-identical ciphertexts and outputs no matter how operations are
-/// scheduled between those two phases.
+/// Randomness discipline: key generation consumes `seed`; each run
+/// creates a fresh [`Encryptor`] seeded with `seed + 1` and encrypts
+/// inputs in operation order. Homomorphic kernels are deterministic, so
+/// two runs over the same inputs produce bit-identical ciphertexts and
+/// outputs no matter how operations are scheduled after that.
 pub struct ExecEngine {
     prog: Arc<CompiledProgram>,
     params: CkksParams,
@@ -563,7 +577,7 @@ pub struct ExecEngine {
     /// Slots per tenant block (`slots / occupancy`).
     block: usize,
     /// Per-op contamination reach `(back, fwd)` under packed execution;
-    /// empty for solo engines.
+    /// empty for solo engines (one block has no neighbour to smear in).
     reaches: Vec<(usize, usize)>,
     /// Whether rotation hoisting is enabled for this engine.
     hoist_rotations: bool,
@@ -577,10 +591,7 @@ pub struct ExecEngine {
     cost_infos: Vec<OpCostInfo>,
     ops_counter: Counter,
     op_us_hist: Histogram,
-    // Precision observability: the plan's static waterline margin
-    // (min over cipher ops of scale − S_w), plus cached handles into the
-    // global `hecate_precision_*` metric family.
-    min_plan_margin_bits: f64,
+    // Cached handles into the global `hecate_precision_*` metric family.
     precision_ops: Counter,
     precision_margin_gauge: Gauge,
 }
@@ -594,7 +605,7 @@ pub fn rotation_fanout(prog: &CompiledProgram, slots: usize) -> Vec<u32> {
 
 /// [`rotation_fanout`] under the given batching occupancy (fan-out is
 /// counted over *physical* steps, which differ in packed mode).
-pub fn rotation_fanout_for(prog: &CompiledProgram, slots: usize, occupancy: usize) -> Vec<u32> {
+fn rotation_fanout_for(prog: &CompiledProgram, slots: usize, occupancy: usize) -> Vec<u32> {
     let vec_size = prog.func.vec_size;
     let mut fanout = vec![0u32; prog.func.len()];
     let mut seen: HashSet<(usize, usize)> = HashSet::new();
@@ -662,8 +673,6 @@ impl ExecEngine {
         let registry = hecate_telemetry::metrics::global();
         let ops_counter = registry.counter("hecate_exec_ops_total");
         let op_us_hist = registry.histogram("hecate_exec_op_us", 24);
-        let min_plan_margin_bits =
-            min_waterline_margin_bits(&prog.func, &prog.types, prog.cfg.waterline);
         let precision_ops = registry.counter("hecate_precision_ops_total");
         let precision_margin_gauge = registry.gauge("hecate_precision_min_margin_millibits");
         Ok(ExecEngine {
@@ -688,7 +697,6 @@ impl ExecEngine {
             cost_infos,
             ops_counter,
             op_us_hist,
-            min_plan_margin_bits,
             precision_ops,
             precision_margin_gauge,
         })
@@ -714,62 +722,21 @@ impl ExecEngine {
         self.occupancy
     }
 
-    /// Slots per tenant block (`slots / occupancy`; all slots when solo).
-    pub fn block_slots(&self) -> usize {
-        self.block
-    }
-
     /// The physical rotation this engine performs for logical `step`.
     fn phys_step(&self, step: usize) -> usize {
         physical_step(step, self.vec_size, self.slots, self.occupancy)
-    }
-
-    /// The guard configuration this engine applies after every operation.
-    pub fn guard(&self) -> &GuardOptions {
-        &self.guard
-    }
-
-    /// The plan's static waterline margin in bits: the minimum over all
-    /// cipher ops of `scale − S_w`. Because margins are type-derived, this
-    /// equals the minimum any run's [`NoiseLedger`] will record; the
-    /// serving layer exports it per session without paying for a ledger.
-    pub fn min_plan_margin_bits(&self) -> f64 {
-        self.min_plan_margin_bits
-    }
-
-    /// A read-only decrypt probe over this engine's decryptor and
-    /// encoder, for audit-mode checkpoint comparisons. Probing never
-    /// mutates ciphertexts, so audited runs stay bit-identical.
-    pub fn probe(&self) -> hecate_ckks::DecryptProbe<'_> {
-        hecate_ckks::DecryptProbe::new(&self.decryptor, &self.encoder)
     }
 
     /// Folds one finished run's ledger into the global
     /// `hecate_precision_*` metric family: bumps the recorded-op counter
     /// and publishes the run's tightest margin (millibits, so the integer
     /// gauge keeps three decimal places).
-    pub fn publish_precision(&self, ledger: &NoiseLedger) {
+    fn publish_precision(&self, ledger: &NoiseLedger) {
         self.precision_ops.add(ledger.entries().len() as u64);
         let min = ledger.min_margin_bits();
         if min.is_finite() {
             self.precision_margin_gauge.set((min * 1000.0) as i64);
         }
-    }
-
-    /// A noise monitor when noise guarding is configured, else `None`.
-    /// The monitor is per-run mutable state, so each run owns its own.
-    /// Packed engines use the same worst-block model as
-    /// [`NoiseLedger::with_occupancy`]: the per-slot message mean-square
-    /// is bounded by the occupancy and injected noise terms carry the
-    /// worst-block concentration multiplier, so guard verdicts and the
-    /// ledger agree on every run. At occupancy 1 both factors are 1.0,
-    /// leaving the solo model bit-identical.
-    pub fn new_monitor(&self) -> Option<NoiseMonitor> {
-        self.guard.max_rms.map(|_| {
-            NoiseMonitor::new(self.degree())
-                .with_message_bound(self.occupancy as f64)
-                .with_noise_concentration(self.occupancy as f64)
-        })
     }
 
     fn encode_replicated(
@@ -794,52 +761,20 @@ impl ExecEngine {
         Ok(pt)
     }
 
-    /// Encrypts the input bindings, producing a value table with exactly
-    /// the `input` operation slots filled. Inputs are encrypted in
-    /// operation order from a fresh seeded encryptor, so the ciphertexts
-    /// are identical across runs and independent of downstream scheduling.
-    ///
-    /// # Errors
-    /// Returns [`ExecError::MissingInput`] for unbound names and
-    /// propagates encoding failures.
-    pub fn encrypt_inputs(
-        &self,
-        inputs: &HashMap<String, Vec<f64>>,
-    ) -> Result<Vec<Option<OpValue>>, ExecError> {
-        let mut encryptor =
-            Encryptor::new(&self.params, self.pk.clone(), self.seed.wrapping_add(1));
-        let mut vals: Vec<Option<OpValue>> = Vec::with_capacity(self.prog.func.len());
-        for (i, op) in self.prog.func.ops().iter().enumerate() {
-            vals.push(match op {
-                Op::Input { name } => {
-                    let data = inputs
-                        .get(name)
-                        .ok_or_else(|| ExecError::MissingInput { name: name.clone() })?;
-                    let scale = self.prog.types[i].scale().expect("cipher input");
-                    let pt = self.encode_replicated(name, data, scale, 0)?;
-                    Some(OpValue(Val::Cipher(encryptor.encrypt(&pt))))
-                }
-                _ => None,
-            });
-        }
-        Ok(vals)
-    }
-
-    /// Packed-mode counterpart of [`ExecEngine::encrypt_inputs`]: packs
-    /// each tenant's input bindings into its slot block (the layout of
-    /// [`hecate_ckks::pack_blocks`], which restricted to one block equals
-    /// solo replication — so replicated plaintext constants act correctly
-    /// on every tenant at once) and encrypts each packed vector once.
-    ///
-    /// # Errors
-    /// Returns [`ExecError::BatchUnsupported`] when the engine is solo or
-    /// the tenant count disagrees with the occupancy, and per-tenant
-    /// [`ExecError::MissingInput`] / [`ExecError::InputTooLong`].
-    pub fn encrypt_inputs_packed(
+    /// Encrypts one run's input bindings, producing a value table with
+    /// exactly the `input` operation slots filled. Tenant `b`'s vector
+    /// tiles slot block `b` (the layout of [`hecate_ckks::pack_blocks`],
+    /// which restricted to one block equals replication — so replicated
+    /// plaintext constants act correctly on every tenant at once, and the
+    /// solo case is one block spanning every slot). Inputs are encrypted
+    /// in operation order from a fresh seeded encryptor, so the
+    /// ciphertexts are identical across runs and independent of
+    /// downstream scheduling.
+    fn encrypt_inputs(
         &self,
         tenants: &[&HashMap<String, Vec<f64>>],
     ) -> Result<Vec<Option<OpValue>>, ExecError> {
-        if self.occupancy < 2 || tenants.len() != self.occupancy {
+        if tenants.len() != self.occupancy {
             return Err(ExecError::BatchUnsupported {
                 occupancy: tenants.len(),
                 block: self.block,
@@ -883,15 +818,32 @@ impl ExecEngine {
         Ok(vals)
     }
 
-    /// Demultiplexes the value produced by operation `i` into one logical
-    /// `vec_size`-vector per tenant, reading each tenant's clean window
-    /// (past the op's backward contamination reach) and realigning in
-    /// plaintext. Solo engines return a single entry equal to
-    /// [`ExecEngine::decrypt_output`].
-    pub fn demux_value(&self, value: &OpValue, i: usize) -> Vec<Vec<f64>> {
-        if self.occupancy < 2 {
-            return vec![self.decrypt_output(value)];
+    /// How many clean copies of its logical vector each tenant's block
+    /// holds in the value of operation `i`: packing tiles the vector
+    /// across the block and a global rotation shifts every copy alike, so
+    /// each copy outside the op's contamination reach is an independent
+    /// noise sample of the same logical value. The batched audit measures
+    /// probe RMS over all of them, which keeps per-probe sampling
+    /// variance comparable to a solo audit's despite the narrower blocks;
+    /// a solo audit keeps sampling the one window its thresholds were
+    /// validated against.
+    pub(crate) fn clean_copies(&self, i: usize) -> usize {
+        if self.occupancy == 1 {
+            return 1;
         }
+        let (back, fwd) = self.reaches[i];
+        // Feasibility (checked at engine build) guarantees at least one.
+        (self.block - back - fwd) / self.vec_size
+    }
+
+    /// Decrypts (or decodes) the value produced by operation `i` and
+    /// demultiplexes it into one vector per tenant: the first `copies`
+    /// windows of each tenant's block past the op's backward
+    /// contamination reach, realigned in plaintext and concatenated.
+    /// Program outputs are `copies = 1`; `copies` must not exceed
+    /// [`ExecEngine::clean_copies`]. Reading never mutates the value, so
+    /// an observed run stays bit-identical.
+    pub(crate) fn demux(&self, value: &OpValue, i: usize, copies: usize) -> Vec<Vec<f64>> {
         let decoded = match &value.0 {
             Val::Cipher(c) => self.encoder.decode(&self.decryptor.decrypt(c)),
             Val::Plain(p) => self.encoder.decode(p),
@@ -899,42 +851,17 @@ impl ExecEngine {
         };
         let back = self.reaches.get(i).map_or(0, |&(b, _)| b);
         (0..self.occupancy)
-            .map(|b| hecate_ckks::unpack_block(&decoded, b * self.block, back, self.vec_size))
-            .collect()
-    }
-
-    /// Like [`ExecEngine::demux_value`], but returns every *clean copy*
-    /// of the tenant's window inside its block, concatenated. Packing
-    /// tiles the logical vector across the block and a global rotation
-    /// shifts all copies consistently, so each copy outside the op's
-    /// contamination reach is an independent noise sample of the same
-    /// logical value — the batched audit measures probe RMS over all of
-    /// them instead of the single window, which keeps per-probe sampling
-    /// variance comparable to a solo audit's despite the narrower blocks.
-    pub fn demux_copies(&self, value: &OpValue, i: usize) -> Vec<Vec<f64>> {
-        if self.occupancy < 2 {
-            return vec![self.decrypt_output(value)];
-        }
-        let decoded = match &value.0 {
-            Val::Cipher(c) => self.encoder.decode(&self.decryptor.decrypt(c)),
-            Val::Plain(p) => self.encoder.decode(p),
-            Val::Free(d) => return vec![d.clone(); self.occupancy],
-        };
-        let (back, fwd) = self.reaches.get(i).copied().unwrap_or((0, 0));
-        // Feasibility (checked at engine build) guarantees at least one.
-        let copies = (self.block - back - fwd) / self.vec_size;
-        (0..self.occupancy)
             .map(|b| {
-                let mut out = Vec::with_capacity(copies * self.vec_size);
-                for c in 0..copies {
-                    out.extend(hecate_ckks::unpack_block(
-                        &decoded,
-                        b * self.block + c * self.vec_size,
-                        back,
-                        self.vec_size,
-                    ));
-                }
-                out
+                (0..copies)
+                    .flat_map(|c| {
+                        hecate_ckks::unpack_block(
+                            &decoded,
+                            b * self.block + c * self.vec_size,
+                            back,
+                            self.vec_size,
+                        )
+                    })
+                    .collect()
             })
             .collect()
     }
@@ -943,34 +870,14 @@ impl ExecEngine {
     /// [`Op::operands`] order), then applies fault injection and guards.
     /// Returns the value, the homomorphic kernel time in microseconds
     /// (zero for setup-only operations), and any injected noise variance
-    /// for the caller's noise monitor.
-    ///
-    /// `input` operations are handled by [`ExecEngine::encrypt_inputs`],
+    /// for the run's ledger. `input` operations are handled by
+    /// [`ExecEngine::encrypt_inputs`] and [`ExecEngine::admit_value`],
     /// not here.
-    ///
-    /// # Errors
-    /// Returns [`ExecError`] on evaluator failures or tripped guards.
-    pub fn exec_op(
+    fn exec_op(
         &self,
         i: usize,
         operands: &[&OpValue],
-    ) -> Result<(OpValue, f64, f64), ExecError> {
-        self.exec_op_with(i, operands, None)
-    }
-
-    /// Like [`ExecEngine::exec_op`], with an optional per-run [`HoistState`]
-    /// enabling Halevi–Shoup rotation hoisting for fanned-out rotations.
-    /// Passing `None` (or constructing the engine with
-    /// [`BackendOptions::hoist_rotations`] off) takes the plain rotation
-    /// path; both paths are bit-identical.
-    ///
-    /// # Errors
-    /// Returns [`ExecError`] on evaluator failures or tripped guards.
-    pub fn exec_op_with(
-        &self,
-        i: usize,
-        operands: &[&OpValue],
-        hoist: Option<&HoistState>,
+        hoist: &HoistState,
     ) -> Result<(OpValue, f64, f64), ExecError> {
         let mut span = trace::span_with("exec-op", || {
             let info = &self.cost_infos[i];
@@ -994,69 +901,19 @@ impl ExecEngine {
         Ok((value, us, injected_var))
     }
 
-    /// Applies fault injection and guards to a value produced outside
-    /// [`ExecEngine::exec_op`] (i.e. an encrypted input). Returns the
-    /// injected noise variance.
-    ///
-    /// # Errors
-    /// Returns [`ExecError::Guard`] if a guard trips.
-    pub fn admit_value(&self, i: usize, value: &mut OpValue) -> Result<f64, ExecError> {
+    /// Applies fault injection and guards to an encrypted input, exactly
+    /// as a computed value would be. Returns the injected noise variance.
+    fn admit_value(&self, i: usize, value: &mut OpValue) -> Result<f64, ExecError> {
         let injected_var = self.inject_fault(i, value);
         self.check_guards(i, value)?;
         Ok(injected_var)
-    }
-
-    /// Runs the noise monitor for operation `i` and enforces the budget.
-    ///
-    /// # Errors
-    /// Returns [`ExecError::BudgetExhausted`] once the modeled RMS noise
-    /// exceeds the configured bound.
-    pub fn check_noise(
-        &self,
-        monitor: &mut NoiseMonitor,
-        i: usize,
-        injected_var: f64,
-    ) -> Result<(), ExecError> {
-        let Some(max_rms) = self.guard.max_rms else {
-            return Ok(());
-        };
-        monitor.record(&self.prog, i);
-        if injected_var > 0.0 {
-            monitor.inject(i, injected_var);
-        }
-        let rms = monitor.rms(i);
-        if rms > max_rms {
-            return Err(ExecError::BudgetExhausted {
-                at: i,
-                deficit: (rms / max_rms).log2(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Decrypts (or decodes) an output value down to the first
-    /// `vec_size` slots.
-    pub fn decrypt_output(&self, value: &OpValue) -> Vec<f64> {
-        match &value.0 {
-            Val::Cipher(c) => {
-                let mut decoded = self.encoder.decode(&self.decryptor.decrypt(c));
-                decoded.truncate(self.vec_size);
-                decoded
-            }
-            Val::Plain(p) => {
-                let mut decoded = self.encoder.decode(p);
-                decoded.truncate(self.vec_size);
-                decoded
-            }
-            Val::Free(d) => d.clone(),
-        }
     }
 
     fn compute(
         &self,
         i: usize,
         operands: &[&OpValue],
-        hoist: Option<&HoistState>,
+        hoist: &HoistState,
     ) -> Result<(Val, f64), ExecError> {
         let prog = &self.prog;
         let op = &prog.func.ops()[i];
@@ -1065,7 +922,7 @@ impl ExecEngine {
         let eval_err = |source: EvalError| ExecError::Eval { at: i, source };
         let mut us = 0.0f64;
         let value = match op {
-            Op::Input { .. } => unreachable!("inputs are encrypted by encrypt_inputs"),
+            Op::Input { .. } => unreachable!("inputs are encrypted before scheduling"),
             Op::Const { data } => Val::Free((0..self.vec_size).map(|k| data.at(k)).collect()),
             Op::Encode {
                 scale_bits, level, ..
@@ -1149,14 +1006,11 @@ impl ExecEngine {
                     unreachable!("rotate on cipher")
                 };
                 let s = self.phys_step(*step);
-                let hoistable = self.hoist_rotations
-                    && s != 0
-                    && self.rotate_fanout[value.index()] >= 2
-                    && hoist.is_some();
+                let hoistable =
+                    self.hoist_rotations && s != 0 && self.rotate_fanout[value.index()] >= 2;
                 let t0 = Instant::now();
                 let out = if hoistable {
-                    let hs = hoist.expect("checked above");
-                    let hd = hs.get_or_hoist(value.index(), c, eval);
+                    let hd = hoist.get_or_hoist(value.index(), c, eval);
                     eval.rotate_hoisted(c, &hd, s).map_err(eval_err)?
                 } else {
                     eval.rotate(c, s).map_err(eval_err)?
@@ -1324,12 +1178,8 @@ impl ExecEngine {
     }
 }
 
-/// Executes a compiled program under encryption, sequentially.
-///
-/// This is the single-threaded driver over [`ExecEngine`]: it walks the
-/// SSA order, releases operands at their last use, and tracks peak
-/// ciphertext liveness. The `hecate-runtime` crate provides a parallel
-/// driver over the same engine.
+/// Builds an engine for `prog` and runs it once, solo, on the calling
+/// thread.
 ///
 /// # Errors
 /// Returns [`ExecError`] on parameter, key, input, or evaluator failures.
@@ -1342,7 +1192,8 @@ pub fn execute_encrypted(
     execute_sequential(&engine, inputs)
 }
 
-/// Sequential execution over an already-built engine (setup amortized).
+/// One solo run on the calling thread over an already-built engine
+/// (setup amortized): [`execute`] with one tenant and one worker.
 ///
 /// # Errors
 /// Returns [`ExecError`] on input, evaluator, or guard failures.
@@ -1350,256 +1201,350 @@ pub fn execute_sequential(
     engine: &ExecEngine,
     inputs: &HashMap<String, Vec<f64>>,
 ) -> Result<EncryptedRun, ExecError> {
-    execute_sequential_with(engine, inputs, None, None)
+    let mut runs = execute(engine, &[inputs], 1, None, None)?;
+    Ok(runs.pop().expect("one run per tenant"))
 }
 
 /// A per-op observer for audited runs, called once per executed operation
 /// after fault injection and guards with `(op index, value, predicted
 /// RMS)`. The predicted RMS is the run ledger's noise estimate for cipher
 /// values (0 for plain/free values). Returning an error aborts the run.
-pub type OpObserver<'a> = &'a mut dyn FnMut(usize, &OpValue, f64) -> Result<(), ExecError>;
+/// Calls are serialized in completion order — SSA order with one worker.
+pub type OpObserver<'a> = &'a mut (dyn FnMut(usize, &OpValue, f64) -> Result<(), ExecError> + Send);
 
-/// [`execute_sequential`] with an optional per-op observer — the hook the
-/// audit driver uses to decrypt-probe intermediate values — and an
-/// optional [`CancelToken`] polled between ops so a timed-out or shed run
-/// stops burning cores. The observer only *reads* values (decryption does
+/// Executes `engine`'s program once for `tenants.len()` tenants — which
+/// must equal the engine's occupancy — on `jobs` workers, and returns one
+/// [`EncryptedRun`] per tenant, in block order. See the module docs for
+/// the scheduling, determinism, and noise-model contract.
+///
+/// `observer` is the audit hook: it only *reads* values (decryption does
 /// not consume a ciphertext), so an observed run is bit-identical to an
-/// unobserved one.
+/// unobserved one. `cancel` is polled before every op, so a timed-out or
+/// shed run stops burning cores within one kernel.
 ///
 /// # Errors
 /// Returns [`ExecError`] on input, evaluator, guard, observer, or
-/// cancellation failures.
-pub fn execute_sequential_with(
-    engine: &ExecEngine,
-    inputs: &HashMap<String, Vec<f64>>,
-    observer: Option<OpObserver<'_>>,
-    cancel: Option<&CancelToken>,
-) -> Result<EncryptedRun, ExecError> {
-    let prog = engine.prog().clone();
-    let mut span = trace::span_with("execute", || {
-        vec![
-            ("func", prog.func.name.as_str().into()),
-            ("ops", prog.func.len().into()),
-            ("degree", engine.degree().into()),
-            ("chain_len", engine.chain_len().into()),
-        ]
-    });
-    let pre = engine.encrypt_inputs(inputs)?;
-    let core = drive_ops(engine, pre, observer, cancel)?;
-
-    let mut outputs = HashMap::new();
-    for (name, v) in prog.func.outputs() {
-        outputs.insert(name.clone(), engine.decrypt_output(&core.vals[&v.index()]));
-    }
-
-    engine.publish_precision(&core.ledger);
-    span.attr("total_us", core.total_us.into());
-    span.attr("min_margin_bits", core.ledger.min_margin_bits().into());
-    Ok(EncryptedRun {
-        outputs,
-        total_us: core.total_us,
-        op_us: core.op_us,
-        peak_live: core.peak_live,
-        peak_bytes: core.peak_bytes,
-        degree: engine.degree(),
-        chain_len: engine.chain_len(),
-        min_margin_bits: core.ledger.min_margin_bits(),
-    })
-}
-
-/// The result of one packed run serving several tenants from a shared
-/// ciphertext.
-#[derive(Debug)]
-pub struct BatchRun {
-    /// Per-tenant decrypted, demultiplexed outputs, in block order.
-    pub tenant_outputs: Vec<HashMap<String, Vec<f64>>>,
-    /// Total homomorphic execution time for the whole batch, µs.
-    pub total_us: f64,
-    /// Per-operation time, µs (shared across the batch).
-    pub op_us: Vec<f64>,
-    /// Peak number of simultaneously live ciphertexts.
-    pub peak_live: usize,
-    /// Peak ciphertext working set in bytes.
-    pub peak_bytes: usize,
-    /// Ring degree used.
-    pub degree: usize,
-    /// Chain length used.
-    pub chain_len: usize,
-    /// Tightest scale-vs-waterline margin (bits) from the run's ledger.
-    pub min_margin_bits: f64,
-    /// How many tenants shared the run.
-    pub occupancy: usize,
-}
-
-/// Executes a compiled program once for `tenants.len()` tenants packed
-/// into disjoint slot blocks of one ciphertext, demultiplexing each
-/// tenant's outputs afterwards. The engine must have been built with
-/// [`BackendOptions::batch_occupancy`] equal to the tenant count (≥ 2).
+/// cancellation failures — the first failure wins and remaining work is
+/// abandoned — and [`ExecError::BatchUnsupported`] on a tenant-count
+/// mismatch.
 ///
-/// The observer and cancel token behave exactly as in
-/// [`execute_sequential_with`]; the run's [`NoiseLedger`] bounds message
-/// magnitude by the occupancy so audits of packed runs stay conservative.
-///
-/// # Errors
-/// Returns [`ExecError`] on input, evaluator, guard, observer, or
-/// cancellation failures, and [`ExecError::BatchUnsupported`] on an
-/// occupancy mismatch.
-pub fn execute_batched_with(
+/// # Panics
+/// A panic in a kernel or the observer stops every worker and then
+/// propagates to the caller.
+pub fn execute(
     engine: &ExecEngine,
     tenants: &[&HashMap<String, Vec<f64>>],
+    jobs: usize,
     observer: Option<OpObserver<'_>>,
     cancel: Option<&CancelToken>,
-) -> Result<BatchRun, ExecError> {
-    let prog = engine.prog().clone();
+) -> Result<Vec<EncryptedRun>, ExecError> {
+    let jobs = jobs.max(1);
+    let prog = &engine.prog;
+    let n = prog.func.len();
     let mut span = trace::span_with("execute", || {
         vec![
             ("func", prog.func.name.as_str().into()),
-            ("ops", prog.func.len().into()),
+            ("ops", n.into()),
             ("degree", engine.degree().into()),
-            ("chain_len", engine.chain_len().into()),
-            ("occupancy", engine.occupancy().into()),
+            ("chain_len", engine.chain_len.into()),
+            ("jobs", jobs.into()),
+            ("occupancy", engine.occupancy.into()),
+            ("est_us", prog.stats.estimated_latency_us.into()),
         ]
     });
-    let pre = engine.encrypt_inputs_packed(tenants)?;
-    let core = drive_ops(engine, pre, observer, cancel)?;
+    let inputs = engine.encrypt_inputs(tenants)?;
 
-    let mut tenant_outputs: Vec<HashMap<String, Vec<f64>>> =
-        vec![HashMap::new(); engine.occupancy()];
-    for (name, v) in prog.func.outputs() {
-        let demuxed = engine.demux_value(&core.vals[&v.index()], v.index());
-        for (t, data) in demuxed.into_iter().enumerate() {
-            tenant_outputs[t].insert(name.clone(), data);
+    let mut users: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut indegree = Vec::with_capacity(n);
+    let mut ready = BinaryHeap::new();
+    for (i, op) in prog.func.ops().iter().enumerate() {
+        let operands = op.operands();
+        indegree.push(operands.len());
+        if operands.is_empty() {
+            ready.push(Reverse(i));
+        }
+        for v in operands {
+            users[v.index()].push(i);
         }
     }
+    // A value is freed when its use count reaches zero; the extra use an
+    // output holds is never released, so outputs survive the run.
+    let mut uses: Vec<usize> = users.iter().map(Vec::len).collect();
+    for (_, v) in prog.func.outputs() {
+        uses[v.index()] += 1;
+    }
 
-    engine.publish_precision(&core.ledger);
-    span.attr("total_us", core.total_us.into());
-    span.attr("min_margin_bits", core.ledger.min_margin_bits().into());
-    Ok(BatchRun {
-        tenant_outputs,
-        total_us: core.total_us,
-        op_us: core.op_us,
-        peak_live: core.peak_live,
-        peak_bytes: core.peak_bytes,
-        degree: engine.degree(),
-        chain_len: engine.chain_len(),
-        min_margin_bits: core.ledger.min_margin_bits(),
-        occupancy: engine.occupancy(),
-    })
+    let driver = Driver {
+        engine,
+        cancel,
+        jobs,
+        users,
+        hoist: HoistState::default(),
+        wake: Condvar::new(),
+        state: Mutex::new(RunState {
+            ready,
+            indegree,
+            uses,
+            inputs,
+            vals: vec![None; n],
+            done: 0,
+            stop: false,
+            error: None,
+            ledger: NoiseLedger::new(prog, engine.degree(), engine.occupancy),
+            observer,
+            op_us: vec![0.0; n],
+            live_cipher: 0,
+            peak_live: 0,
+            live_bytes: 0,
+            peak_bytes: 0,
+        }),
+    };
+    // The correlation context is thread-local; re-establish it in each
+    // helper so exec-op events keep the serving request's ids across the
+    // thread hop.
+    let (ctx_req, ctx_batch) = trace::current_context();
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(|| {
+                let _ctx = trace::push_context(ctx_req, ctx_batch);
+                driver.work();
+            });
+        }
+        driver.work();
+    });
+
+    let state = driver
+        .state
+        .into_inner()
+        .expect("a poisoned run already panicked out of the scope");
+    if let Some(e) = state.error {
+        return Err(e);
+    }
+    assert_eq!(
+        state.done, n,
+        "scheduler drained without completing the DAG"
+    );
+
+    let mut outputs: Vec<HashMap<String, Vec<f64>>> = vec![HashMap::new(); engine.occupancy];
+    for (name, v) in prog.func.outputs() {
+        let value = state.vals[v.index()]
+            .as_ref()
+            .expect("outputs are retained");
+        for (t, data) in engine.demux(value, v.index(), 1).into_iter().enumerate() {
+            outputs[t].insert(name.clone(), data);
+        }
+    }
+    engine.publish_precision(&state.ledger);
+    let total_us: f64 = state.op_us.iter().sum();
+    let min_margin_bits = state.ledger.min_margin_bits();
+    span.attr("total_us", total_us.into());
+    span.attr("min_margin_bits", min_margin_bits.into());
+    Ok(outputs
+        .into_iter()
+        .map(|outputs| EncryptedRun {
+            outputs,
+            total_us,
+            op_us: state.op_us.clone(),
+            peak_live: state.peak_live,
+            peak_bytes: state.peak_bytes,
+            degree: engine.degree(),
+            chain_len: engine.chain_len,
+            min_margin_bits,
+        })
+        .collect())
 }
 
-/// What [`drive_ops`] hands back: the surviving value table (outputs are
-/// always alive at the end) plus the run's timing, liveness, and ledger.
-struct CoreRun {
-    vals: HashMap<usize, OpValue>,
-    op_us: Vec<f64>,
-    total_us: f64,
-    peak_live: usize,
-    peak_bytes: usize,
+/// One run's scheduler: the immutable DAG shape plus the mutable
+/// [`RunState`] every worker shares.
+struct Driver<'a, 'o> {
+    engine: &'a ExecEngine,
+    cancel: Option<&'a CancelToken>,
+    jobs: usize,
+    /// Consumers of each value, one entry per operand instance.
+    users: Vec<Vec<usize>>,
+    hoist: HoistState,
+    state: Mutex<RunState<'o>>,
+    /// Signalled whenever ops become ready or the run ends.
+    wake: Condvar,
+}
+
+/// Everything a run mutates, behind the driver's one lock. Kernels run
+/// outside it; it is held only to pick an op and to book a finished one.
+struct RunState<'o> {
+    /// Ops whose operands are all computed, smallest index first.
+    ready: BinaryHeap<Reverse<usize>>,
+    /// Remaining uncomputed operand instances per op.
+    indegree: Vec<usize>,
+    /// Remaining consumer instances per value (+1 for program outputs).
+    uses: Vec<usize>,
+    /// Encrypted inputs awaiting admission.
+    inputs: Vec<Option<OpValue>>,
+    /// Computed values still needed by a consumer or as an output.
+    vals: Vec<Option<Arc<OpValue>>>,
+    done: usize,
+    /// Set on the first failure (or a worker panic): workers drain.
+    stop: bool,
+    error: Option<ExecError>,
     ledger: NoiseLedger,
+    observer: Option<OpObserver<'o>>,
+    op_us: Vec<f64>,
+    live_cipher: usize,
+    peak_live: usize,
+    live_bytes: usize,
+    peak_bytes: usize,
 }
 
-/// The shared sequential interpreter loop: walks SSA order over
-/// pre-encrypted inputs, executes each op, runs guards/noise/ledger,
-/// calls the observer, and releases operands at their last use. Both the
-/// solo and the packed drivers wrap this; they differ only in how inputs
-/// are encrypted and outputs decrypted.
-fn drive_ops(
-    engine: &ExecEngine,
-    mut pre: Vec<Option<OpValue>>,
-    mut observer: Option<OpObserver<'_>>,
-    cancel: Option<&CancelToken>,
-) -> Result<CoreRun, ExecError> {
-    let prog = engine.prog().clone();
-    let last = last_uses(&prog.func);
-    let mut monitor = engine.new_monitor();
-    let mut ledger = NoiseLedger::with_occupancy(&prog, engine.degree(), engine.occupancy());
-    let hoist = HoistState::default();
+/// Stops the run if its worker unwinds, so the peers parked on `wake`
+/// exit and the scope can propagate the panic instead of hanging.
+struct StopOnUnwind<'d, 'a, 'o>(&'d Driver<'a, 'o>);
 
-    let mut vals: HashMap<usize, OpValue> = HashMap::new();
-    let mut op_us = vec![0.0f64; prog.func.len()];
-    let mut total_us = 0.0;
-    let mut live_cipher = 0usize;
-    let mut peak_live = 0usize;
-    let mut peak_bytes = 0usize;
+impl Drop for StopOnUnwind<'_, '_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Raising `stop` is valid whatever the panic interrupted.
+            self.0.state.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
+            self.0.wake.notify_all();
+        }
+    }
+}
 
-    for (i, op) in prog.func.ops().iter().enumerate() {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(ExecError::Cancelled { at: i });
+impl<'o> Driver<'_, 'o> {
+    fn lock(&self) -> MutexGuard<'_, RunState<'o>> {
+        self.state.lock().expect("a peer worker panicked mid-run")
+    }
+
+    /// The worker loop: pop the smallest ready op, run it unlocked, book
+    /// the result, until the DAG is complete or the run stops.
+    fn work(&self) {
+        let _stop = StopOnUnwind(self);
+        let engine = self.engine;
+        let ops = engine.prog.func.ops();
+        let mut state = self.lock();
+        loop {
+            let i = loop {
+                if state.stop || state.done == ops.len() {
+                    return;
+                }
+                if let Some(Reverse(i)) = state.ready.pop() {
+                    break i;
+                }
+                state = self
+                    .wake
+                    .wait(state)
+                    .expect("a peer worker panicked mid-run");
+            };
+            let result = if self.cancel.is_some_and(CancelToken::is_cancelled) {
+                Err(ExecError::Cancelled { at: i })
+            } else {
+                let input = state.inputs[i].take();
+                let operands: Vec<Arc<OpValue>> = ops[i]
+                    .operands()
+                    .iter()
+                    .map(|v| {
+                        state.vals[v.index()]
+                            .clone()
+                            .expect("operands precede consumers")
+                    })
+                    .collect();
+                drop(state);
+                let result = match input {
+                    Some(mut value) => engine
+                        .admit_value(i, &mut value)
+                        .map(|injected_var| (value, 0.0, injected_var)),
+                    None => {
+                        let refs: Vec<&OpValue> = operands.iter().map(Arc::as_ref).collect();
+                        engine.exec_op(i, &refs, &self.hoist)
+                    }
+                };
+                state = self.lock();
+                result.and_then(|(value, us, injected_var)| {
+                    state.book(engine, &self.users[i], i, value, us, injected_var)
+                })
+            };
+            if let Err(e) = result {
+                state.error.get_or_insert(e);
+                state.stop = true;
+            }
+            if self.jobs > 1 {
+                self.wake.notify_all();
+            }
         }
-        let (value, injected_var) = if let Some(mut input_val) = pre[i].take() {
-            let injected = engine.admit_value(i, &mut input_val)?;
-            (input_val, injected)
-        } else {
-            let operand_vals: Vec<&OpValue> =
-                op.operands().iter().map(|v| &vals[&v.index()]).collect();
-            let (value, us, injected) = engine.exec_op_with(i, &operand_vals, Some(&hoist))?;
-            op_us[i] = us;
-            total_us += us;
-            (value, injected)
-        };
-        if let Some(m) = monitor.as_mut() {
-            engine.check_noise(m, i, injected_var)?;
-        }
+    }
+}
+
+impl RunState<'_> {
+    /// Books finished operation `i`: ledger and noise guard, precision
+    /// mark, observer, liveness accounting, operand release, and the
+    /// consumers it makes ready.
+    fn book(
+        &mut self,
+        engine: &ExecEngine,
+        users: &[usize],
+        i: usize,
+        value: OpValue,
+        us: f64,
+        injected_var: f64,
+    ) -> Result<(), ExecError> {
+        let prog = &engine.prog;
         // The precision ledger always runs: its per-op cost (a few float
         // ops) is invisible next to the NTT kernels, and emitting marks is
         // gated inside the tracer. Recording never touches ciphertext
         // bits, so runs are bit-identical with or without a consumer.
-        let predicted_rms = match ledger.record(&prog, i, injected_var) {
-            Some(e) => {
-                let (op, level) = (e.op, e.level);
-                let (scale_bits, rms) = (e.scale_bits, e.predicted_rms);
-                let (margin, budget) = (e.margin_bits, e.budget_bits);
-                let mnemonic = e.mnemonic;
-                trace::mark_with("precision", || {
-                    vec![
-                        ("i", op.into()),
-                        ("op", mnemonic.into()),
-                        ("level", level.into()),
-                        ("scale_bits", scale_bits.into()),
-                        ("predicted_rms", rms.into()),
-                        ("margin_bits", margin.into()),
-                        ("budget_bits", budget.into()),
-                    ]
+        let entry = self.ledger.record(prog, i, injected_var).cloned();
+        if let Some(max_rms) = engine.guard.max_rms {
+            let rms = self.ledger.rms(i);
+            if rms > max_rms {
+                return Err(ExecError::BudgetExhausted {
+                    at: i,
+                    deficit: (rms / max_rms).log2(),
                 });
-                rms
             }
-            None => 0.0,
-        };
-        if let Some(obs) = observer.as_mut() {
-            obs(i, &value, predicted_rms)?;
         }
+        if let Some(e) = &entry {
+            trace::mark_with("precision", || {
+                vec![
+                    ("i", e.op.into()),
+                    ("op", e.mnemonic.into()),
+                    ("level", e.level.into()),
+                    ("scale_bits", e.scale_bits.into()),
+                    ("predicted_rms", e.predicted_rms.into()),
+                    ("margin_bits", e.margin_bits.into()),
+                    ("budget_bits", e.budget_bits.into()),
+                ]
+            });
+        }
+        if let Some(observe) = self.observer.as_mut() {
+            observe(i, &value, entry.map_or(0.0, |e| e.predicted_rms))?;
+        }
+        self.op_us[i] = us;
+        let degree = engine.degree();
         if value.is_cipher() {
-            live_cipher += 1;
-            peak_live = peak_live.max(live_cipher);
-            peak_bytes = peak_bytes.max(live_bytes(&vals, &value, engine.degree()));
+            self.live_cipher += 1;
+            self.peak_live = self.peak_live.max(self.live_cipher);
+            self.live_bytes += value.cipher_bytes(degree);
+            self.peak_bytes = self.peak_bytes.max(self.live_bytes);
         }
-        vals.insert(i, value);
-        // Liveness-driven release: drop operands whose last use was here.
-        for v in op.operands() {
-            if last[v.index()] == i {
-                if let Some(val) = vals.get(&v.index()) {
-                    if val.is_cipher() {
-                        live_cipher -= 1;
+        self.vals[i] = Some(Arc::new(value));
+        // Liveness-driven release: drop operands whose last consumer
+        // this was.
+        for v in prog.func.ops()[i].operands() {
+            self.uses[v.index()] -= 1;
+            if self.uses[v.index()] == 0 {
+                if let Some(dead) = self.vals[v.index()].take() {
+                    if dead.is_cipher() {
+                        self.live_cipher -= 1;
+                        self.live_bytes -= dead.cipher_bytes(degree);
                     }
                 }
-                vals.remove(&v.index());
             }
         }
+        for &user in users {
+            self.indegree[user] -= 1;
+            if self.indegree[user] == 0 {
+                self.ready.push(Reverse(user));
+            }
+        }
+        self.done += 1;
+        Ok(())
     }
-
-    Ok(CoreRun {
-        vals,
-        op_us,
-        total_us,
-        peak_live,
-        peak_bytes,
-        ledger,
-    })
-}
-
-/// Bytes held by the currently live ciphertexts plus the value being
-/// defined (two polynomials of `prefix` residue rows each).
-fn live_bytes(vals: &HashMap<usize, OpValue>, pending: &OpValue, degree: usize) -> usize {
-    pending.cipher_bytes(degree) + vals.values().map(|v| v.cipher_bytes(degree)).sum::<usize>()
 }

@@ -12,14 +12,16 @@
 //!   paper's latency and error measurements.
 //!
 //! [`profile`] builds the measured cost table for the compiler's
-//! performance estimator, and [`liveness`] provides the memory planning the
-//! paper's SEAL dialect performs.
+//! performance estimator. Every encrypted run — solo or slot-batched, one
+//! worker or many, audited or not — goes through the one driver,
+//! [`exec::execute`], which also does the liveness-driven memory release
+//! the paper's SEAL dialect performs.
 //!
 //! The executor carries runtime guards ([`GuardOptions`]): per-operation
 //! metadata checks against the compiled plan, residue-range validation,
-//! and a [`NoiseMonitor`] that aborts with `BudgetExhausted` before a
-//! garbage decryption. [`fault`] injects runtime faults to prove the
-//! guards catch them.
+//! and a noise-budget check on the run's [`NoiseLedger`] that aborts with
+//! `BudgetExhausted` before a garbage decryption. [`fault`] injects
+//! runtime faults to prove the guards catch them.
 //!
 //! # Example
 //!
@@ -56,7 +58,6 @@
 pub mod audit;
 pub mod exec;
 pub mod fault;
-pub mod liveness;
 pub mod noise;
 pub mod profile;
 
@@ -64,9 +65,8 @@ pub use audit::{
     audit_batched, audit_encrypted, audit_on_engine, AuditOptions, AuditReport, AuditRow,
 };
 pub use exec::{
-    execute_batched_with, execute_encrypted, execute_sequential, execute_sequential_with,
-    physical_step, rotation_fanout, BackendOptions, BatchRun, CancelToken, EncryptedRun,
-    ExecEngine, ExecError, GuardOptions, HoistState, OpObserver, OpValue,
+    execute, execute_encrypted, execute_sequential, physical_step, rotation_fanout, BackendOptions,
+    CancelToken, EncryptedRun, ExecEngine, ExecError, GuardOptions, OpObserver, OpValue,
 };
 pub use fault::FaultPlan;
 pub use noise::{

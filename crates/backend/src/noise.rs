@@ -245,7 +245,8 @@ pub fn max_rms_error(run: &SimulatedRun) -> f64 {
 /// mean-squares, the monitor bounds them by `msq_bound` (CKKS practice
 /// normalizes inputs to roughly unit magnitude). The executor asks after
 /// every operation whether the tracked RMS still fits the budget; if not,
-/// it aborts with `BudgetExhausted` *before* a garbage decryption.
+/// it aborts with `BudgetExhausted` *before* a garbage decryption. Each
+/// encrypted run owns exactly one, inside its [`NoiseLedger`].
 #[derive(Debug, Clone)]
 pub struct NoiseMonitor {
     n: f64,
@@ -387,20 +388,16 @@ pub struct NoiseLedger {
 }
 
 impl NoiseLedger {
-    /// A ledger for one run of `prog` at ring degree `degree`.
-    pub fn new(prog: &CompiledProgram, degree: usize) -> Self {
-        NoiseLedger::with_occupancy(prog, degree, 1)
-    }
-
-    /// A ledger for a slot-batched run serving `occupancy` tenants from
-    /// one ciphertext. Packed slots still hold roughly unit-magnitude
-    /// messages, but the model bounds the per-slot message mean-square by
-    /// the occupancy so multiplicative noise growth stays conservative
-    /// when guard bands carry smeared neighbour data, and injected noise
-    /// terms carry a worst-block concentration multiplier (a batched
-    /// verdict rests on the noisiest tenant's block, not the ring-wide
-    /// mean). Occupancy 1 is exactly [`NoiseLedger::new`].
-    pub fn with_occupancy(prog: &CompiledProgram, degree: usize, occupancy: usize) -> Self {
+    /// A ledger for one run of `prog` at ring degree `degree`, serving
+    /// `occupancy` tenants from each ciphertext. Packed slots still hold
+    /// roughly unit-magnitude messages, but the model bounds the per-slot
+    /// message mean-square by the occupancy so multiplicative noise
+    /// growth stays conservative when guard bands carry smeared neighbour
+    /// data, and injected noise terms carry a worst-block concentration
+    /// multiplier (a batched verdict rests on the noisiest tenant's
+    /// block, not the ring-wide mean). At occupancy 1 both factors are
+    /// 1.0 — the plain solo model.
+    pub fn new(prog: &CompiledProgram, degree: usize, occupancy: usize) -> Self {
         let occ = occupancy.max(1) as f64;
         NoiseLedger {
             monitor: NoiseMonitor::new(degree)
@@ -453,6 +450,12 @@ impl NoiseLedger {
             budget_bits: self.modulus_bits_at(level) - scale_bits,
         });
         self.entries.last()
+    }
+
+    /// The tracked RMS noise of value `i`, cipher or not (0 before it is
+    /// recorded) — what the executor's `max_rms` guard compares.
+    pub fn rms(&self, i: usize) -> f64 {
+        self.monitor.rms(i)
     }
 
     /// Every recorded entry, in execution order.

@@ -7,12 +7,14 @@
 //! and what these tests pin down — is that every tenant's demultiplexed
 //! result approximates the same plaintext reference within the noise
 //! tolerance the solo path itself meets, across every benchmark workload,
-//! and that packed execution is fully deterministic (two identical
-//! batched runs agree to the bit).
+//! and that execution is fully deterministic: at a fixed occupancy the
+//! outputs agree to the bit across repeated runs, driver worker counts,
+//! and rotation hoisting on or off — solo being occupancy 1 of the same
+//! driver.
 
 use hecate_apps::{all_benchmarks, Preset};
 use hecate_backend::exec::{
-    execute_batched_with, execute_sequential, physical_step, BackendOptions, ExecEngine, ExecError,
+    execute, execute_sequential, physical_step, BackendOptions, ExecEngine, ExecError,
 };
 use hecate_backend::rms_error;
 use hecate_compiler::{compile, CompileOptions, Scheme};
@@ -82,10 +84,9 @@ fn check_benchmark(bench: &hecate_apps::Benchmark, occupancy: usize) {
     assert_eq!(packed.occupancy(), occupancy);
 
     let refs: Vec<&HashMap<String, Vec<f64>>> = tenants.iter().collect();
-    let batch = execute_batched_with(&packed, &refs, None, None)
+    let batch = execute(&packed, &refs, 1, None, None)
         .unwrap_or_else(|e| panic!("{}: batched run: {e}", bench.name));
-    assert_eq!(batch.occupancy, occupancy);
-    assert_eq!(batch.tenant_outputs.len(), occupancy);
+    assert_eq!(batch.len(), occupancy, "one run per tenant");
 
     // One solo reference run calibrates the noise regime; each tenant's
     // packed result must sit in it, both against the plaintext truth and
@@ -99,7 +100,7 @@ fn check_benchmark(bench: &hecate_apps::Benchmark, occupancy: usize) {
     let bound = (solo_vs_truth * 64.0).max(2f64.powi(-8));
     for (t, inputs) in tenants.iter().enumerate() {
         let truth = interpret(&prog.func, inputs).unwrap();
-        for (name, got) in &batch.tenant_outputs[t] {
+        for (name, got) in &batch[t].outputs {
             let vs_truth = rms_error(got, &truth[name]);
             assert!(
                 vs_truth < bound,
@@ -108,7 +109,7 @@ fn check_benchmark(bench: &hecate_apps::Benchmark, occupancy: usize) {
             );
         }
     }
-    for (name, got) in &batch.tenant_outputs[0] {
+    for (name, got) in &batch[0].outputs {
         let vs_solo = rms_error(got, &solo_run.outputs[name]);
         assert!(
             vs_solo < bound,
@@ -140,7 +141,7 @@ fn every_benchmark_demuxes_to_the_solo_answer() {
 }
 
 #[test]
-fn batched_runs_are_deterministic() {
+fn runs_are_bit_identical_across_jobs_hoisting_and_repeats() {
     let bench = all_benchmarks(Preset::Small)
         .into_iter()
         .find(|b| b.name == "SF")
@@ -148,32 +149,80 @@ fn batched_runs_are_deterministic() {
     let mut copts = CompileOptions::with_waterline(24.0);
     copts.degree = Some(512);
     let prog = Arc::new(compile(&bench.func, Scheme::Pars, &copts).unwrap());
-    let occupancy = 4usize;
-    let degree = batch_degree(prog.func.vec_size, prog.footprint.block_slots(), occupancy);
-    let engine = ExecEngine::new(
+    let degree = batch_degree(prog.func.vec_size, prog.footprint.block_slots(), 4);
+    for occupancy in [1usize, 4] {
+        let tenants: Vec<HashMap<String, Vec<f64>>> = (0..occupancy)
+            .map(|t| tenant_inputs(&bench.inputs, t))
+            .collect();
+        let refs: Vec<&HashMap<String, Vec<f64>>> = tenants.iter().collect();
+        // Reference: hoisting off, one worker. The second jobs = 1 run
+        // with hoisting on is the plain repeat-determinism check.
+        let mut reference: Option<Vec<HashMap<String, Vec<f64>>>> = None;
+        for hoist_rotations in [false, true] {
+            let engine = ExecEngine::new(
+                prog.clone(),
+                &BackendOptions {
+                    degree_override: Some(degree),
+                    batch_occupancy: occupancy,
+                    hoist_rotations,
+                    ..BackendOptions::default()
+                },
+            )
+            .unwrap();
+            for jobs in [1usize, 2, 4] {
+                let runs = execute(&engine, &refs, jobs, None, None).unwrap();
+                let got: Vec<_> = runs.into_iter().map(|r| r.outputs).collect();
+                let want = reference.get_or_insert_with(|| got.clone());
+                for (t, (got, want)) in got.iter().zip(want.iter()).enumerate() {
+                    for (name, vw) in want {
+                        let vg = &got[name];
+                        assert_eq!(vg.len(), vw.len());
+                        for (x, y) in vg.iter().zip(vw) {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "occupancy {occupancy} hoist {hoist_rotations} jobs {jobs} \
+                                 tenant {t} output {name}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A run takes exactly as many tenants as its engine packs: anything else
+/// is the typed occupancy error, never a mis-laid-out ciphertext.
+#[test]
+fn tenant_count_must_match_the_engine_occupancy() {
+    let mut b = FunctionBuilder::new("sq", 8);
+    let x = b.input_cipher("x");
+    let sq = b.square(x);
+    b.output(sq);
+    let mut copts = CompileOptions::with_waterline(24.0);
+    copts.degree = Some(256);
+    let prog = Arc::new(compile(&b.finish(), Scheme::Pars, &copts).unwrap());
+    let inputs: HashMap<String, Vec<f64>> = [("x".to_string(), vec![0.5; 8])].into();
+    let solo = ExecEngine::new(prog.clone(), &BackendOptions::default()).unwrap();
+    let err = execute(&solo, &[&inputs, &inputs], 1, None, None).unwrap_err();
+    assert!(
+        matches!(err, ExecError::BatchUnsupported { occupancy: 2, .. }),
+        "{err}"
+    );
+    let packed = ExecEngine::new(
         prog,
         &BackendOptions {
-            degree_override: Some(degree),
-            batch_occupancy: occupancy,
+            batch_occupancy: 2,
             ..BackendOptions::default()
         },
     )
     .unwrap();
-    let tenants: Vec<HashMap<String, Vec<f64>>> = (0..occupancy)
-        .map(|t| tenant_inputs(&bench.inputs, t))
-        .collect();
-    let refs: Vec<&HashMap<String, Vec<f64>>> = tenants.iter().collect();
-    let a = execute_batched_with(&engine, &refs, None, None).unwrap();
-    let b = execute_batched_with(&engine, &refs, None, None).unwrap();
-    for t in 0..occupancy {
-        for (name, va) in &a.tenant_outputs[t] {
-            let vb = &b.tenant_outputs[t][name];
-            assert_eq!(va.len(), vb.len());
-            for (x, y) in va.iter().zip(vb) {
-                assert_eq!(x.to_bits(), y.to_bits(), "tenant {t} output {name}");
-            }
-        }
-    }
+    let err = execute_sequential(&packed, &inputs).unwrap_err();
+    assert!(
+        matches!(err, ExecError::BatchUnsupported { occupancy: 1, .. }),
+        "{err}"
+    );
 }
 
 #[test]

@@ -1,12 +1,20 @@
 //! End-to-end tests: compile → execute encrypted → compare against the
-//! plaintext reference, across schemes and waterlines.
+//! plaintext reference, across schemes and waterlines — and the one op
+//! driver's scheduling contract: SSA order with one worker, bit-identical
+//! outputs and an identical noise ledger at any worker count, first
+//! failure wins.
 
-use hecate_backend::exec::{execute_encrypted, BackendOptions};
+use hecate_apps::{all_benchmarks, Preset};
+use hecate_backend::exec::{
+    execute, execute_encrypted, execute_sequential, BackendOptions, CancelToken, ExecEngine,
+    ExecError, GuardOptions, OpValue,
+};
 use hecate_backend::{max_rms_error, rms_error, simulate};
 use hecate_compiler::{compile, CompileOptions, Scheme};
 use hecate_ir::interp::interpret;
 use hecate_ir::{Function, FunctionBuilder};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn motivating(vec: usize) -> Function {
     let mut b = FunctionBuilder::new("motivating", vec);
@@ -168,8 +176,163 @@ fn missing_input_is_reported() {
     let func = motivating(8);
     let prog = compile(&func, Scheme::Eva, &opts(25.0, 256)).unwrap();
     let err = execute_encrypted(&prog, &HashMap::new(), &BackendOptions::default());
-    assert!(matches!(
-        err,
-        Err(hecate_backend::ExecError::MissingInput { .. })
-    ));
+    assert!(matches!(err, Err(ExecError::MissingInput { .. })));
+    // Inputs are encrypted before any op is scheduled, so a missing
+    // binding surfaces the same way at any worker count.
+    let engine = ExecEngine::new(Arc::new(prog), &BackendOptions::default()).unwrap();
+    let mut partial = inputs(8);
+    partial.remove("y");
+    let err = execute(&engine, &[&partial], 4, None, None).unwrap_err();
+    assert!(matches!(err, ExecError::MissingInput { .. }));
+}
+
+/// What an observer saw of one op: index, cipher or not, ledger RMS bits.
+type Seen = (usize, bool, u64);
+
+/// Runs `engine` on `jobs` workers with a recording observer.
+fn observed_run(
+    engine: &ExecEngine,
+    ins: &HashMap<String, Vec<f64>>,
+    jobs: usize,
+) -> (hecate_backend::EncryptedRun, Vec<Seen>) {
+    let mut seen: Vec<Seen> = Vec::new();
+    let mut observer = |i: usize, value: &OpValue, rms: f64| {
+        seen.push((i, value.is_cipher(), rms.to_bits()));
+        Ok(())
+    };
+    let run = execute(engine, &[ins], jobs, Some(&mut observer), None)
+        .unwrap()
+        .pop()
+        .unwrap();
+    (run, seen)
+}
+
+#[test]
+fn one_worker_runs_in_ssa_order_and_the_ledger_is_the_same_at_four() {
+    let func = motivating(8);
+    let ins = inputs(8);
+    let prog = Arc::new(compile(&func, Scheme::Hecate, &opts(24.0, 256)).unwrap());
+    let engine = ExecEngine::new(prog.clone(), &BackendOptions::default()).unwrap();
+    let n = prog.func.len();
+
+    // jobs = 1: the min-heap ready set pops exactly SSA order, which is
+    // what pins the liveness peaks of the old sequential walk.
+    let (seq, seen_seq) = observed_run(&engine, &ins, 1);
+    let order: Vec<usize> = seen_seq.iter().map(|s| s.0).collect();
+    assert_eq!(order, (0..n).collect::<Vec<_>>(), "SSA order at jobs = 1");
+    let plain = execute_sequential(&engine, &ins).unwrap();
+    assert_eq!(plain.peak_live, seq.peak_live);
+    assert_eq!(plain.peak_bytes, seq.peak_bytes);
+
+    // jobs = 4: every op is booked exactly once, every cipher op has a
+    // ledger entry (a positive predicted RMS) with the same bits as at
+    // jobs = 1 — completion order is topological, and the model depends
+    // on nothing else — and the run reports the same margin and outputs.
+    let (par, mut seen_par) = observed_run(&engine, &ins, 4);
+    seen_par.sort_unstable();
+    assert_eq!(seen_par, seen_seq, "one booking per op, same ledger bits");
+    for &(i, is_cipher, rms_bits) in &seen_par {
+        assert_eq!(is_cipher, prog.types[i].is_cipher());
+        assert_eq!(
+            is_cipher,
+            f64::from_bits(rms_bits) > 0.0,
+            "op {i}: exactly the cipher ops carry a ledger entry"
+        );
+    }
+    assert!(seq.min_margin_bits.is_finite());
+    assert_eq!(
+        par.min_margin_bits.to_bits(),
+        seq.min_margin_bits.to_bits(),
+        "the run's own ledger margin, not the plan's, at any worker count"
+    );
+    assert_eq!(par.outputs, seq.outputs);
+    assert_eq!(par.outputs, plain.outputs, "observing changes no bits");
+}
+
+/// Randomness lives only in key generation and input encryption, both of
+/// which happen before DAG scheduling; every homomorphic kernel is
+/// deterministic. So the driver must agree with its one-worker self
+/// *exactly* on every benchmark workload, at every worker count.
+#[test]
+fn every_app_workload_is_bit_identical_at_any_worker_count() {
+    let copts = opts(24.0, 512);
+    let bopts = BackendOptions {
+        degree_override: Some(512),
+        ..BackendOptions::default()
+    };
+    for bench in all_benchmarks(Preset::Small) {
+        // SF also under the full HECATE scheme (downscales, not just
+        // PARS's rescale placement).
+        let schemes: &[Scheme] = if bench.name == "SF" {
+            &[Scheme::Pars, Scheme::Hecate]
+        } else {
+            &[Scheme::Pars]
+        };
+        for &scheme in schemes {
+            let prog = compile(&bench.func, scheme, &copts)
+                .unwrap_or_else(|e| panic!("{} failed to compile: {e}", bench.name));
+            let engine = ExecEngine::new(Arc::new(prog), &bopts).unwrap();
+            let seq = execute_sequential(&engine, &bench.inputs).unwrap();
+            for jobs in [2, 4] {
+                let par = execute(&engine, &[&bench.inputs], jobs, None, None)
+                    .unwrap()
+                    .pop()
+                    .unwrap();
+                assert_eq!(
+                    par.outputs, seq.outputs,
+                    "{} ({scheme}) diverged at jobs={jobs}",
+                    bench.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn cancelled_token_aborts_between_ops() {
+    let prog = compile(&motivating(8), Scheme::Hecate, &opts(24.0, 256)).unwrap();
+    let engine = ExecEngine::new(Arc::new(prog), &BackendOptions::default()).unwrap();
+    let ins = inputs(8);
+    let token = CancelToken::new();
+    token.cancel();
+    let err = execute(&engine, &[&ins], 2, None, Some(&token)).unwrap_err();
+    assert!(matches!(err, ExecError::Cancelled { .. }));
+    // An expired deadline trips the same path without an explicit
+    // cancel() call.
+    let expired = CancelToken::with_deadline(std::time::Instant::now());
+    let err = execute(&engine, &[&ins], 1, None, Some(&expired)).unwrap_err();
+    assert!(matches!(err, ExecError::Cancelled { at: 0 }));
+    // An untripped token changes nothing.
+    let idle = CancelToken::new();
+    let run = execute(&engine, &[&ins], 2, None, Some(&idle)).unwrap();
+    let clean = execute(&engine, &[&ins], 2, None, None).unwrap();
+    assert_eq!(run[0].outputs, clean[0].outputs);
+}
+
+#[test]
+fn noise_budget_failure_propagates_from_any_worker() {
+    let vec = 8;
+    let mut b = FunctionBuilder::new("deep", vec);
+    let x = b.input_cipher("x");
+    let mut acc = x;
+    for _ in 0..3 {
+        acc = b.square(acc);
+    }
+    b.output(acc);
+    let prog = compile(&b.finish(), Scheme::Hecate, &opts(18.0, 64)).unwrap();
+    // An absurdly tight RMS budget: the first value already exceeds it.
+    let bopts = BackendOptions {
+        guard: GuardOptions {
+            max_rms: Some(1e-12),
+            ..GuardOptions::default()
+        },
+        ..BackendOptions::default()
+    };
+    let engine = ExecEngine::new(Arc::new(prog), &bopts).unwrap();
+    let mut ins = HashMap::new();
+    ins.insert("x".to_string(), vec![1.05; vec]);
+    for jobs in [1, 2] {
+        let err = execute(&engine, &[&ins], jobs, None, None).unwrap_err();
+        assert!(matches!(err, ExecError::BudgetExhausted { .. }), "{err}");
+    }
 }

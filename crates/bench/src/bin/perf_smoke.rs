@@ -4,9 +4,11 @@
 //!
 //! 1. **Bit-identity**: LeNet, HCD (Harris), and SF (Sobel) decrypt to
 //!    *bit-identical* outputs (`f64::to_bits`) with rotation hoisting
-//!    on/off and `kernel_jobs` ∈ {1, 2, 4}. Hoisting reassociates
-//!    nothing and the per-limb kernels split only independent RNS limbs,
-//!    so any drift is a real bug, not tolerance noise.
+//!    on/off, `kernel_jobs` ∈ {1, 2, 4}, and the op driver on 1, 2, or 4
+//!    DAG workers. Hoisting reassociates nothing, the per-limb kernels
+//!    split only independent RNS limbs, and the driver's schedule decides
+//!    *when* an op runs, never *what* it computes — so any drift is a
+//!    real bug, not tolerance noise.
 //! 2. **Hoisted-not-slower**: on a synthetic 8-way rotation fan-out the
 //!    rotate kernel time with hoisting must not exceed the unhoisted
 //!    time (with slack for CI timer jitter; the expected win is ≥1.3×).
@@ -16,17 +18,27 @@
 #![forbid(unsafe_code)]
 
 use hecate_apps::{benchmark, Preset};
-use hecate_backend::exec::{execute_encrypted, BackendOptions};
+use hecate_backend::exec::{execute, execute_encrypted, BackendOptions, ExecEngine};
 use hecate_bench::median_us;
 use hecate_compiler::{compile, CompileOptions, Scheme};
 use hecate_ir::{FunctionBuilder, Op};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const DEGREE: usize = 512;
 const WORKLOADS: [&str; 3] = ["LeNet", "HCD", "SF"];
-/// (hoist_rotations, kernel_jobs) variants compared against the
-/// reference run (hoisting off, one kernel thread).
-const VARIANTS: [(bool, usize); 5] = [(true, 1), (true, 2), (true, 4), (false, 2), (false, 4)];
+/// (hoist_rotations, kernel_jobs) engines, each run on every
+/// [`DRIVER_JOBS`] count and compared against the reference run
+/// (hoisting off, one kernel thread, one DAG worker).
+const VARIANTS: [(bool, usize); 6] = [
+    (false, 1),
+    (true, 1),
+    (true, 2),
+    (true, 4),
+    (false, 2),
+    (false, 4),
+];
+const DRIVER_JOBS: [usize; 3] = [1, 2, 4];
 /// Allowed slowdown of the hoisted rotate kernel before the gate trips;
 /// generous because CI timers are noisy, but far below the ≥1.3×
 /// speedup the hoisted path delivers.
@@ -43,7 +55,8 @@ fn backend(hoist: bool, jobs: usize) -> BackendOptions {
 }
 
 /// Runs every workload under every variant and compares the decrypted
-/// outputs bit-for-bit against the (hoist=off, jobs=1) reference.
+/// outputs bit-for-bit against the (hoist=off, kernel_jobs=1, jobs=1)
+/// reference.
 fn check_bit_identity() -> Result<(), String> {
     let mut opts = CompileOptions::with_waterline(24.0);
     opts.degree = Some(DEGREE);
@@ -51,23 +64,32 @@ fn check_bit_identity() -> Result<(), String> {
         let bench = benchmark(name, Preset::Small).expect("known benchmark");
         let prog = compile(&bench.func, Scheme::Pars, &opts)
             .map_err(|e| format!("{name}: compile failed: {e}"))?;
-        let reference = execute_encrypted(&prog, &bench.inputs, &backend(false, 1))
-            .map_err(|e| format!("{name}: reference run failed: {e}"))?;
-        for (hoist, jobs) in VARIANTS {
-            let run = execute_encrypted(&prog, &bench.inputs, &backend(hoist, jobs))
-                .map_err(|e| format!("{name}: hoist={hoist} jobs={jobs} failed: {e}"))?;
-            for (out, want) in &reference.outputs {
-                let got = &run.outputs[out];
-                for (k, (a, b)) in want.iter().zip(got).enumerate() {
-                    if a.to_bits() != b.to_bits() {
-                        return Err(format!(
-                            "{name}: output {out}[{k}] differs with hoist={hoist} \
-                             jobs={jobs}: {a:e} vs {b:e}"
-                        ));
+        let prog = Arc::new(prog);
+        let mut reference: Option<HashMap<String, Vec<f64>>> = None;
+        for (hoist, kernel_jobs) in VARIANTS {
+            let engine = ExecEngine::new(prog.clone(), &backend(hoist, kernel_jobs))
+                .map_err(|e| format!("{name}: engine build failed: {e}"))?;
+            for jobs in DRIVER_JOBS {
+                let variant = format!("hoist={hoist} kernel_jobs={kernel_jobs} jobs={jobs}");
+                let run = execute(&engine, &[&bench.inputs], jobs, None, None)
+                    .map_err(|e| format!("{name}: {variant} failed: {e}"))?
+                    .pop()
+                    .expect("one run per tenant");
+                let want = reference.get_or_insert_with(|| run.outputs.clone());
+                for (out, want) in want.iter() {
+                    let got = &run.outputs[out];
+                    for (k, (a, b)) in want.iter().zip(got).enumerate() {
+                        if a.to_bits() != b.to_bits() {
+                            return Err(format!(
+                                "{name}: output {out}[{k}] differs with {variant}: {a:e} vs {b:e}"
+                            ));
+                        }
                     }
                 }
             }
-            println!("  {name:<6} hoist={hoist:<5} jobs={jobs}  bit-identical");
+            println!(
+                "  {name:<6} hoist={hoist:<5} kernel_jobs={kernel_jobs} jobs=1,2,4  bit-identical"
+            );
         }
     }
     Ok(())
@@ -140,7 +162,7 @@ fn check_hoisted_not_slower() -> Result<(), String> {
 }
 
 fn main() {
-    println!("perf smoke: bit-identity across hoist x kernel_jobs");
+    println!("perf smoke: bit-identity across hoist x kernel_jobs x driver jobs");
     let result = check_bit_identity().and_then(|()| {
         println!("perf smoke: hoisted rotate kernel not slower");
         check_hoisted_not_slower()

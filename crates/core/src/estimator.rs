@@ -412,25 +412,6 @@ pub fn estimate_noise_bits(func: &Function, types: &[Type], degree: usize) -> f6
         .fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// The tightest scale-vs-waterline margin of a typed program, in bits:
-/// the minimum over all cipher values of `scale − S_w`. The verifier's C2
-/// keeps this non-negative for any well-formed plan, so a negative margin
-/// is diagnostic — it means the plan's scales no longer honor the
-/// waterline it claims (a tampered or stale plan), and decoded precision
-/// guarantees derived from `S_w` are void. The precision ledger and the
-/// `hecatec --audit` report both surface this number.
-///
-/// Returns `f64::INFINITY` for a program with no cipher values.
-pub fn min_waterline_margin_bits(func: &Function, types: &[Type], waterline: f64) -> f64 {
-    func.ops()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| types[*i].is_cipher())
-        .filter_map(|(i, _)| types[i].scale())
-        .map(|s| s - waterline)
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Estimates the execution latency (microseconds) of a typed program on a
 /// chain of `chain_len` primes at ring degree `degree`.
 ///

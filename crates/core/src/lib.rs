@@ -66,10 +66,7 @@ pub mod planner;
 pub mod serialize;
 pub mod smu;
 
-pub use estimator::{
-    min_waterline_margin_bits, op_cost_infos, traced_total_us, CostModel, CostOp, CostTable,
-    OpCostInfo,
-};
+pub use estimator::{op_cost_infos, traced_total_us, CostModel, CostOp, CostTable, OpCostInfo};
 pub use options::{
     CompileError, CompileFault, CompileFaultKind, CompileOptions, CompileStats, CompiledProgram,
     FallbackRung, Scheme,

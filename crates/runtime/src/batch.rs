@@ -7,12 +7,13 @@
 //! requests — same plan key, i.e. identical function, scheme, and
 //! compile options — and coalesces them into one slot-batched execution.
 //! Each member's inputs are packed into a disjoint slot block of a shared
-//! ciphertext (`hecate_backend::exec::execute_batched_with`), the circuit
-//! runs once, and the results are demultiplexed back into per-member
-//! responses. Incompatible requests dequeued along the way are pushed
-//! onto the queue's priority lane, where *any* idle worker picks them
-//! up immediately — they never wait for the coalescer that set them
-//! aside. The wait for compatible members is condvar-bounded
+//! ciphertext, the circuit runs once through the same op driver solo
+//! requests use (`hecate_backend::exec::execute`, on the same
+//! `jobs_per_request` DAG workers), and the per-tenant runs it returns
+//! become the per-member responses. Incompatible requests dequeued along
+//! the way are pushed onto the queue's priority lane, where *any* idle
+//! worker picks them up immediately — they never wait for the coalescer
+//! that set them aside. The wait for compatible members is condvar-bounded
 //! ([`crate::shard::JobQueue::pop_deadline`]): a member arriving midway
 //! through the window wakes the coalescer at once, so small batches
 //! close as soon as their members exist instead of being quantized by a
@@ -47,9 +48,7 @@
 use crate::cache::plan_key;
 use crate::chaos::ChaosInjection;
 use crate::pool::{Inner, Job, Response};
-use hecate_backend::exec::{
-    execute_batched_with, BackendOptions, CancelToken, EncryptedRun, ExecEngine, ExecError,
-};
+use hecate_backend::exec::{execute, BackendOptions, CancelToken, ExecEngine, ExecError};
 use hecate_compiler::CompiledProgram;
 use hecate_ir::hash::Fnv1a;
 use hecate_telemetry::{recorder, trace};
@@ -313,10 +312,16 @@ fn run_shared(
     let t0 = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
         let inputs: Vec<&HashMap<String, Vec<f64>>> = batch.iter().map(|j| &j.req.inputs).collect();
-        execute_batched_with(&engine, &inputs, None, cancel.as_ref())
+        execute(
+            &engine,
+            &inputs,
+            inner.config.jobs_per_request,
+            None,
+            cancel.as_ref(),
+        )
     }));
-    let run = match result {
-        Ok(Ok(run)) => run,
+    let runs = match result {
+        Ok(Ok(runs)) => runs,
         Ok(Err(e)) => {
             span.attr("ok", false.into());
             trace::mark_with("batch-degraded", || {
@@ -352,7 +357,7 @@ fn run_shared(
         }
     };
     span.attr("ok", true.into());
-    span.attr("total_us", run.total_us.into());
+    span.attr("total_us", runs[0].total_us.into());
     // Close the shared span before any member's trace can be retained:
     // a retained member trace must include the batch End event.
     drop(span);
@@ -367,10 +372,10 @@ fn run_shared(
     // Worker busy time is shared: each member is billed its fraction so
     // utilization stays truthful.
     let busy_share_us = t0.elapsed().as_secs_f64() * 1e6 / occupancy as f64;
-    for (job, outputs) in batch.into_iter().zip(run.tenant_outputs) {
+    for (job, run) in batch.into_iter().zip(runs) {
         inner
             .stats
-            .record_precision(job.req.session, engine.min_plan_margin_bits());
+            .record_precision(job.req.session, run.min_margin_bits);
         let latency_us = job.enqueued.elapsed().as_secs_f64() * 1e6;
         inner.stats.record_done(true, latency_us, busy_share_us);
         if slow_us.is_some_and(|t| latency_us >= t) {
@@ -379,16 +384,7 @@ fn run_shared(
             recorder::retain_with(job.req_id, batch_id, "slow");
         }
         let response = Response {
-            run: EncryptedRun {
-                outputs,
-                total_us: run.total_us,
-                op_us: run.op_us.clone(),
-                peak_live: run.peak_live,
-                peak_bytes: run.peak_bytes,
-                degree: run.degree,
-                chain_len: run.chain_len,
-                min_margin_bits: run.min_margin_bits,
-            },
+            run,
             cache_hit,
             plan_key: key,
             latency_us,

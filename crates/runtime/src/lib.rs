@@ -3,7 +3,7 @@
 //! The compiler amortizes badly when every request recompiles: SMU
 //! construction and hill-climbing SMSE exploration dwarf a cache probe.
 //! This crate turns the compile-then-execute pipeline into a serving
-//! runtime with three subsystems:
+//! runtime with two subsystems:
 //!
 //! - [`cache`] — a **content-addressed plan cache**: submissions are
 //!   keyed by a stable FNV-1a hash of the program's canonical print form,
@@ -16,16 +16,18 @@
 //!   noise); plans are shared, keys are not. Evaluation keys are built
 //!   lazily, on a session's first use of a plan, from the cached
 //!   artifact's rotation/relinearization requirements.
-//! - [`executor`] — a **parallel encrypted executor** scheduling the SSA
-//!   dependence DAG over a std-only worker pool, bit-identical to
-//!   sequential execution at any thread count, with all per-operation
-//!   guard checks preserved.
+//!
+//! Execution itself is not this crate's: every request, solo or
+//! slot-batched, runs through the backend's one op driver
+//! ([`hecate_backend::exec::execute`]), a ready-set loop over the SSA
+//! dependence DAG on [`RuntimeConfig::jobs_per_request`] workers that is
+//! bit-identical at any worker count.
 //!
 //! [`Runtime`] wires them together behind a sharded work-stealing
 //! request queue ([`pool`]): each worker owns a dequeue shard and steals
 //! from its peers when idle, so the hot path never serializes on one
 //! lock, and a [`CoreBudget`] policy splits the machine's cores between
-//! request workers and per-request kernel jobs. [`stats`] exports cache,
+//! request workers, per-request DAG workers, and kernel jobs. [`stats`] exports cache,
 //! queue, latency, and utilization counters as JSON.
 //!
 //! The serving layer is failure-isolated: a worker panic is caught at
@@ -86,7 +88,6 @@ mod batch;
 pub mod cache;
 pub mod chaos;
 pub mod diag;
-pub mod executor;
 pub mod pool;
 pub mod session;
 mod shard;
@@ -97,7 +98,6 @@ pub use chaos::{ChaosKind, ChaosOptions};
 pub use diag::{
     DiagnosticsReport, KernelDiag, PlanCacheDiag, RecorderDiag, SessionMargin, SloDiag,
 };
-pub use executor::{execute_parallel, execute_parallel_with};
 pub use pool::{
     CoreBudget, CoreSplit, DiagOptions, RecorderOptions, Request, Response, Runtime, RuntimeConfig,
 };

@@ -3,13 +3,14 @@
 //! [`Runtime`] owns the three subsystems and wires them together per
 //! request: the [`PlanCache`] resolves (or compiles, once) the plan, the
 //! [`SessionManager`] resolves the tenant's engine (building keys on
-//! first use), and the executor runs the request — sequentially, or with
-//! [`crate::execute_parallel_with`] when `jobs_per_request > 1`. Worker
+//! first use), and the backend's one op driver
+//! ([`hecate_backend::exec::execute`]) runs the request on
+//! `jobs_per_request` DAG workers. Worker
 //! threads pull from a sharded, work-stealing bounded queue
 //! ([`crate::shard::JobQueue`] — one shard per worker, so dequeue never
 //! serializes the pool on a single lock); [`RuntimeStats`] observes
 //! every stage, and [`CoreBudget`] decides how many cores go to request
-//! workers versus per-request kernel jobs.
+//! workers, per-request DAG workers, and kernel jobs.
 //!
 //! # Failure domains
 //!
@@ -23,7 +24,7 @@
 //!   respawn. Shared state (plan cache, session maps, stats) recovers
 //!   from lock poisoning, so the surviving workers are unaffected.
 //! - **Deadlines** — a [`Request::deadline`] becomes a
-//!   [`CancelToken`] checked between ops by both executors; expiry
+//!   [`CancelToken`] the op driver polls between ops; expiry
 //!   anywhere (queued, executing, or between retries) yields
 //!   [`RuntimeError::TimedOut`].
 //! - **Retries** — transient failures (guard trips, noise-budget
@@ -46,13 +47,12 @@
 
 use crate::cache::{plan_key, PlanCache};
 use crate::chaos::{ChaosInjection, ChaosOptions, ChaosState};
-use crate::executor::execute_parallel_with;
 use crate::session::{SessionId, SessionManager};
 use crate::shard::{JobQueue, PushError};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use crate::RuntimeError;
 use hecate_backend::exec::{
-    execute_sequential_with, BackendOptions, CancelToken, EncryptedRun, ExecEngine, ExecError,
+    execute, BackendOptions, CancelToken, EncryptedRun, ExecEngine, ExecError,
 };
 use hecate_compiler::{CompileOptions, Scheme};
 use hecate_ir::Function;
@@ -84,17 +84,17 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 4096;
 /// Retry backoff ceiling: exponential growth stops doubling here.
 const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(100);
 
-/// How the runtime divides physical cores between request-level workers
-/// and per-request kernel jobs.
+/// How the runtime divides physical cores between request-level workers,
+/// per-request DAG workers, and per-op kernel jobs.
 ///
-/// Before this policy existed, `workers = 8` with `kernel_jobs = 8`
-/// meant up to 64 threads fighting for the machine, and the default of
-/// per-call scoped kernel threads oversubscribed even modest configs.
-/// A managed budget makes the split explicit: `workers` threads pull
-/// requests, each request's kernels may stripe over
-/// `budget / workers` jobs, and the process-wide kernel pool
-/// ([`hecate_math::kernel_pool`]) is capped at `budget − workers`
-/// threads so the two layers together never exceed the budget.
+/// The three layers multiply: `workers = 8` with `kernel_jobs = 8` is up
+/// to 64 threads fighting for the machine, and `jobs_per_request`
+/// multiplies that again. A managed budget makes the split explicit:
+/// `workers` threads pull requests, each request's ops run on at most
+/// `budget / workers` DAG workers, each op's kernels may stripe over
+/// `budget / (workers × jobs)` jobs, and the process-wide kernel pool
+/// ([`hecate_math::kernel_pool`]) is capped at `budget − workers × jobs`
+/// threads so the layers together never exceed the budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoreBudget {
     /// No policy: `workers` and `backend.kernel_jobs` are used exactly
@@ -107,27 +107,37 @@ pub enum CoreBudget {
     Cores(usize),
 }
 
-/// The resolved worker/kernel split of a [`CoreBudget`].
+/// The resolved worker/DAG/kernel split of a [`CoreBudget`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreSplit {
     /// Request-level worker threads.
     pub workers: usize,
-    /// Per-request kernel jobs (limb-level parallelism).
+    /// DAG workers per request (op-level parallelism).
+    pub jobs_per_request: usize,
+    /// Kernel jobs per op (limb-level parallelism).
     pub kernel_jobs: usize,
     /// Total cores the policy budgeted; `None` when unmanaged.
     pub budget: Option<usize>,
 }
 
 impl CoreBudget {
-    /// Resolves the policy against a requested worker count and the
-    /// configured kernel jobs. Managed budgets clamp workers to the
-    /// budget and derive `kernel_jobs = budget / workers` (at least 1),
-    /// so the product never oversubscribes the budget.
-    pub fn resolve(self, requested_workers: usize, configured_kernel_jobs: usize) -> CoreSplit {
+    /// Resolves the policy against the requested worker and
+    /// per-request DAG-worker counts and the configured kernel jobs.
+    /// Managed budgets clamp workers to the budget, DAG workers to
+    /// `budget / workers`, and derive
+    /// `kernel_jobs = budget / (workers × jobs)` (each at least 1), so
+    /// the product never oversubscribes the budget.
+    pub fn resolve(
+        self,
+        requested_workers: usize,
+        requested_jobs_per_request: usize,
+        configured_kernel_jobs: usize,
+    ) -> CoreSplit {
         let total = match self {
             CoreBudget::Unmanaged => {
                 return CoreSplit {
                     workers: requested_workers.max(1),
+                    jobs_per_request: requested_jobs_per_request.max(1),
                     kernel_jobs: configured_kernel_jobs.max(1),
                     budget: None,
                 }
@@ -138,9 +148,11 @@ impl CoreBudget {
             CoreBudget::Cores(n) => n.max(1),
         };
         let workers = requested_workers.clamp(1, total);
+        let jobs_per_request = requested_jobs_per_request.clamp(1, total / workers);
         CoreSplit {
             workers,
-            kernel_jobs: (total / workers).max(1),
+            jobs_per_request,
+            kernel_jobs: (total / (workers * jobs_per_request)).max(1),
             budget: Some(total),
         }
     }
@@ -200,8 +212,9 @@ pub struct RuntimeConfig {
     /// Worker threads pulling from the request queue (inter-request
     /// parallelism).
     pub workers: usize,
-    /// DAG worker threads per request (intra-request parallelism);
-    /// `1` executes each request sequentially.
+    /// DAG workers per request (intra-request op parallelism), for solo
+    /// and slot-batched runs alike. The serving thread is always one of
+    /// them, so `1` runs each request on that thread alone, in SSA order.
     pub jobs_per_request: usize,
     /// Backend options applied to every engine. The seed field is
     /// overridden per session.
@@ -235,10 +248,10 @@ pub struct RuntimeConfig {
     /// effective occupancy is always a power of two and shrinks to what
     /// the plan's slot footprint allows.
     pub max_batch: usize,
-    /// How to divide cores between request workers and kernel jobs.
-    /// Managed budgets override `workers`/`backend.kernel_jobs` with
-    /// the resolved split and cap the process-wide kernel pool; see
-    /// [`CoreBudget`].
+    /// How to divide cores between request workers, DAG workers, and
+    /// kernel jobs. Managed budgets override `workers`,
+    /// `jobs_per_request`, and `backend.kernel_jobs` with the resolved
+    /// split and cap the process-wide kernel pool; see [`CoreBudget`].
     pub core_budget: CoreBudget,
     /// Flight-recorder policy. `Some` (the default) keeps the bounded
     /// always-on recorder enabled and promotes interesting requests'
@@ -556,20 +569,18 @@ impl Inner {
                 }
                 _ => session.engine(&artifact, &self.config.backend)?,
             };
-            let run = if self.config.jobs_per_request > 1 {
-                execute_parallel_with(
-                    &engine,
-                    &req.inputs,
-                    self.config.jobs_per_request,
-                    cancel.as_ref(),
-                )
-            } else {
-                execute_sequential_with(&engine, &req.inputs, None, cancel.as_ref())
-            };
+            let run = execute(
+                &engine,
+                &[&req.inputs],
+                self.config.jobs_per_request,
+                None,
+                cancel.as_ref(),
+            )
+            .map(|mut runs| runs.pop().expect("one run per tenant"));
             match run {
                 Ok(run) => {
                     self.stats
-                        .record_precision(req.session, engine.min_plan_margin_bits());
+                        .record_precision(req.session, run.min_margin_bits);
                     return Ok(Response {
                         run,
                         cache_hit,
@@ -636,21 +647,25 @@ pub struct Runtime {
 
 impl Runtime {
     /// Starts a runtime with `config.workers` serving threads. A managed
-    /// [`RuntimeConfig::core_budget`] first resolves the worker/kernel
-    /// split: it overrides `config.workers` and
-    /// `config.backend.kernel_jobs`, and caps the process-wide kernel
-    /// pool at the cores left over after the workers are provisioned
-    /// (the previous ceiling is restored when the runtime is dropped).
+    /// [`RuntimeConfig::core_budget`] first resolves the
+    /// worker/DAG/kernel split: it overrides `config.workers`,
+    /// `config.jobs_per_request`, and `config.backend.kernel_jobs`, and
+    /// caps the process-wide kernel pool at the cores left over after
+    /// the op threads are provisioned (the previous ceiling is restored
+    /// when the runtime is dropped).
     pub fn new(mut config: RuntimeConfig) -> Runtime {
-        let split = config
-            .core_budget
-            .resolve(config.workers, config.backend.kernel_jobs);
+        let split = config.core_budget.resolve(
+            config.workers,
+            config.jobs_per_request,
+            config.backend.kernel_jobs,
+        );
         let mut prev_kernel_ceiling = None;
         if let Some(total) = split.budget {
             config.workers = split.workers;
+            config.jobs_per_request = split.jobs_per_request;
             config.backend.kernel_jobs = split.kernel_jobs;
             prev_kernel_ceiling = Some(hecate_math::kernel_pool::set_max_threads(
-                total.saturating_sub(split.workers),
+                total.saturating_sub(split.workers * split.jobs_per_request),
             ));
         }
         let workers_n = config.workers.max(1);
@@ -715,10 +730,11 @@ impl Runtime {
         crate::diag::collect(&self.inner)
     }
 
-    /// The worker/kernel split this runtime resolved at startup.
+    /// The worker/DAG/kernel split this runtime resolved at startup.
     pub fn core_split(&self) -> CoreSplit {
         self.inner.config.core_budget.resolve(
             self.inner.config.workers,
+            self.inner.config.jobs_per_request,
             self.inner.config.backend.kernel_jobs,
         )
     }

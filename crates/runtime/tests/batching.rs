@@ -72,30 +72,47 @@ fn batching_config(max_batch: usize) -> RuntimeConfig {
 
 #[test]
 fn coalesced_batch_serves_every_member_correctly() {
-    let rt = Runtime::new(batching_config(4));
-    let sessions: Vec<u64> = (0..4).map(|_| rt.open_session()).collect();
-    let reqs: Vec<Request> = sessions
-        .iter()
-        .enumerate()
-        .map(|(t, &s)| request(s, t))
-        .collect();
-    let responses = rt.run_batch(reqs);
-    for (t, resp) in responses.into_iter().enumerate() {
-        let resp = resp.unwrap_or_else(|e| panic!("member {t}: {e}"));
-        assert_eq!(resp.batch_occupancy, 4, "member {t} not batched");
-        let truth = interpret(&batched_func(), &member_inputs(t)).unwrap();
-        for (name, expected) in &truth {
-            let got = &resp.run.outputs[name];
-            let rms = hecate_backend::rms_error(&got[..expected.len()], expected);
-            assert!(rms < 1e-2, "member {t} output {name}: rms {rms}");
+    // A packed run goes through the same op driver as a solo one, so it
+    // takes `jobs_per_request` DAG workers too — and must not change a
+    // bit for it.
+    let mut one_worker: Vec<HashMap<String, Vec<f64>>> = Vec::new();
+    for jobs_per_request in [1, 4] {
+        let rt = Runtime::new(RuntimeConfig {
+            jobs_per_request,
+            ..batching_config(4)
+        });
+        let sessions: Vec<u64> = (0..4).map(|_| rt.open_session()).collect();
+        let reqs: Vec<Request> = sessions
+            .iter()
+            .enumerate()
+            .map(|(t, &s)| request(s, t))
+            .collect();
+        let responses = rt.run_batch(reqs);
+        for (t, resp) in responses.into_iter().enumerate() {
+            let resp = resp.unwrap_or_else(|e| panic!("member {t}: {e}"));
+            assert_eq!(resp.batch_occupancy, 4, "member {t} not batched");
+            let truth = interpret(&batched_func(), &member_inputs(t)).unwrap();
+            for (name, expected) in &truth {
+                let got = &resp.run.outputs[name];
+                let rms = hecate_backend::rms_error(&got[..expected.len()], expected);
+                assert!(rms < 1e-2, "member {t} output {name}: rms {rms}");
+            }
+            if jobs_per_request == 1 {
+                one_worker.push(resp.run.outputs);
+            } else {
+                assert_eq!(
+                    resp.run.outputs, one_worker[t],
+                    "member {t}: {jobs_per_request} DAG workers changed the packed result"
+                );
+            }
         }
+        let snap = rt.stats();
+        assert_eq!(snap.completed, 4);
+        assert_eq!(snap.batched_requests, 4);
+        assert_eq!(snap.batches_executed, 1);
+        assert_eq!(snap.batch_occupancy_buckets[2], 1, "one occupancy-4 batch");
+        rt.shutdown();
     }
-    let snap = rt.stats();
-    assert_eq!(snap.completed, 4);
-    assert_eq!(snap.batched_requests, 4);
-    assert_eq!(snap.batches_executed, 1);
-    assert_eq!(snap.batch_occupancy_buckets[2], 1, "one occupancy-4 batch");
-    rt.shutdown();
 }
 
 #[test]

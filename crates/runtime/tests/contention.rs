@@ -251,3 +251,35 @@ fn managed_core_budget_restores_kernel_ceiling_on_shutdown() {
         "previous ceiling restored after shutdown"
     );
 }
+
+/// The three thread layers multiply, so a managed budget divides by all
+/// three: workers, DAG workers per request, kernel jobs per op.
+#[test]
+fn managed_core_budget_accounts_for_jobs_per_request() {
+    use hecate_runtime::CoreBudget;
+    let threads = |s: hecate_runtime::CoreSplit| s.workers * s.jobs_per_request * s.kernel_jobs;
+    // 4 workers x 4 DAG workers on 8 cores used to run 16 op threads.
+    let split = CoreBudget::Cores(8).resolve(4, 4, 1);
+    assert_eq!(
+        (split.workers, split.jobs_per_request, split.kernel_jobs),
+        (4, 2, 1)
+    );
+    // Room to spare goes to the kernels: 8 / (2 x 2).
+    let split = CoreBudget::Cores(8).resolve(2, 2, 1);
+    assert_eq!(
+        (split.workers, split.jobs_per_request, split.kernel_jobs),
+        (2, 2, 2)
+    );
+    for (workers, jobs) in [(1, 1), (3, 2), (8, 8), (16, 1), (1, 16)] {
+        let split = CoreBudget::Cores(8).resolve(workers, jobs, 4);
+        assert!(threads(split) <= 8, "{workers}x{jobs}: {split:?}");
+        assert!(split.jobs_per_request >= 1 && split.kernel_jobs >= 1);
+    }
+    // Unmanaged: configured values pass through untouched.
+    let split = CoreBudget::Unmanaged.resolve(4, 4, 3);
+    assert_eq!(
+        (split.workers, split.jobs_per_request, split.kernel_jobs),
+        (4, 4, 3)
+    );
+    assert_eq!(split.budget, None);
+}

@@ -114,6 +114,20 @@ fn slow_request_retains_the_full_span_tree() {
         names.contains(&"execute"),
         "backend executor spans carry the correlation id: {names:?}"
     );
+    // The one `execute` span site: shape of the run on the begin event,
+    // predicted (`est_us`) next to actual (`total_us`) once it ends.
+    let execute_keys: Vec<&str> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "execute")
+        .flat_map(|e| e.attrs.iter().map(|(k, _)| *k))
+        .collect();
+    for key in ["jobs", "occupancy", "est_us", "total_us", "min_margin_bits"] {
+        assert!(
+            execute_keys.contains(&key),
+            "execute span lacks {key}: {execute_keys:?}"
+        );
+    }
     assert!(
         names.contains(&"queue-wait"),
         "queue-wait complete event carries the correlation id: {names:?}"

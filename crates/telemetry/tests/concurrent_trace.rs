@@ -4,13 +4,23 @@
 //! while costing almost nothing.
 
 use hecate_telemetry::trace::{self, Attrs};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 const THREADS: usize = 8;
 const SPANS_PER_THREAD: usize = 200;
 
+/// The tracer's on/off switch is process-global, so a test that relies on
+/// it being *off* must not overlap one that has a `trace::capture` open:
+/// both tests run under this lock, start to finish.
+fn tracer() -> MutexGuard<'static, ()> {
+    static TRACER: Mutex<()> = Mutex::new(());
+    TRACER.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
 #[test]
 fn concurrent_spans_from_eight_threads_are_well_formed() {
+    let _tracer = tracer();
     let ((), events) = trace::capture(|| {
         std::thread::scope(|scope| {
             for t in 0..THREADS {
@@ -62,6 +72,7 @@ fn concurrent_spans_from_eight_threads_are_well_formed() {
 
 #[test]
 fn disabled_tracer_records_nothing_and_is_near_free() {
+    let _tracer = tracer();
     // Nothing recorded: spans, completes, and marks outside a capture
     // (tracing off) must leave the sink empty.
     {
