@@ -14,7 +14,7 @@ use hecate_compiler::planner::explore_smu;
 use hecate_compiler::smu::{analyze_with, SmuOptions};
 
 fn main() {
-    let cfg = HarnessConfig::from_args();
+    let cfg = HarnessConfig::from_args(None);
     let w = 24.0;
 
     println!("Ablations at waterline {w} (estimated latency, µs; plans explored)");

@@ -12,7 +12,7 @@ use hecate_bench::{benchmarks, fmt_us, geomean, run_benchmark, HarnessConfig};
 use hecate_compiler::Scheme;
 
 fn main() {
-    let cfg = HarnessConfig::from_args();
+    let cfg = HarnessConfig::from_args(None);
     println!("Fig. 7 — minimum latency per benchmark per scheme");
     println!(
         "(preset: {:?}, degree {}, {} waterlines, error bound 2^-8)\n",
@@ -32,7 +32,11 @@ fn main() {
     ];
 
     for bench in benchmarks(&cfg) {
-        let results = run_benchmark(&bench, &cfg);
+        // A failed run is not an infeasible `-` cell: report it and stop.
+        let results = run_benchmark(&bench, &cfg).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1)
+        });
         let latency = |s: Scheme| {
             results
                 .iter()

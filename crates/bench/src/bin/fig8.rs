@@ -15,7 +15,7 @@ use hecate_compiler::{compile, CostModel, Scheme};
 use std::sync::Arc;
 
 fn main() {
-    let mut cfg = HarnessConfig::from_args();
+    let mut cfg = HarnessConfig::from_args(None);
     // Profile the backend at the execution degree with a representative
     // chain, exactly as §VI-C prescribes.
     eprintln!("profiling backend at degree {} ...", cfg.degree);

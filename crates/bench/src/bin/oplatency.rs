@@ -12,7 +12,7 @@ use hecate_bench::HarnessConfig;
 use hecate_compiler::CostOp;
 
 fn main() {
-    let cfg = HarnessConfig::from_args();
+    let cfg = HarnessConfig::from_args(None);
     let chain_len = 8;
     eprintln!("profiling backend at degree {} ...", cfg.degree);
     let table = profile_cost_table(cfg.degree, 40, 40, chain_len, 5, 3).expect("profiling");

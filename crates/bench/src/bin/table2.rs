@@ -9,7 +9,7 @@
 use hecate_bench::{benchmarks, run_benchmark, HarnessConfig};
 
 fn main() {
-    let cfg = HarnessConfig::from_args();
+    let cfg = HarnessConfig::from_args(None);
     println!(
         "Table II — RMS error at the selected configuration (bound 2^-8 = {:.2e})",
         2f64.powi(-8)
@@ -25,7 +25,11 @@ fn main() {
         "bench", "EVA", "PARS", "SMSE", "HECATE"
     );
     for bench in benchmarks(&cfg) {
-        let results = run_benchmark(&bench, &cfg);
+        // A failed run is not an infeasible `-` cell: report it and stop.
+        let results = run_benchmark(&bench, &cfg).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1)
+        });
         let cells: Vec<String> = results
             .iter()
             .map(|(_, m)| {

@@ -13,12 +13,8 @@ use hecate_compiler::smu;
 use std::time::Instant;
 
 fn main() {
-    let cfg = HarnessConfig::from_args();
-    let budget: usize = std::env::args()
-        .skip_while(|a| a != "--naive-budget")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1500);
+    let mut budget = 1500;
+    let cfg = HarnessConfig::from_args(Some(&mut budget));
     let w = 24.0;
     let opts = cfg.compile_opts(w);
 

@@ -73,7 +73,7 @@ fn racing_submissions_compile_exactly_once() {
     }
 }
 
-/// The acceptance criterion: a second submission of an identical program
+/// The acceptance test: a second submission of an identical program
 /// (rebuilt independently) is a cache hit — zero pipeline reruns.
 #[test]
 fn identical_resubmission_is_a_cache_hit() {
