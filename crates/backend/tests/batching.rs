@@ -133,7 +133,7 @@ fn image_benchmarks_demux_to_the_solo_answer() {
 }
 
 #[test]
-#[ignore = "batching soak: run explicitly (CI batching job)"]
+#[ignore = "batching soak: run explicitly (CI soaks job)"]
 fn every_benchmark_demuxes_to_the_solo_answer() {
     for bench in &all_benchmarks(Preset::Small) {
         check_benchmark(bench, 2);

@@ -22,8 +22,8 @@
 //!    from parameter choice (a solo run at a smaller degree is a
 //!    different security and precision point, not a fair baseline).
 //! 4. **Telemetry is cheap**: the span entry points a served request
-//!    crosses cost < 2% of that request, both with the tracer and
-//!    recorder off and with the always-on flight recorder appending.
+//!    crosses cost < 2% of that request, both with the event store at
+//!    level `Off` and at level `Ring` (the always-on flight recorder).
 //!
 //! Exit code 0 on success, 1 with a message on any violation.
 
@@ -34,7 +34,8 @@ use hecate_backend::exec::{execute, execute_encrypted, BackendOptions, ExecEngin
 use hecate_compiler::{compile, CompileOptions, Scheme};
 use hecate_ir::{FunctionBuilder, Op};
 use hecate_runtime::{Request, Runtime, RuntimeConfig};
-use hecate_telemetry::{recorder, trace, RecorderConfig};
+use hecate_telemetry::recorder::{self, Level};
+use hecate_telemetry::trace;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -259,47 +260,38 @@ fn check_batching_pays(served: &[Benchmark]) -> Result<(), String> {
 }
 
 /// Upper-bounds the share of one served request spent in span entry
-/// points, with the flight recorder off (one relaxed atomic load per
-/// span; the attribute closure never runs) or on, as `--serve` keeps it
-/// (the closure runs and two ring appends land in the thread's segment).
+/// points, with the event store at `level`: `Off` (one relaxed atomic
+/// load per span; the attribute closure never runs) or `Ring`, as a live
+/// runtime holds it (the closure runs and two ring appends land in the
+/// thread's ring).
 ///
 /// The instrumented path cannot be compiled out for comparison, so the
 /// bound is computed directly: the measured cost of one span, times the
 /// entry points a request crosses (one `exec-op` per op, plus queue-wait,
 /// request, plan-cache, session-engine, execute and slack for future
 /// lifecycle spans), against the measured wall time of a request.
-fn check_span_share(recorder_on: bool, req_per_s: f64, max_ops: usize) -> Result<(), String> {
+fn check_span_share(level: Level, req_per_s: f64, max_ops: usize) -> Result<(), String> {
     const CALLS: u64 = 1_000_000;
-    if trace::enabled() || recorder::enabled() {
-        return Err("the tracer and the recorder must start off".into());
+    if recorder::level() != Level::Off {
+        return Err("the event store must start at level Off".into());
     }
-    if recorder_on {
-        recorder::configure(&RecorderConfig::default());
-        recorder::set_enabled(true);
-    }
+    let hold = recorder::hold(level);
     let t0 = Instant::now();
     for i in 0..CALLS {
         let mut span = trace::span_with("perf-smoke", || vec![("i", i.into())]);
         span.attr("done", true.into());
     }
     let ns_per_span = t0.elapsed().as_nanos() as f64 / CALLS as f64;
-    if recorder_on {
-        recorder::set_enabled(false);
-        recorder::clear();
-    }
+    drop(hold);
+    recorder::clear();
     let spans_per_req = max_ops as f64 + 8.0;
     let pct = 100.0 * spans_per_req * ns_per_span * req_per_s / 1e9;
-    let mode = if recorder_on {
-        "flight recorder"
-    } else {
-        "disabled tracer"
-    };
     println!(
-        "  {mode}: {ns_per_span:.1}ns/span x {spans_per_req:.0} spans = {pct:.3}% of a request"
+        "  level {level:?}: {ns_per_span:.1}ns/span x {spans_per_req:.0} spans = {pct:.3}% of a request"
     );
     if pct >= SPAN_BUDGET_PCT {
         return Err(format!(
-            "{mode} costs {pct:.3}% of a request (budget {SPAN_BUDGET_PCT}%)"
+            "level {level:?} costs {pct:.3}% of a request (budget {SPAN_BUDGET_PCT}%)"
         ));
     }
     Ok(())
@@ -324,8 +316,8 @@ fn run() -> Result<(), String> {
     let req_per_s = served_rps(&served, DEGREE, 1, 1, 12)?;
     let max_ops = served.iter().map(|b| b.func.len()).max().unwrap_or(0);
     println!("  solo SF+HCD at degree {DEGREE}: {req_per_s:.1} req/s, at most {max_ops} ops");
-    check_span_share(false, req_per_s, max_ops)?;
-    check_span_share(true, req_per_s, max_ops)
+    check_span_share(Level::Off, req_per_s, max_ops)?;
+    check_span_share(Level::Ring, req_per_s, max_ops)
 }
 
 fn main() {

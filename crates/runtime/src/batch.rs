@@ -363,12 +363,7 @@ fn run_shared(
     drop(span);
 
     inner.stats.record_batch(occupancy);
-    let slow_us = inner
-        .config
-        .recorder
-        .as_ref()
-        .and_then(|rec| rec.slow_threshold)
-        .map(|t| t.as_secs_f64() * 1e6);
+    let slow_us = inner.config.slow_threshold.map(|t| t.as_secs_f64() * 1e6);
     // Worker busy time is shared: each member is billed its fraction so
     // utilization stays truthful.
     let busy_share_us = t0.elapsed().as_secs_f64() * 1e6 / occupancy as f64;

@@ -76,8 +76,8 @@ pub struct PlanCacheEntry {
     pub last_used_tick: u64,
 }
 
-/// Default bound on published artifacts
-/// ([`crate::RuntimeConfig::plan_cache_capacity`] overrides it).
+/// Bound on published artifacts in a [`PlanCache::new`] cache — the one
+/// every [`crate::Runtime`] builds.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 32;
 
 /// Content-addressed plan cache (see the module docs).

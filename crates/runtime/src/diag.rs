@@ -95,7 +95,8 @@ pub struct SessionMargin {
 pub struct RecorderDiag {
     /// Whether the process-global recorder is currently on.
     pub enabled: bool,
-    /// Configured per-thread ring capacity, events.
+    /// Per-thread ring bound in force at the current retention level,
+    /// events.
     pub ring_capacity: usize,
     /// Events currently held across all rings.
     pub ring_events: usize,
@@ -151,22 +152,6 @@ pub struct DiagnosticsReport {
     pub stats: StatsSnapshot,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn opt_f64(v: Option<f64>, precision: usize) -> String {
     match v {
         Some(x) => format!("{x:.precision$}"),
@@ -208,7 +193,7 @@ impl DiagnosticsReport {
                 format!(
                     "{{\"req_id\":{},\"reason\":\"{}\",\"events\":{}}}",
                     r.req_id,
-                    json_escape(r.reason),
+                    export::escape(r.reason),
                     r.events
                 )
             })
@@ -297,7 +282,7 @@ pub(crate) fn collect(inner: &Inner) -> DiagnosticsReport {
         },
         sessions,
         recorder: RecorderDiag {
-            enabled: recorder::enabled(),
+            enabled: recorder::level() != recorder::Level::Off,
             ring_capacity: recorder::ring_capacity(),
             ring_events: recorder::ring_event_count(),
             overwritten: recorder::overwritten_events(),
@@ -333,7 +318,7 @@ pub(crate) fn write_black_box(inner: &Inner, dir: &Path, req_id: u64, message: &
     let body = format!(
         "{{\"req_id\":{},\"reason\":\"panicked\",\"message\":\"{}\",\"trace\":{},\"diagnostics\":{}}}\n",
         req_id,
-        json_escape(message),
+        export::escape(message),
         trace_json,
         collect(inner).to_json()
     );

@@ -98,9 +98,7 @@ pub use chaos::{ChaosKind, ChaosOptions};
 pub use diag::{
     DiagnosticsReport, KernelDiag, PlanCacheDiag, RecorderDiag, SessionMargin, SloDiag,
 };
-pub use pool::{
-    CoreBudget, CoreSplit, DiagOptions, RecorderOptions, Request, Response, Runtime, RuntimeConfig,
-};
+pub use pool::{CoreBudget, CoreSplit, DiagOptions, Request, Response, Runtime, RuntimeConfig};
 pub use session::{Session, SessionId, SessionManager};
 pub use stats::{RuntimeStats, StatsSnapshot};
 

@@ -60,7 +60,7 @@ use hecate_telemetry::{recorder, trace};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -69,17 +69,16 @@ use std::time::{Duration, Instant};
 /// request context" in [`trace::push_context`].
 static NEXT_REQ_ID: AtomicU64 = AtomicU64::new(1);
 
-/// How many live [`Runtime`]s asked for the flight recorder. The
-/// recorder is process-global, so enablement is refcounted: the first
-/// runtime turns it on, the last one dropping turns it off.
-static RECORDER_USERS: AtomicUsize = AtomicUsize::new(0);
-
 /// Default bound on queued requests
 /// ([`RuntimeConfig::queue_capacity`] overrides it). Deliberately
 /// generous: the bound exists to make overload a typed, observable
 /// rejection instead of unbounded memory growth, not to throttle normal
 /// operation.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 4096;
+
+/// Delay before the first retry attempt; doubles per attempt up to
+/// [`RETRY_BACKOFF_CAP`], and never sleeps past the request's deadline.
+const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(1);
 
 /// Retry backoff ceiling: exponential growth stops doubling here.
 const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(100);
@@ -158,38 +157,6 @@ impl CoreBudget {
     }
 }
 
-/// Flight-recorder policy for one [`Runtime`]; see
-/// [`hecate_telemetry::recorder`].
-///
-/// The recorder is cheap enough to leave on in production — every
-/// telemetry event additionally lands in a bounded per-thread ring, and
-/// the full span tree of an *interesting* request (slow, shed, timed
-/// out, guard-failed, panicked) is promoted out of the ring before it
-/// can be overwritten.
-#[derive(Debug, Clone)]
-pub struct RecorderOptions {
-    /// Per-thread ring capacity, in events; the oldest event is
-    /// overwritten beyond it.
-    pub ring_capacity: usize,
-    /// Bound on promoted (retained) traces; the oldest retained trace
-    /// is dropped beyond it.
-    pub retained_capacity: usize,
-    /// Requests at least this slow are retained even when they succeed.
-    /// `None` retains only failures (shed / timed-out / guard-failed /
-    /// panicked).
-    pub slow_threshold: Option<Duration>,
-}
-
-impl Default for RecorderOptions {
-    fn default() -> Self {
-        RecorderOptions {
-            ring_capacity: recorder::DEFAULT_RING_CAPACITY,
-            retained_capacity: recorder::DEFAULT_RETAINED_CAPACITY,
-            slow_threshold: None,
-        }
-    }
-}
-
 /// Periodic diagnostics dumps: where to write them and how often.
 ///
 /// With this set, the runtime runs a `hecate-diag` thread writing a
@@ -219,9 +186,6 @@ pub struct RuntimeConfig {
     /// Backend options applied to every engine. The seed field is
     /// overridden per session.
     pub backend: BackendOptions,
-    /// Bound on published plan-cache artifacts; the least-recently-used
-    /// plan is evicted beyond it (clamped to at least 1).
-    pub plan_cache_capacity: usize,
     /// Bound on queued requests (clamped to at least 1). A full queue
     /// rejects submissions with [`RuntimeError::QueueFull`].
     pub queue_capacity: usize,
@@ -232,9 +196,6 @@ pub struct RuntimeConfig {
     /// Unknown plans are always admitted (their first run is how the
     /// estimator learns). `None` disables shedding.
     pub admission_budget_us: Option<f64>,
-    /// Base delay between retry attempts; doubles per attempt up to a
-    /// 100 ms ceiling, and never sleeps past the request's deadline.
-    pub retry_backoff: Duration,
     /// Chaos-injection policy, for resilience testing. `None` (the
     /// default) serves normally.
     pub chaos: Option<ChaosOptions>,
@@ -253,10 +214,12 @@ pub struct RuntimeConfig {
     /// `jobs_per_request`, and `backend.kernel_jobs` with the resolved
     /// split and cap the process-wide kernel pool; see [`CoreBudget`].
     pub core_budget: CoreBudget,
-    /// Flight-recorder policy. `Some` (the default) keeps the bounded
-    /// always-on recorder enabled and promotes interesting requests'
-    /// span trees; `None` opts this runtime out entirely.
-    pub recorder: Option<RecorderOptions>,
+    /// Requests at least this slow have their span tree promoted out of
+    /// the flight-recorder ring ([`hecate_telemetry::recorder`]) even
+    /// when they succeed. Failures (shed / timed-out / guard-failed /
+    /// panicked) are retained regardless; `None` (the default) retains
+    /// only those.
+    pub slow_threshold: Option<Duration>,
     /// Latency objective, microseconds, reported against the sliding
     /// p99 in [`crate::diag::DiagnosticsReport`] as an SLO burn ratio.
     /// `None` reports quantiles without a target.
@@ -273,15 +236,13 @@ impl Default for RuntimeConfig {
             workers: 2,
             jobs_per_request: 1,
             backend: BackendOptions::default(),
-            plan_cache_capacity: crate::cache::DEFAULT_PLAN_CACHE_CAPACITY,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             admission_budget_us: None,
-            retry_backoff: Duration::from_millis(1),
             chaos: None,
             batch_window: Duration::ZERO,
             max_batch: 1,
             core_budget: CoreBudget::Unmanaged,
-            recorder: Some(RecorderOptions::default()),
+            slow_threshold: None,
             slo_target_us: None,
             diag: None,
         }
@@ -476,28 +437,26 @@ impl Inner {
         // tree includes the request End event, then promote the trace out
         // of the ring if this request turned out interesting.
         drop(span);
-        if let Some(rec) = &self.config.recorder {
-            let reason = match &result {
-                Err(RuntimeError::Panicked { .. }) => Some("panicked"),
-                Err(RuntimeError::TimedOut { .. }) => Some("timed-out"),
-                Err(RuntimeError::Exec(e)) if is_transient(e) => Some("guard-failed"),
-                Err(_) => Some("failed"),
-                Ok(_) => rec
-                    .slow_threshold
-                    .filter(|t| latency_us >= t.as_secs_f64() * 1e6)
-                    .map(|_| "slow"),
-            };
-            if let Some(reason) = reason {
-                recorder::retain(job.req_id, reason);
-                if let (Err(RuntimeError::Panicked { message }), Some(diag)) =
-                    (&result, &self.config.diag)
-                {
-                    // The black box is written at the catch site, before
-                    // the panic resumes unwinding: the evidence must hit
-                    // disk even if recycling the worker goes badly.
-                    crate::diag::write_black_box(self, &diag.dir, job.req_id, message);
-                }
-            }
+        let reason = match &result {
+            Err(RuntimeError::Panicked { .. }) => Some("panicked"),
+            Err(RuntimeError::TimedOut { .. }) => Some("timed-out"),
+            Err(RuntimeError::Exec(e)) if is_transient(e) => Some("guard-failed"),
+            Err(_) => Some("failed"),
+            Ok(_) => self
+                .config
+                .slow_threshold
+                .filter(|t| latency_us >= t.as_secs_f64() * 1e6)
+                .map(|_| "slow"),
+        };
+        if let Some(reason) = reason {
+            recorder::retain_with(job.req_id, 0, reason);
+        }
+        if let (Err(RuntimeError::Panicked { message }), Some(diag)) = (&result, &self.config.diag)
+        {
+            // The black box is written at the catch site, before the
+            // panic resumes unwinding: the evidence must hit disk even if
+            // recycling the worker goes badly.
+            crate::diag::write_black_box(self, &diag.dir, job.req_id, message);
         }
         let result = result.map(|mut resp| {
             resp.latency_us = latency_us;
@@ -611,9 +570,7 @@ impl Inner {
                     // from the artifact on the next attempt.
                     session.invalidate_engine(key);
                     let exp = (attempt - 1).min(7);
-                    let mut backoff = self
-                        .config
-                        .retry_backoff
+                    let mut backoff = RETRY_BACKOFF_BASE
                         .saturating_mul(1u32 << exp)
                         .min(RETRY_BACKOFF_CAP);
                     if let Some(deadline) = cancel.as_ref().and_then(CancelToken::deadline) {
@@ -637,9 +594,9 @@ pub struct Runtime {
     /// capped the process-wide kernel pool; restored on drop so the cap
     /// does not leak to later runtimes or non-runtime kernel callers.
     prev_kernel_ceiling: Option<Option<usize>>,
-    /// Whether this runtime holds a [`RECORDER_USERS`] refcount (and
-    /// must release it on drop).
-    recorder_on: bool,
+    /// Keeps the flight recorder at [`recorder::Level::Ring`] while this
+    /// runtime lives; released after the workers have been joined.
+    _recorder: recorder::Hold,
     /// The periodic diagnostics dumper, when [`RuntimeConfig::diag`] is
     /// set: its stop flag and thread handle.
     diag: Option<(Arc<crate::diag::DiagStop>, JoinHandle<()>)>,
@@ -669,24 +626,11 @@ impl Runtime {
             ));
         }
         let workers_n = config.workers.max(1);
-        let recorder_on = if let Some(rec) = &config.recorder {
-            recorder::configure(&hecate_telemetry::RecorderConfig {
-                ring_capacity: rec.ring_capacity,
-                retained_capacity: rec.retained_capacity,
-            });
-            // Process-global enablement is refcounted across runtimes:
-            // only the 0 -> 1 transition flips the switch.
-            if RECORDER_USERS.fetch_add(1, Ordering::SeqCst) == 0 {
-                recorder::set_enabled(true);
-            }
-            true
-        } else {
-            false
-        };
+        let recorder_hold = recorder::hold(recorder::Level::Ring);
         let stats = Arc::new(RuntimeStats::new());
         stats.record_core_split(split.kernel_jobs, split.budget.unwrap_or(0));
         let inner = Arc::new(Inner {
-            cache: PlanCache::with_capacity(stats.clone(), config.plan_cache_capacity),
+            cache: PlanCache::new(stats.clone()),
             sessions: SessionManager::new(config.backend.seed),
             stats,
             queue: JobQueue::new(workers_n, config.queue_capacity.max(1)),
@@ -717,7 +661,7 @@ impl Runtime {
             inner,
             workers,
             prev_kernel_ceiling,
-            recorder_on,
+            _recorder: recorder_hold,
             diag,
         }
     }
@@ -784,9 +728,7 @@ impl Runtime {
                             ("queue_depth", queue_depth.into()),
                         ]
                     });
-                    if inner.config.recorder.is_some() {
-                        recorder::retain(req_id, "shed");
-                    }
+                    recorder::retain_with(req_id, 0, "shed");
                     return Err(RuntimeError::Shed {
                         estimated_us,
                         queue_depth,
@@ -867,9 +809,6 @@ impl Drop for Runtime {
             // clean shutdown still leaves a last-known-good report.
             stop.raise();
             let _ = handle.join();
-        }
-        if self.recorder_on && RECORDER_USERS.fetch_sub(1, Ordering::SeqCst) == 1 {
-            recorder::set_enabled(false);
         }
         // A managed core budget capped the process-global kernel pool
         // for this runtime's lifetime only; hand the previous ceiling

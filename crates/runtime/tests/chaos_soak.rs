@@ -11,8 +11,7 @@
 use hecate_compiler::{CompileOptions, Scheme};
 use hecate_ir::FunctionBuilder;
 use hecate_runtime::{
-    ChaosKind, ChaosOptions, RecorderOptions, Request, Runtime, RuntimeConfig, RuntimeError,
-    StatsSnapshot,
+    ChaosKind, ChaosOptions, Request, Runtime, RuntimeConfig, RuntimeError, StatsSnapshot,
 };
 use std::collections::HashMap;
 use std::time::Duration;
@@ -281,10 +280,7 @@ fn chaos_injection_is_attributed_on_the_request_span() {
         chaos: Some(ChaosOptions::only(ChaosKind::Fault, 1)),
         // Threshold zero retains every request, so the trace is
         // addressable by the response's correlation id.
-        recorder: Some(RecorderOptions {
-            slow_threshold: Some(Duration::ZERO),
-            ..RecorderOptions::default()
-        }),
+        slow_threshold: Some(Duration::ZERO),
         ..RuntimeConfig::default()
     });
     let session = rt.open_session();
@@ -380,9 +376,9 @@ fn randomized_chaos_accounting_reconciles() {
 /// the chaos sequence hits every 10th request, so of 50 hits 17 are
 /// faults (all recovered by retry), 17 latency (merely slowed), and 16
 /// panics (isolated, worker recycled). Run explicitly (CI does, in the
-/// chaos-soak job): `cargo test -p hecate-runtime --test chaos_soak -- --ignored`.
+/// soaks job): `cargo test -p hecate-runtime --test chaos_soak -- --ignored`.
 #[test]
-#[ignore = "soak run; exercised by the CI chaos-soak job"]
+#[ignore = "soak run; exercised by the CI soaks job"]
 fn chaos_soak_500() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 4,

@@ -3,16 +3,15 @@
 //! guard-failed, panicked), the live diagnostics snapshot, the crash
 //! black box, and the bounded-memory soak.
 //!
-//! The recorder is process-global (the runtime refcounts enablement), so
-//! every test here serializes on one mutex and clears recorder state
-//! before it starts — retained traces are then attributable to this
-//! test alone.
+//! The recorder is process-global (each live runtime holds it at level
+//! `Ring`), so every test here serializes on one mutex and clears
+//! recorder state before it starts — retained traces are then
+//! attributable to this test alone.
 
 use hecate_compiler::{CompileOptions, Scheme};
 use hecate_ir::FunctionBuilder;
 use hecate_runtime::{
-    ChaosKind, ChaosOptions, DiagOptions, RecorderOptions, Request, Runtime, RuntimeConfig,
-    RuntimeError,
+    ChaosKind, ChaosOptions, DiagOptions, Request, Runtime, RuntimeConfig, RuntimeError,
 };
 use hecate_telemetry::recorder;
 use std::collections::HashMap;
@@ -58,16 +57,6 @@ fn request(session: u64) -> Request {
     }
 }
 
-/// Recorder options that retain every *successful* request too
-/// (threshold zero makes every latency "slow"), so tests can look up a
-/// trace by the response's req_id.
-fn retain_everything() -> RecorderOptions {
-    RecorderOptions {
-        slow_threshold: Some(Duration::ZERO),
-        ..RecorderOptions::default()
-    }
-}
-
 /// With no slow threshold (the default), a healthy request leaves
 /// nothing behind: the ring decays it, the retained store stays empty.
 #[test]
@@ -96,7 +85,9 @@ fn slow_request_retains_the_full_span_tree() {
     recorder::clear();
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
-        recorder: Some(retain_everything()),
+        // Threshold zero makes every latency "slow", so the trace can be
+        // looked up by the response's req_id.
+        slow_threshold: Some(Duration::ZERO),
         ..RuntimeConfig::default()
     });
     let session = rt.open_session();
@@ -307,45 +298,34 @@ fn diagnose_reports_live_state() {
     rt.shutdown();
 }
 
-/// Opting out (`recorder: None`) really disables the recorder once no
-/// other runtime holds it open.
+/// The runtime's `Ring` hold is released on shutdown: with no other
+/// holder the store goes back to `Off` and span sites stop recording.
 #[test]
-fn recorder_opt_out_disables_recording() {
+fn shutdown_releases_the_recorder_hold() {
     let _g = locked();
     recorder::clear();
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
-        recorder: None,
         ..RuntimeConfig::default()
     });
-    let session = rt.open_session();
-    let resp = rt.run_batch(vec![request(session)]).remove(0).unwrap();
-    assert!(
-        recorder::snapshot().is_empty(),
-        "no runtime enabled the recorder, so the rings stay empty"
-    );
-    assert!(recorder::retained_trace(resp.req_id).is_none());
+    assert_eq!(recorder::level(), recorder::Level::Ring);
     rt.shutdown();
+    assert_eq!(recorder::level(), recorder::Level::Off);
 }
 
 /// The acceptance soak: 10k requests through an always-on recorder.
 /// Memory stays bounded — the rings never exceed their per-thread
 /// capacity, the retained store never exceeds its bound — and every
 /// request still succeeds. Run explicitly (CI does, in the
-/// flight-recorder job):
+/// soaks job):
 /// `cargo test -p hecate-runtime --test flight_recorder -- --ignored`.
 #[test]
-#[ignore = "soak run; exercised by the CI flight-recorder job"]
+#[ignore = "soak run; exercised by the CI soaks job"]
 fn recorder_soak_10k_stays_bounded() {
     let _g = locked();
     recorder::clear();
     let rt = Runtime::new(RuntimeConfig {
         workers: 4,
-        recorder: Some(RecorderOptions {
-            ring_capacity: 1024,
-            retained_capacity: 32,
-            slow_threshold: None,
-        }),
         ..RuntimeConfig::default()
     });
     let sessions = [rt.open_session(), rt.open_session()];
@@ -370,10 +350,10 @@ fn recorder_soak_10k_stays_bounded() {
     assert_eq!(rt.stats().completed, TOTAL as u64);
     assert!(
         recorder::overwritten_events() > 0,
-        "10k requests must have decayed events out of 1024-slot rings"
+        "10k requests must have decayed events out of the rings"
     );
     assert!(
-        recorder::retained_index().len() <= 32,
+        recorder::retained_index().len() <= recorder::RETAINED_CAPACITY,
         "retained store respects its bound"
     );
     assert!(

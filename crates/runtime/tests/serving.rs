@@ -210,9 +210,9 @@ fn engines_are_lazy_and_cached() {
 }
 
 /// Sustained mixed load across sessions and plans. Run explicitly (CI
-/// does, with 2 workers): `cargo test -p hecate-runtime -- --ignored`.
+/// does, in the soaks job): `cargo test -p hecate-runtime --test serving -- --ignored`.
 #[test]
-#[ignore = "stress run; exercised by the CI runtime-stress job"]
+#[ignore = "stress run; exercised by the CI soaks job"]
 fn stress_mixed_load() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,

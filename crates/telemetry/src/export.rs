@@ -1,6 +1,7 @@
-//! Exporters: JSONL, Chrome trace-event JSON, Prometheus text.
+//! Event-stream exporters: JSONL, Chrome trace-event JSON, precision
+//! JSONL — all over one record serializer.
 //!
-//! All three are hand-rolled string builders — this crate takes no
+//! They are hand-rolled string builders — this crate takes no
 //! dependencies. The Chrome exporter emits the [trace-event format]
 //! (`B`/`E` duration events, `X` complete events, `i` instants) that
 //! Perfetto and `chrome://tracing` load directly; timestamps convert
@@ -8,11 +9,10 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::metrics::Registry;
 use crate::trace::{AttrValue, Event, EventKind};
 
 /// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -50,26 +50,37 @@ fn attrs_json(attrs: &[(&'static str, AttrValue)]) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
+/// The one record serializer: `kind`, an optional `name`, `ts_ns`, `tid`,
+/// `dur_ns` on complete events, `attrs`.
+fn record_json(kind: &str, name: Option<&str>, ev: &Event) -> String {
+    let name = name.map_or(String::new(), |n| format!(",\"name\":\"{}\"", escape(n)));
+    let dur = match ev.kind {
+        EventKind::Complete { dur_ns } => format!(",\"dur_ns\":{dur_ns}"),
+        _ => String::new(),
+    };
+    format!(
+        "{{\"kind\":\"{}\"{name},\"ts_ns\":{},\"tid\":{}{dur},\"attrs\":{}}}",
+        escape(kind),
+        ev.ts_ns,
+        ev.tid,
+        attrs_json(&ev.attrs)
+    )
+}
+
+fn event_json(ev: &Event) -> String {
+    let kind = match ev.kind {
+        EventKind::Begin => "begin",
+        EventKind::End => "end",
+        EventKind::Complete { .. } => "complete",
+        EventKind::Mark => "mark",
+    };
+    record_json(kind, Some(ev.name), ev)
+}
+
 /// Renders events as one JSON object per line (JSONL) — the raw event
 /// stream, for ad-hoc processing with line-oriented tools.
 pub fn jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        let (kind, dur) = match &ev.kind {
-            EventKind::Begin => ("begin", String::new()),
-            EventKind::End => ("end", String::new()),
-            EventKind::Complete { dur_ns } => ("complete", format!(",\"dur_ns\":{dur_ns}")),
-            EventKind::Mark => ("mark", String::new()),
-        };
-        out.push_str(&format!(
-            "{{\"kind\":\"{kind}\",\"name\":\"{}\",\"ts_ns\":{},\"tid\":{}{dur},\"attrs\":{}}}\n",
-            escape(ev.name),
-            ev.ts_ns,
-            ev.tid,
-            attrs_json(&ev.attrs)
-        ));
-    }
-    out
+    events.iter().map(|ev| event_json(ev) + "\n").collect()
 }
 
 /// Renders events as a Chrome trace-event JSON array, loadable in
@@ -104,31 +115,8 @@ pub fn chrome_trace(events: &[Event]) -> String {
 /// [`jsonl`], used by diagnostics snapshots and black-box dumps that
 /// inline a retained trace inside a larger JSON document.
 pub fn events_json(events: &[Event]) -> String {
-    let records: Vec<String> = events
-        .iter()
-        .map(|ev| {
-            let (kind, dur) = match &ev.kind {
-                EventKind::Begin => ("begin", String::new()),
-                EventKind::End => ("end", String::new()),
-                EventKind::Complete { dur_ns } => ("complete", format!(",\"dur_ns\":{dur_ns}")),
-                EventKind::Mark => ("mark", String::new()),
-            };
-            format!(
-                "{{\"kind\":\"{kind}\",\"name\":\"{}\",\"ts_ns\":{},\"tid\":{}{dur},\"attrs\":{}}}",
-                escape(ev.name),
-                ev.ts_ns,
-                ev.tid,
-                attrs_json(&ev.attrs)
-            )
-        })
-        .collect();
+    let records: Vec<String> = events.iter().map(event_json).collect();
     format!("[{}]", records.join(","))
-}
-
-/// Renders a metrics registry as Prometheus-style text exposition
-/// (convenience alias for [`Registry::prometheus`]).
-pub fn prometheus(registry: &Registry) -> String {
-    registry.prometheus()
 }
 
 /// Renders a precision trace: one JSON object per line for every
@@ -140,23 +128,12 @@ pub fn prometheus(registry: &Registry) -> String {
 /// grep or load into a dataframe, and the audit driver's decrypt probes
 /// interleave in timestamp order.
 pub fn precision_jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        if !matches!(ev.kind, EventKind::Mark) {
-            continue;
-        }
-        if ev.name != "precision" && ev.name != "precision-probe" {
-            continue;
-        }
-        out.push_str(&format!(
-            "{{\"kind\":\"{}\",\"ts_ns\":{},\"tid\":{},\"attrs\":{}}}\n",
-            escape(ev.name),
-            ev.ts_ns,
-            ev.tid,
-            attrs_json(&ev.attrs)
-        ));
-    }
-    out
+    events
+        .iter()
+        .filter(|ev| matches!(ev.kind, EventKind::Mark))
+        .filter(|ev| ev.name == "precision" || ev.name == "precision-probe")
+        .map(|ev| record_json(ev.name, None, ev) + "\n")
+        .collect()
 }
 
 #[cfg(test)]

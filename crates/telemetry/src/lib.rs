@@ -5,29 +5,31 @@
 //! rests on comparing the static estimator against *measured* per-op
 //! latencies. This crate is the substrate for both:
 //!
-//! - [`trace`] — a span tracer: RAII [`trace::Span`] guards with
-//!   monotonic timestamps and key/value attributes, buffered in
-//!   lock-cheap per-thread buffers and drained into a global sink. When
-//!   tracing is disabled the hot path is a single relaxed atomic load —
-//!   measured at a few nanoseconds per call, versus tens of microseconds
-//!   for the cheapest homomorphic kernel.
+//! - [`trace`] — the span API: RAII [`trace::Span`] guards, markers and
+//!   complete events with monotonic timestamps and key/value attributes,
+//!   stamped with the ambient correlation ids of
+//!   [`trace::push_context`]. While nothing holds the store a span site
+//!   is a single relaxed atomic load — measured at a few nanoseconds per
+//!   call, versus tens of microseconds for the cheapest homomorphic
+//!   kernel.
+//! - [`recorder`] — the one event store: a bounded per-thread ring whose
+//!   retention level is the highest live [`recorder::Hold`] — `Off`,
+//!   `Ring` (the always-on flight recorder of a serving runtime:
+//!   overwrite-oldest, with tail-based retention promoting the span
+//!   trees of interesting requests into a bounded store) or `Full` (a
+//!   traced run: keep everything up to a counted drop-new bound).
 //! - [`metrics`] — a metrics registry generalizing the runtime's ad-hoc
 //!   atomics: named [`metrics::Counter`]s, [`metrics::Gauge`]s, and
 //!   power-of-two [`metrics::Histogram`]s, all shared via `Arc`ed atomics
-//!   so recording never takes the registry lock.
-//! - [`export`] — three exporters: a JSONL event stream, Chrome
-//!   trace-event JSON (loadable in Perfetto or `chrome://tracing`), and a
-//!   Prometheus-style text exposition of a registry.
-//! - [`recorder`] — the flight recorder: bounded per-thread event rings
-//!   (overwrite-oldest) that stay enabled in serving mode forever, with
-//!   tail-based retention promoting the span trees of interesting
-//!   requests (slow, shed, timed out, guard-failed, panicked) into a
-//!   bounded store, keyed by the correlation ids the tracer stamps via
-//!   [`trace::push_context`].
+//!   so recording never takes the registry lock; it renders itself as
+//!   Prometheus-style text.
+//! - [`export`] — the event-stream exporters: JSONL, Chrome trace-event
+//!   JSON (loadable in Perfetto or `chrome://tracing`), and the precision
+//!   JSONL, over one record serializer.
 //!
 //! The crate deliberately depends on nothing, not even other HECATE
 //! crates, so every layer of the workspace (compiler, backend, serving
-//! runtime, benchmark harness) can emit into the same sink. The
+//! runtime, benchmark harness) can emit into the same store. The
 //! aggregation that folds execution spans back into a measured cost table
 //! lives in `hecate_compiler::estimator`, next to the type it produces.
 //!
@@ -58,5 +60,5 @@ pub mod recorder;
 pub mod trace;
 
 pub use metrics::{quantile_from_pow2_buckets, Counter, Gauge, Histogram, Registry};
-pub use recorder::{RecorderConfig, RetainedSummary, RetainedTrace};
+pub use recorder::{RetainedSummary, RetainedTrace};
 pub use trace::{AttrValue, Attrs, Event, EventKind, PairedSpan, Span};

@@ -1,44 +1,37 @@
-//! The span tracer: RAII guards, per-thread buffers, a global sink.
+//! The span API: RAII guards, markers, and correlation context.
 //!
 //! # Design
 //!
-//! Tracing is **off by default**. Every recording entry point first loads
-//! one relaxed [`AtomicBool`]; when it reads `false` nothing else happens
-//! — no timestamp, no allocation, no lock. Attribute vectors are built
-//! through closures ([`span_with`], [`mark_with`], [`complete_with`]) so
-//! the disabled path never evaluates them.
+//! Recording is **off by default**. Every entry point first loads one
+//! relaxed atomic — the store's retention level
+//! ([`crate::recorder::level`]); while nothing holds the store nothing
+//! else happens — no timestamp, no allocation, no lock. Attribute
+//! vectors are built through closures ([`span_with`], [`mark_with`],
+//! [`complete_with`]) so the disabled path never evaluates them.
 //!
-//! When tracing is on, events go into a *per-thread* buffer (an
-//! uncontended `Mutex<Vec<Event>>` registered in a global list), so
-//! recording threads never contend with each other. [`drain`] walks the
-//! registered buffers, takes everything, and returns one chronologically
-//! sorted stream. Per-thread event order is preserved (the sort is
-//! stable and per-thread timestamps are monotonic), which is what makes
-//! [`pair_spans`] able to validate begin/end nesting per thread.
+//! While the store is held, events go into the recording thread's own
+//! ring in [`crate::recorder`] — the one event store, which also owns
+//! the retention levels, their bounds, and the drop counter. A span that
+//! recorded its begin always records its end, even if the last hold was
+//! dropped mid-span, so begin/end pairs stay balanced. [`drain`] takes
+//! everything out as one chronologically sorted stream that preserves
+//! per-thread event order, which is what lets [`pair_spans`] validate
+//! begin/end nesting per thread.
 //!
-//! The buffers are bounded by a configurable high-water mark
-//! ([`set_high_water`]): when an exporter stalls and a buffer fills,
-//! further events on that thread are dropped and counted
-//! (`hecate_trace_dropped_events_total` in the global metrics registry)
-//! instead of growing without bound.
-//!
-//! Every recording entry point also feeds the flight recorder
-//! ([`crate::recorder`]) when it is enabled — an independently gated,
-//! bounded ring sink for serving mode. A span records to whichever
-//! sinks were live at its begin, so begin/end pairs stay balanced in
-//! each sink even if a sink is toggled mid-span. Before handing an
-//! event to either sink, the recording thread stamps its ambient
-//! correlation context ([`push_context`]) onto the event as `req_id` /
+//! Before an event reaches the store, the recording thread stamps its
+//! ambient correlation context ([`push_context`]) onto it as `req_id` /
 //! `batch_id` attributes — this is how one request's spans are found
 //! again across worker, coalescer, and kernel threads.
 //!
 //! Timestamps are nanoseconds since a process-wide [`Instant`] epoch —
 //! monotonic, comparable across threads, and immune to wall-clock steps.
 
-use std::cell::{Cell, RefCell};
+use crate::recorder::{self, Level};
+pub use crate::recorder::{drain, dropped_events};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// One attribute value: integer, float, or string.
@@ -48,7 +41,7 @@ pub enum AttrValue {
     I64(i64),
     /// A double.
     F64(f64),
-    /// A string (allocated only while tracing is enabled).
+    /// A string (allocated only while the store is held).
     Str(String),
 }
 
@@ -138,7 +131,7 @@ pub enum EventKind {
     /// A span closed.
     End,
     /// A complete span recorded in one event — used when the start
-    /// happened on another thread (e.g. queue wait) or before tracing
+    /// happened on another thread (e.g. queue wait) or before a span
     /// could observe it. `ts_ns` is the span's *start*.
     Complete {
         /// Span duration, nanoseconds.
@@ -164,18 +157,10 @@ pub struct Event {
     pub attrs: Attrs,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
-/// Default per-thread buffer high-water mark, in events.
-pub const DEFAULT_HIGH_WATER: usize = 1 << 20;
-
-static HIGH_WATER: AtomicUsize = AtomicUsize::new(DEFAULT_HIGH_WATER);
-
 thread_local! {
-    /// The recording thread's small sequential trace id, shared by the
-    /// buffered tracer and the flight recorder so one thread reports
-    /// one `tid` everywhere.
+    /// The recording thread's small sequential trace id.
     static TID: Cell<u64> = const { Cell::new(0) };
     /// Ambient correlation context: `(req_id, batch_id)`, zero = unset.
     static CONTEXT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
@@ -230,66 +215,9 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-struct ThreadBuffer {
-    events: Mutex<Vec<Event>>,
-}
-
-fn sink() -> &'static Mutex<Vec<Arc<ThreadBuffer>>> {
-    static SINK: Mutex<Vec<Arc<ThreadBuffer>>> = Mutex::new(Vec::new());
-    &SINK
-}
-
-thread_local! {
-    static LOCAL: RefCell<Option<Arc<ThreadBuffer>>> = const { RefCell::new(None) };
-}
-
-fn dropped_counter() -> &'static crate::metrics::Counter {
-    static COUNTER: OnceLock<crate::metrics::Counter> = OnceLock::new();
-    COUNTER.get_or_init(|| crate::metrics::global().counter("hecate_trace_dropped_events_total"))
-}
-
-/// Bounds each thread's buffered-tracer backlog: once a buffer holds
-/// `events` undrained events, further events on that thread are dropped
-/// and counted instead of growing the buffer. Does not affect the
-/// flight recorder, whose rings are bounded by construction.
-pub fn set_high_water(events: usize) {
-    HIGH_WATER.store(events.max(1), Ordering::SeqCst);
-}
-
-/// The buffered tracer's per-thread high-water mark, in events.
-pub fn high_water() -> usize {
-    HIGH_WATER.load(Ordering::Relaxed)
-}
-
-/// Events dropped at the high-water mark since process start (also
-/// exported as `hecate_trace_dropped_events_total`).
-pub fn dropped_events() -> u64 {
-    dropped_counter().get()
-}
-
-fn push_buffered(ev: Event) {
-    LOCAL.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let buf = slot.get_or_insert_with(|| {
-            let buf = Arc::new(ThreadBuffer {
-                events: Mutex::new(Vec::new()),
-            });
-            sink().lock().unwrap().push(buf.clone());
-            buf
-        });
-        let mut events = buf.events.lock().unwrap();
-        if events.len() < HIGH_WATER.load(Ordering::Relaxed) {
-            events.push(ev);
-        } else {
-            dropped_counter().inc();
-        }
-    });
-}
-
-/// Routes one event to the sinks that were live when its span (or
-/// marker) was created. The ambient correlation context is stamped on
-/// first, so both sinks see identical events.
-fn record(kind: EventKind, name: &'static str, ts_ns: u64, mut attrs: Attrs, to: Sinks) {
+/// Stamps the ambient correlation context onto one event and hands it
+/// to the store.
+fn record(kind: EventKind, name: &'static str, ts_ns: u64, mut attrs: Attrs) {
     let (req_id, batch_id) = current_context();
     if req_id != 0 {
         attrs.push(("req_id", AttrValue::I64(req_id as i64)));
@@ -297,68 +225,32 @@ fn record(kind: EventKind, name: &'static str, ts_ns: u64, mut attrs: Attrs, to:
     if batch_id != 0 {
         attrs.push(("batch_id", AttrValue::I64(batch_id as i64)));
     }
-    let ev = Event {
+    recorder::push(Event {
         kind,
         name,
         ts_ns,
         tid: thread_tid(),
         attrs,
-    };
-    match (to.traced, to.recorded) {
-        (true, true) => {
-            crate::recorder::record(ev.clone());
-            push_buffered(ev);
-        }
-        (true, false) => push_buffered(ev),
-        (false, true) => crate::recorder::record(ev),
-        (false, false) => {}
-    }
+    });
 }
 
-/// Which sinks an event (or a span's begin/end pair) goes to.
-#[derive(Clone, Copy)]
-struct Sinks {
-    traced: bool,
-    recorded: bool,
-}
-
-impl Sinks {
-    /// The sinks live right now.
-    #[inline]
-    fn live() -> Sinks {
-        Sinks {
-            traced: enabled(),
-            recorded: crate::recorder::enabled(),
-        }
-    }
-
-    #[inline]
-    fn any(self) -> bool {
-        self.traced || self.recorded
-    }
-}
-
-/// Turns tracing on or off globally.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether tracing is currently enabled. This is the whole disabled-path
-/// cost: one relaxed atomic load.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// An RAII span guard: records a begin event on creation (when tracing
-/// is enabled) and the matching end event on drop. Attributes added via
-/// [`Span::attr`] after creation land on the end event — viewers merge
-/// begin and end arguments, and [`pair_spans`] does the same.
+/// An RAII span guard: records a begin event on creation (while the
+/// store is held) and the matching end event on drop. Attributes added
+/// via [`Span::attr`] after creation land on the end event — viewers
+/// merge begin and end arguments, and [`pair_spans`] does the same.
 #[must_use = "a span measures the scope it lives in; dropping it immediately records nothing useful"]
 pub struct Span {
     name: &'static str,
-    to: Sinks,
+    /// Whether the begin event was recorded (and the end must be too).
+    armed: bool,
     end_attrs: Attrs,
+}
+
+/// Whether anything holds the store: the one relaxed atomic load a span
+/// site pays while recording is off.
+#[inline]
+fn recording() -> bool {
+    recorder::level() != Level::Off
 }
 
 /// Opens a span with no attributes.
@@ -368,32 +260,26 @@ pub fn span(name: &'static str) -> Span {
 }
 
 /// Opens a span whose begin attributes are built by `attrs` — the
-/// closure runs only when a sink (the tracer or the flight recorder) is
-/// enabled, so the disabled path pays nothing for attribute
-/// construction.
+/// closure runs only while the store is held, so the disabled path pays
+/// nothing for attribute construction.
 #[inline]
 pub fn span_with<F: FnOnce() -> Attrs>(name: &'static str, attrs: F) -> Span {
-    let to = Sinks::live();
-    if !to.any() {
-        return Span {
-            name,
-            to,
-            end_attrs: Attrs::new(),
-        };
+    let armed = recording();
+    if armed {
+        record(EventKind::Begin, name, now_ns(), attrs());
     }
-    record(EventKind::Begin, name, now_ns(), attrs(), to);
     Span {
         name,
-        to,
+        armed,
         end_attrs: Attrs::new(),
     }
 }
 
 impl Span {
     /// Attaches an attribute to this span's end event. A no-op when the
-    /// span was created with every sink disabled.
+    /// span was created with recording off.
     pub fn attr(&mut self, key: &'static str, value: AttrValue) {
-        if self.to.any() {
+        if self.armed {
             self.end_attrs.push((key, value));
         }
     }
@@ -401,17 +287,12 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        // An armed span always records its end to the sinks it began
-        // in, even if a sink was switched off mid-span — unbalanced
-        // traces are worse than a few extra events.
-        if self.to.any() {
-            record(
-                EventKind::End,
-                self.name,
-                now_ns(),
-                std::mem::take(&mut self.end_attrs),
-                self.to,
-            );
+        // An armed span always records its end, even if the last hold on
+        // the store was dropped mid-span — unbalanced traces are worse
+        // than a few extra events.
+        if self.armed {
+            let attrs = std::mem::take(&mut self.end_attrs);
+            record(EventKind::End, self.name, now_ns(), attrs);
         }
     }
 }
@@ -420,54 +301,35 @@ impl Drop for Span {
 /// for durations whose start lives on another thread (queue wait) or was
 /// measured independently.
 pub fn complete_with<F: FnOnce() -> Attrs>(name: &'static str, started: Instant, attrs: F) {
-    let to = Sinks::live();
-    if !to.any() {
-        return;
+    if recording() {
+        let dur_ns = started.elapsed().as_nanos() as u64;
+        let ts_ns = now_ns().saturating_sub(dur_ns);
+        record(EventKind::Complete { dur_ns }, name, ts_ns, attrs());
     }
-    let dur_ns = started.elapsed().as_nanos() as u64;
-    let ts_ns = now_ns().saturating_sub(dur_ns);
-    record(EventKind::Complete { dur_ns }, name, ts_ns, attrs(), to);
 }
 
 /// Records an instantaneous marker.
 pub fn mark_with<F: FnOnce() -> Attrs>(name: &'static str, attrs: F) {
-    let to = Sinks::live();
-    if !to.any() {
-        return;
+    if recording() {
+        record(EventKind::Mark, name, now_ns(), attrs());
     }
-    record(EventKind::Mark, name, now_ns(), attrs(), to);
 }
 
-/// Takes every buffered event from every thread, returning one stream
-/// sorted by timestamp. Per-thread relative order is preserved (stable
-/// sort over monotonic per-thread timestamps), so begin/end nesting per
-/// `tid` survives the merge.
-pub fn drain() -> Vec<Event> {
-    let buffers = sink().lock().unwrap();
-    let mut all: Vec<Event> = Vec::new();
-    for buf in buffers.iter() {
-        all.append(&mut buf.events.lock().unwrap());
-    }
-    drop(buffers);
-    all.sort_by_key(|e| e.ts_ns);
-    all
-}
-
-/// Runs `f` with tracing enabled and returns its result together with
-/// exactly the events recorded during the call.
+/// Runs `f` under a [`Level::Full`] hold and returns its result together
+/// with exactly the events recorded during the call. The hold is
+/// released on every way out of `f`, a panic included.
 ///
 /// Captures are serialized through a global lock so concurrent tests (or
 /// any two capture sites) cannot steal each other's events; events left
-/// over from earlier unscoped tracing are discarded first.
+/// over from earlier recording are discarded first.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
     static CAPTURE: Mutex<()> = Mutex::new(());
     let _guard = CAPTURE.lock().unwrap_or_else(|poison| poison.into_inner());
     drain();
-    set_enabled(true);
+    let _hold = recorder::hold(Level::Full);
     let result = f();
-    set_enabled(false);
-    let events = drain();
-    (result, events)
+    // Drained under the hold: releasing it re-bounds the rings.
+    (result, drain())
 }
 
 /// A begin/end pair (or a complete event) resolved into one span.
@@ -564,7 +426,7 @@ mod tests {
     fn disabled_tracer_records_nothing() {
         let ((), events) = capture(|| {});
         assert!(events.is_empty());
-        // Outside a capture, with tracing off, spans are inert.
+        // Outside a capture, with nothing holding the store, spans are inert.
         {
             let mut s = span_with("noop", || vec![("k", 1.into())]);
             s.attr("x", 2.into());

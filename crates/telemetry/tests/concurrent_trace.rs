@@ -3,6 +3,7 @@
 //! nesting is valid per thread), and the disabled path records nothing
 //! while costing almost nothing.
 
+use hecate_telemetry::recorder::{self, Level};
 use hecate_telemetry::trace::{self, Attrs};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -10,9 +11,9 @@ use std::time::Instant;
 const THREADS: usize = 8;
 const SPANS_PER_THREAD: usize = 200;
 
-/// The tracer's on/off switch is process-global, so a test that relies on
-/// it being *off* must not overlap one that has a `trace::capture` open:
-/// both tests run under this lock, start to finish.
+/// The store's retention level is process-global, so a test that relies
+/// on it being *off* must not overlap one that has a `trace::capture`
+/// open: every test runs under this lock, start to finish.
 fn tracer() -> MutexGuard<'static, ()> {
     static TRACER: Mutex<()> = Mutex::new(());
     TRACER.lock().unwrap_or_else(|poison| poison.into_inner())
@@ -74,7 +75,7 @@ fn concurrent_spans_from_eight_threads_are_well_formed() {
 fn disabled_tracer_records_nothing_and_is_near_free() {
     let _tracer = tracer();
     // Nothing recorded: spans, completes, and marks outside a capture
-    // (tracing off) must leave the sink empty.
+    // (nothing holds the store) must leave it empty.
     {
         let mut s = trace::span_with("off", || vec![("k", 1.into())]);
         s.attr("x", 2.into());
@@ -99,4 +100,22 @@ fn disabled_tracer_records_nothing_and_is_near_free() {
         per_call_ns < 100.0,
         "disabled span costs {per_call_ns:.1} ns/call; expected ~1 ns"
     );
+}
+
+/// `capture` holds the store through an RAII guard, so a closure that
+/// panics cannot leave process-global recording on for whatever runs next.
+#[test]
+fn capture_releases_its_hold_when_the_closure_panics() {
+    let _tracer = tracer();
+    let caught = std::panic::catch_unwind(|| {
+        trace::capture(|| {
+            assert_eq!(recorder::level(), Level::Full);
+            panic!("boom inside capture");
+        })
+    });
+    assert!(caught.is_err());
+    assert_eq!(recorder::level(), Level::Off, "the hold leaked");
+    // And the next capture starts clean.
+    let ((), events) = trace::capture(|| trace::mark_with("after", Attrs::new));
+    assert_eq!(events.len(), 1);
 }

@@ -1,16 +1,17 @@
-//! Flight-recorder contract: bounded per-thread rings that overwrite
+//! Event-store contract: bounded per-thread rings that overwrite
 //! oldest-first under concurrent load without tearing events, tail-based
 //! retention that promotes exactly the correlated span tree, a bounded
-//! retained store, and the buffered tracer's high-water drop policy.
+//! retained store, and retention levels taken through RAII holds (the
+//! highest live hold wins; leaving `Full` re-bounds every ring).
 //!
-//! The recorder (like the tracer) is process-global, so every test here
-//! serializes on one mutex and filters by event names unique to itself.
+//! The store is process-global, so every test here serializes on one
+//! mutex and filters by event names unique to itself.
 
+use hecate_telemetry::recorder::{self, Level, RETAINED_CAPACITY, RING_CAPACITY};
 use hecate_telemetry::trace::{self, AttrValue};
-use hecate_telemetry::{recorder, RecorderConfig};
 use std::sync::Mutex;
 
-/// Serializes tests: recorder/tracer state is process-global.
+/// Serializes tests: the store and its level are process-global.
 static GLOBAL: Mutex<()> = Mutex::new(());
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {
@@ -26,21 +27,13 @@ fn attr_i64(ev: &trace::Event, key: &str) -> Option<i64> {
 
 const THREADS: usize = 8;
 const EVENTS_PER_THREAD: usize = 10_000;
-const RING_CAP: usize = 256;
 
 #[test]
 fn concurrent_overwrite_keeps_a_consistent_suffix_per_thread() {
     let _g = locked();
     recorder::clear();
-    recorder::configure(&RecorderConfig {
-        ring_capacity: RING_CAP,
-        retained_capacity: 64,
-    });
-    recorder::set_enabled(true);
-    assert!(
-        !trace::enabled(),
-        "tracer must stay off: recorder-only path"
-    );
+    let hold = recorder::hold(Level::Ring);
+    assert_eq!(recorder::level(), Level::Ring);
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -59,13 +52,14 @@ fn concurrent_overwrite_keeps_a_consistent_suffix_per_thread() {
             });
         }
     });
-    recorder::set_enabled(false);
+    drop(hold);
+    assert_eq!(recorder::level(), Level::Off, "the last hold turns it off");
 
     let all = recorder::snapshot();
     let mine: Vec<_> = all.iter().filter(|e| e.name == "ring-load").collect();
 
     // Group by the thread attr: each writer had its own ring, so each
-    // group must be exactly the newest RING_CAP events of that thread,
+    // group must be exactly the newest RING_CAPACITY events of that thread,
     // in order, untorn.
     for t in 0..THREADS as i64 {
         let mut seqs: Vec<i64> = mine
@@ -83,14 +77,18 @@ fn concurrent_overwrite_keeps_a_consistent_suffix_per_thread() {
             })
             .collect();
         seqs.sort_unstable();
-        assert_eq!(seqs.len(), RING_CAP, "thread {t} ring holds exactly cap");
-        let first = EVENTS_PER_THREAD as i64 - RING_CAP as i64;
+        assert_eq!(
+            seqs.len(),
+            RING_CAPACITY,
+            "thread {t} ring holds exactly cap"
+        );
+        let first = (EVENTS_PER_THREAD - RING_CAPACITY) as i64;
         let want: Vec<i64> = (first..EVENTS_PER_THREAD as i64).collect();
         assert_eq!(seqs, want, "thread {t} must keep the newest suffix");
     }
 
     assert!(
-        recorder::overwritten_events() >= (THREADS * (EVENTS_PER_THREAD - RING_CAP)) as u64,
+        recorder::overwritten_events() >= (THREADS * (EVENTS_PER_THREAD - RING_CAPACITY)) as u64,
         "overwrites must be counted"
     );
     recorder::clear();
@@ -100,11 +98,7 @@ fn concurrent_overwrite_keeps_a_consistent_suffix_per_thread() {
 fn retention_promotes_request_and_batch_linked_events() {
     let _g = locked();
     recorder::clear();
-    recorder::configure(&RecorderConfig {
-        ring_capacity: 4096,
-        retained_capacity: 64,
-    });
-    recorder::set_enabled(true);
+    let hold = recorder::hold(Level::Ring);
 
     let req_id = 777_001u64;
     let batch_id = 888_001u64;
@@ -122,7 +116,7 @@ fn retention_promotes_request_and_batch_linked_events() {
     }
     // Uncorrelated noise must not be promoted.
     trace::mark_with("retained-noise", || vec![("k", 2.into())]);
-    recorder::set_enabled(false);
+    drop(hold);
 
     let kept = recorder::retain_with(req_id, batch_id, "slow");
     let trace_for = recorder::retained_trace(req_id).expect("trace retained");
@@ -157,98 +151,76 @@ fn retention_promotes_request_and_batch_linked_events() {
 fn retained_store_is_bounded_and_keeps_newest() {
     let _g = locked();
     recorder::clear();
-    recorder::configure(&RecorderConfig {
-        ring_capacity: 4096,
-        retained_capacity: 4,
-    });
-    recorder::set_enabled(true);
-    for i in 0..10u64 {
+    let _hold = recorder::hold(Level::Ring);
+    let total = RETAINED_CAPACITY as u64 + 6;
+    for i in 0..total {
         let id = 555_000 + i;
         let _ctx = trace::push_context(id, 0);
         trace::mark_with("bounded-store", Vec::new);
         drop(_ctx);
-        recorder::retain(id, "slow");
+        recorder::retain_with(id, 0, "slow");
     }
-    recorder::set_enabled(false);
     let index = recorder::retained_index();
-    assert_eq!(index.len(), 4, "retained store respects its bound");
+    assert_eq!(
+        index.len(),
+        RETAINED_CAPACITY,
+        "retained store respects its bound"
+    );
     let ids: Vec<u64> = index.iter().map(|s| s.req_id).collect();
-    assert_eq!(ids, vec![555_006, 555_007, 555_008, 555_009]);
+    assert_eq!(ids, (555_006..555_000 + total).collect::<Vec<u64>>());
     assert!(
         recorder::retained_trace(555_000).is_none(),
         "oldest evicted"
     );
     recorder::clear();
-    // Restore defaults for whichever test runs next.
-    recorder::configure(&RecorderConfig::default());
 }
 
+/// The highest live hold wins, and a `Full` hold dropped while a `Ring`
+/// hold lives re-bounds every ring to its newest `RING_CAPACITY` events.
 #[test]
-fn configure_rebounds_existing_rings_keeping_newest() {
+fn dropping_full_under_a_ring_hold_rebounds_keeping_newest() {
     let _g = locked();
     recorder::clear();
-    recorder::configure(&RecorderConfig {
-        ring_capacity: 64,
-        retained_capacity: 64,
-    });
-    recorder::set_enabled(true);
-    for i in 0..40u64 {
+    let ring = recorder::hold(Level::Ring);
+    let full = recorder::hold(Level::Full);
+    assert_eq!(recorder::level(), Level::Full, "the highest hold wins");
+    let total = RING_CAPACITY as u64 + 40;
+    for i in 0..total {
         trace::mark_with("rebound", || vec![("seq", i.into())]);
     }
-    // Shrink below the current population: the newest 8 must survive.
-    recorder::configure(&RecorderConfig {
-        ring_capacity: 8,
-        retained_capacity: 64,
-    });
-    recorder::set_enabled(false);
-    let mut seqs: Vec<i64> = recorder::snapshot()
-        .iter()
-        .filter(|e| e.name == "rebound")
-        .map(|e| attr_i64(e, "seq").expect("seq"))
-        .collect();
-    seqs.sort_unstable();
-    assert_eq!(seqs, (32..40).collect::<Vec<i64>>());
-    recorder::clear();
-    recorder::configure(&RecorderConfig::default());
-}
+    let held = |name| {
+        let mut seqs: Vec<i64> = recorder::snapshot()
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| attr_i64(e, "seq").expect("seq"))
+            .collect();
+        seqs.sort_unstable();
+        seqs
+    };
+    assert_eq!(held("rebound").len() as u64, total, "Full keeps everything");
 
-#[test]
-fn high_water_drops_and_counts_instead_of_growing() {
-    let _g = locked();
-    let prev = trace::high_water();
-    trace::set_high_water(100);
-    let _ = trace::drain();
-    let dropped_before = trace::dropped_events();
-    trace::set_enabled(true);
-    for i in 0..500u64 {
-        trace::mark_with("hw-flood", || vec![("i", i.into())]);
-    }
-    trace::set_enabled(false);
-    let events = trace::drain();
-    trace::set_high_water(prev);
-    let flood: Vec<_> = events.iter().filter(|e| e.name == "hw-flood").collect();
-    assert_eq!(flood.len(), 100, "buffer capped at the high-water mark");
-    // The survivors are the oldest (drop-new policy: the bound protects
-    // memory; the recorder covers the tail).
-    assert_eq!(attr_i64(flood[0], "i"), Some(0));
-    assert_eq!(attr_i64(flood[99], "i"), Some(99));
-    assert_eq!(
-        trace::dropped_events() - dropped_before,
-        400,
-        "drops are counted"
-    );
+    drop(full);
+    assert_eq!(recorder::level(), Level::Ring, "the Ring hold still lives");
+    assert_eq!(held("rebound"), (40..total as i64).collect::<Vec<i64>>());
+    // Back at Ring the bound is overwrite-oldest again.
+    trace::mark_with("rebound", || vec![("seq", total.into())]);
+    assert_eq!(held("rebound"), (41..=total as i64).collect::<Vec<i64>>());
+
+    drop(ring);
+    assert_eq!(recorder::level(), Level::Off);
+    recorder::clear();
 }
 
 #[test]
 fn recorder_disabled_records_nothing() {
     let _g = locked();
     recorder::clear();
-    assert!(!recorder::enabled());
+    assert_eq!(recorder::level(), Level::Off);
     trace::mark_with("recorder-off", || vec![("k", AttrValue::I64(1))]);
     assert!(
         !recorder::snapshot()
             .iter()
             .any(|e| e.name == "recorder-off"),
-        "disabled recorder must not record"
+        "an unheld store must not record"
     );
 }

@@ -73,8 +73,6 @@
 //!                                   always retained)
 //!   --slo-target-ms MS              latency objective reported as SLO burn
 //!                                   (sliding p99 / target) in diagnostics
-//!   --no-flight-recorder            disable the always-on bounded recorder for
-//!                                   this serve run
 //!   --trace PATH                    record spans for the whole invocation to PATH
 //!   --trace-format jsonl|chrome     trace file format (default chrome; a Chrome
 //!                                   trace loads in Perfetto / chrome://tracing)
@@ -104,10 +102,12 @@
 //! session, and prints per-request latency plus the runtime's stats JSON
 //! — a batch-shaped stand-in for a long-running serving deployment.
 //!
-//! `--trace` and `--metrics` observe *every* mode: the tracer is switched
-//! on before any work starts and the files are written after the run
-//! finishes, on success and failure alike, so a failing compile still
-//! leaves a trace of how far it got.
+//! `--trace` and `--metrics` observe *every* mode: the event store is held
+//! at its full-trace level before any work starts and the files are
+//! written after the run finishes, on success and failure alike, so a
+//! failing compile still leaves a trace of how far it got.
+//!
+//! A flag given where it would be ignored is a usage error (see [`FLAGS`]).
 //!
 //! Exit codes: 0 success; 2 usage error; 3 input unreadable/unparsable
 //! (or a trace/metrics/precision file could not be written); 4 compilation
@@ -115,8 +115,8 @@
 //! failed; 6 audit violation (measured error above the predicted bound or
 //! a negative waterline margin).
 
-use hecate::backend::exec::{execute_encrypted, BackendOptions};
-use hecate::backend::FaultPlan;
+use hecate::backend::exec::execute_encrypted;
+use hecate::backend::{AuditOptions, FaultPlan};
 use hecate::compiler::estimator::estimate_latency_us;
 use hecate::compiler::{
     compile, compile_with_fallback, deserialize_plan, serialize_plan, CompileOptions,
@@ -129,350 +129,291 @@ use hecate::ir::verify::verify_plan;
 use hecate::ir::Function;
 use hecate::math::rng::Xoshiro256;
 use hecate::runtime::{
-    ChaosKind, ChaosOptions, CoreBudget, DiagOptions, RecorderOptions, Request, Runtime,
-    RuntimeConfig, RuntimeError,
+    ChaosKind, ChaosOptions, CoreBudget, DiagOptions, Request, Runtime, RuntimeConfig, RuntimeError,
 };
+use hecate::telemetry::recorder::{self, Level};
 use hecate::telemetry::{export, trace, Event};
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    Jsonl,
-    Chrome,
-}
+// The contexts a flag can be valid in, as bits so it can name a set:
+// exactly one of the five modes is live, and each of the last three is
+// live when the flag that other flags modify was given.
+/// Compile one file and print the plan: no mode flag given.
+const PLAIN: u8 = 1;
+const RUN: u8 = 2;
+const SERVE: u8 = 4;
+const AUDIT: u8 = 8;
+const REPORT: u8 = 16;
+const TRACE: u8 = 32;
+const CHAOS: u8 = 64;
+const DIAG: u8 = 128;
+const ALL: u8 = PLAIN | RUN | SERVE | AUDIT | REPORT;
+/// The modes that execute under encryption.
+const EXEC: u8 = RUN | SERVE | AUDIT | REPORT;
+/// The modes that take their plan from `obtain_plan`.
+const PLANNED: u8 = PLAIN | RUN | AUDIT;
+/// The flag that makes each context live, in the order errors list them.
+const CONTEXTS: [(&str, u8); 8] = [
+    ("a plain compile", PLAIN),
+    ("--run", RUN),
+    ("--serve", SERVE),
+    ("--audit", AUDIT),
+    ("--estimator-report", REPORT),
+    ("--trace", TRACE),
+    ("--chaos", CHAOS),
+    ("--diag-out", DIAG),
+];
 
-struct Args {
+/// Everything the command line configures. Flags write straight into the
+/// option structs the libraries take; only what the driver itself
+/// consumes has a field of its own.
+struct Cli {
     files: Vec<String>,
+    /// The live contexts (see [`PLAIN`]).
+    live: u8,
     scheme: Scheme,
-    waterline: f64,
-    sf: f64,
-    degree: Option<usize>,
-    run: bool,
+    compile: CompileOptions,
+    /// `runtime.backend` is the backend configuration of every mode.
+    runtime: RuntimeConfig,
+    audit: AuditOptions,
+    bench: Option<String>,
+    /// Serve mode's request shape: submissions per file, and each
+    /// request's deadline and retry budget.
+    repeat: usize,
+    deadline: Option<Duration>,
+    retries: u32,
     breakdown: bool,
     quiet: bool,
     fallback: bool,
     save_plan: Option<String>,
     load_plan: Option<String>,
-    serve: bool,
-    jobs: usize,
-    max_batch: usize,
-    batch_window_us: u64,
-    kernel_jobs: usize,
-    core_budget: CoreBudget,
-    hoist: bool,
-    repeat: usize,
     trace: Option<String>,
-    trace_format: TraceFormat,
+    trace_format: fn(&[Event]) -> String,
     metrics: Option<String>,
-    estimator_report: bool,
-    audit: bool,
-    audit_checkpoints: usize,
-    bench: Option<String>,
     precision_trace: Option<String>,
-    max_rms: Option<f64>,
-    chaos: Option<u64>,
-    chaos_kind: String,
-    chaos_latency_us: u64,
-    chaos_fault: Option<FaultPlan>,
-    deadline_ms: Option<u64>,
-    retries: u32,
-    queue_cap: Option<usize>,
-    admission_budget_ms: Option<f64>,
-    diag_out: Option<String>,
-    diag_interval_ms: u64,
-    slow_ms: Option<f64>,
-    slo_target_ms: Option<f64>,
-    flight_recorder: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let mut out = Args {
-        files: Vec::new(),
-        scheme: Scheme::Hecate,
-        waterline: 24.0,
-        sf: 60.0,
-        degree: None,
-        run: false,
-        breakdown: false,
-        quiet: false,
-        fallback: false,
-        save_plan: None,
-        load_plan: None,
-        serve: false,
-        jobs: 2,
-        max_batch: 1,
-        batch_window_us: 0,
-        kernel_jobs: 1,
-        core_budget: CoreBudget::Unmanaged,
-        hoist: true,
-        repeat: 2,
-        trace: None,
-        trace_format: TraceFormat::Chrome,
-        metrics: None,
-        estimator_report: false,
-        audit: false,
-        audit_checkpoints: 4,
-        bench: None,
-        precision_trace: None,
-        max_rms: None,
-        chaos: None,
-        chaos_kind: "mix".to_string(),
-        chaos_latency_us: 5000,
-        chaos_fault: None,
-        deadline_ms: None,
-        retries: 0,
-        queue_cap: None,
-        admission_budget_ms: None,
-        diag_out: None,
-        diag_interval_ms: 1000,
-        slow_ms: None,
-        slo_target_ms: None,
-        flight_recorder: true,
+impl Cli {
+    fn new() -> Cli {
+        Cli {
+            files: Vec::new(),
+            live: PLAIN,
+            scheme: Scheme::Hecate,
+            compile: CompileOptions::with_waterline(24.0),
+            runtime: RuntimeConfig::default(),
+            audit: AuditOptions::default(),
+            bench: None,
+            repeat: 2,
+            deadline: None,
+            retries: 0,
+            breakdown: false,
+            quiet: false,
+            fallback: false,
+            save_plan: None,
+            load_plan: None,
+            trace: None,
+            trace_format: export::chrome_trace,
+            metrics: None,
+            precision_trace: None,
+        }
+    }
+
+    /// The one live mode.
+    fn mode(&self) -> u8 {
+        self.live & ALL
+    }
+
+    fn chaos(&mut self) -> &mut ChaosOptions {
+        self.runtime.chaos.get_or_insert_with(ChaosOptions::default)
+    }
+
+    fn diag(&mut self) -> &mut DiagOptions {
+        self.runtime.diag.get_or_insert_with(|| DiagOptions {
+            dir: Default::default(),
+            interval: Duration::from_millis(1000),
+        })
+    }
+}
+
+/// One command-line flag: its value placeholder (empty = takes none),
+/// the contexts it is valid in, and the setter that parses the value into
+/// the struct it configures. A setter's empty error means "bad value".
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    contexts: u8,
+    set: fn(&mut Cli, &str) -> Result<(), String>,
+}
+
+fn num<T: FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| String::new())
+}
+
+fn at_least<T: FromStr + PartialOrd>(min: T, v: &str) -> Result<T, String> {
+    num(v).and_then(|n: T| if n >= min { Ok(n) } else { Err(String::new()) })
+}
+
+fn above_zero(v: &str) -> Result<f64, String> {
+    num(v).and_then(|x: f64| if x > 0.0 { Ok(x) } else { Err(String::new()) })
+}
+
+/// Builds [`FLAGS`], the one list of flags: a row is the flag's name, its
+/// value placeholder, its contexts, and the statement that parses the
+/// value `v` into place on the [`Cli`] `c`.
+macro_rules! flags {
+    ($($name:literal $value:literal $contexts:expr => |$c:ident, $v:ident| $set:expr;)*) => {
+        const FLAGS: &[Flag] = &[$(Flag {
+            name: $name,
+            value: $value,
+            contexts: $contexts,
+            set: |$c, $v| {
+                $set;
+                Ok(())
+            },
+        }),*];
     };
+}
+
+flags! {
+    "--scheme" "eva|pars|smse|hecate" ALL => |c, v| c.scheme = match v {
+        "eva" => Scheme::Eva,
+        "pars" => Scheme::Pars,
+        "smse" => Scheme::Smse,
+        "hecate" => Scheme::Hecate,
+        other => return Err(format!("unknown scheme '{other}'")),
+    };
+    "--waterline" "BITS" ALL => |c, v| c.compile.waterline_bits = num(v)?;
+    "--sf" "BITS" ALL => |c, v| c.compile.rescale_bits = num(v)?;
+    "--degree" "N" ALL => |c, v| c.compile.degree = Some(num(v)?);
+    "--run" "" ALL => |_c, _v| {};
+    "--breakdown" "" PLAIN | RUN => |c, _v| c.breakdown = true;
+    "--quiet" "" ALL => |c, _v| c.quiet = true;
+    "--strict" "" PLANNED => |c, _v| c.fallback = false;
+    "--fallback" "" PLANNED => |c, _v| c.fallback = true;
+    "--save-plan" "PATH" PLAIN | RUN => |c, v| c.save_plan = Some(v.into());
+    "--load-plan" "PATH" PLANNED => |c, v| c.load_plan = Some(v.into());
+    "--serve" "" ALL => |_c, _v| {};
+    "--jobs" "N" SERVE => |c, v| c.runtime.workers = at_least(1, v)?;
+    "--max-batch" "N" SERVE | AUDIT => |c, v| c.runtime.max_batch = at_least(1, v)?;
+    "--batch-window-us" "U" SERVE => |c, v|
+        c.runtime.batch_window = Duration::from_micros(num(v)?);
+    "--kernel-jobs" "N" EXEC => |c, v| c.runtime.backend.kernel_jobs = at_least(1, v)?;
+    "--core-budget" "N|auto" SERVE => |c, v| c.runtime.core_budget = match v {
+        "auto" => CoreBudget::Auto,
+        cores => CoreBudget::Cores(at_least(1, cores)?),
+    };
+    "--no-hoist" "" EXEC => |c, _v| c.runtime.backend.hoist_rotations = false;
+    "--repeat" "K" SERVE => |c, v| c.repeat = at_least(1, v)?;
+    "--trace" "PATH" ALL => |c, v| c.trace = Some(v.into());
+    "--trace-format" "jsonl|chrome" TRACE => |c, v| c.trace_format = match v {
+        "jsonl" => export::jsonl,
+        "chrome" => export::chrome_trace,
+        other => return Err(format!("unknown format '{other}'")),
+    };
+    "--metrics" "PATH" ALL => |c, v| c.metrics = Some(v.into());
+    "--estimator-report" "" ALL => |_c, _v| {};
+    "--audit" "" ALL => |_c, _v| {};
+    "--audit-checkpoints" "N" AUDIT => |c, v| c.audit.checkpoints = num(v)?;
+    "--bench" "NAME|all" AUDIT => |c, v| c.bench = Some(v.into());
+    "--precision-trace" "PATH" EXEC => |c, v| c.precision_trace = Some(v.into());
+    "--max-rms" "BOUND" EXEC => |c, v| c.runtime.backend.guard.max_rms = Some(above_zero(v)?);
+    "--chaos" "N" SERVE => |c, v| c.chaos().every_nth = num(v)?;
+    "--chaos-kind" "fault|latency|panic|mix" CHAOS => |c, v| if v != "mix" {
+        c.chaos().mix = vec![ChaosKind::parse(v)?];
+    };
+    "--chaos-latency-us" "U" CHAOS => |c, v| c.chaos().latency = Duration::from_micros(num(v)?);
+    "--chaos-fault" "SPEC" CHAOS => |c, v| c.chaos().fault = FaultPlan::parse(v)?;
+    "--deadline-ms" "D" SERVE => |c, v| c.deadline = Some(Duration::from_millis(num(v)?));
+    "--retries" "R" SERVE => |c, v| c.retries = num(v)?;
+    "--queue-cap" "N" SERVE => |c, v| c.runtime.queue_capacity = at_least(1, v)?;
+    "--admission-budget-ms" "B" SERVE => |c, v|
+        c.runtime.admission_budget_us = Some(above_zero(v)? * 1e3);
+    "--diag-out" "DIR" SERVE => |c, v| c.diag().dir = v.into();
+    "--diag-interval-ms" "N" DIAG => |c, v|
+        c.diag().interval = Duration::from_millis(at_least(1, v)?);
+    "--slow-ms" "MS" SERVE => |c, v|
+        c.runtime.slow_threshold = Some(Duration::from_secs_f64(at_least(0.0, v)? / 1e3));
+    "--slo-target-ms" "MS" SERVE => |c, v| c.runtime.slo_target_us = Some(above_zero(v)? * 1e3);
+}
+
+/// The contexts in `set`, spelled as the flags that make them live.
+fn context_names(set: u8) -> String {
+    let live = CONTEXTS.iter().filter(|(_, bit)| set & bit != 0);
+    let names: Vec<&str> = live.map(|(name, _)| *name).collect();
+    match names.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+        _ => names.concat(),
+    }
+}
+
+fn usage() -> String {
+    let flags: Vec<String> = FLAGS
+        .iter()
+        .map(|f| match f.value {
+            "" => format!("[{}]", f.name),
+            value => format!("[{} {value}]", f.name),
+        })
+        .collect();
+    format!("usage: hecatec <file.heir>... {}", flags.join(" "))
+}
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    let mut cli = Cli::new();
+    let mut seen: Vec<&Flag> = Vec::new();
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scheme" => {
-                out.scheme = match args.next().as_deref() {
-                    Some("eva") => Scheme::Eva,
-                    Some("pars") => Scheme::Pars,
-                    Some("smse") => Scheme::Smse,
-                    Some("hecate") => Scheme::Hecate,
-                    other => return Err(format!("bad --scheme {other:?}")),
-                }
-            }
-            "--waterline" => {
-                out.waterline = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("bad --waterline")?
-            }
-            "--sf" => out.sf = args.next().and_then(|v| v.parse().ok()).ok_or("bad --sf")?,
-            "--degree" => {
-                out.degree = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("bad --degree")?,
-                )
-            }
-            "--run" => out.run = true,
-            "--breakdown" => out.breakdown = true,
-            "--quiet" => out.quiet = true,
-            "--strict" => out.fallback = false,
-            "--fallback" => out.fallback = true,
-            "--save-plan" => out.save_plan = Some(args.next().ok_or("bad --save-plan")?),
-            "--load-plan" => out.load_plan = Some(args.next().ok_or("bad --load-plan")?),
-            "--serve" => out.serve = true,
-            "--jobs" => {
-                out.jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("bad --jobs")?
-            }
-            "--max-batch" => {
-                out.max_batch = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("bad --max-batch")?
-            }
-            "--batch-window-us" => {
-                out.batch_window_us = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("bad --batch-window-us")?
-            }
-            "--kernel-jobs" => {
-                out.kernel_jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("bad --kernel-jobs")?
-            }
-            "--core-budget" => {
-                out.core_budget = match args.next().as_deref() {
-                    Some("auto") => CoreBudget::Auto,
-                    Some(v) => CoreBudget::Cores(
-                        v.parse()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or("bad --core-budget")?,
-                    ),
-                    None => return Err("bad --core-budget".into()),
-                }
-            }
-            "--no-hoist" => out.hoist = false,
-            "--repeat" => {
-                out.repeat = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("bad --repeat")?
-            }
-            "--trace" => out.trace = Some(args.next().ok_or("bad --trace")?),
-            "--trace-format" => {
-                out.trace_format = match args.next().as_deref() {
-                    Some("jsonl") => TraceFormat::Jsonl,
-                    Some("chrome") => TraceFormat::Chrome,
-                    other => return Err(format!("bad --trace-format {other:?}")),
-                }
-            }
-            "--metrics" => out.metrics = Some(args.next().ok_or("bad --metrics")?),
-            "--estimator-report" => out.estimator_report = true,
-            "--audit" => out.audit = true,
-            "--audit-checkpoints" => {
-                out.audit_checkpoints = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("bad --audit-checkpoints")?
-            }
-            "--bench" => out.bench = Some(args.next().ok_or("bad --bench")?),
-            "--precision-trace" => {
-                out.precision_trace = Some(args.next().ok_or("bad --precision-trace")?)
-            }
-            "--max-rms" => {
-                out.max_rms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&b: &f64| b > 0.0)
-                        .ok_or("bad --max-rms")?,
-                )
-            }
-            "--chaos" => {
-                out.chaos = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("bad --chaos")?,
-                )
-            }
-            "--chaos-kind" => {
-                let kind = args.next().ok_or("bad --chaos-kind")?;
-                if kind != "mix" {
-                    ChaosKind::parse(&kind)?; // validate eagerly
-                }
-                out.chaos_kind = kind;
-            }
-            "--chaos-latency-us" => {
-                out.chaos_latency_us = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("bad --chaos-latency-us")?
-            }
-            "--chaos-fault" => {
-                out.chaos_fault = Some(FaultPlan::parse(&args.next().ok_or("bad --chaos-fault")?)?)
-            }
-            "--deadline-ms" => {
-                out.deadline_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("bad --deadline-ms")?,
-                )
-            }
-            "--retries" => {
-                out.retries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("bad --retries")?
-            }
-            "--queue-cap" => {
-                out.queue_cap = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or("bad --queue-cap")?,
-                )
-            }
-            "--admission-budget-ms" => {
-                out.admission_budget_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&b: &f64| b > 0.0)
-                        .ok_or("bad --admission-budget-ms")?,
-                )
-            }
-            "--diag-out" => out.diag_out = Some(args.next().ok_or("bad --diag-out")?),
-            "--diag-interval-ms" => {
-                out.diag_interval_ms = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("bad --diag-interval-ms")?
-            }
-            "--slow-ms" => {
-                out.slow_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&b: &f64| b >= 0.0)
-                        .ok_or("bad --slow-ms")?,
-                )
-            }
-            "--slo-target-ms" => {
-                out.slo_target_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&b: &f64| b > 0.0)
-                        .ok_or("bad --slo-target-ms")?,
-                )
-            }
-            "--no-flight-recorder" => out.flight_recorder = false,
-            f if !f.starts_with('-') => out.files.push(f.to_string()),
-            other => return Err(format!("unknown argument '{other}'")),
+        if !a.starts_with('-') {
+            cli.files.push(a);
+            continue;
         }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == a)
+            .ok_or_else(|| format!("unknown argument '{a}'"))?;
+        let value = match flag.value {
+            "" => String::new(),
+            _ => args.next().ok_or_else(|| format!("bad {a}"))?,
+        };
+        (flag.set)(&mut cli, &value).map_err(|why| match why.as_str() {
+            "" => format!("bad {a}"),
+            why => format!("bad {a}: {why}"),
+        })?;
+        seen.push(flag);
     }
-    if out.bench.is_some() && !out.audit {
-        return Err("--bench requires --audit".into());
+    // A context goes live when its flag was given; with no mode flag the
+    // mode is a plain compile. Checked once everything is parsed, so flag
+    // order never matters.
+    let given = CONTEXTS
+        .iter()
+        .filter(|(name, _)| seen.iter().any(|f| f.name == *name));
+    cli.live = given.fold(0, |live, (_, bit)| live | bit);
+    match cli.mode().count_ones() {
+        0 => cli.live |= PLAIN,
+        1 => {}
+        _ => return Err(format!("choose one of {}", context_names(cli.mode()))),
     }
-    if out.audit && (out.serve || out.estimator_report) {
-        return Err("--audit is incompatible with --serve and --estimator-report".into());
+    if let Some(flag) = seen.iter().find(|f| f.contexts & cli.live == 0) {
+        let needs = context_names(flag.contexts);
+        return Err(format!("{} requires {needs}", flag.name));
     }
-    if out.estimator_report || out.bench.is_some() {
-        if !out.files.is_empty() {
-            return Err(if out.estimator_report {
-                "--estimator-report takes no input files".into()
-            } else {
-                "--bench takes no input files".into()
-            });
+    if cli.mode() == REPORT || cli.bench.is_some() {
+        if !cli.files.is_empty() {
+            let what = cli
+                .bench
+                .as_ref()
+                .map_or("--estimator-report", |_| "--bench");
+            return Err(format!("{what} takes no input files"));
         }
-    } else if out.files.is_empty() {
+    } else if cli.files.is_empty() {
         return Err("no input file".into());
     }
-    if !out.serve && out.files.len() > 1 {
+    if cli.mode() != SERVE && cli.files.len() > 1 {
         return Err("multiple input files require --serve".into());
     }
-    let serve_only_flags = out.chaos.is_some()
-        || out.deadline_ms.is_some()
-        || out.retries > 0
-        || out.queue_cap.is_some()
-        || out.admission_budget_ms.is_some();
-    if serve_only_flags && !out.serve {
-        return Err(
-            "--chaos/--deadline-ms/--retries/--queue-cap/--admission-budget-ms require --serve"
-                .into(),
-        );
-    }
-    if out.batch_window_us > 0 && !out.serve {
-        return Err("--batch-window-us requires --serve".into());
-    }
-    let diag_flags = out.diag_out.is_some()
-        || out.slow_ms.is_some()
-        || out.slo_target_ms.is_some()
-        || !out.flight_recorder;
-    if diag_flags && !out.serve {
-        return Err(
-            "--diag-out/--slow-ms/--slo-target-ms/--no-flight-recorder require --serve".into(),
-        );
-    }
-    if out.core_budget != CoreBudget::Unmanaged && !out.serve {
-        return Err("--core-budget requires --serve".into());
-    }
-    if out.max_batch > 1 && !(out.serve || out.audit) {
-        return Err("--max-batch requires --serve or --audit".into());
-    }
-    Ok(out)
+    Ok(cli)
 }
 
 /// Deterministic random inputs for every `input` of a function.
@@ -509,51 +450,9 @@ fn load_functions(files: &[String]) -> Result<Vec<(String, Function)>, String> {
 /// runtime's own counters in Prometheus text form (appended to the
 /// `--metrics` file, which otherwise only sees the process-global
 /// registry).
-fn serve(args: &Args, opts: &CompileOptions, metrics_extra: &mut String) -> u8 {
-    let funcs = match load_functions(&args.files) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("hecatec: {e}");
-            return 3;
-        }
-    };
-    let defaults = ChaosOptions::default();
-    let chaos = args.chaos.map(|every_nth| ChaosOptions {
-        every_nth,
-        mix: if args.chaos_kind == "mix" {
-            defaults.mix.clone()
-        } else {
-            vec![ChaosKind::parse(&args.chaos_kind).expect("validated by parse_args")]
-        },
-        fault: args.chaos_fault.clone().unwrap_or(defaults.fault),
-        latency: Duration::from_micros(args.chaos_latency_us),
-    });
-    let recorder = args.flight_recorder.then(|| RecorderOptions {
-        slow_threshold: args.slow_ms.map(|ms| Duration::from_secs_f64(ms / 1e3)),
-        ..RecorderOptions::default()
-    });
-    let diag = args.diag_out.as_ref().map(|dir| DiagOptions {
-        dir: dir.into(),
-        interval: Duration::from_millis(args.diag_interval_ms),
-    });
-    let mut config = RuntimeConfig {
-        workers: args.jobs,
-        backend: backend_options(args),
-        admission_budget_us: args.admission_budget_ms.map(|ms| ms * 1e3),
-        chaos,
-        max_batch: args.max_batch,
-        batch_window: Duration::from_micros(args.batch_window_us),
-        core_budget: args.core_budget,
-        recorder,
-        slo_target_us: args.slo_target_ms.map(|ms| ms * 1e3),
-        diag,
-        ..RuntimeConfig::default()
-    };
-    if let Some(cap) = args.queue_cap {
-        config.queue_capacity = cap;
-    }
-    let rt = Runtime::new(config);
-    if args.core_budget != CoreBudget::Unmanaged {
+fn serve(cli: &Cli, funcs: &[(String, Function)], metrics_extra: &mut String) -> u8 {
+    let rt = Runtime::new(cli.runtime.clone());
+    if cli.runtime.core_budget != CoreBudget::Unmanaged {
         let split = rt.core_split();
         println!(
             "core budget: {} core(s) -> {} worker(s) x {} kernel job(s)",
@@ -567,16 +466,16 @@ fn serve(args: &Args, opts: &CompileOptions, metrics_extra: &mut String) -> u8 {
     for (k, (file, func)) in funcs.iter().enumerate() {
         let session = rt.open_session();
         let inputs = synth_inputs(func, 1 + k as u64);
-        for round in 0..args.repeat {
+        for round in 0..cli.repeat {
             labels.push(format!("{file}#{round}"));
             reqs.push(Request {
                 session,
                 func: func.clone(),
-                scheme: args.scheme,
-                options: opts.clone(),
+                scheme: cli.scheme,
+                options: cli.compile.clone(),
                 inputs: inputs.clone(),
-                deadline: args.deadline_ms.map(Duration::from_millis),
-                max_retries: args.retries,
+                deadline: cli.deadline,
+                max_retries: cli.retries,
             });
         }
     }
@@ -584,24 +483,30 @@ fn serve(args: &Args, opts: &CompileOptions, metrics_extra: &mut String) -> u8 {
         "serving {} request(s) over {} file(s) with {} worker(s)",
         reqs.len(),
         funcs.len(),
-        args.jobs
+        cli.runtime.workers
     );
-    if let Some(n) = args.chaos {
+    if let Some(chaos) = cli.runtime.chaos.as_ref().filter(|c| c.every_nth > 0) {
+        let kind = match chaos.mix.as_slice() {
+            [kind] => format!("{kind:?}").to_lowercase(),
+            _ => "mix".to_string(),
+        };
         println!(
-            "chaos: injecting {} into every {n}th request",
-            args.chaos_kind
+            "chaos: injecting {kind} into every {}th request",
+            chaos.every_nth
         );
     }
-    if args.max_batch > 1 {
+    if cli.runtime.max_batch > 1 {
         println!(
             "batching: up to {} same-plan request(s) per packed ciphertext (window {}µs)",
-            args.max_batch, args.batch_window_us
+            cli.runtime.max_batch,
+            cli.runtime.batch_window.as_micros()
         );
     }
-    if let Some(dir) = &args.diag_out {
+    if let Some(diag) = &cli.runtime.diag {
         println!(
-            "diagnostics: snapshots every {}ms to {dir} (black-box dumps on panic)",
-            args.diag_interval_ms
+            "diagnostics: snapshots every {}ms to {} (black-box dumps on panic)",
+            diag.interval.as_millis(),
+            diag.dir.display()
         );
     }
     let results = rt.run_batch(reqs);
@@ -634,8 +539,8 @@ fn serve(args: &Args, opts: &CompileOptions, metrics_extra: &mut String) -> u8 {
     code
 }
 
-fn obtain_plan(args: &Args, func: &Function, opts: &CompileOptions) -> Result<CompiledProgram, u8> {
-    if let Some(path) = &args.load_plan {
+fn obtain_plan(cli: &Cli, func: &Function, opts: &CompileOptions) -> Result<CompiledProgram, u8> {
+    if let Some(path) = &cli.load_plan {
         let text = std::fs::read_to_string(path).map_err(|e| {
             eprintln!("hecatec: cannot read {path}: {e}");
             3
@@ -665,17 +570,14 @@ fn obtain_plan(args: &Args, func: &Function, opts: &CompileOptions) -> Result<Co
         }
         return Ok(prog);
     }
-    let result = if args.fallback {
-        compile_with_fallback(func, args.scheme, opts)
+    let (result, rungs) = if cli.fallback {
+        let result = compile_with_fallback(func, cli.scheme, opts);
+        (result, " on every fallback rung")
     } else {
-        compile(func, args.scheme, opts)
+        (compile(func, cli.scheme, opts), "")
     };
     result.map_err(|e| {
-        if args.fallback {
-            eprintln!("hecatec: compilation failed on every fallback rung: {e}");
-        } else {
-            eprintln!("hecatec: compilation failed: {e}");
-        }
+        eprintln!("hecatec: compilation failed{rungs}: {e}");
         4
     })
 }
@@ -686,28 +588,15 @@ fn obtain_plan(args: &Args, func: &Function, opts: &CompileOptions) -> Result<Co
 /// [`CostTable`], and re-estimate with [`CostModel::Profiled`]. Prints
 /// one row per benchmark — analytic estimate, traced latency, profiled
 /// re-estimate, and the ratios — plus the geomean ratios the paper's
-/// Fig. 8 reports.
-///
-/// Every event drained here is pushed into `events_out` so a
+/// Fig. 8 reports. It reads the store without draining it, so a
 /// simultaneous `--trace` still sees the full invocation.
-/// Backend options implied by the CLI flags (`--kernel-jobs`,
-/// `--no-hoist`).
-fn backend_options(args: &Args) -> BackendOptions {
-    let mut opts = BackendOptions {
-        kernel_jobs: args.kernel_jobs,
-        hoist_rotations: args.hoist,
-        ..BackendOptions::default()
-    };
-    opts.guard.max_rms = args.max_rms;
-    opts
-}
-
-fn estimator_report(args: &Args, opts: &CompileOptions, events_out: &mut Vec<Event>) -> u8 {
+fn estimator_report(cli: &Cli) -> u8 {
+    let opts = &cli.compile;
     let benches = hecate::apps::all_benchmarks(hecate::apps::Preset::Small);
     println!(
         "estimator report: {} benchmark(s), Small preset, scheme {}",
         benches.len(),
-        args.scheme
+        cli.scheme
     );
     println!(
         "  {:<6} {:>5} {:>6} {:>12} {:>12} {:>12} {:>7} {:>7} {:>10}",
@@ -725,7 +614,7 @@ fn estimator_report(args: &Args, opts: &CompileOptions, events_out: &mut Vec<Eve
     for b in &benches {
         let mut bopts = opts.clone();
         bopts.degree = Some(opts.degree.unwrap_or((2 * b.func.vec_size).max(512)));
-        let prog = match compile(&b.func, args.scheme, &bopts) {
+        let prog = match compile(&b.func, cli.scheme, &bopts) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("hecatec: {}: compilation failed: {e}", b.name);
@@ -733,13 +622,14 @@ fn estimator_report(args: &Args, opts: &CompileOptions, events_out: &mut Vec<Eve
             }
         };
         // Split the stream here so the fold below sees only this
-        // benchmark's execution ops, not its compile spans.
-        events_out.extend(trace::drain());
-        if let Err(e) = execute_encrypted(&prog, &b.inputs, &backend_options(args)) {
+        // benchmark's execution ops.
+        let started = trace::now_ns();
+        if let Err(e) = execute_encrypted(&prog, &b.inputs, &cli.runtime.backend) {
             eprintln!("hecatec: {}: execution failed: {e}", b.name);
             return 5;
         }
-        let events = trace::drain();
+        let mut events = recorder::snapshot();
+        events.retain(|ev| ev.ts_ns >= started);
         let analytic = prog.stats.estimated_latency_us;
         let traced = hecate::compiler::traced_total_us(&events);
         let table = CostTable::from_trace(&events, prog.params.degree);
@@ -750,7 +640,6 @@ fn estimator_report(args: &Args, opts: &CompileOptions, events_out: &mut Vec<Eve
             prog.params.chain_len,
             prog.params.degree,
         );
-        events_out.extend(events);
         println!(
             "  {:<6} {:>5} {:>6} {:>12.2} {:>12.2} {:>12.2} {:>7.3} {:>7.3} {:>10.1}",
             b.name,
@@ -781,13 +670,14 @@ fn estimator_report(args: &Args, opts: &CompileOptions, events_out: &mut Vec<Eve
 /// reloaded) or from `--bench NAME|all` (the paper's benchmarks, Small
 /// preset). Returns 6 when any probe's measured error exceeds 10× its
 /// prediction or any waterline margin is negative.
-fn audit_mode(args: &Args, opts: &CompileOptions) -> u8 {
-    use hecate::backend::{audit_batched, audit_encrypted, AuditOptions, ExecEngine, ExecError};
+fn audit_mode(cli: &Cli, funcs: &[(String, Function)]) -> u8 {
+    use hecate::backend::{audit_batched, audit_encrypted, ExecEngine, ExecError};
+    let opts = &cli.compile;
 
     /// One audit case: (label, function, inputs, compile options).
     type AuditCase = (String, Function, HashMap<String, Vec<f64>>, CompileOptions);
     let mut cases: Vec<AuditCase> = Vec::new();
-    if let Some(sel) = &args.bench {
+    if let Some(sel) = &cli.bench {
         let benches = hecate::apps::all_benchmarks(hecate::apps::Preset::Small);
         let names: Vec<String> = benches.iter().map(|b| b.name.clone()).collect();
         let selected: Vec<_> = benches
@@ -807,28 +697,22 @@ fn audit_mode(args: &Args, opts: &CompileOptions) -> u8 {
             cases.push((b.name, b.func, b.inputs, bopts));
         }
     } else {
-        let funcs = match load_functions(&args.files) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("hecatec: {e}");
-                return 3;
-            }
-        };
         for (file, func) in funcs {
-            let inputs = synth_inputs(&func, 1);
-            cases.push((file, func, inputs, opts.clone()));
+            cases.push((
+                file.clone(),
+                func.clone(),
+                synth_inputs(func, 1),
+                opts.clone(),
+            ));
         }
     }
 
-    let audit_opts = AuditOptions {
-        checkpoints: args.audit_checkpoints,
-        ..AuditOptions::default()
-    };
-    let bopts = backend_options(args);
+    let audit_opts = &cli.audit;
+    let bopts = &cli.runtime.backend;
     let mut violation_count = 0usize;
     for (label, func, inputs, copts) in &cases {
-        let prog = if args.bench.is_some() {
-            match compile(func, args.scheme, copts) {
+        let prog = if cli.bench.is_some() {
+            match compile(func, cli.scheme, copts) {
                 Ok(p) => p,
                 Err(e) => {
                     eprintln!("hecatec: {label}: compilation failed: {e}");
@@ -836,7 +720,7 @@ fn audit_mode(args: &Args, opts: &CompileOptions) -> u8 {
                 }
             }
         } else {
-            match obtain_plan(args, func, copts) {
+            match obtain_plan(cli, func, copts) {
                 Ok(p) => p,
                 Err(code) => return code,
             }
@@ -847,23 +731,17 @@ fn audit_mode(args: &Args, opts: &CompileOptions) -> u8 {
         // demux proves isolation; bench cases ship fixed inputs, shared by
         // every tenant. An infeasible footprint degrades to a solo audit,
         // mirroring the serving scheduler.
-        let occupancy = if args.max_batch > 1 {
-            let mut occ = 1usize;
-            while occ * 2 <= args.max_batch {
-                occ *= 2;
-            }
-            occ
-        } else {
-            1
-        };
-        let reports: Vec<(String, hecate::backend::AuditReport)> = if occupancy > 1 {
+        let occupancy = 1usize << cli.runtime.max_batch.ilog2();
+        let solo =
+            || audit_encrypted(&prog, inputs, bopts, audit_opts).map(|r| vec![(label.clone(), r)]);
+        let reports = if occupancy > 1 {
             let mut batch_opts = bopts.clone();
             batch_opts.batch_occupancy = occupancy;
             match ExecEngine::new(Arc::new(prog.clone()), &batch_opts) {
                 Ok(engine) => {
                     let tenant_inputs: Vec<HashMap<String, Vec<f64>>> = (0..occupancy)
                         .map(|t| {
-                            if args.bench.is_some() {
+                            if cli.bench.is_some() {
                                 inputs.clone()
                             } else {
                                 synth_inputs(func, 1 + t as u64)
@@ -871,17 +749,12 @@ fn audit_mode(args: &Args, opts: &CompileOptions) -> u8 {
                         })
                         .collect();
                     let refs: Vec<&HashMap<String, Vec<f64>>> = tenant_inputs.iter().collect();
-                    match audit_batched(&engine, &refs, &audit_opts) {
-                        Ok(rs) => rs
-                            .into_iter()
-                            .enumerate()
-                            .map(|(t, r)| (format!("{label} [tenant {t}/{occupancy}]"), r))
-                            .collect(),
-                        Err(e) => {
-                            eprintln!("hecatec: {label}: execution failed: {e}");
-                            return 5;
-                        }
-                    }
+                    audit_batched(&engine, &refs, audit_opts).map(|reports| {
+                        (0..occupancy)
+                            .map(|t| format!("{label} [tenant {t}/{occupancy}]"))
+                            .zip(reports)
+                            .collect()
+                    })
                 }
                 Err(ExecError::BatchUnsupported {
                     occupancy,
@@ -892,13 +765,7 @@ fn audit_mode(args: &Args, opts: &CompileOptions) -> u8 {
                         "hecatec: {label}: batching infeasible at occupancy {occupancy} \
                          (footprint needs {needed} slots, block holds {block}); auditing solo"
                     );
-                    match audit_encrypted(&prog, inputs, &bopts, &audit_opts) {
-                        Ok(r) => vec![(label.clone(), r)],
-                        Err(e) => {
-                            eprintln!("hecatec: {label}: execution failed: {e}");
-                            return 5;
-                        }
-                    }
+                    solo()
                 }
                 Err(e) => {
                     eprintln!("hecatec: {label}: engine construction failed: {e}");
@@ -906,12 +773,13 @@ fn audit_mode(args: &Args, opts: &CompileOptions) -> u8 {
                 }
             }
         } else {
-            match audit_encrypted(&prog, inputs, &bopts, &audit_opts) {
-                Ok(r) => vec![(label.clone(), r)],
-                Err(e) => {
-                    eprintln!("hecatec: {label}: execution failed: {e}");
-                    return 5;
-                }
+            solo()
+        };
+        let reports: Vec<(String, hecate::backend::AuditReport)> = match reports {
+            Ok(reports) => reports,
+            Err(e) => {
+                eprintln!("hecatec: {label}: execution failed: {e}");
+                return 5;
             }
         };
         for (label, report) in &reports {
@@ -952,7 +820,7 @@ fn audit_mode(args: &Args, opts: &CompileOptions) -> u8 {
                 "  tightest waterline margin: {:.2} bits",
                 report.min_margin_bits
             );
-            let violations = report.violations(&audit_opts);
+            let violations = report.violations(audit_opts);
             if violations.is_empty() {
                 println!(
                     "  audit PASSED (worst measured/predicted ratio {:.2})",
@@ -976,22 +844,14 @@ fn audit_mode(args: &Args, opts: &CompileOptions) -> u8 {
 
 /// Compile (or reload) a single file, print the plan, and optionally
 /// execute it — the classic single-shot driver path.
-fn run_single(args: &Args, opts: &CompileOptions) -> u8 {
-    let funcs = match load_functions(&args.files) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("hecatec: {e}");
-            return 3;
-        }
-    };
-    let (_, func) = funcs.into_iter().next().expect("one file checked");
-
-    let prog = match obtain_plan(args, &func, opts) {
+fn run_single(cli: &Cli, func: &Function) -> u8 {
+    let opts = &cli.compile;
+    let prog = match obtain_plan(cli, func, opts) {
         Ok(p) => p,
         Err(code) => return code,
     };
 
-    if let Some(path) = &args.save_plan {
+    if let Some(path) = &cli.save_plan {
         if let Err(e) = std::fs::write(path, serialize_plan(&prog)) {
             eprintln!("hecatec: cannot write {path}: {e}");
             return 3;
@@ -999,12 +859,12 @@ fn run_single(args: &Args, opts: &CompileOptions) -> u8 {
         println!("plan saved to {path}");
     }
 
-    if !args.quiet {
+    if !cli.quiet {
         println!("{}", print_function(&prog.func, Some(&prog.types)));
     }
     println!(
         "scheme {} | waterline 2^{} | Sf 2^{}",
-        prog.scheme, args.waterline, args.sf
+        prog.scheme, opts.waterline_bits, opts.rescale_bits
     );
     match prog.stats.fallback {
         Some(FallbackRung::Primary) | None => {}
@@ -1036,7 +896,7 @@ fn run_single(args: &Args, opts: &CompileOptions) -> u8 {
         prog.stats.plans_explored
     );
 
-    if args.breakdown {
+    if cli.breakdown {
         let table = hecate::compiler::estimator::latency_breakdown(
             &prog.func,
             &prog.types,
@@ -1056,18 +916,16 @@ fn run_single(args: &Args, opts: &CompileOptions) -> u8 {
         }
     }
 
-    if args.run {
-        let inputs = synth_inputs(&func, 1);
-        let bopts = backend_options(args);
-        match execute_encrypted(&prog, &inputs, &bopts) {
+    if cli.mode() == RUN {
+        let inputs = synth_inputs(func, 1);
+        match execute_encrypted(&prog, &inputs, &cli.runtime.backend) {
             Ok(run) => {
                 println!(
                     "\nencrypted run: {:.1}ms over {} ops",
                     run.total_us / 1e3,
                     prog.func.len()
                 );
-                let reference =
-                    hecate::ir::interp::interpret(&func, &inputs).expect("inputs bound");
+                let reference = hecate::ir::interp::interpret(func, &inputs).expect("inputs bound");
                 for (name, v) in &run.outputs {
                     let err = hecate::backend::rms_error(v, &reference[name]);
                     let head: Vec<String> = v.iter().take(4).map(|x| format!("{x:.5}")).collect();
@@ -1086,52 +944,33 @@ fn run_single(args: &Args, opts: &CompileOptions) -> u8 {
     0
 }
 
-/// Drains the tracer and writes the `--trace`, `--metrics`, and
+/// Drains the event store and writes the `--trace`, `--metrics`, and
 /// `--precision-trace` files. Runs on every exit path — including
 /// execution failures like a tripped guard or an exhausted noise budget —
 /// so a failing run still leaves valid, complete files covering
 /// everything up to the failure. A file that cannot be written turns a
 /// successful run into exit code 3 but never masks a run failure.
-fn finish_observability(args: &Args, code: u8, mut events: Vec<Event>, metrics_extra: &str) -> u8 {
-    let mut code = code;
-    if args.trace.is_some() || args.precision_trace.is_some() || args.estimator_report {
-        trace::set_enabled(false);
-        events.extend(trace::drain());
-        events.sort_by_key(|e| e.ts_ns);
+fn finish_observability(cli: &Cli, mut code: u8, metrics_extra: &str) -> u8 {
+    let events = trace::drain();
+    let mut outputs: Vec<(&String, String, String)> = Vec::new();
+    if let Some(path) = &cli.trace {
+        let text = (cli.trace_format)(&events);
+        let done = format!("trace: {} event(s) written to {path}", events.len());
+        outputs.push((path, text, done));
     }
-    if let Some(path) = &args.trace {
-        let text = match args.trace_format {
-            TraceFormat::Jsonl => export::jsonl(&events),
-            TraceFormat::Chrome => export::chrome_trace(&events),
-        };
-        match std::fs::write(path, text) {
-            Ok(()) => println!("trace: {} event(s) written to {path}", events.len()),
-            Err(e) => {
-                eprintln!("hecatec: cannot write {path}: {e}");
-                if code == 0 {
-                    code = 3;
-                }
-            }
-        }
-    }
-    if let Some(path) = &args.precision_trace {
+    if let Some(path) = &cli.precision_trace {
         let text = export::precision_jsonl(&events);
         let lines = text.lines().count();
-        match std::fs::write(path, text) {
-            Ok(()) => println!("precision trace: {lines} record(s) written to {path}"),
-            Err(e) => {
-                eprintln!("hecatec: cannot write {path}: {e}");
-                if code == 0 {
-                    code = 3;
-                }
-            }
-        }
+        let done = format!("precision trace: {lines} record(s) written to {path}");
+        outputs.push((path, text, done));
     }
-    if let Some(path) = &args.metrics {
-        let mut text = export::prometheus(hecate::telemetry::metrics::global());
-        text.push_str(metrics_extra);
+    if let Some(path) = &cli.metrics {
+        let text = hecate::telemetry::metrics::global().prometheus() + metrics_extra;
+        outputs.push((path, text, format!("metrics written to {path}")));
+    }
+    for (path, text, done) in outputs {
         match std::fs::write(path, text) {
-            Ok(()) => println!("metrics written to {path}"),
+            Ok(()) => println!("{done}"),
             Err(e) => {
                 eprintln!("hecatec: cannot write {path}: {e}");
                 if code == 0 {
@@ -1144,41 +983,32 @@ fn finish_observability(args: &Args, code: u8, mut events: Vec<Event>, metrics_e
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let cli = match parse_args(std::env::args().skip(1)) {
+        Ok(cli) => cli,
         Err(e) => {
             eprintln!("hecatec: {e}");
-            eprintln!("usage: hecatec <file.heir>... [--scheme S] [--waterline W] [--sf F] [--degree N] [--run] [--quiet] [--strict|--fallback] [--save-plan P] [--load-plan P] [--serve] [--jobs N] [--max-batch N] [--batch-window-us U] [--kernel-jobs N] [--core-budget N|auto] [--no-hoist] [--repeat K] [--trace P] [--trace-format jsonl|chrome] [--metrics P] [--estimator-report] [--audit] [--audit-checkpoints N] [--bench NAME|all] [--precision-trace P] [--max-rms B] [--chaos N] [--chaos-kind fault|latency|panic|mix] [--chaos-latency-us U] [--chaos-fault SPEC] [--deadline-ms D] [--retries R] [--queue-cap N] [--admission-budget-ms B] [--diag-out DIR] [--diag-interval-ms N] [--slow-ms MS] [--slo-target-ms MS] [--no-flight-recorder]");
+            eprintln!("{}", usage());
             return ExitCode::from(2);
         }
     };
-    let mut opts = CompileOptions::with_waterline(args.waterline);
-    opts.rescale_bits = args.sf;
-    opts.degree = args.degree;
 
-    // The estimator report needs the tracer even without --trace (the
-    // measured cost table is folded from the trace stream), and the
+    // The estimator report needs the full event stream even without
+    // --trace (the measured cost table is folded from it), and the
     // precision trace is derived from the executor's `precision` marks.
-    if args.trace.is_some() || args.precision_trace.is_some() || args.estimator_report {
-        let _ = trace::drain(); // discard anything recorded before enabling
-        trace::set_enabled(true);
-    }
+    // Held until after `finish_observability` has drained the store.
+    let traced = cli.trace.is_some() || cli.precision_trace.is_some() || cli.mode() == REPORT;
+    let _full_trace = traced.then(|| recorder::hold(Level::Full));
 
-    let mut report_events = Vec::new();
     let mut metrics_extra = String::new();
-    let code = if args.estimator_report {
-        estimator_report(&args, &opts, &mut report_events)
-    } else if args.audit {
-        audit_mode(&args, &opts)
-    } else if args.serve {
-        serve(&args, &opts, &mut metrics_extra)
-    } else {
-        run_single(&args, &opts)
+    let code = match (load_functions(&cli.files), cli.mode()) {
+        (Err(e), _) => {
+            eprintln!("hecatec: {e}");
+            3
+        }
+        (Ok(_), REPORT) => estimator_report(&cli),
+        (Ok(funcs), AUDIT) => audit_mode(&cli, &funcs),
+        (Ok(funcs), SERVE) => serve(&cli, &funcs, &mut metrics_extra),
+        (Ok(funcs), _) => run_single(&cli, &funcs[0].1),
     };
-    ExitCode::from(finish_observability(
-        &args,
-        code,
-        report_events,
-        &metrics_extra,
-    ))
+    ExitCode::from(finish_observability(&cli, code, &metrics_extra))
 }

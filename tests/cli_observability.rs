@@ -214,3 +214,207 @@ fn audit_bench_passes_and_emits_precision_trace() {
     );
     let _ = std::fs::remove_file(precision);
 }
+
+fn run_poly(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = hecatec()
+        .arg(example("poly.heir"))
+        .args(args)
+        .output()
+        .expect("hecatec runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A flag given in a mode that would ignore it is a usage error naming
+/// the flag and what it needs — at the parent every one of these exited
+/// 0 having silently done nothing.
+#[test]
+fn mode_scoped_flags_are_usage_errors_not_silently_ignored() {
+    let plan = tmp("ignored.plan");
+    let precision = tmp("ignored.precision.jsonl");
+    let (plan_s, precision_s) = (plan.to_str().unwrap(), precision.to_str().unwrap());
+    let cases: [(&[&str], &str); 9] = [
+        (&["--serve", "--save-plan", plan_s], "--save-plan requires"),
+        (&["--jobs", "2"], "--jobs requires --serve"),
+        (&["--run", "--repeat", "3"], "--repeat requires --serve"),
+        (
+            &["--run", "--audit-checkpoints", "2"],
+            "--audit-checkpoints requires --audit",
+        ),
+        (
+            &["--run", "--trace-format", "jsonl"],
+            "--trace-format requires --trace",
+        ),
+        (
+            &["--precision-trace", precision_s],
+            "--precision-trace requires --run, --serve, --audit or --estimator-report",
+        ),
+        (
+            &["--serve", "--chaos-kind", "panic"],
+            "--chaos-kind requires --chaos",
+        ),
+        (
+            &["--serve", "--diag-interval-ms", "5"],
+            "--diag-interval-ms requires --diag-out",
+        ),
+        // The recorder opt-out is gone: a panicked request's black box
+        // can no longer be switched off by accident.
+        (&["--serve", "--no-flight-recorder"], "--no-flight-recorder"),
+    ];
+    for (args, want) in cases {
+        let (code, _, stderr) = run_poly(args);
+        assert_eq!(code, Some(2), "{args:?} must be a usage error: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: hecatec"), "{args:?}: {stderr}");
+    }
+    assert!(
+        !plan.exists() && !precision.exists(),
+        "rejected flags write nothing"
+    );
+
+    // `--chaos 0` disables injection, so it must not announce any.
+    let (code, stdout, stderr) = run_poly(&[
+        "--serve", "--jobs", "1", "--repeat", "1", "--degree", "256", "--chaos", "0", "--quiet",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(!stdout.contains("chaos:"), "{stdout}");
+    // `--quiet` stays legal in every mode.
+    let (code, _, stderr) = run_poly(&["--quiet"]);
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
+fn json_field<'a>(line: &'a str, key: &str) -> &'a str {
+    let start = line
+        .find(key)
+        .unwrap_or_else(|| panic!("no {key} in {line}"))
+        + key.len();
+    let rest = &line[start..];
+    &rest[..rest.find(['"', ',', '}']).expect("field ends")]
+}
+
+/// One store, two readers: a traced serve run yields a balanced trace
+/// file *and* a retained trace per request in the final diagnostics
+/// snapshot, with every event recorded once.
+#[test]
+fn traced_serve_run_feeds_the_trace_file_and_retention_at_once() {
+    use hecate::telemetry::trace::{pair_spans, Event, EventKind};
+    let trace = tmp("onestore.trace.jsonl");
+    let dir = tmp("onestore.diag");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (code, stdout, stderr) = run_poly(&[
+        "--serve",
+        "--jobs",
+        "2",
+        "--repeat",
+        "3",
+        "--degree",
+        "256",
+        "--slow-ms",
+        "0",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--trace-format",
+        "jsonl",
+        "--diag-out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let events: Vec<Event> = text
+        .lines()
+        .map(|line| Event {
+            kind: match json_field(line, "\"kind\":\"") {
+                "begin" => EventKind::Begin,
+                "end" => EventKind::End,
+                "mark" => EventKind::Mark,
+                "complete" => EventKind::Complete {
+                    dur_ns: json_field(line, "\"dur_ns\":").parse().unwrap(),
+                },
+                other => panic!("unknown kind {other}"),
+            },
+            name: Box::leak(json_field(line, "\"name\":\"").to_string().into_boxed_str()),
+            ts_ns: json_field(line, "\"ts_ns\":").parse().unwrap(),
+            tid: json_field(line, "\"tid\":").parse().unwrap(),
+            attrs: Vec::new(),
+        })
+        .collect();
+    let spans = pair_spans(&events).expect("the trace file is balanced");
+    assert_eq!(
+        spans.iter().filter(|s| s.name == "request").count(),
+        3,
+        "one request span per served request"
+    );
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_unstable();
+    let total = lines.len();
+    lines.dedup();
+    assert_eq!(lines.len(), total, "no event was recorded twice");
+
+    let mut dumps: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("diag dir written")
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_str()
+                .unwrap()
+                .starts_with("diag-")
+        })
+        .collect();
+    dumps.sort();
+    let last = std::fs::read_to_string(dumps.last().expect("a final snapshot")).unwrap();
+    assert_eq!(
+        last.matches("\"reason\":\"slow\"").count(),
+        3,
+        "every request was retained out of the same store: {last}"
+    );
+    let _ = std::fs::remove_file(trace);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Every panicked request leaves its black box under `--diag-out`; there
+/// is no longer a recorder opt-out that silently suppresses it.
+#[test]
+fn every_panicked_request_leaves_a_black_box() {
+    let dir = tmp("blackbox.diag");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (code, stdout, stderr) = run_poly(&[
+        "--serve",
+        "--jobs",
+        "1",
+        "--repeat",
+        "4",
+        "--degree",
+        "256",
+        "--chaos",
+        "2",
+        "--chaos-kind",
+        "panic",
+        "--diag-out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(5), "stdout: {stdout}\nstderr: {stderr}");
+    let boxes: Vec<String> = std::fs::read_dir(&dir)
+        .expect("diag dir written")
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("blackbox-req"))
+        .collect();
+    assert_eq!(
+        boxes.len(),
+        2,
+        "one black box per panicked request: {boxes:?}"
+    );
+    for name in &boxes {
+        let body = std::fs::read_to_string(dir.join(name)).unwrap();
+        assert!(body.contains("\"reason\":\"panicked\""), "{body}");
+        assert!(
+            body.contains("\"name\":\"request\""),
+            "trace in the dump: {body}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
