@@ -4,8 +4,9 @@
 //!
 //! - the **plaintext reference** — [`hecate_ir::interp`], the homomorphism
 //!   ground truth;
-//! - the **noise simulator** ([`noise`]) — plaintext semantics plus a
-//!   first-order CKKS noise model, for fast RMS-error estimates during
+//! - the **noise simulator** ([`noise`]) — the reference interpreter's
+//!   values plus the compiler's first-order CKKS noise rule
+//!   ([`hecate_compiler::noise`]), for fast RMS-error estimates during
 //!   waterline sweeps;
 //! - the **encrypted executor** ([`exec`]) — real RNS-CKKS execution on
 //!   [`hecate_ckks`] with per-operation wall-clock timing, used for the
@@ -69,13 +70,8 @@ pub use exec::{
     CancelToken, EncryptedRun, ExecEngine, ExecError, GuardOptions, OpObserver, OpValue,
 };
 pub use fault::FaultPlan;
+pub use hecate_ir::interp::rms_error;
 pub use noise::{
-    max_rms_error, simulate, simulate_ops, LedgerEntry, NoiseLedger, NoiseMonitor, SimVal,
-    SimulatedRun,
+    max_rms_error, simulate, simulate_ops, LedgerEntry, NoiseLedger, SimVal, SimulatedRun,
 };
 pub use profile::profile_cost_table;
-
-/// Root-mean-square error between two equally long slot vectors.
-pub fn rms_error(a: &[f64], b: &[f64]) -> f64 {
-    hecate_ir::interp::rms_error(a, b)
-}

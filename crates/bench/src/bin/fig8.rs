@@ -8,10 +8,10 @@
 //!
 //! Usage: `cargo run --release -p hecate-bench --bin fig8 [--full]`
 
-use hecate_backend::exec::{execute_encrypted, BackendOptions};
+use hecate_backend::exec::BackendOptions;
 use hecate_backend::profile_cost_table;
-use hecate_bench::{benchmarks, geomean, HarnessConfig};
-use hecate_compiler::{compile, CostModel, Scheme};
+use hecate_bench::{benchmarks, estimate_vs_actual, geomean, HarnessConfig};
+use hecate_compiler::{CostModel, Scheme};
 use std::sync::Arc;
 
 fn main() {
@@ -34,33 +34,32 @@ fn main() {
         "bench", "scheme", "w", "estimated", "actual", "rel.err"
     );
 
+    let backend = BackendOptions {
+        degree_override: Some(cfg.degree),
+        seed: 7,
+        ..BackendOptions::default()
+    };
     let mut rel_errors = Vec::new();
     for bench in benchmarks(&cfg) {
+        let needs = cfg.effective_degree(&bench);
+        if needs != cfg.degree {
+            println!(
+                "{:<8} skipped: needs degree {needs}, the cost table is profiled at {}",
+                bench.name, cfg.degree
+            );
+            continue;
+        }
         for scheme in Scheme::ALL {
             for &w in &cfg.waterlines {
-                let opts = cfg.compile_opts(w);
-                let Ok(prog) = compile(&bench.func, scheme, &opts) else {
+                // A failed run is not an infeasible waterline: report it
+                // and stop.
+                let cell = estimate_vs_actual(&bench, scheme, w, &cfg, &backend);
+                let Some((est, act)) = cell.unwrap_or_else(|e| {
+                    eprintln!("waterline {w}: {e}");
+                    std::process::exit(1)
+                }) else {
                     continue;
                 };
-                let bopts = BackendOptions {
-                    degree_override: Some(cfg.degree),
-                    seed: 7,
-                    ..BackendOptions::default()
-                };
-                // Two runs, keep the faster: strips scheduler noise the
-                // paper's long SEAL kernels do not suffer from at our tiny
-                // reduced-scale op durations.
-                let Ok(run_a) = execute_encrypted(&prog, &bench.inputs, &bopts) else {
-                    continue;
-                };
-                let Ok(run_b) = execute_encrypted(&prog, &bench.inputs, &bopts) else {
-                    continue;
-                };
-                let est = prog.stats.estimated_latency_us;
-                let act = run_a.total_us.min(run_b.total_us);
-                if act <= 0.0 {
-                    continue;
-                }
                 let rel = (est - act).abs() / act;
                 rel_errors.push(rel);
                 println!(

@@ -12,6 +12,7 @@
 //! *profiled* table measured on the actual backend (what the paper does;
 //! Fig. 8 shows the two agree within a few percent).
 
+use crate::noise::NoiseRule;
 use hecate_ir::types::Type;
 use hecate_ir::{Function, Op};
 use std::collections::HashMap;
@@ -362,54 +363,14 @@ fn categorize(op: &Op, operand_is_plain: impl Fn(usize) -> bool) -> Vec<CostOp> 
 
 /// Statically estimates the output noise of a typed program, in log2 of
 /// the decoded-domain standard deviation ("noise bits"; more negative is
-/// more precise).
-///
-/// This is the scale-driven first-order CKKS model (messages assumed O(1)):
-/// fresh encryption and encodings contribute rounding/RLWE noise inversely
-/// proportional to their scale, multiplications and rotations add
-/// key-switch noise at the result scale, and rescales add rounding at the
-/// new scale. The paper's follow-on work (ELASM) explores exactly this
-/// scale-vs-error trade-off; [`crate::options::Objective`] exposes it.
+/// more precise): [`NoiseRule`] folded with every message mean-square
+/// taken as 1 (messages assumed O(1)), reporting the worst output. The
+/// paper's follow-on work (ELASM) explores exactly this scale-vs-error
+/// trade-off; [`crate::options::Objective`] exposes it.
 pub fn estimate_noise_bits(func: &Function, types: &[Type], degree: usize) -> f64 {
-    let n = degree as f64;
-    // log2 helpers for the noise sources (standard deviations).
-    let fresh = |scale: f64| 0.5 * (2.0 * n * 10.5).log2() - scale;
-    let encode = |scale: f64| 0.5 * (n / 12.0).log2() - scale;
-    let keyswitch = |scale: f64| 0.5 * (n * n * 10.5 / 6.0).log2() - scale;
-    let rounding = |scale: f64| 0.5 * (n * n / 36.0).log2() - scale;
-    // log2(sqrt(2^2a + 2^2b)) — combine independent noises.
-    let join = |a: f64, b: f64| {
-        let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-        hi + 0.5 * (1.0 + 2f64.powf(2.0 * (lo - hi))).log2()
-    };
-    let mut nb: Vec<f64> = Vec::with_capacity(func.len());
-    for (i, op) in func.ops().iter().enumerate() {
-        let scale = types[i].scale().unwrap_or(0.0);
-        let of = |v: &hecate_ir::ValueId| nb[v.index()];
-        let v = match op {
-            Op::Input { .. } => fresh(scale),
-            Op::Const { .. } => f64::NEG_INFINITY,
-            Op::Encode { .. } => encode(scale),
-            Op::Add(a, b) | Op::Sub(a, b) => join(of(a), of(b)),
-            Op::Mul(a, b) => {
-                let base = join(of(a), of(b));
-                if types[a.index()].is_cipher() && types[b.index()].is_cipher() {
-                    join(base, keyswitch(scale))
-                } else {
-                    base
-                }
-            }
-            Op::Negate(a) => of(a),
-            Op::Rotate { value, .. } => join(of(value), keyswitch(scale)),
-            Op::Rescale(a) | Op::Downscale(a) => join(of(a), rounding(scale)),
-            Op::ModSwitch(a) | Op::Upscale { value: a, .. } => of(a),
-        };
-        nb.push(v);
-    }
-    func.outputs()
-        .iter()
-        .map(|(_, v)| nb[v.index()])
-        .fold(f64::NEG_INFINITY, f64::max)
+    let vars = NoiseRule::new(degree, 1.0).fold(func, types, |_| 1.0);
+    let worst = func.outputs().iter().map(|(_, v)| vars[v.index()]);
+    0.5 * worst.fold(0.0, f64::max).log2()
 }
 
 /// Estimates the execution latency (microseconds) of a typed program on a

@@ -13,6 +13,8 @@
 //!   (SMSE), including the naïve per-use variant used for Table III;
 //! - [`estimator`] — the static performance estimator (§VI-C), analytic or
 //!   profiled;
+//! - [`noise`] — the one per-op CKKS noise rule the estimator, the
+//!   backend's simulator and its run ledger all step;
 //! - [`params`] — RNS modulus-chain and ring-degree selection under the
 //!   128-bit security table;
 //! - [`pipeline`] — the [`compile`] entry point, the
@@ -59,6 +61,7 @@
 
 pub mod codegen;
 pub mod estimator;
+pub mod noise;
 pub mod options;
 pub mod params;
 pub mod pipeline;

@@ -15,7 +15,7 @@ use crate::codegen::{generate, GenOptions, PlanRef};
 use crate::estimator::{estimate_latency_us, estimate_noise_bits};
 use crate::options::{CompileError, CompileOptions, Objective};
 use crate::params::{select_params, SelectedParams};
-use crate::smu::SmuAnalysis;
+use crate::smu::{cipherness, SmuAnalysis};
 use hecate_ir::types::Type;
 use hecate_ir::Function;
 use std::collections::HashMap;
@@ -263,20 +263,6 @@ pub fn explore_naive(
         plans_explored,
         capped,
     })
-}
-
-/// Whether each value is cipher-valued in the input program.
-fn cipherness(func: &Function) -> Vec<bool> {
-    let mut c: Vec<bool> = Vec::with_capacity(func.len());
-    for op in func.ops() {
-        let v = match op {
-            hecate_ir::Op::Input { .. } => true,
-            hecate_ir::Op::Const { .. } => false,
-            _ => op.operands().iter().any(|v| c[v.index()]),
-        };
-        c.push(v);
-    }
-    c
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ fn virtual_scales(func: &Function, waterline: f64) -> Vec<f64> {
 
 /// Whether each value is a ciphertext in the input program (inputs are
 /// encrypted; cipherness propagates through operations).
-fn cipherness(func: &Function) -> Vec<bool> {
+pub(crate) fn cipherness(func: &Function) -> Vec<bool> {
     let mut c = Vec::with_capacity(func.len());
     for op in func.ops() {
         let v = match op {

@@ -24,21 +24,22 @@ impl std::fmt::Display for MissingInput {
 
 impl std::error::Error for MissingInput {}
 
-/// Evaluates the function on plaintext vectors.
+/// Evaluates every operation on plaintext vectors: one slot vector of
+/// length `vec_size` per value, in operation order.
 ///
 /// Each input name must be bound to a vector of length `vec_size` (shorter
-/// vectors are zero-padded). Returns one vector per named output.
+/// vectors are zero-padded).
 ///
 /// # Errors
 /// Returns [`MissingInput`] if an input has no binding.
-pub fn interpret(
+pub fn interpret_ops(
     func: &Function,
     inputs: &HashMap<String, Vec<f64>>,
-) -> Result<HashMap<String, Vec<f64>>, MissingInput> {
+) -> Result<Vec<Vec<f64>>, MissingInput> {
     let n = func.vec_size;
     let mut vals: Vec<Vec<f64>> = Vec::with_capacity(func.len());
-    let get = |vals: &Vec<Vec<f64>>, v: ValueId| vals[v.index()].clone();
     for op in func.ops() {
+        let at = |v: &ValueId| vals[v.index()].as_slice();
         let v = match op {
             Op::Input { name } => {
                 let raw = inputs
@@ -54,18 +55,28 @@ pub fn interpret(
             | Op::Rescale(value)
             | Op::ModSwitch(value)
             | Op::Upscale { value, .. }
-            | Op::Downscale(value) => get(&vals, *value),
-            Op::Add(a, b) => binop(&get(&vals, *a), &get(&vals, *b), |x, y| x + y),
-            Op::Sub(a, b) => binop(&get(&vals, *a), &get(&vals, *b), |x, y| x - y),
-            Op::Mul(a, b) => binop(&get(&vals, *a), &get(&vals, *b), |x, y| x * y),
-            Op::Negate(a) => get(&vals, *a).iter().map(|x| -x).collect(),
-            Op::Rotate { value, step } => {
-                let src = get(&vals, *value);
-                (0..n).map(|i| src[(i + step) % n]).collect()
-            }
+            | Op::Downscale(value) => at(value).to_vec(),
+            Op::Add(a, b) => binop(at(a), at(b), |x, y| x + y),
+            Op::Sub(a, b) => binop(at(a), at(b), |x, y| x - y),
+            Op::Mul(a, b) => binop(at(a), at(b), |x, y| x * y),
+            Op::Negate(a) => at(a).iter().map(|x| -x).collect(),
+            Op::Rotate { value, step } => (0..n).map(|i| at(value)[(i + step) % n]).collect(),
         };
         vals.push(v);
     }
+    Ok(vals)
+}
+
+/// Evaluates the function on plaintext vectors: [`interpret_ops`]
+/// projected onto the named outputs.
+///
+/// # Errors
+/// Returns [`MissingInput`] if an input has no binding.
+pub fn interpret(
+    func: &Function,
+    inputs: &HashMap<String, Vec<f64>>,
+) -> Result<HashMap<String, Vec<f64>>, MissingInput> {
+    let vals = interpret_ops(func, inputs)?;
     Ok(func
         .outputs()
         .iter()

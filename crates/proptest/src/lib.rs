@@ -133,7 +133,7 @@ pub mod strategy {
         }
     }
 
-    /// A type-erased strategy (used by [`prop_oneof!`]).
+    /// A type-erased strategy (used by [`crate::prop_oneof!`]).
     #[derive(Clone)]
     pub struct BoxedStrategy<T> {
         f: Rc<dyn Fn(&mut TestRng) -> T>,

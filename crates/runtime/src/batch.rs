@@ -45,7 +45,6 @@
 //!
 //! [`SessionManager`]: crate::session::SessionManager
 
-use crate::cache::plan_key;
 use crate::chaos::ChaosInjection;
 use crate::pool::{Inner, Job, Response};
 use hecate_backend::exec::{execute, BackendOptions, CancelToken, ExecEngine, ExecError};
@@ -173,7 +172,7 @@ fn serve_each_solo(inner: &Inner, jobs: Vec<(Job, Option<ChaosInjection>)>) {
 /// responses. See the module docs for the collection and degradation
 /// rules.
 pub(crate) fn serve_coalesced(inner: &Inner, worker: usize, first: Job) {
-    let key = plan_key(&first.req.func, first.req.scheme, &first.req.options);
+    let key = first.key;
     let max = inner.config.max_batch.max(1);
     let window_end = Instant::now() + inner.config.batch_window;
     let mut members = vec![first];
@@ -185,10 +184,10 @@ pub(crate) fn serve_coalesced(inner: &Inner, worker: usize, first: Job) {
     // batch wants) while never re-popping an incompatible job this
     // worker just set aside.
     while members.len() < max {
-        let same_key = |job: &Job| plan_key(&job.req.func, job.req.scheme, &job.req.options) == key;
+        let same_key = |job: &Job| job.key == key;
         match inner.queue.pop_deadline(worker, window_end, same_key) {
             Some(job) => {
-                if plan_key(&job.req.func, job.req.scheme, &job.req.options) == key {
+                if job.key == key {
                     // The member leaves the queue now; its wait ends here.
                     inner.stats.record_dequeue();
                     trace::complete_with("queue-wait", job.enqueued, || {
@@ -257,7 +256,7 @@ fn run_shared(
         let req = &clean[0].req;
         match inner
             .cache
-            .get_or_compile(&req.func, req.scheme, &req.options)
+            .get_or_compile_keyed(key, &req.func, req.scheme, &req.options)
         {
             Ok(x) => x,
             // Let each member surface its own typed compile error.

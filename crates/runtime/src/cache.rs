@@ -253,7 +253,19 @@ impl PlanCache {
         scheme: Scheme,
         opts: &CompileOptions,
     ) -> Result<(Arc<PlanArtifact>, bool), RuntimeError> {
-        let key = plan_key(func, scheme, opts);
+        self.get_or_compile_keyed(plan_key(func, scheme, opts), func, scheme, opts)
+    }
+
+    /// [`PlanCache::get_or_compile`] for a caller that already holds the
+    /// submission's [`plan_key`] (the runtime hashes a request once, at
+    /// admission).
+    pub(crate) fn get_or_compile_keyed(
+        &self,
+        key: u64,
+        func: &Function,
+        scheme: Scheme,
+        opts: &CompileOptions,
+    ) -> Result<(Arc<PlanArtifact>, bool), RuntimeError> {
         let mut span =
             hecate_telemetry::trace::span_with("plan-cache", || vec![("plan_key", key.into())]);
         let result = self.get_or_compute(key, || self.compile_artifact(key, func, scheme, opts));

@@ -7,7 +7,7 @@
 //! ([`hecate_backend::exec::execute`]) runs the request on
 //! `jobs_per_request` DAG workers. Worker
 //! threads pull from a sharded, work-stealing bounded queue
-//! ([`crate::shard::JobQueue`] — one shard per worker, so dequeue never
+//! (`crate::shard::JobQueue` — one shard per worker, so dequeue never
 //! serializes the pool on a single lock); [`RuntimeStats`] observes
 //! every stage, and [`CoreBudget`] decides how many cores go to request
 //! workers, per-request DAG workers, and kernel jobs.
@@ -300,6 +300,8 @@ pub struct Response {
 
 pub(crate) struct Job {
     pub(crate) req: Request,
+    /// `plan_key` of the request, hashed once at admission.
+    pub(crate) key: u64,
     pub(crate) reply: mpsc::Sender<Result<Response, RuntimeError>>,
     pub(crate) enqueued: Instant,
     pub(crate) req_id: u64,
@@ -483,7 +485,7 @@ impl Inner {
         injection: Option<ChaosInjection>,
     ) -> Result<Response, RuntimeError> {
         let req = &job.req;
-        let key = plan_key(&req.func, req.scheme, &req.options);
+        let key = job.key;
         let cancel = req
             .deadline
             .map(|d| CancelToken::with_deadline(job.enqueued + d));
@@ -500,7 +502,7 @@ impl Inner {
             // and could mislabel a single-flight waiter.
             let (artifact, cache_hit) =
                 self.cache
-                    .get_or_compile(&req.func, req.scheme, &req.options)?;
+                    .get_or_compile_keyed(key, &req.func, req.scheme, &req.options)?;
             let session = self.sessions.get(req.session)?;
             let injected = if attempt == 0 {
                 injection.clone()
@@ -711,10 +713,12 @@ impl Runtime {
         // The correlation id is minted at admission — before shedding —
         // so even a rejected request has an id its trace can hang off.
         let req_id = NEXT_REQ_ID.fetch_add(1, Ordering::Relaxed);
+        // The one hash of this request's plan: admission, the coalescer
+        // and the cache lookup all read `job.key`.
+        let key = plan_key(&req.func, req.scheme, &req.options);
         if let Some(budget_us) = inner.config.admission_budget_us {
             // Price only plans already cached: an unknown plan is always
             // admitted (running it is how its cost becomes known).
-            let key = plan_key(&req.func, req.scheme, &req.options);
             if let Some(artifact) = inner.cache.get(key) {
                 let estimated_us = artifact.prog.stats.estimated_latency_us;
                 let queue_depth = inner.stats.queue_depth();
@@ -740,6 +744,7 @@ impl Runtime {
         let (tx, rx) = mpsc::channel();
         let job = Job {
             req,
+            key,
             reply: tx,
             enqueued: Instant::now(),
             req_id,

@@ -146,7 +146,7 @@ impl Session {
 
 /// Creates and resolves [`Session`]s.
 ///
-/// The session map is sharded ([`SESSION_SHARDS`] locks keyed by
+/// The session map is sharded (`SESSION_SHARDS` locks keyed by
 /// `id % SESSION_SHARDS`) so resolving one tenant's session never
 /// serializes against opening, closing, or resolving another's — under
 /// the old single map, every request's session lookup shared one global

@@ -2,11 +2,12 @@
 //!
 //! Programs are random DAGs of homomorphic operations; the properties are
 //! the compiler's core invariants: compiled code always type-checks under
-//! C1–C3, preserves plaintext semantics exactly, and the proactive
-//! scheme's modulus never exceeds the baseline's.
+//! C1–C3, preserves plaintext semantics exactly, the proactive scheme's
+//! modulus never exceeds the baseline's, and the consumers of the one
+//! noise rule and the one plaintext semantics agree with each other.
 
 use hecate::backend::exec::{execute_encrypted, BackendOptions, GuardOptions};
-use hecate::backend::noise::{max_rms_error, simulate};
+use hecate::backend::noise::{max_rms_error, simulate, NoiseLedger};
 use hecate::compiler::{compile, compile_with_fallback, CompileOptions, Scheme};
 use hecate::ir::interp::{interpret, rms_error};
 use hecate::ir::types::infer_types;
@@ -165,6 +166,51 @@ proptest! {
                 p.params.total_bits,
                 e.params.total_bits
             );
+        }
+    }
+
+    /// Model against model (every other noise test compares a model to an
+    /// encrypted run): the static estimate is the run ledger at occupancy
+    /// 1 read at the worst output, and the simulator's slots are the
+    /// interpreter's, bit for bit.
+    #[test]
+    fn estimator_ledger_simulator_and_interpreter_agree(
+        picks in proptest::collection::vec((pick_strategy(), any::<u64>(), any::<u64>()), 3..25),
+        n_inputs in 1usize..4,
+    ) {
+        let func = build_program(&picks, n_inputs);
+        prop_assume!(has_cipher_output(&func));
+        let ins = inputs_for(n_inputs);
+        let mut opts = CompileOptions::with_waterline(24.0);
+        opts.degree = Some(512);
+        for scheme in [Scheme::Eva, Scheme::Pars, Scheme::Smse, Scheme::Hecate] {
+            let Ok(prog) = compile(&func, scheme, &opts) else {
+                continue;
+            };
+            let mut ledger = NoiseLedger::new(&prog, prog.params.degree, 1);
+            for i in 0..prog.func.len() {
+                ledger.record(&prog, i, 0.0);
+            }
+            let worst_rms = prog
+                .func
+                .outputs()
+                .iter()
+                .map(|(_, v)| ledger.rms(v.index()))
+                .fold(0.0, f64::max);
+            prop_assert!(
+                (prog.stats.estimated_noise_bits - worst_rms.log2()).abs() < 1e-9,
+                "{scheme}: estimate {} vs ledger {}",
+                prog.stats.estimated_noise_bits,
+                worst_rms.log2()
+            );
+
+            let sim = simulate(&prog, &ins, prog.params.degree);
+            let reference = interpret(&prog.func, &ins).unwrap();
+            prop_assert_eq!(sim.outputs.len(), reference.len());
+            for (name, expect) in &reference {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&sim.outputs[name]), bits(expect), "{}: {}", scheme, name);
+            }
         }
     }
 
