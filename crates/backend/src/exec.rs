@@ -135,10 +135,6 @@ pub struct BackendOptions {
     /// homomorphic op (`1` = serial). Results are bit-identical at every
     /// job count.
     pub kernel_jobs: usize,
-    /// Share one key-switch digit decomposition across all rotations of
-    /// the same ciphertext (Halevi–Shoup hoisting). Bit-identical to the
-    /// unhoisted path; off only for baseline measurements.
-    pub hoist_rotations: bool,
     /// Slot-batching occupancy: how many tenants share each ciphertext
     /// (and how many input bindings every [`execute`] call on the engine
     /// takes). `1` (the default) is solo execution. Values ≥ 2 must be
@@ -156,7 +152,6 @@ impl Default for BackendOptions {
             guard: GuardOptions::default(),
             fault: None,
             kernel_jobs: 1,
-            hoist_rotations: true,
             batch_occupancy: 1,
         }
     }
@@ -433,9 +428,11 @@ pub fn physical_step(step: usize, vec_size: usize, slots: usize, occupancy: usiz
     }
 }
 
-/// Collects the evaluation keys a program needs: relinearization prefixes
-/// and `(rotation step, prefix)` pairs, in the solo layout (a packed
-/// engine maps steps through [`physical_step`] at its own occupancy).
+/// Collects what the evaluation keys must serve: the prefixes ct×ct
+/// multiplications run at and the `(rotation step, prefix)` pairs, in the
+/// solo layout (a packed engine maps steps through [`physical_step`] at
+/// its own occupancy). [`EvalKeys::generate`] makes one key per target,
+/// at the largest prefix named for it.
 pub fn key_requirements(
     prog: &CompiledProgram,
     slots: usize,
@@ -544,9 +541,9 @@ impl HoistState {
 /// A reusable encrypted-execution engine for one compiled program.
 ///
 /// Construction performs all per-program setup: parameter building, key
-/// generation, and evaluation-key synthesis for exactly the
-/// relinearization and rotation prefixes the program uses. After that,
-/// every method takes `&self` — a single engine can serve any number of
+/// generation, and one evaluation key per relinearization or rotation
+/// target the program uses. After that, every method takes `&self` — a
+/// single engine can serve any number of
 /// sequential or concurrent [`execute`] runs, which is what the
 /// `hecate-runtime` session manager relies on (one engine per session ×
 /// plan, shared across worker threads).
@@ -579,11 +576,9 @@ pub struct ExecEngine {
     /// Per-op contamination reach `(back, fwd)` under packed execution;
     /// empty for solo engines (one block has no neighbour to smear in).
     reaches: Vec<(usize, usize)>,
-    /// Whether rotation hoisting is enabled for this engine.
-    hoist_rotations: bool,
     /// Per value index: number of distinct nonzero canonical rotation
-    /// steps applied to it. Fan-out ≥ 2 makes hoisting profitable (one
-    /// shared decomposition amortized over ≥ 2 rotations).
+    /// steps applied to it. Fan-out ≥ 2 shares one decomposition across
+    /// the value's rotations; a lone rotation decomposes for itself.
     rotate_fanout: Vec<u32>,
     // Telemetry: per-op cost attribution (computed once at engine build so
     // tracing adds no per-op analysis), plus cached global-metric handles
@@ -597,8 +592,8 @@ pub struct ExecEngine {
 }
 
 /// Per value index: the number of distinct nonzero canonical rotation
-/// steps applied to it in `prog`. Values rotated by two or more distinct
-/// steps are hoisting candidates.
+/// steps applied to it in `prog`. A value rotated by two or more distinct
+/// steps shares one hoisted decomposition across its rotations.
 pub fn rotation_fanout(prog: &CompiledProgram, slots: usize) -> Vec<u32> {
     rotation_fanout_for(prog, slots, 1)
 }
@@ -692,7 +687,6 @@ impl ExecEngine {
             occupancy,
             block,
             reaches,
-            hoist_rotations: opts.hoist_rotations,
             rotate_fanout,
             cost_infos,
             ops_counter,
@@ -1006,10 +1000,9 @@ impl ExecEngine {
                     unreachable!("rotate on cipher")
                 };
                 let s = self.phys_step(*step);
-                let hoistable =
-                    self.hoist_rotations && s != 0 && self.rotate_fanout[value.index()] >= 2;
+                let shared = s != 0 && self.rotate_fanout[value.index()] >= 2;
                 let t0 = Instant::now();
-                let out = if hoistable {
+                let out = if shared {
                     let hd = hoist.get_or_hoist(value.index(), c, eval);
                     eval.rotate_hoisted(c, &hd, s).map_err(eval_err)?
                 } else {

@@ -30,9 +30,8 @@ pub fn profile_cost_table(
     let encoder = CkksEncoder::new(&params);
     let mut kg = KeyGenerator::new(&params, seed);
     let pk = kg.public_key();
-    let relin: Vec<usize> = (1..=chain_len).collect();
-    let rots: Vec<(usize, usize)> = (1..=chain_len).map(|c| (1usize, c)).collect();
-    let keys = EvalKeys::generate(&mut kg, &relin, &rots);
+    // Keys at the top of the chain serve every level profiled below.
+    let keys = EvalKeys::generate(&mut kg, &[chain_len], &[(1, chain_len)]);
     let mut encryptor = Encryptor::new(&params, pk, seed.wrapping_add(1));
     let eval = Evaluator::new(&params, keys);
 

@@ -200,8 +200,10 @@ fn rotation_fanout_counts_distinct_canonical_steps() {
     assert_eq!(max, 2, "{fanout:?}");
 }
 
+/// The fan-out shares one hoisted decomposition across its rotations;
+/// splitting the per-limb kernels over threads must not change a bit.
 #[test]
-fn hoisted_execution_is_bit_identical_to_unhoisted() {
+fn rotation_fan_out_is_bit_identical_across_kernel_jobs() {
     let func = rotation_fan_func(4);
     let prog = compile(&func, Scheme::Eva, &opts(24.0)).unwrap();
     let mut inputs = HashMap::new();
@@ -212,16 +214,14 @@ fn hoisted_execution_is_bit_identical_to_unhoisted() {
     let base = BackendOptions {
         degree_override: Some(256),
         seed: 7,
-        hoist_rotations: false,
         ..BackendOptions::default()
     };
     let reference = execute_encrypted(&prog, &inputs, &base).unwrap();
-    for (hoist, jobs) in [(true, 1), (true, 2), (true, 4), (false, 2)] {
+    for jobs in [2, 4] {
         let run = execute_encrypted(
             &prog,
             &inputs,
             &BackendOptions {
-                hoist_rotations: hoist,
                 kernel_jobs: jobs,
                 ..base.clone()
             },
@@ -234,7 +234,7 @@ fn hoisted_execution_is_bit_identical_to_unhoisted() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "hoist={hoist} jobs={jobs}: outputs diverged"
+                    "kernel_jobs={jobs}: outputs diverged"
                 );
             }
         }

@@ -8,9 +8,8 @@
 //! result approximates the same plaintext reference within the noise
 //! tolerance the solo path itself meets, across every benchmark workload,
 //! and that execution is fully deterministic: at a fixed occupancy the
-//! outputs agree to the bit across repeated runs, driver worker counts,
-//! and rotation hoisting on or off — solo being occupancy 1 of the same
-//! driver.
+//! outputs agree to the bit across repeated runs and driver worker counts
+//! — solo being occupancy 1 of the same driver.
 
 use hecate_apps::{all_benchmarks, Preset};
 use hecate_backend::exec::{
@@ -141,7 +140,7 @@ fn every_benchmark_demuxes_to_the_solo_answer() {
 }
 
 #[test]
-fn runs_are_bit_identical_across_jobs_hoisting_and_repeats() {
+fn runs_are_bit_identical_across_jobs_and_repeats() {
     let bench = all_benchmarks(Preset::Small)
         .into_iter()
         .find(|b| b.name == "SF")
@@ -155,36 +154,32 @@ fn runs_are_bit_identical_across_jobs_hoisting_and_repeats() {
             .map(|t| tenant_inputs(&bench.inputs, t))
             .collect();
         let refs: Vec<&HashMap<String, Vec<f64>>> = tenants.iter().collect();
-        // Reference: hoisting off, one worker. The second jobs = 1 run
-        // with hoisting on is the plain repeat-determinism check.
+        let engine = ExecEngine::new(
+            prog.clone(),
+            &BackendOptions {
+                degree_override: Some(degree),
+                batch_occupancy: occupancy,
+                ..BackendOptions::default()
+            },
+        )
+        .unwrap();
+        // Reference: the first run, one worker. The second jobs = 1 run is
+        // the plain repeat-determinism check.
         let mut reference: Option<Vec<HashMap<String, Vec<f64>>>> = None;
-        for hoist_rotations in [false, true] {
-            let engine = ExecEngine::new(
-                prog.clone(),
-                &BackendOptions {
-                    degree_override: Some(degree),
-                    batch_occupancy: occupancy,
-                    hoist_rotations,
-                    ..BackendOptions::default()
-                },
-            )
-            .unwrap();
-            for jobs in [1usize, 2, 4] {
-                let runs = execute(&engine, &refs, jobs, None, None).unwrap();
-                let got: Vec<_> = runs.into_iter().map(|r| r.outputs).collect();
-                let want = reference.get_or_insert_with(|| got.clone());
-                for (t, (got, want)) in got.iter().zip(want.iter()).enumerate() {
-                    for (name, vw) in want {
-                        let vg = &got[name];
-                        assert_eq!(vg.len(), vw.len());
-                        for (x, y) in vg.iter().zip(vw) {
-                            assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
-                                "occupancy {occupancy} hoist {hoist_rotations} jobs {jobs} \
-                                 tenant {t} output {name}"
-                            );
-                        }
+        for jobs in [1usize, 1, 2, 4] {
+            let runs = execute(&engine, &refs, jobs, None, None).unwrap();
+            let got: Vec<_> = runs.into_iter().map(|r| r.outputs).collect();
+            let want = reference.get_or_insert_with(|| got.clone());
+            for (t, (got, want)) in got.iter().zip(want.iter()).enumerate() {
+                for (name, vw) in want {
+                    let vg = &got[name];
+                    assert_eq!(vg.len(), vw.len());
+                    for (x, y) in vg.iter().zip(vw) {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "occupancy {occupancy} jobs {jobs} tenant {t} output {name}"
+                        );
                     }
                 }
             }

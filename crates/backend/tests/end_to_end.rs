@@ -2,7 +2,7 @@
 //! plaintext reference, across schemes and waterlines — and the one op
 //! driver's scheduling contract: SSA order with one worker, bit-identical
 //! outputs and an identical noise ledger at any worker count, first
-//! failure wins.
+//! failure wins, one shared decomposition per rotation fan-out.
 
 use hecate_apps::{all_benchmarks, Preset};
 use hecate_backend::exec::{
@@ -13,6 +13,7 @@ use hecate_backend::{max_rms_error, rms_error, simulate};
 use hecate_compiler::{compile, CompileOptions, Scheme};
 use hecate_ir::interp::interpret;
 use hecate_ir::{Function, FunctionBuilder};
+use hecate_telemetry::trace::{self, Event, EventKind};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -335,4 +336,53 @@ fn noise_budget_failure_propagates_from_any_worker() {
         let err = execute(&engine, &[&ins], jobs, None, None).unwrap_err();
         assert!(matches!(err, ExecError::BudgetExhausted { .. }), "{err}");
     }
+}
+
+/// The string attribute `key` of a trace event.
+fn str_attr<'e>(event: &'e Event, key: &str) -> Option<&'e str> {
+    event
+        .attrs
+        .iter()
+        .find(|(k, _)| *k == key)
+        .and_then(|(_, v)| v.as_str())
+}
+
+/// `sum_{s=1..=8} rot(x*x, s)`: one value rotated by eight distinct
+/// steps. The executor decomposes it once and all eight rotations reuse
+/// that decomposition — an identity of the trace, not a timing.
+#[test]
+fn rotation_fan_out_decomposes_once() {
+    let width = 64;
+    let mut b = FunctionBuilder::new("rotfan", width);
+    let x = b.input_cipher("x");
+    let x2 = b.mul(x, x);
+    let mut acc = x2;
+    for step in 1..=8 {
+        let r = b.rotate(x2, step);
+        acc = b.add(acc, r);
+    }
+    b.output(acc);
+    let prog = compile(&b.finish(), Scheme::Pars, &opts(24.0, 512)).unwrap();
+    let engine = ExecEngine::new(Arc::new(prog), &BackendOptions::default()).unwrap();
+    let mut ins = HashMap::new();
+    ins.insert(
+        "x".to_string(),
+        (0..width).map(|i| i as f64 * 0.01 - 0.3).collect(),
+    );
+    let (run, events) = trace::capture(|| execute_sequential(&engine, &ins));
+    run.unwrap();
+    // Tests running alongside record too: keep this run's one thread.
+    let tid = events
+        .iter()
+        .find(|e| e.name == "execute" && str_attr(e, "func") == Some("rotfan"))
+        .expect("the run records an execute span")
+        .tid;
+    let begun = |name: &'static str| {
+        events
+            .iter()
+            .filter(move |e| e.tid == tid && e.kind == EventKind::Begin && e.name == name)
+    };
+    assert_eq!(begun("hoist-decompose").count(), 1);
+    let rotates = begun("exec-op").filter(|e| str_attr(e, "op") == Some("rotate"));
+    assert_eq!(rotates.count(), 8);
 }

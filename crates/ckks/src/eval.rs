@@ -16,11 +16,12 @@
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::keys::{
-    galois_element, hoisted_decompose, key_switch_hoisted, key_switch_jobs, HoistedDecomp,
-    KeyGenerator, KeySwitchKey,
+    galois_element, hoisted_decompose, key_switch_hoisted, HoistedDecomp, KeyGenerator,
+    KeySwitchKey,
 };
 use crate::params::CkksParams;
-use std::collections::HashMap;
+use hecate_math::poly::RnsPoly;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Tolerance (in log2 bits) when requiring two scales to be equal.
@@ -43,7 +44,8 @@ pub enum EvalError {
         /// Right operand scale (log2 bits).
         rhs: f64,
     },
-    /// A relinearization or Galois key for this prefix was not generated.
+    /// No relinearization, Galois or conjugation key serving this prefix
+    /// was generated: none for the target, or one for a shorter prefix.
     MissingKey {
         /// Description of the missing key.
         what: String,
@@ -69,66 +71,83 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// The evaluation keys a program needs: relinearization keys per prefix and
-/// Galois keys per `(rotation step, prefix)`.
+/// The evaluation keys a program needs, one per target: a
+/// relinearization key, a Galois key per canonical rotation step, and a
+/// conjugation key. Each is generated once, at the largest active prefix
+/// any requirement names for it, and serves every shorter prefix (see
+/// [`crate::keys`]); an operation above a key's prefix is
+/// [`EvalError::MissingKey`].
 #[derive(Debug, Default)]
 pub struct EvalKeys {
-    relin: HashMap<usize, KeySwitchKey>,
-    galois: HashMap<(usize, usize), KeySwitchKey>,
-    conj: HashMap<usize, KeySwitchKey>,
+    relin: Option<KeySwitchKey>,
+    galois: HashMap<usize, KeySwitchKey>,
+    conj: Option<KeySwitchKey>,
 }
 
 impl EvalKeys {
-    /// Generates exactly the requested keys.
+    /// Generates one key per requested target.
     ///
     /// * `relin_prefixes` — prefix lengths at which ct×ct multiplication
-    ///   occurs;
-    /// * `rotations` — `(step, prefix)` pairs at which rotation occurs.
+    ///   occurs: one relinearization key, at the largest;
+    /// * `rotations` — `(step, prefix)` pairs at which rotation occurs:
+    ///   one Galois key per step, at the largest prefix named for it.
     ///
     /// Rotation steps are canonicalized modulo the slot count before
     /// generation, so wrapped steps (`slots + k`) share one key with
     /// their canonical form `k` and full rotations (`step ≡ 0`) generate
-    /// no key at all — they are the identity.
+    /// no key at all — they are the identity. Keys are generated in step
+    /// order, so the key material depends only on the requirement set.
     pub fn generate(
         kg: &mut KeyGenerator,
         relin_prefixes: &[usize],
         rotations: &[(usize, usize)],
     ) -> Self {
-        let mut keys = EvalKeys::default();
-        for &c in relin_prefixes {
-            keys.relin.entry(c).or_insert_with(|| kg.relin_key(c));
-        }
+        let mut steps: BTreeMap<usize, usize> = BTreeMap::new();
         for &(step, c) in rotations {
             let step = kg.params().canonical_step(step);
-            if step == 0 {
-                continue;
+            if step != 0 {
+                let top = steps.entry(step).or_default();
+                *top = (*top).max(c);
             }
-            keys.galois
-                .entry((step, c))
-                .or_insert_with(|| kg.galois_key(step, c));
         }
-        keys
+        EvalKeys {
+            relin: relin_prefixes.iter().max().map(|&c| kg.relin_key(c)),
+            galois: steps
+                .into_iter()
+                .map(|(step, c)| (step, kg.galois_key(step, c)))
+                .collect(),
+            conj: None,
+        }
     }
 
-    /// Number of distinct Galois keys held (diagnostic: canonicalization
-    /// must keep this at one per distinct `(step mod slots, prefix)`).
+    /// Number of Galois keys held: one per distinct nonzero canonical
+    /// step, whatever the prefixes it rotates at.
     pub fn galois_key_count(&self) -> usize {
         self.galois.len()
     }
 
-    /// Adds conjugation keys for the given prefixes.
+    /// Adds the conjugation key, generated at the largest of `prefixes`
+    /// unless a key serving it is already held.
     pub fn add_conjugation(&mut self, kg: &mut KeyGenerator, prefixes: &[usize]) {
-        for &c in prefixes {
-            self.conj.entry(c).or_insert_with(|| kg.conjugation_key(c));
+        if let Some(&c) = prefixes.iter().max() {
+            if self.conj.as_ref().is_none_or(|k| k.prefix < c) {
+                self.conj = Some(kg.conjugation_key(c));
+            }
         }
     }
+}
 
-    /// Merges another key set into this one.
-    pub fn extend(&mut self, other: EvalKeys) {
-        self.relin.extend(other.relin);
-        self.galois.extend(other.galois);
-        self.conj.extend(other.conj);
-    }
+/// `key` if it serves active prefix `c`, else [`EvalError::MissingKey`]
+/// naming `what` at `c`.
+fn serving(
+    key: Option<&KeySwitchKey>,
+    c: usize,
+    what: impl FnOnce() -> String,
+) -> Result<&KeySwitchKey, EvalError> {
+    key.filter(|k| k.prefix >= c)
+        .ok_or_else(|| EvalError::MissingKey {
+            what: format!("{} at prefix {c}", what()),
+        })
 }
 
 /// The homomorphic evaluator.
@@ -283,18 +302,11 @@ impl Evaluator {
     ///
     /// # Errors
     /// Returns [`EvalError::LevelMismatch`] if levels differ or
-    /// [`EvalError::MissingKey`] if no relinearization key was generated for
-    /// this prefix.
+    /// [`EvalError::MissingKey`] if no relinearization key serves this
+    /// prefix.
     pub fn mul(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, EvalError> {
         Self::check_levels(a.level, b.level)?;
-        let c = a.prefix();
-        let rk = self
-            .keys
-            .relin
-            .get(&c)
-            .ok_or_else(|| EvalError::MissingKey {
-                what: format!("relin key at prefix {c}"),
-            })?;
+        let rk = serving(self.keys.relin.as_ref(), a.prefix(), || "relin key".into())?;
         let basis = self.params.basis();
         // (c0, c1)·(d0, d1) = (c0d0, c0d1 + c1d0, c1d1)
         let mut t0 = a.c0.clone();
@@ -308,11 +320,8 @@ impl Evaluator {
         t2.mul_assign_pointwise(&b.c1, basis);
         // Relinearize the quadratic component.
         t2.to_coeff_jobs(basis, self.kernel_jobs);
-        let (kb, ka) = key_switch_jobs(&t2, rk, &self.params, self.kernel_jobs);
-        let mut kb = kb;
-        let mut ka = ka;
-        kb.to_ntt_jobs(basis, self.kernel_jobs);
-        ka.to_ntt_jobs(basis, self.kernel_jobs);
+        let hd = hoisted_decompose(&t2, &self.params, self.kernel_jobs);
+        let (kb, ka) = self.switch(&hd, None, rk);
         t0.add_assign(&kb, basis);
         t1a.add_assign(&ka, basis);
         Ok(Ciphertext {
@@ -328,7 +337,8 @@ impl Evaluator {
     /// [`mul`]: Evaluator::mul
     ///
     /// # Errors
-    /// Returns [`EvalError::MissingKey`] if no relinearization key exists.
+    /// Returns [`EvalError::MissingKey`] if no relinearization key serves
+    /// this prefix.
     pub fn square(&self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
         self.mul(a, a)
     }
@@ -379,47 +389,30 @@ impl Evaluator {
         })
     }
 
-    /// Rotates slot vectors left by `step` (cyclic over `N/2` slots).
+    /// Rotates slot vectors left by `step` (cyclic over `N/2` slots): a
+    /// [`hoist`] of `a` consumed by one [`rotate_hoisted`], so a lone
+    /// rotation runs the same kernel as a fan-out.
+    ///
+    /// [`hoist`]: Evaluator::hoist
+    /// [`rotate_hoisted`]: Evaluator::rotate_hoisted
     ///
     /// # Errors
-    /// Returns [`EvalError::MissingKey`] if no Galois key was generated for
-    /// `(step, prefix)`.
+    /// Returns [`EvalError::MissingKey`] if no Galois key for `step`
+    /// serves this prefix.
     pub fn rotate(&self, a: &Ciphertext, step: usize) -> Result<Ciphertext, EvalError> {
         let step = self.params.canonical_step(step);
         if step == 0 {
             return Ok(a.clone());
         }
         let gk = self.galois_key_for(step, a.prefix())?;
-        let basis = self.params.basis();
-        let g = galois_element(&self.params, step);
-        let mut c0 = a.c0.clone();
-        let mut c1 = a.c1.clone();
-        c0.to_coeff_jobs(basis, self.kernel_jobs);
-        c1.to_coeff_jobs(basis, self.kernel_jobs);
-        let c0_rot = c0.automorphism(g, basis);
-        let c1_rot = c1.automorphism(g, basis);
-        let (kb, ka) = key_switch_jobs(&c1_rot, gk, &self.params, self.kernel_jobs);
-        let mut out0 = c0_rot;
-        out0.add_assign(&kb, basis);
-        out0.to_ntt_jobs(basis, self.kernel_jobs);
-        let mut out1 = ka;
-        out1.to_ntt_jobs(basis, self.kernel_jobs);
-        Ok(Ciphertext {
-            c0: out0,
-            c1: out1,
-            scale_bits: a.scale_bits,
-            level: a.level,
-        })
+        Ok(self.apply_galois(a, &self.hoist(a), galois_element(&self.params, step), gk))
     }
 
-    /// The Galois key for a canonical step at a prefix.
+    /// The Galois key for a canonical step, if it serves prefix `c`.
     fn galois_key_for(&self, step: usize, c: usize) -> Result<&KeySwitchKey, EvalError> {
-        self.keys
-            .galois
-            .get(&(step, c))
-            .ok_or_else(|| EvalError::MissingKey {
-                what: format!("galois key for step {step} at prefix {c}"),
-            })
+        serving(self.keys.galois.get(&step), c, || {
+            format!("galois key for step {step}")
+        })
     }
 
     /// Precomputes the shared (Halevi–Shoup hoisted) part of rotating
@@ -436,15 +429,14 @@ impl Evaluator {
     }
 
     /// Rotates using a decomposition precomputed by [`Evaluator::hoist`]
-    /// on the *same* ciphertext. Bit-identical to [`Evaluator::rotate`]:
-    /// digit decomposition commutes with the Galois automorphism, which
-    /// acts on the evaluation domain as a pure slot permutation, so the
-    /// key-switch accumulator sees exactly the same limb values in the
-    /// same order.
+    /// on the *same* ciphertext. Digit decomposition commutes with the
+    /// Galois automorphism, which acts on the evaluation domain as a pure
+    /// slot permutation, so the result is bit-identical to decomposing
+    /// the rotated ciphertext.
     ///
     /// # Errors
-    /// Returns [`EvalError::MissingKey`] if no Galois key was generated
-    /// for `(step, prefix)`.
+    /// Returns [`EvalError::MissingKey`] if no Galois key for `step`
+    /// serves this prefix.
     ///
     /// # Panics
     /// Panics if `hd` was hoisted at a different prefix than `a`.
@@ -461,60 +453,58 @@ impl Evaluator {
         let c = a.prefix();
         assert_eq!(hd.prefix(), c, "hoisted decomposition prefix mismatch");
         let gk = self.galois_key_for(step, c)?;
-        let basis = self.params.basis();
-        let g = galois_element(&self.params, step);
-        let perm = self.galois_perm(g);
-        let (kb, ka) = key_switch_hoisted(hd, &perm, gk, &self.params, self.kernel_jobs);
-        // c0 rotates in the evaluation domain directly — same permutation,
-        // no coefficient-domain round trip.
-        let mut out0 = a.c0.automorphism_ntt(&perm);
-        let mut kb = kb;
-        kb.to_ntt_jobs(basis, self.kernel_jobs);
-        out0.add_assign(&kb, basis);
-        let mut out1 = ka;
-        out1.to_ntt_jobs(basis, self.kernel_jobs);
-        Ok(Ciphertext {
-            c0: out0,
-            c1: out1,
-            scale_bits: a.scale_bits,
-            level: a.level,
-        })
+        Ok(self.apply_galois(a, hd, galois_element(&self.params, step), gk))
     }
 
     /// Complex-conjugates every slot (the Galois automorphism `X ↦ X^{2N−1}`).
     ///
     /// # Errors
-    /// Returns [`EvalError::MissingKey`] if no conjugation key was generated
-    /// for this prefix (see [`EvalKeys::add_conjugation`]).
+    /// Returns [`EvalError::MissingKey`] if no conjugation key serves this
+    /// prefix (see [`EvalKeys::add_conjugation`]).
     pub fn conjugate(&self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        let c = a.prefix();
-        let ck = self
-            .keys
-            .conj
-            .get(&c)
-            .ok_or_else(|| EvalError::MissingKey {
-                what: format!("conjugation key at prefix {c}"),
-            })?;
-        let basis = self.params.basis();
+        let ck = serving(self.keys.conj.as_ref(), a.prefix(), || {
+            "conjugation key".into()
+        })?;
         let g = 2 * self.params.degree() - 1;
-        let mut c0 = a.c0.clone();
-        let mut c1 = a.c1.clone();
-        c0.to_coeff_jobs(basis, self.kernel_jobs);
-        c1.to_coeff_jobs(basis, self.kernel_jobs);
-        let c0_conj = c0.automorphism(g, basis);
-        let c1_conj = c1.automorphism(g, basis);
-        let (kb, ka) = key_switch_jobs(&c1_conj, ck, &self.params, self.kernel_jobs);
-        let mut out0 = c0_conj;
-        out0.add_assign(&kb, basis);
-        out0.to_ntt_jobs(basis, self.kernel_jobs);
-        let mut out1 = ka;
-        out1.to_ntt_jobs(basis, self.kernel_jobs);
-        Ok(Ciphertext {
-            c0: out0,
-            c1: out1,
+        Ok(self.apply_galois(a, &self.hoist(a), g, ck))
+    }
+
+    /// The automorphism `X ↦ X^g` of `a`, given the decomposition `hd` of
+    /// its `c1`: the key switch permutes `c1`'s digit rows, and `c0` is
+    /// permuted in the evaluation domain directly — the same slot
+    /// permutation, no coefficient-domain round trip.
+    fn apply_galois(
+        &self,
+        a: &Ciphertext,
+        hd: &HoistedDecomp,
+        g: usize,
+        key: &KeySwitchKey,
+    ) -> Ciphertext {
+        let perm = self.galois_perm(g);
+        let (kb, ka) = self.switch(hd, Some(&perm), key);
+        let mut c0 = a.c0.automorphism_ntt(&perm);
+        c0.add_assign(&kb, self.params.basis());
+        Ciphertext {
+            c0,
+            c1: ka,
             scale_bits: a.scale_bits,
             level: a.level,
-        })
+        }
+    }
+
+    /// Key-switches a decomposition with `key` (through the slot
+    /// permutation `perm`, if any) and returns `(b, a)` in NTT form.
+    fn switch(
+        &self,
+        hd: &HoistedDecomp,
+        perm: Option<&[usize]>,
+        key: &KeySwitchKey,
+    ) -> (RnsPoly, RnsPoly) {
+        let basis = self.params.basis();
+        let (mut b, mut a) = key_switch_hoisted(hd, perm, key, &self.params, self.kernel_jobs);
+        b.to_ntt_jobs(basis, self.kernel_jobs);
+        a.to_ntt_jobs(basis, self.kernel_jobs);
+        (b, a)
     }
 }
 
@@ -533,17 +523,25 @@ mod tests {
         eval: Evaluator,
     }
 
+    /// Keys generated at the full chain serve every level below it.
     fn setup(levels: usize, rotations: &[usize]) -> Fixture {
+        setup_keyed(levels, |kg, chain| {
+            let rots: Vec<(usize, usize)> = rotations.iter().map(|&s| (s, chain)).collect();
+            EvalKeys::generate(kg, &[chain], &rots)
+        })
+    }
+
+    /// A fixture whose keys `make_keys` builds from the generator and the
+    /// chain length.
+    fn setup_keyed(
+        levels: usize,
+        make_keys: impl FnOnce(&mut KeyGenerator, usize) -> EvalKeys,
+    ) -> Fixture {
         let params = CkksParams::new(128, 45, 30, levels, false).unwrap();
         let enc = CkksEncoder::new(&params);
         let mut kg = KeyGenerator::new(&params, 11);
         let pk = kg.public_key();
-        let relin: Vec<usize> = (1..=params.basis().chain_len()).collect();
-        let rots: Vec<(usize, usize)> = rotations
-            .iter()
-            .flat_map(|&s| (1..=params.basis().chain_len()).map(move |c| (s, c)))
-            .collect();
-        let keys = EvalKeys::generate(&mut kg, &relin, &rots);
+        let keys = make_keys(&mut kg, params.basis().chain_len());
         Fixture {
             enc,
             encryptor: Encryptor::new(&params, pk, 13),
@@ -696,10 +694,13 @@ mod tests {
             .flat_map(|&c| [(slots + 3, c), (3, c), (slots, c)])
             .collect();
         let keys = EvalKeys::generate(&mut kg, &[], &rots);
+        // One key in total: wrapped and zero-equivalent steps add none,
+        // and a key generated at the largest prefix serves the smaller
+        // ones, so requesting step 3 at every prefix is still one key.
         assert_eq!(
             keys.galois_key_count(),
-            chain.len(),
-            "wrapped and zero-equivalent steps must not generate redundant keys"
+            1,
+            "wrapped steps and lower prefixes must not generate redundant keys"
         );
         let eval = Evaluator::new(&params, keys);
         let mut encryptor = Encryptor::new(&params, pk, 13);
@@ -777,6 +778,41 @@ mod tests {
         ));
         let rot_err = f.eval.rotate(&a, 3);
         assert!(matches!(rot_err, Err(EvalError::MissingKey { .. })));
+
+        // Keys generated at prefix 2 of a 3-prime chain serve prefixes 1
+        // and 2 only: a switch at prefix 3 is a typed error, not a panic.
+        let mut g = setup_keyed(2, |kg, _| {
+            let mut keys = EvalKeys::generate(kg, &[2], &[(1, 2)]);
+            keys.add_conjugation(kg, &[2]);
+            keys
+        });
+        let top = g.encryptor.encrypt(&g.enc.encode(&[1.0], 30.0, 0).unwrap());
+        assert_eq!(top.prefix(), 3);
+        for result in [
+            g.eval.mul(&top, &top),
+            g.eval.rotate(&top, 1),
+            g.eval.conjugate(&top),
+        ] {
+            let err = result.err();
+            assert!(matches!(err, Some(EvalError::MissingKey { .. })), "{err:?}");
+        }
+        // The same keys at prefix 1 switch to the right values.
+        let slots = g.params.slots();
+        let vals: Vec<f64> = (0..slots).map(|i| (i % 5) as f64 * 0.25 - 0.5).collect();
+        let low = g.encryptor.encrypt(&g.enc.encode(&vals, 20.0, 2).unwrap());
+        assert_eq!(low.prefix(), 1);
+        let squared: Vec<f64> = vals.iter().map(|v| v * v).collect();
+        let rotated: Vec<f64> = (0..slots).map(|j| vals[(j + 1) % slots]).collect();
+        for (what, ct, want) in [
+            ("mul", g.eval.mul(&low, &low).unwrap(), &squared),
+            ("rotate", g.eval.rotate(&low, 1).unwrap(), &rotated),
+            ("conjugate", g.eval.conjugate(&low).unwrap(), &vals),
+        ] {
+            let out = roundtrip(&g, &ct);
+            for (j, (o, w)) in out.iter().zip(want).enumerate() {
+                assert!((o - w).abs() < 2f64.powi(-8), "{what} slot {j}: {o} vs {w}");
+            }
+        }
     }
 
     #[test]

@@ -9,15 +9,25 @@
 //! `Σ_j d_j · ksk_j ≈ P · d · s_target` and a final division by `P`
 //! (mod-down) returns to `Q_c` while shrinking the noise by `P`.
 //!
-//! Because the idempotents depend on the active prefix, keys are generated
-//! *per prefix length*; callers request exactly the `(kind, prefix)` pairs
-//! their program needs.
+//! One key per target serves every level. On the row of a chain prime
+//! `q_i`, `Ẽ_j ≡ δ_ij (mod q_i)` whatever the active prefix, so digit `j`,
+//! row `i` of a key generated at prefix `m` *is* digit `j`, row `i` of the
+//! key for any prefix `c ≤ m`: a switch at `c` reads `digits[..c]`, rows
+//! `[..c]` and the special row. SEAL keeps its keys the same way — once,
+//! at the top of the chain, sliced by level at use.
+//!
+//! Every key switch is one pipeline: [`hoisted_decompose`] (the digit
+//! NTTs), then [`key_switch_hoisted`] (the multiply-accumulate and
+//! mod-down), with a Galois slot permutation for rotations and none for
+//! relinearization.
 
 use crate::params::CkksParams;
 use hecate_math::modular::{add_mod, mul_mod, neg_mod, reduce_i64, sub_mod};
 use hecate_math::ntt::NttTable;
 use hecate_math::poly::RnsPoly;
 use hecate_math::rng::Xoshiro256;
+use hecate_math::rns::RnsBasis;
+use hecate_math::{par, scratch};
 
 /// A polynomial over an extended basis: the first `c` chain primes plus the
 /// special prime as the last row. Always stored in NTT form.
@@ -27,11 +37,25 @@ pub struct ExtPoly {
     pub rows: Vec<Vec<u64>>,
 }
 
+impl ExtPoly {
+    /// Row `m` of the extended basis of active prefix `c` (chain primes
+    /// `0..c`, then the special prime at `m == c`), read from a poly over
+    /// any prefix `≥ c`.
+    fn row_at(&self, m: usize, c: usize) -> &[u64] {
+        if m < c {
+            &self.rows[m]
+        } else {
+            self.rows.last().expect("extended basis")
+        }
+    }
+}
+
 /// One key-switching key: `prefix` digits of `(b, a)` pairs over the
-/// extended basis.
+/// extended basis. It serves every active prefix `c ≤ prefix` (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
-    /// Active prefix length this key was generated for.
+    /// Largest active prefix this key serves.
     pub prefix: usize,
     /// Per-digit key pairs `(b_j, a_j)` with
     /// `b_j = -(a_j·s) + e_j + P·Ẽ_j·s_target`.
@@ -129,7 +153,8 @@ impl KeyGenerator {
         PublicKey { b, a }
     }
 
-    /// Generates a relinearization key (target `s²`) for the given prefix.
+    /// Generates a relinearization key (target `s²`) serving every prefix
+    /// up to `prefix`.
     pub fn relin_key(&mut self, prefix: usize) -> KeySwitchKey {
         let chain = self.params.basis().chain_len();
         let s = self.secret.poly(&self.params, chain);
@@ -142,13 +167,14 @@ impl KeyGenerator {
         let coeffs: Vec<i64> = s2
             .residue(0)
             .iter()
-            .map(|&v| hecate_math::rns::RnsBasis::center(v, q0))
+            .map(|&v| RnsBasis::center(v, q0))
             .collect();
         self.keyswitch_key(&coeffs, prefix)
     }
 
-    /// Generates a Galois key for left-rotation by `step` slots at the given
-    /// prefix (target `s(X^g)` with `g = 5^step mod 2N`).
+    /// Generates a Galois key for left-rotation by `step` slots serving
+    /// every prefix up to `prefix` (target `s(X^g)` with
+    /// `g = 5^step mod 2N`).
     pub fn galois_key(&mut self, step: usize, prefix: usize) -> KeySwitchKey {
         let g = self.galois_element(step);
         let rotated = apply_automorphism_signed(&self.secret.coeffs, g, self.params.degree());
@@ -156,7 +182,8 @@ impl KeyGenerator {
     }
 
     /// Generates the conjugation key (target `s(X^{2N−1})`, the Galois
-    /// element of complex conjugation) for the given prefix.
+    /// element of complex conjugation) serving every prefix up to
+    /// `prefix`.
     pub fn conjugation_key(&mut self, prefix: usize) -> KeySwitchKey {
         let g = 2 * self.params.degree() - 1;
         let conj = apply_automorphism_signed(&self.secret.coeffs, g, self.params.degree());
@@ -173,20 +200,11 @@ impl KeyGenerator {
     }
 
     /// Generates a key-switching key from `s_target` (given as signed
-    /// coefficients) to the secret, for prefix length `prefix`.
+    /// coefficients) to the secret, serving every prefix up to `prefix`.
     fn keyswitch_key(&mut self, target: &[i64], prefix: usize) -> KeySwitchKey {
-        let basis = self.params.basis();
         let n = self.params.degree();
-        let special = basis.special_prime();
-        let moduli: Vec<u64> = basis.primes()[..prefix]
-            .iter()
-            .copied()
-            .chain(std::iter::once(special))
-            .collect();
-        let tables: Vec<&NttTable> = (0..prefix)
-            .map(|i| basis.ntt(i))
-            .chain(std::iter::once(basis.special_ntt()))
-            .collect();
+        let special = self.params.basis().special_prime();
+        let (moduli, tables) = extended_basis(&self.params, prefix);
         let s_rows: Vec<Vec<u64>> = moduli
             .iter()
             .zip(&tables)
@@ -208,19 +226,16 @@ impl KeyGenerator {
                 let e = self.rng.sample_noise(n);
                 let mut a_rows = Vec::with_capacity(moduli.len());
                 let mut b_rows = Vec::with_capacity(moduli.len());
-                for (m_idx, (&q, t)) in moduli.iter().zip(&tables).enumerate() {
+                for (i, (&q, t)) in moduli.iter().zip(&tables).enumerate() {
                     let mut a_row = vec![0u64; n];
                     self.rng.fill_uniform_mod(&mut a_row, q);
                     let mut e_row: Vec<u64> = e.iter().map(|&v| reduce_i64(v, q)).collect();
                     t.forward(&mut e_row);
-                    // P·Ẽ_j mod q (zero on the special row since P | P·Ẽ_j).
-                    let factor = if m_idx == moduli.len() - 1 {
-                        0
-                    } else {
-                        mul_mod(special % q, basis.crt_idempotent_mod(prefix, j, q), q)
-                    };
-                    let s_row = &s_rows[m_idx];
-                    let t_row = &target_rows[m_idx];
+                    // P·Ẽ_j ≡ P·δ_ij (mod q_i) on chain rows, for every
+                    // prefix; zero on the special row since P | P·Ẽ_j.
+                    let factor = if i == j { special % q } else { 0 };
+                    let s_row = &s_rows[i];
+                    let t_row = &target_rows[i];
                     let b_row: Vec<u64> = (0..n)
                         .map(|idx| {
                             let neg_as = neg_mod(mul_mod(a_row[idx], s_row[idx], q), q);
@@ -279,20 +294,6 @@ fn extended_basis(params: &CkksParams, c: usize) -> (Vec<u64>, Vec<&NttTable>) {
     (moduli, tables)
 }
 
-/// The centered digit lifts `center([d]_{q_j})` for every active prime.
-/// Centering keeps the key-switch noise at ~`q_max/2`.
-fn centered_digits(d: &RnsPoly, params: &CkksParams) -> Vec<Vec<i64>> {
-    (0..d.prefix())
-        .map(|j| {
-            let qj = params.basis().prime(j);
-            d.residue(j)
-                .iter()
-                .map(|&v| hecate_math::rns::RnsBasis::center(v, qj))
-                .collect()
-        })
-        .collect()
-}
-
 /// Divides an extended-basis accumulator (coefficient domain, special
 /// row last) by the special prime `P`, returning a poly over the chain
 /// prefix. This is the SEAL-style mod-down that ends every key switch.
@@ -307,93 +308,60 @@ fn mod_down(mut rows: Vec<Vec<u64>>, c: usize, params: &CkksParams) -> RnsPoly {
         let inv_p = basis.inv_special(i);
         let dst = out.residue_mut(i);
         for idx in 0..n {
-            let lifted = hecate_math::rns::RnsBasis::center(special_row[idx], special);
+            let lifted = RnsBasis::center(special_row[idx], special);
             let l = reduce_i64(lifted, q);
             dst[idx] = mul_mod(sub_mod(row[idx], l, q), inv_p, q);
         }
     }
     for row in rows {
-        hecate_math::scratch::recycle(row);
+        scratch::recycle(row);
     }
-    hecate_math::scratch::recycle(special_row);
+    scratch::recycle(special_row);
     out
 }
 
 /// Switches the key of a single polynomial `d` (coefficient domain, over
-/// `prefix` primes) from `s_target` to `s`, returning `(b, a)` in
-/// coefficient domain such that `b + a·s ≈ d·s_target`.
+/// `c` primes) from `s_target` to `s`, returning `(b, a)` in coefficient
+/// domain such that `b + a·s ≈ d·s_target`.
 ///
 /// # Panics
-/// Panics if `d` is in NTT form or its prefix differs from the key's.
+/// Panics if `d` is in NTT form or the key serves only a prefix shorter
+/// than `c`.
 pub fn key_switch(d: &RnsPoly, key: &KeySwitchKey, params: &CkksParams) -> (RnsPoly, RnsPoly) {
     key_switch_jobs(d, key, params, 1)
 }
 
-/// [`key_switch`] with the per-modulus inner loops striped over up to
-/// `jobs` scoped threads. Each extended modulus is independent (its
-/// accumulator rows are written by exactly one worker, and the digit
-/// forward transforms are per-modulus), so the result is bit-identical
-/// at every job count.
+/// [`key_switch`] with the per-modulus work striped over up to `jobs`
+/// scoped threads: [`hoisted_decompose`], then [`key_switch_hoisted`]
+/// without a permutation. Each extended modulus is independent (its
+/// digit rows and accumulator rows are written by exactly one worker),
+/// so the result is bit-identical at every job count.
 pub fn key_switch_jobs(
     d: &RnsPoly,
     key: &KeySwitchKey,
     params: &CkksParams,
     jobs: usize,
 ) -> (RnsPoly, RnsPoly) {
-    assert!(!d.is_ntt(), "key_switch expects coefficient domain");
-    let c = d.prefix();
-    assert_eq!(c, key.prefix, "key prefix mismatch");
-    let n = params.degree();
-    let (moduli, tables) = extended_basis(params, c);
-    let digits = centered_digits(d, params);
-
-    // Accumulate Σ_j digit_j · ksk_j over the extended basis, in NTT
-    // form, then return each accumulator row to coefficient domain.
-    let mut acc: Vec<(Vec<u64>, Vec<u64>)> = (0..moduli.len())
-        .map(|_| {
-            (
-                hecate_math::scratch::take_zeroed(n),
-                hecate_math::scratch::take_zeroed(n),
-            )
-        })
-        .collect();
-    hecate_math::par::for_each_limb(&mut acc, jobs, |m_idx, (acc_b, acc_a)| {
-        let (q, t) = (moduli[m_idx], tables[m_idx]);
-        let mut row = hecate_math::scratch::take_zeroed(n);
-        for (j, digit) in digits.iter().enumerate() {
-            for (dst, &v) in row.iter_mut().zip(digit) {
-                *dst = reduce_i64(v, q);
-            }
-            t.forward(&mut row);
-            let (kb, ka) = &key.digits[j];
-            let (bb, aa) = (&kb.rows[m_idx], &ka.rows[m_idx]);
-            for idx in 0..n {
-                acc_b[idx] = add_mod(acc_b[idx], mul_mod(row[idx], bb[idx], q), q);
-                acc_a[idx] = add_mod(acc_a[idx], mul_mod(row[idx], aa[idx], q), q);
-            }
-        }
-        hecate_math::scratch::recycle(row);
-        t.backward(acc_b);
-        t.backward(acc_a);
-    });
-    let (acc_b, acc_a): (Vec<_>, Vec<_>) = acc.into_iter().unzip();
-    (mod_down(acc_b, c, params), mod_down(acc_a, c, params))
+    key_switch_hoisted(&hoisted_decompose(d, params, jobs), None, key, params, jobs)
 }
 
-/// The hoistable (input-only) part of a rotation's key switch: the RNS
-/// digit decomposition of one polynomial, lifted to the extended basis
-/// and transformed to NTT form — the `c·(c+1)` forward NTTs that
-/// dominate a key switch (Halevi–Shoup hoisting).
+/// The input-only part of a key switch: the RNS digit decomposition of
+/// one polynomial, lifted to the extended basis and transformed to NTT
+/// form — the `c·(c+1)` forward NTTs that dominate a key switch.
 ///
 /// Digit decomposition commutes with the Galois automorphism (centering
 /// is odd-symmetric, and in the evaluation domain the automorphism is a
 /// pure slot permutation), so one decomposition serves *every* rotation
-/// of the same ciphertext: [`key_switch_hoisted`] only permutes these
-/// precomputed rows before the multiply-accumulate.
+/// of the same ciphertext (Halevi–Shoup hoisting): [`key_switch_hoisted`]
+/// only permutes these precomputed rows before the multiply-accumulate.
+///
+/// The rows come from the thread's [`scratch`] pool and go back to it on
+/// drop, so a key switch allocates no digit rows once the pool is warm.
 #[derive(Debug, Clone)]
 pub struct HoistedDecomp {
-    /// Per-digit NTT-form rows over the extended basis.
-    digits: Vec<ExtPoly>,
+    /// NTT-form digit rows, digit-major: row `j·(c+1) + m` is digit `j`
+    /// over extended modulus `m` (the special prime at `m = c`).
+    rows: Vec<Vec<u64>>,
     /// Active prefix length the decomposition was taken at.
     prefix: usize,
 }
@@ -405,81 +373,87 @@ impl HoistedDecomp {
     }
 }
 
+impl Drop for HoistedDecomp {
+    fn drop(&mut self) {
+        for row in self.rows.drain(..) {
+            scratch::recycle(row);
+        }
+    }
+}
+
 /// Decomposes `d` (coefficient domain) into centered RNS digits over the
-/// extended basis, NTT-transformed, striping the forward transforms over
-/// up to `jobs` threads. The expensive shared prefix of [`key_switch`].
+/// extended basis, NTT-transformed, striping the rows over up to `jobs`
+/// threads. The expensive shared prefix of every key switch.
+///
+/// # Panics
+/// Panics if `d` is in NTT form.
 pub fn hoisted_decompose(d: &RnsPoly, params: &CkksParams, jobs: usize) -> HoistedDecomp {
     assert!(!d.is_ntt(), "hoisted_decompose expects coefficient domain");
     let c = d.prefix();
     let n = params.degree();
     let (moduli, tables) = extended_basis(params, c);
-    let digits = centered_digits(d, params);
-    let mut flat: Vec<Vec<u64>> = Vec::with_capacity(c * moduli.len());
-    for digit in &digits {
-        for &q in &moduli {
-            flat.push(digit.iter().map(|&v| reduce_i64(v, q)).collect());
+    let width = moduli.len();
+    let mut rows: Vec<Vec<u64>> = (0..c * width).map(|_| scratch::take_zeroed(n)).collect();
+    par::for_each_limb(&mut rows, jobs, |k, row| {
+        let (j, m) = (k / width, k % width);
+        let (qj, q) = (params.basis().prime(j), moduli[m]);
+        // The centered lift keeps the key-switch noise at ~q_max/2.
+        for (dst, &v) in row.iter_mut().zip(d.residue(j)) {
+            *dst = reduce_i64(RnsBasis::center(v, qj), q);
         }
-    }
-    hecate_math::par::for_each_limb(&mut flat, jobs, |k, row| {
-        debug_assert_eq!(row.len(), n);
-        tables[k % moduli.len()].forward(row);
+        tables[m].forward(row);
     });
-    let mut digits_out = Vec::with_capacity(c);
-    let mut it = flat.into_iter();
-    for _ in 0..c {
-        digits_out.push(ExtPoly {
-            rows: (&mut it).take(moduli.len()).collect(),
-        });
-    }
-    HoistedDecomp {
-        digits: digits_out,
-        prefix: c,
-    }
+    HoistedDecomp { rows, prefix: c }
 }
 
-/// Key switch from a hoisted decomposition: applies the Galois slot
-/// permutation `perm` to each precomputed digit row (exactly equivalent
-/// to decomposing the rotated polynomial, bit for bit) and runs the
-/// multiply-accumulate + mod-down against `key`. Shares all forward
-/// digit NTTs across every rotation of the same ciphertext.
+/// The multiply-accumulate and mod-down of every key switch:
+/// `Σ_j digit_j · ksk_j` over the extended basis of the decomposition's
+/// prefix `c`, read from `key`'s digits `..c`, rows `..c` and special row.
+/// With a Galois slot permutation `perm`, each digit row is permuted first
+/// — exactly equivalent to decomposing the rotated polynomial, bit for bit
+/// — so all rotations of one ciphertext share the forward digit NTTs.
 ///
 /// # Panics
-/// Panics if the decomposition's prefix differs from the key's.
+/// Panics if the key serves only a prefix shorter than the
+/// decomposition's.
 pub fn key_switch_hoisted(
     hd: &HoistedDecomp,
-    perm: &[usize],
+    perm: Option<&[usize]>,
     key: &KeySwitchKey,
     params: &CkksParams,
     jobs: usize,
 ) -> (RnsPoly, RnsPoly) {
     let c = hd.prefix;
-    assert_eq!(c, key.prefix, "key prefix mismatch");
+    assert!(c <= key.prefix, "key serves prefix {}, not {c}", key.prefix);
     let n = params.degree();
     let (moduli, tables) = extended_basis(params, c);
-    let mut acc: Vec<(Vec<u64>, Vec<u64>)> = (0..moduli.len())
-        .map(|_| {
-            (
-                hecate_math::scratch::take_zeroed(n),
-                hecate_math::scratch::take_zeroed(n),
-            )
-        })
+    let width = moduli.len();
+    let mut acc: Vec<(Vec<u64>, Vec<u64>)> = (0..width)
+        .map(|_| (scratch::take_zeroed(n), scratch::take_zeroed(n)))
         .collect();
-    hecate_math::par::for_each_limb(&mut acc, jobs, |m_idx, (acc_b, acc_a)| {
-        let (q, t) = (moduli[m_idx], tables[m_idx]);
-        let mut row = hecate_math::scratch::take_zeroed(n);
-        for j in 0..c {
-            let src = &hd.digits[j].rows[m_idx];
-            for (dst, &p) in row.iter_mut().zip(perm) {
-                *dst = src[p];
-            }
-            let (kb, ka) = &key.digits[j];
-            let (bb, aa) = (&kb.rows[m_idx], &ka.rows[m_idx]);
+    par::for_each_limb(&mut acc, jobs, |m, (acc_b, acc_a)| {
+        let (q, t) = (moduli[m], tables[m]);
+        let mut permuted = perm.map(|_| scratch::take_zeroed(n));
+        for (j, (kb, ka)) in key.digits[..c].iter().enumerate() {
+            let src = &hd.rows[j * width + m];
+            let row: &[u64] = match (perm, permuted.as_mut()) {
+                (Some(perm), Some(buf)) => {
+                    for (dst, &p) in buf.iter_mut().zip(perm) {
+                        *dst = src[p];
+                    }
+                    buf
+                }
+                _ => src,
+            };
+            let (bb, aa) = (kb.row_at(m, c), ka.row_at(m, c));
             for idx in 0..n {
                 acc_b[idx] = add_mod(acc_b[idx], mul_mod(row[idx], bb[idx], q), q);
                 acc_a[idx] = add_mod(acc_a[idx], mul_mod(row[idx], aa[idx], q), q);
             }
         }
-        hecate_math::scratch::recycle(row);
+        if let Some(buf) = permuted {
+            scratch::recycle(buf);
+        }
         t.backward(acc_b);
         t.backward(acc_a);
     });
@@ -613,31 +587,24 @@ mod tests {
             let perm = p.basis().ntt(0).galois_permutation(g);
             for jobs in [1usize, 2, 4] {
                 let hd = hoisted_decompose(&d, &p, jobs);
-                let hoisted = key_switch_hoisted(&hd, &perm, &gk, &p, jobs);
+                let hoisted = key_switch_hoisted(&hd, Some(&perm), &gk, &p, jobs);
                 assert_eq!(hoisted, baseline, "step = {step}, jobs = {jobs}");
             }
         }
     }
 
-    #[test]
-    fn key_switch_reproduces_target_product() {
-        // d·s_target ≈ b + a·s after switching. Use s_target = s² (relin).
-        let p = params();
-        let mut kg = KeyGenerator::new(&p, 9);
-        let prefix = p.basis().chain_len();
-        let rk = kg.relin_key(prefix);
-        assert_eq!(rk.digits.len(), prefix);
-
-        // Small test polynomial d.
-        let mut rng = hecate_math::rng::Xoshiro256::seed_from_u64(77);
-        let d_coeffs: Vec<i64> = (0..p.degree())
-            .map(|_| rng.next_below(1000) as i64 - 500)
-            .collect();
-        let d = RnsPoly::from_signed_coeffs(p.basis(), prefix, &d_coeffs);
-
-        let (b, a) = key_switch(&d, &rk, &p);
-        // Compute b + a·s and d·s² and compare coefficient-wise.
-        let s = kg.secret_key().poly(&p, prefix);
+    /// Checks `b + a·s ≈ d·target` coefficient-wise over `d`'s prefix.
+    fn assert_switched(
+        p: &CkksParams,
+        kg: &KeyGenerator,
+        d: &RnsPoly,
+        key: &KeySwitchKey,
+        target: &RnsPoly,
+        what: &str,
+    ) {
+        let c = d.prefix();
+        let (b, a) = key_switch(d, key, p);
+        let s = kg.secret_key().poly(p, c);
         let mut lhs = a.clone();
         lhs.to_ntt(p.basis());
         lhs.mul_assign_pointwise(&s, p.basis());
@@ -646,22 +613,54 @@ mod tests {
         lhs.add_assign(&b_ntt, p.basis());
         lhs.to_coeff(p.basis());
 
-        let mut s2 = s.clone();
-        s2.mul_assign_pointwise(&s, p.basis());
         let mut rhs = d.clone();
         rhs.to_ntt(p.basis());
-        rhs.mul_assign_pointwise(&s2, p.basis());
+        rhs.mul_assign_pointwise(target, p.basis());
         rhs.to_coeff(p.basis());
 
-        let rec = p.basis().reconstructor(prefix);
+        let rec = p.basis().reconstructor(c);
         for idx in 0..p.degree() {
-            let l: Vec<u64> = (0..prefix).map(|i| lhs.residue(i)[idx]).collect();
-            let r: Vec<u64> = (0..prefix).map(|i| rhs.residue(i)[idx]).collect();
+            let l: Vec<u64> = (0..c).map(|i| lhs.residue(i)[idx]).collect();
+            let r: Vec<u64> = (0..c).map(|i| rhs.residue(i)[idx]).collect();
             let diff =
                 rec.reconstruct_centered_f64(&l, 0.0) - rec.reconstruct_centered_f64(&r, 0.0);
             // Key-switch noise ≈ c·N·q_max/(2P) plus mod-down rounding — tiny
             // relative to any working scale; bound loosely.
-            assert!(diff.abs() < 1e6, "keyswitch error {diff} at coeff {idx}");
+            assert!(
+                diff.abs() < 1e6,
+                "{what} at prefix {c}: keyswitch error {diff} at coeff {idx}"
+            );
+        }
+    }
+
+    #[test]
+    fn key_switch_reproduces_target_product() {
+        // One relin key (s_target = s²) and one Galois key (s_target =
+        // s(X^g)), both generated at the full chain, sliced to every
+        // prefix: d·s_target ≈ b + a·s at each.
+        let p = params();
+        let mut kg = KeyGenerator::new(&p, 9);
+        let chain = p.basis().chain_len();
+        let rk = kg.relin_key(chain);
+        assert_eq!(rk.digits.len(), chain);
+        let gk = kg.galois_key(3, chain);
+        let rotated_secret =
+            apply_automorphism_signed(kg.secret_key().coeffs(), kg.galois_element(3), p.degree());
+
+        // Small test polynomial d.
+        let mut rng = hecate_math::rng::Xoshiro256::seed_from_u64(77);
+        let d_coeffs: Vec<i64> = (0..p.degree())
+            .map(|_| rng.next_below(1000) as i64 - 500)
+            .collect();
+        for c in 1..=chain {
+            let d = RnsPoly::from_signed_coeffs(p.basis(), c, &d_coeffs);
+            let s = kg.secret_key().poly(&p, c);
+            let mut s2 = s.clone();
+            s2.mul_assign_pointwise(&s, p.basis());
+            assert_switched(&p, &kg, &d, &rk, &s2, "relin");
+            let mut s_g = RnsPoly::from_signed_coeffs(p.basis(), c, &rotated_secret);
+            s_g.to_ntt(p.basis());
+            assert_switched(&p, &kg, &d, &gk, &s_g, "galois");
         }
     }
 

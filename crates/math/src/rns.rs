@@ -139,29 +139,6 @@ impl RnsBasis {
         self.primes[..c].iter().map(|&q| (q as f64).log2()).sum()
     }
 
-    /// The CRT idempotent factor `Ẽ_j = (Q_c/q_j)·[(Q_c/q_j)^{-1}]_{q_j}`
-    /// reduced modulo `m`, for the prefix of length `c`.
-    ///
-    /// `Ẽ_j ≡ 1 (mod q_j)` and `≡ 0 (mod q_i)` for `i ≠ j`, so
-    /// `Σ_j [x]_{q_j}·Ẽ_j ≡ x (mod Q_c)`. Key generation embeds these
-    /// factors into the per-digit key-switching keys.
-    pub fn crt_idempotent_mod(&self, c: usize, j: usize, m: u64) -> u64 {
-        assert!(j < c && c <= self.primes.len());
-        // t_j = (Q_c/q_j)^{-1} mod q_j
-        let qj = self.primes[j];
-        let mut prod_mod_qj = 1u64;
-        let mut prod_mod_m = 1u64;
-        for (l, &ql) in self.primes[..c].iter().enumerate() {
-            if l == j {
-                continue;
-            }
-            prod_mod_qj = mul_mod(prod_mod_qj, ql % qj, qj);
-            prod_mod_m = mul_mod(prod_mod_m, ql % m, m);
-        }
-        let t_j = inv_mod(prod_mod_qj, qj);
-        mul_mod(prod_mod_m, t_j % m, m)
-    }
-
     /// Builds an exact CRT reconstructor for the prefix of length `c`.
     pub fn reconstructor(&self, c: usize) -> CrtReconstructor {
         CrtReconstructor::new(&self.primes[..c])
@@ -321,14 +298,32 @@ mod tests {
         }
     }
 
+    /// The CRT idempotent `Ẽ_j = (Q_c/q_j)·[(Q_c/q_j)^{-1}]_{q_j}` of the
+    /// `c`-prime prefix, reduced modulo `m`.
+    fn idempotent_mod(b: &RnsBasis, c: usize, j: usize, m: u64) -> u64 {
+        let qj = b.prime(j);
+        let (mut mod_qj, mut mod_m) = (1u64, 1u64);
+        for (l, &ql) in b.primes()[..c].iter().enumerate() {
+            if l != j {
+                mod_qj = mul_mod(mod_qj, ql % qj, qj);
+                mod_m = mul_mod(mod_m, ql % m, m);
+            }
+        }
+        mul_mod(mod_m, inv_mod(mod_qj, qj) % m, m)
+    }
+
+    /// `Ẽ_j ≡ δ_ij (mod q_i)` at every prefix length: the reason one
+    /// key-switching key generated at the top of the chain serves every
+    /// level (see `hecate_ckks::keys`).
     #[test]
     fn crt_idempotents_behave() {
         let b = basis();
-        let c = 3;
-        for j in 0..c {
-            for i in 0..c {
-                let v = b.crt_idempotent_mod(c, j, b.prime(i));
-                assert_eq!(v, if i == j { 1 } else { 0 }, "E_{j} mod q_{i}");
+        for c in 1..=b.chain_len() {
+            for j in 0..c {
+                for i in 0..c {
+                    let v = idempotent_mod(&b, c, j, b.prime(i));
+                    assert_eq!(v, u64::from(i == j), "E_{j} mod q_{i} at prefix {c}");
+                }
             }
         }
     }

@@ -17,7 +17,6 @@
 //! cannot poison the key forever.
 
 use crate::stats::RuntimeStats;
-use hecate_backend::exec::key_requirements;
 use hecate_compiler::{compile, CompileOptions, CompiledProgram, Scheme};
 use hecate_ir::hash::Fnv1a;
 use hecate_ir::print::print_function_full;
@@ -40,19 +39,14 @@ pub fn plan_key(func: &Function, scheme: Scheme, opts: &CompileOptions) -> u64 {
     h.finish()
 }
 
-/// Everything the serving layer keeps per compiled plan: the program
-/// itself plus the evaluation-key requirements sessions need to
-/// synthesize their Galois/relinearization keys.
+/// What the serving layer keeps per compiled plan: the program under its
+/// cache key. Sessions build engines — and so keys — from the program.
 #[derive(Debug)]
 pub struct PlanArtifact {
     /// The cache key this artifact is stored under.
     pub key: u64,
     /// The compiled program (function, types, selected parameters).
     pub prog: Arc<CompiledProgram>,
-    /// Relinearization key prefixes the plan uses.
-    pub relin_prefixes: Vec<usize>,
-    /// `(rotation step, prefix)` pairs the plan uses.
-    pub rotation_keys: Vec<(usize, usize)>,
 }
 
 enum Slot {
@@ -358,7 +352,7 @@ impl PlanCache {
     /// Publishes an externally produced plan (e.g. one reloaded via
     /// [`hecate_compiler::deserialize_plan`]) under its content key.
     pub fn insert(&self, key: u64, prog: Arc<CompiledProgram>) -> Arc<PlanArtifact> {
-        let artifact = Arc::new(make_artifact(key, prog));
+        let artifact = Arc::new(PlanArtifact { key, prog });
         let mut inner = self.lock_inner();
         inner.tick += 1;
         let tick = inner.tick;
@@ -378,22 +372,10 @@ impl PlanCache {
     ) -> Result<Arc<PlanArtifact>, RuntimeError> {
         self.stats.record_compile();
         let prog = compile(func, scheme, opts).map_err(RuntimeError::Compile)?;
-        Ok(Arc::new(make_artifact(key, Arc::new(prog))))
-    }
-}
-
-fn make_artifact(key: u64, prog: Arc<CompiledProgram>) -> PlanArtifact {
-    // Requirement sets are computed against the plan's own selected
-    // parameters; a session running under a degree override recomputes
-    // its slot count, but the *set* of rotation steps and relin levels is
-    // a property of the program, which is what sessions need to know.
-    let slots = prog.params.degree / 2;
-    let (relin_prefixes, rotation_keys) = key_requirements(&prog, slots, prog.params.chain_len);
-    PlanArtifact {
-        key,
-        prog,
-        relin_prefixes,
-        rotation_keys,
+        Ok(Arc::new(PlanArtifact {
+            key,
+            prog: Arc::new(prog),
+        }))
     }
 }
 
@@ -447,18 +429,6 @@ mod tests {
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.compiles, 1);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn artifact_records_key_requirements() {
-        let cache = PlanCache::new(Arc::new(RuntimeStats::new()));
-        let (a, _) = cache
-            .get_or_compile(&sample(1.5), Scheme::Hecate, &opts())
-            .unwrap();
-        assert!(
-            !a.rotation_keys.is_empty(),
-            "the sample rotates, so a Galois key is required"
-        );
     }
 
     #[test]

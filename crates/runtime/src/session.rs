@@ -17,11 +17,12 @@
 //! construct the manager with [`SessionManager::with_os_entropy`].
 //!
 //! Engines are created lazily: the first time a session executes a given
-//! plan, an [`ExecEngine`] is built, generating exactly the Galois and
-//! relinearization keys that plan's [`crate::cache::PlanArtifact`] calls
-//! for. The engine (and thus the key material) is then cached per
-//! `(session, plan key)` and shared by reference among worker threads —
-//! every `ExecEngine` method takes `&self`.
+//! plan, an [`ExecEngine`] is built from the plan's compiled program,
+//! which derives the program's key requirements itself and generates one
+//! Galois key per rotation step and one relinearization key. The engine
+//! (and thus the key material) is then cached per `(session, plan key)`
+//! and shared by reference among worker threads — every `ExecEngine`
+//! method takes `&self`.
 
 use crate::cache::PlanArtifact;
 use crate::RuntimeError;

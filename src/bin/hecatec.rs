@@ -40,8 +40,6 @@
 //!                                   (kernel jobs = budget / workers, overriding
 //!                                   --kernel-jobs); the resolved split lands in
 //!                                   the stats JSON and Prometheus export
-//!   --no-hoist                      disable rotation hoisting (shared RNS
-//!                                   decomposition across a rotation fan-out)
 //!   --repeat K                      serve mode: submit each file K times (default 2)
 //!   --chaos N                       serve mode: inject a failure into every Nth
 //!                                   request (0 disables; kinds rotate per --chaos-kind)
@@ -306,7 +304,6 @@ flags! {
         "auto" => CoreBudget::Auto,
         cores => CoreBudget::Cores(at_least(1, cores)?),
     };
-    "--no-hoist" "" EXEC => |c, _v| c.runtime.backend.hoist_rotations = false;
     "--repeat" "K" SERVE => |c, v| c.repeat = at_least(1, v)?;
     "--trace" "PATH" ALL => |c, v| c.trace = Some(v.into());
     "--trace-format" "jsonl|chrome" TRACE => |c, v| c.trace_format = match v {
