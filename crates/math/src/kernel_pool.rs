@@ -280,7 +280,9 @@ fn pool() -> &'static KernelPool {
 /// Runs `run(stripe)` for every stripe in `0..nstripes`, offloading as
 /// many stripes as idle pool workers allow (bounded by the ceiling) and
 /// executing the rest — always including stripe 0 — on the caller's
-/// thread. Returns only after every stripe has completed.
+/// thread. Returns only after every stripe has completed, with this
+/// call's pool/inline split (the process-wide [`stripe_counts`] are the
+/// sum of these).
 ///
 /// A panic in any stripe — inline or on a pool worker — propagates to
 /// the caller *after* all other stripes have finished, so the pool is
@@ -298,7 +300,7 @@ fn pool() -> &'static KernelPool {
 /// run under `catch_unwind`, and the `WaitOnDrop` guard covers any
 /// residual unwind between submission and the normal wait, so the
 /// borrow strictly outlives all worker access on every path.
-pub(crate) fn run_striped(nstripes: usize, run: &(dyn Fn(usize) + Sync)) {
+pub(crate) fn run_striped(nstripes: usize, run: &(dyn Fn(usize) + Sync)) -> StripeCounts {
     debug_assert!(nstripes >= 1);
     let ceiling = max_threads();
     let want = (nstripes - 1).min(ceiling);
@@ -315,8 +317,12 @@ pub(crate) fn run_striped(nstripes: usize, run: &(dyn Fn(usize) + Sync)) {
             }
         }
     }
-    POOL_STRIPES.fetch_add(workers.len() as u64, Ordering::Relaxed);
-    INLINE_STRIPES.fetch_add((nstripes - workers.len()) as u64, Ordering::Relaxed);
+    let split = StripeCounts {
+        pool: workers.len() as u64,
+        inline: (nstripes - workers.len()) as u64,
+    };
+    POOL_STRIPES.fetch_add(split.pool, Ordering::Relaxed);
+    INLINE_STRIPES.fetch_add(split.inline, Ordering::Relaxed);
     let latch = Latch::new(workers.len());
     // SAFETY: see the function docs — a `latch.wait()` (normal flow or
     // the `WaitOnDrop` guard) outlives every worker's access to these
@@ -371,6 +377,7 @@ pub(crate) fn run_striped(nstripes: usize, run: &(dyn Fn(usize) + Sync)) {
     if let Some(payload) = caller_panic.or(worker_panic) {
         resume_unwind(payload);
     }
+    split
 }
 
 #[cfg(test)]
@@ -467,27 +474,34 @@ mod tests {
         CEILING.store(before, Ordering::Relaxed);
     }
 
-    /// Every dispatched stripe lands in exactly one of the two
-    /// utilization counters, and a zero ceiling counts all-inline.
+    /// Every dispatched stripe lands in exactly one side of its call's
+    /// split, and a zero ceiling counts all-inline. Other tests stripe
+    /// concurrently, so the process-wide counters only bound the sum.
     #[test]
     fn stripe_counts_account_for_every_stripe() {
         let _guard = CEILING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let before = CEILING.load(Ordering::Relaxed);
         set_max_threads(0);
         let t0 = stripe_counts();
-        run_striped(5, &|_| {});
-        let t1 = stripe_counts();
-        assert!(t1.inline >= t0.inline + 5, "zero ceiling runs all inline");
+        let serial = run_striped(5, &|_| {});
+        assert_eq!(
+            serial,
+            StripeCounts { pool: 0, inline: 5 },
+            "zero ceiling runs all inline"
+        );
         set_max_threads(2);
-        run_striped(3, &|_| {
+        let split = run_striped(3, &|_| {
             std::thread::sleep(std::time::Duration::from_millis(1));
         });
-        let t2 = stripe_counts();
         assert_eq!(
-            (t2.pool + t2.inline) - (t1.pool + t1.inline),
+            split.pool + split.inline,
             3,
             "every stripe is counted exactly once"
         );
+        assert!(split.pool <= 2, "the ceiling bounds the pooled stripes");
+        let t1 = stripe_counts();
+        assert!(t1.pool >= t0.pool + split.pool);
+        assert!(t1.inline >= t0.inline + serial.inline + split.inline);
         CEILING.store(before, Ordering::Relaxed);
     }
 

@@ -1,11 +1,13 @@
 //! Cross-request slot batching: serving many queued requests from one
 //! packed ciphertext.
 //!
-//! When [`crate::RuntimeConfig::max_batch`] > 1, a worker that dequeues a
-//! request does not execute it immediately: it keeps draining the queue
-//! (up to [`crate::RuntimeConfig::batch_window`]) for *compatible*
-//! requests — same plan key, i.e. identical function, scheme, and
-//! compile options — and coalesces them into one slot-batched execution.
+//! Every request a worker dequeues comes through here. With
+//! [`crate::RuntimeConfig::max_batch`] > 1 the worker does not execute
+//! it immediately: it keeps draining the queue (up to
+//! [`crate::RuntimeConfig::batch_window`]) for *compatible* requests —
+//! same plan key, i.e. identical function, scheme, and compile options —
+//! and coalesces them into one slot-batched execution; at `max_batch` 1
+//! no member joins and the request is served solo.
 //! Each member's inputs are packed into a disjoint slot block of a shared
 //! ciphertext, the circuit runs once through the same op driver solo
 //! requests use (`hecate_backend::exec::execute`, on the same
@@ -167,10 +169,10 @@ fn serve_each_solo(inner: &Inner, jobs: Vec<(Job, Option<ChaosInjection>)>) {
     }
 }
 
-/// The batching dequeue path: coalesces compatible queued requests with
-/// `first`, runs them as one packed execution, and demultiplexes the
-/// responses. See the module docs for the collection and degradation
-/// rules.
+/// The dequeue path: coalesces compatible queued requests with `first`,
+/// runs them as one packed execution, demultiplexes the responses, and
+/// serves everything else solo. See the module docs for the collection
+/// and degradation rules.
 pub(crate) fn serve_coalesced(inner: &Inner, worker: usize, first: Job) {
     let key = first.key;
     let max = inner.config.max_batch.max(1);

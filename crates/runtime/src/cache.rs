@@ -184,7 +184,7 @@ impl PlanCache {
                 .map(|(_, k)| k)
                 .expect("ready > capacity >= 1 implies a victim");
             inner.slots.remove(&victim);
-            self.stats.record_eviction();
+            self.stats.cache_evictions.inc();
         }
     }
 
@@ -288,7 +288,7 @@ impl PlanCache {
                 Some(Slot::Ready(artifact, _)) => {
                     let artifact = artifact.clone();
                     inner.touch(key);
-                    self.stats.record_hit();
+                    self.stats.cache_hits.inc();
                     return Ok((artifact, true));
                 }
                 Some(Slot::Pending) => {
@@ -305,7 +305,7 @@ impl PlanCache {
                     // most one miss — hits + misses always equals the
                     // number of lookups, even when a waiter takes over
                     // after another thread's failed compile.
-                    self.stats.record_miss();
+                    self.stats.cache_misses.inc();
                     inner.slots.insert(key, Slot::Pending);
                     drop(inner);
                     let guard = PendingGuard {
@@ -370,7 +370,7 @@ impl PlanCache {
         scheme: Scheme,
         opts: &CompileOptions,
     ) -> Result<Arc<PlanArtifact>, RuntimeError> {
-        self.stats.record_compile();
+        self.stats.compiles.inc();
         let prog = compile(func, scheme, opts).map_err(RuntimeError::Compile)?;
         Ok(Arc::new(PlanArtifact {
             key,

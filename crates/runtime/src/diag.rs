@@ -6,7 +6,9 @@
 //! split, the plan cache's contents with hit/eviction counters, each
 //! session's worst observed noise margin, the flight recorder's
 //! retained-trace index, and SLO burn (the sliding p99 against the
-//! configured latency target).
+//! configured latency target). Every metric in it — workers, the kernel
+//! split, the session margins, the counters — is read from one
+//! [`StatsSnapshot`], the same one [`crate::Runtime::stats`] returns.
 //!
 //! Three consumers share the report:
 //!
@@ -22,23 +24,24 @@
 //!   panic resumes unwinding into the supervisor, so the evidence is on
 //!   disk even if worker recycling goes wrong.
 //!
-//! The JSON is hand-rolled, single-line, and format-pinned by tests
-//! (like [`crate::stats::StatsSnapshot::to_json`]): scrapers may parse
-//! it, so shape changes must be deliberate. Plan keys render as 16-digit
-//! hex strings — they are 64-bit hashes, and JSON numbers cannot carry
-//! them faithfully.
+//! The JSON is single-line and format-pinned by tests (like
+//! [`crate::stats::StatsSnapshot::to_json`]): scrapers may parse it, so
+//! shape changes must be deliberate. Plan keys render as 16-digit hex
+//! strings — they are 64-bit hashes, and JSON numbers cannot carry them
+//! faithfully.
 
 use crate::cache::PlanCacheEntry;
 use crate::pool::{DiagOptions, Inner};
 use crate::stats::StatsSnapshot;
-use hecate_telemetry::{export, recorder, RetainedSummary};
+use hecate_telemetry::export::{self, JsonObject};
+use hecate_telemetry::{recorder, RetainedSummary};
 use std::path::Path;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// Kernel-pool occupancy: the process-wide thread ceiling and how limb
-/// stripes have been splitting between pooled workers and inline
-/// execution (see `hecate_math::kernel_pool`).
+/// The kernel pool's process-wide thread geometry (see
+/// `hecate_math::kernel_pool`); its stripe split lives in
+/// [`StatsSnapshot`].
 #[derive(Debug, Clone)]
 pub struct KernelDiag {
     /// The pool's current thread ceiling.
@@ -46,29 +49,6 @@ pub struct KernelDiag {
     /// Worker threads actually spawned so far (grows on demand, never
     /// shrinks).
     pub spawned_threads: usize,
-    /// Stripes executed on claimed pool workers, cumulative.
-    pub pool_stripes: u64,
-    /// Stripes executed inline on the submitting thread (no slot free,
-    /// or the stripe beyond the last worker), cumulative.
-    pub inline_stripes: u64,
-    /// Per-request kernel jobs the runtime's backend is configured for.
-    pub kernel_jobs: usize,
-    /// Total cores a managed [`crate::CoreBudget`] provisioned
-    /// (0 = unmanaged).
-    pub budget_cores: usize,
-}
-
-impl KernelDiag {
-    /// Share of all stripes that fell back to inline execution —
-    /// the pool-starvation signal. 0 when nothing has run.
-    pub fn inline_share(&self) -> f64 {
-        let total = self.pool_stripes + self.inline_stripes;
-        if total == 0 {
-            0.0
-        } else {
-            self.inline_stripes as f64 / total as f64
-        }
-    }
 }
 
 /// Plan-cache contents (hit/miss/eviction counters live in
@@ -79,15 +59,6 @@ pub struct PlanCacheDiag {
     pub capacity: usize,
     /// Every cached plan, sorted by key.
     pub entries: Vec<PlanCacheEntry>,
-}
-
-/// One session's worst observed noise margin.
-#[derive(Debug, Clone)]
-pub struct SessionMargin {
-    /// The tenant session id.
-    pub session: u64,
-    /// Minimum plan margin (bits) across everything the session ran.
-    pub min_margin_bits: f64,
 }
 
 /// Flight-recorder occupancy and the retained-trace index.
@@ -129,111 +100,84 @@ pub struct DiagnosticsReport {
     /// Wall-clock nanoseconds since the Unix epoch when the report was
     /// collected.
     pub generated_ns: u64,
-    /// Request-worker threads.
-    pub workers: usize,
     /// Queued jobs per worker shard, in shard order.
     pub shard_depths: Vec<usize>,
     /// Jobs in the priority lane (coalescer stashes).
     pub priority_depth: usize,
     /// The queue's total bound.
     pub queue_capacity: usize,
-    /// Kernel-pool occupancy.
+    /// Kernel-pool thread geometry.
     pub kernel: KernelDiag,
     /// Plan-cache contents.
     pub plan_cache: PlanCacheDiag,
-    /// Per-session minimum noise margins, sorted by session id.
-    pub sessions: Vec<SessionMargin>,
     /// Flight-recorder state.
     pub recorder: RecorderDiag,
     /// SLO burn.
     pub slo: SloDiag,
-    /// The runtime's counter snapshot (same shape as
-    /// [`crate::Runtime::stats`]).
+    /// The runtime's metric snapshot (same shape as
+    /// [`crate::Runtime::stats`]); the report's workers, kernel split
+    /// and per-session margins are read from it.
     pub stats: StatsSnapshot,
-}
-
-fn opt_f64(v: Option<f64>, precision: usize) -> String {
-    match v {
-        Some(x) => format!("{x:.precision$}"),
-        None => "null".to_string(),
-    }
 }
 
 impl DiagnosticsReport {
     /// The report as one line of JSON. The shape is pinned by the
     /// `diagnostics_json_format_is_pinned` test — change both together.
     pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self.shard_depths.iter().map(usize::to_string).collect();
-        let entries: Vec<String> = self
-            .plan_cache
-            .entries
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"key\":\"{:016x}\",\"ops\":{},\"estimated_latency_us\":{:.1},\"last_used_tick\":{}}}",
-                    e.key, e.ops, e.estimated_latency_us, e.last_used_tick
-                )
+        let (s, r, slo) = (&self.stats, &self.recorder, &self.slo);
+        let mut o = JsonObject::default();
+        o.field("generated_ns", self.generated_ns)
+            .field("workers", s.workers)
+            .object("queue", |q| {
+                q.list("shards", &self.shard_depths)
+                    .field("priority", self.priority_depth)
+                    .field("capacity", self.queue_capacity);
             })
-            .collect();
-        let sessions: Vec<String> = self
-            .sessions
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"session\":{},\"min_margin_bits\":{:.3}}}",
-                    s.session, s.min_margin_bits
-                )
+            .object("kernel", |k| {
+                k.field("max_threads", self.kernel.max_threads)
+                    .field("spawned_threads", self.kernel.spawned_threads)
+                    .field("pool_stripes", s.pool_stripes)
+                    .field("inline_stripes", s.inline_stripes)
+                    .float("inline_share", s.inline_share(), 4)
+                    .field("kernel_jobs", s.kernel_jobs)
+                    .field("budget_cores", s.core_budget);
             })
-            .collect();
-        let retained: Vec<String> = self
-            .recorder
-            .retained
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"req_id\":{},\"reason\":\"{}\",\"events\":{}}}",
-                    r.req_id,
-                    export::escape(r.reason),
-                    r.events
-                )
+            .object("plan_cache", |p| {
+                p.field("capacity", self.plan_cache.capacity).objects(
+                    "entries",
+                    &self.plan_cache.entries,
+                    |e, entry| {
+                        e.str("key", &format!("{:016x}", entry.key))
+                            .field("ops", entry.ops)
+                            .float("estimated_latency_us", entry.estimated_latency_us, 1)
+                            .field("last_used_tick", entry.last_used_tick);
+                    },
+                );
             })
-            .collect();
-        format!(
-            "{{\"generated_ns\":{},\"workers\":{},\
-             \"queue\":{{\"shards\":[{}],\"priority\":{},\"capacity\":{}}},\
-             \"kernel\":{{\"max_threads\":{},\"spawned_threads\":{},\"pool_stripes\":{},\"inline_stripes\":{},\"inline_share\":{:.4},\"kernel_jobs\":{},\"budget_cores\":{}}},\
-             \"plan_cache\":{{\"capacity\":{},\"entries\":[{}]}},\
-             \"sessions\":[{}],\
-             \"recorder\":{{\"enabled\":{},\"ring_capacity\":{},\"ring_events\":{},\"overwritten\":{},\"retained\":[{}]}},\
-             \"slo\":{{\"target_us\":{},\"window\":{},\"p50_us\":{},\"p99_us\":{},\"burn\":{}}},\
-             \"stats\":{}}}",
-            self.generated_ns,
-            self.workers,
-            shards.join(","),
-            self.priority_depth,
-            self.queue_capacity,
-            self.kernel.max_threads,
-            self.kernel.spawned_threads,
-            self.kernel.pool_stripes,
-            self.kernel.inline_stripes,
-            self.kernel.inline_share(),
-            self.kernel.kernel_jobs,
-            self.kernel.budget_cores,
-            self.plan_cache.capacity,
-            entries.join(","),
-            sessions.join(","),
-            self.recorder.enabled,
-            self.recorder.ring_capacity,
-            self.recorder.ring_events,
-            self.recorder.overwritten,
-            retained.join(","),
-            opt_f64(self.slo.target_us, 1),
-            self.slo.window,
-            opt_f64(self.slo.p50_us, 1),
-            opt_f64(self.slo.p99_us, 1),
-            opt_f64(self.slo.burn, 4),
-            self.stats.to_json(),
-        )
+            .objects("sessions", &s.session_margins, |m, &(session, bits)| {
+                m.field("session", session)
+                    .float("min_margin_bits", bits, 3);
+            })
+            .object("recorder", |o| {
+                o.field("enabled", r.enabled)
+                    .field("ring_capacity", r.ring_capacity)
+                    .field("ring_events", r.ring_events)
+                    .field("overwritten", r.overwritten)
+                    .objects("retained", &r.retained, |t, kept| {
+                        t.field("req_id", kept.req_id)
+                            .str("reason", kept.reason)
+                            .field("events", kept.events);
+                    });
+            })
+            .object("slo", |o| {
+                o.float("target_us", slo.target_us, 1)
+                    .field("window", slo.window)
+                    .float("p50_us", slo.p50_us, 1)
+                    .float("p99_us", slo.p99_us, 1)
+                    .float("burn", slo.burn, 4);
+            })
+            .field("stats", s.to_json());
+        o.finish()
     }
 }
 
@@ -247,40 +191,22 @@ fn unix_now_ns() -> u64 {
 /// Collects a [`DiagnosticsReport`] from a live runtime's internals.
 pub(crate) fn collect(inner: &Inner) -> DiagnosticsReport {
     let (shard_depths, priority_depth) = inner.queue.depths();
-    let stripes = hecate_math::kernel_pool::stripe_counts();
-    let stats = inner.stats.snapshot(inner.config.workers);
-    let mut sessions: Vec<SessionMargin> = inner
-        .stats
-        .session_margins()
-        .into_iter()
-        .map(|(session, min_margin_bits)| SessionMargin {
-            session,
-            min_margin_bits,
-        })
-        .collect();
-    sessions.sort_by_key(|s| s.session);
     let p50_us = inner.stats.recent_latency_quantile(0.50);
     let p99_us = inner.stats.recent_latency_quantile(0.99);
     let target_us = inner.config.slo_target_us;
     DiagnosticsReport {
         generated_ns: unix_now_ns(),
-        workers: inner.config.workers,
         shard_depths,
         priority_depth,
         queue_capacity: inner.config.queue_capacity.max(1),
         kernel: KernelDiag {
             max_threads: hecate_math::kernel_pool::max_threads(),
             spawned_threads: hecate_math::kernel_pool::spawned_threads(),
-            pool_stripes: stripes.pool,
-            inline_stripes: stripes.inline,
-            kernel_jobs: inner.config.backend.kernel_jobs,
-            budget_cores: stats.core_budget,
         },
         plan_cache: PlanCacheDiag {
             capacity: inner.cache.capacity(),
             entries: inner.cache.entries(),
         },
-        sessions,
         recorder: RecorderDiag {
             enabled: recorder::level() != recorder::Level::Off,
             ring_capacity: recorder::ring_capacity(),
@@ -298,7 +224,7 @@ pub(crate) fn collect(inner: &Inner) -> DiagnosticsReport {
                 _ => None,
             },
         },
-        stats,
+        stats: inner.stats.snapshot(inner.config.workers),
     }
 }
 
@@ -315,15 +241,14 @@ pub(crate) fn write_black_box(inner: &Inner, dir: &Path, req_id: u64, message: &
         Some(t) => export::events_json(&t.events),
         None => "[]".to_string(),
     };
-    let body = format!(
-        "{{\"req_id\":{},\"reason\":\"panicked\",\"message\":\"{}\",\"trace\":{},\"diagnostics\":{}}}\n",
-        req_id,
-        export::escape(message),
-        trace_json,
-        collect(inner).to_json()
-    );
+    let mut body = JsonObject::default();
+    body.field("req_id", req_id)
+        .str("reason", "panicked")
+        .str("message", message)
+        .field("trace", trace_json)
+        .field("diagnostics", collect(inner).to_json());
     let path = dir.join(format!("blackbox-req{req_id}.json"));
-    if let Err(e) = std::fs::write(&path, body) {
+    if let Err(e) = std::fs::write(&path, body.finish() + "\n") {
         eprintln!("hecate-diag: cannot write {}: {e}", path.display());
     }
 }
@@ -392,24 +317,15 @@ pub(crate) fn dump_loop(inner: &Inner, opts: &DiagOptions, stop: &DiagStop) {
 mod tests {
     use super::*;
 
-    /// The diagnostics JSON is a scrape surface: this test pins the
-    /// exact serialization of a hand-built report so shape drift is a
-    /// deliberate decision, not an accident.
-    #[test]
-    fn diagnostics_json_format_is_pinned() {
-        let report = DiagnosticsReport {
+    fn sample_report() -> DiagnosticsReport {
+        DiagnosticsReport {
             generated_ns: 42,
-            workers: 2,
             shard_depths: vec![1, 0],
             priority_depth: 3,
             queue_capacity: 16,
             kernel: KernelDiag {
                 max_threads: 4,
                 spawned_threads: 2,
-                pool_stripes: 6,
-                inline_stripes: 2,
-                kernel_jobs: 2,
-                budget_cores: 8,
             },
             plan_cache: PlanCacheDiag {
                 capacity: 4,
@@ -420,10 +336,6 @@ mod tests {
                     last_used_tick: 9,
                 }],
             },
-            sessions: vec![SessionMargin {
-                session: 1,
-                min_margin_bits: 10.25,
-            }],
             recorder: RecorderDiag {
                 enabled: true,
                 ring_capacity: 4096,
@@ -443,8 +355,24 @@ mod tests {
                 p99_us: Some(1500.0),
                 burn: Some(1.5),
             },
-            stats: StatsSnapshot::default(),
-        };
+            stats: StatsSnapshot {
+                workers: 2,
+                pool_stripes: 6,
+                inline_stripes: 2,
+                kernel_jobs: 2,
+                core_budget: 8,
+                session_margins: vec![(1, 10.25)],
+                ..StatsSnapshot::default()
+            },
+        }
+    }
+
+    /// The diagnostics JSON is a scrape surface: this test pins the
+    /// exact serialization of a hand-built report so shape drift is a
+    /// deliberate decision, not an accident.
+    #[test]
+    fn diagnostics_json_format_is_pinned() {
+        let report = sample_report();
         let json = report.to_json();
         let want_prefix = "{\"generated_ns\":42,\"workers\":2,\
              \"queue\":{\"shards\":[1,0],\"priority\":3,\"capacity\":16},\
@@ -463,37 +391,21 @@ mod tests {
 
     #[test]
     fn empty_slo_serializes_nulls() {
-        let slo = SloDiag {
+        let mut report = sample_report();
+        report.slo = SloDiag {
             target_us: None,
             window: 0,
             p50_us: None,
             p99_us: None,
             burn: None,
         };
-        let json = format!(
-            "{{\"target_us\":{},\"window\":{},\"p50_us\":{},\"p99_us\":{},\"burn\":{}}}",
-            opt_f64(slo.target_us, 1),
-            slo.window,
-            opt_f64(slo.p50_us, 1),
-            opt_f64(slo.p99_us, 1),
-            opt_f64(slo.burn, 4),
-        );
-        assert_eq!(
-            json,
-            "{\"target_us\":null,\"window\":0,\"p50_us\":null,\"p99_us\":null,\"burn\":null}"
-        );
+        assert!(report.to_json().contains(
+            "\"slo\":{\"target_us\":null,\"window\":0,\"p50_us\":null,\"p99_us\":null,\"burn\":null}"
+        ));
     }
 
     #[test]
     fn inline_share_handles_zero_total() {
-        let k = KernelDiag {
-            max_threads: 0,
-            spawned_threads: 0,
-            pool_stripes: 0,
-            inline_stripes: 0,
-            kernel_jobs: 1,
-            budget_cores: 0,
-        };
-        assert_eq!(k.inline_share(), 0.0);
+        assert_eq!(StatsSnapshot::default().inline_share(), 0.0);
     }
 }

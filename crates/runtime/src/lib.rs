@@ -27,8 +27,9 @@
 //! request queue ([`pool`]): each worker owns a dequeue shard and steals
 //! from its peers when idle, so the hot path never serializes on one
 //! lock, and a [`CoreBudget`] policy splits the machine's cores between
-//! request workers, per-request DAG workers, and kernel jobs. [`stats`] exports cache,
-//! queue, latency, and utilization counters as JSON.
+//! request workers, per-request DAG workers, and kernel jobs. [`stats`]
+//! declares every runtime metric once, in one table, and renders it as
+//! JSON and Prometheus text.
 //!
 //! The serving layer is failure-isolated: a worker panic is caught at
 //! the request boundary and returned as [`RuntimeError::Panicked`] (the
@@ -95,9 +96,7 @@ pub mod stats;
 
 pub use cache::{plan_key, PlanArtifact, PlanCache, PlanCacheEntry};
 pub use chaos::{ChaosKind, ChaosOptions};
-pub use diag::{
-    DiagnosticsReport, KernelDiag, PlanCacheDiag, RecorderDiag, SessionMargin, SloDiag,
-};
+pub use diag::{DiagnosticsReport, KernelDiag, PlanCacheDiag, RecorderDiag, SloDiag};
 pub use pool::{CoreBudget, CoreSplit, DiagOptions, Request, Response, Runtime, RuntimeConfig};
 pub use session::{Session, SessionId, SessionManager};
 pub use stats::{RuntimeStats, StatsSnapshot};

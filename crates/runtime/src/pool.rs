@@ -38,12 +38,13 @@
 //! - **Chaos** — [`ChaosOptions`] turns all of the above against itself:
 //!   injected faults, latency, and panics on every Nth request, used by
 //!   the `chaos_soak` test and `hecatec --serve --chaos`.
-//! - **Slot batching** — with [`RuntimeConfig::max_batch`] > 1 the
-//!   dequeue path runs through the `batch` module's coalescing
-//!   scheduler, which packs compatible queued requests into one shared
-//!   ciphertext. Failures inside a shared run degrade every member to
-//!   the solo path above; batching never weakens any of the per-request
-//!   guarantees.
+//! - **Slot batching** — every dequeue runs through the `batch`
+//!   module's coalescing scheduler, which packs up to
+//!   [`RuntimeConfig::max_batch`] compatible queued requests into one
+//!   shared ciphertext and serves everything else on the solo path above
+//!   (at the default `max_batch` of 1, every request). Failures inside a
+//!   shared run degrade every member to that solo path; batching never
+//!   weakens any of the per-request guarantees.
 
 use crate::cache::{plan_key, PlanCache};
 use crate::chaos::{ChaosInjection, ChaosOptions, ChaosState};
@@ -355,7 +356,7 @@ impl Inner {
             match catch_unwind(AssertUnwindSafe(|| self.worker_loop(worker))) {
                 Ok(()) => return, // queue closed: clean shutdown
                 Err(_) => {
-                    self.stats.record_respawn();
+                    self.stats.worker_respawns.inc();
                     trace::mark_with("worker-respawn", Vec::new);
                 }
             }
@@ -373,8 +374,8 @@ impl Inner {
         }
     }
 
-    /// Routes one dequeued job: into the batching coalescer when enabled,
-    /// otherwise straight to solo serving with its chaos decision.
+    /// Routes one dequeued job into the coalescer, which serves it solo
+    /// when no compatible request joins it (always, at `max_batch` 1).
     fn dispatch(&self, worker: usize, job: Job) {
         self.stats.record_dequeue();
         // Queue wait crosses threads (enqueued by the client, dequeued by
@@ -385,12 +386,7 @@ impl Inner {
                 ("req_id", job.req_id.into()),
             ]
         });
-        if self.config.max_batch > 1 {
-            crate::batch::serve_coalesced(self, worker, job);
-        } else {
-            let injection = self.chaos.next(self.config.chaos.as_ref());
-            self.serve_with(job, injection);
-        }
+        crate::batch::serve_coalesced(self, worker, job);
     }
 
     /// Serves one job solo: panic isolation, typed response, stats. The
@@ -419,7 +415,7 @@ impl Inner {
             match catch_unwind(AssertUnwindSafe(|| self.process_with(&job, injection))) {
                 Ok(result) => (result, None),
                 Err(payload) => {
-                    self.stats.record_panic();
+                    self.stats.panics.inc();
                     let message = panic_message(payload.as_ref());
                     trace::mark_with("panic-recovered", || {
                         vec![
@@ -492,7 +488,7 @@ impl Inner {
         let mut attempt: u32 = 0;
         loop {
             if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                self.stats.record_timeout();
+                self.stats.timeouts.inc();
                 return Err(RuntimeError::TimedOut {
                     elapsed: job.enqueued.elapsed(),
                 });
@@ -553,14 +549,14 @@ impl Inner {
                     });
                 }
                 Err(ExecError::Cancelled { .. }) => {
-                    self.stats.record_timeout();
+                    self.stats.timeouts.inc();
                     return Err(RuntimeError::TimedOut {
                         elapsed: job.enqueued.elapsed(),
                     });
                 }
                 Err(e) if attempt < req.max_retries && is_transient(&e) => {
                     attempt += 1;
-                    self.stats.record_retry();
+                    self.stats.retries.inc();
                     trace::mark_with("retry", || {
                         vec![
                             ("attempt", u64::from(attempt).into()),
@@ -723,7 +719,7 @@ impl Runtime {
                 let estimated_us = artifact.prog.stats.estimated_latency_us;
                 let queue_depth = inner.stats.queue_depth();
                 if estimated_us * (queue_depth + 1) as f64 > budget_us {
-                    inner.stats.record_shed();
+                    inner.stats.shed.inc();
                     let _ctx = trace::push_context(req_id, 0);
                     trace::mark_with("shed", || {
                         vec![
@@ -755,7 +751,7 @@ impl Runtime {
                 Ok(rx)
             }
             Err(PushError::Full(_)) => {
-                inner.stats.record_shed();
+                inner.stats.shed.inc();
                 Err(RuntimeError::QueueFull {
                     capacity: inner.config.queue_capacity.max(1),
                 })

@@ -1,21 +1,25 @@
-//! Runtime counters on the telemetry registry, and their JSON export.
+//! The runtime's metrics: one table, every rendering generated from it.
 //!
-//! One [`RuntimeStats`] instance is shared (behind an `Arc`) by the plan
-//! cache, the request queue, and every worker thread. The counters are
-//! named metrics in a per-instance [`hecate_telemetry::Registry`] — per
-//! instance rather than process-global so two runtimes in one process
-//! never alias — with the metric handles cached here, so recording is
-//! still a few relaxed atomic operations per event, never a registry
-//! lock. [`RuntimeStats::snapshot`] materializes a consistent-enough
-//! [`StatsSnapshot`] for reporting; the snapshot renders itself as JSON
-//! (byte-identical to the pre-registry format), and
-//! [`RuntimeStats::prometheus`] renders the registry as a Prometheus-style
-//! text exposition.
+//! Each metric of a [`crate::Runtime`] is one row of the table below:
+//! its [`StatsSnapshot`] field (also its stats-JSON key unless the row
+//! lists it under another), the field's type, the handle kind, the
+//! Prometheus name and the doc line. `metric_table!` turns the rows into the
+//! [`RuntimeStats`] handles and their registration in a per-instance
+//! [`Registry`] (per instance so two runtimes in one process never
+//! alias), the snapshot's fields, [`RuntimeStats::snapshot`] and
+//! [`StatsSnapshot::to_json`]; [`RuntimeStats::prometheus`] renders the
+//! registry plus the snapshot's derived and labelled lines, and the
+//! diagnostics report reads the same snapshot. A row without a handle is
+//! derived when the snapshot is taken. Adding a metric is one row plus
+//! its call sites, which record through the cached handle: one relaxed
+//! atomic operation, never a registry lock or a name lookup.
 
 use crate::session::SessionId;
+use hecate_telemetry::export::JsonObject;
 use hecate_telemetry::{quantile_from_pow2_buckets, Counter, Gauge, Histogram, Registry};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::fmt::Write;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Number of power-of-two latency buckets (bucket `k` holds requests with
@@ -32,112 +36,228 @@ pub const OCCUPANCY_BUCKETS: usize = 8;
 /// requests, as opposed to the pow2-bucket estimates over all time.
 pub const SLO_WINDOW: usize = 512;
 
-/// Shared metric handles for one [`crate::Runtime`], backed by a
-/// per-instance telemetry registry.
-#[derive(Debug)]
-pub struct RuntimeStats {
-    registry: Registry,
-    /// Plan-cache lookups satisfied by an existing artifact.
-    cache_hits: Counter,
-    /// Plan-cache lookups that found no artifact (compiles + waits).
-    cache_misses: Counter,
-    /// Published artifacts dropped by the plan cache's LRU bound.
-    cache_evictions: Counter,
-    /// Full compiler-pipeline runs. With single-flight this stays at one
-    /// per distinct plan key no matter how many requests race.
-    compiles: Counter,
-    /// Requests completed successfully.
-    completed: Counter,
-    /// Requests that returned an error.
-    failed: Counter,
-    /// Worker panics converted into `RuntimeError::Panicked` responses.
-    panics: Counter,
-    /// Re-execution attempts after a transient failure.
-    retries: Counter,
-    /// Requests that missed their deadline (`RuntimeError::TimedOut`).
-    timeouts: Counter,
-    /// Requests rejected at admission (`QueueFull` or `Shed`); these
-    /// never execute and are counted neither completed nor failed.
-    shed: Counter,
-    /// Worker threads respawned after a panic escaped the request
-    /// isolation boundary.
-    worker_respawns: Counter,
-    /// Requests served as members of a shared slot-batched execution
-    /// (occupancy ≥ 2; solo requests never count here).
-    batched_requests: Counter,
-    /// Shared batched executions performed (each serving ≥ 2 requests).
-    batches_executed: Counter,
-    /// Batch occupancy histogram (power-of-two buckets; solo runs are
-    /// not observed).
-    batch_occupancy: Histogram,
-    /// Per-request kernel jobs the core-budget policy resolved (1 when
-    /// unmanaged and unset in the backend options).
-    kernel_jobs: Gauge,
-    /// Total cores the core-budget policy split between workers and
-    /// kernel jobs; 0 when the budget is unmanaged.
-    core_budget: Gauge,
-    /// Requests currently queued, waiting for a worker.
-    queue_depth: Gauge,
-    /// High-water mark of `queue_depth`.
-    peak_queue_depth: Gauge,
-    /// Total time workers spent processing requests, microseconds.
-    busy_us: Counter,
-    /// End-to-end request latency histogram (power-of-two µs buckets);
-    /// its sum doubles as the latency total for the mean.
-    latency: Histogram,
-    /// Per-session precision SLO: the tightest waterline margin (bits)
-    /// any of the session's executed plans carried. A `BTreeMap` under a
-    /// mutex rather than registry gauges because the key set is dynamic
-    /// (one label per live session) and margins are fractional bits.
-    session_margins: Mutex<BTreeMap<SessionId, f64>>,
-    /// Sliding window of the last [`SLO_WINDOW`] end-to-end latencies
-    /// (µs), newest at the back, feeding the diagnostics SLO burn.
-    recent_latency: Mutex<VecDeque<f64>>,
-    /// When this stats instance was created (for utilization).
-    started: Instant,
+/// How a handle kind registers under its name and reads into the
+/// snapshot type `T` of its row.
+trait Handle<T> {
+    fn register(registry: &Registry, name: &str) -> Self;
+    fn read(&self) -> T;
 }
 
-impl Default for RuntimeStats {
-    fn default() -> Self {
-        let registry = Registry::new();
-        let stats = RuntimeStats {
-            cache_hits: registry.counter("hecate_runtime_cache_hits_total"),
-            cache_misses: registry.counter("hecate_runtime_cache_misses_total"),
-            cache_evictions: registry.counter("hecate_runtime_cache_evictions_total"),
-            compiles: registry.counter("hecate_runtime_compiles_total"),
-            completed: registry.counter("hecate_runtime_requests_completed_total"),
-            failed: registry.counter("hecate_runtime_requests_failed_total"),
-            panics: registry.counter("hecate_runtime_panics_total"),
-            retries: registry.counter("hecate_runtime_retries_total"),
-            timeouts: registry.counter("hecate_runtime_timeouts_total"),
-            shed: registry.counter("hecate_runtime_shed_total"),
-            worker_respawns: registry.counter("hecate_runtime_worker_respawns_total"),
-            batched_requests: registry.counter("hecate_runtime_batched_requests_total"),
-            batches_executed: registry.counter("hecate_runtime_batches_executed_total"),
-            batch_occupancy: registry
-                .histogram("hecate_runtime_batch_occupancy", OCCUPANCY_BUCKETS),
-            kernel_jobs: registry.gauge("hecate_runtime_kernel_jobs"),
-            core_budget: registry.gauge("hecate_runtime_core_budget_cores"),
-            queue_depth: registry.gauge("hecate_runtime_queue_depth"),
-            peak_queue_depth: registry.gauge("hecate_runtime_peak_queue_depth"),
-            busy_us: registry.counter("hecate_runtime_busy_us_total"),
-            latency: registry.histogram("hecate_runtime_request_latency_us", LATENCY_BUCKETS),
-            session_margins: Mutex::new(BTreeMap::new()),
-            recent_latency: Mutex::new(VecDeque::with_capacity(SLO_WINDOW)),
-            started: Instant::now(),
-            registry,
-        };
-        // An unmanaged runtime still reports the serial default, so the
-        // split is always well-defined in exports.
-        stats.kernel_jobs.set(1);
-        stats
+impl Handle<u64> for Counter {
+    fn register(registry: &Registry, name: &str) -> Self {
+        registry.counter(name)
     }
+    fn read(&self) -> u64 {
+        self.get()
+    }
+}
+
+impl<T: TryFrom<i64> + Default> Handle<T> for Gauge {
+    fn register(registry: &Registry, name: &str) -> Self {
+        registry.gauge(name)
+    }
+    fn read(&self) -> T {
+        T::try_from(self.get().max(0)).unwrap_or_default()
+    }
+}
+
+impl<const N: usize> Handle<[u64; N]> for Histogram {
+    fn register(registry: &Registry, name: &str) -> Self {
+        registry.histogram(name, N)
+    }
+    fn read(&self) -> [u64; N] {
+        let buckets = self.bucket_counts();
+        std::array::from_fn(|k| buckets[k])
+    }
+}
+
+/// A row's stats-JSON entry: the field under its own name, at
+/// `fixed(decimals)`, as a `list("key")`, through a [`StatsSnapshot`]
+/// method, or none (`_`).
+macro_rules! json_row {
+    ($o:ident, $s:ident, $field:ident) => {
+        $o.field(stringify!($field), $s.$field);
+    };
+    ($o:ident, $s:ident, $field:ident => _) => {};
+    ($o:ident, $s:ident, $field:ident => fixed($decimals:literal)) => {
+        $o.float(stringify!($field), $s.$field, $decimals);
+    };
+    ($o:ident, $s:ident, $field:ident => list($key:literal)) => {
+        $o.list($key, $s.$field);
+    };
+    ($o:ident, $s:ident, $field:ident => $write:ident) => {
+        $s.$write(&mut $o);
+    };
+}
+
+macro_rules! metric_table {
+    ($(
+        $(#[doc = $doc:literal])*
+        $field:ident: $ty:ty $(= $kind:ident($name:literal))? $(=> $json:tt $(($arg:literal))?)?;
+    )*) => {
+        /// Shared metric handles for one [`crate::Runtime`], one per
+        /// recorded row of the metric table.
+        #[derive(Debug)]
+        pub struct RuntimeStats {
+            registry: Registry,
+            $($(pub(crate) $field: $kind,)?)*
+            /// Per-session tightest waterline margin (bits). A map under
+            /// a mutex rather than registry gauges because the key set is
+            /// dynamic (one label per live session) and margins are
+            /// fractional bits.
+            session_margins: Mutex<BTreeMap<SessionId, f64>>,
+            /// The last [`SLO_WINDOW`] end-to-end latencies (µs), newest
+            /// at the back, feeding the diagnostics SLO burn.
+            recent_latency: Mutex<VecDeque<f64>>,
+            /// When this stats instance was created (for utilization).
+            started: Instant,
+        }
+
+        impl Default for RuntimeStats {
+            fn default() -> Self {
+                let registry = Registry::new();
+                let stats = RuntimeStats {
+                    $($($field: <$kind as Handle<$ty>>::register(&registry, $name),)?)*
+                    registry,
+                    session_margins: Mutex::new(BTreeMap::new()),
+                    recent_latency: Mutex::new(VecDeque::with_capacity(SLO_WINDOW)),
+                    started: Instant::now(),
+                };
+                // An unmanaged runtime still reports the serial default, so
+                // the split is always well-defined in exports.
+                stats.kernel_jobs.set(1);
+                stats
+            }
+        }
+
+        impl RuntimeStats {
+            /// A point-in-time copy of every row.
+            pub fn snapshot(&self, workers: usize) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($($field: <$kind as Handle<$ty>>::read(&self.$field),)?)*
+                    ..self.derived(workers)
+                }
+            }
+        }
+
+        /// A point-in-time copy of [`RuntimeStats`]: one field per row of
+        /// the metric table.
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct StatsSnapshot {
+            $($(#[doc = $doc])* pub $field: $ty,)*
+        }
+
+        impl StatsSnapshot {
+            /// Renders the snapshot as one line of JSON, rows in table
+            /// order.
+            pub fn to_json(&self) -> String {
+                let mut o = JsonObject::default();
+                $(json_row!(o, self, $field $(=> $json $(($arg))?)?);)*
+                o.finish()
+            }
+        }
+    };
+}
+
+metric_table! {
+    /// Plan-cache hits.
+    cache_hits: u64 = Counter("hecate_runtime_cache_hits_total");
+    /// Plan-cache lookups that found no artifact (compiles + waits).
+    cache_misses: u64 = Counter("hecate_runtime_cache_misses_total");
+    /// Published artifacts dropped by the LRU bound.
+    cache_evictions: u64 = Counter("hecate_runtime_cache_evictions_total");
+    /// Compiler-pipeline runs (≤ distinct plan keys, thanks to
+    /// single-flight).
+    compiles: u64 = Counter("hecate_runtime_compiles_total");
+    /// Successfully completed requests.
+    completed: u64 = Counter("hecate_runtime_requests_completed_total");
+    /// Failed requests.
+    failed: u64 = Counter("hecate_runtime_requests_failed_total");
+    /// Worker panics isolated into `Panicked` responses (a subset of
+    /// `failed`).
+    panics: u64 = Counter("hecate_runtime_panics_total");
+    /// Re-execution attempts after transient failures.
+    retries: u64 = Counter("hecate_runtime_retries_total");
+    /// Requests that missed their deadline (a subset of `failed`).
+    timeouts: u64 = Counter("hecate_runtime_timeouts_total");
+    /// Requests rejected at admission (`QueueFull` or `Shed`); disjoint
+    /// from `completed` and `failed` (they never executed).
+    shed: u64 = Counter("hecate_runtime_shed_total");
+    /// Worker threads respawned after an escaped panic.
+    worker_respawns: u64 = Counter("hecate_runtime_worker_respawns_total");
+    /// Requests served as members of a shared batched execution
+    /// (occupancy ≥ 2; solo requests never count here).
+    batched_requests: u64 = Counter("hecate_runtime_batched_requests_total");
+    /// Shared batched executions performed (each serving ≥ 2 requests).
+    batches_executed: u64 = Counter("hecate_runtime_batches_executed_total");
+    /// Requests currently queued.
+    queue_depth: u64 = Gauge("hecate_runtime_queue_depth");
+    /// High-water mark of the queue depth.
+    peak_queue_depth: u64 = Gauge("hecate_runtime_peak_queue_depth");
+    /// Total worker busy time, microseconds.
+    busy_us: u64 = Counter("hecate_runtime_busy_us_total");
+    /// Number of worker threads the runtime was configured with.
+    workers: usize;
+    /// Per-request kernel jobs resolved by the core-budget policy (1
+    /// when unmanaged and unset).
+    kernel_jobs: usize = Gauge("hecate_runtime_kernel_jobs");
+    /// Cores the core-budget policy split; 0 when unmanaged.
+    core_budget: usize = Gauge("hecate_runtime_core_budget_cores");
+    /// Fraction of worker wall-clock spent busy since startup, in `[0,1]`.
+    utilization: f64 => fixed(4);
+    /// Latency histogram: bucket `k` counts requests in
+    /// `[2^k, 2^{k+1})` µs.
+    latency_buckets: [u64; LATENCY_BUCKETS]
+        = Histogram("hecate_runtime_request_latency_us") => latency_json;
+    /// Batch occupancy histogram: bucket `k` counts batches of occupancy
+    /// `[2^k, 2^{k+1})` (solo runs are not observed).
+    batch_occupancy_buckets: [u64; OCCUPANCY_BUCKETS]
+        = Histogram("hecate_runtime_batch_occupancy") => list("batch_occupancy_buckets_pow2");
+    /// Sum of end-to-end request latencies, microseconds.
+    latency_sum_us: u64 => _;
+    /// Limb stripes run on claimed kernel-pool workers since process
+    /// start (the pool is process-global).
+    pool_stripes: u64 => _;
+    /// Limb stripes run inline on the submitting thread since process
+    /// start.
+    inline_stripes: u64 => _;
+    /// Each session's tightest waterline margin (bits) over the plans it
+    /// executed, by session id.
+    session_margins: Vec<(SessionId, f64)> => _;
+}
+
+/// Locks `m`, recovering from poisoning: every guarded value here is
+/// plain numbers, so the worst a mid-update panic leaves is a stale one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl RuntimeStats {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The rows no handle records, computed as the snapshot is taken.
+    fn derived(&self, workers: usize) -> StatsSnapshot {
+        let uptime_us = self.started.elapsed().as_secs_f64() * 1e6;
+        let stripes = hecate_math::kernel_pool::stripe_counts();
+        StatsSnapshot {
+            workers,
+            utilization: if uptime_us > 0.0 && workers > 0 {
+                (self.busy_us.get() as f64 / (uptime_us * workers as f64)).min(1.0)
+            } else {
+                0.0
+            },
+            latency_sum_us: self.latency_buckets.sum(),
+            pool_stripes: stripes.pool,
+            inline_stripes: stripes.inline,
+            session_margins: lock(&self.session_margins)
+                .iter()
+                .map(|(&s, &m)| (s, m))
+                .collect(),
+            ..StatsSnapshot::default()
+        }
     }
 
     /// Records the worker/kernel core split the runtime resolved at
@@ -148,48 +268,33 @@ impl RuntimeStats {
         self.core_budget.set(budget_cores as i64);
     }
 
-    /// The registry backing these stats, for custom exports.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Renders all runtime metrics as a Prometheus-style text exposition,
-    /// including derived latency quantile gauges and one labeled
-    /// `hecate_runtime_session_min_margin_bits` gauge per session that has
-    /// executed at least one plan.
+    /// Renders the registry as a Prometheus-style text exposition, then
+    /// the snapshot's derived latency quantile gauges, one labeled
+    /// `session_min_margin_bits` gauge per session that has executed a
+    /// plan, and the kernel pool's stripe split by `mode`.
     pub fn prometheus(&self) -> String {
+        let snap = self.snapshot(0);
         let mut out = self.registry.prometheus();
-        let buckets = self.latency.bucket_counts();
-        for (q, name) in [(0.5, "p50"), (0.95, "p95"), (0.99, "p99")] {
-            let v = quantile_from_pow2_buckets(&buckets, q).unwrap_or(0.0);
-            out.push_str(&format!(
-                "# TYPE hecate_runtime_request_latency_{name}_us gauge\n\
-                 hecate_runtime_request_latency_{name}_us {v:.1}\n"
-            ));
+        for (q, p) in [(0.5, "p50"), (0.95, "p95"), (0.99, "p99")] {
+            let v = snap.latency_quantile_us(q);
+            let _ = writeln!(
+                out,
+                "# TYPE hecate_runtime_request_latency_{p}_us gauge\n\
+                 hecate_runtime_request_latency_{p}_us {v:.1}"
+            );
         }
-        let margins = self
-            .session_margins
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if !margins.is_empty() {
-            out.push_str("# TYPE hecate_runtime_session_min_margin_bits gauge\n");
-            for (sid, m) in margins.iter() {
-                out.push_str(&format!(
-                    "hecate_runtime_session_min_margin_bits{{session=\"{sid}\"}} {m:.3}\n"
-                ));
-            }
+        let margin = "hecate_runtime_session_min_margin_bits";
+        if !snap.session_margins.is_empty() {
+            let _ = writeln!(out, "# TYPE {margin} gauge");
         }
-        drop(margins);
-        // Kernel-pool utilization rides along: the stripe counters are
-        // process-global (the pool is process-global), appended here as
-        // labeled lines because the registry itself is label-free.
-        let stripes = hecate_math::kernel_pool::stripe_counts();
-        out.push_str(&format!(
-            "# TYPE hecate_kernel_stripes_total counter\n\
-             hecate_kernel_stripes_total{{mode=\"pool\"}} {}\n\
-             hecate_kernel_stripes_total{{mode=\"inline\"}} {}\n",
-            stripes.pool, stripes.inline
-        ));
+        for (sid, m) in &snap.session_margins {
+            let _ = writeln!(out, "{margin}{{session=\"{sid}\"}} {m:.3}");
+        }
+        let stripes = "hecate_kernel_stripes_total";
+        let _ = writeln!(out, "# TYPE {stripes} counter");
+        for (mode, n) in [("pool", snap.pool_stripes), ("inline", snap.inline_stripes)] {
+            let _ = writeln!(out, "{stripes}{{mode=\"{mode}\"}} {n}");
+        }
         out
     }
 
@@ -199,46 +304,10 @@ impl RuntimeStats {
         if !margin_bits.is_finite() {
             return;
         }
-        // Recover a poisoned lock: the map holds plain floats, so the
-        // worst a mid-update panic leaves behind is a stale margin.
-        let mut margins = self
-            .session_margins
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        margins
+        lock(&self.session_margins)
             .entry(session)
             .and_modify(|m| *m = m.min(margin_bits))
             .or_insert(margin_bits);
-    }
-
-    /// The tightest waterline margin (bits) recorded per session.
-    pub fn session_margins(&self) -> Vec<(SessionId, f64)> {
-        self.session_margins
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(&s, &m)| (s, m))
-            .collect()
-    }
-
-    /// Records a cache hit.
-    pub fn record_hit(&self) {
-        self.cache_hits.inc();
-    }
-
-    /// Records a cache miss.
-    pub fn record_miss(&self) {
-        self.cache_misses.inc();
-    }
-
-    /// Records one run of the full compiler pipeline.
-    pub fn record_compile(&self) {
-        self.compiles.inc();
-    }
-
-    /// Records a plan-cache eviction.
-    pub fn record_eviction(&self) {
-        self.cache_evictions.inc();
     }
 
     /// Records a request entering the queue.
@@ -257,38 +326,12 @@ impl RuntimeStats {
         self.queue_depth.get().max(0) as u64
     }
 
-    /// Records a worker panic caught at the request isolation boundary.
-    pub fn record_panic(&self) {
-        self.panics.inc();
-    }
-
-    /// Records one re-execution attempt after a transient failure.
-    pub fn record_retry(&self) {
-        self.retries.inc();
-    }
-
-    /// Records a request that missed its deadline.
-    pub fn record_timeout(&self) {
-        self.timeouts.inc();
-    }
-
-    /// Records a request rejected at admission (queue full or shed by the
-    /// cost-priced policy).
-    pub fn record_shed(&self) {
-        self.shed.inc();
-    }
-
-    /// Records a worker thread respawn after an escaped panic.
-    pub fn record_respawn(&self) {
-        self.worker_respawns.inc();
-    }
-
     /// Records one shared batched execution that served `occupancy`
     /// requests from a single ciphertext.
     pub fn record_batch(&self, occupancy: usize) {
         self.batched_requests.add(occupancy as u64);
         self.batches_executed.inc();
-        self.batch_occupancy.observe(occupancy as u64);
+        self.batch_occupancy_buckets.observe(occupancy as u64);
     }
 
     /// Records a finished request with its end-to-end latency and the
@@ -299,12 +342,9 @@ impl RuntimeStats {
         } else {
             self.failed.inc();
         }
-        self.latency.observe(latency_us.max(0.0) as u64);
+        self.latency_buckets.observe(latency_us.max(0.0) as u64);
         self.busy_us.add(busy_us.max(0.0) as u64);
-        let mut recent = self
-            .recent_latency
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut recent = lock(&self.recent_latency);
         if recent.len() == SLO_WINDOW {
             recent.pop_front();
         }
@@ -314,10 +354,7 @@ impl RuntimeStats {
     /// Finished requests currently in the sliding latency window (at
     /// most [`SLO_WINDOW`]).
     pub fn recent_latency_count(&self) -> usize {
-        self.recent_latency
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+        lock(&self.recent_latency).len()
     }
 
     /// Exact nearest-rank latency quantile over the sliding window, in
@@ -326,113 +363,14 @@ impl RuntimeStats {
     /// last [`SLO_WINDOW`] requests — the right horizon for an SLO burn
     /// signal, which must recover once the regression is fixed.
     pub fn recent_latency_quantile(&self, q: f64) -> Option<f64> {
-        let recent = self
-            .recent_latency
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if recent.is_empty() {
+        let mut sorted: Vec<f64> = lock(&self.recent_latency).iter().copied().collect();
+        if sorted.is_empty() {
             return None;
         }
-        let mut sorted: Vec<f64> = recent.iter().copied().collect();
-        drop(recent);
         sorted.sort_by(f64::total_cmp);
         let rank = (sorted.len() as f64 * q.clamp(0.0, 1.0)).ceil() as usize;
         Some(sorted[rank.max(1).min(sorted.len()) - 1])
     }
-
-    /// A point-in-time copy of all counters.
-    pub fn snapshot(&self, workers: usize) -> StatsSnapshot {
-        let uptime_us = self.started.elapsed().as_secs_f64() * 1e6;
-        let busy = self.busy_us.get();
-        let buckets = self.latency.bucket_counts();
-        let occupancy_buckets = self.batch_occupancy.bucket_counts();
-        StatsSnapshot {
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            cache_evictions: self.cache_evictions.get(),
-            compiles: self.compiles.get(),
-            completed: self.completed.get(),
-            failed: self.failed.get(),
-            panics: self.panics.get(),
-            retries: self.retries.get(),
-            timeouts: self.timeouts.get(),
-            shed: self.shed.get(),
-            worker_respawns: self.worker_respawns.get(),
-            batched_requests: self.batched_requests.get(),
-            batches_executed: self.batches_executed.get(),
-            queue_depth: self.queue_depth.get().max(0) as u64,
-            peak_queue_depth: self.peak_queue_depth.get().max(0) as u64,
-            busy_us: busy,
-            latency_sum_us: self.latency.sum(),
-            latency_buckets: std::array::from_fn(|k| buckets[k]),
-            batch_occupancy_buckets: std::array::from_fn(|k| occupancy_buckets[k]),
-            workers,
-            kernel_jobs: self.kernel_jobs.get().max(1) as usize,
-            core_budget: self.core_budget.get().max(0) as usize,
-            utilization: if uptime_us > 0.0 && workers > 0 {
-                (busy as f64 / (uptime_us * workers as f64)).min(1.0)
-            } else {
-                0.0
-            },
-        }
-    }
-}
-
-/// A point-in-time copy of [`RuntimeStats`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatsSnapshot {
-    /// Plan-cache hits.
-    pub cache_hits: u64,
-    /// Plan-cache misses.
-    pub cache_misses: u64,
-    /// Published artifacts dropped by the LRU bound.
-    pub cache_evictions: u64,
-    /// Compiler-pipeline runs (≤ distinct plan keys, thanks to
-    /// single-flight).
-    pub compiles: u64,
-    /// Successfully completed requests.
-    pub completed: u64,
-    /// Failed requests.
-    pub failed: u64,
-    /// Worker panics isolated into `Panicked` responses (a subset of
-    /// `failed`).
-    pub panics: u64,
-    /// Re-execution attempts after transient failures.
-    pub retries: u64,
-    /// Requests that missed their deadline (a subset of `failed`).
-    pub timeouts: u64,
-    /// Requests rejected at admission; disjoint from `completed` and
-    /// `failed` (they never executed).
-    pub shed: u64,
-    /// Worker threads respawned after an escaped panic.
-    pub worker_respawns: u64,
-    /// Requests served as members of a shared batched execution.
-    pub batched_requests: u64,
-    /// Shared batched executions performed.
-    pub batches_executed: u64,
-    /// Requests currently queued.
-    pub queue_depth: u64,
-    /// High-water mark of the queue depth.
-    pub peak_queue_depth: u64,
-    /// Total worker busy time, microseconds.
-    pub busy_us: u64,
-    /// Sum of end-to-end request latencies, microseconds.
-    pub latency_sum_us: u64,
-    /// Latency histogram: bucket `k` counts requests in
-    /// `[2^k, 2^{k+1})` µs.
-    pub latency_buckets: [u64; LATENCY_BUCKETS],
-    /// Batch occupancy histogram: bucket `k` counts batches of occupancy
-    /// `[2^k, 2^{k+1})` (solo runs are not observed).
-    pub batch_occupancy_buckets: [u64; OCCUPANCY_BUCKETS],
-    /// Number of worker threads the runtime was configured with.
-    pub workers: usize,
-    /// Per-request kernel jobs resolved by the core-budget policy (1
-    /// when unmanaged and unset).
-    pub kernel_jobs: usize,
-    /// Cores the core-budget policy split; 0 when unmanaged.
-    pub core_budget: usize,
-    /// Fraction of worker wall-clock spent busy since startup, in `[0,1]`.
-    pub utilization: f64,
 }
 
 impl StatsSnapshot {
@@ -455,57 +393,29 @@ impl StatsSnapshot {
         quantile_from_pow2_buckets(&self.latency_buckets, q).unwrap_or(0.0)
     }
 
-    /// Renders the snapshot as a JSON object.
-    pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self.latency_buckets.iter().map(|c| c.to_string()).collect();
-        let occupancy: Vec<String> = self
-            .batch_occupancy_buckets
-            .iter()
-            .map(|c| c.to_string())
-            .collect();
-        format!(
-            concat!(
-                "{{\"cache_hits\":{},\"cache_misses\":{},",
-                "\"cache_evictions\":{},\"compiles\":{},",
-                "\"completed\":{},\"failed\":{},\"panics\":{},",
-                "\"retries\":{},\"timeouts\":{},\"shed\":{},",
-                "\"worker_respawns\":{},\"batched_requests\":{},",
-                "\"batches_executed\":{},\"queue_depth\":{},",
-                "\"peak_queue_depth\":{},\"busy_us\":{},\"workers\":{},",
-                "\"kernel_jobs\":{},\"core_budget\":{},",
-                "\"utilization\":{:.4},\"mean_latency_us\":{:.1},",
-                "\"latency_p50_us\":{:.1},\"latency_p95_us\":{:.1},",
-                "\"latency_p99_us\":{:.1},",
-                "\"latency_buckets_pow2_us\":[{}],",
-                "\"batch_occupancy_buckets_pow2\":[{}]}}"
-            ),
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.compiles,
-            self.completed,
-            self.failed,
-            self.panics,
-            self.retries,
-            self.timeouts,
-            self.shed,
-            self.worker_respawns,
-            self.batched_requests,
-            self.batches_executed,
-            self.queue_depth,
-            self.peak_queue_depth,
-            self.busy_us,
-            self.workers,
-            self.kernel_jobs,
-            self.core_budget,
-            self.utilization,
-            self.mean_latency_us(),
-            self.latency_quantile_us(0.5),
-            self.latency_quantile_us(0.95),
-            self.latency_quantile_us(0.99),
-            buckets.join(","),
-            occupancy.join(",")
-        )
+    /// Share of kernel-pool stripes that fell back to inline execution
+    /// — the pool-starvation signal. 0 when nothing has run.
+    pub fn inline_share(&self) -> f64 {
+        let total = self.pool_stripes + self.inline_stripes;
+        if total == 0 {
+            0.0
+        } else {
+            self.inline_stripes as f64 / total as f64
+        }
+    }
+
+    /// The latency row's JSON: the mean and interpolated quantiles ahead
+    /// of the raw buckets.
+    fn latency_json(&self, o: &mut JsonObject) {
+        o.float("mean_latency_us", self.mean_latency_us(), 1);
+        for (q, key) in [
+            (0.5, "latency_p50_us"),
+            (0.95, "latency_p95_us"),
+            (0.99, "latency_p99_us"),
+        ] {
+            o.float(key, self.latency_quantile_us(q), 1);
+        }
+        o.list("latency_buckets_pow2_us", self.latency_buckets);
     }
 }
 
@@ -516,22 +426,22 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = RuntimeStats::new();
-        s.record_miss();
-        s.record_compile();
-        s.record_hit();
-        s.record_hit();
+        s.cache_misses.inc();
+        s.compiles.inc();
+        s.cache_hits.inc();
+        s.cache_hits.inc();
         s.record_enqueue();
         s.record_enqueue();
         s.record_dequeue();
         s.record_done(true, 100.0, 80.0);
         s.record_done(false, 3.0, 2.0);
-        s.record_eviction();
-        s.record_panic();
-        s.record_retry();
-        s.record_retry();
-        s.record_timeout();
-        s.record_shed();
-        s.record_respawn();
+        s.cache_evictions.inc();
+        s.panics.inc();
+        s.retries.inc();
+        s.retries.inc();
+        s.timeouts.inc();
+        s.shed.inc();
+        s.worker_respawns.inc();
         s.record_batch(4);
         s.record_batch(2);
         let snap = s.snapshot(2);
@@ -613,6 +523,10 @@ mod tests {
             kernel_jobs: 4,
             core_budget: 8,
             utilization: 0.25,
+            // Rows outside the stats JSON must not leak into it.
+            pool_stripes: 6,
+            inline_stripes: 2,
+            session_margins: vec![(1, 10.25)],
         };
         assert_eq!(
             snap.to_json(),
@@ -645,10 +559,10 @@ mod tests {
     #[test]
     fn prometheus_exposes_runtime_metrics() {
         let s = RuntimeStats::new();
-        s.record_hit();
+        s.cache_hits.inc();
         s.record_done(true, 10.0, 5.0);
-        s.record_panic();
-        s.record_shed();
+        s.panics.inc();
+        s.shed.inc();
         let text = s.prometheus();
         assert!(text.contains("# TYPE hecate_runtime_cache_hits_total counter"));
         assert!(text.contains("hecate_runtime_cache_hits_total 1"));
@@ -727,10 +641,10 @@ mod tests {
              hecate_runtime_session_min_margin_bits{session=\"3\"} 12.500\n\
              hecate_runtime_session_min_margin_bits{session=\"7\"} 4.250\n"
         ));
-        assert_eq!(s.session_margins(), vec![(3, 12.5), (7, 4.25)]);
+        assert_eq!(s.snapshot(1).session_margins, vec![(3, 12.5), (7, 4.25)]);
         // Non-finite margins are ignored rather than exported as NaN.
         s.record_precision(9, f64::NAN);
-        assert_eq!(s.session_margins().len(), 2);
+        assert_eq!(s.snapshot(1).session_margins.len(), 2);
     }
 
     #[test]

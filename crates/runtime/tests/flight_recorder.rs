@@ -260,32 +260,43 @@ fn panicked_request_writes_a_black_box() {
 }
 
 /// `Runtime::diagnose` reflects live state: queue geometry, plan cache,
-/// per-session margins, recorder occupancy, and SLO burn.
+/// per-session margins, recorder occupancy, and SLO burn — and it reads
+/// the same metric snapshot as `Runtime::stats`.
 #[test]
 fn diagnose_reports_live_state() {
     let _g = locked();
     recorder::clear();
     let workers = 2;
-    let rt = Runtime::new(RuntimeConfig {
+    let mut config = RuntimeConfig {
         workers,
         // Absurdly loose objective: burn must come out far below 1.
         slo_target_us: Some(60_000_000.0),
         ..RuntimeConfig::default()
-    });
+    };
+    // Unmanaged and unset: kernels run serially, so both surfaces say 1.
+    config.backend.kernel_jobs = 0;
+    let rt = Runtime::new(config);
+    assert_eq!(rt.stats().kernel_jobs, 1);
+    assert!(
+        rt.diagnose()
+            .to_json()
+            .contains("\"kernel_jobs\":1,\"budget_cores\":0}"),
+        "diagnostics must report the kernel jobs the stats report"
+    );
     let session = rt.open_session();
     let reqs: Vec<Request> = (0..3).map(|_| request(session)).collect();
     for r in rt.run_batch(reqs) {
         r.unwrap();
     }
     let d = rt.diagnose();
-    assert_eq!(d.workers, workers);
+    assert_eq!(d.stats.workers, workers);
     assert_eq!(d.shard_depths.len(), workers, "one shard per worker");
     assert_eq!(d.shard_depths.iter().sum::<usize>(), 0, "queue drained");
     assert_eq!(d.stats.completed, 3);
     assert_eq!(d.plan_cache.entries.len(), 1, "one cached plan");
     assert!(d.plan_cache.entries[0].estimated_latency_us > 0.0);
-    assert_eq!(d.sessions.len(), 1);
-    assert_eq!(d.sessions[0].session, session);
+    assert_eq!(d.stats.session_margins.len(), 1);
+    assert_eq!(d.stats.session_margins[0].0, session);
     assert!(d.recorder.enabled, "recorder is on while the runtime lives");
     assert!(d.recorder.ring_events > 0, "the rings saw this traffic");
     assert_eq!(d.slo.window, 3);

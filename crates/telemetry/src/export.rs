@@ -1,5 +1,6 @@
 //! Event-stream exporters: JSONL, Chrome trace-event JSON, precision
-//! JSONL — all over one record serializer.
+//! JSONL — all over one record serializer — and [`JsonObject`], the
+//! writer behind the runtime's stats, diagnostics and black-box JSON.
 //!
 //! They are hand-rolled string builders — this crate takes no
 //! dependencies. The Chrome exporter emits the [trace-event format]
@@ -10,6 +11,94 @@
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::trace::{AttrValue, Event, EventKind};
+use std::fmt::{Display, Write};
+
+/// A single-line JSON object, written field by field in call order.
+#[derive(Default)]
+pub struct JsonObject {
+    out: String,
+}
+
+impl JsonObject {
+    fn key(&mut self, key: &str) -> &mut String {
+        self.out.push(if self.out.is_empty() { '{' } else { ',' });
+        let _ = write!(self.out, "\"{}\":", escape(key));
+        &mut self.out
+    }
+
+    /// Writes `value` verbatim: an integer, a boolean, or an
+    /// already-serialized JSON value.
+    pub fn field(&mut self, key: &str, value: impl Display) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    /// Writes `value` as an escaped JSON string.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        self.field(key, format_args!("\"{}\"", escape(value)))
+    }
+
+    /// Writes a float with `precision` decimals; `None` or a non-finite
+    /// value is `null`.
+    pub fn float(
+        &mut self,
+        key: &str,
+        value: impl Into<Option<f64>>,
+        precision: usize,
+    ) -> &mut Self {
+        match value.into().filter(|v| v.is_finite()) {
+            Some(v) => self.field(key, format_args!("{v:.precision$}")),
+            None => self.field(key, "null"),
+        }
+    }
+
+    /// Writes an array of values, each written verbatim.
+    pub fn list<T: Display>(
+        &mut self,
+        key: &str,
+        values: impl IntoIterator<Item = T>,
+    ) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, v) in values.into_iter().enumerate() {
+            let _ = write!(out, "{}{v}", if i > 0 { "," } else { "" });
+        }
+        out.push(']');
+        self
+    }
+
+    /// Writes a nested object that `fill` populates.
+    pub fn object(&mut self, key: &str, fill: impl FnOnce(&mut JsonObject)) -> &mut Self {
+        let mut inner = JsonObject::default();
+        fill(&mut inner);
+        self.field(key, inner.finish())
+    }
+
+    /// Writes an array holding one object per item, each populated by
+    /// `fill`.
+    pub fn objects<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut fill: impl FnMut(&mut JsonObject, T),
+    ) -> &mut Self {
+        let objects = items.into_iter().map(|item| {
+            let mut inner = JsonObject::default();
+            fill(&mut inner, item);
+            inner.finish()
+        });
+        self.list(key, objects)
+    }
+
+    /// Closes the object and returns its text.
+    pub fn finish(mut self) -> String {
+        if self.out.is_empty() {
+            self.out.push('{');
+        }
+        self.out.push('}');
+        self.out
+    }
+}
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -266,6 +355,31 @@ mod tests {
         };
         let line = jsonl(&[ev]);
         assert!(line.contains("a\\\"b\\\\c\\nd\\u0001"));
+    }
+
+    #[test]
+    fn json_object_writes_typed_fields_in_order() {
+        assert_eq!(JsonObject::default().finish(), "{}");
+        let mut o = JsonObject::default();
+        o.field("n", 3u64)
+            .field("ok", true)
+            .str("s", "a\"b")
+            .list("xs", [1usize, 2])
+            .float("f", 0.25, 2)
+            .float("none", None, 1)
+            .float("nan", f64::NAN, 1)
+            .object("inner", |i| {
+                i.list("empty", Vec::<u64>::new());
+            })
+            .objects("rows", [1u64, 2], |r, v| {
+                r.field("v", v);
+            })
+            .field("doc", "[{}]");
+        assert_eq!(
+            o.finish(),
+            "{\"n\":3,\"ok\":true,\"s\":\"a\\\"b\",\"xs\":[1,2],\"f\":0.25,\"none\":null,\
+             \"nan\":null,\"inner\":{\"empty\":[]},\"rows\":[{\"v\":1},{\"v\":2}],\"doc\":[{}]}"
+        );
     }
 
     #[test]

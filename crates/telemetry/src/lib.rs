@@ -25,7 +25,8 @@
 //!   Prometheus-style text.
 //! - [`export`] — the event-stream exporters: JSONL, Chrome trace-event
 //!   JSON (loadable in Perfetto or `chrome://tracing`), and the precision
-//!   JSONL, over one record serializer.
+//!   JSONL, over one record serializer; plus [`export::JsonObject`], the
+//!   writer for every other JSON document (stats, diagnostics, black box).
 //!
 //! The crate deliberately depends on nothing, not even other HECATE
 //! crates, so every layer of the workspace (compiler, backend, serving

@@ -14,6 +14,7 @@
 //! histogram always had, so its JSON snapshot stays byte-compatible.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -201,24 +202,6 @@ impl Metric {
     }
 }
 
-/// A snapshot of one registered metric, for programmatic export.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// Counter value.
-    Counter(u64),
-    /// Gauge value.
-    Gauge(i64),
-    /// Histogram buckets, sum, and count.
-    Histogram {
-        /// Per-bucket counts, lowest first.
-        buckets: Vec<u64>,
-        /// Sum of observations.
-        sum: u64,
-        /// Number of observations.
-        count: u64,
-    },
-}
-
 /// A name → metric map with get-or-create registration.
 #[derive(Debug, Default)]
 pub struct Registry {
@@ -272,60 +255,37 @@ impl Registry {
         }
     }
 
-    /// Snapshots every registered metric, sorted by name.
-    pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
-        let metrics = self.metrics.lock().unwrap();
-        metrics
-            .iter()
-            .map(|(name, m)| {
-                let value = match m {
-                    Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricValue::Histogram {
-                        buckets: h.bucket_counts(),
-                        sum: h.sum(),
-                        count: h.count(),
-                    },
-                };
-                (name.clone(), value)
-            })
-            .collect()
-    }
-
-    /// Renders the registry as a Prometheus-style text exposition.
+    /// Renders the registry as a Prometheus-style text exposition, one
+    /// family per metric, sorted by name.
     ///
     /// Histogram buckets are cumulative with `le` upper bounds at
     /// `2^(k+1)` and a final `+Inf` bucket, matching the power-of-two
     /// bucket layout.
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
-        for (name, value) in self.snapshot() {
-            match value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-                }
-                MetricValue::Histogram {
-                    buckets,
-                    sum,
-                    count,
-                } => {
-                    out.push_str(&format!("# TYPE {name} histogram\n"));
+        for (name, metric) in self.metrics.lock().unwrap().iter() {
+            let _ = writeln!(out, "# TYPE {name} {}", metric.kind());
+            let _ = match metric {
+                Metric::Counter(c) => writeln!(out, "{name} {}", c.get()),
+                Metric::Gauge(g) => writeln!(out, "{name} {}", g.get()),
+                Metric::Histogram(h) => {
+                    let buckets = h.bucket_counts();
                     let mut cumulative = 0u64;
                     for (k, c) in buckets.iter().enumerate() {
                         cumulative += c;
                         if k + 1 < buckets.len() {
                             let le = 1u128 << (k + 1);
-                            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+                            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
                         }
                     }
-                    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-                    out.push_str(&format!("{name}_sum {sum}\n"));
-                    out.push_str(&format!("{name}_count {count}\n"));
+                    writeln!(
+                        out,
+                        "{name}_bucket{{le=\"+Inf\"}} {cumulative}\n{name}_sum {}\n{name}_count {}",
+                        h.sum(),
+                        h.count()
+                    )
                 }
-            }
+            };
         }
         out
     }
@@ -479,7 +439,6 @@ mod tests {
     fn empty_registry_prometheus_export() {
         let r = Registry::new();
         assert_eq!(r.prometheus(), "", "no metrics, no output");
-        assert!(r.snapshot().is_empty());
         // A histogram with zero observations still renders complete
         // cumulative buckets, sum, and count.
         r.histogram("empty_us", 3);

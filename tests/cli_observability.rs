@@ -376,6 +376,65 @@ fn traced_serve_run_feeds_the_trace_file_and_retention_at_once() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// DESIGN.md's "Metrics" table lists every family a `--serve --metrics`
+/// file can hold: each family in a real file is a row, and each row
+/// marked "always" is in the file.
+#[test]
+fn serve_metrics_families_are_the_design_table() {
+    let metrics = tmp("table.metrics.prom");
+    let (code, stdout, stderr) = run_poly(&[
+        "--serve",
+        "--jobs",
+        "1",
+        "--repeat",
+        "2",
+        "--degree",
+        "256",
+        "--quiet",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+    let text = std::fs::read_to_string(&metrics).expect("metrics written");
+    let _ = std::fs::remove_file(&metrics);
+    let families: Vec<&str> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .map(|family| family.split(' ').next().expect("a family name"))
+        .collect();
+
+    let design =
+        std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("DESIGN.md"))
+            .expect("DESIGN.md readable");
+    let section = design
+        .split("\n## Metrics\n")
+        .nth(1)
+        .expect("DESIGN.md has a Metrics section");
+    let rows: Vec<(&str, &str)> = section
+        .lines()
+        .take_while(|line| !line.starts_with("## "))
+        .filter_map(|line| line.strip_prefix("| `"))
+        .map(|row| {
+            let family = row.split(['`', '{']).next().expect("a family cell");
+            let present = row.trim_end().trim_end_matches('|').rsplit('|').next();
+            (family, present.expect("a Present cell").trim())
+        })
+        .collect();
+    assert!(rows.len() > 20, "the Metrics table did not parse: {rows:?}");
+    for family in &families {
+        assert!(
+            rows.iter().any(|(row, _)| row == family),
+            "{family} is in the --metrics file but not a row of DESIGN.md's Metrics table"
+        );
+    }
+    for (row, present) in &rows {
+        assert!(
+            !present.starts_with("always") || families.contains(row),
+            "DESIGN.md marks {row} as always present, but the --metrics file lacks it"
+        );
+    }
+}
+
 /// Every panicked request leaves its black box under `--diag-out`; there
 /// is no longer a recorder opt-out that silently suppresses it.
 #[test]
