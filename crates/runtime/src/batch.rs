@@ -3,23 +3,22 @@
 //!
 //! Every request a worker dequeues comes through here. With
 //! [`crate::RuntimeConfig::max_batch`] > 1 the worker does not execute
-//! it immediately: it keeps draining the queue (up to
-//! [`crate::RuntimeConfig::batch_window`]) for *compatible* requests —
-//! same plan key, i.e. identical function, scheme, and compile options —
-//! and coalesces them into one slot-batched execution; at `max_batch` 1
-//! no member joins and the request is served solo.
+//! it immediately: it keeps taking *compatible* requests — same plan
+//! key, i.e. identical function, scheme, and compile options — out of
+//! the queue (for up to [`crate::RuntimeConfig::batch_window`]) and
+//! coalesces them into one slot-batched execution; at `max_batch` 1 no
+//! member joins and the request is served solo.
 //! Each member's inputs are packed into a disjoint slot block of a shared
 //! ciphertext, the circuit runs once through the same op driver solo
 //! requests use (`hecate_backend::exec::execute`, on the same
 //! `jobs_per_request` DAG workers), and the per-tenant runs it returns
-//! become the per-member responses. Incompatible requests dequeued along
-//! the way are pushed onto the queue's priority lane, where *any* idle
-//! worker picks them up immediately — they never wait for the coalescer
-//! that set them aside. The wait for compatible members is condvar-bounded
-//! ([`crate::shard::JobQueue::pop_deadline`]): a member arriving midway
-//! through the window wakes the coalescer at once, so small batches
-//! close as soon as their members exist instead of being quantized by a
-//! polling interval.
+//! become the per-member responses. Members are collected with the
+//! queue's `take_matching`, which removes only same-key jobs: an
+//! incompatible request keeps its place in the queue for the next free
+//! worker and never waits for the coalescer. The wait is bounded by the
+//! queue's condvar, so a member arriving midway through the window wakes
+//! the coalescer at once and small batches close as soon as their
+//! members exist instead of being quantized by a polling interval.
 //!
 //! # Failure domains
 //!
@@ -37,26 +36,23 @@
 //!
 //! # Key honesty
 //!
-//! A shared ciphertext is necessarily encrypted under one key, so a
-//! batched run uses a per-(plan, occupancy) engine seeded from the
-//! runtime's base seed rather than any single session's keys. This is
-//! not a weakening of the trust model: the runtime's [`SessionManager`]
-//! already holds every session's key material server-side (see its
-//! module docs — isolation is against mix-ups, not adversaries), and
-//! batching is opt-in per deployment.
+//! A shared ciphertext is necessarily encrypted under one key, so every
+//! batched run executes under the runtime's shared session (id 0, never
+//! handed out, seeded from the base seed like any other) rather than any
+//! single tenant's. This is not a weakening of the trust model: the
+//! runtime's [`SessionManager`] already holds every session's key
+//! material server-side (see its module docs — isolation is against
+//! mix-ups, not adversaries), and batching is opt-in per deployment.
 //!
 //! [`SessionManager`]: crate::session::SessionManager
 
 use crate::chaos::ChaosInjection;
 use crate::pool::{Inner, Job, Response};
-use hecate_backend::exec::{execute, BackendOptions, CancelToken, ExecEngine, ExecError};
-use hecate_compiler::CompiledProgram;
-use hecate_ir::hash::Fnv1a;
+use hecate_backend::exec::{execute, CancelToken};
 use hecate_telemetry::{recorder, trace};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Process-wide batch-id mint (ids start at 1; `0` means "no batch" in
@@ -64,84 +60,6 @@ use std::time::Instant;
 /// `batch-execute` span with each member's `batch-member` mark, so a
 /// retained trace for one request pulls in the batch work it shared.
 static NEXT_BATCH_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Deterministic seed for the shared engine of one (plan, occupancy)
-/// batch family: an FNV-1a mix, so batched runs are as reproducible as
-/// solo ones.
-fn batch_seed(base: u64, plan: u64, occupancy: usize) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(&base.to_le_bytes());
-    h.write(&plan.to_le_bytes());
-    h.write(&(occupancy as u64).to_le_bytes());
-    h.finish()
-}
-
-/// Shared packed engines, keyed by `(plan key, occupancy)`.
-///
-/// A `None` value is a tombstone: that occupancy was tried and the plan's
-/// slot footprint does not fit its blocks, so future batches skip the
-/// keygen attempt and shrink immediately.
-#[derive(Default)]
-pub(crate) struct BatchEngines {
-    engines: Mutex<EngineMap>,
-}
-
-/// `None` marks an occupancy proven infeasible for the plan.
-type EngineMap = HashMap<(u64, usize), Option<Arc<ExecEngine>>>;
-
-impl BatchEngines {
-    fn lock(&self) -> std::sync::MutexGuard<'_, EngineMap> {
-        self.engines.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The shared engine for `plan` at `occupancy`, building (keygen)
-    /// on first use. `Ok(None)` means this occupancy is infeasible for
-    /// the plan — recorded as a tombstone so the answer is instant next
-    /// time.
-    ///
-    /// # Errors
-    /// Propagates engine construction failures other than infeasibility
-    /// (those are not cached; a later attempt may succeed).
-    fn get(
-        &self,
-        plan: u64,
-        occupancy: usize,
-        prog: &Arc<CompiledProgram>,
-        backend: &BackendOptions,
-    ) -> Result<Option<Arc<ExecEngine>>, ExecError> {
-        if let Some(cached) = self.lock().get(&(plan, occupancy)) {
-            return Ok(cached.clone());
-        }
-        // Build outside the lock: keygen is expensive and must not
-        // serialize other batches. A racing builder wastes work, never
-        // corrupts (identical seeds give identical keys).
-        let mut opts = backend.clone();
-        opts.seed = batch_seed(backend.seed, plan, occupancy);
-        opts.batch_occupancy = occupancy;
-        match ExecEngine::new(prog.clone(), &opts) {
-            Ok(engine) => {
-                let engine = Arc::new(engine);
-                Ok(self
-                    .lock()
-                    .entry((plan, occupancy))
-                    .or_insert(Some(engine))
-                    .clone())
-            }
-            Err(ExecError::BatchUnsupported { .. }) => {
-                self.lock().insert((plan, occupancy), None);
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Drops the cached engine for `(plan, occupancy)`; the next batch
-    /// rebuilds from scratch. Called after a shared-run failure, since
-    /// the failure may stem from engine state.
-    fn invalidate(&self, plan: u64, occupancy: usize) {
-        self.lock().remove(&(plan, occupancy));
-    }
-}
 
 /// Largest power of two ≤ `n` (0 for 0).
 fn floor_pow2(n: usize) -> usize {
@@ -173,40 +91,19 @@ fn serve_each_solo(inner: &Inner, jobs: Vec<(Job, Option<ChaosInjection>)>) {
 /// runs them as one packed execution, demultiplexes the responses, and
 /// serves everything else solo. See the module docs for the collection
 /// and degradation rules.
-pub(crate) fn serve_coalesced(inner: &Inner, worker: usize, first: Job) {
+pub(crate) fn serve_coalesced(inner: &Inner, first: Job) {
     let key = first.key;
     let max = inner.config.max_batch.max(1);
     let window_end = Instant::now() + inner.config.batch_window;
     let mut members = vec![first];
-    // `pop_deadline` parks on the queue's condvar until `window_end`, so
-    // a compatible member arriving mid-window joins immediately (no
-    // polling quantization) and already-queued jobs drain instantly even
-    // with a zero window. Its filter takes same-key jobs from the
-    // priority lane too (another coalescer may have stashed a job this
-    // batch wants) while never re-popping an incompatible job this
-    // worker just set aside.
+    // Already-queued members are taken at once, even with a zero window;
+    // `None` means the window expired (or the queue closed).
     while members.len() < max {
-        let same_key = |job: &Job| job.key == key;
-        match inner.queue.pop_deadline(worker, window_end, same_key) {
-            Some(job) => {
-                if job.key == key {
-                    // The member leaves the queue now; its wait ends here.
-                    inner.stats.record_dequeue();
-                    trace::complete_with("queue-wait", job.enqueued, || {
-                        vec![
-                            ("session", job.req.session.into()),
-                            ("req_id", job.req_id.into()),
-                        ]
-                    });
-                    members.push(job);
-                } else {
-                    // Still logically queued (no dequeue recorded): the
-                    // priority lane hands it to any idle worker at once.
-                    inner.queue.push_priority(job);
-                }
-            }
-            None => break, // window expired (or queue closed)
-        }
+        let Some(job) = inner.queue.take_matching(window_end, |job| job.key == key) else {
+            break;
+        };
+        inner.dequeued(&job);
+        members.push(job);
     }
 
     // Chaos and expired deadlines are decided per member, now: injected
@@ -266,14 +163,12 @@ fn run_shared(
         }
     };
     // Shrink until the plan's slot footprint fits the blocks.
+    let shared = inner.sessions.shared();
     let engine = loop {
         if occupancy < 2 {
             return Err(clean);
         }
-        match inner
-            .batch_engines
-            .get(key, occupancy, &artifact.prog, &inner.config.backend)
-        {
+        match shared.engine(&artifact, occupancy, &inner.config.backend) {
             Ok(Some(engine)) => break engine,
             Ok(None) => occupancy /= 2,
             Err(_) => return Err(clean),
@@ -333,7 +228,7 @@ fn run_shared(
                 ]
             });
             if crate::pool::is_transient(&e) {
-                inner.batch_engines.invalidate(key, occupancy);
+                shared.invalidate(key, occupancy);
             }
             let mut all = batch;
             all.extend(extras);
@@ -351,7 +246,7 @@ fn run_shared(
                     ("cause", "panic".into()),
                 ]
             });
-            inner.batch_engines.invalidate(key, occupancy);
+            shared.invalidate(key, occupancy);
             let mut all = batch;
             all.extend(extras);
             return Err(all);

@@ -1,14 +1,15 @@
 //! Diagnostics snapshots: the runtime's introspection plane.
 //!
 //! [`DiagnosticsReport`] is one coherent, JSON-serializable answer to
-//! "what is the runtime doing right now": per-shard queue depths, the
-//! kernel pool's thread ceiling and claimed-slot vs inline-fallback
-//! split, the plan cache's contents with hit/eviction counters, each
-//! session's worst observed noise margin, the flight recorder's
-//! retained-trace index, and SLO burn (the sliding p99 against the
-//! configured latency target). Every metric in it — workers, the kernel
-//! split, the session margins, the counters — is read from one
-//! [`StatsSnapshot`], the same one [`crate::Runtime::stats`] returns.
+//! "what is the runtime doing right now": the queue's depth against its
+//! bound, the kernel pool's thread ceiling and claimed-slot vs
+//! inline-fallback split, the plan cache's contents with hit/eviction
+//! counters, each session's worst observed noise margin, the flight
+//! recorder's retained-trace index, and SLO burn (the sliding p99
+//! against the configured latency target). Every metric in it —
+//! workers, the queue depth, the kernel split, the session margins, the
+//! counters — is read from one [`StatsSnapshot`], the same one
+//! [`crate::Runtime::stats`] returns.
 //!
 //! Three consumers share the report:
 //!
@@ -100,11 +101,8 @@ pub struct DiagnosticsReport {
     /// Wall-clock nanoseconds since the Unix epoch when the report was
     /// collected.
     pub generated_ns: u64,
-    /// Queued jobs per worker shard, in shard order.
-    pub shard_depths: Vec<usize>,
-    /// Jobs in the priority lane (coalescer stashes).
-    pub priority_depth: usize,
-    /// The queue's total bound.
+    /// The queue's bound; its depth is the snapshot's
+    /// [`StatsSnapshot::queue_depth`].
     pub queue_capacity: usize,
     /// Kernel-pool thread geometry.
     pub kernel: KernelDiag,
@@ -129,8 +127,7 @@ impl DiagnosticsReport {
         o.field("generated_ns", self.generated_ns)
             .field("workers", s.workers)
             .object("queue", |q| {
-                q.list("shards", &self.shard_depths)
-                    .field("priority", self.priority_depth)
+                q.field("depth", s.queue_depth)
                     .field("capacity", self.queue_capacity);
             })
             .object("kernel", |k| {
@@ -190,14 +187,11 @@ fn unix_now_ns() -> u64 {
 
 /// Collects a [`DiagnosticsReport`] from a live runtime's internals.
 pub(crate) fn collect(inner: &Inner) -> DiagnosticsReport {
-    let (shard_depths, priority_depth) = inner.queue.depths();
     let p50_us = inner.stats.recent_latency_quantile(0.50);
     let p99_us = inner.stats.recent_latency_quantile(0.99);
     let target_us = inner.config.slo_target_us;
     DiagnosticsReport {
         generated_ns: unix_now_ns(),
-        shard_depths,
-        priority_depth,
         queue_capacity: inner.config.queue_capacity.max(1),
         kernel: KernelDiag {
             max_threads: hecate_math::kernel_pool::max_threads(),
@@ -320,8 +314,6 @@ mod tests {
     fn sample_report() -> DiagnosticsReport {
         DiagnosticsReport {
             generated_ns: 42,
-            shard_depths: vec![1, 0],
-            priority_depth: 3,
             queue_capacity: 16,
             kernel: KernelDiag {
                 max_threads: 4,
@@ -357,6 +349,7 @@ mod tests {
             },
             stats: StatsSnapshot {
                 workers: 2,
+                queue_depth: 3,
                 pool_stripes: 6,
                 inline_stripes: 2,
                 kernel_jobs: 2,
@@ -375,7 +368,7 @@ mod tests {
         let report = sample_report();
         let json = report.to_json();
         let want_prefix = "{\"generated_ns\":42,\"workers\":2,\
-             \"queue\":{\"shards\":[1,0],\"priority\":3,\"capacity\":16},\
+             \"queue\":{\"depth\":3,\"capacity\":16},\
              \"kernel\":{\"max_threads\":4,\"spawned_threads\":2,\"pool_stripes\":6,\"inline_stripes\":2,\"inline_share\":0.2500,\"kernel_jobs\":2,\"budget_cores\":8},\
              \"plan_cache\":{\"capacity\":4,\"entries\":[{\"key\":\"0000000000000abc\",\"ops\":7,\"estimated_latency_us\":12.5,\"last_used_tick\":9}]},\
              \"sessions\":[{\"session\":1,\"min_margin_bits\":10.250}],\

@@ -23,10 +23,9 @@
 //! dependence DAG on [`RuntimeConfig::jobs_per_request`] workers that is
 //! bit-identical at any worker count.
 //!
-//! [`Runtime`] wires them together behind a sharded work-stealing
-//! request queue ([`pool`]): each worker owns a dequeue shard and steals
-//! from its peers when idle, so the hot path never serializes on one
-//! lock, and a [`CoreBudget`] policy splits the machine's cores between
+//! [`Runtime`] wires them together behind one bounded request queue
+//! feeding a supervised worker pool ([`pool`]), and a [`CoreBudget`]
+//! policy splits the machine's cores between
 //! request workers, per-request DAG workers, and kernel jobs. [`stats`]
 //! declares every runtime metric once, in one table, and renders it as
 //! JSON and Prometheus text.
@@ -91,7 +90,6 @@ pub mod chaos;
 pub mod diag;
 pub mod pool;
 pub mod session;
-mod shard;
 pub mod stats;
 
 pub use cache::{plan_key, PlanArtifact, PlanCache, PlanCacheEntry};

@@ -6,11 +6,10 @@
 //! first use), and the backend's one op driver
 //! ([`hecate_backend::exec::execute`]) runs the request on
 //! `jobs_per_request` DAG workers. Worker
-//! threads pull from a sharded, work-stealing bounded queue
-//! (`crate::shard::JobQueue` — one shard per worker, so dequeue never
-//! serializes the pool on a single lock); [`RuntimeStats`] observes
-//! every stage, and [`CoreBudget`] decides how many cores go to request
-//! workers, per-request DAG workers, and kernel jobs.
+//! threads pull from one bounded FIFO queue (`JobQueue`: a deque under
+//! one mutex, idle workers parked on one condvar); [`RuntimeStats`]
+//! observes every stage, and [`CoreBudget`] decides how many cores go to
+//! request workers, per-request DAG workers, and kernel jobs.
 //!
 //! # Failure domains
 //!
@@ -49,20 +48,17 @@
 use crate::cache::{plan_key, PlanCache};
 use crate::chaos::{ChaosInjection, ChaosOptions, ChaosState};
 use crate::session::{SessionId, SessionManager};
-use crate::shard::{JobQueue, PushError};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use crate::RuntimeError;
-use hecate_backend::exec::{
-    execute, BackendOptions, CancelToken, EncryptedRun, ExecEngine, ExecError,
-};
+use hecate_backend::exec::{execute, BackendOptions, CancelToken, EncryptedRun, ExecError};
 use hecate_compiler::{CompileOptions, Scheme};
 use hecate_ir::Function;
 use hecate_telemetry::{recorder, trace};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -308,6 +304,118 @@ pub(crate) struct Job {
     pub(crate) req_id: u64,
 }
 
+/// Why [`JobQueue::push`] rejected an item.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum PushError {
+    /// The queue is at capacity.
+    Full,
+    /// [`JobQueue::close`] was called; no further work is accepted.
+    Closed,
+}
+
+/// The bounded FIFO every worker pulls from: one deque and a closed flag
+/// under one mutex, and one condvar that idle workers and batch
+/// coalescers park on.
+pub(crate) struct JobQueue<T> {
+    state: Mutex<QueueState<T>>,
+    wake: Condvar,
+    capacity: usize,
+}
+
+struct QueueState<T> {
+    items: VecDeque<T>,
+    closed: bool,
+}
+
+impl<T> JobQueue<T> {
+    /// An empty queue holding at most `capacity` items (at least 1).
+    pub(crate) fn new(capacity: usize) -> Self {
+        JobQueue {
+            state: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                closed: false,
+            }),
+            wake: Condvar::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Locks the state, recovering from poisoning: every critical
+    /// section is one deque operation or a flag store, so a panicked
+    /// holder cannot leave it half-updated.
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Appends `item` and wakes every waiter.
+    pub(crate) fn push(&self, item: T) -> Result<(), PushError> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(PushError::Closed);
+        }
+        if state.items.len() >= self.capacity {
+            return Err(PushError::Full);
+        }
+        state.items.push_back(item);
+        drop(state);
+        // Every waiter, not one: the one woken could be a coalescer whose
+        // filter rejects this item while an idle `pop` sleeps on.
+        self.wake.notify_all();
+        Ok(())
+    }
+
+    /// Blocks until an item is queued and takes the front one. Returns
+    /// `None` only once the queue is closed *and* empty, so accepted work
+    /// always drains through shutdown.
+    pub(crate) fn pop(&self) -> Option<T> {
+        let mut state = self.lock();
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.wake.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Removes the oldest queued item `wanted` accepts, waiting until
+    /// `deadline` for one to arrive; items it rejects keep their place
+    /// for [`JobQueue::pop`]. A match already queued is returned even
+    /// past the deadline; otherwise `None` once the deadline passes or
+    /// the queue closes. This is how the batch coalescer collects
+    /// same-plan members without dequeuing anything it cannot batch.
+    pub(crate) fn take_matching(
+        &self,
+        deadline: Instant,
+        wanted: impl Fn(&T) -> bool,
+    ) -> Option<T> {
+        let mut state = self.lock();
+        loop {
+            if let Some(at) = state.items.iter().position(&wanted) {
+                return state.items.remove(at);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if state.closed || left.is_zero() {
+                return None;
+            }
+            state = self
+                .wake
+                .wait_timeout(state, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
+    /// Closes the queue: further pushes fail with [`PushError::Closed`],
+    /// and waiters wake to drain what remains and then see `None`.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.wake.notify_all();
+    }
+}
+
 /// True for failures worth re-executing: a guard trip or noise-budget
 /// blow-up can stem from transient engine state (or an injected fault),
 /// and a clean re-run on a fresh engine legitimately recovers. Compile
@@ -337,12 +445,8 @@ pub(crate) struct Inner {
     pub(crate) cache: PlanCache,
     pub(crate) sessions: SessionManager,
     pub(crate) stats: Arc<RuntimeStats>,
-    /// The sharded work-stealing dequeue (one shard per worker plus a
-    /// priority lane for coalescer stashes); see [`crate::shard`].
     pub(crate) queue: JobQueue<Job>,
     pub(crate) chaos: ChaosState,
-    /// Shared engines for packed executions, keyed by plan and occupancy.
-    pub(crate) batch_engines: crate::batch::BatchEngines,
 }
 
 impl Inner {
@@ -351,9 +455,9 @@ impl Inner {
     /// and re-enters the loop — a panicked worker recycles instead of
     /// dying. Returns only when the queue is closed and drained
     /// (shutdown).
-    fn supervise(self: Arc<Inner>, worker: usize) {
+    fn supervise(self: Arc<Inner>) {
         loop {
-            match catch_unwind(AssertUnwindSafe(|| self.worker_loop(worker))) {
+            match catch_unwind(AssertUnwindSafe(|| self.worker_loop())) {
                 Ok(()) => return, // queue closed: clean shutdown
                 Err(_) => {
                     self.stats.worker_respawns.inc();
@@ -363,30 +467,31 @@ impl Inner {
         }
     }
 
-    fn worker_loop(&self, worker: usize) {
-        // `pop` serves the priority lane (coalescer stashes) first, then
-        // this worker's own shard, then steals from peers; it parks on
-        // the queue's condvar when idle and returns `None` only once the
-        // queue is closed *and* empty, so shutdown never drops a request
-        // that was accepted.
-        while let Some(job) = self.queue.pop(worker) {
-            self.dispatch(worker, job);
+    /// Serves jobs until the queue is closed and drained. `pop` parks on
+    /// the queue's condvar when idle and returns `None` only once the
+    /// queue is closed *and* empty, so shutdown never drops a request
+    /// that was accepted. Every job goes through the coalescer, which
+    /// serves it solo when no compatible request joins it (always, at
+    /// `max_batch` 1).
+    fn worker_loop(&self) {
+        while let Some(job) = self.queue.pop() {
+            self.dequeued(&job);
+            crate::batch::serve_coalesced(self, job);
         }
     }
 
-    /// Routes one dequeued job into the coalescer, which serves it solo
-    /// when no compatible request joins it (always, at `max_batch` 1).
-    fn dispatch(&self, worker: usize, job: Job) {
+    /// Accounts for `job` leaving the queue: the depth gauge, and its
+    /// queue wait — a Complete event rather than a span, because the
+    /// wait crosses threads (enqueued by the client, dequeued by a
+    /// worker).
+    pub(crate) fn dequeued(&self, job: &Job) {
         self.stats.record_dequeue();
-        // Queue wait crosses threads (enqueued by the client, dequeued by
-        // this worker), so it is a Complete event rather than a span.
         trace::complete_with("queue-wait", job.enqueued, || {
             vec![
                 ("session", job.req.session.into()),
                 ("req_id", job.req_id.into()),
             ]
         });
-        crate::batch::serve_coalesced(self, worker, job);
     }
 
     /// Serves one job solo: panic isolation, typed response, stats. The
@@ -513,18 +618,23 @@ impl Inner {
             }
             let engine = match &injected {
                 Some(ChaosInjection::Fault(fault)) => {
-                    // A one-off sabotaged engine, never cached: the fault
-                    // cannot leak into other requests, and the session
-                    // seed keeps its keys identical to the real ones.
-                    let mut opts = self.config.backend.clone();
-                    opts.seed = session.seed();
-                    opts.fault = Some(fault.clone());
+                    // A one-off sabotaged engine from the session's own
+                    // constructor, never cached: the fault cannot leak
+                    // into other requests, and the session seed keeps its
+                    // keys identical to the real ones.
+                    let opts = BackendOptions {
+                        fault: Some(fault.clone()),
+                        ..self.config.backend.clone()
+                    };
                     Arc::new(
-                        ExecEngine::new(artifact.prog.clone(), &opts)
+                        session
+                            .build_engine(&artifact, 1, &opts)
                             .map_err(RuntimeError::Exec)?,
                     )
                 }
-                _ => session.engine(&artifact, &self.config.backend)?,
+                _ => session
+                    .engine(&artifact, 1, &self.config.backend)?
+                    .expect("occupancy 1 fits every plan"),
             };
             let run = execute(
                 &engine,
@@ -566,7 +676,7 @@ impl Inner {
                     });
                     // The failure may stem from engine state; rebuild
                     // from the artifact on the next attempt.
-                    session.invalidate_engine(key);
+                    session.invalidate(key, 1);
                     let exp = (attempt - 1).min(7);
                     let mut backoff = RETRY_BACKOFF_BASE
                         .saturating_mul(1u32 << exp)
@@ -631,9 +741,8 @@ impl Runtime {
             cache: PlanCache::new(stats.clone()),
             sessions: SessionManager::new(config.backend.seed),
             stats,
-            queue: JobQueue::new(workers_n, config.queue_capacity.max(1)),
+            queue: JobQueue::new(config.queue_capacity),
             chaos: ChaosState::default(),
-            batch_engines: crate::batch::BatchEngines::default(),
             config,
         });
         let workers = (0..workers_n)
@@ -641,7 +750,7 @@ impl Runtime {
                 let inner = inner.clone();
                 std::thread::Builder::new()
                     .name(format!("hecate-worker-{i}"))
-                    .spawn(move || inner.supervise(i))
+                    .spawn(move || inner.supervise())
                     .expect("worker thread spawns")
             })
             .collect();
@@ -664,7 +773,7 @@ impl Runtime {
         }
     }
 
-    /// An on-demand [`crate::diag::DiagnosticsReport`]: queue depths,
+    /// An on-demand [`crate::diag::DiagnosticsReport`]: queue depth,
     /// kernel-pool occupancy, plan-cache contents, per-session noise
     /// margins, retained flight-recorder traces, and SLO burn. The same
     /// report the `hecate-diag` thread dumps periodically.
@@ -750,13 +859,13 @@ impl Runtime {
                 inner.stats.record_enqueue();
                 Ok(rx)
             }
-            Err(PushError::Full(_)) => {
+            Err(PushError::Full) => {
                 inner.stats.shed.inc();
                 Err(RuntimeError::QueueFull {
                     capacity: inner.config.queue_capacity.max(1),
                 })
             }
-            Err(PushError::Closed(_)) => Err(RuntimeError::Shutdown),
+            Err(PushError::Closed) => Err(RuntimeError::Shutdown),
         }
     }
 
@@ -818,5 +927,151 @@ impl Drop for Runtime {
         if let Some(prev) = self.prev_kernel_ceiling.take() {
             hecate_math::kernel_pool::restore_max_threads(prev);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{JobQueue, PushError};
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::time::{Duration, Instant};
+
+    fn len<T>(q: &JobQueue<T>) -> usize {
+        q.lock().items.len()
+    }
+
+    #[test]
+    fn push_pop_roundtrip_and_capacity() {
+        let q: JobQueue<u32> = JobQueue::new(3);
+        for i in 1..=3 {
+            q.push(i).unwrap();
+        }
+        assert_eq!(q.push(4), Err(PushError::Full));
+        assert_eq!(len(&q), 3);
+        assert_eq!([q.pop(), q.pop(), q.pop()], [Some(1), Some(2), Some(3)]);
+        assert_eq!(len(&q), 0);
+    }
+
+    #[test]
+    fn closed_queue_rejects_and_drains() {
+        let q: JobQueue<u32> = JobQueue::new(8);
+        q.push(7).unwrap();
+        q.close();
+        assert_eq!(q.push(8), Err(PushError::Closed));
+        // Accepted work still drains after close...
+        assert_eq!(q.pop(), Some(7));
+        // ...and an empty closed queue reports shutdown, ending a
+        // coalescing window at once.
+        assert_eq!(q.pop(), None);
+        let window_end = Instant::now() + Duration::from_secs(5);
+        assert_eq!(q.take_matching(window_end, |_| true), None);
+    }
+
+    /// A coalescer's `take_matching` reaches past items its filter
+    /// rejects, leaves them in place for `pop`, and wakes on a matching
+    /// push without polling.
+    #[test]
+    fn take_matching_skips_mismatches_and_wakes_on_push() {
+        let q: Arc<JobQueue<u32>> = Arc::new(JobQueue::new(8));
+        let even = |x: &u32| x.is_multiple_of(2);
+        let soon = || Instant::now() + Duration::from_millis(40);
+        q.push(1).unwrap();
+        q.push(6).unwrap();
+        assert_eq!(q.take_matching(soon(), even), Some(6));
+        assert_eq!(
+            q.take_matching(soon(), even),
+            None,
+            "a mismatch is never taken"
+        );
+        assert_eq!(q.pop(), Some(1), "the mismatch kept its place");
+
+        let waiter = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                let t0 = Instant::now();
+                let item = q.take_matching(Instant::now() + Duration::from_secs(5), even);
+                (item, t0.elapsed())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        q.push(3).unwrap();
+        q.push(8).unwrap();
+        let (item, waited) = waiter.join().unwrap();
+        assert_eq!(item, Some(8));
+        assert!(
+            waited < Duration::from_secs(2),
+            "coalescer waited {waited:?} for a pushed match (the condvar must wake it)"
+        );
+        assert_eq!(q.pop(), Some(3), "the rejected push is still queued");
+    }
+
+    /// Idle workers and coalescers park on one condvar. A coalescer whose
+    /// filter rejects a pushed item must not absorb the only wakeup while
+    /// an idle `pop` sleeps through it.
+    #[test]
+    fn rejected_push_still_wakes_an_idle_pop() {
+        let q: Arc<JobQueue<u32>> = Arc::new(JobQueue::new(8));
+        let coalescer = {
+            let q = q.clone();
+            let window_end = Instant::now() + Duration::from_secs(30);
+            std::thread::spawn(move || q.take_matching(window_end, |_| false))
+        };
+        // Park the coalescer first, so it is the waiter a single notify
+        // would reach.
+        std::thread::sleep(Duration::from_millis(50));
+        let (tx, rx) = mpsc::channel();
+        let idle = {
+            let q = q.clone();
+            std::thread::spawn(move || tx.send(q.pop()).unwrap())
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        q.push(42).unwrap();
+        let got = rx.recv_timeout(Duration::from_secs(5));
+        // Closing releases both threads whatever happened above.
+        q.close();
+        assert_eq!(got, Ok(Some(42)), "the idle pop slept through the push");
+        idle.join().unwrap();
+        assert_eq!(coalescer.join().unwrap(), None);
+    }
+
+    /// Many producers and consumers: every item pushed is popped exactly
+    /// once, none are lost, and the queue ends empty.
+    #[test]
+    fn concurrent_conservation() {
+        const PRODUCERS: usize = 4;
+        const CONSUMERS: usize = 4;
+        const PER_PRODUCER: usize = 250;
+        let q: Arc<JobQueue<usize>> = Arc::new(JobQueue::new(100_000));
+        let seen = Arc::new(Mutex::new(vec![0u32; PRODUCERS * PER_PRODUCER]));
+        let consumers: Vec<_> = (0..CONSUMERS)
+            .map(|_| {
+                let q = q.clone();
+                let seen = seen.clone();
+                std::thread::spawn(move || {
+                    while let Some(item) = q.pop() {
+                        seen.lock().unwrap()[item] += 1;
+                    }
+                })
+            })
+            .collect();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = q.clone();
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        q.push(p * PER_PRODUCER + i).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in producers {
+            h.join().unwrap();
+        }
+        q.close();
+        for h in consumers {
+            h.join().unwrap();
+        }
+        assert_eq!(len(&q), 0);
+        assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
     }
 }

@@ -1,4 +1,4 @@
-//! Per-tenant sessions: key material and engine ownership.
+//! Per-tenant sessions: key material and the runtime's one engine cache.
 //!
 //! A [`Session`] is the unit of cryptographic isolation. Each session has
 //! its own key seed, so its secret/public/evaluation keys are disjoint
@@ -17,34 +17,39 @@
 //! construct the manager with [`SessionManager::with_os_entropy`].
 //!
 //! Engines are created lazily: the first time a session executes a given
-//! plan, an [`ExecEngine`] is built from the plan's compiled program,
-//! which derives the program's key requirements itself and generates one
-//! Galois key per rotation step and one relinearization key. The engine
-//! (and thus the key material) is then cached per `(session, plan key)`
-//! and shared by reference among worker threads — every `ExecEngine`
-//! method takes `&self`.
+//! plan at a given occupancy, an [`ExecEngine`] is built from the plan's
+//! compiled program, which derives the program's key requirements itself
+//! and generates one Galois key per rotation step and one
+//! relinearization key. The engine (and thus the key material) is then
+//! cached per `(plan key, occupancy)` and shared by reference among
+//! worker threads — every `ExecEngine` method takes `&self`. Solo
+//! requests run at occupancy 1 under their own session; slot-batched
+//! runs use the manager's shared session (id 0, never handed out),
+//! because a packed ciphertext is one ciphertext under one key.
 
 use crate::cache::PlanArtifact;
 use crate::RuntimeError;
-use hecate_backend::exec::{BackendOptions, ExecEngine};
+use hecate_backend::exec::{BackendOptions, ExecEngine, ExecError};
 use hecate_ir::hash::Fnv1a;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifies a tenant session within one [`crate::Runtime`].
 pub type SessionId = u64;
 
-/// Shards for the manager's session map. Session ids are sequential, so
-/// `id % SESSION_SHARDS` round-robins neighbors onto different locks
-/// and concurrent lookups of different tenants never contend.
-const SESSION_SHARDS: usize = 16;
+/// A session's engines by `(plan key, occupancy)`. `None` is a
+/// tombstone: the plan's slot footprint does not fit that many tenant
+/// blocks, so later batches shrink at once instead of retrying keygen.
+type EngineMap = HashMap<(u64, usize), Option<Arc<ExecEngine>>>;
 
-/// Shards for each session's engine map. Plan keys are FNV-1a hashes,
-/// so `key % ENGINE_SHARDS` spreads them uniformly; engine lookup for
-/// one plan no longer serializes against engine *construction* (keygen,
-/// milliseconds) for another.
-const ENGINE_SHARDS: usize = 8;
+/// Locks `m`, recovering from poisoning. Every map here is mutated by
+/// single `HashMap` operations over `Arc` values, so a panicked holder
+/// cannot leave it half-updated; recovering keeps one isolated panic from
+/// disabling a session or the whole manager.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// One tenant's cryptographic context.
 pub struct Session {
@@ -52,7 +57,7 @@ pub struct Session {
     /// Key-generation seed; all engines of this session derive their
     /// secret key from it, so the session has one identity across plans.
     seed: u64,
-    engines: [Mutex<HashMap<u64, Arc<ExecEngine>>>; ENGINE_SHARDS],
+    engines: Mutex<EngineMap>,
 }
 
 impl Session {
@@ -60,7 +65,7 @@ impl Session {
         Session {
             id,
             seed,
-            engines: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            engines: Mutex::default(),
         }
     }
 
@@ -74,30 +79,17 @@ impl Session {
         self.seed
     }
 
-    /// Locks the engine shard holding `plan_key`, recovering from
-    /// poisoning. Map mutations are single `HashMap` operations and the
-    /// values are `Arc`s, so a panicked holder cannot leave the map
-    /// half-updated; recovering keeps one isolated panic from disabling
-    /// the whole session.
-    fn lock_engines(
-        &self,
-        plan_key: u64,
-    ) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<ExecEngine>>> {
-        self.engines[(plan_key % ENGINE_SHARDS as u64) as usize]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Number of plans this session has built engines (and keys) for.
+    /// Number of engines (and key sets) this session has built and
+    /// cached.
     pub fn engine_count(&self) -> usize {
-        self.engines
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        lock(&self.engines).values().flatten().count()
     }
 
-    /// The engine executing `artifact` under this session's keys,
-    /// building it (keygen + evaluation keys) on first use.
+    /// The engine executing `artifact` at `occupancy` under this
+    /// session's keys, building it (keygen + evaluation keys) on first
+    /// use. `Ok(None)` means the plan's slot footprint does not fit
+    /// `occupancy` tenant blocks; that answer is cached too, so it is
+    /// instant next time. Occupancy 1 always fits.
     ///
     /// Construction happens *outside* the engine-map lock: keygen is
     /// expensive and can fail or panic, and neither outcome may poison or
@@ -107,55 +99,82 @@ impl Session {
     /// work, never an inconsistency).
     ///
     /// # Errors
-    /// Propagates engine construction failures as
-    /// [`RuntimeError::Exec`].
+    /// Propagates other engine construction failures as
+    /// [`RuntimeError::Exec`]; they are not cached, so a later attempt
+    /// may succeed.
     pub fn engine(
         &self,
         artifact: &PlanArtifact,
+        occupancy: usize,
         backend: &BackendOptions,
-    ) -> Result<Arc<ExecEngine>, RuntimeError> {
+    ) -> Result<Option<Arc<ExecEngine>>, RuntimeError> {
+        let key = (artifact.key, occupancy);
         let mut span = hecate_telemetry::trace::span_with("session-engine", || {
             vec![
                 ("session", self.id.into()),
                 ("plan_key", artifact.key.into()),
+                ("occupancy", occupancy.into()),
             ]
         });
-        if let Some(engine) = self.lock_engines(artifact.key).get(&artifact.key) {
+        if let Some(cached) = lock(&self.engines).get(&key) {
             span.attr("built", false.into());
-            return Ok(engine.clone());
+            return Ok(cached.clone());
         }
         span.attr("built", true.into());
-        let mut opts = backend.clone();
-        opts.seed = self.seed;
-        let engine =
-            Arc::new(ExecEngine::new(artifact.prog.clone(), &opts).map_err(RuntimeError::Exec)?);
-        Ok(self
-            .lock_engines(artifact.key)
-            .entry(artifact.key)
-            .or_insert(engine)
-            .clone())
+        let engine = match self.build_engine(artifact, occupancy, backend) {
+            Ok(engine) => Some(Arc::new(engine)),
+            Err(ExecError::BatchUnsupported { .. }) => None,
+            Err(e) => return Err(RuntimeError::Exec(e)),
+        };
+        Ok(lock(&self.engines).entry(key).or_insert(engine).clone())
     }
 
-    /// Drops the cached engine for `plan_key`, so the next request builds
-    /// a fresh one. The retry path calls this after a transient execution
-    /// failure: re-running on a rebuilt engine rules out any state the
-    /// failure (or an injected fault) left behind.
-    pub fn invalidate_engine(&self, plan_key: u64) {
-        self.lock_engines(plan_key).remove(&plan_key);
+    /// Builds an uncached engine running `artifact` at `occupancy` under
+    /// this session's keys: the constructor behind [`Session::engine`],
+    /// called directly for one-off engines that must never be shared
+    /// (the chaos harness's sabotaged ones).
+    pub(crate) fn build_engine(
+        &self,
+        artifact: &PlanArtifact,
+        occupancy: usize,
+        backend: &BackendOptions,
+    ) -> Result<ExecEngine, ExecError> {
+        let opts = BackendOptions {
+            seed: self.seed,
+            batch_occupancy: occupancy,
+            ..backend.clone()
+        };
+        ExecEngine::new(artifact.prog.clone(), &opts)
+    }
+
+    /// Drops the cached engine for `(plan_key, occupancy)`, so the next
+    /// request builds a fresh one. The retry path and a degraded batch
+    /// call this after a transient execution failure: re-running on a
+    /// rebuilt engine rules out any state the failure (or an injected
+    /// fault) left behind.
+    pub fn invalidate(&self, plan_key: u64, occupancy: usize) {
+        lock(&self.engines).remove(&(plan_key, occupancy));
     }
 }
 
-/// Creates and resolves [`Session`]s.
-///
-/// The session map is sharded (`SESSION_SHARDS` locks keyed by
-/// `id % SESSION_SHARDS`) so resolving one tenant's session never
-/// serializes against opening, closing, or resolving another's — under
-/// the old single map, every request's session lookup shared one global
-/// critical section. Id allocation is a lock-free atomic increment.
+/// The seed of session `id`: an FNV-1a mix, so neighboring ids get
+/// unrelated seeds.
+fn session_seed(base_seed: u64, id: SessionId) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(&base_seed.to_le_bytes());
+    h.write(&id.to_le_bytes());
+    h.finish()
+}
+
+/// Creates and resolves [`Session`]s, and owns the shared session
+/// slot-batched runs execute under.
 pub struct SessionManager {
     base_seed: u64,
-    sessions: [Mutex<HashMap<SessionId, Arc<Session>>>; SESSION_SHARDS],
+    sessions: Mutex<HashMap<SessionId, Arc<Session>>>,
     next_id: AtomicU64,
+    /// Session 0: never returned by [`SessionManager::open`] or
+    /// [`SessionManager::get`], seeded like any other.
+    shared: Session,
 }
 
 impl SessionManager {
@@ -169,8 +188,9 @@ impl SessionManager {
     pub fn new(base_seed: u64) -> Self {
         SessionManager {
             base_seed,
-            sessions: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            sessions: Mutex::default(),
             next_id: AtomicU64::new(1),
+            shared: Session::new(0, session_seed(base_seed, 0)),
         }
     }
 
@@ -190,27 +210,12 @@ impl SessionManager {
         SessionManager::new(h.finish())
     }
 
-    /// Locks the shard holding session `id`, recovering from poisoning
-    /// (same reasoning as the engine map: single-operation mutations
-    /// over `Arc` values).
-    fn lock_shard(
-        &self,
-        id: SessionId,
-    ) -> std::sync::MutexGuard<'_, HashMap<SessionId, Arc<Session>>> {
-        self.sessions[(id % SESSION_SHARDS as u64) as usize]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Opens a new session with a seed derived from the base seed and the
-    /// session id (FNV-mixed, so neighboring ids get unrelated seeds).
+    /// session id.
     pub fn open(&self) -> Arc<Session> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut h = Fnv1a::new();
-        h.write(&self.base_seed.to_le_bytes());
-        h.write(&id.to_le_bytes());
-        let session = Arc::new(Session::new(id, h.finish()));
-        self.lock_shard(id).insert(id, session.clone());
+        let session = Arc::new(Session::new(id, session_seed(self.base_seed, id)));
+        lock(&self.sessions).insert(id, session.clone());
         session
     }
 
@@ -220,23 +225,25 @@ impl SessionManager {
     /// Returns [`RuntimeError::UnknownSession`] for ids never opened (or
     /// already closed).
     pub fn get(&self, id: SessionId) -> Result<Arc<Session>, RuntimeError> {
-        self.lock_shard(id)
+        lock(&self.sessions)
             .get(&id)
             .cloned()
             .ok_or(RuntimeError::UnknownSession(id))
     }
 
+    /// The runtime-owned session every slot-batched run executes under.
+    pub(crate) fn shared(&self) -> &Session {
+        &self.shared
+    }
+
     /// Closes a session, dropping its engines and key material.
     pub fn close(&self, id: SessionId) {
-        self.lock_shard(id).remove(&id);
+        lock(&self.sessions).remove(&id);
     }
 
     /// Number of open sessions.
     pub fn len(&self) -> usize {
-        self.sessions
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        lock(&self.sessions).len()
     }
 
     /// True when no session is open.
@@ -250,6 +257,8 @@ mod tests {
     use super::*;
     use hecate_ckks::{CkksEncoder, CkksParams, Decryptor, Encryptor, KeyGenerator};
 
+    /// Every session, the shared one included, gets its own seed; the
+    /// shared session is never resolvable by id.
     #[test]
     fn sessions_get_distinct_seeds() {
         let mgr = SessionManager::new(7);
@@ -257,6 +266,12 @@ mod tests {
         let b = mgr.open();
         assert_ne!(a.id(), b.id());
         assert_ne!(a.seed(), b.seed());
+        assert_eq!(mgr.shared().id(), 0);
+        assert!(![a.seed(), b.seed()].contains(&mgr.shared().seed()));
+        assert!(
+            mgr.get(0).is_err(),
+            "the shared session is never handed out"
+        );
         assert_eq!(mgr.len(), 2);
         mgr.close(a.id());
         assert!(mgr.get(a.id()).is_err());
@@ -283,19 +298,15 @@ mod tests {
     fn poisoned_session_locks_are_recovered() {
         let mgr = SessionManager::new(7);
         let session = mgr.open();
-        let shard = (session.id() % SESSION_SHARDS as u64) as usize;
         std::thread::scope(|s| {
             let poisoner = s.spawn(|| {
-                let _sessions = mgr.sessions[shard].lock().unwrap();
-                let _engines: Vec<_> = session.engines.iter().map(|e| e.lock().unwrap()).collect();
-                panic!("poison the session shard and every engine shard");
+                let _sessions = mgr.sessions.lock().unwrap();
+                let _engines = session.engines.lock().unwrap();
+                panic!("poison the session map and the engine map");
             });
             assert!(poisoner.join().is_err());
         });
-        assert!(
-            mgr.sessions[shard].is_poisoned(),
-            "setup must have poisoned"
-        );
+        assert!(mgr.sessions.is_poisoned(), "setup must have poisoned");
         assert!(mgr.get(session.id()).is_ok(), "get recovers the lock");
         assert_eq!(session.engine_count(), 0, "engine map recovers too");
         let b = mgr.open();

@@ -1,10 +1,10 @@
-//! Contention stress for the sharded work-stealing dequeue: many workers,
+//! Contention stress for the runtime's one job queue: many workers,
 //! mixed plans and sessions, batched and solo traffic submitted from
 //! concurrent producers. Pins the three liveness/accounting properties
-//! the sharded queue must keep: every request gets exactly one terminal
-//! response, no job is stranded on an unwatched shard (no lost wakeups),
-//! and the stats conserve (completed + failed = submitted, queue drains
-//! to zero).
+//! the queue must keep: every request gets exactly one terminal
+//! response, no job is stranded while a worker sleeps (no lost
+//! wakeups), and the stats conserve (completed + failed = submitted,
+//! queue drains to zero).
 
 use hecate_compiler::{CompileOptions, Scheme};
 use hecate_ir::{Function, FunctionBuilder};
@@ -163,12 +163,12 @@ fn eight_worker_mixed_contention_conserves_every_request() {
     Arc::try_unwrap(rt).ok().expect("sole owner").shutdown();
 }
 
-/// The satellite regression at the runtime level: a worker holding a
-/// coalescing window open stashes incompatible jobs to the priority
-/// lane, and an idle peer picks them up promptly — well before the
-/// window expires — instead of them waiting behind the stasher.
+/// A worker holding a coalescing window open takes only same-plan jobs
+/// out of the queue: incompatible jobs keep their place, and an idle
+/// peer serves them promptly — well before the window expires — instead
+/// of them waiting behind the coalescer.
 #[test]
-fn stashed_incompatible_jobs_are_served_by_idle_peer() {
+fn jobs_a_coalescer_skips_are_served_by_idle_peer() {
     let window = Duration::from_secs(2);
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
@@ -200,7 +200,7 @@ fn stashed_incompatible_jobs_are_served_by_idle_peer() {
     std::thread::sleep(Duration::from_millis(100));
 
     // Incompatible B requests land while the window is open. The
-    // coalescer stashes them; the idle peer must take them over.
+    // coalescer leaves them queued; the idle peer must take them.
     let t0 = Instant::now();
     let rx_b: Vec<_> = (0..2)
         .map(|i| rt.submit(request(s_b, func_rotate(), 5 + i)).unwrap())
@@ -211,8 +211,8 @@ fn stashed_incompatible_jobs_are_served_by_idle_peer() {
     let waited = t0.elapsed();
     assert!(
         waited < window,
-        "stashed jobs waited {waited:?} — longer than the {window:?} \
-         window, so only the stasher ever served them"
+        "skipped jobs waited {waited:?} — longer than the {window:?} \
+         window, so only the coalescer ever served them"
     );
 
     // The window holder still completes its own request afterwards.

@@ -259,7 +259,7 @@ fn panicked_request_writes_a_black_box() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `Runtime::diagnose` reflects live state: queue geometry, plan cache,
+/// `Runtime::diagnose` reflects live state: queue depth, plan cache,
 /// per-session margins, recorder occupancy, and SLO burn — and it reads
 /// the same metric snapshot as `Runtime::stats`.
 #[test]
@@ -290,8 +290,11 @@ fn diagnose_reports_live_state() {
     }
     let d = rt.diagnose();
     assert_eq!(d.stats.workers, workers);
-    assert_eq!(d.shard_depths.len(), workers, "one shard per worker");
-    assert_eq!(d.shard_depths.iter().sum::<usize>(), 0, "queue drained");
+    assert_eq!(d.stats.queue_depth, 0, "queue drained");
+    assert_eq!(
+        d.queue_capacity,
+        hecate_runtime::pool::DEFAULT_QUEUE_CAPACITY
+    );
     assert_eq!(d.stats.completed, 3);
     assert_eq!(d.plan_cache.entries.len(), 1, "one cached plan");
     assert!(d.plan_cache.entries[0].estimated_latency_us > 0.0);
@@ -305,6 +308,10 @@ fn diagnose_reports_live_state() {
     assert!(burn > 0.0 && burn < 1.0, "p99 {p99} µs vs 60 s target");
     let json = d.to_json();
     assert!(json.starts_with("{\"generated_ns\":"));
+    assert!(
+        json.contains("\"queue\":{\"depth\":0,\"capacity\":4096}"),
+        "{json}"
+    );
     assert!(json.contains("\"stats\":{"));
     rt.shutdown();
 }

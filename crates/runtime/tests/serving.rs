@@ -5,6 +5,7 @@ use hecate_backend::exec::BackendOptions;
 use hecate_compiler::{CompileOptions, Scheme};
 use hecate_ir::FunctionBuilder;
 use hecate_runtime::{PlanCache, Request, Runtime, RuntimeConfig, RuntimeStats, SessionManager};
+use hecate_telemetry::{trace, AttrValue, EventKind};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -191,7 +192,9 @@ fn errors_propagate_per_request() {
     rt.shutdown();
 }
 
-/// Session key material is built lazily, once per (session, plan).
+/// Session key material is built lazily, once per (session, plan,
+/// occupancy), and an occupancy the plan cannot fit is remembered as
+/// such: asking again builds nothing.
 #[test]
 fn engines_are_lazy_and_cached() {
     let mgr = SessionManager::new(42);
@@ -203,10 +206,48 @@ fn engines_are_lazy_and_cached() {
     let session = mgr.open();
     assert_eq!(session.engine_count(), 0, "no keys before first use");
     let backend = BackendOptions::default();
-    let e1 = session.engine(&artifact, &backend).unwrap();
-    let e2 = session.engine(&artifact, &backend).unwrap();
+    let solo = || {
+        session
+            .engine(&artifact, 1, &backend)
+            .unwrap()
+            .expect("occupancy 1 fits")
+    };
+    let (e1, e2) = (solo(), solo());
     assert!(Arc::ptr_eq(&e1, &e2), "engine (and keys) built once");
     assert_eq!(session.engine_count(), 1);
+
+    // One slot per tenant cannot hold a width-8 vector.
+    let one_slot_each = artifact.prog.params.degree / 2;
+    let tombstone = || session.engine(&artifact, one_slot_each, &backend).unwrap();
+    let ((first, second), events) = trace::capture(|| (tombstone(), tombstone()));
+    assert!(
+        first.is_none() && second.is_none(),
+        "an infeasible occupancy is Ok(None)"
+    );
+    // Tests running alongside record too: keep this thread's events.
+    let tid = events
+        .iter()
+        .find(|e| {
+            e.name == "session-engine"
+                && e.attrs
+                    .contains(&("occupancy", AttrValue::from(one_slot_each)))
+        })
+        .expect("the calls record session-engine spans")
+        .tid;
+    let ends: Vec<_> = events
+        .iter()
+        .filter(|e| e.tid == tid && e.name == "session-engine" && e.kind == EventKind::End)
+        .map(|e| e.attrs.clone())
+        .collect();
+    assert_eq!(
+        ends,
+        [
+            vec![("built", AttrValue::from(true))],
+            vec![("built", AttrValue::from(false))]
+        ],
+        "the tombstone is built once, then answered from the cache"
+    );
+    assert_eq!(session.engine_count(), 1, "a tombstone holds no keys");
 }
 
 /// Sustained mixed load across sessions and plans. Run explicitly (CI

@@ -86,16 +86,22 @@ fn disabled_tracer_records_nothing_and_is_near_free() {
     assert!(events.is_empty(), "disabled tracer must record nothing");
 
     // Near-free: the disabled span path is one relaxed atomic load. The
-    // bound here is deliberately loose (100 ns/call averaged over 1M
-    // calls — two orders of magnitude above the real cost) so the test
-    // cannot flake on a loaded CI machine while still catching any
-    // accidental allocation, lock, or syscall on the disabled path.
-    const CALLS: u64 = 1_000_000;
-    let t0 = Instant::now();
-    for i in 0..CALLS {
-        let _s = trace::span_with("off", || vec![("i", i.into())]);
-    }
-    let per_call_ns = t0.elapsed().as_nanos() as f64 / CALLS as f64;
+    // bound is deliberately loose (100 ns/call, two orders of magnitude
+    // above the real cost) and is checked against the fastest of ten
+    // 100 k-call batches, so a batch that lost the CPU to a concurrent
+    // test cannot fail it, while an accidental allocation, lock, or
+    // syscall on the disabled path slows every batch and still does.
+    const BATCHES: usize = 10;
+    const CALLS: u64 = 100_000;
+    let per_call_ns = (0..BATCHES)
+        .map(|_| {
+            let t0 = Instant::now();
+            for i in 0..CALLS {
+                let _s = trace::span_with("off", || vec![("i", i.into())]);
+            }
+            t0.elapsed().as_nanos() as f64 / CALLS as f64
+        })
+        .fold(f64::INFINITY, f64::min);
     assert!(
         per_call_ns < 100.0,
         "disabled span costs {per_call_ns:.1} ns/call; expected ~1 ns"
