@@ -17,7 +17,6 @@
 //! suite runs under real encryption in CI time). Inputs are deterministic
 //! synthetic workloads from [`workloads`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harris;

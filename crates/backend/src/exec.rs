@@ -19,7 +19,8 @@
 //!   smaller is left), so liveness peaks, hoist order, and ledger order
 //!   are those of a plain sequential walk.
 //! - **Workers.** The caller is always worker 0; `jobs − 1` scoped
-//!   helpers join it, so `jobs = 1` spawns nothing. All scheduling state
+//!   helpers ([`hecate_math::par::run_scoped`]) join it, so `jobs = 1`
+//!   spawns nothing. All scheduling state
 //!   sits behind one mutex — ops run for tens of microseconds to
 //!   milliseconds, the lock is held for bookkeeping only.
 //! - **Tenants.** A run serves `engine.occupancy()` tenants packed into
@@ -59,6 +60,7 @@ use hecate_ckks::{
 };
 use hecate_compiler::{op_cost_infos, CompiledProgram, OpCostInfo};
 use hecate_ir::{Op, ValueId};
+use hecate_math::par;
 use hecate_telemetry::trace;
 use hecate_telemetry::{Counter, Gauge, Histogram};
 use std::cmp::Reverse;
@@ -1223,7 +1225,7 @@ pub type OpObserver<'a> = &'a mut (dyn FnMut(usize, &OpValue, f64) -> Result<(),
 ///
 /// # Panics
 /// A panic in a kernel or the observer stops every worker and then
-/// propagates to the caller.
+/// propagates to the caller with its original payload.
 pub fn execute(
     engine: &ExecEngine,
     tenants: &[&HashMap<String, Vec<f64>>],
@@ -1294,15 +1296,10 @@ pub fn execute(
     };
     // The correlation context is thread-local; re-establish it in each
     // helper so exec-op events keep the serving request's ids across the
-    // thread hop.
+    // thread hop. A helper's panic reaches the caller with its payload.
     let (ctx_req, ctx_batch) = trace::current_context();
-    std::thread::scope(|scope| {
-        for _ in 1..jobs {
-            scope.spawn(|| {
-                let _ctx = trace::push_context(ctx_req, ctx_batch);
-                driver.work();
-            });
-        }
+    par::run_scoped(jobs, |_| {
+        let _ctx = trace::push_context(ctx_req, ctx_batch);
         driver.work();
     });
 
@@ -1388,7 +1385,7 @@ struct RunState<'o> {
 }
 
 /// Stops the run if its worker unwinds, so the peers parked on `wake`
-/// exit and the scope can propagate the panic instead of hanging.
+/// exit and `run_scoped` can re-raise the panic instead of hanging.
 struct StopOnUnwind<'d, 'a, 'o>(&'d Driver<'a, 'o>);
 
 impl Drop for StopOnUnwind<'_, '_, '_> {

@@ -20,8 +20,6 @@
 //! the suite is ~5x (LR E2), so the bound has real headroom without
 //! being vacuous.
 
-#![forbid(unsafe_code)]
-
 use hecate_apps::{all_benchmarks, Preset};
 use hecate_backend::exec::BackendOptions;
 use hecate_backend::{audit_encrypted, AuditOptions};

@@ -23,8 +23,6 @@
 //!
 //! Exit code 0 on success, 1 with a message on any violation.
 
-#![forbid(unsafe_code)]
-
 use hecate_apps::{benchmark, Benchmark, Preset};
 use hecate_backend::exec::{execute, BackendOptions, ExecEngine};
 use hecate_compiler::{compile, CompileOptions, Scheme};

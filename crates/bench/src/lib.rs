@@ -24,8 +24,6 @@
 //! binary, `perf_smoke`, is the CI gate: the `f64::to_bits` identity
 //! matrix plus the machine-independent in-process ratios.
 
-#![forbid(unsafe_code)]
-
 use hecate_apps::{Benchmark, Preset};
 use hecate_backend::exec::{execute_encrypted, BackendOptions, ExecError};
 use hecate_backend::{max_rms_error, rms_error, simulate};

@@ -53,7 +53,6 @@
 //! far below 128-bit security. This crate is a research artifact for
 //! reproducing compiler results, not a production cryptography library.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cipher;

@@ -56,7 +56,6 @@
 //! # Ok::<(), hecate_compiler::CompileError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codegen;

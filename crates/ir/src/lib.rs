@@ -47,7 +47,6 @@
 //! # Ok::<(), hecate_ir::types::TypeError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

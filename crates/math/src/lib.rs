@@ -17,11 +17,8 @@
 //! - [`rns`] — residue-number-system bases with the precomputations for
 //!   rescaling and CRT reconstruction;
 //! - [`poly`] — polynomials in RNS representation with NTT-domain tracking;
-//! - [`par`] — striping over independent RNS limbs, dispatched to the
-//!   persistent kernel pool;
-//! - [`kernel_pool`] — long-lived kernel worker threads with warm
-//!   thread-local scratch, claimed per call and bounded by a
-//!   process-wide core budget;
+//! - [`par`] — striping over independent RNS limbs, and the one scoped
+//!   spawn-and-join helper every thread inside a request runs on;
 //! - [`scratch`] — a thread-local pool of scratch residue buffers.
 //!
 //! Everything here is deterministic and has no dependencies, which keeps the
@@ -40,17 +37,10 @@
 //! assert_eq!(table.degree(), 1024);
 //! ```
 
-// Unsafe is denied rather than forbidden: the one sanctioned exception
-// is `kernel_pool`, whose persistent worker threads require erasing the
-// lifetime of a scoped borrow (the same technique scoped thread pools
-// like rayon use internally). Every other module stays unsafe-free.
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bigint;
 pub mod fft;
-#[allow(unsafe_code)]
-pub mod kernel_pool;
 pub mod modular;
 pub mod ntt;
 pub mod par;

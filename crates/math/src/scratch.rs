@@ -3,7 +3,9 @@
 //! Key switching and hoisted rotation decomposition churn through
 //! short-lived residue-sized buffers (one per digit × extended modulus).
 //! Allocating them per op puts the allocator on the hot path; instead,
-//! long-lived executor threads recycle buffers here. The pool is
+//! long-lived request workers recycle buffers here. A scoped helper
+//! thread ([`crate::par::run_scoped`]) lives for one call, so its pool
+//! starts empty and is dropped with the thread. The pool is
 //! thread-local (no locks, no cross-thread traffic) and bounded, so a
 //! burst of large ops cannot pin memory forever. Buffers handed out are
 //! always zeroed, so pooling is invisible to the arithmetic.

@@ -17,8 +17,6 @@
 //! - [`collection::vec`] with a fixed size or a size range;
 //! - [`arbitrary::any`] for primitive integers and `bool`.
 
-#![forbid(unsafe_code)]
-
 pub mod test_runner {
     /// Runner configuration (`cases` is the only knob the stub honours).
     #[derive(Debug, Clone)]

@@ -2,13 +2,12 @@
 //!
 //! [`DiagnosticsReport`] is one coherent, JSON-serializable answer to
 //! "what is the runtime doing right now": the queue's depth against its
-//! bound, the kernel pool's thread ceiling and claimed-slot vs
-//! inline-fallback split, the plan cache's contents with hit/eviction
-//! counters, each session's worst observed noise margin, the flight
-//! recorder's retained-trace index, and SLO burn (the sliding p99
-//! against the configured latency target). Every metric in it —
-//! workers, the queue depth, the kernel split, the session margins, the
-//! counters — is read from one [`StatsSnapshot`], the same one
+//! bound, the plan cache's contents with hit/eviction counters, each
+//! session's worst observed noise margin, the flight recorder's
+//! retained-trace index, and SLO burn (the sliding p99 against the
+//! configured latency target). Every metric in it — workers, the queue
+//! depth, the session margins, the counters — is read from one
+//! [`StatsSnapshot`], the same one
 //! [`crate::Runtime::stats`] returns.
 //!
 //! Three consumers share the report:
@@ -39,18 +38,6 @@ use hecate_telemetry::{recorder, RetainedSummary};
 use std::path::Path;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
-
-/// The kernel pool's process-wide thread geometry (see
-/// `hecate_math::kernel_pool`); its stripe split lives in
-/// [`StatsSnapshot`].
-#[derive(Debug, Clone)]
-pub struct KernelDiag {
-    /// The pool's current thread ceiling.
-    pub max_threads: usize,
-    /// Worker threads actually spawned so far (grows on demand, never
-    /// shrinks).
-    pub spawned_threads: usize,
-}
 
 /// Plan-cache contents (hit/miss/eviction counters live in
 /// [`StatsSnapshot`]).
@@ -104,8 +91,6 @@ pub struct DiagnosticsReport {
     /// The queue's bound; its depth is the snapshot's
     /// [`StatsSnapshot::queue_depth`].
     pub queue_capacity: usize,
-    /// Kernel-pool thread geometry.
-    pub kernel: KernelDiag,
     /// Plan-cache contents.
     pub plan_cache: PlanCacheDiag,
     /// Flight-recorder state.
@@ -113,8 +98,8 @@ pub struct DiagnosticsReport {
     /// SLO burn.
     pub slo: SloDiag,
     /// The runtime's metric snapshot (same shape as
-    /// [`crate::Runtime::stats`]); the report's workers, kernel split
-    /// and per-session margins are read from it.
+    /// [`crate::Runtime::stats`]); the report's workers and per-session
+    /// margins are read from it.
     pub stats: StatsSnapshot,
 }
 
@@ -129,15 +114,6 @@ impl DiagnosticsReport {
             .object("queue", |q| {
                 q.field("depth", s.queue_depth)
                     .field("capacity", self.queue_capacity);
-            })
-            .object("kernel", |k| {
-                k.field("max_threads", self.kernel.max_threads)
-                    .field("spawned_threads", self.kernel.spawned_threads)
-                    .field("pool_stripes", s.pool_stripes)
-                    .field("inline_stripes", s.inline_stripes)
-                    .float("inline_share", s.inline_share(), 4)
-                    .field("kernel_jobs", s.kernel_jobs)
-                    .field("budget_cores", s.core_budget);
             })
             .object("plan_cache", |p| {
                 p.field("capacity", self.plan_cache.capacity).objects(
@@ -193,10 +169,6 @@ pub(crate) fn collect(inner: &Inner) -> DiagnosticsReport {
     DiagnosticsReport {
         generated_ns: unix_now_ns(),
         queue_capacity: inner.config.queue_capacity.max(1),
-        kernel: KernelDiag {
-            max_threads: hecate_math::kernel_pool::max_threads(),
-            spawned_threads: hecate_math::kernel_pool::spawned_threads(),
-        },
         plan_cache: PlanCacheDiag {
             capacity: inner.cache.capacity(),
             entries: inner.cache.entries(),
@@ -315,10 +287,6 @@ mod tests {
         DiagnosticsReport {
             generated_ns: 42,
             queue_capacity: 16,
-            kernel: KernelDiag {
-                max_threads: 4,
-                spawned_threads: 2,
-            },
             plan_cache: PlanCacheDiag {
                 capacity: 4,
                 entries: vec![PlanCacheEntry {
@@ -350,10 +318,7 @@ mod tests {
             stats: StatsSnapshot {
                 workers: 2,
                 queue_depth: 3,
-                pool_stripes: 6,
-                inline_stripes: 2,
                 kernel_jobs: 2,
-                core_budget: 8,
                 session_margins: vec![(1, 10.25)],
                 ..StatsSnapshot::default()
             },
@@ -369,7 +334,6 @@ mod tests {
         let json = report.to_json();
         let want_prefix = "{\"generated_ns\":42,\"workers\":2,\
              \"queue\":{\"depth\":3,\"capacity\":16},\
-             \"kernel\":{\"max_threads\":4,\"spawned_threads\":2,\"pool_stripes\":6,\"inline_stripes\":2,\"inline_share\":0.2500,\"kernel_jobs\":2,\"budget_cores\":8},\
              \"plan_cache\":{\"capacity\":4,\"entries\":[{\"key\":\"0000000000000abc\",\"ops\":7,\"estimated_latency_us\":12.5,\"last_used_tick\":9}]},\
              \"sessions\":[{\"session\":1,\"min_margin_bits\":10.250}],\
              \"recorder\":{\"enabled\":true,\"ring_capacity\":4096,\"ring_events\":100,\"overwritten\":5,\"retained\":[{\"req_id\":7,\"reason\":\"slow\",\"events\":12}]},\
@@ -395,10 +359,5 @@ mod tests {
         assert!(report.to_json().contains(
             "\"slo\":{\"target_us\":null,\"window\":0,\"p50_us\":null,\"p99_us\":null,\"burn\":null}"
         ));
-    }
-
-    #[test]
-    fn inline_share_handles_zero_total() {
-        assert_eq!(StatsSnapshot::default().inline_share(), 0.0);
     }
 }

@@ -24,9 +24,9 @@
 //! bit-identical at any worker count.
 //!
 //! [`Runtime`] wires them together behind one bounded request queue
-//! feeding a supervised worker pool ([`pool`]), and a [`CoreBudget`]
-//! policy splits the machine's cores between
-//! request workers, per-request DAG workers, and kernel jobs. [`stats`]
+//! feeding a supervised worker pool ([`pool`]); the only threads inside
+//! a request are scoped to it (DAG helpers and limb stripes, both on
+//! [`hecate_math::par::run_scoped`]). [`stats`]
 //! declares every runtime metric once, in one table, and renders it as
 //! JSON and Prometheus text.
 //!
@@ -81,7 +81,6 @@
 //! assert!((second.run.outputs["out0"][0] - 2.25).abs() < 1e-2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;
@@ -94,8 +93,8 @@ pub mod stats;
 
 pub use cache::{plan_key, PlanArtifact, PlanCache, PlanCacheEntry};
 pub use chaos::{ChaosKind, ChaosOptions};
-pub use diag::{DiagnosticsReport, KernelDiag, PlanCacheDiag, RecorderDiag, SloDiag};
-pub use pool::{CoreBudget, CoreSplit, DiagOptions, Request, Response, Runtime, RuntimeConfig};
+pub use diag::{DiagnosticsReport, PlanCacheDiag, RecorderDiag, SloDiag};
+pub use pool::{DiagOptions, Request, Response, Runtime, RuntimeConfig};
 pub use session::{Session, SessionId, SessionManager};
 pub use stats::{RuntimeStats, StatsSnapshot};
 

@@ -7,9 +7,11 @@
 //! ([`hecate_backend::exec::execute`]) runs the request on
 //! `jobs_per_request` DAG workers. Worker
 //! threads pull from one bounded FIFO queue (`JobQueue`: a deque under
-//! one mutex, idle workers parked on one condvar); [`RuntimeStats`]
-//! observes every stage, and [`CoreBudget`] decides how many cores go to
-//! request workers, per-request DAG workers, and kernel jobs.
+//! one mutex, idle workers parked on one condvar), and [`RuntimeStats`]
+//! observes every stage. Threads inside a request (DAG helpers, limb
+//! stripes) are scoped to it ([`hecate_math::par::run_scoped`]); a
+//! request runs on at most `jobs_per_request × backend.kernel_jobs`
+//! threads.
 //!
 //! # Failure domains
 //!
@@ -80,80 +82,6 @@ const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(1);
 /// Retry backoff ceiling: exponential growth stops doubling here.
 const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(100);
 
-/// How the runtime divides physical cores between request-level workers,
-/// per-request DAG workers, and per-op kernel jobs.
-///
-/// The three layers multiply: `workers = 8` with `kernel_jobs = 8` is up
-/// to 64 threads fighting for the machine, and `jobs_per_request`
-/// multiplies that again. A managed budget makes the split explicit:
-/// `workers` threads pull requests, each request's ops run on at most
-/// `budget / workers` DAG workers, each op's kernels may stripe over
-/// `budget / (workers × jobs)` jobs, and the process-wide kernel pool
-/// ([`hecate_math::kernel_pool`]) is capped at `budget − workers × jobs`
-/// threads so the layers together never exceed the budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoreBudget {
-    /// No policy: `workers` and `backend.kernel_jobs` are used exactly
-    /// as configured and the kernel pool keeps its default ceiling.
-    #[default]
-    Unmanaged,
-    /// Split `std::thread::available_parallelism()` cores.
-    Auto,
-    /// Split exactly this many cores (clamped to at least 1).
-    Cores(usize),
-}
-
-/// The resolved worker/DAG/kernel split of a [`CoreBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoreSplit {
-    /// Request-level worker threads.
-    pub workers: usize,
-    /// DAG workers per request (op-level parallelism).
-    pub jobs_per_request: usize,
-    /// Kernel jobs per op (limb-level parallelism).
-    pub kernel_jobs: usize,
-    /// Total cores the policy budgeted; `None` when unmanaged.
-    pub budget: Option<usize>,
-}
-
-impl CoreBudget {
-    /// Resolves the policy against the requested worker and
-    /// per-request DAG-worker counts and the configured kernel jobs.
-    /// Managed budgets clamp workers to the budget, DAG workers to
-    /// `budget / workers`, and derive
-    /// `kernel_jobs = budget / (workers × jobs)` (each at least 1), so
-    /// the product never oversubscribes the budget.
-    pub fn resolve(
-        self,
-        requested_workers: usize,
-        requested_jobs_per_request: usize,
-        configured_kernel_jobs: usize,
-    ) -> CoreSplit {
-        let total = match self {
-            CoreBudget::Unmanaged => {
-                return CoreSplit {
-                    workers: requested_workers.max(1),
-                    jobs_per_request: requested_jobs_per_request.max(1),
-                    kernel_jobs: configured_kernel_jobs.max(1),
-                    budget: None,
-                }
-            }
-            CoreBudget::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            CoreBudget::Cores(n) => n.max(1),
-        };
-        let workers = requested_workers.clamp(1, total);
-        let jobs_per_request = requested_jobs_per_request.clamp(1, total / workers);
-        CoreSplit {
-            workers,
-            jobs_per_request,
-            kernel_jobs: (total / (workers * jobs_per_request)).max(1),
-            budget: Some(total),
-        }
-    }
-}
-
 /// Periodic diagnostics dumps: where to write them and how often.
 ///
 /// With this set, the runtime runs a `hecate-diag` thread writing a
@@ -206,11 +134,6 @@ pub struct RuntimeConfig {
     /// effective occupancy is always a power of two and shrinks to what
     /// the plan's slot footprint allows.
     pub max_batch: usize,
-    /// How to divide cores between request workers, DAG workers, and
-    /// kernel jobs. Managed budgets override `workers`,
-    /// `jobs_per_request`, and `backend.kernel_jobs` with the resolved
-    /// split and cap the process-wide kernel pool; see [`CoreBudget`].
-    pub core_budget: CoreBudget,
     /// Requests at least this slow have their span tree promoted out of
     /// the flight-recorder ring ([`hecate_telemetry::recorder`]) even
     /// when they succeed. Failures (shed / timed-out / guard-failed /
@@ -238,7 +161,6 @@ impl Default for RuntimeConfig {
             chaos: None,
             batch_window: Duration::ZERO,
             max_batch: 1,
-            core_budget: CoreBudget::Unmanaged,
             slow_threshold: None,
             slo_target_us: None,
             diag: None,
@@ -698,10 +620,6 @@ impl Inner {
 pub struct Runtime {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    /// `Some(previous ceiling)` when this runtime's managed core budget
-    /// capped the process-wide kernel pool; restored on drop so the cap
-    /// does not leak to later runtimes or non-runtime kernel callers.
-    prev_kernel_ceiling: Option<Option<usize>>,
     /// Keeps the flight recorder at [`recorder::Level::Ring`] while this
     /// runtime lives; released after the workers have been joined.
     _recorder: recorder::Hold,
@@ -711,32 +629,14 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Starts a runtime with `config.workers` serving threads. A managed
-    /// [`RuntimeConfig::core_budget`] first resolves the
-    /// worker/DAG/kernel split: it overrides `config.workers`,
-    /// `config.jobs_per_request`, and `config.backend.kernel_jobs`, and
-    /// caps the process-wide kernel pool at the cores left over after
-    /// the op threads are provisioned (the previous ceiling is restored
-    /// when the runtime is dropped).
-    pub fn new(mut config: RuntimeConfig) -> Runtime {
-        let split = config.core_budget.resolve(
-            config.workers,
-            config.jobs_per_request,
-            config.backend.kernel_jobs,
-        );
-        let mut prev_kernel_ceiling = None;
-        if let Some(total) = split.budget {
-            config.workers = split.workers;
-            config.jobs_per_request = split.jobs_per_request;
-            config.backend.kernel_jobs = split.kernel_jobs;
-            prev_kernel_ceiling = Some(hecate_math::kernel_pool::set_max_threads(
-                total.saturating_sub(split.workers * split.jobs_per_request),
-            ));
-        }
+    /// Starts a runtime with `config.workers` serving threads.
+    pub fn new(config: RuntimeConfig) -> Runtime {
         let workers_n = config.workers.max(1);
         let recorder_hold = recorder::hold(recorder::Level::Ring);
         let stats = Arc::new(RuntimeStats::new());
-        stats.record_core_split(split.kernel_jobs, split.budget.unwrap_or(0));
+        stats
+            .kernel_jobs
+            .set(config.backend.kernel_jobs.max(1) as i64);
         let inner = Arc::new(Inner {
             cache: PlanCache::new(stats.clone()),
             sessions: SessionManager::new(config.backend.seed),
@@ -767,27 +667,17 @@ impl Runtime {
         Runtime {
             inner,
             workers,
-            prev_kernel_ceiling,
             _recorder: recorder_hold,
             diag,
         }
     }
 
     /// An on-demand [`crate::diag::DiagnosticsReport`]: queue depth,
-    /// kernel-pool occupancy, plan-cache contents, per-session noise
+    /// plan-cache contents, per-session noise
     /// margins, retained flight-recorder traces, and SLO burn. The same
     /// report the `hecate-diag` thread dumps periodically.
     pub fn diagnose(&self) -> crate::diag::DiagnosticsReport {
         crate::diag::collect(&self.inner)
-    }
-
-    /// The worker/DAG/kernel split this runtime resolved at startup.
-    pub fn core_split(&self) -> CoreSplit {
-        self.inner.config.core_budget.resolve(
-            self.inner.config.workers,
-            self.inner.config.jobs_per_request,
-            self.inner.config.backend.kernel_jobs,
-        )
     }
 
     /// Opens a tenant session and returns its id.
@@ -919,13 +809,6 @@ impl Drop for Runtime {
             // clean shutdown still leaves a last-known-good report.
             stop.raise();
             let _ = handle.join();
-        }
-        // A managed core budget capped the process-global kernel pool
-        // for this runtime's lifetime only; hand the previous ceiling
-        // back so unmanaged runtimes and non-runtime kernel callers do
-        // not inherit a stale (possibly zero) cap.
-        if let Some(prev) = self.prev_kernel_ceiling.take() {
-            hecate_math::kernel_pool::restore_max_threads(prev);
         }
     }
 }

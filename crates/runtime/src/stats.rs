@@ -123,8 +123,7 @@ macro_rules! metric_table {
                     recent_latency: Mutex::new(VecDeque::with_capacity(SLO_WINDOW)),
                     started: Instant::now(),
                 };
-                // An unmanaged runtime still reports the serial default, so
-                // the split is always well-defined in exports.
+                // Kernels run serially unless a runtime configures more.
                 stats.kernel_jobs.set(1);
                 stats
             }
@@ -198,11 +197,9 @@ metric_table! {
     busy_us: u64 = Counter("hecate_runtime_busy_us_total");
     /// Number of worker threads the runtime was configured with.
     workers: usize;
-    /// Per-request kernel jobs resolved by the core-budget policy (1
-    /// when unmanaged and unset).
+    /// Threads each op's limb kernels stripe over (the configured
+    /// `backend.kernel_jobs`, at least 1).
     kernel_jobs: usize = Gauge("hecate_runtime_kernel_jobs");
-    /// Cores the core-budget policy split; 0 when unmanaged.
-    core_budget: usize = Gauge("hecate_runtime_core_budget_cores");
     /// Fraction of worker wall-clock spent busy since startup, in `[0,1]`.
     utilization: f64 => fixed(4);
     /// Latency histogram: bucket `k` counts requests in
@@ -215,12 +212,6 @@ metric_table! {
         = Histogram("hecate_runtime_batch_occupancy") => list("batch_occupancy_buckets_pow2");
     /// Sum of end-to-end request latencies, microseconds.
     latency_sum_us: u64 => _;
-    /// Limb stripes run on claimed kernel-pool workers since process
-    /// start (the pool is process-global).
-    pool_stripes: u64 => _;
-    /// Limb stripes run inline on the submitting thread since process
-    /// start.
-    inline_stripes: u64 => _;
     /// Each session's tightest waterline margin (bits) over the plans it
     /// executed, by session id.
     session_margins: Vec<(SessionId, f64)> => _;
@@ -241,7 +232,6 @@ impl RuntimeStats {
     /// The rows no handle records, computed as the snapshot is taken.
     fn derived(&self, workers: usize) -> StatsSnapshot {
         let uptime_us = self.started.elapsed().as_secs_f64() * 1e6;
-        let stripes = hecate_math::kernel_pool::stripe_counts();
         StatsSnapshot {
             workers,
             utilization: if uptime_us > 0.0 && workers > 0 {
@@ -250,8 +240,6 @@ impl RuntimeStats {
                 0.0
             },
             latency_sum_us: self.latency_buckets.sum(),
-            pool_stripes: stripes.pool,
-            inline_stripes: stripes.inline,
             session_margins: lock(&self.session_margins)
                 .iter()
                 .map(|(&s, &m)| (s, m))
@@ -260,18 +248,10 @@ impl RuntimeStats {
         }
     }
 
-    /// Records the worker/kernel core split the runtime resolved at
-    /// startup: per-request kernel jobs and the total budgeted cores
-    /// (0 when the budget is unmanaged).
-    pub fn record_core_split(&self, kernel_jobs: usize, budget_cores: usize) {
-        self.kernel_jobs.set(kernel_jobs.max(1) as i64);
-        self.core_budget.set(budget_cores as i64);
-    }
-
     /// Renders the registry as a Prometheus-style text exposition, then
-    /// the snapshot's derived latency quantile gauges, one labeled
+    /// the snapshot's derived latency quantile gauges and one labeled
     /// `session_min_margin_bits` gauge per session that has executed a
-    /// plan, and the kernel pool's stripe split by `mode`.
+    /// plan.
     pub fn prometheus(&self) -> String {
         let snap = self.snapshot(0);
         let mut out = self.registry.prometheus();
@@ -289,11 +269,6 @@ impl RuntimeStats {
         }
         for (sid, m) in &snap.session_margins {
             let _ = writeln!(out, "{margin}{{session=\"{sid}\"}} {m:.3}");
-        }
-        let stripes = "hecate_kernel_stripes_total";
-        let _ = writeln!(out, "# TYPE {stripes} counter");
-        for (mode, n) in [("pool", snap.pool_stripes), ("inline", snap.inline_stripes)] {
-            let _ = writeln!(out, "{stripes}{{mode=\"{mode}\"}} {n}");
         }
         out
     }
@@ -393,17 +368,6 @@ impl StatsSnapshot {
         quantile_from_pow2_buckets(&self.latency_buckets, q).unwrap_or(0.0)
     }
 
-    /// Share of kernel-pool stripes that fell back to inline execution
-    /// — the pool-starvation signal. 0 when nothing has run.
-    pub fn inline_share(&self) -> f64 {
-        let total = self.pool_stripes + self.inline_stripes;
-        if total == 0 {
-            0.0
-        } else {
-            self.inline_stripes as f64 / total as f64
-        }
-    }
-
     /// The latency row's JSON: the mean and interpolated quantiles ahead
     /// of the raw buckets.
     fn latency_json(&self, o: &mut JsonObject) {
@@ -464,13 +428,10 @@ mod tests {
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.peak_queue_depth, 2);
         assert_eq!(snap.busy_us, 82);
-        // Unmanaged default: serial kernels, no budgeted cores.
+        // Default: serial kernels.
         assert_eq!(snap.kernel_jobs, 1);
-        assert_eq!(snap.core_budget, 0);
-        s.record_core_split(4, 8);
-        let snap = s.snapshot(2);
-        assert_eq!(snap.kernel_jobs, 4);
-        assert_eq!(snap.core_budget, 8);
+        s.kernel_jobs.set(4);
+        assert_eq!(s.snapshot(2).kernel_jobs, 4);
         // 100 µs lands in bucket 6 ([64,128)), 3 µs in bucket 1 ([2,4)).
         assert_eq!(snap.latency_buckets[6], 1);
         assert_eq!(snap.latency_buckets[1], 1);
@@ -491,9 +452,8 @@ mod tests {
     #[test]
     fn json_snapshot_format_is_pinned() {
         // The exact export string for this snapshot. Deliberately updated
-        // when the format changes (last: kernel_jobs/core_budget added
-        // with the core-budget policy) so accidental drift still fails
-        // the build.
+        // when the format changes so accidental drift still fails the
+        // build.
         let mut latency_buckets = [0u64; LATENCY_BUCKETS];
         latency_buckets[6] = 1; // one request at 100 µs
         latency_buckets[1] = 1; // one request at 3 µs
@@ -521,11 +481,8 @@ mod tests {
             batch_occupancy_buckets,
             workers: 2,
             kernel_jobs: 4,
-            core_budget: 8,
             utilization: 0.25,
             // Rows outside the stats JSON must not leak into it.
-            pool_stripes: 6,
-            inline_stripes: 2,
             session_margins: vec![(1, 10.25)],
         };
         assert_eq!(
@@ -538,7 +495,7 @@ mod tests {
                 "\"worker_respawns\":1,\"batched_requests\":4,",
                 "\"batches_executed\":1,\"queue_depth\":1,",
                 "\"peak_queue_depth\":2,\"busy_us\":82,\"workers\":2,",
-                "\"kernel_jobs\":4,\"core_budget\":8,",
+                "\"kernel_jobs\":4,",
                 "\"utilization\":0.2500,\"mean_latency_us\":51.5,",
                 "\"latency_p50_us\":3.0,\"latency_p95_us\":89.6,",
                 "\"latency_p99_us\":94.7,",
@@ -574,20 +531,14 @@ mod tests {
         assert!(text.contains("hecate_runtime_timeouts_total 0"));
         assert!(text.contains("hecate_runtime_worker_respawns_total 0"));
         assert!(text.contains("hecate_runtime_kernel_jobs 1"));
-        assert!(text.contains("hecate_runtime_core_budget_cores 0"));
-        s.record_core_split(4, 8);
-        let text = s.prometheus();
-        assert!(text.contains("hecate_runtime_kernel_jobs 4"));
-        assert!(text.contains("hecate_runtime_core_budget_cores 8"));
+        s.kernel_jobs.set(4);
+        assert!(s.prometheus().contains("hecate_runtime_kernel_jobs 4"));
         s.record_batch(4);
         let text = s.prometheus();
         assert!(text.contains("hecate_runtime_batched_requests_total 4"));
         assert!(text.contains("hecate_runtime_batches_executed_total 1"));
         assert!(text.contains("hecate_runtime_batch_occupancy_count 1"));
         assert!(text.contains("hecate_runtime_batch_occupancy_sum 4"));
-        assert!(text.contains("# TYPE hecate_kernel_stripes_total counter"));
-        assert!(text.contains("hecate_kernel_stripes_total{mode=\"pool\"} "));
-        assert!(text.contains("hecate_kernel_stripes_total{mode=\"inline\"} "));
     }
 
     #[test]

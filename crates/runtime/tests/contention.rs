@@ -223,63 +223,3 @@ fn jobs_a_coalescer_skips_are_served_by_idle_peer() {
     assert_eq!(snap.queue_depth, 0);
     rt.shutdown();
 }
-
-/// A managed core budget caps the process-wide kernel pool for the
-/// runtime's lifetime only: shutdown hands the previous ceiling back,
-/// so later unmanaged runtimes and non-runtime kernel callers never
-/// inherit a stale cap (in the worst case a cap of 0, which would
-/// silently force every kernel inline).
-#[test]
-fn managed_core_budget_restores_kernel_ceiling_on_shutdown() {
-    use hecate_runtime::CoreBudget;
-    let before = hecate_math::kernel_pool::max_threads();
-    let rt = Runtime::new(RuntimeConfig {
-        workers: 2,
-        core_budget: CoreBudget::Cores(4),
-        ..RuntimeConfig::default()
-    });
-    let split = rt.core_split();
-    assert_eq!(
-        hecate_math::kernel_pool::max_threads(),
-        4 - split.workers,
-        "managed budget caps the kernel pool at budget − workers"
-    );
-    rt.shutdown();
-    assert_eq!(
-        hecate_math::kernel_pool::max_threads(),
-        before,
-        "previous ceiling restored after shutdown"
-    );
-}
-
-/// The three thread layers multiply, so a managed budget divides by all
-/// three: workers, DAG workers per request, kernel jobs per op.
-#[test]
-fn managed_core_budget_accounts_for_jobs_per_request() {
-    use hecate_runtime::CoreBudget;
-    let threads = |s: hecate_runtime::CoreSplit| s.workers * s.jobs_per_request * s.kernel_jobs;
-    // 4 workers x 4 DAG workers on 8 cores used to run 16 op threads.
-    let split = CoreBudget::Cores(8).resolve(4, 4, 1);
-    assert_eq!(
-        (split.workers, split.jobs_per_request, split.kernel_jobs),
-        (4, 2, 1)
-    );
-    // Room to spare goes to the kernels: 8 / (2 x 2).
-    let split = CoreBudget::Cores(8).resolve(2, 2, 1);
-    assert_eq!(
-        (split.workers, split.jobs_per_request, split.kernel_jobs),
-        (2, 2, 2)
-    );
-    for (workers, jobs) in [(1, 1), (3, 2), (8, 8), (16, 1), (1, 16)] {
-        let split = CoreBudget::Cores(8).resolve(workers, jobs, 4);
-        assert!(threads(split) <= 8, "{workers}x{jobs}: {split:?}");
-        assert!(split.jobs_per_request >= 1 && split.kernel_jobs >= 1);
-    }
-    // Unmanaged: configured values pass through untouched.
-    let split = CoreBudget::Unmanaged.resolve(4, 4, 3);
-    assert_eq!(
-        (split.workers, split.jobs_per_request, split.kernel_jobs),
-        (4, 4, 3)
-    );
-    assert_eq!(split.budget, None);
-}

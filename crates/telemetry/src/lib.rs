@@ -52,7 +52,6 @@
 //! assert!(json.starts_with('[') && json.trim_end().ends_with(']'));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod export;

@@ -33,13 +33,8 @@
 //!                                   only already-queued requests coalesce)
 //!   --kernel-jobs N                 per-limb kernel threads inside NTT and
 //!                                   key switching (default 1; bit-identical
-//!                                   results at any N)
-//!   --core-budget N|auto            serve mode: split N cores (auto = all the
-//!                                   machine's cores) between the --jobs request
-//!                                   workers and per-request kernel jobs
-//!                                   (kernel jobs = budget / workers, overriding
-//!                                   --kernel-jobs); the resolved split lands in
-//!                                   the stats JSON and Prometheus export
+//!                                   results at any N); serve mode runs up to
+//!                                   --jobs x N threads at once
 //!   --repeat K                      serve mode: submit each file K times (default 2)
 //!   --chaos N                       serve mode: inject a failure into every Nth
 //!                                   request (0 disables; kinds rotate per --chaos-kind)
@@ -127,7 +122,7 @@ use hecate::ir::verify::verify_plan;
 use hecate::ir::Function;
 use hecate::math::rng::Xoshiro256;
 use hecate::runtime::{
-    ChaosKind, ChaosOptions, CoreBudget, DiagOptions, Request, Runtime, RuntimeConfig, RuntimeError,
+    ChaosKind, ChaosOptions, DiagOptions, Request, Runtime, RuntimeConfig, RuntimeError,
 };
 use hecate::telemetry::recorder::{self, Level};
 use hecate::telemetry::{export, trace, Event};
@@ -300,10 +295,6 @@ flags! {
     "--batch-window-us" "U" SERVE => |c, v|
         c.runtime.batch_window = Duration::from_micros(num(v)?);
     "--kernel-jobs" "N" EXEC => |c, v| c.runtime.backend.kernel_jobs = at_least(1, v)?;
-    "--core-budget" "N|auto" SERVE => |c, v| c.runtime.core_budget = match v {
-        "auto" => CoreBudget::Auto,
-        cores => CoreBudget::Cores(at_least(1, cores)?),
-    };
     "--repeat" "K" SERVE => |c, v| c.repeat = at_least(1, v)?;
     "--trace" "PATH" ALL => |c, v| c.trace = Some(v.into());
     "--trace-format" "jsonl|chrome" TRACE => |c, v| c.trace_format = match v {
@@ -449,15 +440,6 @@ fn load_functions(files: &[String]) -> Result<Vec<(String, Function)>, String> {
 /// registry).
 fn serve(cli: &Cli, funcs: &[(String, Function)], metrics_extra: &mut String) -> u8 {
     let rt = Runtime::new(cli.runtime.clone());
-    if cli.runtime.core_budget != CoreBudget::Unmanaged {
-        let split = rt.core_split();
-        println!(
-            "core budget: {} core(s) -> {} worker(s) x {} kernel job(s)",
-            split.budget.unwrap_or(0),
-            split.workers,
-            split.kernel_jobs
-        );
-    }
     let mut reqs = Vec::new();
     let mut labels = Vec::new();
     for (k, (file, func)) in funcs.iter().enumerate() {

@@ -6,8 +6,6 @@
 //! tripping via `--max-rms` — still leaves valid, complete files
 //! covering everything up to the failure.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::Command;
 
