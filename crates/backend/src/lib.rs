@@ -12,8 +12,9 @@
 //!   [`hecate_ckks`] with per-operation wall-clock timing, used for the
 //!   paper's latency and error measurements.
 //!
-//! [`profile`] builds the measured cost table for the compiler's
-//! performance estimator. Every encrypted run — solo or slot-batched, one
+//! [`calibrate`] builds the measured cost table for the compiler's
+//! performance estimator by running a calibration program through that
+//! same executor and folding its `exec-op` spans. Every encrypted run — solo or slot-batched, one
 //! worker or many, audited or not — goes through the one driver,
 //! [`exec::execute`], which also does the liveness-driven memory release
 //! the paper's SEAL dialect performs.
@@ -73,4 +74,4 @@ pub use hecate_ir::interp::rms_error;
 pub use noise::{
     max_rms_error, simulate, simulate_ops, LedgerEntry, NoiseLedger, SimVal, SimulatedRun,
 };
-pub use profile::profile_cost_table;
+pub use profile::calibrate;

@@ -1,153 +1,109 @@
-//! Backend profiling: builds the measured cost table the paper's
-//! performance estimator runs on (§VI-C).
+//! Backend calibration: the measured cost table the paper's performance
+//! estimator runs on (§VI-C).
 //!
-//! Each homomorphic operation is timed at every active-prime count of a
-//! representative chain; the estimator then prices a compiled program by
-//! summing table entries. The paper profiles SEAL the same way and finds
-//! the per-op variance small enough for a 1.3% geomean estimation error.
+//! There is one timing source. A small program that exercises every
+//! [`hecate_compiler::CostOp`] at every level is compiled and run through
+//! the ordinary executor, and [`CostTable::from_trace`] folds its
+//! `exec-op` spans — so the table prices exactly the kernels a real run
+//! performs, a rotation fan-out's hoisted leader included.
 
-use crate::exec::ExecError;
-use hecate_ckks::{CkksEncoder, CkksParams, Encryptor, EvalKeys, Evaluator, KeyGenerator};
-use hecate_compiler::{CostOp, CostTable};
-use std::time::Instant;
+use crate::exec::{execute_sequential, BackendOptions, ExecEngine};
+use hecate_compiler::{compile, CompileOptions, CostTable, Scheme};
+use hecate_telemetry::{recorder, trace};
+use std::{collections::HashMap, error::Error, sync::Arc};
 
-/// Profiles every [`CostOp`] at every prefix of a `chain_len`-prime chain
-/// at ring degree `degree`, timing each `reps` times and recording the
-/// average.
+/// Measures every cost category at every prefix of a `chain_len`-prime
+/// chain at ring degree `degree`: compiles a calibration program with EVA,
+/// runs it `reps` times on one engine (keys from `seed`) under a
+/// [`recorder::Level::Full`] hold, and folds this thread's `exec-op` spans
+/// from that window. The store is read, never drained, so an enclosing
+/// trace still sees the whole invocation.
+///
+/// At every level the program adds the previous level's value (a
+/// modswitch; at level 0 the value itself), adds and multiplies a
+/// plaintext, negates, rotates one value by two steps (a fan-out leader
+/// and a hoisted follower) and squares it, each result an output. It then
+/// descends one level: x⁵ sits one 60-bit rescale prime above the 15-bit
+/// waterline, so EVA rescales it once. The last level's descent is dead
+/// and compiled away, so the chain is exactly `chain_len` primes long.
 ///
 /// # Errors
-/// Returns [`ExecError`] if parameters or encodings fail.
-pub fn profile_cost_table(
+/// Returns the compile or execution error if either fails.
+pub fn calibrate(
     degree: usize,
-    q0_bits: u32,
-    sf_bits: u32,
     chain_len: usize,
     reps: usize,
     seed: u64,
-) -> Result<CostTable, ExecError> {
-    assert!(chain_len >= 2, "profiling needs at least two primes");
-    let params = CkksParams::new(degree, q0_bits, sf_bits, chain_len - 1, false)?;
-    let encoder = CkksEncoder::new(&params);
-    let mut kg = KeyGenerator::new(&params, seed);
-    let pk = kg.public_key();
-    // Keys at the top of the chain serve every level profiled below.
-    let keys = EvalKeys::generate(&mut kg, &[chain_len], &[(1, chain_len)]);
-    let mut encryptor = Encryptor::new(&params, pk, seed.wrapping_add(1));
-    let eval = Evaluator::new(&params, keys);
-
-    let mut table = CostTable::new(degree);
-    let scale = (q0_bits.min(sf_bits) as f64 - 10.0).max(20.0);
-    let data: Vec<f64> = (0..params.slots()).map(|i| (i % 7) as f64 * 0.25).collect();
-
-    for level in 0..chain_len {
-        let c = chain_len - level;
-        let mut pt = encoder.encode(&data, scale, level)?;
-        let ct = encryptor.encrypt(&pt);
-        let ct2 = encryptor.encrypt(&pt);
-        pt.poly.to_ntt(params.basis());
-
-        let time = |f: &mut dyn FnMut()| -> f64 {
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            t0.elapsed().as_secs_f64() * 1e6 / reps as f64
-        };
-
-        table.set(
-            CostOp::AddCC,
-            c,
-            time(&mut || {
-                eval.add(&ct, &ct2).expect("add");
-            }),
-        );
-        table.set(
-            CostOp::AddCP,
-            c,
-            time(&mut || {
-                eval.add_plain(&ct, &pt).expect("add_plain");
-            }),
-        );
-        table.set(
-            CostOp::Negate,
-            c,
-            time(&mut || {
-                eval.negate(&ct);
-            }),
-        );
-        table.set(
-            CostOp::MulCP,
-            c,
-            time(&mut || {
-                eval.mul_plain(&ct, &pt).expect("mul_plain");
-            }),
-        );
-        table.set(
-            CostOp::MulCC,
-            c,
-            time(&mut || {
-                eval.mul(&ct, &ct2).expect("mul");
-            }),
-        );
-        table.set(
-            CostOp::Rotate,
-            c,
-            time(&mut || {
-                eval.rotate(&ct, 1).expect("rotate");
-            }),
-        );
-        // The hoisted decomposition is paid once per fan-out group (by the
-        // leader, costed as Rotate), so only the per-rotation remainder is
-        // timed here.
-        let hd = eval.hoist(&ct);
-        table.set(
-            CostOp::RotateHoisted,
-            c,
-            time(&mut || {
-                eval.rotate_hoisted(&ct, &hd, 1).expect("rotate_hoisted");
-            }),
-        );
-        if c >= 2 {
-            // Rescale needs headroom above the waterline; time on a fresh
-            // product so the scale is large enough.
-            let prod = eval.mul(&ct, &ct2).expect("mul for rescale");
-            table.set(
-                CostOp::Rescale,
-                c,
-                time(&mut || {
-                    eval.rescale(&prod).expect("rescale");
-                }),
-            );
-            table.set(
-                CostOp::ModSwitch,
-                c,
-                time(&mut || {
-                    eval.mod_switch(&ct).expect("modswitch");
-                }),
-            );
-        }
+) -> Result<CostTable, Box<dyn Error + Send + Sync>> {
+    let mut b = hecate_ir::FunctionBuilder::new("calibrate", 8);
+    let (mut x, half) = (b.input_cipher("x"), b.splat(0.5));
+    let mut prev = x;
+    for _ in 0..chain_len {
+        let sq = b.square(x);
+        let ops = [b.add(x, prev), b.add(x, half), b.mul(x, half), b.neg(x)];
+        let rest = [b.rotate(x, 1), b.rotate(x, 2), sq];
+        ops.into_iter().chain(rest).for_each(|v| b.output(v));
+        let x4 = b.square(sq);
+        (prev, x) = (x, b.mul(x4, x));
     }
-    Ok(table)
+    let mut o = CompileOptions::with_waterline(15.0);
+    o.degree = Some(degree);
+    let backend = BackendOptions {
+        seed,
+        ..BackendOptions::default()
+    };
+    let engine = ExecEngine::new(Arc::new(compile(&b.finish(), Scheme::Eva, &o)?), &backend)?;
+    let inputs = HashMap::from([("x".to_string(), vec![0.9, -0.7, 0.5, -0.3])]);
+    let _hold = recorder::hold(recorder::Level::Full);
+    let (started, tid) = (trace::now_ns(), trace::current_tid());
+    (0..reps).try_for_each(|_| execute_sequential(&engine, &inputs).map(drop))?;
+    let mut events = recorder::snapshot();
+    events.retain(|ev| ev.ts_ns >= started && ev.tid == tid);
+    Ok(CostTable::from_trace(&events, degree))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hecate_compiler::CostOp;
+    use std::collections::BTreeSet;
 
     #[test]
-    fn profiled_table_has_level_structure() {
-        let t = profile_cost_table(64, 45, 30, 4, 2, 7).unwrap();
-        // Multiplication must get cheaper as primes drop.
-        let c4 = t.get(CostOp::MulCC, 4).unwrap();
-        let c1 = t.get(CostOp::MulCC, 1).unwrap();
-        assert!(c4 > c1, "mul at 4 primes ({c4}µs) vs 1 prime ({c1}µs)");
-        // Every category is present at the full prefix.
-        for op in CostOp::ALL {
-            if matches!(op, CostOp::Rescale | CostOp::ModSwitch) {
-                continue;
-            }
-            assert!(t.get(op, 4).is_some(), "{op:?} missing");
-        }
-        assert!(t.get(CostOp::Rescale, 4).is_some());
+    fn calibration_fills_every_cell() {
+        let table = calibrate(64, 4, 1, 7).unwrap();
+        let cells: BTreeSet<(CostOp, usize)> =
+            table.measurements().map(|(op, c, _)| (op, c)).collect();
+        let want: BTreeSet<(CostOp, usize)> = CostOp::ALL
+            .into_iter()
+            .flat_map(|op| {
+                let lowest = match op {
+                    CostOp::Rescale | CostOp::ModSwitch => 2,
+                    _ => 1,
+                };
+                (lowest..=4).map(move |c| (op, c))
+            })
+            .collect();
+        assert_eq!(cells, want);
+    }
+
+    #[test]
+    fn calibrated_mulcc_is_nondecreasing_in_primes() {
+        let table = calibrate(64, 4, 2, 7).unwrap();
+        let mul: Vec<f64> = (1..=4)
+            .map(|c| table.get(CostOp::MulCC, c).unwrap())
+            .collect();
+        assert!(mul.windows(2).all(|w| w[0] <= w[1]), "{mul:?}");
+    }
+
+    #[test]
+    fn calibration_leaves_the_store_undrained() {
+        let _hold = recorder::hold(recorder::Level::Full);
+        trace::mark_with("before-calibrate", Vec::new);
+        let tid = trace::current_tid();
+        calibrate(64, 2, 1, 7).unwrap();
+        let kept = recorder::snapshot();
+        assert!(kept
+            .iter()
+            .any(|ev| ev.name == "before-calibrate" && ev.tid == tid));
     }
 }

@@ -2,24 +2,25 @@
 //!
 //! Compiles every (benchmark × scheme × waterline) setting with a
 //! *profiled* cost table (as the paper does: per-op latencies measured on
-//! the execution backend), executes each feasible setting under
-//! encryption, and reports the relative estimation error. The paper finds
-//! a 1.3% geometric-mean and 4.8% maximum error over 1152 settings.
+//! the execution backend, here by a calibration run through the
+//! executor), executes each feasible setting under encryption, and
+//! reports the relative estimation error. The paper finds a 1.3%
+//! geometric-mean and 4.8% maximum error over 1152 settings.
 //!
 //! Usage: `cargo run --release -p hecate-bench --bin fig8 [--full]`
 
+use hecate_backend::calibrate;
 use hecate_backend::exec::BackendOptions;
-use hecate_backend::profile_cost_table;
 use hecate_bench::{benchmarks, estimate_vs_actual, geomean, HarnessConfig};
 use hecate_compiler::{CostModel, Scheme};
 use std::sync::Arc;
 
 fn main() {
     let mut cfg = HarnessConfig::from_args(None);
-    // Profile the backend at the execution degree with a representative
+    // Calibrate the backend at the execution degree with a representative
     // chain, exactly as §VI-C prescribes.
-    eprintln!("profiling backend at degree {} ...", cfg.degree);
-    let table = profile_cost_table(cfg.degree, 40, 40, 14, 9, 11).expect("profiling");
+    eprintln!("calibrating backend at degree {} ...", cfg.degree);
+    let table = calibrate(cfg.degree, 14, 9, 11).expect("calibration");
     cfg.cost_model = CostModel::Profiled(Arc::new(table));
 
     println!("Fig. 8 — estimated vs actual latency");
@@ -44,7 +45,7 @@ fn main() {
         let needs = cfg.effective_degree(&bench);
         if needs != cfg.degree {
             println!(
-                "{:<8} skipped: needs degree {needs}, the cost table is profiled at {}",
+                "{:<8} skipped: needs degree {needs}, the cost table is calibrated at {}",
                 bench.name, cfg.degree
             );
             continue;

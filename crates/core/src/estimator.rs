@@ -15,7 +15,7 @@
 use crate::noise::NoiseRule;
 use hecate_ir::types::Type;
 use hecate_ir::{Function, Op};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The backend cost categories an IR operation lowers to.
@@ -83,12 +83,14 @@ impl CostOp {
 }
 
 /// A measured `(operation, active primes) → microseconds` table for one
-/// ring degree, as produced by the backend profiler.
+/// ring degree, as folded from execution spans by
+/// [`CostTable::from_trace`]. Entries are ordered, so lookups and
+/// iteration never depend on hashing.
 #[derive(Debug, Clone, Default)]
 pub struct CostTable {
     /// Ring degree the table was measured at.
     pub degree: usize,
-    entries: HashMap<(CostOp, usize), f64>,
+    entries: BTreeMap<(CostOp, usize), f64>,
 }
 
 impl CostTable {
@@ -96,7 +98,7 @@ impl CostTable {
     pub fn new(degree: usize) -> Self {
         CostTable {
             degree,
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
         }
     }
 
@@ -105,13 +107,15 @@ impl CostTable {
         self.entries.insert((op, active_primes), micros);
     }
 
-    /// All `(op, active primes, µs)` measurements, in no particular order.
+    /// All `(op, active primes, µs)` measurements, in `(op, active primes)`
+    /// order.
     pub fn measurements(&self) -> impl Iterator<Item = (CostOp, usize, f64)> + '_ {
         self.entries.iter().map(|(&(op, c), &us)| (op, c, us))
     }
 
     /// Looks up a measurement; falls back to the nearest measured prefix
-    /// scaled analytically if the exact prefix is missing.
+    /// scaled analytically if the exact prefix is missing (the smaller
+    /// prefix when two are equally near).
     pub fn get(&self, op: CostOp, active_primes: usize) -> Option<f64> {
         if let Some(v) = self.entries.get(&(op, active_primes)) {
             return Some(*v);
@@ -119,8 +123,7 @@ impl CostTable {
         // Nearest-neighbour fallback with analytic scaling.
         let nearest = self
             .entries
-            .iter()
-            .filter(|((o, _), _)| *o == op)
+            .range((op, 0)..=(op, usize::MAX))
             .min_by_key(|((_, c), _)| c.abs_diff(active_primes))?;
         let ((_, c0), v0) = nearest;
         let a = analytic_cost_us(op, active_primes, self.degree);
@@ -145,7 +148,7 @@ impl CostTable {
     /// are measurement noise.
     pub fn from_trace(events: &[hecate_telemetry::Event], degree: usize) -> CostTable {
         // (op, active) → (Σ µs, sample count)
-        let mut cells: HashMap<(CostOp, usize), (f64, f64)> = HashMap::new();
+        let mut cells: BTreeMap<(CostOp, usize), (f64, f64)> = BTreeMap::new();
         let mut stacks: HashMap<u64, Vec<&hecate_telemetry::Event>> = HashMap::new();
         for ev in events {
             match ev.kind {
@@ -196,15 +199,10 @@ impl CostTable {
         }
         let mut table = CostTable::new(degree);
         for op in CostOp::ALL {
-            let mut points: Vec<(usize, f64, f64)> = cells
-                .iter()
-                .filter(|((o, _), _)| *o == op)
+            let points: Vec<(usize, f64, f64)> = cells
+                .range((op, 0)..=(op, usize::MAX))
                 .map(|(&(_, active), &(sum, n))| (active, sum / n, n))
                 .collect();
-            if points.is_empty() {
-                continue;
-            }
-            points.sort_by_key(|&(active, _, _)| active);
             for (active, us) in pava_nondecreasing(&points) {
                 table.set(op, active, us);
             }
@@ -241,22 +239,6 @@ fn pava_nondecreasing(points: &[(usize, f64, f64)]) -> Vec<(usize, f64)> {
         }
     }
     out
-}
-
-/// Sums the measured kernel time (`us` attribute) over every `exec-op`
-/// span end in a trace — the measured counterpart of
-/// [`estimate_latency_us`] for a traced execution.
-pub fn traced_total_us(events: &[hecate_telemetry::Event]) -> f64 {
-    events
-        .iter()
-        .filter(|ev| matches!(ev.kind, hecate_telemetry::EventKind::End) && ev.name == "exec-op")
-        .filter_map(|ev| {
-            ev.attrs
-                .iter()
-                .find(|(k, _)| *k == "us")
-                .and_then(|(_, v)| v.as_f64())
-        })
-        .sum()
 }
 
 /// The latency model used by the estimator.
@@ -399,8 +381,8 @@ pub fn latency_breakdown(
     model: &CostModel,
     chain_len: usize,
     degree: usize,
-) -> std::collections::BTreeMap<CostOp, f64> {
-    let mut totals = std::collections::BTreeMap::new();
+) -> BTreeMap<CostOp, f64> {
+    let mut totals = BTreeMap::new();
     for info in op_cost_infos(func, types, chain_len) {
         for &cat in &info.cost_ops {
             *totals.entry(cat).or_insert(0.0) += model.cost_us(cat, info.active_primes, degree);
@@ -584,6 +566,24 @@ mod tests {
         let v = t.get(CostOp::MulCC, 3).unwrap();
         assert!(v > 300.0 && v < 1000.0, "interpolated {v}");
         assert_eq!(t.get(CostOp::Rotate, 3), None);
+    }
+
+    #[test]
+    fn equidistant_fallback_is_the_same_in_every_table() {
+        // Prefix 3 is equally near the cells at 2 and 4; every one of many
+        // equal tables must resolve the tie the same way (the smaller).
+        let answers: Vec<f64> = (0..64)
+            .map(|_| {
+                let mut t = CostTable::new(1024);
+                t.set(CostOp::MulCC, 4, 1000.0);
+                t.set(CostOp::MulCC, 2, 300.0);
+                t.get(CostOp::MulCC, 3).unwrap()
+            })
+            .collect();
+        assert!(answers.iter().all(|&a| a == answers[0]), "{answers:?}");
+        let from_two = 300.0 * analytic_cost_us(CostOp::MulCC, 3, 1024)
+            / analytic_cost_us(CostOp::MulCC, 2, 1024);
+        assert_eq!(answers[0], from_two);
     }
 
     #[test]
@@ -776,15 +776,6 @@ mod tests {
         let table = CostTable::from_trace(&events, 1024);
         assert_eq!(table.get(CostOp::Rotate, 4), Some(250.0));
         assert_eq!(table.measurements().count(), 1);
-    }
-
-    #[test]
-    fn traced_total_sums_exec_op_time() {
-        let mut events: Vec<Event> = Vec::new();
-        events.extend(exec_op_span(1, 0, "mul_cc", 3, 900.0));
-        events.extend(exec_op_span(1, 200, "add_cc", 3, 10.5));
-        assert!((traced_total_us(&events) - 910.5).abs() < 1e-9);
-        assert_eq!(traced_total_us(&[]), 0.0);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod planner;
 pub mod serialize;
 pub mod smu;
 
-pub use estimator::{op_cost_infos, traced_total_us, CostModel, CostOp, CostTable, OpCostInfo};
+pub use estimator::{op_cost_infos, CostModel, CostOp, CostTable, OpCostInfo};
 pub use options::{
     CompileError, CompileFault, CompileFaultKind, CompileOptions, CompileStats, CompiledProgram,
     FallbackRung, Scheme,

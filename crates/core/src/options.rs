@@ -142,13 +142,10 @@ impl CompileOptions {
         let cost_model = match &self.cost_model {
             CostModel::Analytic => "analytic".to_string(),
             CostModel::Profiled(table) => {
-                // Entries are iterated in sorted order so the fingerprint
-                // is independent of map internals.
-                let mut entries: Vec<String> = table
+                let entries: Vec<String> = table
                     .measurements()
                     .map(|(op, c, us)| format!("{op:?}@{c}={us}"))
                     .collect();
-                entries.sort();
                 format!("profiled(n{};{})", table.degree, entries.join(","))
             }
         };

@@ -166,7 +166,8 @@ thread_local! {
     static CONTEXT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-fn thread_tid() -> u64 {
+/// The calling thread's trace id: the `tid` of every event it records.
+pub fn current_tid() -> u64 {
     TID.with(|tid| {
         if tid.get() == 0 {
             tid.set(NEXT_TID.fetch_add(1, Ordering::Relaxed));
@@ -229,7 +230,7 @@ fn record(kind: EventKind, name: &'static str, ts_ns: u64, mut attrs: Attrs) {
         kind,
         name,
         ts_ns,
-        tid: thread_tid(),
+        tid: current_tid(),
         attrs,
     });
 }

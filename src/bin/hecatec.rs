@@ -73,8 +73,8 @@
 //!   --estimator-report              compile and execute the paper's eight
 //!                                   benchmarks (Small preset), then print the
 //!                                   analytic estimate, the traced latency, and a
-//!                                   re-estimate from the trace-measured cost
-//!                                   table; takes no input files
+//!                                   re-estimate from a cost table calibrated at
+//!                                   the benchmark's degree; takes no input files
 //!   --audit                         run encrypted AND in the plaintext reference,
 //!                                   decrypt-compare at every output plus selected
 //!                                   intermediates, and print a per-op table of
@@ -109,11 +109,11 @@
 //! a negative waterline margin).
 
 use hecate::backend::exec::execute_encrypted;
-use hecate::backend::{AuditOptions, FaultPlan};
+use hecate::backend::{calibrate, AuditOptions, FaultPlan};
 use hecate::compiler::estimator::estimate_latency_us;
 use hecate::compiler::{
     compile, compile_with_fallback, deserialize_plan, serialize_plan, CompileOptions,
-    CompiledProgram, CostModel, CostTable, FallbackRung, Scheme,
+    CompiledProgram, CostModel, FallbackRung, Scheme,
 };
 use hecate::ir::hash::function_hash;
 use hecate::ir::parse::parse_function;
@@ -562,13 +562,11 @@ fn obtain_plan(cli: &Cli, func: &Function, opts: &CompileOptions) -> Result<Comp
 }
 
 /// The estimator loop, end to end: compile each of the paper's eight
-/// benchmarks (Small preset), execute it under encryption with the
-/// tracer on, fold the per-op `exec-op` spans into a measured
-/// [`CostTable`], and re-estimate with [`CostModel::Profiled`]. Prints
-/// one row per benchmark — analytic estimate, traced latency, profiled
-/// re-estimate, and the ratios — plus the geomean ratios the paper's
-/// Fig. 8 reports. It reads the store without draining it, so a
-/// simultaneous `--trace` still sees the full invocation.
+/// benchmarks (Small preset), execute it under encryption, and re-estimate
+/// it with [`CostModel::Profiled`] over a table [`calibrate`]d at the
+/// benchmark's degree and chain. Prints one row per benchmark — analytic
+/// estimate, traced latency, profiled re-estimate, and the ratios — plus
+/// the geomean ratios the paper's Fig. 8 reports.
 fn estimator_report(cli: &Cli) -> u8 {
     let opts = &cli.compile;
     let benches = hecate::apps::all_benchmarks(hecate::apps::Preset::Small);
@@ -600,30 +598,29 @@ fn estimator_report(cli: &Cli) -> u8 {
                 return 4;
             }
         };
-        // Split the stream here so the fold below sees only this
-        // benchmark's execution ops.
-        let started = trace::now_ns();
-        if let Err(e) = execute_encrypted(&prog, &b.inputs, &cli.runtime.backend) {
-            eprintln!("hecatec: {}: execution failed: {e}", b.name);
-            return 5;
-        }
-        let mut events = recorder::snapshot();
-        events.retain(|ev| ev.ts_ns >= started);
+        let (degree, chain_len) = (prog.params.degree, prog.params.chain_len);
+        let table = match calibrate(degree, chain_len, 3, cli.runtime.backend.seed) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("hecatec: {}: calibration failed: {e}", b.name);
+                return 5;
+            }
+        };
+        let traced = match execute_encrypted(&prog, &b.inputs, &cli.runtime.backend) {
+            Ok(run) => run.total_us,
+            Err(e) => {
+                eprintln!("hecatec: {}: execution failed: {e}", b.name);
+                return 5;
+            }
+        };
         let analytic = prog.stats.estimated_latency_us;
-        let traced = hecate::compiler::traced_total_us(&events);
-        let table = CostTable::from_trace(&events, prog.params.degree);
-        let profiled = estimate_latency_us(
-            &prog.func,
-            &prog.types,
-            &CostModel::Profiled(Arc::new(table)),
-            prog.params.chain_len,
-            prog.params.degree,
-        );
+        let model = CostModel::Profiled(Arc::new(table));
+        let profiled = estimate_latency_us(&prog.func, &prog.types, &model, chain_len, degree);
         println!(
             "  {:<6} {:>5} {:>6} {:>12.2} {:>12.2} {:>12.2} {:>7.3} {:>7.3} {:>10.1}",
             b.name,
             prog.func.len(),
-            prog.params.degree,
+            degree,
             analytic / 1e3,
             traced / 1e3,
             profiled / 1e3,
@@ -971,11 +968,9 @@ fn main() -> ExitCode {
         }
     };
 
-    // The estimator report needs the full event stream even without
-    // --trace (the measured cost table is folded from it), and the
-    // precision trace is derived from the executor's `precision` marks.
-    // Held until after `finish_observability` has drained the store.
-    let traced = cli.trace.is_some() || cli.precision_trace.is_some() || cli.mode() == REPORT;
+    // The precision trace is derived from the executor's `precision`
+    // marks. Held until after `finish_observability` has drained the store.
+    let traced = cli.trace.is_some() || cli.precision_trace.is_some();
     let _full_trace = traced.then(|| recorder::hold(Level::Full));
 
     let mut metrics_extra = String::new();

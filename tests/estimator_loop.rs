@@ -10,10 +10,10 @@
 //! pollute each other's event streams.
 
 use hecate::apps::{all_benchmarks, benchmark, Benchmark, Preset};
-use hecate::backend::exec::{execute_encrypted, BackendOptions};
+use hecate::backend::exec::{execute_encrypted, BackendOptions, EncryptedRun};
 use hecate::compiler::estimator::estimate_latency_us;
 use hecate::compiler::{
-    compile, traced_total_us, CompileOptions, CompiledProgram, CostModel, CostOp, CostTable, Scheme,
+    compile, CompileOptions, CompiledProgram, CostModel, CostOp, CostTable, Scheme,
 };
 use hecate::telemetry::trace;
 use std::collections::BTreeMap;
@@ -26,15 +26,14 @@ fn opts() -> CompileOptions {
 }
 
 /// Compiles and executes one benchmark with the tracer on, returning the
-/// program and the events of the encrypted run (compile spans excluded).
-fn traced_run(bench: &Benchmark) -> (CompiledProgram, Vec<hecate::telemetry::Event>) {
+/// program, the run, and its events (compile spans excluded).
+fn traced_run(bench: &Benchmark) -> (CompiledProgram, EncryptedRun, Vec<hecate::telemetry::Event>) {
     let mut o = opts();
     o.degree = Some((2 * bench.func.vec_size).max(512));
     let prog = compile(&bench.func, Scheme::Hecate, &o).expect("benchmark compiles");
     let (run, events) =
         trace::capture(|| execute_encrypted(&prog, &bench.inputs, &BackendOptions::default()));
-    run.expect("benchmark executes");
-    (prog, events)
+    (prog, run.expect("benchmark executes"), events)
 }
 
 /// The HECATE cost premise (paper §II-C): an op over more active primes
@@ -46,7 +45,7 @@ fn traced_run(bench: &Benchmark) -> (CompiledProgram, Vec<hecate::telemetry::Eve
 fn traced_cost_table_is_monotone_in_active_primes() {
     for name in ["SF", "HCD"] {
         let bench = benchmark(name, Preset::Small).unwrap();
-        let (prog, events) = traced_run(&bench);
+        let (prog, _, events) = traced_run(&bench);
         let table = CostTable::from_trace(&events, prog.params.degree);
         let mut by_op: BTreeMap<CostOp, Vec<(usize, f64)>> = BTreeMap::new();
         for (op, active, us) in table.measurements() {
@@ -78,8 +77,8 @@ fn traced_cost_table_is_monotone_in_active_primes() {
 #[test]
 fn profiled_reestimate_reproduces_traced_latency() {
     let bench = benchmark("SF", Preset::Small).unwrap();
-    let (prog, events) = traced_run(&bench);
-    let traced = traced_total_us(&events);
+    let (prog, run, events) = traced_run(&bench);
+    let traced = run.total_us;
     assert!(traced > 0.0, "traced run must record kernel time");
     let table = CostTable::from_trace(&events, prog.params.degree);
     let profiled = estimate_latency_us(
@@ -105,8 +104,8 @@ fn analytic_ranking_matches_traced_ranking() {
     let rows: Vec<(String, f64, f64)> = all_benchmarks(Preset::Small)
         .iter()
         .map(|bench| {
-            let (prog, events) = traced_run(bench);
-            let traced = traced_total_us(&events);
+            let (prog, run, _) = traced_run(bench);
+            let traced = run.total_us;
             assert!(traced > 0.0, "{}: empty trace", bench.name);
             (bench.name.clone(), prog.stats.estimated_latency_us, traced)
         })
