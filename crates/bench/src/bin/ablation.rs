@@ -10,7 +10,7 @@
 //! Usage: `cargo run --release -p hecate-bench --bin ablation [--full]`
 
 use hecate_bench::{benchmarks, HarnessConfig};
-use hecate_compiler::planner::explore_smu;
+use hecate_compiler::planner::explore;
 use hecate_compiler::smu::{analyze_with, SmuOptions};
 
 fn main() {
@@ -45,12 +45,14 @@ fn main() {
     ];
 
     for bench in benchmarks(&cfg) {
+        // The program `compile` explores.
+        let canon = hecate_ir::transform::canonicalize(&bench.func);
         let mut cells = Vec::new();
         for (_, smu_opts, early) in &variants {
             let mut opts = cfg.compile_opts(w);
             opts.early_modswitch = *early;
-            let analysis = analyze_with(&bench.func, w, smu_opts);
-            match explore_smu(&bench.func, &analysis, true, &opts) {
+            let analysis = analyze_with(&canon, w, smu_opts);
+            match explore(&canon, &analysis, true, &opts, None) {
                 Ok(out) => cells.push((out.best.cost_us, out.plans_explored)),
                 Err(_) => cells.push((f64::NAN, 0)),
             }
@@ -70,7 +72,8 @@ fn main() {
     }
     println!(
         "\nReading: coarser units (fewer split phases) shrink the explored-plan count \
-         but can miss plans; disabling early modswitch leaves modswitches late, \
-         running more operations at low (expensive) levels."
+         but can miss plans; no-early equals full because on these HECATE (PARS) \
+         plans the early-modswitch motion moves nothing: it matters for EVA's \
+         reactive rescaling, not here."
     );
 }

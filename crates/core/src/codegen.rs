@@ -13,8 +13,8 @@
 //!   oversized multiplication.
 //!
 //! On top of either policy, a scale-management *plan* (from SMSE, §VI-A)
-//! assigns each SMU edge an optimization degree: that many extra
-//! scale-management operations are applied to values crossing the edge,
+//! assigns each edge of a unit analysis an optimization degree: that many
+//! extra scale-management operations are applied to values crossing it,
 //! each chosen by the scale rule (rescale if the waterline allows,
 //! otherwise downscale if there is scale to shed, otherwise modswitch).
 //!
@@ -27,43 +27,23 @@ use hecate_ir::types::{infer_op, infer_types, Type, TypeConfig, SCALE_EPS};
 use hecate_ir::{ConstData, Function, Op, ValueId};
 use std::collections::HashMap;
 
-/// A plan reference: none (pure policy), SMU-edge degrees, or per-use
-/// degrees (the naïve exploration of Table III).
+/// A plan reference: an optimization degree per edge of a unit analysis.
+/// An edge-less analysis is the pure policy.
 #[derive(Clone, Copy)]
-pub enum PlanRef<'a> {
-    /// No extra operations.
-    None,
-    /// Degrees per SMU edge (indexed like `smu.edges`).
-    Smu {
-        /// The unit analysis.
-        smu: &'a SmuAnalysis,
-        /// Degree per edge.
-        degrees: &'a [u32],
-    },
-    /// Degrees per individual use–def edge `(def value, user op index)`.
-    Naive {
-        /// Degree per use edge.
-        degrees: &'a HashMap<(u32, u32), u32>,
-    },
+pub struct PlanRef<'a> {
+    /// The unit analysis.
+    pub smu: &'a SmuAnalysis,
+    /// Degree per edge (indexed like `smu.edges`).
+    pub degrees: &'a [u32],
 }
 
 impl PlanRef<'_> {
-    fn degree(&self, def: ValueId, user_index: usize, smu_result_unit: Option<u32>) -> u32 {
-        match self {
-            PlanRef::None => 0,
-            PlanRef::Smu { smu, degrees } => {
-                let (Some(from), Some(to)) = (smu.unit_of[def.index()], smu_result_unit) else {
-                    return 0;
-                };
-                if from == to {
-                    return 0;
-                }
-                smu.edge_index(from, to).map(|e| degrees[e]).unwrap_or(0)
+    fn degree(&self, def: ValueId, smu_result_unit: Option<u32>) -> u32 {
+        match (self.smu.unit_of.get(def.index()), smu_result_unit) {
+            (Some(&Some(from)), Some(to)) if from != to => {
+                self.smu.edge_index(from, to).map_or(0, |e| self.degrees[e])
             }
-            PlanRef::Naive { degrees } => degrees
-                .get(&(def.0, user_index as u32))
-                .copied()
-                .unwrap_or(0),
+            _ => 0,
         }
     }
 }
@@ -281,10 +261,7 @@ pub fn generate(func: &Function, g: &GenOptions) -> Result<(Function, Vec<Type>)
 
     for (i, op) in func.ops().iter().enumerate() {
         // The unit of this op's result, for SMU plan lookups.
-        let result_unit = match g.plan {
-            PlanRef::Smu { smu, .. } => smu.unit_of.get(i).copied().flatten(),
-            _ => None,
-        };
+        let result_unit = g.plan.smu.unit_of.get(i).copied().flatten();
         // Resolve an operand: map to the new function, then apply the
         // plan's optimization degree for this edge.
         let resolve = |em: &mut Emitter, v: ValueId| -> Result<ValueId, CompileError> {
@@ -293,7 +270,7 @@ pub fn generate(func: &Function, g: &GenOptions) -> Result<(Function, Vec<Type>)
             // is visited every operand slot below `i` has been filled.
             let mut cur = map[v.index()].expect("operand defined earlier");
             if !em.is_free(cur) && em.ty(cur).is_cipher() {
-                let d = g.plan.degree(v, i, result_unit);
+                let d = g.plan.degree(v, result_unit);
                 for _ in 0..d {
                     cur = em.plan_step(cur)?;
                 }
@@ -598,7 +575,10 @@ mod tests {
         let g = GenOptions {
             cfg: TypeConfig::new(w, 60.0),
             proactive,
-            plan: PlanRef::None,
+            plan: PlanRef {
+                smu: &SmuAnalysis::default(),
+                degrees: &[],
+            },
             early_modswitch: true,
             rotate_cse: true,
         };
@@ -715,7 +695,7 @@ mod tests {
             &GenOptions {
                 cfg,
                 proactive: true,
-                plan: PlanRef::Smu {
+                plan: PlanRef {
                     smu: &smu,
                     degrees: &zero,
                 },
@@ -734,7 +714,7 @@ mod tests {
                 &GenOptions {
                     cfg,
                     proactive: true,
-                    plan: PlanRef::Smu {
+                    plan: PlanRef {
                         smu: &smu,
                         degrees: &degrees,
                     },
@@ -798,7 +778,10 @@ mod tests {
         let g = GenOptions {
             cfg: TypeConfig::new(20.0, 60.0),
             proactive: true,
-            plan: PlanRef::None,
+            plan: PlanRef {
+                smu: &SmuAnalysis::default(),
+                degrees: &[],
+            },
             early_modswitch: false,
             rotate_cse: true,
         };

@@ -10,7 +10,9 @@
 //! - [`smu`] — scale management unit generation (Algorithm 1), which
 //!   shrinks the exploration space from use–def edges to unit edges;
 //! - [`planner`] — the hill-climbing scale management space explorer
-//!   (SMSE), including the naïve per-use variant used for Table III;
+//!   (SMSE): one climb over the edges of whatever unit analysis it is
+//!   given — SMU edges, per-use edges for Table III's naïve search, or
+//!   none for EVA and PARS;
 //! - [`estimator`] — the static performance estimator (§VI-C), analytic or
 //!   profiled;
 //! - [`noise`] — the one per-op CKKS noise rule the estimator, the

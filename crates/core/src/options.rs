@@ -94,9 +94,6 @@ pub struct CompileOptions {
     pub canonicalize: bool,
     /// What the explorer minimizes.
     pub objective: Objective,
-    /// Upper bound on hill-climbing iterations (safety net; the climb
-    /// normally stops at a local optimum much earlier).
-    pub max_smse_iters: usize,
     /// Re-verify the full invariant set (C1/C2, level monotonicity,
     /// rescale legality) after every pass and candidate lowering. The
     /// incremental checks in the emitter already reject most bad plans;
@@ -120,7 +117,6 @@ impl CompileOptions {
             early_modswitch: true,
             canonicalize: true,
             objective: Objective::Latency,
-            max_smse_iters: 100,
             verify_passes: true,
             fault: None,
         }
@@ -156,7 +152,7 @@ impl CompileOptions {
             }
         };
         format!(
-            "w={};sf={};margin={};degree={:?};chain<={};cost={};ems={};canon={};obj={};iters={};verify={};fault={:?}",
+            "w={};sf={};margin={};degree={:?};chain<={};cost={};ems={};canon={};obj={};verify={};fault={:?}",
             self.waterline_bits,
             self.rescale_bits,
             self.margin_bits,
@@ -166,7 +162,6 @@ impl CompileOptions {
             self.early_modswitch,
             self.canonicalize,
             objective,
-            self.max_smse_iters,
             self.verify_passes,
             self.fault,
         )

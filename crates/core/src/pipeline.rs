@@ -4,8 +4,8 @@
 use crate::options::{
     CompileError, CompileOptions, CompileStats, CompiledProgram, FallbackRung, Scheme,
 };
-use crate::planner::{compile_plain, explore_smu, Candidate};
-use crate::smu;
+use crate::planner::{explore, Candidate, ExploreOutcome};
+use crate::smu::{self, SmuAnalysis};
 use hecate_ir::analysis::{op_histogram, use_edge_count};
 use hecate_ir::verify::{verify_input, verify_plan};
 use hecate_ir::Function;
@@ -68,13 +68,20 @@ pub fn compile(
         let _s = trace::span("pass:smu-analyze");
         smu::analyze(func, opts.waterline_bits)
     };
-    let (mut candidate, epochs, plans_explored) = if scheme.explores() {
-        let _s = trace::span("pass:explore");
-        let out = explore_smu(func, &analysis, scheme.proactive(), opts)?;
-        (out.best, out.epochs, out.plans_explored)
+    // EVA and PARS lower the all-zero plan of an edge-less analysis.
+    let (pass, units) = if scheme.explores() {
+        ("pass:explore", &analysis)
     } else {
-        let _s = trace::span("pass:codegen");
-        (compile_plain(func, scheme.proactive(), opts)?, 0, 1)
+        ("pass:codegen", &SmuAnalysis::default())
+    };
+    let ExploreOutcome {
+        best: mut candidate,
+        epochs,
+        plans_explored,
+        ..
+    } = {
+        let _s = trace::span(pass);
+        explore(func, units, scheme.proactive(), opts, None)?
     };
     {
         let _s = trace::span("pass:final-verify");

@@ -1,24 +1,32 @@
 //! The scale management space explorer (SMSE) — paper §VI-A.
 //!
-//! A *plan* assigns an optimization degree to every SMU edge. The planner
-//! climbs the plan space by steepest ascent: from the incumbent plan it
-//! generates one neighbour per edge (degree +1 there), lowers each through
-//! the code generator, scores it with the performance estimator, and adopts
-//! the best improvement; it stops at a local optimum (the "hilltop").
+//! A *plan* assigns an optimization degree to every edge of a unit
+//! analysis ([`SmuAnalysis`]). [`explore`] climbs the plan space by
+//! steepest ascent: from the incumbent plan it generates one neighbour per
+//! edge (degree +1 there), lowers each through the code generator, scores
+//! it with the performance estimator, and adopts the best improvement; it
+//! stops at a local optimum (the "hilltop").
 //!
-//! The naïve explorer (Table III's comparison point) runs the same climb
-//! over raw use–def edges instead of SMU edges — the same code path with a
-//! per-use plan — and is capped by an evaluation budget since the paper
-//! measured it at up to 649 hours.
+//! The analysis passed in is the only thing that differs between callers:
+//!
+//! - SMSE and HECATE climb over SMU edges ([`crate::smu::analyze`]);
+//! - the naïve explorer of Table III climbs over raw use–def edges
+//!   ([`SmuAnalysis::per_value`]), under an evaluation budget since the
+//!   paper measured it at up to 649 hours;
+//! - EVA and PARS pass the edge-less [`SmuAnalysis::default`], so the
+//!   all-zero plan — the pure policy — is the only one evaluated.
 
 use crate::codegen::{generate, GenOptions, PlanRef};
 use crate::estimator::{estimate_latency_us, estimate_noise_bits};
 use crate::options::{CompileError, CompileOptions, Objective};
 use crate::params::{select_params, SelectedParams};
-use crate::smu::{cipherness, SmuAnalysis};
+use crate::smu::SmuAnalysis;
 use hecate_ir::types::Type;
 use hecate_ir::Function;
-use std::collections::HashMap;
+
+/// Upper bound on hill-climbing iterations (a safety net: the climb
+/// normally stops at a local optimum much earlier).
+const MAX_SMSE_ITERS: usize = 100;
 
 /// One lowered-and-scored plan.
 #[derive(Debug, Clone)]
@@ -48,20 +56,24 @@ pub struct ExploreOutcome {
     /// Plans evaluated, including infeasible ones (Table III "plans").
     pub plans_explored: usize,
     /// Whether the run stopped on the evaluation budget rather than at a
-    /// local optimum (naïve mode only).
+    /// local optimum.
     pub capped: bool,
 }
 
 fn evaluate(
     func: &Function,
-    plan: PlanRef<'_>,
+    units: &SmuAnalysis,
+    degrees: &[u32],
     proactive: bool,
     opts: &CompileOptions,
 ) -> Result<Candidate, CompileError> {
     let g = GenOptions {
         cfg: opts.type_config(),
         proactive,
-        plan,
+        plan: PlanRef {
+            smu: units,
+            degrees,
+        },
         early_modswitch: opts.early_modswitch,
         rotate_cse: opts.canonicalize,
     };
@@ -71,13 +83,11 @@ fn evaluate(
     // guards the waterline, budget, monotonicity, and rescale conditions
     // against bugs in the generation passes themselves.
     if opts.verify_passes {
-        let pass = match (plan, proactive) {
-            (PlanRef::None, false) => "eva-codegen",
-            (PlanRef::None, true) => "pars-codegen",
-            (PlanRef::Smu { .. }, false) => "smse-candidate(eva)",
-            (PlanRef::Smu { .. }, true) => "smse-candidate(pars)",
-            (PlanRef::Naive { .. }, false) => "naive-candidate(eva)",
-            (PlanRef::Naive { .. }, true) => "naive-candidate(pars)",
+        let pass = match (degrees.is_empty(), proactive) {
+            (true, false) => "eva-codegen",
+            (true, true) => "pars-codegen",
+            (false, false) => "smse-candidate(eva)",
+            (false, true) => "smse-candidate(pars)",
         };
         hecate_ir::verify::verify_plan(&out, &g.cfg, pass)?;
     }
@@ -106,61 +116,43 @@ fn evaluate(
     })
 }
 
-/// Compiles without exploration (EVA and PARS schemes).
-///
-/// # Errors
-/// Propagates code-generation and parameter-selection failures.
-pub fn compile_plain(
-    func: &Function,
-    proactive: bool,
-    opts: &CompileOptions,
-) -> Result<Candidate, CompileError> {
-    evaluate(func, PlanRef::None, proactive, opts)
-}
-
-/// Runs SMSE over SMU edges (SMSE and HECATE schemes).
+/// Runs SMSE: a steepest-ascent climb over the edges of `units`, from the
+/// all-zero plan to a local optimum, or until `budget` plans have been
+/// evaluated (`capped`). An edge-less analysis (the default) evaluates the
+/// all-zero plan once and opens no `smse-iter` span.
 ///
 /// # Errors
 /// Fails only if the *initial* (all-zero) plan cannot be lowered; bad
 /// neighbours are simply discarded.
-pub fn explore_smu(
+pub fn explore(
     func: &Function,
-    smu: &SmuAnalysis,
+    units: &SmuAnalysis,
     proactive: bool,
     opts: &CompileOptions,
+    budget: Option<usize>,
 ) -> Result<ExploreOutcome, CompileError> {
-    let edge_count = smu.edges.len();
+    let edge_count = units.edges.len();
     let mut degrees = vec![0u32; edge_count];
-    let mut best = evaluate(
-        func,
-        PlanRef::Smu {
-            smu,
-            degrees: &degrees,
-        },
-        proactive,
-        opts,
-    )?;
+    let mut best = evaluate(func, units, &degrees, proactive, opts)?;
     let mut epochs = 0;
     let mut plans_explored = 1;
+    let mut capped = false;
+    let iters = if edge_count == 0 { 0 } else { MAX_SMSE_ITERS };
     let iter_counter = hecate_telemetry::metrics::global().counter("hecate_smse_iters_total");
-    for iter in 0..opts.max_smse_iters {
+    'climb: for iter in 0..iters {
         let mut span = hecate_telemetry::trace::span_with("smse-iter", || {
             vec![("iter", iter.into()), ("incumbent_us", best.cost_us.into())]
         });
         iter_counter.inc();
         let mut improved: Option<(usize, Candidate)> = None;
         for e in 0..edge_count {
+            if budget.is_some_and(|b| plans_explored >= b) {
+                capped = true;
+                break 'climb;
+            }
             degrees[e] += 1;
             plans_explored += 1;
-            if let Ok(cand) = evaluate(
-                func,
-                PlanRef::Smu {
-                    smu,
-                    degrees: &degrees,
-                },
-                proactive,
-                opts,
-            ) {
+            if let Ok(cand) = evaluate(func, units, &degrees, proactive, opts) {
                 if cand.score < best.score - 1e-9
                     && improved
                         .as_ref()
@@ -190,77 +182,6 @@ pub fn explore_smu(
         best,
         epochs,
         plans_explored,
-        capped: false,
-    })
-}
-
-/// Runs the naïve exploration over raw use–def edges, stopping after
-/// `max_evaluations` plan evaluations if given.
-///
-/// # Errors
-/// Fails only if the initial plan cannot be lowered.
-pub fn explore_naive(
-    func: &Function,
-    proactive: bool,
-    opts: &CompileOptions,
-    max_evaluations: Option<usize>,
-) -> Result<ExploreOutcome, CompileError> {
-    // Use edges with cipher-valued defs (plain edges are not managed).
-    let cipher = cipherness(func);
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (i, op) in func.ops().iter().enumerate() {
-        for v in op.operands() {
-            if cipher[v.index()] {
-                edges.push((v.0, i as u32));
-            }
-        }
-    }
-    let mut degrees: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut best = evaluate(func, PlanRef::Naive { degrees: &degrees }, proactive, opts)?;
-    let mut epochs = 0;
-    let mut plans_explored = 1;
-    let mut capped = false;
-    'outer: for _ in 0..opts.max_smse_iters {
-        let mut improved: Option<((u32, u32), Candidate)> = None;
-        for &edge in &edges {
-            if let Some(buget) = max_evaluations {
-                if plans_explored >= buget {
-                    capped = true;
-                    break 'outer;
-                }
-            }
-            *degrees.entry(edge).or_insert(0) += 1;
-            plans_explored += 1;
-            if let Ok(cand) = evaluate(func, PlanRef::Naive { degrees: &degrees }, proactive, opts)
-            {
-                if cand.score < best.score - 1e-9
-                    && improved
-                        .as_ref()
-                        .map(|(_, c)| cand.score < c.score)
-                        .unwrap_or(true)
-                {
-                    improved = Some((edge, cand));
-                }
-            }
-            let d = degrees.get_mut(&edge).expect("just inserted");
-            *d -= 1;
-            if *d == 0 {
-                degrees.remove(&edge);
-            }
-        }
-        match improved {
-            Some((edge, cand)) => {
-                *degrees.entry(edge).or_insert(0) += 1;
-                best = cand;
-                epochs += 1;
-            }
-            None => break,
-        }
-    }
-    Ok(ExploreOutcome {
-        best,
-        epochs,
-        plans_explored,
         capped,
     })
 }
@@ -270,6 +191,7 @@ mod tests {
     use super::*;
     use crate::smu;
     use hecate_ir::FunctionBuilder;
+    use hecate_telemetry::trace;
 
     fn motivating() -> Function {
         let mut b = FunctionBuilder::new("motivating", 4);
@@ -296,14 +218,14 @@ mod tests {
         for proactive in [false, true] {
             for w in [20.0, 30.0] {
                 let o = opts(w);
-                let base = compile_plain(&func, proactive, &o).unwrap();
+                let base = explore(&func, &SmuAnalysis::default(), proactive, &o, None).unwrap();
                 let a = smu::analyze(&func, w);
-                let explored = explore_smu(&func, &a, proactive, &o).unwrap();
+                let explored = explore(&func, &a, proactive, &o, None).unwrap();
                 assert!(
-                    explored.best.cost_us <= base.cost_us + 1e-9,
+                    explored.best.cost_us <= base.best.cost_us + 1e-9,
                     "explored {} > base {} (proactive={proactive}, w={w})",
                     explored.best.cost_us,
-                    base.cost_us
+                    base.best.cost_us
                 );
             }
         }
@@ -314,7 +236,7 @@ mod tests {
         let func = motivating();
         let o = opts(20.0);
         let a = smu::analyze(&func, 20.0);
-        let out = explore_smu(&func, &a, true, &o).unwrap();
+        let out = explore(&func, &a, true, &o, None).unwrap();
         // plans = 1 initial + (epochs+1 rounds)·edges, minus nothing.
         assert!(out.plans_explored > a.edges.len());
         assert_eq!(
@@ -329,8 +251,9 @@ mod tests {
         let func = motivating();
         let o = opts(20.0);
         let a = smu::analyze(&func, 20.0);
-        let smu_out = explore_smu(&func, &a, false, &o).unwrap();
-        let naive_out = explore_naive(&func, false, &o, None).unwrap();
+        let smu_out = explore(&func, &a, false, &o, None).unwrap();
+        let naive = SmuAnalysis::per_value(&func);
+        let naive_out = explore(&func, &naive, false, &o, None).unwrap();
         assert!(
             naive_out.plans_explored >= smu_out.plans_explored,
             "naive {} < smu {}",
@@ -342,12 +265,51 @@ mod tests {
     }
 
     #[test]
+    fn naive_climb_evaluates_each_use_def_pair_once() {
+        // x → x² → x⁴: each square uses its operand twice, but there are
+        // only two distinct (def, user) pairs to climb over.
+        let mut b = FunctionBuilder::new("squares", 4);
+        let x = b.input_cipher("x");
+        let x2 = b.square(x);
+        let x4 = b.square(x2);
+        b.output(x4);
+        let func = b.finish();
+        let out = explore(
+            &func,
+            &SmuAnalysis::per_value(&func),
+            true,
+            &opts(20.0),
+            None,
+        )
+        .unwrap();
+        assert!(!out.capped);
+        assert_eq!(out.plans_explored, 1 + (out.epochs + 1) * 2);
+    }
+
+    #[test]
     fn naive_budget_caps_run() {
         let func = motivating();
         let o = opts(20.0);
-        let out = explore_naive(&func, false, &o, Some(5)).unwrap();
-        assert!(out.capped);
-        assert!(out.plans_explored <= 6);
+        let naive = SmuAnalysis::per_value(&func);
+        for k in [2, 5, 9] {
+            let out = explore(&func, &naive, false, &o, Some(k)).unwrap();
+            assert!(out.capped, "budget {k}");
+            assert_eq!(out.plans_explored, k);
+        }
+    }
+
+    #[test]
+    fn edgeless_analysis_evaluates_one_plan_and_opens_no_span() {
+        let func = motivating();
+        for proactive in [false, true] {
+            let (out, events) = trace::capture(|| {
+                explore(&func, &SmuAnalysis::default(), proactive, &opts(20.0), None).unwrap()
+            });
+            assert_eq!((out.plans_explored, out.epochs), (1, 0));
+            assert!(!out.capped);
+            let tid = trace::current_tid();
+            assert!(!events.iter().any(|e| e.tid == tid && e.name == "smse-iter"));
+        }
     }
 
     #[test]
@@ -355,7 +317,7 @@ mod tests {
         let func = motivating();
         let o = opts(20.0);
         let a = smu::analyze(&func, 20.0);
-        let out = explore_smu(&func, &a, true, &o).unwrap();
+        let out = explore(&func, &a, true, &o, None).unwrap();
         hecate_ir::types::infer_types(&out.best.func, &o.type_config()).unwrap();
         assert!(out.best.params.chain_len >= 1);
     }

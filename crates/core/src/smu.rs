@@ -22,8 +22,9 @@ use hecate_ir::analysis::users;
 use hecate_ir::{Function, Op, ValueId};
 use std::collections::HashMap;
 
-/// The result of scale-management-unit analysis.
-#[derive(Debug, Clone)]
+/// The result of scale-management-unit analysis. The default is the
+/// edge-less analysis of a pure policy (EVA or PARS without a plan).
+#[derive(Debug, Clone, Default)]
 pub struct SmuAnalysis {
     /// Unit of each value (`None` for free/plain values, which are not
     /// scale-managed).
@@ -35,6 +36,19 @@ pub struct SmuAnalysis {
 }
 
 impl SmuAnalysis {
+    /// Every cipher value its own unit, numbered by its value id: the edges
+    /// are exactly the distinct cipher use–def pairs `(def, user)`, the
+    /// naïve search space of Table III.
+    pub fn per_value(func: &Function) -> SmuAnalysis {
+        let unit_of: Vec<Option<u32>> = cipherness(func)
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| c.then_some(i as u32))
+            .collect();
+        let unit_count = unit_of.iter().flatten().count();
+        with_edges(func, unit_of, unit_count)
+    }
+
     /// The edge index of `(from, to)` if such an inter-unit edge exists.
     pub fn edge_index(&self, from: u32, to: u32) -> Option<usize> {
         self.edges.binary_search(&(from, to)).ok()
@@ -66,7 +80,7 @@ fn virtual_scales(func: &Function, waterline: f64) -> Vec<f64> {
 
 /// Whether each value is a ciphertext in the input program (inputs are
 /// encrypted; cipherness propagates through operations).
-pub(crate) fn cipherness(func: &Function) -> Vec<bool> {
+fn cipherness(func: &Function) -> Vec<bool> {
     let mut c = Vec::with_capacity(func.len());
     for op in func.ops() {
         let v = match op {
@@ -249,7 +263,12 @@ pub fn analyze_with(func: &Function, waterline: f64, opts: &SmuOptions) -> SmuAn
         unit_of[i] = Some(id);
     }
 
-    // ---- Edges between units. ----
+    with_edges(func, unit_of, next3 as usize)
+}
+
+/// Completes an analysis from its unit assignment: the distinct def→use
+/// edges between different units, sorted.
+fn with_edges(func: &Function, unit_of: Vec<Option<u32>>, unit_count: usize) -> SmuAnalysis {
     let mut edges: Vec<(u32, u32)> = Vec::new();
     for (i, op) in func.ops().iter().enumerate() {
         let Some(to) = unit_of[i] else { continue };
@@ -263,10 +282,9 @@ pub fn analyze_with(func: &Function, waterline: f64, opts: &SmuOptions) -> SmuAn
     }
     edges.sort_unstable();
     edges.dedup();
-
     SmuAnalysis {
         unit_of,
-        unit_count: next3 as usize,
+        unit_count,
         edges,
     }
 }
@@ -314,6 +332,23 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(smu.edges.iter().copied().collect::<HashSet<_>>(), expected);
+    }
+
+    #[test]
+    fn per_value_edges_are_the_distinct_cipher_use_def_pairs() {
+        let mut b = FunctionBuilder::new("pv", 4);
+        let x = b.input_cipher("x");
+        let c = b.splat(2.0);
+        let x2 = b.square(x); // uses x twice: one edge
+        let y = b.mul(x2, c); // the plaintext use is no edge
+        let z = b.add(y, x);
+        b.output(z);
+        let f = b.finish();
+        let pv = SmuAnalysis::per_value(&f);
+        // Sorted, distinct, cipher-defined (def, user) pairs.
+        assert_eq!(pv.edges, [(x.0, x2.0), (x.0, z.0), (x2.0, y.0), (y.0, z.0)]);
+        assert_eq!(pv.unit_count, 4, "x, x², y, z");
+        assert_eq!(pv.unit_of[c.index()], None);
     }
 
     #[test]
