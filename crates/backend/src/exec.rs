@@ -11,18 +11,23 @@
 //! execution in the workspace — the CLI, audits, solo and packed serving,
 //! the benches:
 //!
-//! - **Ready set.** The SSA arena *is* the dependence DAG. Operations
-//!   whose operands are all computed sit in a min-heap on op index;
-//!   workers pop, run the kernel, publish the value, and push the
-//!   consumers that became ready. With one worker the pop order is
-//!   exactly SSA order (op `k` is ready once `0..k` are done, and nothing
-//!   smaller is left), so liveness peaks, hoist order, and ledger order
-//!   are those of a plain sequential walk.
+//! - **Lowering.** The engine lowers the plan once ([`Lowering`]): keys,
+//!   physical rotation steps, hoist roles and `exec-op` cost labels all
+//!   come from it, so the executor runs what the estimator priced.
+//! - **Ready set.** The SSA arena, plus an edge from each hoist leader to
+//!   each of its followers, *is* the dependence DAG (its shape is built
+//!   once per engine). Operations whose in-edges are all done sit in a
+//!   min-heap on op index; workers pop, run the kernel, publish the value
+//!   (and a leader's decomposition beside it), and push the ops that
+//!   became ready. With one worker the pop order is exactly SSA order (op
+//!   `k` is ready once `0..k` are done, and nothing smaller is left), so
+//!   liveness peaks and ledger order are those of a plain sequential walk.
+//!   A leader precedes its followers, so each hoist group decomposes once.
 //! - **Workers.** The caller is always worker 0; `jobs − 1` scoped
 //!   helpers ([`hecate_math::par::run_scoped`]) join it, so `jobs = 1`
-//!   spawns nothing. All scheduling state
-//!   sits behind one mutex — ops run for tens of microseconds to
-//!   milliseconds, the lock is held for bookkeeping only.
+//!   spawns nothing. All scheduling state sits behind one mutex — ops run
+//!   for tens of microseconds to milliseconds, the lock is held for
+//!   bookkeeping only.
 //! - **Tenants.** A run serves `engine.occupancy()` tenants packed into
 //!   disjoint slot blocks of each ciphertext; solo execution is the
 //!   one-tenant case (one block spanning every slot is exactly
@@ -58,13 +63,13 @@ use hecate_ckks::{
     Ciphertext, CkksEncoder, CkksParams, Decryptor, Encryptor, EvalKeys, Evaluator, HoistedDecomp,
     KeyGenerator, Plaintext, PublicKey,
 };
-use hecate_compiler::{op_cost_infos, CompiledProgram, OpCostInfo};
+use hecate_compiler::{CompiledProgram, HoistRole, Lowering};
 use hecate_ir::{Op, ValueId};
 use hecate_math::par;
 use hecate_telemetry::trace;
 use hecate_telemetry::{Counter, Gauge, Histogram};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -142,7 +147,7 @@ pub struct BackendOptions {
     /// takes). `1` (the default) is solo execution. Values ≥ 2 must be
     /// powers of two and carve the slots into per-tenant blocks sized by
     /// the plan's slot footprint; rotations then run in packed mode (see
-    /// [`physical_step`]).
+    /// [`hecate_compiler::lowering::physical_step`]).
     pub batch_occupancy: usize,
 }
 
@@ -405,82 +410,6 @@ pub fn build_params(
     )?)
 }
 
-/// The physical slot rotation realizing a logical rotate-left by `step`
-/// on a `vec_size`-wide program.
-///
-/// Solo (`occupancy == 1`): replication makes every `step % slots`
-/// rotation correct. Packed (`occupancy >= 2`): the executor must keep
-/// each tenant's data inside its block's guard bands, so it takes the
-/// *short* direction chosen by [`hecate_ir::packed_shift`] — a small
-/// rotate-left (`fwd` slots) or its rotate-right complement
-/// (`slots - back`). Key generation, fan-out analysis, and the rotate
-/// kernel all go through this one mapping.
-pub fn physical_step(step: usize, vec_size: usize, slots: usize, occupancy: usize) -> usize {
-    if occupancy <= 1 {
-        step % slots
-    } else {
-        let (fwd, back) = hecate_ir::packed_shift(step, vec_size);
-        if fwd > 0 {
-            fwd
-        } else if back > 0 {
-            slots - back
-        } else {
-            0
-        }
-    }
-}
-
-/// Collects what the evaluation keys must serve: the prefixes ct×ct
-/// multiplications run at and the `(rotation step, prefix)` pairs, in the
-/// solo layout (a packed engine maps steps through [`physical_step`] at
-/// its own occupancy). [`EvalKeys::generate`] makes one key per target,
-/// at the largest prefix named for it.
-pub fn key_requirements(
-    prog: &CompiledProgram,
-    slots: usize,
-    chain_len: usize,
-) -> (Vec<usize>, Vec<(usize, usize)>) {
-    key_requirements_for(prog, slots, chain_len, 1)
-}
-
-/// [`key_requirements`] for an engine at the given batching occupancy:
-/// rotation steps are mapped through [`physical_step`] so a packed engine
-/// generates Galois keys for the steps it will actually execute.
-fn key_requirements_for(
-    prog: &CompiledProgram,
-    slots: usize,
-    chain_len: usize,
-    occupancy: usize,
-) -> (Vec<usize>, Vec<(usize, usize)>) {
-    let vec_size = prog.func.vec_size;
-    let mut relin = Vec::new();
-    let mut rot = Vec::new();
-    for op in prog.func.ops() {
-        let level = |v: &ValueId| prog.types[v.index()].level().unwrap_or(0);
-        match op {
-            Op::Mul(a, b) => {
-                let both_cipher =
-                    prog.types[a.index()].is_cipher() && prog.types[b.index()].is_cipher();
-                if both_cipher {
-                    relin.push(chain_len - level(a));
-                }
-            }
-            Op::Rotate { value, step } => {
-                let s = physical_step(*step, vec_size, slots, occupancy);
-                if s != 0 {
-                    rot.push((s, chain_len - level(value)));
-                }
-            }
-            _ => {}
-        }
-    }
-    relin.sort_unstable();
-    relin.dedup();
-    rot.sort_unstable();
-    rot.dedup();
-    (relin, rot)
-}
-
 /// Replicates a logical vector across the slot count. Shorter data is
 /// zero-padded to `vec_size`; longer data is rejected by the caller via
 /// [`ExecError::InputTooLong`] — cycling it into the window would
@@ -495,49 +424,6 @@ fn replicate(data: &[f64], vec_size: usize, slots: usize) -> Vec<f64> {
     }
     out.truncate(slots);
     out
-}
-
-/// Per-run cache of hoisted rotation decompositions, keyed by the
-/// producer value's operation index.
-///
-/// One [`HoistState`] lives exactly as long as one run: decomposed `c1`
-/// values depend on that run's ciphertexts, so sharing across runs (or
-/// engines) would be incorrect. Concurrent workers may race to hoist the
-/// same value; both compute the same bits (the kernels are
-/// deterministic), the first insert wins, and the duplicate is dropped —
-/// correctness never depends on the race.
-#[derive(Default)]
-struct HoistState {
-    decomps: Mutex<HashMap<usize, Arc<HoistedDecomp>>>,
-}
-
-impl HoistState {
-    /// Returns the hoisted decomposition for the value at `key`,
-    /// computing (and caching) it on first use.
-    fn get_or_hoist(&self, key: usize, c: &Ciphertext, eval: &Evaluator) -> Arc<HoistedDecomp> {
-        if let Some(hd) = self
-            .decomps
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            return hd.clone();
-        }
-        // Hoist outside the lock: a concurrent duplicate costs one
-        // redundant decomposition, never a stall of every other worker.
-        let mut span = trace::span_with("hoist-decompose", || {
-            vec![("value", key.into()), ("active_primes", c.prefix().into())]
-        });
-        let t0 = Instant::now();
-        let hd = Arc::new(eval.hoist(c));
-        span.attr("us", (t0.elapsed().as_secs_f64() * 1e6).into());
-        self.decomps
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(key)
-            .or_insert(hd)
-            .clone()
-    }
 }
 
 /// A reusable encrypted-execution engine for one compiled program.
@@ -578,43 +464,22 @@ pub struct ExecEngine {
     /// Per-op contamination reach `(back, fwd)` under packed execution;
     /// empty for solo engines (one block has no neighbour to smear in).
     reaches: Vec<(usize, usize)>,
-    /// Per value index: number of distinct nonzero canonical rotation
-    /// steps applied to it. Fan-out ≥ 2 shares one decomposition across
-    /// the value's rotations; a lone rotation decomposes for itself.
-    rotate_fanout: Vec<u32>,
-    // Telemetry: per-op cost attribution (computed once at engine build so
-    // tracing adds no per-op analysis), plus cached global-metric handles
-    // so the hot path never takes the registry lock.
-    cost_infos: Vec<OpCostInfo>,
+    /// The plan lowered at this engine's slots and occupancy: per-op cost
+    /// labels, physical rotation steps and hoist roles.
+    lowering: Lowering,
+    /// The DAG shape, fixed by the plan: the ops each op unblocks (one
+    /// per operand instance, plus a hoist leader's followers), the edges
+    /// entering each op, and each value's uses (+1 for an output, never
+    /// released, so outputs survive the run).
+    users: Vec<Vec<usize>>,
+    indegree: Vec<usize>,
+    uses: Vec<usize>,
+    // Cached global-metric handles: the hot path never takes the registry lock.
     ops_counter: Counter,
     op_us_hist: Histogram,
     // Cached handles into the global `hecate_precision_*` metric family.
     precision_ops: Counter,
     precision_margin_gauge: Gauge,
-}
-
-/// Per value index: the number of distinct nonzero canonical rotation
-/// steps applied to it in `prog`. A value rotated by two or more distinct
-/// steps shares one hoisted decomposition across its rotations.
-pub fn rotation_fanout(prog: &CompiledProgram, slots: usize) -> Vec<u32> {
-    rotation_fanout_for(prog, slots, 1)
-}
-
-/// [`rotation_fanout`] under the given batching occupancy (fan-out is
-/// counted over *physical* steps, which differ in packed mode).
-fn rotation_fanout_for(prog: &CompiledProgram, slots: usize, occupancy: usize) -> Vec<u32> {
-    let vec_size = prog.func.vec_size;
-    let mut fanout = vec![0u32; prog.func.len()];
-    let mut seen: HashSet<(usize, usize)> = HashSet::new();
-    for op in prog.func.ops() {
-        if let Op::Rotate { value, step } = op {
-            let s = physical_step(*step, vec_size, slots, occupancy);
-            if s != 0 && seen.insert((value.index(), s)) {
-                fanout[value.index()] += 1;
-            }
-        }
-    }
-    fanout
 }
 
 impl ExecEngine {
@@ -656,7 +521,8 @@ impl ExecEngine {
         let encoder = CkksEncoder::new(&params);
         let mut kg = KeyGenerator::new(&params, opts.seed);
         let pk = kg.public_key();
-        let (mut relin, rot) = key_requirements_for(&prog, slots, chain_len, occupancy);
+        let lowering = Lowering::new(&prog.func, &prog.types, chain_len, slots, occupancy);
+        let (mut relin, rot) = lowering.key_requirements();
         if matches!(opts.fault, Some(FaultPlan::SkipRelin)) {
             relin.clear();
         }
@@ -665,8 +531,22 @@ impl ExecEngine {
         let mut eval = Evaluator::new(&params, keys);
         eval.set_kernel_jobs(opts.kernel_jobs);
         let sf = prog.cfg.rescale_bits;
-        let rotate_fanout = rotation_fanout_for(&prog, slots, occupancy);
-        let cost_infos = op_cost_infos(&prog.func, &prog.types, chain_len);
+        let n = prog.func.len();
+        let (mut users, mut indegree, mut uses) = (vec![Vec::new(); n], vec![0; n], vec![0; n]);
+        for (i, (op, lowered)) in prog.func.ops().iter().zip(lowering.ops()).enumerate() {
+            for v in op.operands() {
+                users[v.index()].push(i);
+                indegree[i] += 1;
+                uses[v.index()] += 1;
+            }
+            if let Some((_, HoistRole::Follower { leader })) = lowered.rotation {
+                users[leader].push(i);
+                indegree[i] += 1;
+            }
+        }
+        for (_, v) in prog.func.outputs() {
+            uses[v.index()] += 1;
+        }
         let registry = hecate_telemetry::metrics::global();
         let ops_counter = registry.counter("hecate_exec_ops_total");
         let op_us_hist = registry.histogram("hecate_exec_op_us", 24);
@@ -689,8 +569,10 @@ impl ExecEngine {
             occupancy,
             block,
             reaches,
-            rotate_fanout,
-            cost_infos,
+            lowering,
+            users,
+            indegree,
+            uses,
             ops_counter,
             op_us_hist,
             precision_ops,
@@ -716,11 +598,6 @@ impl ExecEngine {
     /// Slot-batching occupancy this engine was built for (1 = solo).
     pub fn occupancy(&self) -> usize {
         self.occupancy
-    }
-
-    /// The physical rotation this engine performs for logical `step`.
-    fn phys_step(&self, step: usize) -> usize {
-        physical_step(step, self.vec_size, self.slots, self.occupancy)
     }
 
     /// Folds one finished run's ledger into the global
@@ -866,28 +743,29 @@ impl ExecEngine {
     /// [`Op::operands`] order), then applies fault injection and guards.
     /// Returns the value, the homomorphic kernel time in microseconds
     /// (zero for setup-only operations), and any injected noise variance
-    /// for the run's ledger. `input` operations are handled by
-    /// [`ExecEngine::encrypt_inputs`] and [`ExecEngine::admit_value`],
-    /// not here.
+    /// for the run's ledger. `hoisted` is the operand's decomposition: a
+    /// hoist follower reads it, a hoist leader fills it. `input`
+    /// operations are handled by [`ExecEngine::encrypt_inputs`] and
+    /// [`ExecEngine::admit_value`], not here.
     fn exec_op(
         &self,
         i: usize,
         operands: &[&OpValue],
-        hoist: &HoistState,
+        hoisted: &mut Option<Arc<HoistedDecomp>>,
     ) -> Result<(OpValue, f64, f64), ExecError> {
+        let lowered = &self.lowering.ops()[i];
         let mut span = trace::span_with("exec-op", || {
-            let info = &self.cost_infos[i];
             vec![
                 ("i", i.into()),
                 ("op", self.prog.func.ops()[i].mnemonic().into()),
-                ("cost_op", info.label().into()),
-                ("level", info.operand_level.into()),
-                ("active_primes", info.active_primes.into()),
+                ("cost_op", lowered.label().into()),
+                ("level", lowered.operand_level.into()),
+                ("active_primes", lowered.active_primes.into()),
             ]
         });
-        let (value, us) = self.compute(i, operands, hoist)?;
+        let (value, us) = self.compute(i, operands, hoisted)?;
         span.attr("us", us.into());
-        if !self.cost_infos[i].cost_ops.is_empty() {
+        if !lowered.cost_ops.is_empty() {
             self.ops_counter.inc();
             self.op_us_hist.observe(us as u64);
         }
@@ -909,7 +787,7 @@ impl ExecEngine {
         &self,
         i: usize,
         operands: &[&OpValue],
-        hoist: &HoistState,
+        hoisted: &mut Option<Arc<HoistedDecomp>>,
     ) -> Result<(Val, f64), ExecError> {
         let prog = &self.prog;
         let op = &prog.func.ops()[i];
@@ -997,19 +875,33 @@ impl ExecEngine {
                 us = t0.elapsed().as_secs_f64() * 1e6;
                 Val::Cipher(out)
             }
-            Op::Rotate { value, step } => {
+            Op::Rotate { value, .. } => {
                 let Val::Cipher(c) = &operands[0].0 else {
                     unreachable!("rotate on cipher")
                 };
-                let s = self.phys_step(*step);
-                let shared = s != 0 && self.rotate_fanout[value.index()] >= 2;
+                let (s, role) = self.lowering.ops()[i]
+                    .rotation
+                    .expect("rotations are lowered");
                 let t0 = Instant::now();
-                let out = if shared {
-                    let hd = hoist.get_or_hoist(value.index(), c, eval);
-                    eval.rotate_hoisted(c, &hd, s).map_err(eval_err)?
-                } else {
-                    eval.rotate(c, s).map_err(eval_err)?
-                };
+                let out = match role {
+                    HoistRole::Lone => eval.rotate(c, s),
+                    HoistRole::Leader => {
+                        let mut span = trace::span_with("hoist-decompose", || {
+                            vec![
+                                ("value", value.index().into()),
+                                ("active_primes", c.prefix().into()),
+                            ]
+                        });
+                        let hd = hoisted.insert(Arc::new(eval.hoist(c)));
+                        span.attr("us", (t0.elapsed().as_secs_f64() * 1e6).into());
+                        drop(span);
+                        eval.rotate_hoisted(c, hd, s)
+                    }
+                    HoistRole::Follower { .. } => {
+                        eval.rotate_hoisted(c, hoisted.as_ref().expect("the leader ran first"), s)
+                    }
+                }
+                .map_err(eval_err)?;
                 us = t0.elapsed().as_secs_f64() * 1e6;
                 Val::Cipher(out)
             }
@@ -1249,39 +1141,21 @@ pub fn execute(
     });
     let inputs = engine.encrypt_inputs(tenants)?;
 
-    let mut users: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indegree = Vec::with_capacity(n);
-    let mut ready = BinaryHeap::new();
-    for (i, op) in prog.func.ops().iter().enumerate() {
-        let operands = op.operands();
-        indegree.push(operands.len());
-        if operands.is_empty() {
-            ready.push(Reverse(i));
-        }
-        for v in operands {
-            users[v.index()].push(i);
-        }
-    }
-    // A value is freed when its use count reaches zero; the extra use an
-    // output holds is never released, so outputs survive the run.
-    let mut uses: Vec<usize> = users.iter().map(Vec::len).collect();
-    for (_, v) in prog.func.outputs() {
-        uses[v.index()] += 1;
-    }
-
     let driver = Driver {
         engine,
         cancel,
         jobs,
-        users,
-        hoist: HoistState::default(),
         wake: Condvar::new(),
         state: Mutex::new(RunState {
-            ready,
-            indegree,
-            uses,
+            ready: (0..n)
+                .filter(|&i| engine.indegree[i] == 0)
+                .map(Reverse)
+                .collect(),
+            indegree: engine.indegree.clone(),
+            uses: engine.uses.clone(),
             inputs,
             vals: vec![None; n],
+            hoisted: vec![None; n],
             done: 0,
             stop: false,
             error: None,
@@ -1344,15 +1218,12 @@ pub fn execute(
         .collect())
 }
 
-/// One run's scheduler: the immutable DAG shape plus the mutable
-/// [`RunState`] every worker shares.
+/// One run's scheduler: the engine (whose DAG shape it walks) plus the
+/// mutable [`RunState`] every worker shares.
 struct Driver<'a, 'o> {
     engine: &'a ExecEngine,
     cancel: Option<&'a CancelToken>,
     jobs: usize,
-    /// Consumers of each value, one entry per operand instance.
-    users: Vec<Vec<usize>>,
-    hoist: HoistState,
     state: Mutex<RunState<'o>>,
     /// Signalled whenever ops become ready or the run ends.
     wake: Condvar,
@@ -1361,9 +1232,9 @@ struct Driver<'a, 'o> {
 /// Everything a run mutates, behind the driver's one lock. Kernels run
 /// outside it; it is held only to pick an op and to book a finished one.
 struct RunState<'o> {
-    /// Ops whose operands are all computed, smallest index first.
+    /// Ops whose in-edges are all done, smallest index first.
     ready: BinaryHeap<Reverse<usize>>,
-    /// Remaining uncomputed operand instances per op.
+    /// Remaining unfinished in-edges per op (operands and hoist leader).
     indegree: Vec<usize>,
     /// Remaining consumer instances per value (+1 for program outputs).
     uses: Vec<usize>,
@@ -1371,6 +1242,9 @@ struct RunState<'o> {
     inputs: Vec<Option<OpValue>>,
     /// Computed values still needed by a consumer or as an output.
     vals: Vec<Option<Arc<OpValue>>>,
+    /// Beside each value in `vals`: the decomposition its hoist leader
+    /// made, released with the value.
+    hoisted: Vec<Option<Arc<HoistedDecomp>>>,
     done: usize,
     /// Set on the first failure (or a worker panic): workers drain.
     stop: bool,
@@ -1427,8 +1301,8 @@ impl<'o> Driver<'_, 'o> {
                 Err(ExecError::Cancelled { at: i })
             } else {
                 let input = state.inputs[i].take();
-                let operands: Vec<Arc<OpValue>> = ops[i]
-                    .operands()
+                let operands = ops[i].operands();
+                let values: Vec<Arc<OpValue>> = operands
                     .iter()
                     .map(|v| {
                         state.vals[v.index()]
@@ -1436,19 +1310,29 @@ impl<'o> Driver<'_, 'o> {
                             .expect("operands precede consumers")
                     })
                     .collect();
+                // A hoist follower takes the decomposition its leader
+                // booked beside the operand; a leader books it there below.
+                let role = engine.lowering.ops()[i].rotation.map(|(_, role)| role);
+                let mut hoisted = match role {
+                    Some(HoistRole::Follower { .. }) => state.hoisted[operands[0].index()].clone(),
+                    _ => None,
+                };
                 drop(state);
                 let result = match input {
                     Some(mut value) => engine
                         .admit_value(i, &mut value)
                         .map(|injected_var| (value, 0.0, injected_var)),
                     None => {
-                        let refs: Vec<&OpValue> = operands.iter().map(Arc::as_ref).collect();
-                        engine.exec_op(i, &refs, &self.hoist)
+                        let refs: Vec<&OpValue> = values.iter().map(Arc::as_ref).collect();
+                        engine.exec_op(i, &refs, &mut hoisted)
                     }
                 };
                 state = self.lock();
+                if role == Some(HoistRole::Leader) {
+                    state.hoisted[operands[0].index()] = hoisted;
+                }
                 result.and_then(|(value, us, injected_var)| {
-                    state.book(engine, &self.users[i], i, value, us, injected_var)
+                    state.book(engine, i, value, us, injected_var)
                 })
             };
             if let Err(e) = result {
@@ -1469,7 +1353,6 @@ impl RunState<'_> {
     fn book(
         &mut self,
         engine: &ExecEngine,
-        users: &[usize],
         i: usize,
         value: OpValue,
         us: f64,
@@ -1520,6 +1403,7 @@ impl RunState<'_> {
         for v in prog.func.ops()[i].operands() {
             self.uses[v.index()] -= 1;
             if self.uses[v.index()] == 0 {
+                self.hoisted[v.index()] = None;
                 if let Some(dead) = self.vals[v.index()].take() {
                     if dead.is_cipher() {
                         self.live_cipher -= 1;
@@ -1528,7 +1412,7 @@ impl RunState<'_> {
                 }
             }
         }
-        for &user in users {
+        for &user in &engine.users[i] {
             self.indegree[user] -= 1;
             if self.indegree[user] == 0 {
                 self.ready.push(Reverse(user));

@@ -66,8 +66,8 @@ pub use audit::{
     audit_batched, audit_encrypted, audit_on_engine, AuditOptions, AuditReport, AuditRow,
 };
 pub use exec::{
-    execute, execute_encrypted, execute_sequential, physical_step, rotation_fanout, BackendOptions,
-    CancelToken, EncryptedRun, ExecEngine, ExecError, GuardOptions, OpObserver, OpValue,
+    execute, execute_encrypted, execute_sequential, BackendOptions, CancelToken, EncryptedRun,
+    ExecEngine, ExecError, GuardOptions, OpObserver, OpValue,
 };
 pub use fault::FaultPlan;
 pub use hecate_ir::interp::rms_error;

@@ -1,9 +1,10 @@
 //! Targeted backend tests: key requirements, parameter construction,
 //! memory accounting, and the noise simulator's trends.
 
-use hecate_backend::exec::{build_params, execute_encrypted, key_requirements, BackendOptions};
+use hecate_backend::exec::{build_params, execute_encrypted, BackendOptions};
 use hecate_backend::{max_rms_error, simulate};
-use hecate_compiler::{compile, CompileOptions, Scheme};
+use hecate_compiler::{compile, CompileOptions, CostOp, HoistRole, Lowering, Scheme};
+use hecate_ir::types::{infer_types, TypeConfig};
 use hecate_ir::FunctionBuilder;
 use std::collections::HashMap;
 
@@ -34,7 +35,14 @@ fn key_requirements_cover_exactly_whats_used() {
         },
     )
     .unwrap();
-    let (relin, rot) = key_requirements(&prog, params.slots(), params.basis().chain_len());
+    let lowering = Lowering::new(
+        &prog.func,
+        &prog.types,
+        params.basis().chain_len(),
+        params.slots(),
+        1,
+    );
+    let (relin, rot) = lowering.key_requirements();
     assert!(!relin.is_empty(), "ct×ct multiplications need relin keys");
     let steps: Vec<usize> = rot.iter().map(|(s, _)| *s).collect();
     assert!(steps.contains(&3) && steps.contains(&5), "{steps:?}");
@@ -179,25 +187,36 @@ fn rotation_fan_func(fan: usize) -> hecate_ir::Function {
 }
 
 #[test]
-fn rotation_fanout_counts_distinct_canonical_steps() {
-    let func = {
-        let mut b = FunctionBuilder::new("f", 16);
-        let x = b.input_cipher("x");
-        let r1 = b.rotate(x, 3);
-        let r2 = b.rotate(x, 5);
-        let r3 = b.rotate(x, 3 + 16); // wraps to 3 on a 16-slot ring: no new key
-        let r4 = b.rotate(x, 16); // identity on a 16-slot ring
-        let s1 = b.add(r1, r2);
-        let s2 = b.add(r3, r4);
-        let s = b.add(s1, s2);
-        b.output(s);
-        b.finish()
-    };
-    let prog = compile(&func, Scheme::Eva, &opts(20.0)).unwrap();
-    let fanout = hecate_backend::rotation_fanout(&prog, 16);
-    // The input value (index of x's op) should have fanout 2: steps {3, 5}.
-    let max = fanout.iter().copied().max().unwrap();
-    assert_eq!(max, 2, "{fanout:?}");
+fn hoist_roles_group_nonzero_physical_steps() {
+    // Lowered straight from the builder (no rotation canonicalization), so
+    // the wrapped and identity steps survive to the lowering.
+    let mut b = FunctionBuilder::new("f", 16);
+    let x = b.input_cipher("x");
+    let r1 = b.rotate(x, 3);
+    let r2 = b.rotate(x, 5);
+    let r3 = b.rotate(x, 3 + 16); // wraps to 3 on a 16-slot ring: no new key
+    let r4 = b.rotate(x, 16); // identity on a 16-slot ring
+    let s1 = b.add(r1, r2);
+    let s2 = b.add(r3, r4);
+    let s = b.add(s1, s2);
+    b.output(s);
+    let func = b.finish();
+    let types = infer_types(&func, &TypeConfig::new(20.0, 60.0)).unwrap();
+    let lowering = Lowering::new(&func, &types, 3, 16, 1);
+    let op = |v: hecate_ir::ValueId| &lowering.ops()[v.index()];
+    let follower = HoistRole::Follower { leader: r1.index() };
+    assert_eq!(op(r1).rotation, Some((3, HoistRole::Leader)));
+    assert_eq!(op(r2).rotation, Some((5, follower)));
+    assert_eq!(op(r3).rotation, Some((3, follower)));
+    assert_eq!(op(r1).cost_ops, [CostOp::Rotate]);
+    assert_eq!(op(r2).cost_ops, [CostOp::RotateHoisted]);
+    assert_eq!(op(r3).cost_ops, [CostOp::RotateHoisted]);
+    // The identity runs as a copy: no cost op, no key.
+    assert_eq!(op(r4).rotation, Some((0, HoistRole::Lone)));
+    assert!(op(r4).cost_ops.is_empty());
+    let (_, rot) = lowering.key_requirements();
+    let steps: Vec<usize> = rot.iter().map(|&(s, _)| s).collect();
+    assert_eq!(steps, [3, 5]);
 }
 
 /// The fan-out shares one hoisted decomposition across its rotations;

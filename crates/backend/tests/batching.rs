@@ -12,10 +12,9 @@
 //! — solo being occupancy 1 of the same driver.
 
 use hecate_apps::{all_benchmarks, Preset};
-use hecate_backend::exec::{
-    execute, execute_sequential, physical_step, BackendOptions, ExecEngine, ExecError,
-};
+use hecate_backend::exec::{execute, execute_sequential, BackendOptions, ExecEngine, ExecError};
 use hecate_backend::rms_error;
+use hecate_compiler::lowering::physical_step;
 use hecate_compiler::{compile, CompileOptions, Scheme};
 use hecate_ir::interp::interpret;
 use hecate_ir::{packed_shift, FunctionBuilder};

@@ -10,7 +10,7 @@ use hecate_backend::exec::{
     ExecError, GuardOptions, OpValue,
 };
 use hecate_backend::{max_rms_error, rms_error, simulate};
-use hecate_compiler::{compile, CompileOptions, Scheme};
+use hecate_compiler::{compile, CompileOptions, HoistRole, Lowering, Scheme};
 use hecate_ir::interp::interpret;
 use hecate_ir::{Function, FunctionBuilder};
 use hecate_telemetry::trace::{self, Event, EventKind};
@@ -348,8 +348,10 @@ fn str_attr<'e>(event: &'e Event, key: &str) -> Option<&'e str> {
 }
 
 /// `sum_{s=1..=8} rot(x*x, s)`: one value rotated by eight distinct
-/// steps. The executor decomposes it once and all eight rotations reuse
-/// that decomposition — an identity of the trace, not a timing.
+/// steps, one hoist group. The group leader decomposes the value once,
+/// inside its own `exec-op` span, and all eight rotations reuse that
+/// decomposition — at every worker count, as an identity of the trace,
+/// not a timing.
 #[test]
 fn rotation_fan_out_decomposes_once() {
     let width = 64;
@@ -364,25 +366,67 @@ fn rotation_fan_out_decomposes_once() {
     b.output(acc);
     let prog = compile(&b.finish(), Scheme::Pars, &opts(24.0, 512)).unwrap();
     let engine = ExecEngine::new(Arc::new(prog), &BackendOptions::default()).unwrap();
+    let prog = engine.prog();
+    let slots = engine.degree() / 2;
+    let lowering = Lowering::new(&prog.func, &prog.types, engine.chain_len(), slots, 1);
+    let leader = lowering
+        .ops()
+        .iter()
+        .position(|op| matches!(op.rotation, Some((_, HoistRole::Leader))))
+        .expect("the fan-out is one hoist group");
     let mut ins = HashMap::new();
     ins.insert(
         "x".to_string(),
         (0..width).map(|i| i as f64 * 0.01 - 0.3).collect(),
     );
-    let (run, events) = trace::capture(|| execute_sequential(&engine, &ins));
-    run.unwrap();
-    // Tests running alongside record too: keep this run's one thread.
-    let tid = events
-        .iter()
-        .find(|e| e.name == "execute" && str_attr(e, "func") == Some("rotfan"))
-        .expect("the run records an execute span")
-        .tid;
-    let begun = |name: &'static str| {
-        events
+    let int_attr = |e: &Event, key: &str| {
+        e.attrs
             .iter()
-            .filter(move |e| e.tid == tid && e.kind == EventKind::Begin && e.name == name)
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, v)| v.as_i64())
     };
-    assert_eq!(begun("hoist-decompose").count(), 1);
-    let rotates = begun("exec-op").filter(|e| str_attr(e, "op") == Some("rotate"));
-    assert_eq!(rotates.count(), 8);
+    let mut req = 0xF00D_0000;
+    for jobs in [1, 2, 4] {
+        for _ in 0..10 {
+            req += 1;
+            let (run, events) = trace::capture(|| {
+                let _ctx = trace::push_context(req, 0);
+                execute(&engine, &[&ins], jobs, None, None)
+            });
+            run.unwrap();
+            // Tests running alongside record too, and DAG helpers record on
+            // their own threads: keep the events carrying this run's id.
+            let mine = events
+                .iter()
+                .filter(|e| int_attr(e, "req_id") == Some(req as i64));
+            // Per thread, the span each `hoist-decompose` opens inside.
+            let mut open: HashMap<u64, Vec<&Event>> = HashMap::new();
+            let mut hoists = Vec::new();
+            let mut rotates = 0;
+            for e in mine {
+                match e.kind {
+                    EventKind::Begin => {
+                        let stack = open.entry(e.tid).or_default();
+                        if e.name == "hoist-decompose" {
+                            hoists.push(stack.last().copied());
+                        }
+                        if e.name == "exec-op" && str_attr(e, "op") == Some("rotate") {
+                            rotates += 1;
+                        }
+                        stack.push(e);
+                    }
+                    EventKind::End => {
+                        open.entry(e.tid).or_default().pop();
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(hoists.len(), 1, "jobs {jobs}: one decomposition per group");
+            let outer = hoists[0].expect("the decomposition runs inside an op");
+            assert_eq!(outer.name, "exec-op");
+            assert_eq!(int_attr(outer, "i"), Some(leader as i64), "jobs {jobs}");
+            assert_eq!(str_attr(outer, "cost_op"), Some("rotate"));
+            assert_eq!(rotates, 8);
+        }
+    }
 }

@@ -12,9 +12,10 @@
 //! *profiled* table measured on the actual backend (what the paper does;
 //! Fig. 8 shows the two agree within a few percent).
 
+use crate::lowering::Lowering;
 use crate::noise::NoiseRule;
 use hecate_ir::types::Type;
-use hecate_ir::{Function, Op};
+use hecate_ir::Function;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -138,7 +139,7 @@ impl CostTable {
     ///
     /// Spans named `exec-op` are paired per thread (unmatched begins and
     /// ends are skipped, so a torn trace degrades rather than fails). Each
-    /// span carries its [`OpCostInfo::label`] as `cost_op`, the
+    /// span carries its [`LoweredOp::label`](crate::lowering::LoweredOp::label) as `cost_op`, the
     /// `active_primes` it executed at, and the measured kernel time `us`.
     /// Multi-category ops (a downscale is a plaintext multiply plus a
     /// rescale) split their time across categories in proportion to the
@@ -312,37 +313,6 @@ pub fn analytic_cost_us(op: CostOp, c: usize, n: usize) -> f64 {
     }
 }
 
-/// Maps an IR operation (with its operand types) to its cost category.
-///
-/// `encode` and `const` cost nothing at runtime (plaintexts are prepared
-/// ahead of execution); `upscale` lowers to a plaintext multiplication;
-/// `downscale` lowers to a plaintext multiplication plus a rescale.
-fn categorize(op: &Op, operand_is_plain: impl Fn(usize) -> bool) -> Vec<CostOp> {
-    match op {
-        Op::Input { .. } | Op::Const { .. } | Op::Encode { .. } => vec![],
-        Op::Add(..) | Op::Sub(..) => {
-            if operand_is_plain(0) || operand_is_plain(1) {
-                vec![CostOp::AddCP]
-            } else {
-                vec![CostOp::AddCC]
-            }
-        }
-        Op::Mul(..) => {
-            if operand_is_plain(0) || operand_is_plain(1) {
-                vec![CostOp::MulCP]
-            } else {
-                vec![CostOp::MulCC]
-            }
-        }
-        Op::Negate(..) => vec![CostOp::Negate],
-        Op::Rotate { .. } => vec![CostOp::Rotate],
-        Op::Rescale(..) => vec![CostOp::Rescale],
-        Op::ModSwitch(..) => vec![CostOp::ModSwitch],
-        Op::Upscale { .. } => vec![CostOp::MulCP],
-        Op::Downscale(..) => vec![CostOp::MulCP, CostOp::Rescale],
-    }
-}
-
 /// Statically estimates the output noise of a typed program, in log2 of
 /// the decoded-domain standard deviation ("noise bits"; more negative is
 /// more precise): [`NoiseRule`] folded with every message mean-square
@@ -356,10 +326,9 @@ pub fn estimate_noise_bits(func: &Function, types: &[Type], degree: usize) -> f6
 }
 
 /// Estimates the execution latency (microseconds) of a typed program on a
-/// chain of `chain_len` primes at ring degree `degree`.
-///
-/// Each operation executes at the active-prime count implied by its
-/// *operand* level (the work happens before the level changes).
+/// chain of `chain_len` primes at ring degree `degree`: the cost model
+/// summed over its solo [`Lowering`] at `degree / 2` slots (at least its
+/// width), pricing each op at its operand level and hoist role.
 pub fn estimate_latency_us(
     func: &Function,
     types: &[Type],
@@ -382,99 +351,14 @@ pub fn latency_breakdown(
     chain_len: usize,
     degree: usize,
 ) -> BTreeMap<CostOp, f64> {
+    let slots = (degree / 2).max(func.vec_size);
     let mut totals = BTreeMap::new();
-    for info in op_cost_infos(func, types, chain_len) {
-        for &cat in &info.cost_ops {
-            *totals.entry(cat).or_insert(0.0) += model.cost_us(cat, info.active_primes, degree);
+    for op in Lowering::new(func, types, chain_len, slots, 1).ops() {
+        for &cat in op.cost_ops {
+            *totals.entry(cat).or_insert(0.0) += model.cost_us(cat, op.active_primes, degree);
         }
     }
     totals
-}
-
-/// The estimator's view of one compiled operation: which backend cost
-/// categories it lowers to and at what active-prime count it executes.
-///
-/// The execution backend attaches this to per-op trace spans so that
-/// [`CostTable::from_trace`] can fold measured kernel times back into the
-/// same `(category, active primes)` cells the estimator reads — closing
-/// the loop the paper's Fig. 8 evaluates.
-#[derive(Debug, Clone)]
-pub struct OpCostInfo {
-    /// Backend cost categories the operation lowers to (empty for free
-    /// ops: inputs, constants, encodes).
-    pub cost_ops: Vec<CostOp>,
-    /// The operand level the work executes at.
-    pub operand_level: usize,
-    /// Active RNS primes during the work (`chain_len − operand_level`).
-    pub active_primes: usize,
-}
-
-impl OpCostInfo {
-    /// The span-attribute label: category names joined with `+`
-    /// (e.g. `"mul_cp+rescale"` for a downscale), empty for free ops.
-    pub fn label(&self) -> String {
-        self.cost_ops
-            .iter()
-            .map(|c| c.name())
-            .collect::<Vec<_>>()
-            .join("+")
-    }
-}
-
-/// Computes [`OpCostInfo`] for every operation of a typed program, using
-/// exactly the categorization and level rules of [`latency_breakdown`].
-///
-/// Rotation fan-out is modeled the way the backend executes it: when a
-/// value is rotated by two or more distinct steps, the first rotation
-/// (the group leader, which pays the shared hoisted decomposition) is
-/// costed as [`CostOp::Rotate`] and every later rotation of the same
-/// value as the cheaper [`CostOp::RotateHoisted`].
-pub fn op_cost_infos(func: &Function, types: &[Type], chain_len: usize) -> Vec<OpCostInfo> {
-    // Distinct rotation steps per rotated value, to find hoisting groups.
-    let mut rot_steps: HashMap<usize, std::collections::HashSet<usize>> = HashMap::new();
-    for op in func.ops() {
-        if let Op::Rotate { value, step } = op {
-            rot_steps.entry(value.index()).or_default().insert(*step);
-        }
-    }
-    let mut rotations_seen: HashMap<usize, usize> = HashMap::new();
-    func.ops()
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let operands = op.operands();
-            let operand_level = operands
-                .iter()
-                .filter_map(|v| types[v.index()].level())
-                .max()
-                .or_else(|| types[i].level())
-                .unwrap_or(0);
-            let is_plain = |k: usize| {
-                operands
-                    .get(k)
-                    .map(|v| types[v.index()].is_plain())
-                    .unwrap_or(false)
-            };
-            let mut cost_ops = categorize(op, is_plain);
-            if let Op::Rotate { value, .. } = op {
-                let seen = rotations_seen.entry(value.index()).or_insert(0);
-                let fanout = rot_steps[&value.index()].len();
-                if fanout >= 2 && *seen > 0 {
-                    for c in &mut cost_ops {
-                        if *c == CostOp::Rotate {
-                            *c = CostOp::RotateHoisted;
-                        }
-                    }
-                }
-                *seen += 1;
-            }
-            OpCostInfo {
-                cost_ops,
-                operand_level,
-                active_primes: chain_len.saturating_sub(operand_level).max(1),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -604,43 +488,17 @@ mod tests {
     }
 
     #[test]
-    fn rotation_fanout_labels_leader_and_followers() {
-        // Three distinct rotations of one value: leader Rotate, two hoisted.
-        let mut b = FunctionBuilder::new("fan", 8);
+    fn rotations_of_a_program_wider_than_the_ring_keep_their_cost() {
+        // A 16-wide program at degree 16 (8 slots): rotating by 8 is not
+        // the identity of its logical vector, so it is still priced.
+        let mut b = FunctionBuilder::new("wide", 16);
         let x = b.input_cipher("x");
-        let r1 = b.rotate(x, 1);
-        let r2 = b.rotate(x, 2);
-        let r3 = b.rotate(x, 3);
-        let a = b.add(r1, r2);
-        let a2 = b.add(a, r3);
-        b.output(a2);
-        let f = b.finish();
-        let cfg = TypeConfig::new(20.0, 60.0);
-        let tys = infer_types(&f, &cfg).unwrap();
-        let infos = op_cost_infos(&f, &tys, 3);
-        let rotates: Vec<&OpCostInfo> = infos
-            .iter()
-            .filter(|i| {
-                i.cost_ops
-                    .iter()
-                    .any(|c| matches!(c, CostOp::Rotate | CostOp::RotateHoisted))
-            })
-            .collect();
-        assert_eq!(rotates.len(), 3);
-        assert_eq!(rotates[0].cost_ops, vec![CostOp::Rotate]);
-        assert_eq!(rotates[1].cost_ops, vec![CostOp::RotateHoisted]);
-        assert_eq!(rotates[2].cost_ops, vec![CostOp::RotateHoisted]);
-
-        // A lone rotation stays a plain Rotate.
-        let mut b = FunctionBuilder::new("lone", 8);
-        let x = b.input_cipher("x");
-        let r = b.rotate(x, 1);
+        let r = b.rotate(x, 8);
         b.output(r);
         let f = b.finish();
-        let tys = infer_types(&f, &cfg).unwrap();
-        let infos = op_cost_infos(&f, &tys, 3);
-        let rot = infos.iter().find(|i| !i.cost_ops.is_empty()).unwrap();
-        assert_eq!(rot.cost_ops, vec![CostOp::Rotate]);
+        let tys = infer_types(&f, &TypeConfig::new(20.0, 60.0)).unwrap();
+        let est = estimate_latency_us(&f, &tys, &CostModel::Analytic, 3, 16);
+        assert_eq!(est, analytic_cost_us(CostOp::Rotate, 3, 16));
     }
 
     #[test]
@@ -649,31 +507,6 @@ mod tests {
             assert_eq!(CostOp::from_name(op.name()), Some(op));
         }
         assert_eq!(CostOp::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn op_cost_infos_matches_breakdown() {
-        let mut b = FunctionBuilder::new("oi", 4);
-        let x = b.input_cipher("x");
-        let m = b.mul(x, x);
-        let r = b.rotate(m, 1);
-        b.output(r);
-        let f = b.finish();
-        let cfg = TypeConfig::new(20.0, 60.0);
-        let tys = infer_types(&f, &cfg).unwrap();
-        let infos = op_cost_infos(&f, &tys, 3);
-        assert_eq!(infos.len(), f.len());
-        let manual: f64 = infos
-            .iter()
-            .flat_map(|i| i.cost_ops.iter().map(|&c| (c, i.active_primes)))
-            .map(|(c, a)| analytic_cost_us(c, a, 1024))
-            .sum();
-        let est = estimate_latency_us(&f, &tys, &CostModel::Analytic, 3, 1024);
-        assert!((manual - est).abs() < 1e-9);
-        // Inputs are free; the mul span label is the category name.
-        assert!(infos[x.index()].cost_ops.is_empty());
-        assert_eq!(infos[x.index()].label(), "");
-        assert_eq!(infos[m.index()].label(), "mul_cc");
     }
 
     #[test]

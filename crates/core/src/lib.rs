@@ -15,6 +15,9 @@
 //!   none for EVA and PARS;
 //! - [`estimator`] — the static performance estimator (§VI-C), analytic or
 //!   profiled;
+//! - [`lowering`] — the one per-op lowering onto the backend (cost
+//!   categories, active primes, physical rotation steps, hoist roles) that
+//!   the estimator prices and the executor keys, hoists and labels from;
 //! - [`noise`] — the one per-op CKKS noise rule the estimator, the
 //!   backend's simulator and its run ledger all step;
 //! - [`params`] — RNS modulus-chain and ring-degree selection under the
@@ -62,6 +65,7 @@
 
 pub mod codegen;
 pub mod estimator;
+pub mod lowering;
 pub mod noise;
 pub mod options;
 pub mod params;
@@ -70,7 +74,8 @@ pub mod planner;
 pub mod serialize;
 pub mod smu;
 
-pub use estimator::{op_cost_infos, CostModel, CostOp, CostTable, OpCostInfo};
+pub use estimator::{CostModel, CostOp, CostTable};
+pub use lowering::{HoistRole, LoweredOp, Lowering};
 pub use options::{
     CompileError, CompileFault, CompileFaultKind, CompileOptions, CompileStats, CompiledProgram,
     FallbackRung, Scheme,
