@@ -1,10 +1,11 @@
-//! Audited encrypted execution: predicted vs *measured* precision.
+//! Audited encrypted execution: predicted vs *measured* precision and
+//! time, per op.
 //!
-//! `hecatec --audit` turns the static noise estimate into a validated
-//! per-run report. An audited run executes the program twice:
+//! `hecatec --explain` prints this report. An audited run executes the
+//! program twice:
 //!
 //! 1. in the plaintext reference semantics ([`simulate_ops`]), which
-//!    yields every operation's noiseless value *and* its predicted
+//!    yields every operation's noiseless value *and* its simulated
 //!    decoded-domain RMS noise;
 //! 2. under real RNS-CKKS encryption, with a per-op observer that
 //!    decrypt-probes selected intermediate ciphertexts (plus every
@@ -13,7 +14,8 @@
 //!
 //! The result is an [`AuditReport`]: one [`AuditRow`] per executed cipher
 //! operation joining the run ledger's prediction (noise, waterline
-//! margin, modulus budget) with the measured error where a probe ran.
+//! margin) and the estimator's price of the op's lowering with the
+//! measured error where a probe ran and the op's measured time.
 //! [`AuditReport::violations`] turns it into a pass/fail verdict — a
 //! measured error far above prediction means the noise model (or the
 //! plan) is lying; a negative margin means the plan no longer honors the
@@ -26,7 +28,7 @@
 
 use crate::exec::{execute, BackendOptions, ExecEngine, ExecError, OpValue};
 use crate::noise::simulate_ops;
-use hecate_compiler::CompiledProgram;
+use hecate_compiler::{CompiledProgram, CostModel};
 use hecate_telemetry::trace;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -57,8 +59,9 @@ impl Default for AuditOptions {
     }
 }
 
-/// One audited cipher operation: the ledger's prediction joined with the
-/// probe's measurement (where one ran).
+/// One audited cipher operation: the ledger's, the simulator's and the
+/// estimator's predictions joined with the op's measured time and the
+/// probe's measured error (where one ran).
 #[derive(Debug, Clone)]
 pub struct AuditRow {
     /// Operation index.
@@ -69,14 +72,26 @@ pub struct AuditRow {
     pub level: usize,
     /// Declared scale, log2 bits.
     pub scale_bits: f64,
-    /// The noise model's predicted decoded-domain RMS error.
+    /// The run ledger's predicted decoded-domain RMS error.
     pub predicted_rms: f64,
+    /// The simulator's predicted RMS error: the same noise rule over
+    /// this tenant's noiseless message magnitudes ([`simulate_ops`]).
+    pub sim_rms: f64,
     /// Measured RMS error vs the plaintext reference, at probed ops.
     pub measured_rms: Option<f64>,
     /// Scale-vs-waterline margin, bits (negative = broken plan).
     pub margin_bits: f64,
     /// Whether this value is a program output.
     pub is_output: bool,
+    /// The op's lowered cost categories, as its `exec-op` span labels
+    /// them (empty for a free op).
+    pub cost_op: String,
+    /// Active RNS primes the op's work runs at.
+    pub active_primes: usize,
+    /// Estimated time: the cost model's price of each lowered category.
+    pub est_us: f64,
+    /// Measured homomorphic time ([`crate::EncryptedRun::op_us`]).
+    pub op_us: f64,
 }
 
 /// The result of one audited run.
@@ -202,7 +217,8 @@ fn probe_set(prog: &CompiledProgram, checkpoints: usize) -> Vec<bool> {
 }
 
 /// Runs `prog` encrypted with decrypt probes and returns the audit
-/// report. See the module docs for the full flow.
+/// report, pricing ops under `model`: the one-tenant case of
+/// [`audit_batched`].
 ///
 /// # Errors
 /// Returns [`ExecError`] on any execution failure (the probes themselves
@@ -212,29 +228,18 @@ pub fn audit_encrypted(
     inputs: &HashMap<String, Vec<f64>>,
     opts: &BackendOptions,
     audit: &AuditOptions,
+    model: &CostModel,
 ) -> Result<AuditReport, ExecError> {
     let engine = ExecEngine::new(Arc::new(prog.clone()), opts)?;
-    audit_on_engine(&engine, inputs, audit)
-}
-
-/// [`audit_encrypted`] over an already-built solo engine: the one-tenant
-/// case of [`audit_batched`].
-///
-/// # Errors
-/// Returns [`ExecError`] on any execution failure.
-pub fn audit_on_engine(
-    engine: &ExecEngine,
-    inputs: &HashMap<String, Vec<f64>>,
-    audit: &AuditOptions,
-) -> Result<AuditReport, ExecError> {
-    let mut reports = audit_batched(engine, &[inputs], audit)?;
+    let mut reports = audit_batched(&engine, &[inputs], audit, model)?;
     Ok(reports.pop().expect("one report per tenant"))
 }
 
 /// Audits one run of `engine`: executes the program once for every
 /// tenant (`tenants.len()` must equal the engine's occupancy),
 /// decrypt-probing checkpoints and outputs per tenant block, and returns
-/// one [`AuditReport`] per tenant.
+/// one [`AuditReport`] per tenant. Each row's `est_us` prices the
+/// engine's lowering of the op under `model` at the engine's degree.
 ///
 /// Each tenant's measured RMS compares its *demultiplexed* clean copies
 /// against its own plaintext reference, so the verdict machinery
@@ -249,20 +254,15 @@ pub fn audit_batched(
     engine: &ExecEngine,
     tenants: &[&HashMap<String, Vec<f64>>],
     audit: &AuditOptions,
+    model: &CostModel,
 ) -> Result<Vec<AuditReport>, ExecError> {
     let prog = engine.prog().clone();
+    let lowering = engine.lowering();
     let expected: Vec<_> = tenants
         .iter()
         .map(|inputs| simulate_ops(&prog, inputs, engine.degree()))
         .collect();
     let probes = probe_set(&prog, audit.checkpoints);
-    let is_output: Vec<bool> = {
-        let mut v = vec![false; prog.func.len()];
-        for (_, vid) in prog.func.outputs() {
-            v[vid.index()] = true;
-        }
-        v
-    };
     let mut per_tenant_rows: Vec<Vec<AuditRow>> = vec![Vec::new(); tenants.len()];
 
     let mut observer = |i: usize, value: &OpValue, predicted_rms: f64| {
@@ -303,6 +303,11 @@ pub fn audit_batched(
         } else {
             vec![None; tenants.len()]
         };
+        let lowered = &lowering.ops()[i];
+        // From +0.0: an empty f64 `sum` is -0.0, which prints as such.
+        let est_us = lowered.cost_ops.iter().fold(0.0, |us, &c| {
+            us + model.cost_us(c, lowered.active_primes, engine.degree())
+        });
         for (t, m) in measured.into_iter().enumerate() {
             per_tenant_rows[t].push(AuditRow {
                 op: i,
@@ -310,9 +315,14 @@ pub fn audit_batched(
                 level: ty.level().unwrap_or(0),
                 scale_bits: ty.scale().unwrap_or(0.0),
                 predicted_rms,
+                sim_rms: expected[t][i].var.sqrt(),
                 measured_rms: m,
                 margin_bits: ty.scale().unwrap_or(0.0) - prog.cfg.waterline,
-                is_output: is_output[i],
+                is_output: prog.func.outputs().iter().any(|(_, v)| v.index() == i),
+                cost_op: lowered.label(),
+                active_primes: lowered.active_primes,
+                est_us,
+                op_us: 0.0, // the run's, once it returns
             });
         }
         Ok(())
@@ -327,7 +337,13 @@ pub fn audit_batched(
         .zip(per_tenant_rows)
         .zip(&expected)
         .map(|((run, rows), expected)| AuditReport {
-            rows,
+            rows: rows
+                .into_iter()
+                .map(|row| AuditRow {
+                    op_us: run.op_us[row.op],
+                    ..row
+                })
+                .collect(),
             outputs: run.outputs,
             reference: prog
                 .func
@@ -374,7 +390,14 @@ mod tests {
     fn audit_probes_and_reports() {
         let prog = motivating();
         let audit = AuditOptions::default();
-        let report = audit_encrypted(&prog, &inputs(), &BackendOptions::default(), &audit).unwrap();
+        let report = audit_encrypted(
+            &prog,
+            &inputs(),
+            &BackendOptions::default(),
+            &audit,
+            &CostModel::Analytic,
+        )
+        .unwrap();
         assert!(!report.rows.is_empty());
         // Every output row was probed.
         for row in report.rows.iter().filter(|r| r.is_output) {
@@ -409,6 +432,7 @@ mod tests {
                 checkpoints: 100,
                 ..AuditOptions::default()
             },
+            &CostModel::Analytic,
         )
         .unwrap();
         for (name, vals) in &plain.outputs {
@@ -450,7 +474,7 @@ mod tests {
             .collect();
         let refs: Vec<&HashMap<String, Vec<f64>>> = tenants.iter().collect();
         let audit = AuditOptions::default();
-        let reports = audit_batched(&engine, &refs, &audit).unwrap();
+        let reports = audit_batched(&engine, &refs, &audit, &CostModel::Analytic).unwrap();
         assert_eq!(reports.len(), occupancy);
         for (t, report) in reports.iter().enumerate() {
             assert!(!report.rows.is_empty());
@@ -477,11 +501,46 @@ mod tests {
         assert_ne!(reports[0].outputs["out0"], reports[1].outputs["out0"]);
     }
 
+    /// The report's time columns are the estimator's and the run's own
+    /// numbers, split per op: solo at the compiled degree, the rows'
+    /// `est_us` sum to the plan's estimate and their `op_us` to the run's
+    /// total.
+    #[test]
+    fn time_columns_sum_to_the_estimate_and_the_run() {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1e-300);
+        let mut cases = vec![("motivating".to_string(), motivating(), inputs())];
+        for b in hecate_apps::all_benchmarks(hecate_apps::Preset::Small) {
+            if b.name == "SF" || b.name == "MLP" {
+                let mut opts = CompileOptions::with_waterline(24.0);
+                opts.degree = Some((2 * b.func.vec_size).max(512));
+                let prog = compile(&b.func, Scheme::Hecate, &opts).unwrap();
+                cases.push((b.name, prog, b.inputs));
+            }
+        }
+        assert_eq!(cases.len(), 3);
+        for (name, prog, inputs) in &cases {
+            let opts = BackendOptions::default();
+            let audit = AuditOptions::default();
+            let report =
+                audit_encrypted(prog, inputs, &opts, &audit, &CostModel::Analytic).unwrap();
+            let est: f64 = report.rows.iter().map(|r| r.est_us).sum();
+            let measured: f64 = report.rows.iter().map(|r| r.op_us).sum();
+            let want = prog.stats.estimated_latency_us;
+            assert!(close(est, want), "{name}: est {est} vs estimate {want}");
+            assert!(
+                close(measured, report.total_us),
+                "{name}: {measured} vs {}",
+                report.total_us
+            );
+            assert!(report.rows.iter().any(|r| r.cost_op == "mul_cc"), "{name}");
+        }
+    }
+
     #[test]
     fn under_waterlined_plan_is_flagged() {
         // EVA plans never downscale, so execution reads nothing from
         // cfg.waterline — tampering it changes only what the plan
-        // *claims*, which is exactly the drift --audit exists to catch
+        // *claims*, which is exactly the drift --explain exists to catch
         // (a stale or hand-edited plan).
         let mut b = FunctionBuilder::new("tampered", 8);
         let x = b.input_cipher("x");
@@ -495,7 +554,14 @@ mod tests {
         let mut prog = compile(&b.finish(), Scheme::Eva, &opts).unwrap();
         prog.cfg.waterline += 64.0;
         let audit = AuditOptions::default();
-        let report = audit_encrypted(&prog, &inputs(), &BackendOptions::default(), &audit).unwrap();
+        let report = audit_encrypted(
+            &prog,
+            &inputs(),
+            &BackendOptions::default(),
+            &audit,
+            &CostModel::Analytic,
+        )
+        .unwrap();
         assert!(report.min_margin_bits < 0.0);
         let violations = report.violations(&audit);
         assert!(

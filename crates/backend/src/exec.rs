@@ -600,6 +600,11 @@ impl ExecEngine {
         self.occupancy
     }
 
+    /// The plan lowered at this engine's slots and occupancy.
+    pub(crate) fn lowering(&self) -> &Lowering {
+        &self.lowering
+    }
+
     /// Folds one finished run's ledger into the global
     /// `hecate_precision_*` metric family: bumps the recorded-op counter
     /// and publishes the run's tightest margin (millibits, so the integer

@@ -62,9 +62,7 @@ pub mod fault;
 pub mod noise;
 pub mod profile;
 
-pub use audit::{
-    audit_batched, audit_encrypted, audit_on_engine, AuditOptions, AuditReport, AuditRow,
-};
+pub use audit::{audit_batched, audit_encrypted, AuditOptions, AuditReport, AuditRow};
 pub use exec::{
     execute, execute_encrypted, execute_sequential, BackendOptions, CancelToken, EncryptedRun,
     ExecEngine, ExecError, GuardOptions, OpObserver, OpValue,

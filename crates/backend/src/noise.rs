@@ -81,7 +81,7 @@ pub fn simulate(
 
 /// Like [`simulate`], but returns the full per-operation table: the
 /// noiseless plaintext slots and predicted noise variance of *every*
-/// value, in operation order. This is what `hecatec --audit` diffs
+/// value, in operation order. This is what `hecatec --explain` diffs
 /// against intermediate decrypt probes.
 ///
 /// # Panics

@@ -43,8 +43,14 @@ fn noise_estimate_bounds_measured_error_on_all_benchmarks() {
         opts.degree = Some(degree);
         let prog = compile(&bench.func, Scheme::Pars, &opts)
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", bench.name));
-        let report = audit_encrypted(&prog, &bench.inputs, &backend(degree), &audit)
-            .unwrap_or_else(|e| panic!("{}: audited run failed: {e}", bench.name));
+        let report = audit_encrypted(
+            &prog,
+            &bench.inputs,
+            &backend(degree),
+            &audit,
+            &opts.cost_model,
+        )
+        .unwrap_or_else(|e| panic!("{}: audited run failed: {e}", bench.name));
         // Every probed op (all outputs + 4 checkpoints) satisfies the
         // one-sided order-of-magnitude bound, and the plan's scales all
         // clear the waterline.
@@ -91,8 +97,14 @@ fn audit_flags_under_waterlined_plan_via_public_api() {
     let mut prog = compile(&bench.func, Scheme::Eva, &opts).expect("SF compiles");
     prog.cfg.waterline += 64.0;
     let audit = AuditOptions::default();
-    let report =
-        audit_encrypted(&prog, &bench.inputs, &backend(degree), &audit).expect("tampered run");
+    let report = audit_encrypted(
+        &prog,
+        &bench.inputs,
+        &backend(degree),
+        &audit,
+        &opts.cost_model,
+    )
+    .expect("tampered run");
     assert!(report.min_margin_bits < 0.0);
     assert!(
         !report.violations(&audit).is_empty(),

@@ -166,9 +166,12 @@ impl Lowering {
 /// Maps an IR operation to its cost categories, given whether any
 /// operand is a plaintext and, for a rotation, its physical step and role.
 ///
-/// `encode` and `const` cost nothing at runtime (plaintexts are prepared
-/// ahead of execution); `upscale` lowers to a plaintext multiplication;
-/// `downscale` lowers to a plaintext multiplication plus a rescale.
+/// `encode` and `const` are priced at zero, but they are not free: the
+/// executor encodes every plaintext on every run (its `Op::Encode` arm,
+/// and the unit plaintext of each `upscale`/`downscale`), untimed, so that
+/// time is in no op's measured time and no estimate. `upscale` lowers to
+/// a plaintext multiplication; `downscale` lowers to a plaintext
+/// multiplication plus a rescale.
 fn categorize(op: &Op, any_plain: bool, rotation: Option<(usize, HoistRole)>) -> &'static [CostOp] {
     match op {
         Op::Input { .. } | Op::Const { .. } | Op::Encode { .. } => &[],

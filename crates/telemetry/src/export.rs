@@ -1,6 +1,6 @@
-//! Event-stream exporters: JSONL, Chrome trace-event JSON, precision
-//! JSONL — all over one record serializer — and [`JsonObject`], the
-//! writer behind the runtime's stats, diagnostics and black-box JSON.
+//! Event-stream exporters — JSONL and its embeddable array over one
+//! record serializer, and Chrome trace-event JSON — and [`JsonObject`],
+//! the writer behind the runtime's stats, diagnostics and black-box JSON.
 //!
 //! They are hand-rolled string builders — this crate takes no
 //! dependencies. The Chrome exporter emits the [trace-event format]
@@ -139,31 +139,22 @@ fn attrs_json(attrs: &[(&'static str, AttrValue)]) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
-/// The one record serializer: `kind`, an optional `name`, `ts_ns`, `tid`,
-/// `dur_ns` on complete events, `attrs`.
-fn record_json(kind: &str, name: Option<&str>, ev: &Event) -> String {
-    let name = name.map_or(String::new(), |n| format!(",\"name\":\"{}\"", escape(n)));
-    let dur = match ev.kind {
-        EventKind::Complete { dur_ns } => format!(",\"dur_ns\":{dur_ns}"),
-        _ => String::new(),
+/// The one record serializer: `kind`, `name`, `ts_ns`, `tid`, `dur_ns`
+/// on complete events, `attrs`.
+fn event_json(ev: &Event) -> String {
+    let (kind, dur) = match ev.kind {
+        EventKind::Begin => ("begin", String::new()),
+        EventKind::End => ("end", String::new()),
+        EventKind::Complete { dur_ns } => ("complete", format!(",\"dur_ns\":{dur_ns}")),
+        EventKind::Mark => ("mark", String::new()),
     };
     format!(
-        "{{\"kind\":\"{}\"{name},\"ts_ns\":{},\"tid\":{}{dur},\"attrs\":{}}}",
-        escape(kind),
+        "{{\"kind\":\"{kind}\",\"name\":\"{}\",\"ts_ns\":{},\"tid\":{}{dur},\"attrs\":{}}}",
+        escape(ev.name),
         ev.ts_ns,
         ev.tid,
         attrs_json(&ev.attrs)
     )
-}
-
-fn event_json(ev: &Event) -> String {
-    let kind = match ev.kind {
-        EventKind::Begin => "begin",
-        EventKind::End => "end",
-        EventKind::Complete { .. } => "complete",
-        EventKind::Mark => "mark",
-    };
-    record_json(kind, Some(ev.name), ev)
 }
 
 /// Renders events as one JSON object per line (JSONL) — the raw event
@@ -206,23 +197,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
 pub fn events_json(events: &[Event]) -> String {
     let records: Vec<String> = events.iter().map(event_json).collect();
     format!("[{}]", records.join(","))
-}
-
-/// Renders a precision trace: one JSON object per line for every
-/// `precision`-family mark (`precision`, `precision-probe`) in the event
-/// stream, carrying its timestamp, thread, and attributes verbatim.
-///
-/// This is the noise-budget analogue of [`jsonl`]: the executor's
-/// per-op noise-ledger marks become a line-oriented file an operator can
-/// grep or load into a dataframe, and the audit driver's decrypt probes
-/// interleave in timestamp order.
-pub fn precision_jsonl(events: &[Event]) -> String {
-    events
-        .iter()
-        .filter(|ev| matches!(ev.kind, EventKind::Mark))
-        .filter(|ev| ev.name == "precision" || ev.name == "precision-probe")
-        .map(|ev| record_json(ev.name, None, ev) + "\n")
-        .collect()
 }
 
 #[cfg(test)]
@@ -301,47 +275,6 @@ mod tests {
         assert!(json.contains("\"scheme\":\"hecate\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn precision_jsonl_selects_precision_marks() {
-        let mut events = sample_events();
-        events.push(Event {
-            kind: EventKind::Mark,
-            name: "precision",
-            ts_ns: 1_400,
-            tid: 1,
-            attrs: vec![
-                ("i", 7.into()),
-                ("op", "rescale".into()),
-                ("margin_bits", 2.5.into()),
-            ],
-        });
-        events.push(Event {
-            kind: EventKind::Mark,
-            name: "precision-probe",
-            ts_ns: 1_500,
-            tid: 1,
-            attrs: vec![("measured_rms", 1e-6.into())],
-        });
-        // A *span* named precision must not leak in — only marks do.
-        events.push(Event {
-            kind: EventKind::Begin,
-            name: "precision",
-            ts_ns: 1_600,
-            tid: 1,
-            attrs: vec![],
-        });
-        let text = precision_jsonl(&events);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "only the two precision marks: {text}");
-        assert!(lines[0].contains("\"kind\":\"precision\""));
-        assert!(lines[0].contains("\"margin_bits\":2.5"));
-        assert!(lines[1].contains("\"kind\":\"precision-probe\""));
-        assert!(lines[1].contains("\"measured_rms\":0.000001"));
-        for line in &lines {
-            assert_eq!(line.matches('{').count(), line.matches('}').count());
-        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //!   --sf BITS                       (default 60)
 //!   --degree N                      fixed ring degree (default: security-selected)
 //!   --run                           execute under encryption with random inputs
-//!   --breakdown                     print the estimated latency per cost category
 //!   --quiet                         suppress the compiled IR listing
 //!   --strict                        fail on the first error; no fallback (default)
 //!   --fallback                      degrade gracefully down the scheme ladder
@@ -26,7 +25,7 @@
 //!   --max-batch N                   serve mode: coalesce up to N queued same-plan
 //!                                   requests into one packed ciphertext, one slot
 //!                                   block per tenant (default 1 = batching off);
-//!                                   with --audit: audit a slot-batched run at
+//!                                   with --explain: explain a slot-batched run at
 //!                                   occupancy N (largest power of two <= N)
 //!   --batch-window-us U             serve mode: how long a worker waits for batch
 //!                                   partners after dequeuing a request (default 0:
@@ -70,22 +69,14 @@
 //!   --trace-format jsonl|chrome     trace file format (default chrome; a Chrome
 //!                                   trace loads in Perfetto / chrome://tracing)
 //!   --metrics PATH                  write Prometheus-text metrics to PATH on exit
-//!   --estimator-report              compile and execute the paper's eight
-//!                                   benchmarks (Small preset), then print the
-//!                                   analytic estimate, the traced latency, and a
-//!                                   re-estimate from a cost table calibrated at
-//!                                   the benchmark's degree; takes no input files
-//!   --audit                         run encrypted AND in the plaintext reference,
-//!                                   decrypt-compare at every output plus selected
-//!                                   intermediates, and print a per-op table of
-//!                                   predicted vs measured RMS error and waterline
-//!                                   margin; exit 6 on any violation
-//!   --audit-checkpoints N           intermediate decrypt probes per program
-//!                                   (default 4; outputs are always probed)
-//!   --bench NAME|all                audit a named paper benchmark (Small preset)
-//!                                   instead of an input file; `all` audits all 8
-//!   --precision-trace PATH          write the per-op noise ledger (and audit
-//!                                   probes) as JSONL to PATH on exit
+//!   --explain                       run encrypted AND in the plaintext reference,
+//!                                   decrypt-probe outputs plus four intermediates,
+//!                                   print per op predicted vs measured RMS error
+//!                                   and time, then time residuals per (cost_op,
+//!                                   active primes); exit 6 on any violation
+//!   --bench NAME|all                explain a named paper benchmark (Small preset)
+//!                                   instead of an input file; `all` explains all 8
+//!                                   (it compiles them, so takes no --load-plan)
 //!   --max-rms BOUND                 abort encrypted execution once the modeled
 //!                                   RMS noise of any value exceeds BOUND
 //! ```
@@ -98,22 +89,23 @@
 //! `--trace` and `--metrics` observe *every* mode: the event store is held
 //! at its full-trace level before any work starts and the files are
 //! written after the run finishes, on success and failure alike, so a
-//! failing compile still leaves a trace of how far it got.
+//! failing compile still leaves a trace of how far it got. A JSONL trace
+//! carries the noise ledger as `precision` marks and `--explain`'s decrypt
+//! probes as `precision-probe` marks.
 //!
 //! A flag given where it would be ignored is a usage error (see [`FLAGS`]).
 //!
 //! Exit codes: 0 success; 2 usage error; 3 input unreadable/unparsable
-//! (or a trace/metrics/precision file could not be written); 4 compilation
-//! failed (in `--fallback` mode: every rung failed); 5 encrypted execution
-//! failed; 6 audit violation (measured error above the predicted bound or
-//! a negative waterline margin).
+//! (or a trace/metrics file could not be written); 4 compilation failed
+//! (in `--fallback` mode: every rung failed); 5 encrypted execution
+//! failed; 6 audit violation under `--explain` (measured error above the
+//! predicted bound or a negative waterline margin).
 
 use hecate::backend::exec::execute_encrypted;
-use hecate::backend::{calibrate, AuditOptions, FaultPlan};
-use hecate::compiler::estimator::estimate_latency_us;
+use hecate::backend::{AuditOptions, AuditReport, FaultPlan};
 use hecate::compiler::{
     compile, compile_with_fallback, deserialize_plan, serialize_plan, CompileOptions,
-    CompiledProgram, CostModel, FallbackRung, Scheme,
+    CompiledProgram, FallbackRung, Scheme,
 };
 use hecate::ir::hash::function_hash;
 use hecate::ir::parse::parse_function;
@@ -126,36 +118,34 @@ use hecate::runtime::{
 };
 use hecate::telemetry::recorder::{self, Level};
 use hecate::telemetry::{export, trace, Event};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
 // The contexts a flag can be valid in, as bits so it can name a set:
-// exactly one of the five modes is live, and each of the last three is
+// exactly one of the four modes is live, and each of the last three is
 // live when the flag that other flags modify was given.
 /// Compile one file and print the plan: no mode flag given.
 const PLAIN: u8 = 1;
 const RUN: u8 = 2;
 const SERVE: u8 = 4;
-const AUDIT: u8 = 8;
-const REPORT: u8 = 16;
-const TRACE: u8 = 32;
-const CHAOS: u8 = 64;
-const DIAG: u8 = 128;
-const ALL: u8 = PLAIN | RUN | SERVE | AUDIT | REPORT;
+const EXPLAIN: u8 = 8;
+const TRACE: u8 = 16;
+const CHAOS: u8 = 32;
+const DIAG: u8 = 64;
+const ALL: u8 = PLAIN | RUN | SERVE | EXPLAIN;
 /// The modes that execute under encryption.
-const EXEC: u8 = RUN | SERVE | AUDIT | REPORT;
+const EXEC: u8 = RUN | SERVE | EXPLAIN;
 /// The modes that take their plan from `obtain_plan`.
-const PLANNED: u8 = PLAIN | RUN | AUDIT;
+const PLANNED: u8 = PLAIN | RUN | EXPLAIN;
 /// The flag that makes each context live, in the order errors list them.
-const CONTEXTS: [(&str, u8); 8] = [
+const CONTEXTS: [(&str, u8); 7] = [
     ("a plain compile", PLAIN),
     ("--run", RUN),
     ("--serve", SERVE),
-    ("--audit", AUDIT),
-    ("--estimator-report", REPORT),
+    ("--explain", EXPLAIN),
     ("--trace", TRACE),
     ("--chaos", CHAOS),
     ("--diag-out", DIAG),
@@ -172,14 +162,12 @@ struct Cli {
     compile: CompileOptions,
     /// `runtime.backend` is the backend configuration of every mode.
     runtime: RuntimeConfig,
-    audit: AuditOptions,
     bench: Option<String>,
     /// Serve mode's request shape: submissions per file, and each
     /// request's deadline and retry budget.
     repeat: usize,
     deadline: Option<Duration>,
     retries: u32,
-    breakdown: bool,
     quiet: bool,
     fallback: bool,
     save_plan: Option<String>,
@@ -187,7 +175,6 @@ struct Cli {
     trace: Option<String>,
     trace_format: fn(&[Event]) -> String,
     metrics: Option<String>,
-    precision_trace: Option<String>,
 }
 
 impl Cli {
@@ -198,12 +185,10 @@ impl Cli {
             scheme: Scheme::Hecate,
             compile: CompileOptions::with_waterline(24.0),
             runtime: RuntimeConfig::default(),
-            audit: AuditOptions::default(),
             bench: None,
             repeat: 2,
             deadline: None,
             retries: 0,
-            breakdown: false,
             quiet: false,
             fallback: false,
             save_plan: None,
@@ -211,7 +196,6 @@ impl Cli {
             trace: None,
             trace_format: export::chrome_trace,
             metrics: None,
-            precision_trace: None,
         }
     }
 
@@ -283,7 +267,6 @@ flags! {
     "--sf" "BITS" ALL => |c, v| c.compile.rescale_bits = num(v)?;
     "--degree" "N" ALL => |c, v| c.compile.degree = Some(num(v)?);
     "--run" "" ALL => |_c, _v| {};
-    "--breakdown" "" PLAIN | RUN => |c, _v| c.breakdown = true;
     "--quiet" "" ALL => |c, _v| c.quiet = true;
     "--strict" "" PLANNED => |c, _v| c.fallback = false;
     "--fallback" "" PLANNED => |c, _v| c.fallback = true;
@@ -291,7 +274,7 @@ flags! {
     "--load-plan" "PATH" PLANNED => |c, v| c.load_plan = Some(v.into());
     "--serve" "" ALL => |_c, _v| {};
     "--jobs" "N" SERVE => |c, v| c.runtime.workers = at_least(1, v)?;
-    "--max-batch" "N" SERVE | AUDIT => |c, v| c.runtime.max_batch = at_least(1, v)?;
+    "--max-batch" "N" SERVE | EXPLAIN => |c, v| c.runtime.max_batch = at_least(1, v)?;
     "--batch-window-us" "U" SERVE => |c, v|
         c.runtime.batch_window = Duration::from_micros(num(v)?);
     "--kernel-jobs" "N" EXEC => |c, v| c.runtime.backend.kernel_jobs = at_least(1, v)?;
@@ -303,11 +286,8 @@ flags! {
         other => return Err(format!("unknown format '{other}'")),
     };
     "--metrics" "PATH" ALL => |c, v| c.metrics = Some(v.into());
-    "--estimator-report" "" ALL => |_c, _v| {};
-    "--audit" "" ALL => |_c, _v| {};
-    "--audit-checkpoints" "N" AUDIT => |c, v| c.audit.checkpoints = num(v)?;
-    "--bench" "NAME|all" AUDIT => |c, v| c.bench = Some(v.into());
-    "--precision-trace" "PATH" EXEC => |c, v| c.precision_trace = Some(v.into());
+    "--explain" "" ALL => |_c, _v| {};
+    "--bench" "NAME|all" EXPLAIN => |c, v| c.bench = Some(v.into());
     "--max-rms" "BOUND" EXEC => |c, v| c.runtime.backend.guard.max_rms = Some(above_zero(v)?);
     "--chaos" "N" SERVE => |c, v| c.chaos().every_nth = num(v)?;
     "--chaos-kind" "fault|latency|panic|mix" CHAOS => |c, v| if v != "mix" {
@@ -387,16 +367,13 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
         let needs = context_names(flag.contexts);
         return Err(format!("{} requires {needs}", flag.name));
     }
-    if cli.mode() == REPORT || cli.bench.is_some() {
-        if !cli.files.is_empty() {
-            let what = cli
-                .bench
-                .as_ref()
-                .map_or("--estimator-report", |_| "--bench");
-            return Err(format!("{what} takes no input files"));
+    match (&cli.bench, &cli.load_plan) {
+        (Some(_), Some(_)) => return Err("--bench compiles its programs: no --load-plan".into()),
+        (Some(_), None) if !cli.files.is_empty() => {
+            return Err("--bench takes no input files".into())
         }
-    } else if cli.files.is_empty() {
-        return Err("no input file".into());
+        (None, _) if cli.files.is_empty() => return Err("no input file".into()),
+        _ => {}
     }
     if cli.mode() != SERVE && cli.files.len() > 1 {
         return Err("multiple input files require --serve".into());
@@ -561,98 +538,24 @@ fn obtain_plan(cli: &Cli, func: &Function, opts: &CompileOptions) -> Result<Comp
     })
 }
 
-/// The estimator loop, end to end: compile each of the paper's eight
-/// benchmarks (Small preset), execute it under encryption, and re-estimate
-/// it with [`CostModel::Profiled`] over a table [`calibrate`]d at the
-/// benchmark's degree and chain. Prints one row per benchmark — analytic
-/// estimate, traced latency, profiled re-estimate, and the ratios — plus
-/// the geomean ratios the paper's Fig. 8 reports.
-fn estimator_report(cli: &Cli) -> u8 {
-    let opts = &cli.compile;
-    let benches = hecate::apps::all_benchmarks(hecate::apps::Preset::Small);
-    println!(
-        "estimator report: {} benchmark(s), Small preset, scheme {}",
-        benches.len(),
-        cli.scheme
-    );
-    println!(
-        "  {:<6} {:>5} {:>6} {:>12} {:>12} {:>12} {:>7} {:>7} {:>10}",
-        "name",
-        "ops",
-        "degree",
-        "analytic ms",
-        "traced ms",
-        "profiled ms",
-        "an/tr",
-        "pf/tr",
-        "noise bits"
-    );
-    let (mut ln_analytic, mut ln_profiled) = (0.0f64, 0.0f64);
-    for b in &benches {
-        let mut bopts = opts.clone();
-        bopts.degree = Some(opts.degree.unwrap_or((2 * b.func.vec_size).max(512)));
-        let prog = match compile(&b.func, cli.scheme, &bopts) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("hecatec: {}: compilation failed: {e}", b.name);
-                return 4;
-            }
-        };
-        let (degree, chain_len) = (prog.params.degree, prog.params.chain_len);
-        let table = match calibrate(degree, chain_len, 3, cli.runtime.backend.seed) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("hecatec: {}: calibration failed: {e}", b.name);
-                return 5;
-            }
-        };
-        let traced = match execute_encrypted(&prog, &b.inputs, &cli.runtime.backend) {
-            Ok(run) => run.total_us,
-            Err(e) => {
-                eprintln!("hecatec: {}: execution failed: {e}", b.name);
-                return 5;
-            }
-        };
-        let analytic = prog.stats.estimated_latency_us;
-        let model = CostModel::Profiled(Arc::new(table));
-        let profiled = estimate_latency_us(&prog.func, &prog.types, &model, chain_len, degree);
-        println!(
-            "  {:<6} {:>5} {:>6} {:>12.2} {:>12.2} {:>12.2} {:>7.3} {:>7.3} {:>10.1}",
-            b.name,
-            prog.func.len(),
-            degree,
-            analytic / 1e3,
-            traced / 1e3,
-            profiled / 1e3,
-            analytic / traced,
-            profiled / traced,
-            prog.stats.estimated_noise_bits
-        );
-        ln_analytic += (analytic / traced).ln();
-        ln_profiled += (profiled / traced).ln();
-    }
-    let n = benches.len() as f64;
-    println!(
-        "geomean ratio vs traced: analytic {:.3}, profiled {:.3}",
-        (ln_analytic / n).exp(),
-        (ln_profiled / n).exp()
-    );
-    0
-}
-
-/// Audit mode: run each program encrypted *and* in the plaintext
-/// reference, decrypt-compare at probes, and print the per-op precision
-/// table. Programs come from input files (compiled or `--load-plan`
-/// reloaded) or from `--bench NAME|all` (the paper's benchmarks, Small
-/// preset). Returns 6 when any probe's measured error exceeds 10× its
-/// prediction or any waterline margin is negative.
-fn audit_mode(cli: &Cli, funcs: &[(String, Function)]) -> u8 {
-    use hecate::backend::{audit_batched, audit_encrypted, ExecEngine, ExecError};
+/// Explain mode: one audited run per program (files, or `--bench
+/// NAME|all` at the Small preset), each plan from `obtain_plan` and
+/// priced under the cost model it is compiled with; see [`print_report`].
+/// Returns 6 when any probe's measured error exceeds 10× its prediction
+/// or any waterline margin is negative.
+fn explain(cli: &Cli, funcs: &[(String, Function)]) -> u8 {
+    use hecate::backend::{audit_batched, ExecEngine, ExecError};
     let opts = &cli.compile;
 
-    /// One audit case: (label, function, inputs, compile options).
-    type AuditCase = (String, Function, HashMap<String, Vec<f64>>, CompileOptions);
-    let mut cases: Vec<AuditCase> = Vec::new();
+    /// One program to explain: its label, function, inputs (`None`: seeded
+    /// random, one seed per tenant) and compile options.
+    type Case = (
+        String,
+        Function,
+        Option<HashMap<String, Vec<f64>>>,
+        CompileOptions,
+    );
+    let mut cases: Vec<Case> = Vec::new();
     if let Some(sel) = &cli.bench {
         let benches = hecate::apps::all_benchmarks(hecate::apps::Preset::Small);
         let names: Vec<String> = benches.iter().map(|b| b.name.clone()).collect();
@@ -670,151 +573,190 @@ fn audit_mode(cli: &Cli, funcs: &[(String, Function)]) -> u8 {
         for b in selected {
             let mut bopts = opts.clone();
             bopts.degree = Some(opts.degree.unwrap_or((2 * b.func.vec_size).max(512)));
-            cases.push((b.name, b.func, b.inputs, bopts));
+            cases.push((b.name, b.func, Some(b.inputs), bopts));
         }
     } else {
         for (file, func) in funcs {
-            cases.push((
-                file.clone(),
-                func.clone(),
-                synth_inputs(func, 1),
-                opts.clone(),
-            ));
+            cases.push((file.clone(), func.clone(), None, opts.clone()));
         }
     }
 
-    let audit_opts = &cli.audit;
-    let bopts = &cli.runtime.backend;
+    let audit_opts = &AuditOptions::default();
     let mut violation_count = 0usize;
+    let mut ln_ratios = Vec::new();
     for (label, func, inputs, copts) in &cases {
-        let prog = if cli.bench.is_some() {
-            match compile(func, cli.scheme, copts) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("hecatec: {label}: compilation failed: {e}");
-                    return 4;
-                }
-            }
-        } else {
-            match obtain_plan(cli, func, copts) {
-                Ok(p) => p,
-                Err(code) => return code,
-            }
+        let prog = match obtain_plan(cli, func, copts) {
+            Ok(p) => Arc::new(p),
+            Err(code) => return code,
         };
-        // With --max-batch N, audit one slot-batched run at the largest
+        print_fallback(&prog);
+        // With --max-batch N, explain one slot-batched run at the largest
         // power-of-two occupancy <= N (the packed layout needs a power of
-        // two). File cases vary the synthetic input seed per tenant so the
-        // demux proves isolation; bench cases ship fixed inputs, shared by
-        // every tenant. An infeasible footprint degrades to a solo audit,
-        // mirroring the serving scheduler.
-        let occupancy = 1usize << cli.runtime.max_batch.ilog2();
-        let solo =
-            || audit_encrypted(&prog, inputs, bopts, audit_opts).map(|r| vec![(label.clone(), r)]);
-        let reports = if occupancy > 1 {
-            let mut batch_opts = bopts.clone();
-            batch_opts.batch_occupancy = occupancy;
-            match ExecEngine::new(Arc::new(prog.clone()), &batch_opts) {
-                Ok(engine) => {
-                    let tenant_inputs: Vec<HashMap<String, Vec<f64>>> = (0..occupancy)
-                        .map(|t| {
-                            if cli.bench.is_some() {
-                                inputs.clone()
-                            } else {
-                                synth_inputs(func, 1 + t as u64)
-                            }
-                        })
-                        .collect();
-                    let refs: Vec<&HashMap<String, Vec<f64>>> = tenant_inputs.iter().collect();
-                    audit_batched(&engine, &refs, audit_opts).map(|reports| {
-                        (0..occupancy)
-                            .map(|t| format!("{label} [tenant {t}/{occupancy}]"))
-                            .zip(reports)
-                            .collect()
-                    })
-                }
-                Err(ExecError::BatchUnsupported {
-                    occupancy,
-                    block,
-                    needed,
-                }) => {
-                    eprintln!(
-                        "hecatec: {label}: batching infeasible at occupancy {occupancy} \
-                         (footprint needs {needed} slots, block holds {block}); auditing solo"
-                    );
-                    solo()
-                }
-                Err(e) => {
-                    eprintln!("hecatec: {label}: engine construction failed: {e}");
-                    return 5;
-                }
-            }
-        } else {
-            solo()
+        // two). An infeasible footprint degrades to a solo run, mirroring
+        // the serving scheduler.
+        let engine_at = |occupancy| {
+            let mut bopts = cli.runtime.backend.clone();
+            bopts.batch_occupancy = occupancy;
+            ExecEngine::new(prog.clone(), &bopts)
         };
-        let reports: Vec<(String, hecate::backend::AuditReport)> = match reports {
+        let engine = match engine_at(1 << cli.runtime.max_batch.ilog2()) {
+            Err(ExecError::BatchUnsupported {
+                occupancy,
+                block,
+                needed,
+            }) => {
+                eprintln!(
+                    "hecatec: {label}: batching infeasible at occupancy {occupancy} \
+                     (footprint needs {needed} slots, block holds {block}); explaining solo"
+                );
+                engine_at(1)
+            }
+            built => built,
+        };
+        // Synthetic inputs vary their seed per tenant so the demux proves
+        // isolation; bench inputs are shared by every tenant.
+        let seeded = |t: usize| synth_inputs(func, 1 + t as u64);
+        let run = |engine: ExecEngine| {
+            let tenants: Vec<HashMap<String, Vec<f64>>> = (0..engine.occupancy())
+                .map(|t| inputs.clone().unwrap_or_else(|| seeded(t)))
+                .collect();
+            let refs: Vec<&HashMap<String, Vec<f64>>> = tenants.iter().collect();
+            audit_batched(&engine, &refs, audit_opts, &copts.cost_model)
+        };
+        let reports = match engine.and_then(run) {
             Ok(reports) => reports,
             Err(e) => {
                 eprintln!("hecatec: {label}: execution failed: {e}");
                 return 5;
             }
         };
-        for (label, report) in &reports {
-            let probed = report
-                .rows
-                .iter()
-                .filter(|r| r.measured_rms.is_some())
-                .count();
-            println!(
-                "audit {label}: {} cipher op(s), {probed} probed, {:.1}ms encrypted",
-                report.rows.len(),
-                report.total_us / 1e3
-            );
-            println!(
-                "  {:>4} {:<10} {:>4} {:>7} {:>8} {:>11} {:>11} {:>7}",
-                "op", "kind", "lvl", "scale", "margin", "predicted", "measured", "ratio"
-            );
-            for row in &report.rows {
-                let (measured, ratio) = match row.measured_rms {
-                    Some(m) => (
-                        format!("{m:>11.3e}"),
-                        format!("{:>7.2}", m / row.predicted_rms.max(audit_opts.floor)),
-                    ),
-                    None => (format!("{:>11}", "-"), format!("{:>7}", "-")),
-                };
-                println!(
-                    "  {:>4} {:<10} {:>4} {:>7.1} {:>8.2} {:>11.3e} {measured} {ratio}{}",
-                    row.op,
-                    row.mnemonic,
-                    row.level,
-                    row.scale_bits,
-                    row.margin_bits,
-                    row.predicted_rms,
-                    if row.is_output { "  <- output" } else { "" }
-                );
-            }
-            println!(
-                "  tightest waterline margin: {:.2} bits",
-                report.min_margin_bits
-            );
-            let violations = report.violations(audit_opts);
-            if violations.is_empty() {
-                println!(
-                    "  audit PASSED (worst measured/predicted ratio {:.2})",
-                    report.worst_ratio(audit_opts.floor)
-                );
-            } else {
-                for v in &violations {
-                    eprintln!("  audit VIOLATION: {v}");
-                }
-                violation_count += violations.len();
-            }
+        let occupancy = reports.len();
+        for (t, report) in reports.iter().enumerate() {
+            let label = match occupancy {
+                1 => label.clone(),
+                _ => format!("{label} [tenant {t}/{occupancy}]"),
+            };
+            violation_count += print_report(&label, report, audit_opts);
+            let est: f64 = report.rows.iter().map(|r| r.est_us).sum();
+            ln_ratios.push((report.total_us / est).ln());
         }
+    }
+    if ln_ratios.len() > 1 {
+        println!(
+            "geomean measured/est over {} run(s): {:.3}",
+            ln_ratios.len(),
+            (ln_ratios.iter().sum::<f64>() / ln_ratios.len() as f64).exp()
+        );
     }
     if violation_count > 0 {
         eprintln!("hecatec: audit failed with {violation_count} violation(s)");
         6
     } else {
         0
+    }
+}
+
+/// `measured / est` in a `width`-wide column, `-` where nothing was
+/// estimated.
+fn ratio(measured: f64, est: f64, width: usize) -> String {
+    match est > 0.0 {
+        true => format!("{:>width$.3}", measured / est),
+        false => format!("{:>width$}", "-"),
+    }
+}
+
+/// Prints one explained run: the per-op table, the audit verdict, the
+/// time residuals per (cost_op, active primes) and the program line.
+/// Returns the number of violations.
+fn print_report(label: &str, report: &AuditReport, audit_opts: &AuditOptions) -> usize {
+    let probed = report
+        .rows
+        .iter()
+        .filter(|r| r.measured_rms.is_some())
+        .count();
+    println!(
+        "explain {label}: {} cipher op(s), {probed} probed, {:.1}ms encrypted",
+        report.rows.len(),
+        report.total_us / 1e3
+    );
+    println!(
+        "    op kind        lvl   scale   margin   predicted    measured   ratio   simulated \
+         cost_op        primes    est µs     op µs"
+    );
+    let mut residuals: BTreeMap<(&str, usize), (usize, f64, f64)> = BTreeMap::new();
+    for row in &report.rows {
+        let (measured, ratio) = match row.measured_rms {
+            Some(m) => (
+                format!("{m:>11.3e}"),
+                format!("{:>7.2}", m / row.predicted_rms.max(audit_opts.floor)),
+            ),
+            None => (format!("{:>11}", "-"), format!("{:>7}", "-")),
+        };
+        let cost_op = if row.cost_op.is_empty() {
+            "-"
+        } else {
+            &row.cost_op
+        };
+        println!(
+            "  {:>4} {:<10} {:>4} {:>7.1} {:>8.2} {:>11.3e} {measured} {ratio} {:>11.3e} \
+             {cost_op:<14} {:>6} {:>9.1} {:>9.1}{}",
+            row.op,
+            row.mnemonic,
+            row.level,
+            row.scale_bits,
+            row.margin_bits,
+            row.predicted_rms,
+            row.sim_rms,
+            row.active_primes,
+            row.est_us,
+            row.op_us,
+            if row.is_output { "  <- output" } else { "" }
+        );
+        let cell = residuals.entry((cost_op, row.active_primes)).or_default();
+        *cell = (cell.0 + 1, cell.1 + row.est_us, cell.2 + row.op_us);
+    }
+    println!(
+        "  tightest waterline margin: {:.2} bits",
+        report.min_margin_bits
+    );
+    let violations = report.violations(audit_opts);
+    if violations.is_empty() {
+        println!(
+            "  audit PASSED (worst measured/predicted ratio {:.2})",
+            report.worst_ratio(audit_opts.floor)
+        );
+    }
+    for v in &violations {
+        eprintln!("  audit VIOLATION: {v}");
+    }
+    println!(
+        "  {:<14} {:>6} {:>5} {:>11} {:>11} {:>7}",
+        "cost_op", "primes", "count", "Σ est µs", "Σ op µs", "op/est"
+    );
+    for ((cost_op, primes), (count, est, measured)) in &residuals {
+        println!(
+            "  {cost_op:<14} {primes:>6} {count:>5} {est:>11.1} {measured:>11.1} {}",
+            ratio(*measured, *est, 7)
+        );
+    }
+    let est: f64 = report.rows.iter().map(|r| r.est_us).sum();
+    println!(
+        "  program: est {:.2}ms, measured {:.2}ms, measured/est {}. Op time excludes \
+         plaintext encoding, which the executor redoes on every run.",
+        est / 1e3,
+        report.total_us / 1e3,
+        ratio(report.total_us, est, 0)
+    );
+    violations.len()
+}
+
+/// Announces a compile that degraded down the `--fallback` ladder.
+fn print_fallback(prog: &CompiledProgram) {
+    if let Some(rung) = prog.stats.fallback.filter(|r| *r != FallbackRung::Primary) {
+        println!(
+            "fallback: degraded to rung '{rung}' after {} failed attempt(s)",
+            prog.stats.fallback_attempts
+        );
     }
 }
 
@@ -842,13 +784,7 @@ fn run_single(cli: &Cli, func: &Function) -> u8 {
         "scheme {} | waterline 2^{} | Sf 2^{}",
         prog.scheme, opts.waterline_bits, opts.rescale_bits
     );
-    match prog.stats.fallback {
-        Some(FallbackRung::Primary) | None => {}
-        Some(rung) => println!(
-            "fallback: degraded to rung '{rung}' after {} failed attempt(s)",
-            prog.stats.fallback_attempts
-        ),
-    }
+    print_fallback(&prog);
     println!(
         "parameters: degree {} | chain {} primes (q0 {} bits + {}×{} bits) | max level {} | {}",
         prog.params.degree,
@@ -871,26 +807,6 @@ fn run_single(cli: &Cli, func: &Function) -> u8 {
         prog.stats.use_edges,
         prog.stats.plans_explored
     );
-
-    if cli.breakdown {
-        let table = hecate::compiler::estimator::latency_breakdown(
-            &prog.func,
-            &prog.types,
-            &opts.cost_model,
-            prog.params.chain_len,
-            prog.params.degree,
-        );
-        let total: f64 = table.values().sum();
-        println!("\nestimated latency by category:");
-        for (op, us) in &table {
-            println!(
-                "  {:<10} {:>10.0}µs {:>5.1}%",
-                format!("{op:?}"),
-                us,
-                us / total * 100.0
-            );
-        }
-    }
 
     if cli.mode() == RUN {
         let inputs = synth_inputs(func, 1);
@@ -920,8 +836,7 @@ fn run_single(cli: &Cli, func: &Function) -> u8 {
     0
 }
 
-/// Drains the event store and writes the `--trace`, `--metrics`, and
-/// `--precision-trace` files. Runs on every exit path — including
+/// Drains the event store and writes the `--trace` and `--metrics` files. Runs on every exit path — including
 /// execution failures like a tripped guard or an exhausted noise budget —
 /// so a failing run still leaves valid, complete files covering
 /// everything up to the failure. A file that cannot be written turns a
@@ -932,12 +847,6 @@ fn finish_observability(cli: &Cli, mut code: u8, metrics_extra: &str) -> u8 {
     if let Some(path) = &cli.trace {
         let text = (cli.trace_format)(&events);
         let done = format!("trace: {} event(s) written to {path}", events.len());
-        outputs.push((path, text, done));
-    }
-    if let Some(path) = &cli.precision_trace {
-        let text = export::precision_jsonl(&events);
-        let lines = text.lines().count();
-        let done = format!("precision trace: {lines} record(s) written to {path}");
         outputs.push((path, text, done));
     }
     if let Some(path) = &cli.metrics {
@@ -968,10 +877,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // The precision trace is derived from the executor's `precision`
-    // marks. Held until after `finish_observability` has drained the store.
-    let traced = cli.trace.is_some() || cli.precision_trace.is_some();
-    let _full_trace = traced.then(|| recorder::hold(Level::Full));
+    // Held until after `finish_observability` has drained the store.
+    let _full_trace = cli.trace.is_some().then(|| recorder::hold(Level::Full));
 
     let mut metrics_extra = String::new();
     let code = match (load_functions(&cli.files), cli.mode()) {
@@ -979,8 +886,7 @@ fn main() -> ExitCode {
             eprintln!("hecatec: {e}");
             3
         }
-        (Ok(_), REPORT) => estimator_report(&cli),
-        (Ok(funcs), AUDIT) => audit_mode(&cli, &funcs),
+        (Ok(funcs), EXPLAIN) => explain(&cli, &funcs),
         (Ok(funcs), SERVE) => serve(&cli, &funcs, &mut metrics_extra),
         (Ok(funcs), _) => run_single(&cli, &funcs[0].1),
     };

@@ -1,10 +1,10 @@
 //! Observability files survive *failing* runs of `hecatec`.
 //!
-//! The contract (DESIGN "Precision observability"): `--trace`,
-//! `--metrics`, and `--precision-trace` files are written on every exit
-//! path, so a run that dies mid-execution — here, a noise-budget guard
-//! tripping via `--max-rms` — still leaves valid, complete files
-//! covering everything up to the failure.
+//! The contract (DESIGN "Precision observability"): `--trace` and
+//! `--metrics` files are written on every exit path, so a run that dies
+//! mid-execution — here, a noise-budget guard tripping via `--max-rms` —
+//! still leaves valid, complete files covering everything up to the
+//! failure, its noise ledger included as `precision` marks.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -52,10 +52,20 @@ fn assert_valid_jsonl(path: &PathBuf) -> usize {
     n
 }
 
+/// The `precision`-family marks (`name` = `precision` or
+/// `precision-probe`) of a JSONL trace file.
+fn precision_marks(path: &PathBuf, name: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let tag = format!("\"kind\":\"mark\",\"name\":\"{name}\",");
+    text.lines()
+        .filter(|line| line.contains(&tag))
+        .map(String::from)
+        .collect()
+}
+
 #[test]
 fn failing_run_still_writes_valid_observability_files() {
     let trace = tmp("fail.trace.jsonl");
-    let precision = tmp("fail.precision.jsonl");
     let metrics = tmp("fail.metrics.prom");
     // poly.heir's modeled noise spans ~2.5e-5 (fresh input) to ~1.3e-4
     // (deepest op), so a 5e-5 budget admits the first ops and then
@@ -70,7 +80,6 @@ fn failing_run_still_writes_valid_observability_files() {
             "--trace-format",
             "jsonl",
         ])
-        .args(["--precision-trace", precision.to_str().unwrap()])
         .args(["--metrics", metrics.to_str().unwrap()])
         .output()
         .expect("hecatec runs");
@@ -87,36 +96,34 @@ fn failing_run_still_writes_valid_observability_files() {
         "guard failure not reported: {stderr}"
     );
 
-    // All three files exist and are valid despite the failure.
+    // Both files exist and are valid despite the failure.
     let trace_events = assert_valid_jsonl(&trace);
     assert!(trace_events > 0, "trace is empty on the error path");
-    let precision_records = assert_valid_jsonl(&precision);
+    let precision = precision_marks(&trace, "precision");
     assert!(
-        precision_records >= 2,
-        "expected the ops executed before the failure in the precision \
-         trace, got {precision_records} record(s)"
+        precision.len() >= 2,
+        "expected the ops executed before the failure as precision marks, \
+         got {}",
+        precision.len()
     );
-    let precision_text = std::fs::read_to_string(&precision).unwrap();
-    assert!(precision_text.contains("\"kind\":\"precision\""));
-    assert!(precision_text.contains("margin_bits"));
+    assert!(precision.iter().all(|mark| mark.contains("margin_bits")));
     let metrics_text = std::fs::read_to_string(&metrics).unwrap();
     assert!(
         metrics_text.contains("hecate_"),
         "metrics missing on the error path: {metrics_text:?}"
     );
-    for p in [trace, precision, metrics] {
+    for p in [trace, metrics] {
         let _ = std::fs::remove_file(p);
     }
 }
 
 /// A serve run whose workers die by injected chaos panics still exits
 /// through the observability path: typed per-request failures, exit 5,
-/// valid trace/metrics/precision files, and the panic/respawn counters
+/// valid trace and metrics files, and the panic/respawn counters
 /// reconciled in both the stats JSON and the Prometheus export.
 #[test]
 fn chaos_panic_serve_still_writes_observability_files() {
     let trace = tmp("chaos.trace.jsonl");
-    let precision = tmp("chaos.precision.jsonl");
     let metrics = tmp("chaos.metrics.prom");
     // 4 requests on one worker, panic injected into every 2nd: the chaos
     // sequence hits requests 0 and 2, so exactly 2 panics are isolated
@@ -133,7 +140,6 @@ fn chaos_panic_serve_still_writes_observability_files() {
             "--trace-format",
             "jsonl",
         ])
-        .args(["--precision-trace", precision.to_str().unwrap()])
         .args(["--metrics", metrics.to_str().unwrap()])
         .output()
         .expect("hecatec runs");
@@ -168,7 +174,10 @@ fn chaos_panic_serve_still_writes_observability_files() {
         trace_text.contains("worker-respawn"),
         "no worker-respawn mark in the trace"
     );
-    assert_valid_jsonl(&precision); // written (and well-formed) regardless
+    // The surviving requests' noise ledgers are in the trace.
+    let precision = precision_marks(&trace, "precision");
+    assert!(!precision.is_empty(), "no precision marks in the trace");
+    assert!(precision.iter().all(|mark| mark.contains("margin_bits")));
     let metrics_text = std::fs::read_to_string(&metrics).unwrap();
     assert!(
         metrics_text.contains("hecate_runtime_panics_total 2"),
@@ -178,39 +187,56 @@ fn chaos_panic_serve_still_writes_observability_files() {
         metrics_text.contains("hecate_runtime_worker_respawns_total 2"),
         "metrics missing respawn counter: {metrics_text:?}"
     );
-    for p in [trace, precision, metrics] {
+    for p in [trace, metrics] {
         let _ = std::fs::remove_file(p);
     }
 }
 
+/// `--explain --bench SF` passes its audit, prints the per-op table, the
+/// time residual table and the program line, and its JSONL trace carries
+/// the noise ledger and the decrypt probes as marks.
 #[test]
-fn audit_bench_passes_and_emits_precision_trace() {
-    let precision = tmp("audit.precision.jsonl");
+fn explain_bench_passes_and_traces_precision_marks() {
+    let trace = tmp("explain.trace.jsonl");
     let out = hecatec()
-        .args(["--audit", "--bench", "SF"])
-        .args(["--precision-trace", precision.to_str().unwrap()])
+        .args(["--explain", "--bench", "SF"])
+        .args([
+            "--trace",
+            trace.to_str().unwrap(),
+            "--trace-format",
+            "jsonl",
+        ])
         .output()
         .expect("hecatec runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         out.status.code(),
         Some(0),
-        "audit failed\nstdout: {stdout}\nstderr: {}",
+        "explain failed\nstdout: {stdout}\nstderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(stdout.contains("PASSED"), "no audit verdict: {stdout}");
+    assert!(
+        stdout.contains("audit PASSED"),
+        "no audit verdict: {stdout}"
+    );
     assert!(
         stdout.contains("tightest waterline margin"),
         "no margin summary: {stdout}"
     );
-    let records = assert_valid_jsonl(&precision);
-    assert!(records > 0, "audit left an empty precision trace");
-    let text = std::fs::read_to_string(&precision).unwrap();
     assert!(
-        text.contains("\"kind\":\"precision-probe\""),
-        "no probe records in the audit's precision trace"
+        stdout.contains("cost_op        primes count    Σ est µs     Σ op µs  op/est"),
+        "no residual table: {stdout}"
     );
-    let _ = std::fs::remove_file(precision);
+    assert!(
+        stdout.contains("  program: est ") && stdout.contains("Op time excludes"),
+        "no program line: {stdout}"
+    );
+    assert_valid_jsonl(&trace);
+    assert!(!precision_marks(&trace, "precision").is_empty());
+    let probes = precision_marks(&trace, "precision-probe");
+    assert!(!probes.is_empty(), "no decrypt probes in the trace");
+    assert!(probes.iter().all(|mark| mark.contains("measured_rms")));
+    let _ = std::fs::remove_file(trace);
 }
 
 fn run_poly(args: &[&str]) -> (Option<i32>, String, String) {
@@ -232,23 +258,23 @@ fn run_poly(args: &[&str]) -> (Option<i32>, String, String) {
 #[test]
 fn mode_scoped_flags_are_usage_errors_not_silently_ignored() {
     let plan = tmp("ignored.plan");
-    let precision = tmp("ignored.precision.jsonl");
-    let (plan_s, precision_s) = (plan.to_str().unwrap(), precision.to_str().unwrap());
+    let plan_s = plan.to_str().unwrap();
     let cases: [(&[&str], &str); 9] = [
         (&["--serve", "--save-plan", plan_s], "--save-plan requires"),
         (&["--jobs", "2"], "--jobs requires --serve"),
         (&["--run", "--repeat", "3"], "--repeat requires --serve"),
+        // Removed with the one explain report.
         (
             &["--run", "--audit-checkpoints", "2"],
-            "--audit-checkpoints requires --audit",
+            "unknown argument '--audit-checkpoints'",
         ),
         (
             &["--run", "--trace-format", "jsonl"],
             "--trace-format requires --trace",
         ),
         (
-            &["--precision-trace", precision_s],
-            "--precision-trace requires --run, --serve, --audit or --estimator-report",
+            &["--run", "--precision-trace", plan_s],
+            "unknown argument '--precision-trace'",
         ),
         (
             &["--serve", "--chaos-kind", "panic"],
@@ -268,10 +294,18 @@ fn mode_scoped_flags_are_usage_errors_not_silently_ignored() {
         assert!(stderr.contains(want), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: hecatec"), "{args:?}: {stderr}");
     }
-    assert!(
-        !plan.exists() && !precision.exists(),
-        "rejected flags write nothing"
-    );
+    assert!(!plan.exists(), "rejected flags write nothing");
+
+    // `--bench` compiles its own programs: a plan file to reload with it
+    // is a usage error, not silently ignored.
+    let out = hecatec()
+        .args(["--explain", "--bench", "SF", "--fallback"])
+        .args(["--load-plan", tmp("missing.plan").to_str().unwrap()])
+        .output()
+        .expect("hecatec runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--bench compiles its programs"), "{stderr}");
 
     // `--chaos 0` disables injection, so it must not announce any.
     let (code, stdout, stderr) = run_poly(&[
