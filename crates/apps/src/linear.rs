@@ -111,90 +111,6 @@ pub fn stencil(
     acc.expect("stencil must have a nonzero tap")
 }
 
-/// Applies `y = W·x + bias` with the baby-step/giant-step (BSGS) variant
-/// of the diagonal method.
-///
-/// Writing each diagonal index `d = k·b + j` with `b ≈ √V` baby steps and
-/// `g = V/b` giant steps, the identity
-/// `diag_d ⊙ rot(x, d) = rot(rot⁻¹(diag_d, k·b) ⊙ rot(x, j), k·b)`
-/// shares the `b` baby rotations across all giant groups:
-/// `O(√V)` rotations instead of `O(V)` for a dense matrix. Zero diagonals
-/// and empty giant groups are skipped, like [`linear_layer`].
-///
-/// # Panics
-/// Same conditions as [`linear_layer`]; additionally `vec` must be a
-/// perfect square of powers of two (any power-of-two `vec` works).
-pub fn linear_layer_bsgs(
-    b: &mut FunctionBuilder,
-    x: ValueId,
-    weights: &[Vec<f64>],
-    bias: Option<&[f64]>,
-    vec: usize,
-) -> ValueId {
-    let out_dim = weights.len();
-    assert!(out_dim > 0, "empty weight matrix");
-    let in_dim = weights[0].len();
-    assert!(weights.iter().all(|r| r.len() == in_dim), "ragged matrix");
-    assert!(
-        out_dim <= vec && in_dim <= vec,
-        "matrix exceeds vector width"
-    );
-    assert!(vec.is_power_of_two());
-
-    let baby = 1usize << (vec.trailing_zeros() / 2);
-    let giant = vec / baby;
-    let diag = |d: usize, i: usize| {
-        let col = (i + d) % vec;
-        if i < out_dim && col < in_dim {
-            weights[i][col]
-        } else {
-            0.0
-        }
-    };
-    // Lazily materialized baby rotations of x.
-    let mut baby_rot: Vec<Option<ValueId>> = vec![None; baby];
-    baby_rot[0] = Some(x);
-    let mut acc: Option<ValueId> = None;
-    for k in 0..giant {
-        let shift = k * baby;
-        let mut inner: Option<ValueId> = None;
-        for j in 0..baby {
-            let d = shift + j;
-            // rot⁻¹(diag_d, shift)[i] = diag_d[(i − shift) mod vec].
-            let pre: Vec<f64> = (0..vec).map(|i| diag(d, (i + vec - shift) % vec)).collect();
-            if pre.iter().all(|v| *v == 0.0) {
-                continue;
-            }
-            let rx = *baby_rot[j].get_or_insert_with(|| b.rotate(x, j));
-            let c = b.vector(pre);
-            let term = b.mul(rx, c);
-            inner = Some(match inner {
-                None => term,
-                Some(a) => b.add(a, term),
-            });
-        }
-        if let Some(inner) = inner {
-            let shifted = if shift == 0 {
-                inner
-            } else {
-                b.rotate(inner, shift)
-            };
-            acc = Some(match acc {
-                None => shifted,
-                Some(a) => b.add(a, shifted),
-            });
-        }
-    }
-    let mut y = acc.expect("weight matrix must have a nonzero entry");
-    if let Some(bias) = bias {
-        let mut padded = bias.to_vec();
-        padded.resize(vec, 0.0);
-        let c = b.vector(padded);
-        y = b.add(y, c);
-    }
-    y
-}
-
 /// Dense matrix–vector product on plain data (reference semantics for
 /// tests and weight preparation).
 pub fn matvec(weights: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
@@ -271,59 +187,6 @@ mod tests {
             .filter(|o| matches!(o, hecate_ir::Op::Rotate { .. }))
             .count();
         assert_eq!(rotations, 0);
-    }
-
-    #[test]
-    fn bsgs_matches_plain_diagonal_method() {
-        let vec = 16;
-        let weights = crate::workloads::xavier_weights(9, 14, 5);
-        let input: Vec<f64> = (0..14).map(|i| 0.2 * i as f64 - 1.0).collect();
-        let mut padded = input.clone();
-        padded.resize(vec, 0.0);
-
-        let mut b1 = FunctionBuilder::new("plain", vec);
-        let x1 = b1.input_cipher("x");
-        let y1 = linear_layer(&mut b1, x1, &weights, Some(&[0.1; 9]), vec);
-        b1.output(y1);
-        let f1 = b1.finish();
-
-        let mut b2 = FunctionBuilder::new("bsgs", vec);
-        let x2 = b2.input_cipher("x");
-        let y2 = linear_layer_bsgs(&mut b2, x2, &weights, Some(&[0.1; 9]), vec);
-        b2.output(y2);
-        let f2 = b2.finish();
-
-        let (o1, o2) = (run(&f1, padded.clone()), run(&f2, padded));
-        for (a, b) in o1.iter().zip(&o2) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn bsgs_uses_fewer_rotations_on_dense_matrices() {
-        let vec = 64;
-        let weights = crate::workloads::xavier_weights(64, 64, 6);
-        let count_rot = |f: &hecate_ir::Function| {
-            f.ops()
-                .iter()
-                .filter(|o| matches!(o, hecate_ir::Op::Rotate { .. }))
-                .count()
-        };
-        let mut b1 = FunctionBuilder::new("plain", vec);
-        let x1 = b1.input_cipher("x");
-        let y1 = linear_layer(&mut b1, x1, &weights, None, vec);
-        b1.output(y1);
-        let plain_rots = count_rot(&b1.finish());
-
-        let mut b2 = FunctionBuilder::new("bsgs", vec);
-        let x2 = b2.input_cipher("x");
-        let y2 = linear_layer_bsgs(&mut b2, x2, &weights, None, vec);
-        b2.output(y2);
-        let bsgs_rots = count_rot(&b2.finish());
-
-        assert_eq!(plain_rots, 63);
-        // 7 baby + 7 giant rotations for a dense 64-wide matrix.
-        assert_eq!(bsgs_rots, 14, "BSGS should use ~2·√V rotations");
     }
 
     #[test]

@@ -43,11 +43,14 @@
 //!
 //! Two conventions matter:
 //!
-//! - **Nominal scales.** Compiler scales are nominal log2 bits. After each
-//!   `rescale`, the actual scale differs from nominal by
-//!   `S_f − log2(q_dropped)` (a ~2⁻²⁰ relative offset); the executor
-//!   re-declares the nominal scale, exactly as EVA does on SEAL, and the
-//!   offset is absorbed into the measured error.
+//! - **Nominal scales.** Compiler scales are nominal log2 bits, and after
+//!   every `rescale`, `upscale` and `downscale` the executor re-declares
+//!   the nominal scale, exactly as EVA does on SEAL. After a `rescale` the
+//!   actual scale differs from nominal by `S_f − log2(q_dropped)` (a ~2⁻²⁰
+//!   relative offset), absorbed into the measured error. An adjustment by
+//!   δ bits multiplies by the integer `round(2^δ)`, so its actual scale
+//!   moves by `log2(round(2^δ))`: δ exactly at an integral δ, and a value
+//!   error, not noise, at a fractional δ of a few bits.
 //! - **Replication.** A program with logical vector width `w` runs on a
 //!   ring with `N/2 ≥ w` slots by replicating every input and constant
 //!   `N/2 / w` times. Cyclic rotation of a periodic vector rotates every
@@ -56,7 +59,7 @@
 
 use crate::fault::FaultPlan;
 use crate::noise::NoiseLedger;
-use hecate_ckks::encoder::EncodeError;
+use hecate_ckks::encoder::{scale_multiplier, EncodeError};
 use hecate_ckks::eval::EvalError;
 use hecate_ckks::params::ParamsError;
 use hecate_ckks::{
@@ -64,7 +67,7 @@ use hecate_ckks::{
     KeyGenerator, Plaintext, PublicKey,
 };
 use hecate_compiler::{CompiledProgram, HoistRole, Lowering};
-use hecate_ir::{Op, ValueId};
+use hecate_ir::Op;
 use hecate_math::par;
 use hecate_telemetry::trace;
 use hecate_telemetry::{Counter, Gauge, Histogram};
@@ -206,7 +209,8 @@ impl GuardOptions {
 pub enum ExecError {
     /// Parameter construction failed.
     Params(ParamsError),
-    /// Encoding failed.
+    /// Encoding failed, or a scale adjustment's integer multiplier does
+    /// not fit a `u64` ([`EncodeError::ScaleOverflow`]).
     Encode(EncodeError),
     /// A homomorphic operation failed (indicates a compiler bug).
     Eval {
@@ -346,7 +350,8 @@ pub struct EncryptedRun {
     /// The sum of `op_us`, so it counts kernel time, not wall time, when
     /// several workers overlap.
     pub total_us: f64,
-    /// Per-operation time, microseconds (zero for non-runtime ops).
+    /// Per-operation time, microseconds (zero for ops the lowering prices
+    /// at nothing).
     pub op_us: Vec<f64>,
     /// Peak number of simultaneously live ciphertexts. Values are freed
     /// when their last consumer finishes (the paper's SEAL dialect
@@ -408,22 +413,6 @@ pub fn build_params(
         prog.params.chain_len - 1,
         false,
     )?)
-}
-
-/// Replicates a logical vector across the slot count. Shorter data is
-/// zero-padded to `vec_size`; longer data is rejected by the caller via
-/// [`ExecError::InputTooLong`] — cycling it into the window would
-/// silently drop elements.
-fn replicate(data: &[f64], vec_size: usize, slots: usize) -> Vec<f64> {
-    debug_assert!(data.len() <= vec_size, "caller validates input length");
-    let mut window = data.to_vec();
-    window.resize(vec_size, 0.0);
-    let mut out = Vec::with_capacity(slots);
-    while out.len() < slots {
-        out.extend_from_slice(&window);
-    }
-    out.truncate(slots);
-    out
 }
 
 /// A reusable encrypted-execution engine for one compiled program.
@@ -617,24 +606,20 @@ impl ExecEngine {
         }
     }
 
-    fn encode_replicated(
+    /// Encodes `blocks` (one vector per `block`-slot block, laid out by
+    /// [`hecate_ckks::pack_blocks`]; one block spanning every slot
+    /// replicates a constant) at `scale` and `level`. Plaintexts are
+    /// prepared ahead of execution in NTT form, as SEAL does, so ct⊙pt
+    /// operations cost a pointwise pass only.
+    fn encode(
         &self,
-        name: &str,
-        data: &[f64],
+        blocks: &[Vec<f64>],
+        block: usize,
         scale: f64,
         level: usize,
     ) -> Result<Plaintext, ExecError> {
-        if data.len() > self.vec_size {
-            return Err(ExecError::InputTooLong {
-                name: name.to_string(),
-                len: data.len(),
-                vec_size: self.vec_size,
-            });
-        }
-        let rep = replicate(data, self.vec_size, self.slots);
-        let mut pt = self.encoder.encode(&rep, scale, level)?;
-        // Plaintexts are prepared ahead of execution in NTT form, as SEAL
-        // does, so ct⊙pt operations cost a pointwise pass only.
+        let packed = hecate_ckks::pack_blocks(blocks, self.vec_size, block, self.slots);
+        let mut pt = self.encoder.encode(&packed, scale, level)?;
         pt.poly.to_ntt(self.params.basis());
         Ok(pt)
     }
@@ -679,15 +664,8 @@ impl ExecEngine {
                         }
                         per_tenant.push(data.clone());
                     }
-                    let packed = hecate_ckks::pack_blocks(
-                        &per_tenant,
-                        self.vec_size,
-                        self.block,
-                        self.slots,
-                    );
                     let scale = self.prog.types[i].scale().expect("cipher input");
-                    let mut pt = self.encoder.encode(&packed, scale, 0)?;
-                    pt.poly.to_ntt(self.params.basis());
+                    let pt = self.encode(&per_tenant, self.block, scale, 0)?;
                     Some(OpValue(Val::Cipher(encryptor.encrypt(&pt))))
                 }
                 _ => None,
@@ -747,11 +725,12 @@ impl ExecEngine {
     /// Executes operation `i` given its operand values (in
     /// [`Op::operands`] order), then applies fault injection and guards.
     /// Returns the value, the homomorphic kernel time in microseconds
-    /// (zero for setup-only operations), and any injected noise variance
-    /// for the run's ledger. `hoisted` is the operand's decomposition: a
-    /// hoist follower reads it, a hoist leader fills it. `input`
-    /// operations are handled by [`ExecEngine::encrypt_inputs`] and
-    /// [`ExecEngine::admit_value`], not here.
+    /// (zero for operations the lowering prices at nothing), and any
+    /// injected noise variance for the run's ledger. `hoisted` is the
+    /// operand's decomposition: a hoist follower reads it, a hoist leader
+    /// fills it. `input` operations are handled by
+    /// [`ExecEngine::encrypt_inputs`] and [`ExecEngine::admit_value`], not
+    /// here.
     fn exec_op(
         &self,
         i: usize,
@@ -768,12 +747,17 @@ impl ExecEngine {
                 ("active_primes", lowered.active_primes.into()),
             ]
         });
-        let (value, us) = self.compute(i, operands, hoisted)?;
-        span.attr("us", us.into());
+        // Every op the lowering prices is timed, and only those: the
+        // measured column lines up with the estimate cell by cell.
+        let t0 = Instant::now();
+        let value = self.compute(i, operands, hoisted)?;
+        let mut us = 0.0;
         if !lowered.cost_ops.is_empty() {
+            us = t0.elapsed().as_secs_f64() * 1e6;
             self.ops_counter.inc();
             self.op_us_hist.observe(us as u64);
         }
+        span.attr("us", us.into());
         let mut value = OpValue(value);
         let injected_var = self.inject_fault(i, &mut value);
         self.check_guards(i, &value)?;
@@ -793,14 +777,12 @@ impl ExecEngine {
         i: usize,
         operands: &[&OpValue],
         hoisted: &mut Option<Arc<HoistedDecomp>>,
-    ) -> Result<(Val, f64), ExecError> {
+    ) -> Result<Val, ExecError> {
         let prog = &self.prog;
         let op = &prog.func.ops()[i];
-        let ty = prog.types[i];
         let eval = &self.eval;
         let eval_err = |source: EvalError| ExecError::Eval { at: i, source };
-        let mut us = 0.0f64;
-        let value = match op {
+        Ok(match op {
             Op::Input { .. } => unreachable!("inputs are encrypted before scheduling"),
             Op::Const { data } => Val::Free((0..self.vec_size).map(|k| data.at(k)).collect()),
             Op::Encode {
@@ -809,76 +791,51 @@ impl ExecEngine {
                 let Val::Free(data) = &operands[0].0 else {
                     unreachable!("encode takes a free operand");
                 };
-                Val::Plain(self.encode_replicated("<const>", data, *scale_bits, *level)?)
-            }
-            Op::ModSwitch(v) | Op::Upscale { value: v, .. } if prog.types[v.index()].is_plain() => {
-                // Plaintext scale management is symbolic: re-encode the
-                // underlying data at the new (scale, level).
-                let data = self.plain_source_data(*v);
-                Val::Plain(self.encode_replicated(
-                    "<const>",
-                    &data,
-                    ty.scale().expect("plain"),
-                    ty.level().expect("plain"),
+                Val::Plain(self.encode(
+                    std::slice::from_ref(data),
+                    self.slots,
+                    *scale_bits,
+                    *level,
                 )?)
             }
-            Op::Add(..) | Op::Sub(..) => {
-                let t0 = Instant::now();
-                let out = match (&operands[0].0, &operands[1].0) {
-                    (Val::Cipher(ca), Val::Cipher(cb)) => {
-                        if matches!(op, Op::Add(..)) {
-                            eval.add(ca, cb).map_err(eval_err)?
-                        } else {
-                            eval.sub(ca, cb).map_err(eval_err)?
-                        }
+            Op::Add(..) | Op::Sub(..) => Val::Cipher(match (&operands[0].0, &operands[1].0) {
+                (Val::Cipher(ca), Val::Cipher(cb)) => {
+                    if matches!(op, Op::Add(..)) {
+                        eval.add(ca, cb).map_err(eval_err)?
+                    } else {
+                        eval.sub(ca, cb).map_err(eval_err)?
                     }
-                    (Val::Cipher(ca), Val::Plain(pb)) => {
-                        if matches!(op, Op::Add(..)) {
-                            eval.add_plain(ca, pb).map_err(eval_err)?
-                        } else {
-                            let mut neg = ca.clone();
-                            neg = eval.negate(&neg);
-                            let s = eval.add_plain(&neg, pb).map_err(eval_err)?;
-                            eval.negate(&s)
-                        }
+                }
+                (Val::Cipher(ca), Val::Plain(pb)) => {
+                    if matches!(op, Op::Add(..)) {
+                        eval.add_plain(ca, pb).map_err(eval_err)?
+                    } else {
+                        let s = eval.add_plain(&eval.negate(ca), pb).map_err(eval_err)?;
+                        eval.negate(&s)
                     }
-                    (Val::Plain(pa), Val::Cipher(cb)) => {
-                        if matches!(op, Op::Add(..)) {
-                            eval.add_plain(cb, pa).map_err(eval_err)?
-                        } else {
-                            // pa − cb = −(cb − pa)
-                            let s = eval.negate(cb);
-                            eval.add_plain(&s, pa).map_err(eval_err)?
-                        }
+                }
+                (Val::Plain(pa), Val::Cipher(cb)) => {
+                    if matches!(op, Op::Add(..)) {
+                        eval.add_plain(cb, pa).map_err(eval_err)?
+                    } else {
+                        // pa − cb = −(cb − pa)
+                        let s = eval.negate(cb);
+                        eval.add_plain(&s, pa).map_err(eval_err)?
                     }
-                    _ => unreachable!("binary op on free operands"),
-                };
-                us = t0.elapsed().as_secs_f64() * 1e6;
-                Val::Cipher(out)
-            }
-            Op::Mul(..) => {
-                let t0 = Instant::now();
-                let out = match (&operands[0].0, &operands[1].0) {
-                    (Val::Cipher(ca), Val::Cipher(cb)) => eval.mul(ca, cb).map_err(eval_err)?,
-                    (Val::Cipher(ca), Val::Plain(pb)) => {
-                        eval.mul_plain(ca, pb).map_err(eval_err)?
-                    }
-                    (Val::Plain(pa), Val::Cipher(cb)) => {
-                        eval.mul_plain(cb, pa).map_err(eval_err)?
-                    }
-                    _ => unreachable!("binary op on free operands"),
-                };
-                us = t0.elapsed().as_secs_f64() * 1e6;
-                Val::Cipher(out)
-            }
+                }
+                _ => unreachable!("binary op on free operands"),
+            }),
+            Op::Mul(..) => Val::Cipher(match (&operands[0].0, &operands[1].0) {
+                (Val::Cipher(ca), Val::Cipher(cb)) => eval.mul(ca, cb).map_err(eval_err)?,
+                (Val::Cipher(ca), Val::Plain(pb)) => eval.mul_plain(ca, pb).map_err(eval_err)?,
+                (Val::Plain(pa), Val::Cipher(cb)) => eval.mul_plain(cb, pa).map_err(eval_err)?,
+                _ => unreachable!("binary op on free operands"),
+            }),
             Op::Negate(..) => {
                 let Val::Cipher(c) = &operands[0].0 else {
                     unreachable!("negate on cipher")
                 };
-                let t0 = Instant::now();
-                let out = eval.negate(c);
-                us = t0.elapsed().as_secs_f64() * 1e6;
-                Val::Cipher(out)
+                Val::Cipher(eval.negate(c))
             }
             Op::Rotate { value, .. } => {
                 let Val::Cipher(c) = &operands[0].0 else {
@@ -887,10 +844,10 @@ impl ExecEngine {
                 let (s, role) = self.lowering.ops()[i]
                     .rotation
                     .expect("rotations are lowered");
-                let t0 = Instant::now();
                 let out = match role {
                     HoistRole::Lone => eval.rotate(c, s),
                     HoistRole::Leader => {
+                        let t0 = Instant::now();
                         let mut span = trace::span_with("hoist-decompose", || {
                             vec![
                                 ("value", value.index().into()),
@@ -907,7 +864,6 @@ impl ExecEngine {
                     }
                 }
                 .map_err(eval_err)?;
-                us = t0.elapsed().as_secs_f64() * 1e6;
                 Val::Cipher(out)
             }
             Op::Rescale(..) => {
@@ -919,55 +875,55 @@ impl ExecEngine {
                     // passes through with level and scale unchanged.
                     Val::Cipher(c.clone())
                 } else {
-                    let t0 = Instant::now();
                     let mut out = eval.rescale(c).map_err(eval_err)?;
-                    us = t0.elapsed().as_secs_f64() * 1e6;
                     // Nominal scale declaration (see module docs).
                     out.scale_bits = c.scale_bits - self.sf;
                     Val::Cipher(out)
                 }
             }
-            Op::ModSwitch(..) => {
-                let Val::Cipher(c) = &operands[0].0 else {
-                    unreachable!("cipher modswitch")
-                };
-                let t0 = Instant::now();
-                let out = eval.mod_switch(c).map_err(eval_err)?;
-                us = t0.elapsed().as_secs_f64() * 1e6;
-                Val::Cipher(out)
-            }
+            Op::ModSwitch(..) => match &operands[0].0 {
+                Val::Cipher(c) => Val::Cipher(eval.mod_switch(c).map_err(eval_err)?),
+                Val::Plain(p) => {
+                    let mut out = p.clone();
+                    out.poly.drop_last();
+                    out.level += 1;
+                    Val::Plain(out)
+                }
+                Val::Free(_) => unreachable!("modswitch on a free operand"),
+            },
             Op::Upscale { target_bits, .. } => {
-                let Val::Cipher(c) = &operands[0].0 else {
-                    unreachable!("cipher upscale")
-                };
-                let delta = target_bits - c.scale_bits;
-                let ones =
-                    self.encode_replicated("<unit>", &vec![1.0; self.vec_size], delta, c.level)?;
-                let t0 = Instant::now();
-                let mut out = eval.mul_plain(c, &ones).map_err(eval_err)?;
-                us = t0.elapsed().as_secs_f64() * 1e6;
-                out.scale_bits = *target_bits;
-                Val::Cipher(out)
+                // Multiply by round(2^δ), then declare the target scale
+                // (see module docs).
+                match &operands[0].0 {
+                    Val::Cipher(c) => {
+                        let m = scale_multiplier(target_bits - c.scale_bits)?;
+                        let mut out = eval.mul_integer(c, m);
+                        out.scale_bits = *target_bits;
+                        Val::Cipher(out)
+                    }
+                    Val::Plain(p) => {
+                        let m = scale_multiplier(target_bits - p.scale_bits)?;
+                        let mut out = p.clone();
+                        out.poly.mul_scalar(m, self.params.basis());
+                        out.scale_bits = *target_bits;
+                        Val::Plain(out)
+                    }
+                    Val::Free(_) => unreachable!("upscale on a free operand"),
+                }
             }
             Op::Downscale(..) => {
                 let Val::Cipher(c) = &operands[0].0 else {
                     unreachable!("cipher downscale")
                 };
-                // Multiply by 1 at scale S_f + S_w − j, then rescale: the
-                // scale lands exactly on the waterline (nominally).
+                // Multiply by round(2^(S_f + S_w − j)), then rescale: the
+                // scale lands on the waterline (nominally).
                 let target = prog.cfg.waterline;
-                let delta = self.sf + target - c.scale_bits;
-                let ones =
-                    self.encode_replicated("<unit>", &vec![1.0; self.vec_size], delta, c.level)?;
-                let t0 = Instant::now();
-                let up = eval.mul_plain(c, &ones).map_err(eval_err)?;
-                let mut out = eval.rescale(&up).map_err(eval_err)?;
-                us = t0.elapsed().as_secs_f64() * 1e6;
+                let m = scale_multiplier(self.sf + target - c.scale_bits)?;
+                let mut out = eval.rescale(&eval.mul_integer(c, m)).map_err(eval_err)?;
                 out.scale_bits = target;
                 Val::Cipher(out)
             }
-        };
-        Ok((value, us))
+        })
     }
 
     fn inject_fault(&self, i: usize, value: &mut OpValue) -> f64 {
@@ -1051,22 +1007,6 @@ impl ExecEngine {
             }
         }
         Ok(())
-    }
-
-    /// Recovers the broadcastable data behind a plain value (a chain of
-    /// encode/modswitch/upscale over a constant).
-    fn plain_source_data(&self, v: ValueId) -> Vec<f64> {
-        let mut cur = v;
-        loop {
-            match self.prog.func.op(cur) {
-                Op::Encode { value, .. } => cur = *value,
-                Op::ModSwitch(x) | Op::Upscale { value: x, .. } => cur = *x,
-                Op::Const { data } => {
-                    return (0..self.prog.func.vec_size).map(|k| data.at(k)).collect();
-                }
-                other => unreachable!("plain chain hit {}", other.mnemonic()),
-            }
-        }
     }
 }
 

@@ -10,9 +10,10 @@ use hecate_backend::exec::{
     ExecError, GuardOptions, OpValue,
 };
 use hecate_backend::{max_rms_error, rms_error, simulate};
-use hecate_compiler::{compile, CompileOptions, HoistRole, Lowering, Scheme};
+use hecate_ckks::encoder::EncodeError;
+use hecate_compiler::{compile, CompileOptions, CompiledProgram, HoistRole, Lowering, Scheme};
 use hecate_ir::interp::interpret;
-use hecate_ir::{Function, FunctionBuilder};
+use hecate_ir::{verify_plan, ConstData, Function, FunctionBuilder, Op, ValueId};
 use hecate_telemetry::trace::{self, Event, EventKind};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -185,6 +186,77 @@ fn missing_input_is_reported() {
     partial.remove("y");
     let err = execute(&engine, &[&partial], 4, None, None).unwrap_err();
     assert!(matches!(err, ExecError::MissingInput { .. }));
+}
+
+/// `base`'s parameters under a plan no compiler scheme emits: a constant
+/// encoded at 2^20, a plaintext `upscale` to `target_bits`, and `combine`
+/// of the cipher input `x` with the result. The plan passes the verifier
+/// against the parameters it runs on.
+fn plain_upscale_plan(
+    base: &CompiledProgram,
+    target_bits: f64,
+    combine: fn(ValueId, ValueId) -> Op,
+) -> CompiledProgram {
+    let mut f = Function::new("plain-upscale", base.func.vec_size);
+    let x = f.push(Op::Input { name: "x".into() });
+    let c = f.push(Op::Const {
+        data: ConstData::vector(vec![0.25, -0.5, 0.75, 1.0]),
+    });
+    let e = f.push(Op::Encode {
+        value: c,
+        scale_bits: 20.0,
+        level: 0,
+    });
+    let u = f.push(Op::Upscale {
+        value: e,
+        target_bits,
+    });
+    let y = f.push(combine(x, u));
+    f.mark_output("out0", y);
+    let mut prog = base.clone();
+    prog.types = verify_plan(&f, &base.bound_config(), "hand-built").unwrap();
+    prog.func = f;
+    prog
+}
+
+#[test]
+fn plaintext_upscale_multiplies_its_operand() {
+    let base = compile(&motivating(8), Scheme::Hecate, &opts(30.0, 512)).unwrap();
+    let ins = HashMap::from([(
+        "x".to_string(),
+        vec![0.5, -0.25, 0.125, 1.0, 0.0, 0.75, -1.0, 0.3],
+    )]);
+
+    // δ = 10: encode at 2^20, upscale to the waterline, add to x.
+    let prog = plain_upscale_plan(&base, 30.0, Op::Add);
+    let want = interpret(&prog.func, &ins).unwrap();
+    let engine = ExecEngine::new(Arc::new(prog), &BackendOptions::default()).unwrap();
+    let bits = |run: &hecate_backend::EncryptedRun| -> Vec<u64> {
+        run.outputs["out0"].iter().map(|v| v.to_bits()).collect()
+    };
+    let solo = execute_sequential(&engine, &ins).unwrap();
+    for (j, (got, want)) in solo.outputs["out0"].iter().zip(&want["out0"]).enumerate() {
+        assert!(
+            (got - want).abs() < 2f64.powi(-8),
+            "slot {j}: {got} vs {want}"
+        );
+    }
+    assert!(solo.op_us[3] > 0.0, "the plaintext upscale is timed");
+    let par = execute(&engine, &[&ins], 2, None, None)
+        .unwrap()
+        .pop()
+        .unwrap();
+    assert_eq!(bits(&par), bits(&solo), "bit-identical across jobs");
+
+    // δ = 64: a verified plan whose multiplier does not fit a u64 is a
+    // typed error, not a wrapped multiplier or a panic.
+    let prog = plain_upscale_plan(&base, 84.0, Op::Mul);
+    let engine = ExecEngine::new(Arc::new(prog), &BackendOptions::default()).unwrap();
+    let err = execute_sequential(&engine, &ins).unwrap_err();
+    assert!(
+        matches!(err, ExecError::Encode(EncodeError::ScaleOverflow { .. })),
+        "{err}"
+    );
 }
 
 /// What an observer saw of one op: index, cipher or not, ledger RMS bits.

@@ -188,6 +188,25 @@ impl CkksEncoder {
     }
 }
 
+/// The integer a scale adjustment by `delta_bits` multiplies by:
+/// round(2^δ), the constant polynomial the all-ones vector encodes to at
+/// scale 2^δ, so multiplying by it is multiplying by that plaintext.
+///
+/// # Errors
+/// Returns [`EncodeError::ScaleOverflow`] if the integer does not fit a
+/// `u64` (δ ≥ 64) or δ is not a number. Compiled plans keep δ below the
+/// rescale prime size, but plan files come from outside the program.
+pub fn scale_multiplier(delta_bits: f64) -> Result<u64, EncodeError> {
+    let m = delta_bits.exp2().round();
+    if m < 2f64.powi(64) {
+        Ok(m as u64)
+    } else {
+        Err(EncodeError::ScaleOverflow {
+            scale_bits: delta_bits,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,12 +257,35 @@ mod tests {
 
     #[test]
     fn fractional_scale_bits_supported() {
-        // downscale needs plaintexts at non-power-of-two scales.
+        // The compiler encodes constants at non-integral scales.
         let (_, enc) = setup();
         let pt = enc.encode(&[2.0, -4.0], 27.531, 0).unwrap();
         let out = enc.decode(&pt);
         assert!((out[0] - 2.0).abs() < 1e-5);
         assert!((out[1] + 4.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn dropping_the_last_limb_equals_encoding_one_level_down() {
+        // A plaintext `modswitch` drops a limb instead of re-encoding: the
+        // integer coefficients are the same at every level, and the NTT
+        // works limb by limb.
+        let (params, enc) = setup();
+        let mut rng = hecate_math::rng::Xoshiro256::seed_from_u64(3);
+        let vals: Vec<f64> = (0..enc.slots())
+            .map(|_| rng.next_range_f64(-4.0, 4.0))
+            .collect();
+        for (scale, level) in [(30.0, 0), (27.531, 1)] {
+            let mut dropped = enc.encode(&vals, scale, level).unwrap();
+            dropped.poly.drop_last();
+            let mut lower = enc.encode(&vals, scale, level + 1).unwrap();
+            assert_eq!(dropped.poly, lower.poly, "level {level}");
+            let mut ntt = enc.encode(&vals, scale, level).unwrap().poly;
+            ntt.to_ntt(params.basis());
+            ntt.drop_last();
+            lower.poly.to_ntt(params.basis());
+            assert_eq!(ntt, lower.poly, "level {level}, NTT form");
+        }
     }
 
     #[test]

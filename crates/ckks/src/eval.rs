@@ -44,7 +44,7 @@ pub enum EvalError {
         /// Right operand scale (log2 bits).
         rhs: f64,
     },
-    /// No relinearization, Galois or conjugation key serving this prefix
+    /// No relinearization or Galois key serving this prefix
     /// was generated: none for the target, or one for a shorter prefix.
     MissingKey {
         /// Description of the missing key.
@@ -72,8 +72,8 @@ impl std::fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// The evaluation keys a program needs, one per target: a
-/// relinearization key, a Galois key per canonical rotation step, and a
-/// conjugation key. Each is generated once, at the largest active prefix
+/// relinearization key and a Galois key per canonical rotation step.
+/// Each is generated once, at the largest active prefix
 /// any requirement names for it, and serves every shorter prefix (see
 /// [`crate::keys`]); an operation above a key's prefix is
 /// [`EvalError::MissingKey`].
@@ -81,7 +81,6 @@ impl std::error::Error for EvalError {}
 pub struct EvalKeys {
     relin: Option<KeySwitchKey>,
     galois: HashMap<usize, KeySwitchKey>,
-    conj: Option<KeySwitchKey>,
 }
 
 impl EvalKeys {
@@ -116,7 +115,6 @@ impl EvalKeys {
                 .into_iter()
                 .map(|(step, c)| (step, kg.galois_key(step, c)))
                 .collect(),
-            conj: None,
         }
     }
 
@@ -124,16 +122,6 @@ impl EvalKeys {
     /// step, whatever the prefixes it rotates at.
     pub fn galois_key_count(&self) -> usize {
         self.galois.len()
-    }
-
-    /// Adds the conjugation key, generated at the largest of `prefixes`
-    /// unless a key serving it is already held.
-    pub fn add_conjugation(&mut self, kg: &mut KeyGenerator, prefixes: &[usize]) {
-        if let Some(&c) = prefixes.iter().max() {
-            if self.conj.as_ref().is_none_or(|k| k.prefix < c) {
-                self.conj = Some(kg.conjugation_key(c));
-            }
-        }
     }
 }
 
@@ -297,6 +285,23 @@ impl Evaluator {
         })
     }
 
+    /// Multiplies a ciphertext by the integer `m`: the scale grows by
+    /// `log2 m` bits and the level is unchanged. Bit-identical to
+    /// [`mul_plain`] by the all-ones vector encoded at a scale 2^δ with
+    /// [`scale_multiplier`]`(δ) = m`, whose polynomial is the constant
+    /// `m`, without encoding it.
+    ///
+    /// [`mul_plain`]: Evaluator::mul_plain
+    /// [`scale_multiplier`]: crate::encoder::scale_multiplier
+    pub fn mul_integer(&self, a: &Ciphertext, m: u64) -> Ciphertext {
+        let basis = self.params.basis();
+        let mut out = a.clone();
+        out.c0.mul_scalar(m, basis);
+        out.c1.mul_scalar(m, basis);
+        out.scale_bits += (m as f64).log2();
+        out
+    }
+
     /// Multiplies two ciphertexts and relinearizes. Scales multiply (bits
     /// add); levels must match; the result is *not* rescaled.
     ///
@@ -456,19 +461,6 @@ impl Evaluator {
         Ok(self.apply_galois(a, hd, galois_element(&self.params, step), gk))
     }
 
-    /// Complex-conjugates every slot (the Galois automorphism `X ↦ X^{2N−1}`).
-    ///
-    /// # Errors
-    /// Returns [`EvalError::MissingKey`] if no conjugation key serves this
-    /// prefix (see [`EvalKeys::add_conjugation`]).
-    pub fn conjugate(&self, a: &Ciphertext) -> Result<Ciphertext, EvalError> {
-        let ck = serving(self.keys.conj.as_ref(), a.prefix(), || {
-            "conjugation key".into()
-        })?;
-        let g = 2 * self.params.degree() - 1;
-        Ok(self.apply_galois(a, &self.hoist(a), g, ck))
-    }
-
     /// The automorphism `X ↦ X^g` of `a`, given the decomposition `hd` of
     /// its `c1`: the key switch permutes `c1`'s digit rows, and `c0` is
     /// permuted in the evaluation domain directly — the same slot
@@ -511,7 +503,7 @@ impl Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoder::CkksEncoder;
+    use crate::encoder::{scale_multiplier, CkksEncoder, EncodeError};
     use crate::encrypt::{Decryptor, Encryptor};
     use crate::keys::KeyGenerator;
 
@@ -781,18 +773,10 @@ mod tests {
 
         // Keys generated at prefix 2 of a 3-prime chain serve prefixes 1
         // and 2 only: a switch at prefix 3 is a typed error, not a panic.
-        let mut g = setup_keyed(2, |kg, _| {
-            let mut keys = EvalKeys::generate(kg, &[2], &[(1, 2)]);
-            keys.add_conjugation(kg, &[2]);
-            keys
-        });
+        let mut g = setup_keyed(2, |kg, _| EvalKeys::generate(kg, &[2], &[(1, 2)]));
         let top = g.encryptor.encrypt(&g.enc.encode(&[1.0], 30.0, 0).unwrap());
         assert_eq!(top.prefix(), 3);
-        for result in [
-            g.eval.mul(&top, &top),
-            g.eval.rotate(&top, 1),
-            g.eval.conjugate(&top),
-        ] {
+        for result in [g.eval.mul(&top, &top), g.eval.rotate(&top, 1)] {
             let err = result.err();
             assert!(matches!(err, Some(EvalError::MissingKey { .. })), "{err:?}");
         }
@@ -806,13 +790,49 @@ mod tests {
         for (what, ct, want) in [
             ("mul", g.eval.mul(&low, &low).unwrap(), &squared),
             ("rotate", g.eval.rotate(&low, 1).unwrap(), &rotated),
-            ("conjugate", g.eval.conjugate(&low).unwrap(), &vals),
         ] {
             let out = roundtrip(&g, &ct);
             for (j, (o, w)) in out.iter().zip(want).enumerate() {
                 assert!((o - w).abs() < 2f64.powi(-8), "{what} slot {j}: {o} vs {w}");
             }
         }
+    }
+
+    #[test]
+    fn integer_multiply_equals_product_with_encoded_ones() {
+        // `upscale` and `downscale` multiply by round(2^δ) instead of by
+        // the all-ones vector encoded at scale 2^δ (the reference kept
+        // here): the encoder maps that vector to the constant polynomial
+        // round(2^δ), fractional δ included.
+        for degree in [512, 4096] {
+            let params = CkksParams::new(degree, 60, 40, 2, false).unwrap();
+            let enc = CkksEncoder::new(&params);
+            let mut kg = KeyGenerator::new(&params, 5);
+            let mut encryptor = Encryptor::new(&params, kg.public_key(), 6);
+            let eval = Evaluator::new(&params, EvalKeys::default());
+            let ones = vec![1.0; params.slots()];
+            for level in [0, 1] {
+                let ct = encryptor.encrypt(&enc.encode(&[0.5, -1.25], 30.0, level).unwrap());
+                for delta in (0..=40).map(|k| k as f64 * 1.55) {
+                    let m = scale_multiplier(delta).unwrap();
+                    let want = eval
+                        .mul_plain(&ct, &enc.encode(&ones, delta, level).unwrap())
+                        .unwrap();
+                    let got = eval.mul_integer(&ct, m);
+                    assert_eq!(got.c0, want.c0, "degree {degree} level {level} δ {delta}");
+                    assert_eq!(got.c1, want.c1, "degree {degree} level {level} δ {delta}");
+                    assert_eq!(got.level, want.level);
+                }
+            }
+        }
+        for delta in [64.0, 100.0, f64::INFINITY, f64::NAN] {
+            let err = scale_multiplier(delta);
+            assert!(
+                matches!(err, Err(EncodeError::ScaleOverflow { .. })),
+                "δ {delta}: {err:?}"
+            );
+        }
+        assert_eq!(scale_multiplier(63.0), Ok(1 << 63));
     }
 
     #[test]

@@ -181,15 +181,6 @@ impl KeyGenerator {
         self.keyswitch_key(&rotated, prefix)
     }
 
-    /// Generates the conjugation key (target `s(X^{2N−1})`, the Galois
-    /// element of complex conjugation) serving every prefix up to
-    /// `prefix`.
-    pub fn conjugation_key(&mut self, prefix: usize) -> KeySwitchKey {
-        let g = 2 * self.params.degree() - 1;
-        let conj = apply_automorphism_signed(&self.secret.coeffs, g, self.params.degree());
-        self.keyswitch_key(&conj, prefix)
-    }
-
     /// The Galois element `5^step mod 2N` for a left rotation by `step`.
     ///
     /// The step is canonicalized modulo the slot count first, and the

@@ -1,5 +1,5 @@
-//! CKKS's native complex message space: encoding, homomorphic arithmetic,
-//! and conjugation.
+//! CKKS's native complex message space: encoding and homomorphic
+//! arithmetic.
 
 use hecate_ckks::{
     CkksEncoder, CkksParams, Decryptor, Encryptor, EvalKeys, Evaluator, KeyGenerator,
@@ -18,8 +18,7 @@ fn setup() -> Fixture {
     let enc = CkksEncoder::new(&params);
     let mut kg = KeyGenerator::new(&params, 21);
     let pk = kg.public_key();
-    let mut keys = EvalKeys::generate(&mut kg, &[1, 2], &[]);
-    keys.add_conjugation(&mut kg, &[1, 2]);
+    let keys = EvalKeys::generate(&mut kg, &[1, 2], &[]);
     Fixture {
         encryptor: Encryptor::new(&params, pk, 22),
         decryptor: Decryptor::new(&params, kg.secret_key().clone()),
@@ -69,58 +68,4 @@ fn complex_multiplication_is_homomorphic() {
             out[i]
         );
     }
-}
-
-#[test]
-fn conjugation_flips_imaginary_parts() {
-    let mut f = setup();
-    let vals = msg();
-    let ct = f
-        .encryptor
-        .encrypt(&f.enc.encode_complex(&vals, 30.0, 0).unwrap());
-    let conj = f.eval.conjugate(&ct).unwrap();
-    assert_eq!(conj.level, ct.level);
-    assert_eq!(conj.scale_bits, ct.scale_bits);
-    let out = f.enc.decode_complex(&f.decryptor.decrypt(&conj));
-    for (o, v) in out.iter().zip(&vals) {
-        assert!((*o - v.conj()).abs() < 1e-2, "{o:?} vs {:?}", v.conj());
-    }
-}
-
-#[test]
-fn real_part_extraction_via_conjugation() {
-    // Re(z) = (z + conj(z)) / 2 — the standard CKKS idiom.
-    let mut f = setup();
-    let vals = msg();
-    let ct = f
-        .encryptor
-        .encrypt(&f.enc.encode_complex(&vals, 30.0, 0).unwrap());
-    let conj = f.eval.conjugate(&ct).unwrap();
-    let sum = f.eval.add(&ct, &conj).unwrap();
-    let half = f.enc.encode(&vec![0.5; 64], 30.0, 0).unwrap();
-    let re = f
-        .eval
-        .rescale(&f.eval.mul_plain(&sum, &half).unwrap())
-        .unwrap();
-    let out = f.enc.decode_complex(&f.decryptor.decrypt(&re));
-    for (o, v) in out.iter().zip(&vals) {
-        assert!((o.re - v.re).abs() < 1e-2, "{} vs {}", o.re, v.re);
-        assert!(o.im.abs() < 1e-2, "imaginary residue {}", o.im);
-    }
-}
-
-#[test]
-fn missing_conjugation_key_reported() {
-    let params = CkksParams::new(64, 45, 30, 1, false).unwrap();
-    let enc = CkksEncoder::new(&params);
-    let mut kg = KeyGenerator::new(&params, 31);
-    let pk = kg.public_key();
-    let keys = EvalKeys::generate(&mut kg, &[], &[]);
-    let mut encryptor = Encryptor::new(&params, pk, 32);
-    let eval = Evaluator::new(&params, keys);
-    let ct = encryptor.encrypt(&enc.encode(&[1.0], 30.0, 0).unwrap());
-    assert!(matches!(
-        eval.conjugate(&ct),
-        Err(hecate_ckks::eval::EvalError::MissingKey { .. })
-    ));
 }

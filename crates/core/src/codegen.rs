@@ -424,9 +424,9 @@ fn prepare_binary(
         };
         return Ok((na, nb));
     }
-    // Plain operands (from earlier encodes) can be re-encoded at will by
-    // the backend; treat them like ciphers for level/scale matching via
-    // modswitch/upscale, which the type system permits on scaled types.
+    // Plain operands (from earlier encodes) match levels and scales like
+    // ciphers, via modswitch/upscale, which the type system permits on
+    // scaled types; the backend drops a limb or multiplies by an integer.
     // (c) level match.
     while em.level(a) != em.level(b) {
         let (lo_is_a, lo) = if em.level(a) < em.level(b) {

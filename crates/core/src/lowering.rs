@@ -167,11 +167,10 @@ impl Lowering {
 /// operand is a plaintext and, for a rotation, its physical step and role.
 ///
 /// `encode` and `const` are priced at zero, but they are not free: the
-/// executor encodes every plaintext on every run (its `Op::Encode` arm,
-/// and the unit plaintext of each `upscale`/`downscale`), untimed, so that
-/// time is in no op's measured time and no estimate. `upscale` lowers to
-/// a plaintext multiplication; `downscale` lowers to a plaintext
-/// multiplication plus a rescale.
+/// executor encodes every plaintext on every run (its `Op::Encode` arm),
+/// untimed, so that time is in no op's measured time and no estimate.
+/// `upscale` lowers to a plaintext multiplication; `downscale` lowers to a
+/// plaintext multiplication plus a rescale.
 fn categorize(op: &Op, any_plain: bool, rotation: Option<(usize, HoistRole)>) -> &'static [CostOp] {
     match op {
         Op::Input { .. } | Op::Const { .. } | Op::Encode { .. } => &[],

@@ -220,7 +220,7 @@ impl RnsPoly {
     }
 
     /// Applies the Galois automorphism `X ↦ X^g` (g odd, coefficient
-    /// domain). Used for slot rotations and conjugation.
+    /// domain). Used for slot rotations.
     ///
     /// # Panics
     /// Panics if in NTT form or if `g` is even.
