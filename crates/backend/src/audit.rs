@@ -13,7 +13,7 @@
 //!    demultiplexed slots against the reference value.
 //!
 //! The result is an [`AuditReport`]: one [`AuditRow`] per executed cipher
-//! operation joining the run ledger's prediction (noise, waterline
+//! operation joining the engine's noise prediction (noise, waterline
 //! margin) and the estimator's price of the op's lowering with the
 //! measured error where a probe ran and the op's measured time.
 //! [`AuditReport::violations`] turns it into a pass/fail verdict — a
@@ -22,7 +22,7 @@
 //! waterline that guarantees output accuracy.
 //!
 //! Probing is read-only (CKKS decryption never mutates a ciphertext) and
-//! the ledger never touches ciphertext bits, so an audited run produces
+//! the prediction never touches ciphertext bits, so an audited run produces
 //! bit-identical outputs to an unaudited one — asserted in this module's
 //! tests via `f64::to_bits`.
 
@@ -59,7 +59,7 @@ impl Default for AuditOptions {
     }
 }
 
-/// One audited cipher operation: the ledger's, the simulator's and the
+/// One audited cipher operation: the engine's, the simulator's and the
 /// estimator's predictions joined with the op's measured time and the
 /// probe's measured error (where one ran).
 #[derive(Debug, Clone)]
@@ -72,7 +72,8 @@ pub struct AuditRow {
     pub level: usize,
     /// Declared scale, log2 bits.
     pub scale_bits: f64,
-    /// The run ledger's predicted decoded-domain RMS error.
+    /// The engine's predicted decoded-domain RMS error
+    /// ([`crate::noise::predict_rms`]).
     pub predicted_rms: f64,
     /// The simulator's predicted RMS error: the same noise rule over
     /// this tenant's noiseless message magnitudes ([`simulate_ops`]).
@@ -244,7 +245,7 @@ pub fn audit_encrypted(
 /// Each tenant's measured RMS compares its *demultiplexed* clean copies
 /// against its own plaintext reference, so the verdict machinery
 /// ([`AuditReport::violations`]) applies unchanged. Predictions come from
-/// the shared run ledger, whose noise model bounds message magnitude by
+/// the engine's one prediction, whose noise model bounds message magnitude by
 /// the occupancy — packed predictions only grow, keeping the audit
 /// one-sided-conservative exactly like the solo model.
 ///

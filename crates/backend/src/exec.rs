@@ -21,7 +21,7 @@
 //!   (and a leader's decomposition beside it), and push the ops that
 //!   became ready. With one worker the pop order is exactly SSA order (op
 //!   `k` is ready once `0..k` are done, and nothing smaller is left), so
-//!   liveness peaks and ledger order are those of a plain sequential walk.
+//!   liveness peaks and observer order are those of a plain sequential walk.
 //!   A leader precedes its followers, so each hoist group decomposes once.
 //! - **Workers.** The caller is always worker 0; `jobs − 1` scoped
 //!   helpers ([`hecate_math::par::run_scoped`]) join it, so `jobs = 1`
@@ -38,8 +38,9 @@
 //!   before any op is scheduled. Every homomorphic kernel is a
 //!   deterministic function of its operands, so the DAG's fixpoint is
 //!   bit-identical at every worker count and interleaving.
-//! - **Noise.** One [`NoiseLedger`] per run, advanced in completion order
-//!   (always topological); the `max_rms` guard reads the ledger's RMS.
+//! - **Noise.** The engine predicts each value's RMS noise once, at build
+//!   ([`crate::noise::predict_rms`]); every run's `max_rms` guard,
+//!   `precision` marks, observer and margin read that prediction.
 //!
 //! Two conventions matter:
 //!
@@ -58,7 +59,7 @@
 //!   `w` dividing the slot count.
 
 use crate::fault::FaultPlan;
-use crate::noise::NoiseLedger;
+use crate::noise::predict_rms;
 use hecate_ckks::encoder::{scale_multiplier, EncodeError};
 use hecate_ckks::eval::EvalError;
 use hecate_ckks::params::ParamsError;
@@ -176,9 +177,9 @@ pub struct GuardOptions {
     /// Scan every residue row of each result for values outside its
     /// prime's range (an `O(N·prefix)` pass per op; off by default).
     pub validate_repr: bool,
-    /// Abort with [`ExecError::BudgetExhausted`] once the run ledger's
-    /// modeled RMS noise of any value exceeds this bound. `None` disables
-    /// the check (the ledger itself always runs).
+    /// Abort with [`ExecError::BudgetExhausted`] once the engine's
+    /// predicted RMS noise of an executed value exceeds this bound. `None`
+    /// disables the check.
     pub max_rms: Option<f64>,
 }
 
@@ -364,9 +365,9 @@ pub struct EncryptedRun {
     pub degree: usize,
     /// Chain length used.
     pub chain_len: usize,
-    /// Tightest scale-vs-waterline margin (bits) across every executed
-    /// cipher operation, from the run's [`NoiseLedger`]. Infinite when the
-    /// program produced no ciphertexts.
+    /// Tightest scale-vs-waterline margin (bits) across every cipher
+    /// operation of the plan. Infinite when the program produces no
+    /// ciphertexts.
     pub min_margin_bits: f64,
 }
 
@@ -463,6 +464,11 @@ pub struct ExecEngine {
     users: Vec<Vec<usize>>,
     indegree: Vec<usize>,
     uses: Vec<usize>,
+    /// Predicted decoded-domain RMS noise per value, and the tightest
+    /// cipher scale-vs-waterline margin: fixed by the plan, degree,
+    /// occupancy and fault plan, so every run shares them.
+    predicted_rms: Vec<f64>,
+    min_margin_bits: f64,
     // Cached global-metric handles: the hot path never takes the registry lock.
     ops_counter: Counter,
     op_us_hist: Histogram,
@@ -536,6 +542,13 @@ impl ExecEngine {
         for (_, v) in prog.func.outputs() {
             uses[v.index()] += 1;
         }
+        let predicted_rms = predict_rms(&prog, params.degree(), occupancy, opts.fault.as_ref());
+        let min_margin_bits = prog
+            .types
+            .iter()
+            .filter(|t| t.is_cipher())
+            .map(|t| t.scale().unwrap_or(0.0) - prog.cfg.waterline)
+            .fold(f64::INFINITY, f64::min);
         let registry = hecate_telemetry::metrics::global();
         let ops_counter = registry.counter("hecate_exec_ops_total");
         let op_us_hist = registry.histogram("hecate_exec_op_us", 24);
@@ -562,6 +575,8 @@ impl ExecEngine {
             users,
             indegree,
             uses,
+            predicted_rms,
+            min_margin_bits,
             ops_counter,
             op_us_hist,
             precision_ops,
@@ -594,15 +609,15 @@ impl ExecEngine {
         &self.lowering
     }
 
-    /// Folds one finished run's ledger into the global
-    /// `hecate_precision_*` metric family: bumps the recorded-op counter
-    /// and publishes the run's tightest margin (millibits, so the integer
-    /// gauge keeps three decimal places).
-    fn publish_precision(&self, ledger: &NoiseLedger) {
-        self.precision_ops.add(ledger.entries().len() as u64);
-        let min = ledger.min_margin_bits();
-        if min.is_finite() {
-            self.precision_margin_gauge.set((min * 1000.0) as i64);
+    /// Folds one finished run into the global `hecate_precision_*`
+    /// metric family: counts its cipher ops and publishes the tightest
+    /// margin (millibits, so the integer gauge keeps three decimal places).
+    fn publish_precision(&self) {
+        let cipher_ops = self.prog.types.iter().filter(|t| t.is_cipher()).count();
+        self.precision_ops.add(cipher_ops as u64);
+        if self.min_margin_bits.is_finite() {
+            self.precision_margin_gauge
+                .set((self.min_margin_bits * 1000.0) as i64);
         }
     }
 
@@ -724,11 +739,10 @@ impl ExecEngine {
 
     /// Executes operation `i` given its operand values (in
     /// [`Op::operands`] order), then applies fault injection and guards.
-    /// Returns the value, the homomorphic kernel time in microseconds
-    /// (zero for operations the lowering prices at nothing), and any
-    /// injected noise variance for the run's ledger. `hoisted` is the
-    /// operand's decomposition: a hoist follower reads it, a hoist leader
-    /// fills it. `input` operations are handled by
+    /// Returns the value and the homomorphic kernel time in microseconds
+    /// (zero for operations the lowering prices at nothing). `hoisted` is
+    /// the operand's decomposition: a hoist follower reads it, a hoist
+    /// leader fills it. `input` operations are handled by
     /// [`ExecEngine::encrypt_inputs`] and [`ExecEngine::admit_value`], not
     /// here.
     fn exec_op(
@@ -736,7 +750,7 @@ impl ExecEngine {
         i: usize,
         operands: &[&OpValue],
         hoisted: &mut Option<Arc<HoistedDecomp>>,
-    ) -> Result<(OpValue, f64, f64), ExecError> {
+    ) -> Result<(OpValue, f64), ExecError> {
         let lowered = &self.lowering.ops()[i];
         let mut span = trace::span_with("exec-op", || {
             vec![
@@ -759,17 +773,15 @@ impl ExecEngine {
         }
         span.attr("us", us.into());
         let mut value = OpValue(value);
-        let injected_var = self.inject_fault(i, &mut value);
-        self.check_guards(i, &value)?;
-        Ok((value, us, injected_var))
+        self.admit_value(i, &mut value)?;
+        Ok((value, us))
     }
 
-    /// Applies fault injection and guards to an encrypted input, exactly
-    /// as a computed value would be. Returns the injected noise variance.
-    fn admit_value(&self, i: usize, value: &mut OpValue) -> Result<f64, ExecError> {
-        let injected_var = self.inject_fault(i, value);
-        self.check_guards(i, value)?;
-        Ok(injected_var)
+    /// Applies fault injection and guards to a value, computed or an
+    /// encrypted input.
+    fn admit_value(&self, i: usize, value: &mut OpValue) -> Result<(), ExecError> {
+        self.inject_fault(i, value);
+        self.check_guards(i, value)
     }
 
     fn compute(
@@ -926,8 +938,7 @@ impl ExecEngine {
         })
     }
 
-    fn inject_fault(&self, i: usize, value: &mut OpValue) -> f64 {
-        let mut injected_var = 0.0;
+    fn inject_fault(&self, i: usize, value: &mut OpValue) {
         let basis = self.params.basis();
         if let (Some(fault), Val::Cipher(c)) = (&self.fault, &mut value.0) {
             match fault {
@@ -944,7 +955,8 @@ impl ExecEngine {
                 FaultPlan::ExhaustNoise { at } if *at == i => {
                     // Add the constant polynomial A = 2^(s+1) to c0: every
                     // decoded slot shifts by A / 2^s = 2.0. Real corruption
-                    // — decryption without the guard returns garbage.
+                    // — decryption without the guard returns garbage;
+                    // `predict_rms` adds its variance, 4.0.
                     let amp = (2.0f64).powf((c.scale_bits + 1.0).min(62.0)) as u64;
                     let ntt = c.c0.is_ntt();
                     for row in 0..c.c0.prefix() {
@@ -958,12 +970,10 @@ impl ExecEngine {
                             r[0] = (r[0] + amp % p) % p;
                         }
                     }
-                    injected_var = 4.0;
                 }
                 _ => {}
             }
         }
-        injected_var
     }
 
     fn check_guards(&self, i: usize, value: &OpValue) -> Result<(), ExecError> {
@@ -1039,7 +1049,7 @@ pub fn execute_sequential(
 
 /// A per-op observer for audited runs, called once per executed operation
 /// after fault injection and guards with `(op index, value, predicted
-/// RMS)`. The predicted RMS is the run ledger's noise estimate for cipher
+/// RMS)`. The predicted RMS is the engine's noise prediction for cipher
 /// values (0 for plain/free values). Returning an error aborts the run.
 /// Calls are serialized in completion order — SSA order with one worker.
 pub type OpObserver<'a> = &'a mut (dyn FnMut(usize, &OpValue, f64) -> Result<(), ExecError> + Send);
@@ -1104,7 +1114,6 @@ pub fn execute(
             done: 0,
             stop: false,
             error: None,
-            ledger: NoiseLedger::new(prog, engine.degree(), engine.occupancy),
             observer,
             op_us: vec![0.0; n],
             live_cipher: 0,
@@ -1143,9 +1152,9 @@ pub fn execute(
             outputs[t].insert(name.clone(), data);
         }
     }
-    engine.publish_precision(&state.ledger);
+    engine.publish_precision();
     let total_us: f64 = state.op_us.iter().sum();
-    let min_margin_bits = state.ledger.min_margin_bits();
+    let min_margin_bits = engine.min_margin_bits;
     span.attr("total_us", total_us.into());
     span.attr("min_margin_bits", min_margin_bits.into());
     Ok(outputs
@@ -1194,7 +1203,6 @@ struct RunState<'o> {
     /// Set on the first failure (or a worker panic): workers drain.
     stop: bool,
     error: Option<ExecError>,
-    ledger: NoiseLedger,
     observer: Option<OpObserver<'o>>,
     op_us: Vec<f64>,
     live_cipher: usize,
@@ -1264,9 +1272,7 @@ impl<'o> Driver<'_, 'o> {
                 };
                 drop(state);
                 let result = match input {
-                    Some(mut value) => engine
-                        .admit_value(i, &mut value)
-                        .map(|injected_var| (value, 0.0, injected_var)),
+                    Some(mut value) => engine.admit_value(i, &mut value).map(|()| (value, 0.0)),
                     None => {
                         let refs: Vec<&OpValue> = values.iter().map(Arc::as_ref).collect();
                         engine.exec_op(i, &refs, &mut hoisted)
@@ -1276,9 +1282,7 @@ impl<'o> Driver<'_, 'o> {
                 if role == Some(HoistRole::Leader) {
                     state.hoisted[operands[0].index()] = hoisted;
                 }
-                result.and_then(|(value, us, injected_var)| {
-                    state.book(engine, i, value, us, injected_var)
-                })
+                result.and_then(|(value, us)| state.book(engine, i, value, us))
             };
             if let Err(e) = result {
                 state.error.get_or_insert(e);
@@ -1292,25 +1296,19 @@ impl<'o> Driver<'_, 'o> {
 }
 
 impl RunState<'_> {
-    /// Books finished operation `i`: ledger and noise guard, precision
-    /// mark, observer, liveness accounting, operand release, and the
-    /// consumers it makes ready.
+    /// Books finished operation `i`: noise guard, precision mark,
+    /// observer, liveness accounting, operand release, and the consumers
+    /// it makes ready.
     fn book(
         &mut self,
         engine: &ExecEngine,
         i: usize,
         value: OpValue,
         us: f64,
-        injected_var: f64,
     ) -> Result<(), ExecError> {
         let prog = &engine.prog;
-        // The precision ledger always runs: its per-op cost (a few float
-        // ops) is invisible next to the NTT kernels, and emitting marks is
-        // gated inside the tracer. Recording never touches ciphertext
-        // bits, so runs are bit-identical with or without a consumer.
-        let entry = self.ledger.record(prog, i, injected_var).cloned();
+        let rms = engine.predicted_rms[i];
         if let Some(max_rms) = engine.guard.max_rms {
-            let rms = self.ledger.rms(i);
             if rms > max_rms {
                 return Err(ExecError::BudgetExhausted {
                     at: i,
@@ -1318,21 +1316,29 @@ impl RunState<'_> {
                 });
             }
         }
-        if let Some(e) = &entry {
+        let ty = prog.types[i];
+        let predicted_rms = if ty.is_cipher() {
             trace::mark_with("precision", || {
+                let (level, scale_bits) = (ty.level().unwrap_or(0), ty.scale().unwrap_or(0.0));
+                let p = &prog.params;
+                let modulus_bits = p.q0_bits as f64
+                    + p.sf_bits as f64 * (p.chain_len - 1).saturating_sub(level) as f64;
                 vec![
-                    ("i", e.op.into()),
-                    ("op", e.mnemonic.into()),
-                    ("level", e.level.into()),
-                    ("scale_bits", e.scale_bits.into()),
-                    ("predicted_rms", e.predicted_rms.into()),
-                    ("margin_bits", e.margin_bits.into()),
-                    ("budget_bits", e.budget_bits.into()),
+                    ("i", i.into()),
+                    ("op", prog.func.ops()[i].mnemonic().into()),
+                    ("level", level.into()),
+                    ("scale_bits", scale_bits.into()),
+                    ("predicted_rms", rms.into()),
+                    ("margin_bits", (scale_bits - prog.cfg.waterline).into()),
+                    ("budget_bits", (modulus_bits - scale_bits).into()),
                 ]
             });
-        }
+            rms
+        } else {
+            0.0
+        };
         if let Some(observe) = self.observer.as_mut() {
-            observe(i, &value, entry.map_or(0.0, |e| e.predicted_rms))?;
+            observe(i, &value, predicted_rms)?;
         }
         self.op_us[i] = us;
         let degree = engine.degree();

@@ -21,8 +21,9 @@
 //!
 //! The executor carries runtime guards ([`GuardOptions`]): per-operation
 //! metadata checks against the compiled plan, residue-range validation,
-//! and a noise-budget check on the run's [`NoiseLedger`] that aborts with
-//! `BudgetExhausted` before a garbage decryption. [`fault`] injects
+//! and a noise-budget check on the engine's noise prediction
+//! ([`predict_rms`]) that aborts with `BudgetExhausted` before a garbage
+//! decryption. [`fault`] injects
 //! runtime faults to prove the guards catch them.
 //!
 //! # Example
@@ -69,7 +70,5 @@ pub use exec::{
 };
 pub use fault::FaultPlan;
 pub use hecate_ir::interp::rms_error;
-pub use noise::{
-    max_rms_error, simulate, simulate_ops, LedgerEntry, NoiseLedger, SimVal, SimulatedRun,
-};
+pub use noise::{max_rms_error, predict_rms, simulate, simulate_ops, SimVal, SimulatedRun};
 pub use profile::calibrate;

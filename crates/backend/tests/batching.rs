@@ -17,7 +17,7 @@ use hecate_backend::rms_error;
 use hecate_compiler::lowering::physical_step;
 use hecate_compiler::{compile, CompileOptions, Scheme};
 use hecate_ir::interp::interpret;
-use hecate_ir::{packed_shift, FunctionBuilder};
+use hecate_ir::{packed_shift, slot_reaches, Function, FunctionBuilder};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -37,12 +37,16 @@ fn tenant_inputs(base: &HashMap<String, Vec<f64>>, t: usize) -> HashMap<String, 
         .collect()
 }
 
-/// Smallest degree at which `occupancy` blocks fit the plan's footprint
+/// Smallest degree at which `occupancy` blocks fit the plan's footprint:
+/// the widest backward and forward reaches around the logical window
 /// (block must be a power of two ≥ the footprint and a multiple of the
 /// vector width, slots = occupancy * block, degree = 2 * slots).
-fn batch_degree(width: usize, block_slots: usize, occupancy: usize) -> usize {
-    let block = block_slots.next_power_of_two().max(width);
-    2 * occupancy * block
+fn batch_degree(func: &Function, occupancy: usize) -> usize {
+    let reaches = slot_reaches(func);
+    let back = reaches.iter().map(|r| r.0).max().unwrap_or(0);
+    let fwd = reaches.iter().map(|r| r.1).max().unwrap_or(0);
+    let width = func.vec_size;
+    2 * occupancy * (back + width + fwd).next_power_of_two().max(width)
 }
 
 /// Compiles `bench`, runs it packed at `occupancy`, and checks every
@@ -53,7 +57,7 @@ fn check_benchmark(bench: &hecate_apps::Benchmark, occupancy: usize) {
     copts.degree = Some(512);
     let prog = compile(&bench.func, Scheme::Pars, &copts)
         .unwrap_or_else(|e| panic!("{} failed to compile: {e}", bench.name));
-    let degree = batch_degree(prog.func.vec_size, prog.footprint.block_slots(), occupancy);
+    let degree = batch_degree(&prog.func, occupancy);
     let prog = Arc::new(prog);
 
     let tenants: Vec<HashMap<String, Vec<f64>>> = (0..occupancy)
@@ -147,7 +151,7 @@ fn runs_are_bit_identical_across_jobs_and_repeats() {
     let mut copts = CompileOptions::with_waterline(24.0);
     copts.degree = Some(512);
     let prog = Arc::new(compile(&bench.func, Scheme::Pars, &copts).unwrap());
-    let degree = batch_degree(prog.func.vec_size, prog.footprint.block_slots(), 4);
+    let degree = batch_degree(&prog.func, 4);
     for occupancy in [1usize, 4] {
         let tenants: Vec<HashMap<String, Vec<f64>>> = (0..occupancy)
             .map(|t| tenant_inputs(&bench.inputs, t))

@@ -1,7 +1,7 @@
 //! End-to-end tests: compile → execute encrypted → compare against the
 //! plaintext reference, across schemes and waterlines — and the one op
 //! driver's scheduling contract: SSA order with one worker, bit-identical
-//! outputs and an identical noise ledger at any worker count, first
+//! outputs and identical noise predictions at any worker count, first
 //! failure wins, one shared decomposition per rotation fan-out.
 
 use hecate_apps::{all_benchmarks, Preset};
@@ -259,7 +259,7 @@ fn plaintext_upscale_multiplies_its_operand() {
     );
 }
 
-/// What an observer saw of one op: index, cipher or not, ledger RMS bits.
+/// What an observer saw of one op: index, cipher or not, predicted RMS bits.
 type Seen = (usize, bool, u64);
 
 /// Runs `engine` on `jobs` workers with a recording observer.
@@ -297,26 +297,29 @@ fn one_worker_runs_in_ssa_order_and_the_ledger_is_the_same_at_four() {
     assert_eq!(plain.peak_live, seq.peak_live);
     assert_eq!(plain.peak_bytes, seq.peak_bytes);
 
-    // jobs = 4: every op is booked exactly once, every cipher op has a
-    // ledger entry (a positive predicted RMS) with the same bits as at
-    // jobs = 1 — completion order is topological, and the model depends
-    // on nothing else — and the run reports the same margin and outputs.
+    // jobs = 4: every op is booked exactly once, every cipher op is
+    // observed with a positive predicted RMS of the same bits as at
+    // jobs = 1 — the engine predicts once, from the plan alone — and the
+    // run reports the same margin and outputs.
     let (par, mut seen_par) = observed_run(&engine, &ins, 4);
     seen_par.sort_unstable();
-    assert_eq!(seen_par, seen_seq, "one booking per op, same ledger bits");
+    assert_eq!(
+        seen_par, seen_seq,
+        "one booking per op, same predicted bits"
+    );
     for &(i, is_cipher, rms_bits) in &seen_par {
         assert_eq!(is_cipher, prog.types[i].is_cipher());
         assert_eq!(
             is_cipher,
             f64::from_bits(rms_bits) > 0.0,
-            "op {i}: exactly the cipher ops carry a ledger entry"
+            "op {i}: exactly the cipher ops carry a prediction"
         );
     }
     assert!(seq.min_margin_bits.is_finite());
     assert_eq!(
         par.min_margin_bits.to_bits(),
         seq.min_margin_bits.to_bits(),
-        "the run's own ledger margin, not the plan's, at any worker count"
+        "the same margin at any worker count"
     );
     assert_eq!(par.outputs, seq.outputs);
     assert_eq!(par.outputs, plain.outputs, "observing changes no bits");

@@ -21,6 +21,7 @@
 //! being vacuous.
 
 use hecate_apps::{all_benchmarks, Preset};
+use hecate_backend::audit::AuditViolation;
 use hecate_backend::exec::BackendOptions;
 use hecate_backend::{audit_encrypted, AuditOptions};
 use hecate_compiler::{compile, CompileOptions, Scheme};
@@ -110,4 +111,56 @@ fn audit_flags_under_waterlined_plan_via_public_api() {
         !report.violations(&audit).is_empty(),
         "under-waterlined plan passed the audit"
     );
+}
+
+/// Pins the known fractional-waterline defect as *flagged*: the executor
+/// multiplies by the integer `round(2^δ)` at a scale adjustment but
+/// re-declares the nominal scale, so a fractional δ of under a bit is a
+/// 20–35 % value error. SF at w30.29 (one `upscale`, δ = 0.58) and LR E2 at
+/// w29.70 (four `downscale`s, δ = 0.60) must each fail the audit at an
+/// output, while w30 and w29 (integral δ) pass. When the codegen floor and
+/// the rule's rounding term land together, the flagged cases turn into
+/// correct or rejected plans and this test changes with them.
+#[test]
+fn fractional_waterline_scale_error_is_flagged_at_an_output() {
+    let audit = AuditOptions::default();
+    let benches = all_benchmarks(Preset::Small);
+    for (name, waterline, flagged) in [
+        ("SF", 30.29, true),
+        ("SF", 30.0, false),
+        ("LR E2", 29.70, true),
+        ("LR E2", 29.0, false),
+    ] {
+        let bench = benches.iter().find(|b| b.name == name).unwrap();
+        let mut opts = CompileOptions::with_waterline(waterline);
+        opts.degree = Some(512);
+        let prog = compile(&bench.func, Scheme::Hecate, &opts)
+            .unwrap_or_else(|e| panic!("{name} w{waterline}: compile failed: {e}"));
+        let report = audit_encrypted(
+            &prog,
+            &bench.inputs,
+            &backend(512),
+            &audit,
+            &opts.cost_model,
+        )
+        .unwrap_or_else(|e| panic!("{name} w{waterline}: audited run failed: {e}"));
+        let violations = report.violations(&audit);
+        let at_output = violations.iter().any(|v| {
+            matches!(v, AuditViolation::ErrorBound { op, .. }
+                if prog.func.outputs().iter().any(|(_, o)| o.index() == *op))
+        });
+        if flagged {
+            assert!(at_output, "{name} w{waterline}: no ErrorBound at an output");
+        } else {
+            assert!(
+                violations.is_empty(),
+                "{name} w{waterline}: {}",
+                violations
+                    .iter()
+                    .map(|v| v.to_string())
+                    .collect::<Vec<_>>()
+                    .join("; ")
+            );
+        }
+    }
 }

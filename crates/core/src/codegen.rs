@@ -58,10 +58,6 @@ pub struct GenOptions<'a> {
     pub plan: PlanRef<'a>,
     /// Apply the early-modswitch motion after generation.
     pub early_modswitch: bool,
-    /// Canonicalize and dedupe rotations during emission (wrapped steps
-    /// reduce mod the logical width; congruent rotations of one value are
-    /// CSE'd). Follows [`crate::CompileOptions::canonicalize`].
-    pub rotate_cse: bool,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -307,12 +303,9 @@ pub fn generate(func: &Function, g: &GenOptions) -> Result<(Function, Vec<Type>)
                 if em.is_free(a) {
                     let folded = fold_free(func.vec_size, op, &[const_data(&em, a)]);
                     em.emit(Op::Const { data: folded })?
-                } else if !g.rotate_cse {
-                    em.emit(Op::Rotate {
-                        value: a,
-                        step: *step,
-                    })?
                 } else {
+                    // Wrapped steps reduce mod the logical width, and
+                    // congruent rotations of one value are emitted once.
                     let s = step % func.vec_size;
                     if s == 0 {
                         // Full-width rotation is the identity.
@@ -580,7 +573,6 @@ mod tests {
                 degrees: &[],
             },
             early_modswitch: true,
-            rotate_cse: true,
         };
         generate(func, &g).unwrap()
     }
@@ -700,7 +692,6 @@ mod tests {
                     degrees: &zero,
                 },
                 early_modswitch: false,
-                rotate_cse: true,
             },
         )
         .unwrap();
@@ -719,7 +710,6 @@ mod tests {
                         degrees: &degrees,
                     },
                     early_modswitch: false,
-                    rotate_cse: true,
                 },
             ) {
                 infer_types(&out, &cfg).expect("plan output type-checks");
@@ -783,7 +773,6 @@ mod tests {
                 degrees: &[],
             },
             early_modswitch: false,
-            rotate_cse: true,
         };
         assert!(matches!(
             generate(&f, &g),

@@ -316,9 +316,9 @@ pub fn analytic_cost_us(op: CostOp, c: usize, n: usize) -> f64 {
 /// Statically estimates the output noise of a typed program, in log2 of
 /// the decoded-domain standard deviation ("noise bits"; more negative is
 /// more precise): [`NoiseRule`] folded with every message mean-square
-/// taken as 1 (messages assumed O(1)), reporting the worst output. The
-/// paper's follow-on work (ELASM) explores exactly this scale-vs-error
-/// trade-off; [`crate::options::Objective`] exposes it.
+/// taken as 1 (messages assumed O(1)), reporting the worst output.
+/// [`crate::compile`] calls it once, on the winning plan, for
+/// [`crate::CompileStats::estimated_noise_bits`].
 pub fn estimate_noise_bits(func: &Function, types: &[Type], degree: usize) -> f64 {
     let vars = NoiseRule::new(degree, 1.0).fold(func, types, |_| 1.0);
     let worst = func.outputs().iter().map(|(_, v)| vars[v.index()]);

@@ -19,7 +19,7 @@
 //!   categories, active primes, physical rotation steps, hoist roles) that
 //!   the estimator prices and the executor keys, hoists and labels from;
 //! - [`noise`] — the one per-op CKKS noise rule the estimator, the
-//!   backend's simulator and its run ledger all step;
+//!   backend's simulator and its per-engine prediction all fold;
 //! - [`params`] — RNS modulus-chain and ring-degree selection under the
 //!   128-bit security table;
 //! - [`pipeline`] — the [`compile`] entry point, the

@@ -3,12 +3,12 @@
 //!
 //! Every noise figure in the workspace is a parameterisation of
 //! [`NoiseRule::step`]: the static estimator
-//! ([`crate::estimator::estimate_noise_bits`]) folds it with message
-//! mean-square 1, the backend's run ledger steps it online with the
-//! occupancy as both mean-square bound and concentration, and the
-//! backend's simulator steps it with the mean-squares of the plaintext
-//! values. The sources, in the coefficient domain (divide by `scale²` to
-//! decode):
+//! ([`crate::estimator::estimate_noise_bits`]) folds it once per compiled
+//! plan, over the winner only, with message mean-square 1; the backend
+//! folds it once per engine, never per run, with the occupancy as both
+//! mean-square bound and concentration; and the backend's simulator folds
+//! it with the mean-squares of the plaintext values. The sources, in the
+//! coefficient domain (divide by `scale²` to decode):
 //!
 //! - encoding rounds coefficients to integers: `N/12`;
 //! - fresh encryption adds `2N·σ²` of RLWE noise (σ² = 10.5, CBD(21)) on

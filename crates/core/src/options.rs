@@ -5,7 +5,7 @@ use crate::params::SelectedParams;
 use hecate_ir::ir::StructureError;
 use hecate_ir::types::{Type, TypeConfig, TypeError};
 use hecate_ir::verify::VerifyError;
-use hecate_ir::{Function, Op, SlotFootprint, ValueId};
+use hecate_ir::{Function, Op, ValueId};
 use std::collections::BTreeMap;
 
 /// The four scale-management schemes the paper evaluates (§VII-A).
@@ -50,24 +50,6 @@ impl std::fmt::Display for Scheme {
     }
 }
 
-/// The quantity SMSE minimizes.
-///
-/// `Latency` is the paper's objective. `LatencyAndError` extends it in the
-/// direction of the authors' follow-on work (ELASM): plans are scored by
-/// `log2(latency) + error_weight · noise_bits`, trading speed against
-/// output precision. With `error_weight = 0` the two coincide.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Objective {
-    /// Minimize estimated latency (the paper's SMSE).
-    #[default]
-    Latency,
-    /// Jointly minimize latency and estimated output noise.
-    LatencyAndError {
-        /// Weight on the noise-bits term (≥ 0).
-        error_weight: f64,
-    },
-}
-
 /// Knobs for one compilation.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
@@ -89,16 +71,6 @@ pub struct CompileOptions {
     /// Apply EVA's early-modswitch motion (the paper applies it in both
     /// EVA and HECATE pipelines).
     pub early_modswitch: bool,
-    /// Canonicalize the input (constant folding + common subexpression
-    /// elimination) before scale management. Benefits all schemes equally.
-    pub canonicalize: bool,
-    /// What the explorer minimizes.
-    pub objective: Objective,
-    /// Re-verify the full invariant set (C1/C2, level monotonicity,
-    /// rescale legality) after every pass and candidate lowering. The
-    /// incremental checks in the emitter already reject most bad plans;
-    /// this guards against bugs in the passes themselves.
-    pub verify_passes: bool,
     /// Sabotage injected into generated plans, for testing that the
     /// per-pass verifier and the fallback driver catch compiler faults.
     pub fault: Option<CompileFault>,
@@ -115,9 +87,6 @@ impl CompileOptions {
             max_chain_len: 24,
             cost_model: CostModel::default(),
             early_modswitch: true,
-            canonicalize: true,
-            objective: Objective::Latency,
-            verify_passes: true,
             fault: None,
         }
     }
@@ -145,14 +114,8 @@ impl CompileOptions {
                 format!("profiled(n{};{})", table.degree, entries.join(","))
             }
         };
-        let objective = match self.objective {
-            Objective::Latency => "latency".to_string(),
-            Objective::LatencyAndError { error_weight } => {
-                format!("latency+{error_weight}err")
-            }
-        };
         format!(
-            "w={};sf={};margin={};degree={:?};chain<={};cost={};ems={};canon={};obj={};verify={};fault={:?}",
+            "w={};sf={};margin={};degree={:?};chain<={};cost={};ems={};fault={:?}",
             self.waterline_bits,
             self.rescale_bits,
             self.margin_bits,
@@ -160,9 +123,6 @@ impl CompileOptions {
             self.max_chain_len,
             cost_model,
             self.early_modswitch,
-            self.canonicalize,
-            objective,
-            self.verify_passes,
             self.fault,
         )
     }
@@ -375,10 +335,6 @@ pub struct CompiledProgram {
     /// reloaded plan can be checked against the program it claims to
     /// implement.
     pub source_hash: u64,
-    /// Slot-batching footprint of the compiled function: how many slots
-    /// one tenant needs (logical window plus rotation guard bands) when
-    /// several tenants share a ciphertext.
-    pub footprint: SlotFootprint,
     /// Compilation statistics.
     pub stats: CompileStats,
 }

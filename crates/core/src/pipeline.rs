@@ -1,6 +1,7 @@
 //! The end-to-end compilation pipeline, the graceful-degradation fallback
 //! driver, and the waterline sweep driver.
 
+use crate::estimator::estimate_noise_bits;
 use crate::options::{
     CompileError, CompileOptions, CompileStats, CompiledProgram, FallbackRung, Scheme,
 };
@@ -46,24 +47,20 @@ pub fn compile(
     hecate_telemetry::metrics::global()
         .counter("hecate_compiles_total")
         .inc();
-    if opts.verify_passes {
+    {
         let _s = trace::span("pass:verify-input");
         verify_input(func, "frontend")?;
     }
     // Hash the function as submitted (before canonicalization): reloading
     // a saved plan compares this against the re-parsed source file.
     let source_hash = hecate_ir::hash::function_hash(func);
-    let canonical;
-    let func = if opts.canonicalize {
+    let canonical = {
         let _s = trace::span("pass:canonicalize");
-        canonical = hecate_ir::transform::canonicalize(func);
-        if opts.verify_passes {
-            verify_input(&canonical, "canonicalize")?;
-        }
-        &canonical
-    } else {
-        func
+        let canonical = hecate_ir::transform::canonicalize(func);
+        verify_input(&canonical, "canonicalize")?;
+        canonical
     };
+    let func = &canonical;
     let analysis = {
         let _s = trace::span("pass:smu-analyze");
         smu::analyze(func, opts.waterline_bits)
@@ -83,6 +80,10 @@ pub fn compile(
         let _s = trace::span(pass);
         explore(func, units, scheme.proactive(), opts, None)?
     };
+    // The one noise estimate per plan: over the winner as lowered, before
+    // any injected compile fault.
+    let estimated_noise_bits =
+        estimate_noise_bits(&candidate.func, &candidate.types, candidate.params.degree);
     {
         let _s = trace::span("pass:final-verify");
         apply_fault_and_verify(&mut candidate, scheme, opts)?;
@@ -91,7 +92,7 @@ pub fn compile(
     compile_span.attr("plans_explored", plans_explored.into());
     let stats = CompileStats {
         estimated_latency_us: candidate.cost_us,
-        estimated_noise_bits: candidate.noise_bits,
+        estimated_noise_bits,
         epochs,
         plans_explored,
         smu_units: analysis.unit_count,
@@ -101,7 +102,6 @@ pub fn compile(
         fallback: None,
         fallback_attempts: 0,
     };
-    let footprint = hecate_ir::slot_footprint(&candidate.func);
     Ok(CompiledProgram {
         func: candidate.func,
         types: candidate.types,
@@ -109,7 +109,6 @@ pub fn compile(
         scheme,
         params: candidate.params,
         source_hash,
-        footprint,
         stats,
     })
 }
@@ -117,9 +116,9 @@ pub fn compile(
 /// Applies any configured [`CompileFault`](crate::options::CompileFault)
 /// to the winning candidate, then runs the final whole-plan verification.
 ///
-/// The fault lands *before* the final check, so with verification enabled
-/// every injected compiler fault surfaces as [`CompileError::Verify`]
-/// rather than a miscompiled program.
+/// The fault lands *before* the final check, so every injected compiler
+/// fault surfaces as [`CompileError::Verify`] rather than a miscompiled
+/// program.
 fn apply_fault_and_verify(
     candidate: &mut Candidate,
     scheme: Scheme,
@@ -132,12 +131,10 @@ fn apply_fault_and_verify(
             }
         }
     }
-    if opts.verify_passes {
-        // The final check binds C1 to the *selected* modulus chain, so a
-        // plan inconsistent with its own parameters cannot ship.
-        let cfg = crate::options::bound_config(&opts.type_config(), &candidate.params);
-        candidate.types = verify_plan(&candidate.func, &cfg, "final-plan")?;
-    }
+    // The final check binds C1 to the *selected* modulus chain, so a plan
+    // inconsistent with its own parameters cannot ship.
+    let cfg = crate::options::bound_config(&opts.type_config(), &candidate.params);
+    candidate.types = verify_plan(&candidate.func, &cfg, "final-plan")?;
     Ok(())
 }
 

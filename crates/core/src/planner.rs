@@ -17,8 +17,8 @@
 //!   all-zero plan — the pure policy — is the only one evaluated.
 
 use crate::codegen::{generate, GenOptions, PlanRef};
-use crate::estimator::{estimate_latency_us, estimate_noise_bits};
-use crate::options::{CompileError, CompileOptions, Objective};
+use crate::estimator::estimate_latency_us;
+use crate::options::{CompileError, CompileOptions};
 use crate::params::{select_params, SelectedParams};
 use crate::smu::SmuAnalysis;
 use hecate_ir::types::Type;
@@ -37,13 +37,8 @@ pub struct Candidate {
     pub types: Vec<Type>,
     /// The selected parameters.
     pub params: SelectedParams,
-    /// Estimated latency, microseconds.
+    /// Estimated latency, microseconds: what the explorer minimizes.
     pub cost_us: f64,
-    /// Estimated output noise (log2 standard deviation).
-    pub noise_bits: f64,
-    /// The objective value the explorer compared (depends on
-    /// [`Objective`]).
-    pub score: f64,
 }
 
 /// Outcome of an exploration run.
@@ -75,22 +70,19 @@ fn evaluate(
             degrees,
         },
         early_modswitch: opts.early_modswitch,
-        rotate_cse: opts.canonicalize,
     };
     let (out, types) = generate(func, &g)?;
     // Re-check the full invariant set on every lowered candidate — the
     // emitter type-checks incrementally, but the verifier additionally
     // guards the waterline, budget, monotonicity, and rescale conditions
     // against bugs in the generation passes themselves.
-    if opts.verify_passes {
-        let pass = match (degrees.is_empty(), proactive) {
-            (true, false) => "eva-codegen",
-            (true, true) => "pars-codegen",
-            (false, false) => "smse-candidate(eva)",
-            (false, true) => "smse-candidate(pars)",
-        };
-        hecate_ir::verify::verify_plan(&out, &g.cfg, pass)?;
-    }
+    let pass = match (degrees.is_empty(), proactive) {
+        (true, false) => "eva-codegen",
+        (true, true) => "pars-codegen",
+        (false, false) => "smse-candidate(eva)",
+        (false, true) => "smse-candidate(pars)",
+    };
+    hecate_ir::verify::verify_plan(&out, &g.cfg, pass)?;
     let params = select_params(&out, &types, opts)?;
     let cost_us = estimate_latency_us(
         &out,
@@ -99,20 +91,11 @@ fn evaluate(
         params.chain_len,
         params.degree,
     );
-    let noise_bits = estimate_noise_bits(&out, &types, params.degree);
-    let score = match opts.objective {
-        Objective::Latency => cost_us,
-        Objective::LatencyAndError { error_weight } => {
-            cost_us.max(1e-9).log2() + error_weight * noise_bits
-        }
-    };
     Ok(Candidate {
         func: out,
         types,
         params,
         cost_us,
-        noise_bits,
-        score,
     })
 }
 
@@ -153,11 +136,10 @@ pub fn explore(
             degrees[e] += 1;
             plans_explored += 1;
             if let Ok(cand) = evaluate(func, units, &degrees, proactive, opts) {
-                if cand.score < best.score - 1e-9
+                if cand.cost_us < best.cost_us - 1e-9
                     && improved
                         .as_ref()
-                        .map(|(_, c)| cand.score < c.score)
-                        .unwrap_or(true)
+                        .is_none_or(|(_, c)| cand.cost_us < c.cost_us)
                 {
                     improved = Some((e, cand));
                 }

@@ -23,7 +23,7 @@
 
 use crate::options::{CompileStats, CompiledProgram, Scheme};
 use crate::params::SelectedParams;
-use hecate_ir::analysis::{op_histogram, slot_footprint, use_edge_count, SlotFootprint};
+use hecate_ir::analysis::{op_histogram, use_edge_count};
 use hecate_ir::parse::parse_function;
 use hecate_ir::print::print_function_full;
 use hecate_ir::types::{Type, TypeConfig};
@@ -97,12 +97,6 @@ pub fn serialize_plan(prog: &CompiledProgram) -> String {
         prog.stats.estimated_latency_us, prog.stats.estimated_noise_bits
     );
     let _ = writeln!(s, "source hash={:016x}", prog.source_hash);
-    let fp = &prog.footprint;
-    let _ = writeln!(
-        s,
-        "slot footprint={}:{}:{}:{}",
-        fp.width, fp.back, fp.fwd, fp.max_live
-    );
     let _ = writeln!(s, "types {}", prog.types.len());
     for t in &prog.types {
         match t {
@@ -197,27 +191,9 @@ pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanFormatError> 
     let source_hash = u64::from_str_radix(field(source_line, "hash")?, 16)
         .map_err(|_| bad(format!("bad source hash in '{source_line}'")))?;
 
-    // Optional `slot footprint=width:back:fwd:max_live` line. Plans saved
-    // before slot batching existed lack it; their footprint is recomputed
-    // from the parsed function below.
-    let mut footprint = None;
-    if lines
-        .peek()
-        .is_some_and(|l| l.starts_with("slot footprint"))
-    {
-        let fp_line = lines.next().expect("peeked");
-        let raw = field(fp_line, "footprint")?;
-        let parts: Vec<&str> = raw.split(':').collect();
-        if parts.len() != 4 {
-            return Err(bad(format!("bad slot footprint '{raw}'")));
-        }
-        footprint = Some(SlotFootprint {
-            width: parsed(parts[0], "footprint width")?,
-            back: parsed(parts[1], "footprint back")?,
-            fwd: parsed(parts[2], "footprint fwd")?,
-            max_live: parsed(parts[3], "footprint max_live")?,
-        });
-    }
+    // Plans saved by earlier versions carry a `slot footprint=` line; the
+    // executor derives slot reaches from the function, so it is skipped.
+    lines.next_if(|l| l.starts_with("slot footprint"));
 
     let count_line = lines.next().ok_or_else(|| bad("missing types line"))?;
     let n_types: usize = parsed(
@@ -269,7 +245,6 @@ pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanFormatError> 
         use_edges: use_edge_count(&func),
         ..CompileStats::default()
     };
-    let footprint = footprint.unwrap_or_else(|| slot_footprint(&func));
     Ok(CompiledProgram {
         func,
         types,
@@ -277,7 +252,6 @@ pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanFormatError> 
         scheme,
         params,
         source_hash,
-        footprint,
         stats,
     })
 }
@@ -317,7 +291,6 @@ mod tests {
             assert_eq!(back.params, prog.params, "{scheme}");
             assert_eq!(back.scheme, prog.scheme);
             assert_eq!(back.source_hash, prog.source_hash, "{scheme}");
-            assert_eq!(back.footprint, prog.footprint, "{scheme}");
             assert_eq!(
                 back.stats.estimated_latency_us,
                 prog.stats.estimated_latency_us
@@ -362,27 +335,22 @@ mod tests {
 
     #[test]
     fn v1_plans_without_footprint_line_still_load() {
-        // Plans serialized before slot batching existed have no
-        // `slot footprint=` line; the loader must recompute it.
+        // Plans saved by earlier versions carry a `slot footprint=` line
+        // after the source hash; with or without it, the plan is the same.
         let prog = compiled(Scheme::Hecate);
         let text = serialize_plan(&prog);
-        let legacy: String = text
-            .lines()
-            .filter(|l| !l.starts_with("slot footprint"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_ne!(legacy, text, "footprint line must have been present");
-        let back = deserialize_plan(&legacy).unwrap();
-        assert_eq!(back.func, prog.func);
-        assert_eq!(
-            back.footprint, prog.footprint,
-            "recomputed footprint must match the one the compiler recorded"
+        assert!(!text.contains("slot footprint"));
+        let legacy = text.replacen("\ntypes ", "\nslot footprint=4:0:0:6\ntypes ", 1);
+        assert_ne!(legacy, text);
+        let (old, new) = (
+            deserialize_plan(&legacy).unwrap(),
+            deserialize_plan(&text).unwrap(),
         );
-        // Re-serializing a legacy plan upgrades it to the new form.
-        assert_eq!(serialize_plan(&back), text);
-        // A garbled footprint line is rejected, not silently recomputed.
-        let garbled = text.replacen("slot footprint=", "slot footprint=x:", 1);
-        assert!(deserialize_plan(&garbled).is_err());
+        assert_eq!(old.func, new.func);
+        assert_eq!(old.types, new.types);
+        assert_eq!(old.params, new.params);
+        assert_eq!(old.source_hash, new.source_hash);
+        assert_eq!(serialize_plan(&old), text);
     }
 
     #[test]

@@ -104,21 +104,3 @@ fn dropped_rescale_is_reported_with_pass_and_invariant() {
         other => panic!("expected a verification error, got {other:?}"),
     }
 }
-
-#[test]
-fn verification_can_be_disabled_for_diagnosis() {
-    // With verify_passes off, the sabotaged plan escapes the compiler —
-    // the switch exists so the fault path itself can be tested, and so
-    // hecatec --strict vs --fallback behave as documented.
-    let mut o = opts(26.0);
-    o.verify_passes = false;
-    o.fault = Some(CompileFault {
-        scheme: Some(Scheme::Eva),
-        kind: CompileFaultKind::DropRescale { nth: 0 },
-    });
-    let prog = compile(&motivating(), Scheme::Eva, &o).unwrap();
-    // The escaped plan still carries the parameters selected for the
-    // healthy plan; verifying against that chain exposes the lie.
-    let v = hecate_ir::verify::verify_plan(&prog.func, &prog.bound_config(), "audit");
-    assert!(v.is_err(), "escaped plan must violate the selected chain");
-}

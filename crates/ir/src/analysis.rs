@@ -98,48 +98,6 @@ pub fn op_histogram(func: &Function) -> std::collections::BTreeMap<&'static str,
     h
 }
 
-/// How far a plan's values spill outside a `width`-slot window when the
-/// ciphertext is shared between tenants (slot batching).
-///
-/// Each tenant occupies a block of `block_slots()` contiguous slots. The
-/// tenant's logical `width`-slot vector sits in the middle; rotations smear
-/// neighbouring tenants' data into up to `back` slots before it and `fwd`
-/// slots after it, which the demultiplexer must skip. A plan fits `B`
-/// tenants into `slots` physical slots iff `B * block_slots() <= slots`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotFootprint {
-    /// The logical vector width (`Function::vec_size`).
-    pub width: usize,
-    /// Maximum backward contamination reach (slots before the window).
-    pub back: usize,
-    /// Maximum forward contamination reach (slots after the window).
-    pub fwd: usize,
-    /// Peak number of simultaneously live values (ciphertext working set).
-    pub max_live: usize,
-}
-
-impl SlotFootprint {
-    /// Slots one tenant needs: guard band + logical window + guard band.
-    pub fn block_slots(&self) -> usize {
-        self.back + self.width + self.fwd
-    }
-
-    /// Largest power-of-two occupancy that fits in `slots` physical slots
-    /// (0 when even a single block does not fit).
-    pub fn max_occupancy(&self, slots: usize) -> usize {
-        let block = self.block_slots().max(1);
-        let mut b = 1usize;
-        while b * 2 * block <= slots {
-            b *= 2;
-        }
-        if b * block <= slots {
-            b
-        } else {
-            0
-        }
-    }
-}
-
 /// How a logical rotation by `step` moves data inside a packed block of
 /// logical width `width`. Returns `(fwd_add, back_add)`: the extra forward
 /// and backward contamination this rotation adds.
@@ -187,46 +145,6 @@ pub fn slot_reaches(func: &Function) -> Vec<(usize, usize)> {
         reach.push(r);
     }
     reach
-}
-
-/// Computes the plan's [`SlotFootprint`]: worst-case contamination reach
-/// over every value plus the liveness peak.
-pub fn slot_footprint(func: &Function) -> SlotFootprint {
-    let reach = slot_reaches(func);
-    let (mut back, mut fwd) = (0usize, 0usize);
-    for &(b, f) in &reach {
-        back = back.max(b);
-        fwd = fwd.max(f);
-    }
-    // Peak live values: a value is live from its definition to its last
-    // use (outputs stay live to the end).
-    let n = func.len();
-    let mut last_use = vec![0usize; n];
-    for (i, op) in func.ops().iter().enumerate() {
-        for v in op.operands() {
-            last_use[v.index()] = i;
-        }
-    }
-    for (_, v) in func.outputs() {
-        last_use[v.index()] = n.saturating_sub(1);
-    }
-    let mut max_live = 0usize;
-    let mut live_now = 0usize;
-    let mut dying_at = vec![0usize; n];
-    for (i, &lu) in last_use.iter().enumerate() {
-        dying_at[lu.max(i)] += 1;
-    }
-    for &d in &dying_at {
-        live_now += 1; // one value defined at each op
-        max_live = max_live.max(live_now);
-        live_now -= d;
-    }
-    SlotFootprint {
-        width: func.vec_size,
-        back,
-        fwd,
-        max_live,
-    }
 }
 
 #[cfg(test)]
@@ -306,41 +224,11 @@ mod tests {
         assert_eq!(reach[right.index()], (1, 0));
         assert_eq!(reach[sum.index()], (1, 1));
         assert_eq!(reach[deeper.index()], (1, 3));
-
-        let fp = slot_footprint(&f);
-        assert_eq!(fp.width, 8);
-        assert_eq!(fp.back, 1);
-        assert_eq!(fp.fwd, 3);
-        assert_eq!(fp.block_slots(), 12);
-        assert!(fp.max_live >= 2);
     }
 
     #[test]
     fn rotation_free_plan_has_tight_footprint() {
         let f = with_dead_code();
-        let fp = slot_footprint(&f);
-        assert_eq!((fp.back, fp.fwd), (0, 0));
-        assert_eq!(fp.block_slots(), f.vec_size);
-    }
-
-    #[test]
-    fn max_occupancy_is_the_largest_fitting_power_of_two() {
-        let fp = SlotFootprint {
-            width: 8,
-            back: 1,
-            fwd: 3,
-            max_live: 2,
-        };
-        // block = 12: 64 slots fit 4 blocks (48), not 8 (96).
-        assert_eq!(fp.max_occupancy(64), 4);
-        assert_eq!(fp.max_occupancy(12), 1);
-        assert_eq!(fp.max_occupancy(11), 0);
-        let tight = SlotFootprint {
-            width: 8,
-            back: 0,
-            fwd: 0,
-            max_live: 1,
-        };
-        assert_eq!(tight.max_occupancy(64), 8);
+        assert!(slot_reaches(&f).iter().all(|&r| r == (0, 0)));
     }
 }

@@ -60,7 +60,7 @@ pub mod transform;
 pub mod types;
 pub mod verify;
 
-pub use analysis::{packed_shift, slot_footprint, slot_reaches, SlotFootprint};
+pub use analysis::{packed_shift, slot_reaches};
 pub use builder::FunctionBuilder;
 pub use hash::function_hash;
 pub use ir::{ConstData, Function, Op, ValueId};

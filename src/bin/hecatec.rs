@@ -90,7 +90,7 @@
 //! at its full-trace level before any work starts and the files are
 //! written after the run finishes, on success and failure alike, so a
 //! failing compile still leaves a trace of how far it got. A JSONL trace
-//! carries the noise ledger as `precision` marks and `--explain`'s decrypt
+//! carries the noise prediction as `precision` marks and `--explain`'s decrypt
 //! probes as `precision-probe` marks.
 //!
 //! A flag given where it would be ignored is a usage error (see [`FLAGS`]).

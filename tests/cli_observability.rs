@@ -4,7 +4,7 @@
 //! `--metrics` files are written on every exit path, so a run that dies
 //! mid-execution — here, a noise-budget guard tripping via `--max-rms` —
 //! still leaves valid, complete files covering everything up to the
-//! failure, its noise ledger included as `precision` marks.
+//! failure, its noise prediction included as `precision` marks.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -174,7 +174,7 @@ fn chaos_panic_serve_still_writes_observability_files() {
         trace_text.contains("worker-respawn"),
         "no worker-respawn mark in the trace"
     );
-    // The surviving requests' noise ledgers are in the trace.
+    // The surviving requests' noise predictions are in the trace.
     let precision = precision_marks(&trace, "precision");
     assert!(!precision.is_empty(), "no precision marks in the trace");
     assert!(precision.iter().all(|mark| mark.contains("margin_bits")));
@@ -194,7 +194,7 @@ fn chaos_panic_serve_still_writes_observability_files() {
 
 /// `--explain --bench SF` passes its audit, prints the per-op table, the
 /// time residual table and the program line, and its JSONL trace carries
-/// the noise ledger and the decrypt probes as marks.
+/// the noise prediction and the decrypt probes as marks.
 #[test]
 fn explain_bench_passes_and_traces_precision_marks() {
     let trace = tmp("explain.trace.jsonl");

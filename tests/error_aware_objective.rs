@@ -1,11 +1,10 @@
-//! Tests of the error-aware exploration objective (the ELASM-direction
-//! extension) and the static noise estimator it relies on.
+//! Tests of the static noise estimator: the one noise estimate each
+//! compiled plan carries (`CompileStats::estimated_noise_bits`).
 
 use hecate::apps::{benchmark, Preset};
 use hecate::backend::exec::{execute_encrypted, BackendOptions};
 use hecate::backend::rms_error;
 use hecate::compiler::estimator::estimate_noise_bits;
-use hecate::compiler::options::Objective;
 use hecate::compiler::{compile, CompileOptions, Scheme};
 use hecate::ir::interp::interpret;
 use hecate::ir::FunctionBuilder;
@@ -35,7 +34,7 @@ fn noise_estimate_improves_with_waterline() {
 #[test]
 fn noise_estimate_tracks_measured_error() {
     // The static estimate must land within a few bits of the measured RMS
-    // error — enough accuracy to steer an explorer.
+    // error.
     let bench = benchmark("SF", Preset::Small).unwrap();
     let prog = compile(&bench.func, Scheme::Hecate, &opts(26.0)).unwrap();
     let run = execute_encrypted(&prog, &bench.inputs, &BackendOptions::default()).unwrap();
@@ -50,49 +49,6 @@ fn noise_estimate_tracks_measured_error() {
 }
 
 #[test]
-fn error_weighted_objective_chooses_lower_noise_plans() {
-    // A deep chain where extra downscales save latency but cost precision.
-    let mut b = FunctionBuilder::new("deep", 16);
-    let x = b.input_cipher("x");
-    let mut cur = x;
-    for _ in 0..4 {
-        cur = b.square(cur);
-    }
-    b.output(cur);
-    let func = b.finish();
-
-    let mut latency_opts = opts(22.0);
-    latency_opts.objective = Objective::Latency;
-    let fast = compile(&func, Scheme::Hecate, &latency_opts).unwrap();
-
-    let mut precise_opts = opts(22.0);
-    precise_opts.objective = Objective::LatencyAndError { error_weight: 2.0 };
-    let precise = compile(&func, Scheme::Hecate, &precise_opts).unwrap();
-
-    // A heavy error weight must never pick a noisier plan than the pure
-    // latency objective; typically it picks a strictly quieter one.
-    assert!(
-        precise.stats.estimated_noise_bits <= fast.stats.estimated_noise_bits + 1e-9,
-        "error-aware: {} bits vs latency-only: {} bits",
-        precise.stats.estimated_noise_bits,
-        fast.stats.estimated_noise_bits
-    );
-}
-
-#[test]
-fn zero_weight_matches_latency_objective() {
-    let bench = benchmark("LR E2", Preset::Small).unwrap();
-    let mut a = opts(24.0);
-    a.objective = Objective::Latency;
-    let mut b = opts(24.0);
-    b.objective = Objective::LatencyAndError { error_weight: 0.0 };
-    let pa = compile(&bench.func, Scheme::Hecate, &a).unwrap();
-    let pb = compile(&bench.func, Scheme::Hecate, &b).unwrap();
-    // Same explored ranking (log2 is monotone) → same chosen program.
-    assert_eq!(pa.func, pb.func, "objectives must coincide at weight 0");
-}
-
-#[test]
 fn direct_noise_estimator_on_known_structures() {
     // A single fresh input: noise is the fresh-encryption floor.
     let mut b = FunctionBuilder::new("one", 8);
@@ -104,7 +60,7 @@ fn direct_noise_estimator_on_known_structures() {
     let nb = estimate_noise_bits(&f, &tys, 512);
     // fresh = 0.5·log2(2·512·10.5 + 512/12) − 30: RLWE noise plus the
     // encoding's rounding. The estimator used to omit the N/12 term the
-    // simulator and the run ledger add (≈0.003 bit); since all three step
+    // simulator and the engine's prediction add (≈0.003 bit); since all three step
     // one rule (`hecate_compiler::noise`), the complete term is pinned.
     let fresh = 0.5 * (2.0 * 512.0 * 10.5f64 + 512.0 / 12.0).log2() - 30.0;
     assert!((nb - fresh).abs() < 1e-9);

@@ -7,7 +7,7 @@
 //! noise rule and the one plaintext semantics agree with each other.
 
 use hecate::backend::exec::{execute_encrypted, BackendOptions, GuardOptions};
-use hecate::backend::noise::{max_rms_error, simulate, NoiseLedger};
+use hecate::backend::noise::{max_rms_error, predict_rms, simulate};
 use hecate::compiler::{compile, compile_with_fallback, CompileOptions, Scheme};
 use hecate::ir::interp::{interpret, rms_error};
 use hecate::ir::types::infer_types;
@@ -170,36 +170,35 @@ proptest! {
     }
 
     /// Model against model (every other noise test compares a model to an
-    /// encrypted run): the static estimate is the run ledger at occupancy
-    /// 1 read at the worst output, and the simulator's slots are the
-    /// interpreter's, bit for bit.
+    /// encrypted run): the static estimate is the engine's prediction at
+    /// occupancy 1 read at the worst output, and the simulator's slots are
+    /// the interpreter's, bit for bit. The waterline is drawn on the
+    /// 22.00–31.99 grid in 0.01 steps, fractional waterlines included.
     #[test]
     fn estimator_ledger_simulator_and_interpreter_agree(
         picks in proptest::collection::vec((pick_strategy(), any::<u64>(), any::<u64>()), 3..25),
         n_inputs in 1usize..4,
+        centibits in 2200u32..3200,
     ) {
         let func = build_program(&picks, n_inputs);
         prop_assume!(has_cipher_output(&func));
         let ins = inputs_for(n_inputs);
-        let mut opts = CompileOptions::with_waterline(24.0);
+        let mut opts = CompileOptions::with_waterline(f64::from(centibits) / 100.0);
         opts.degree = Some(512);
         for scheme in [Scheme::Eva, Scheme::Pars, Scheme::Smse, Scheme::Hecate] {
             let Ok(prog) = compile(&func, scheme, &opts) else {
                 continue;
             };
-            let mut ledger = NoiseLedger::new(&prog, prog.params.degree, 1);
-            for i in 0..prog.func.len() {
-                ledger.record(&prog, i, 0.0);
-            }
+            let rms = predict_rms(&prog, prog.params.degree, 1, None);
             let worst_rms = prog
                 .func
                 .outputs()
                 .iter()
-                .map(|(_, v)| ledger.rms(v.index()))
+                .map(|(_, v)| rms[v.index()])
                 .fold(0.0, f64::max);
             prop_assert!(
                 (prog.stats.estimated_noise_bits - worst_rms.log2()).abs() < 1e-9,
-                "{scheme}: estimate {} vs ledger {}",
+                "{scheme}: estimate {} vs prediction {}",
                 prog.stats.estimated_noise_bits,
                 worst_rms.log2()
             );
