@@ -62,7 +62,6 @@ pub mod eval;
 pub mod keys;
 pub mod pack;
 pub mod params;
-pub mod probe;
 
 pub use cipher::{Ciphertext, Plaintext};
 pub use encoder::CkksEncoder;
@@ -71,4 +70,3 @@ pub use eval::{EvalKeys, Evaluator};
 pub use keys::{HoistedDecomp, KeyGenerator, PublicKey, SecretKey};
 pub use pack::{pack_blocks, unpack_block};
 pub use params::CkksParams;
-pub use probe::DecryptProbe;

@@ -278,7 +278,8 @@ pub struct CompileStats {
     pub smu_units: usize,
     /// Number of edges between scale management units.
     pub smu_edges: usize,
-    /// Use–def edges in the input program (Table III "uses").
+    /// Use–def edges in the input program (Table III "uses"); 0 on a
+    /// plan reloaded from a file, which does not carry its source.
     pub use_edges: usize,
     /// Operation histogram of the compiled program.
     pub op_counts: BTreeMap<&'static str, usize>,

@@ -14,16 +14,16 @@
 //! --load-plan` does), and can use the recorded source hash to detect a
 //! plan being replayed against a different source program.
 //!
-//! Exploration statistics (epochs, plans explored, SMU counts) describe
-//! the compilation *process*, not the artifact; they are not serialized.
-//! Deserialization recomputes the structural statistics (op histogram,
-//! use-edge count) and restores the recorded latency/noise estimates, so
-//! a reloaded plan is executable and reportable without rerunning the
-//! explorer.
+//! Exploration statistics (epochs, plans explored, SMU counts) and the
+//! use-edge count of the *source* program describe the compilation, not
+//! the artifact; they are not serialized and read 0 after a reload.
+//! Deserialization recomputes the op histogram and restores the recorded
+//! latency/noise estimates, so a reloaded plan is executable and
+//! reportable without rerunning the explorer.
 
 use crate::options::{CompileStats, CompiledProgram, Scheme};
 use crate::params::SelectedParams;
-use hecate_ir::analysis::{op_histogram, use_edge_count};
+use hecate_ir::analysis::op_histogram;
 use hecate_ir::parse::parse_function;
 use hecate_ir::print::print_function_full;
 use hecate_ir::types::{Type, TypeConfig};
@@ -242,7 +242,6 @@ pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanFormatError> 
         estimated_latency_us,
         estimated_noise_bits,
         op_counts: op_histogram(&func),
-        use_edges: use_edge_count(&func),
         ..CompileStats::default()
     };
     Ok(CompiledProgram {

@@ -83,11 +83,11 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 pub mod cache;
 pub mod chaos;
 pub mod diag;
 pub mod pool;
+mod serve;
 pub mod session;
 pub mod stats;
 

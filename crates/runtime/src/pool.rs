@@ -1,10 +1,9 @@
 //! The serving runtime: a request queue feeding a supervised worker pool.
 //!
-//! [`Runtime`] owns the three subsystems and wires them together per
-//! request: the [`PlanCache`] resolves (or compiles, once) the plan, the
-//! [`SessionManager`] resolves the tenant's engine (building keys on
-//! first use), and the backend's one op driver
-//! ([`hecate_backend::exec::execute`]) runs the request on
+//! [`Runtime`] owns the three subsystems: the [`PlanCache`] resolves (or
+//! compiles, once) a request's plan, the [`SessionManager`] resolves the
+//! tenant's engine (building keys on first use), and the backend's one op
+//! driver ([`hecate_backend::exec::execute`]) runs the request on
 //! `jobs_per_request` DAG workers. Worker
 //! threads pull from one bounded FIFO queue (`JobQueue`: a deque under
 //! one mutex, idle workers parked on one condvar), and [`RuntimeStats`]
@@ -13,46 +12,17 @@
 //! request runs on at most `jobs_per_request × backend.kernel_jobs`
 //! threads.
 //!
-//! # Failure domains
-//!
-//! The pool is built so one bad request cannot take the service down:
-//!
-//! - **Panic isolation** — `Inner::serve_with` wraps request processing
-//!   in `catch_unwind`. A panic becomes a typed
-//!   [`RuntimeError::Panicked`] response (the client always gets exactly
-//!   one terminal answer), and the worker then recycles itself through
-//!   its supervisor loop, which re-enters the serving loop and counts a
-//!   respawn. Shared state (plan cache, session maps, stats) recovers
-//!   from lock poisoning, so the surviving workers are unaffected.
-//! - **Deadlines** — a [`Request::deadline`] becomes a
-//!   [`CancelToken`] the op driver polls between ops; expiry
-//!   anywhere (queued, executing, or between retries) yields
-//!   [`RuntimeError::TimedOut`].
-//! - **Retries** — transient failures (guard trips, noise-budget
-//!   exhaustion) re-execute up to [`Request::max_retries`] times with
-//!   exponential backoff, on a freshly built engine.
-//! - **Admission control** — the queue is bounded
-//!   ([`RuntimeConfig::queue_capacity`]), and with
-//!   [`RuntimeConfig::admission_budget_us`] set, requests whose
-//!   estimated cost scaled by the current queue depth exceeds the budget
-//!   are shed *before* they consume queue space.
-//! - **Chaos** — [`ChaosOptions`] turns all of the above against itself:
-//!   injected faults, latency, and panics on every Nth request, used by
-//!   the `chaos_soak` test and `hecatec --serve --chaos`.
-//! - **Slot batching** — every dequeue runs through the `batch`
-//!   module's coalescing scheduler, which packs up to
-//!   [`RuntimeConfig::max_batch`] compatible queued requests into one
-//!   shared ciphertext and serves everything else on the solo path above
-//!   (at the default `max_batch` of 1, every request). Failures inside a
-//!   shared run degrade every member to that solo path; batching never
-//!   weakens any of the per-request guarantees.
+//! Every dequeued request is served by the `serve` module's one path, as
+//! a group of 1..=[`RuntimeConfig::max_batch`] same-plan requests; its
+//! module docs list the failure domains that keep one bad request from
+//! taking the service down.
 
 use crate::cache::{plan_key, PlanCache};
-use crate::chaos::{ChaosInjection, ChaosOptions, ChaosState};
+use crate::chaos::{ChaosOptions, ChaosState};
 use crate::session::{SessionId, SessionManager};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use crate::RuntimeError;
-use hecate_backend::exec::{execute, BackendOptions, CancelToken, EncryptedRun, ExecError};
+use hecate_backend::exec::{BackendOptions, EncryptedRun};
 use hecate_compiler::{CompileOptions, Scheme};
 use hecate_ir::Function;
 use hecate_telemetry::{recorder, trace};
@@ -74,13 +44,6 @@ static NEXT_REQ_ID: AtomicU64 = AtomicU64::new(1);
 /// rejection instead of unbounded memory growth, not to throttle normal
 /// operation.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 4096;
-
-/// Delay before the first retry attempt; doubles per attempt up to
-/// [`RETRY_BACKOFF_CAP`], and never sleeps past the request's deadline.
-const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(1);
-
-/// Retry backoff ceiling: exponential growth stops doubling here.
-const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(100);
 
 /// Periodic diagnostics dumps: where to write them and how often.
 ///
@@ -187,8 +150,8 @@ pub struct Request {
     /// `None` means no deadline.
     pub deadline: Option<Duration>,
     /// Additional execution attempts allowed after a *transient* failure
-    /// (a guard trip or noise-budget exhaustion). Retries run on a
-    /// freshly built engine with exponential backoff. `0` fails fast.
+    /// (a guard trip or noise-budget exhaustion). Retries run on the
+    /// session's cached engine with exponential backoff. `0` fails fast.
     pub max_retries: u32,
 }
 
@@ -338,30 +301,6 @@ impl<T> JobQueue<T> {
     }
 }
 
-/// True for failures worth re-executing: a guard trip or noise-budget
-/// blow-up can stem from transient engine state (or an injected fault),
-/// and a clean re-run on a fresh engine legitimately recovers. Compile
-/// errors, missing inputs, and evaluator bugs are deterministic — a
-/// retry would only repeat them.
-pub(crate) fn is_transient(e: &ExecError) -> bool {
-    matches!(
-        e,
-        ExecError::Guard { .. } | ExecError::BudgetExhausted { .. }
-    )
-}
-
-/// Renders a caught panic payload (the `&str`/`String` cases cover
-/// `panic!` with a message; anything else is typed opaquely).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 pub(crate) struct Inner {
     pub(crate) config: RuntimeConfig,
     pub(crate) cache: PlanCache,
@@ -372,8 +311,8 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// The supervised serving loop: catches any panic that escapes the
-    /// per-request isolation in [`Inner::serve_with`], counts a respawn,
+    /// The supervised serving loop: catches the panic a request re-raises
+    /// after its `Panicked` reply (or any that escapes it), counts a respawn,
     /// and re-enters the loop — a panicked worker recycles instead of
     /// dying. Returns only when the queue is closed and drained
     /// (shutdown).
@@ -392,13 +331,12 @@ impl Inner {
     /// Serves jobs until the queue is closed and drained. `pop` parks on
     /// the queue's condvar when idle and returns `None` only once the
     /// queue is closed *and* empty, so shutdown never drops a request
-    /// that was accepted. Every job goes through the coalescer, which
-    /// serves it solo when no compatible request joins it (always, at
-    /// `max_batch` 1).
+    /// that was accepted. Every job is served as a group with the
+    /// same-plan requests that join it (none, at `max_batch` 1).
     fn worker_loop(&self) {
         while let Some(job) = self.queue.pop() {
             self.dequeued(&job);
-            crate::batch::serve_coalesced(self, job);
+            crate::serve::serve(self, job);
         }
     }
 
@@ -414,205 +352,6 @@ impl Inner {
                 ("req_id", job.req_id.into()),
             ]
         });
-    }
-
-    /// Serves one job solo: panic isolation, typed response, stats. The
-    /// chaos decision is made by the caller so a batch member degraded to
-    /// solo execution never draws a second injection.
-    pub(crate) fn serve_with(&self, job: Job, injection: Option<ChaosInjection>) {
-        // Every event this request produces from here on — including
-        // backend exec-op spans deep inside the engine — is stamped with
-        // its correlation id via the thread-local context.
-        let _ctx = trace::push_context(job.req_id, 0);
-        let mut span = trace::span_with("request", || {
-            vec![
-                ("session", job.req.session.into()),
-                ("func", job.req.func.name.as_str().into()),
-                ("scheme", job.req.scheme.to_string().into()),
-            ]
-        });
-        if let Some(inj) = &injection {
-            span.attr("chaos", inj.kind_str().into());
-        }
-        let t0 = Instant::now();
-        // Panic isolation boundary: whatever happens inside `process` —
-        // a compiler bug, an executor bug, an injected chaos panic — the
-        // client gets exactly one typed terminal response.
-        let (result, repanic) =
-            match catch_unwind(AssertUnwindSafe(|| self.process_with(&job, injection))) {
-                Ok(result) => (result, None),
-                Err(payload) => {
-                    self.stats.panics.inc();
-                    let message = panic_message(payload.as_ref());
-                    trace::mark_with("panic-recovered", || {
-                        vec![
-                            ("session", job.req.session.into()),
-                            ("message", message.as_str().into()),
-                        ]
-                    });
-                    (Err(RuntimeError::Panicked { message }), Some(payload))
-                }
-            };
-        let busy_us = t0.elapsed().as_secs_f64() * 1e6;
-        let latency_us = job.enqueued.elapsed().as_secs_f64() * 1e6;
-        self.stats.record_done(result.is_ok(), latency_us, busy_us);
-        span.attr("ok", result.is_ok().into());
-        span.attr("latency_us", latency_us.into());
-        // Tail-based retention: close the span *first* so the retained
-        // tree includes the request End event, then promote the trace out
-        // of the ring if this request turned out interesting.
-        drop(span);
-        let reason = match &result {
-            Err(RuntimeError::Panicked { .. }) => Some("panicked"),
-            Err(RuntimeError::TimedOut { .. }) => Some("timed-out"),
-            Err(RuntimeError::Exec(e)) if is_transient(e) => Some("guard-failed"),
-            Err(_) => Some("failed"),
-            Ok(_) => self
-                .config
-                .slow_threshold
-                .filter(|t| latency_us >= t.as_secs_f64() * 1e6)
-                .map(|_| "slow"),
-        };
-        if let Some(reason) = reason {
-            recorder::retain_with(job.req_id, 0, reason);
-        }
-        if let (Err(RuntimeError::Panicked { message }), Some(diag)) = (&result, &self.config.diag)
-        {
-            // The black box is written at the catch site, before the
-            // panic resumes unwinding: the evidence must hit disk even if
-            // recycling the worker goes badly.
-            crate::diag::write_black_box(self, &diag.dir, job.req_id, message);
-        }
-        let result = result.map(|mut resp| {
-            resp.latency_us = latency_us;
-            resp
-        });
-        // A dropped receiver means the client gave up; nothing to do.
-        let _ = job.reply.send(result);
-        if let Some(payload) = repanic {
-            // The response is out; now let the panic finish unwinding so
-            // the supervisor recycles this worker. Any state the panic
-            // touched is suspect — a fresh loop iteration is cheap.
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    /// One request's full solo lifecycle: plan resolution, chaos
-    /// application, execution, and the retry loop. The injection is
-    /// decided by the caller, once per request, not per attempt: a retry
-    /// of an injected failure runs clean, so the soak test proves the
-    /// retry path actually recovers.
-    fn process_with(
-        &self,
-        job: &Job,
-        injection: Option<ChaosInjection>,
-    ) -> Result<Response, RuntimeError> {
-        let req = &job.req;
-        let key = job.key;
-        let cancel = req
-            .deadline
-            .map(|d| CancelToken::with_deadline(job.enqueued + d));
-        let mut attempt: u32 = 0;
-        loop {
-            if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                self.stats.timeouts.inc();
-                return Err(RuntimeError::TimedOut {
-                    elapsed: job.enqueued.elapsed(),
-                });
-            }
-            // The hit flag comes from inside the cache's own lock — a
-            // separate pre-probe would race with concurrent publication
-            // and could mislabel a single-flight waiter.
-            let (artifact, cache_hit) =
-                self.cache
-                    .get_or_compile_keyed(key, &req.func, req.scheme, &req.options)?;
-            let session = self.sessions.get(req.session)?;
-            let injected = if attempt == 0 {
-                injection.clone()
-            } else {
-                None
-            };
-            if let Some(ChaosInjection::Panic) = injected {
-                panic!("chaos: injected worker panic");
-            }
-            if let Some(ChaosInjection::Latency(d)) = injected {
-                std::thread::sleep(d);
-            }
-            let engine = match &injected {
-                Some(ChaosInjection::Fault(fault)) => {
-                    // A one-off sabotaged engine from the session's own
-                    // constructor, never cached: the fault cannot leak
-                    // into other requests, and the session seed keeps its
-                    // keys identical to the real ones.
-                    let opts = BackendOptions {
-                        fault: Some(fault.clone()),
-                        ..self.config.backend.clone()
-                    };
-                    Arc::new(
-                        session
-                            .build_engine(&artifact, 1, &opts)
-                            .map_err(RuntimeError::Exec)?,
-                    )
-                }
-                _ => session
-                    .engine(&artifact, 1, &self.config.backend)?
-                    .expect("occupancy 1 fits every plan"),
-            };
-            let run = execute(
-                &engine,
-                &[&req.inputs],
-                self.config.jobs_per_request,
-                None,
-                cancel.as_ref(),
-            )
-            .map(|mut runs| runs.pop().expect("one run per tenant"));
-            match run {
-                Ok(run) => {
-                    self.stats
-                        .record_precision(req.session, run.min_margin_bits);
-                    return Ok(Response {
-                        run,
-                        cache_hit,
-                        plan_key: key,
-                        latency_us: 0.0,
-                        retries: attempt,
-                        batch_occupancy: 1,
-                        req_id: job.req_id,
-                    });
-                }
-                Err(ExecError::Cancelled { .. }) => {
-                    self.stats.timeouts.inc();
-                    return Err(RuntimeError::TimedOut {
-                        elapsed: job.enqueued.elapsed(),
-                    });
-                }
-                Err(e) if attempt < req.max_retries && is_transient(&e) => {
-                    attempt += 1;
-                    self.stats.retries.inc();
-                    trace::mark_with("retry", || {
-                        vec![
-                            ("attempt", u64::from(attempt).into()),
-                            ("plan_key", key.into()),
-                            ("cause", e.to_string().into()),
-                        ]
-                    });
-                    // The failure may stem from engine state; rebuild
-                    // from the artifact on the next attempt.
-                    session.invalidate(key, 1);
-                    let exp = (attempt - 1).min(7);
-                    let mut backoff = RETRY_BACKOFF_BASE
-                        .saturating_mul(1u32 << exp)
-                        .min(RETRY_BACKOFF_CAP);
-                    if let Some(deadline) = cancel.as_ref().and_then(CancelToken::deadline) {
-                        // Never sleep past the deadline; the loop head
-                        // turns the expiry into a typed timeout.
-                        backoff = backoff.min(deadline.saturating_duration_since(Instant::now()));
-                    }
-                    std::thread::sleep(backoff);
-                }
-                Err(e) => return Err(RuntimeError::Exec(e)),
-            }
-        }
     }
 }
 
@@ -789,18 +528,16 @@ impl Runtime {
         self.inner.stats.prometheus()
     }
 
-    /// Drains the queue and joins the worker threads.
-    pub fn shutdown(mut self) {
-        self.inner.queue.close(); // workers drain what remains, then exit
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+    /// Drains the queue and joins the worker threads: what dropping the
+    /// runtime does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        self.inner.queue.close();
+        self.inner.queue.close(); // workers drain what remains, then exit
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }

@@ -146,15 +146,6 @@ impl Session {
         };
         ExecEngine::new(artifact.prog.clone(), &opts)
     }
-
-    /// Drops the cached engine for `(plan_key, occupancy)`, so the next
-    /// request builds a fresh one. The retry path and a degraded batch
-    /// call this after a transient execution failure: re-running on a
-    /// rebuilt engine rules out any state the failure (or an injected
-    /// fault) left behind.
-    pub fn invalidate(&self, plan_key: u64, occupancy: usize) {
-        lock(&self.engines).remove(&(plan_key, occupancy));
-    }
 }
 
 /// The seed of session `id`: an FNV-1a mix, so neighboring ids get

@@ -47,7 +47,7 @@
 //!   --deadline-ms D                 serve mode: per-request deadline; expiry in queue
 //!                                   or mid-run fails the request as timed out
 //!   --retries R                     serve mode: re-execute transient failures up to R
-//!                                   times on a fresh engine (default 0)
+//!                                   times on the session's engine (default 0)
 //!   --queue-cap N                   serve mode: bound on queued requests; a full
 //!                                   queue rejects submissions (default 4096)
 //!   --admission-budget-ms B         serve mode: shed cached-plan requests whose
@@ -799,13 +799,19 @@ fn run_single(cli: &Cli, func: &Function) -> u8 {
             "NOT 128-bit secure"
         }
     );
+    // A plan file carries no search statistics: only a plan compiled here
+    // has SMU, use-edge and exploration counts to print.
+    let search = match cli.load_plan {
+        Some(_) => String::new(),
+        None => format!(
+            " | {} SMUs over {} uses | {} plans explored",
+            prog.stats.smu_units, prog.stats.use_edges, prog.stats.plans_explored
+        ),
+    };
     println!(
-        "stats: {} ops | estimated {:.1}ms | {} SMUs over {} uses | {} plans explored",
+        "stats: {} ops | estimated {:.1}ms{search}",
         prog.func.len(),
-        prog.stats.estimated_latency_us / 1e3,
-        prog.stats.smu_units,
-        prog.stats.use_edges,
-        prog.stats.plans_explored
+        prog.stats.estimated_latency_us / 1e3
     );
 
     if cli.mode() == RUN {

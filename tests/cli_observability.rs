@@ -509,3 +509,24 @@ fn every_panicked_request_leaves_a_black_box() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A plan file carries no search statistics, so only the compile that
+/// wrote it prints SMU, use-edge and exploration counts; the reload
+/// prints none rather than counts recomputed from the scale-managed
+/// program (it used to report "0 SMUs over 12 uses").
+#[test]
+fn a_reloaded_plan_prints_no_search_statistics() {
+    let plan = tmp("stats.plan");
+    let plan_arg = plan.to_str().unwrap();
+    let (code, saved, stderr) = run_poly(&["--save-plan", plan_arg, "--quiet"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(saved.contains("5 SMUs over 8 uses"), "{saved}");
+    let (code, loaded, stderr) = run_poly(&["--load-plan", plan_arg, "--quiet"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(loaded.contains("stats: 10 ops"), "{loaded}");
+    assert!(
+        !loaded.contains("SMUs") && !loaded.contains("plans explored"),
+        "{loaded}"
+    );
+    let _ = std::fs::remove_file(plan);
+}
