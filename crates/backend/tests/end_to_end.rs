@@ -188,6 +188,27 @@ fn missing_input_is_reported() {
     assert!(matches!(err, ExecError::MissingInput { .. }));
 }
 
+#[test]
+fn an_input_the_modulus_cannot_hold_is_an_encode_error() {
+    // `x + x` at waterline 24 runs on one 46-bit prime. x = 2^26 at scale
+    // 2^24 is a 2^50 coefficient, past q0/2: encoding it would wrap.
+    let mut b = FunctionBuilder::new("double", 8);
+    let x = b.input_cipher("x");
+    let y = b.add(x, x);
+    b.output(y);
+    let prog = compile(&b.finish(), Scheme::Hecate, &opts(24.0, 512)).unwrap();
+    assert_eq!((prog.params.chain_len, prog.params.q0_bits), (1, 46));
+    let ins = HashMap::from([("x".to_string(), vec![2f64.powi(26); 8])]);
+    let err = execute_encrypted(&prog, &ins, &BackendOptions::default()).map(|r| r.outputs);
+    assert!(
+        matches!(
+            err,
+            Err(ExecError::Encode(EncodeError::ScaleOverflow { .. }))
+        ),
+        "{err:?}"
+    );
+}
+
 /// `base`'s parameters under a plan no compiler scheme emits: a constant
 /// encoded at 2^20, a plaintext `upscale` to `target_bits`, and `combine`
 /// of the cipher input `x` with the result. The plan passes the verifier

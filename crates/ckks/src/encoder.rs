@@ -9,7 +9,9 @@
 //! Implementation: evaluations at the odd powers `ζ^{2t+1}` are the plain
 //! `N`-point DFT of the ζ-twisted coefficients, so encode = scatter slots to
 //! their orbit positions → inverse FFT → untwist → scale and round; decode
-//! is the reverse with an exact CRT reconstruction of each coefficient.
+//! is the reverse, from each coefficient's centered lift
+//! ([`RnsPoly::lift_centered`]). A coefficient must stay below half the
+//! level's modulus, or it would wrap and decode as a different value.
 
 use crate::cipher::Plaintext;
 use crate::params::CkksParams;
@@ -26,8 +28,9 @@ pub enum EncodeError {
         /// Slots available.
         slots: usize,
     },
-    /// An encoded coefficient overflowed the 128-bit staging integer; the
-    /// scale (plus message magnitude) is too large.
+    /// An encoded coefficient does not fit: it reaches half the level's
+    /// modulus `Q_level/2` (it would wrap) or overflows the 128-bit staging
+    /// integer. The scale (plus message magnitude) is too large.
     ScaleOverflow {
         /// The offending scale in bits.
         scale_bits: f64,
@@ -98,8 +101,8 @@ impl CkksEncoder {
     /// Fewer values than slots are zero-padded.
     ///
     /// # Errors
-    /// Returns an error if too many values are given or the scale overflows
-    /// the 128-bit staging representation.
+    /// Returns an error if too many values are given or a coefficient
+    /// reaches half the level's modulus (see [`EncodeError::ScaleOverflow`]).
     pub fn encode(
         &self,
         values: &[f64],
@@ -140,7 +143,10 @@ impl CkksEncoder {
         self.fft.forward(&mut evals);
         let scale = scale_bits.exp2() / n as f64;
         let mut coeffs = vec![0i128; n];
-        let limit = 2f64.powi(124);
+        let prefix = self.params.prefix_at_level(level);
+        let primes = &self.params.basis().primes()[..prefix];
+        let half_q = primes.iter().map(|&q| q as f64).product::<f64>() / 2.0;
+        let limit = half_q.min(2f64.powi(124));
         for (j, e) in evals.iter().enumerate() {
             let c = (*e * self.twist[j].conj()).re * scale;
             if !c.is_finite() || c.abs() >= limit {
@@ -148,7 +154,6 @@ impl CkksEncoder {
             }
             coeffs[j] = c.round() as i128;
         }
-        let prefix = self.params.prefix_at_level(level);
         let poly = RnsPoly::from_i128_coeffs(self.params.basis(), prefix, &coeffs);
         Ok(Plaintext {
             poly,
@@ -170,19 +175,14 @@ impl CkksEncoder {
         let mut poly = pt.poly.clone();
         poly.to_coeff(self.params.basis());
         let n = self.params.degree();
-        let c = poly.prefix();
-        let rec = self.params.basis().reconstructor(c);
-        let mut evals = vec![Complex64::default(); n];
-        let mut rs = vec![0u64; c];
-        for j in 0..n {
-            for (i, r) in rs.iter_mut().enumerate() {
-                *r = poly.residue(i)[j];
-            }
-            let v = rec.reconstruct_centered_f64(&rs, pt.scale_bits);
-            // Pre-scale by N to cancel the plan's 1/N normalization: the
-            // evaluations are the ω^{+jt} transform *without* normalization.
-            evals[j] = (Complex64::new(v, 0.0) * self.twist[j]).scale(n as f64);
-        }
+        // Pre-scale by N to cancel the plan's 1/N normalization: the
+        // evaluations are the ω^{+jt} transform *without* normalization.
+        let mut evals: Vec<Complex64> = poly
+            .lift_centered(self.params.basis(), pt.scale_bits)
+            .into_iter()
+            .zip(&self.twist)
+            .map(|(v, &w)| (Complex64::new(v, 0.0) * w).scale(n as f64))
+            .collect();
         self.fft.inverse(&mut evals);
         (0..self.slots()).map(|j| evals[self.slot_pos[j]]).collect()
     }
@@ -305,6 +305,26 @@ mod tests {
             enc.encode(&[1.0], 130.0, 0),
             Err(EncodeError::ScaleOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn encode_rejects_a_coefficient_the_level_cannot_hold() {
+        // At level 2 only q0 (45 bits) is left. 2^22 in every slot at scale
+        // 2^24 is the constant coefficient 2^46, past q0/2: it would wrap.
+        let (_, enc) = setup();
+        let at = |v: f64| vec![v; enc.slots()];
+        assert!(matches!(
+            enc.encode(&at(2f64.powi(22)), 24.0, 2),
+            Err(EncodeError::ScaleOverflow { .. })
+        ));
+        // The full chain holds it, and 2^19 (coefficient 2^43) fits q0.
+        for (v, level) in [(2f64.powi(22), 0), (2f64.powi(19), 2)] {
+            let out = enc.decode(&enc.encode(&at(v), 24.0, level).unwrap());
+            assert!(
+                out.iter().all(|o| (o / v - 1.0).abs() < 1e-6),
+                "{v} at {level}"
+            );
+        }
     }
 
     #[test]

@@ -487,11 +487,7 @@ mod tests {
         check.mul_assign_pointwise(&s, p.basis());
         check.add_assign(&pk.b, p.basis());
         check.to_coeff(p.basis());
-        let c = p.basis().chain_len();
-        let rec = p.basis().reconstructor(c);
-        for idx in 0..p.degree() {
-            let rs: Vec<u64> = (0..c).map(|i| check.residue(i)[idx]).collect();
-            let v = rec.reconstruct_centered_f64(&rs, 0.0);
+        for v in check.lift_centered(p.basis(), 0.0) {
             assert!(v.abs() < 64.0, "noise too large: {v}");
         }
     }
@@ -609,12 +605,12 @@ mod tests {
         rhs.mul_assign_pointwise(target, p.basis());
         rhs.to_coeff(p.basis());
 
-        let rec = p.basis().reconstructor(c);
-        for idx in 0..p.degree() {
-            let l: Vec<u64> = (0..c).map(|i| lhs.residue(i)[idx]).collect();
-            let r: Vec<u64> = (0..c).map(|i| rhs.residue(i)[idx]).collect();
-            let diff =
-                rec.reconstruct_centered_f64(&l, 0.0) - rec.reconstruct_centered_f64(&r, 0.0);
+        let (l, r) = (
+            lhs.lift_centered(p.basis(), 0.0),
+            rhs.lift_centered(p.basis(), 0.0),
+        );
+        for (idx, (l, r)) in l.iter().zip(&r).enumerate() {
+            let diff = l - r;
             // Key-switch noise ≈ c·N·q_max/(2P) plus mod-down rounding — tiny
             // relative to any working scale; bound loosely.
             assert!(

@@ -16,7 +16,7 @@
 //! - **Typing** — the inference rules Eq. 1–6 hold at every operation;
 //! - **Waterline** — every ciphertext scale stays at or above `S_w` (C2);
 //! - **ModulusBudget** — scale plus `level·S_f` fits the modulus budget at
-//!   every program point (C1);
+//!   every program point, and no level exceeds the chain's last (C1);
 //! - **LevelMonotonicity** — levels never decrease along def-use edges
 //!   (RNS prefixes only shrink);
 //! - **RescaleLegality** — each `rescale` sheds exactly `S_f` bits and
@@ -181,7 +181,10 @@ pub fn verify_input(func: &Function, pass: &str) -> Result<(), VerifyError> {
 /// returns the inferred types on success.
 ///
 /// Runs after every compiler pass; `pass` names the producer for the
-/// error report.
+/// error report. Type inference enforces the modulus budget (C1), the
+/// chain's `max_level` and the rescale rule (Eq. 3) itself, and its
+/// failures are classified by invariant; the loop here adds the checks
+/// inference does not make.
 ///
 /// # Errors
 /// Returns the first [`VerifyError`] found, in definition order.
@@ -216,34 +219,6 @@ pub fn verify_plan(
             }
         }
 
-        // Modulus budget (C1), when the chain is already fixed.
-        if let (Some(scale), Some(level)) = (ty.scale(), ty.level()) {
-            if let Some(budget) = cfg.budget_at(level) {
-                if scale > budget + SCALE_EPS {
-                    return Err(VerifyError::new(
-                        pass,
-                        Some(at),
-                        Some(op.mnemonic()),
-                        Invariant::ModulusBudget,
-                        format!(
-                            "scale 2^{scale:.2} exceeds 2^{budget:.2} available at level {level}"
-                        ),
-                    ));
-                }
-            }
-            if let Some(max) = cfg.max_level {
-                if level > max {
-                    return Err(VerifyError::new(
-                        pass,
-                        Some(at),
-                        Some(op.mnemonic()),
-                        Invariant::ModulusBudget,
-                        format!("level {level} exceeds chain maximum {max}"),
-                    ));
-                }
-            }
-        }
-
         // Level monotonicity along def-use edges. `encode` mints a fresh
         // plaintext at an arbitrary level, so it is exempt.
         if !matches!(op, Op::Encode { .. }) {
@@ -263,26 +238,6 @@ pub fn verify_plan(
                         }
                     }
                 }
-            }
-        }
-
-        // Rescale legality (Eq. 3): a rescale sheds exactly S_f bits and
-        // its result must sit at or above the waterline.
-        if let Op::Rescale(v) = op {
-            let before = types[v.index()].scale().unwrap_or(0.0);
-            let after = ty.scale().unwrap_or(0.0);
-            if (before - after - cfg.rescale_bits).abs() > SCALE_EPS {
-                return Err(VerifyError::new(
-                    pass,
-                    Some(at),
-                    Some(op.mnemonic()),
-                    Invariant::RescaleLegality,
-                    format!(
-                        "rescale dropped {:.2} bits, expected S_f = {:.2}",
-                        before - after,
-                        cfg.rescale_bits
-                    ),
-                ));
             }
         }
     }
@@ -367,6 +322,18 @@ mod tests {
         c.modulus_bits = Some(70.0);
         let e = verify_plan(&f, &c, "p").unwrap_err();
         assert_eq!(e.invariant, Invariant::ModulusBudget);
+
+        // One level past the chain's last is C1 too.
+        let mut f = Function::new("t", 4);
+        let x = f.push(Op::Input { name: "x".into() });
+        let m = f.push(Op::ModSwitch(x));
+        let m2 = f.push(Op::ModSwitch(m)); // level 2
+        f.mark_output("o", m2);
+        let mut c = cfg();
+        c.max_level = Some(1);
+        let e = verify_plan(&f, &c, "p").unwrap_err();
+        assert_eq!(e.invariant, Invariant::ModulusBudget);
+        assert_eq!(e.at, Some(m2));
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //!   NTT-friendly primes `p ≡ 1 (mod 2N)`;
 //! - [`ntt`] — the negacyclic number-theoretic transform over
 //!   `Z_q[X]/(X^N + 1)`;
-//! - [`bigint`] — a minimal unsigned big integer used for exact CRT
-//!   reconstruction when decoding;
 //! - [`fft`] — a complex FFT used by the CKKS canonical embedding;
 //! - [`rng`] — deterministic, seedable pseudo-random generators and the
 //!   samplers (uniform, ternary, centered binomial) required by RLWE;
 //! - [`rns`] — residue-number-system bases with the precomputations for
-//!   rescaling and CRT reconstruction;
-//! - [`poly`] — polynomials in RNS representation with NTT-domain tracking;
+//!   rescaling and key-switch mod-down;
+//! - [`poly`] — polynomials in RNS representation with NTT-domain tracking,
+//!   and the centered lift that decodes them without multi-precision
+//!   arithmetic;
 //! - [`par`] — striping over independent RNS limbs, and the one scoped
 //!   spawn-and-join helper every thread inside a request runs on;
 //! - [`scratch`] — a thread-local pool of scratch residue buffers.
@@ -39,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bigint;
 pub mod fft;
 pub mod modular;
 pub mod ntt;

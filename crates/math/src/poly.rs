@@ -208,6 +208,59 @@ impl RnsPoly {
         }
     }
 
+    /// Lifts every coefficient to its centered value modulo `Q_c`, the
+    /// product of the active primes, divided by `2^scale_bits`.
+    ///
+    /// Balanced mixed-radix (Garner) digits `d_i ∈ [−(q_i−1)/2, (q_i−1)/2]`
+    /// are peeled off from the last prime down: `d_{c−1}` is the centered
+    /// last residue, and [`RnsPoly::rescale_last`] leaves `(x − d_{c−1})/q_{c−1}`
+    /// on the lower limbs. Then
+    /// `x = (…(d_0·q_1 + d_1)·q_2 + …)·q_{c−1} + d_{c−1}` is the centered
+    /// representative in `[−(Q_c−1)/2, (Q_c−1)/2]`, found with word
+    /// arithmetic only. Below 2^127, `x` is exact in `i128` and converted
+    /// from its top 64 bits (exactly rounded below 2^64); above, Horner runs
+    /// in `f64`, accurate to a few ulps. Unreduced residues (`≥ q`) are
+    /// reduced first.
+    ///
+    /// # Panics
+    /// Panics if in NTT form.
+    pub fn lift_centered(&self, basis: &RnsBasis, scale_bits: f64) -> Vec<f64> {
+        assert!(!self.is_ntt, "lifting requires coefficient form");
+        let mut rest = RnsPoly {
+            residues: (self.residues.iter().enumerate())
+                .map(|(i, r)| {
+                    let q = basis.prime(i);
+                    r.iter().map(|&x| x % q).collect()
+                })
+                .collect(),
+            is_ntt: false,
+        };
+        // `digits[i]`: the residues of digit `d_i` modulo `q_i`.
+        let mut digits = Vec::with_capacity(self.prefix());
+        while rest.prefix() > 1 {
+            digits.push(rest.residues[rest.prefix() - 1].clone());
+            rest.rescale_last(basis);
+        }
+        digits.append(&mut rest.residues);
+        digits.reverse();
+        let digit = |i: usize, k: usize| RnsBasis::center(digits[i][k], basis.prime(i));
+        let unit = (-scale_bits).exp2();
+        (0..digits[0].len())
+            .map(|k| {
+                let exact = (1..digits.len()).try_fold(digit(0, k) as i128, |x, i| {
+                    x.checked_mul(basis.prime(i) as i128)?
+                        .checked_add(digit(i, k) as i128)
+                });
+                match exact {
+                    Some(x) => scaled_f64(x, scale_bits),
+                    None => (1..digits.len()).fold(digit(0, k) as f64 * unit, |x, i| {
+                        x * basis.prime(i) as f64 + digit(i, k) as f64 * unit
+                    }),
+                }
+            })
+            .collect()
+    }
+
     /// Truncates to the first `c` primes (valid in either domain, since
     /// residues are per-prime independent). Used when encrypting or encoding
     /// at a lower level with key material generated over the full chain.
@@ -267,6 +320,19 @@ impl RnsPoly {
             residues,
             is_ntt: true,
         }
+    }
+}
+
+/// `x / 2^scale_bits`, rounded from the top 64 bits of `|x|` (so exactly
+/// rounded below 2^64).
+fn scaled_f64(x: i128, scale_bits: f64) -> f64 {
+    let m = x.unsigned_abs();
+    let top = (128 - m.leading_zeros()).saturating_sub(64);
+    let v = (m >> top) as u64 as f64 * (top as f64 - scale_bits).exp2();
+    if x < 0 {
+        -v
+    } else {
+        v
     }
 }
 
@@ -354,9 +420,7 @@ mod tests {
         let mut p = RnsPoly::from_i128_coeffs(&b, 3, &coeffs);
         p.rescale_last(&b);
         assert_eq!(p.prefix(), 2);
-        let rec = b.reconstructor(2);
-        let rs: Vec<u64> = (0..2).map(|i| p.residue(i)[0]).collect();
-        let v = rec.reconstruct_centered_f64(&rs, 0.0);
+        let v = p.lift_centered(&b, 0.0)[0];
         assert!((v - 1000.0).abs() <= 1.0, "got {v}");
     }
 
@@ -364,14 +428,110 @@ mod tests {
     fn drop_last_keeps_small_value() {
         let b = basis();
         let mut p = random_poly(&b, 3, 5);
-        let before = b
-            .reconstructor(3)
-            .reconstruct_centered_f64(&(0..3).map(|i| p.residue(i)[7]).collect::<Vec<_>>(), 0.0);
+        let before = p.lift_centered(&b, 0.0)[7];
         p.drop_last();
-        let after = b
-            .reconstructor(2)
-            .reconstruct_centered_f64(&(0..2).map(|i| p.residue(i)[7]).collect::<Vec<_>>(), 0.0);
+        let after = p.lift_centered(&b, 0.0)[7];
         assert_eq!(before, after, "small values survive modswitch");
+    }
+
+    /// Coefficient 0 of a polynomial holding `x`, lifted at `scale_bits`.
+    fn lift_one(b: &RnsBasis, c: usize, x: i128, scale_bits: f64) -> f64 {
+        let mut coeffs = vec![0; b.degree()];
+        coeffs[0] = x;
+        RnsPoly::from_i128_coeffs(b, c, &coeffs).lift_centered(b, scale_bits)[0]
+    }
+
+    #[test]
+    fn lift_exact_for_small_values() {
+        let b = basis();
+        for x in [123_456_789i128, -123_456_789] {
+            assert_eq!(lift_one(&b, 3, x, 0.0), x as f64);
+            assert_eq!(lift_one(&b, 3, x, 10.0), x as f64 / 1024.0);
+        }
+    }
+
+    #[test]
+    fn lift_top_bits_accuracy() {
+        // Three 45-bit primes: Q ≈ 2^135 holds a 122-bit value whose top 53
+        // bits determine the result.
+        let b = RnsBasis::generate(16, 45, 45, 3, 45);
+        let x = 0x0123_4567_89AB_CDEF_i128 * u64::MAX as i128 * 3;
+        let expect = 0x0123_4567_89AB_CDEF_u64 as f64 * (u64::MAX as f64) * 3.0 / 2f64.powi(64);
+        for sign in [1, -1] {
+            let got = lift_one(&b, 3, sign * x, 64.0);
+            assert!(
+                (got / (sign as f64 * expect) - 1.0).abs() < 1e-12,
+                "{got} vs {expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn lift_extremes_keep_sign_and_magnitude() {
+        let b = basis();
+        for c in [1, 2] {
+            let q: i128 = b.primes()[..c].iter().map(|&q| q as i128).product();
+            let half = (q - 1) / 2;
+            for x in [half, -half, -1] {
+                let got = lift_one(&b, c, x, 0.0);
+                assert_eq!(got.signum(), x.signum() as f64, "prefix {c}: {x}");
+                assert!(
+                    (got / x as f64 - 1.0).abs() <= f64::EPSILON,
+                    "prefix {c}: {x} -> {got}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lift_reduces_unreduced_residues() {
+        let b = basis();
+        let p = random_poly(&b, 3, 10);
+        let mut unreduced = p.clone();
+        for i in 0..3 {
+            let q = b.prime(i);
+            unreduced.residue_mut(i)[0] = q; // what a corrupted limb holds
+            for r in &mut unreduced.residue_mut(i)[1..] {
+                *r += q;
+            }
+        }
+        let mut zeroed = p.clone();
+        for i in 0..3 {
+            zeroed.residue_mut(i)[0] = 0;
+        }
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(unreduced.lift_centered(&b, 20.0)),
+            bits(zeroed.lift_centered(&b, 20.0))
+        );
+    }
+
+    #[test]
+    fn lift_above_2_127_falls_back_to_f64() {
+        use crate::modular::{mul_mod, pow_mod};
+        // Five 45-bit primes: Q ≈ 2^225.
+        let b = RnsBasis::generate(16, 45, 45, 5, 45);
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        for k in [100u64, 130, 170] {
+            for s in [0.0, 30.29] {
+                let a = rng.next_u64() >> 11 | 1 << 52;
+                let mut p = RnsPoly::zero(&b, 5, false);
+                for i in 0..5 {
+                    let q = b.prime(i);
+                    let r = mul_mod(a % q, pow_mod(2, k, q), q);
+                    p.residue_mut(i)[0] = r;
+                    p.residue_mut(i)[1] = (q - r) % q;
+                }
+                let want = a as f64 * (k as f64 - s).exp2();
+                let got = p.lift_centered(&b, s);
+                for (got, want) in [(got[0], want), (got[1], -want)] {
+                    assert!(
+                        (got / want - 1.0).abs() < 1e-14,
+                        "a·2^{k}, s={s}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! active prime, `modswitch` merely drops it.
 //!
 //! [`RnsBasis`] owns the primes, their NTT tables, and the inverse tables
-//! needed for rescaling and key-switch mod-down. [`CrtReconstructor`]
-//! provides exact reconstruction of centered values for decoding.
+//! needed for rescaling and key-switch mod-down. Decoding needs no table of
+//! its own: [`RnsPoly::lift_centered`](crate::poly::RnsPoly::lift_centered)
+//! peels off balanced mixed-radix digits with the rescaling inverses, in
+//! word arithmetic.
 
-use crate::bigint::UBig;
 use crate::modular::{inv_mod, mul_mod, sub_mod};
 use crate::ntt::NttTable;
 use crate::prime::generate_ntt_primes;
@@ -124,7 +125,7 @@ impl RnsBasis {
     }
 
     /// `q_{c-1}^{-1} mod q_i` for rescaling away the last prime of a
-    /// `c`-prime prefix.
+    /// `c`-prime prefix (and for each digit step of the centered lift).
     pub fn inv_last_prime(&self, c: usize, i: usize) -> u64 {
         self.inv_last[c - 1][i]
     }
@@ -137,11 +138,6 @@ impl RnsBasis {
     /// log2 of the prefix product `Q_c` (sum of prime bit sizes).
     pub fn prefix_log2(&self, c: usize) -> f64 {
         self.primes[..c].iter().map(|&q| (q as f64).log2()).sum()
-    }
-
-    /// Builds an exact CRT reconstructor for the prefix of length `c`.
-    pub fn reconstructor(&self, c: usize) -> CrtReconstructor {
-        CrtReconstructor::new(&self.primes[..c])
     }
 
     /// Centers a residue `x mod q` into `(-q/2, q/2]` as a signed integer.
@@ -164,97 +160,9 @@ impl RnsBasis {
     }
 }
 
-/// Exact centered CRT reconstruction over a prime prefix.
-///
-/// Used by the decoder: it maps a residue vector back to the centered
-/// integer value as a scaled `f64`. Exactness matters because `Q` can be
-/// hundreds of bits — see [`UBig`].
-#[derive(Debug)]
-pub struct CrtReconstructor {
-    primes: Vec<u64>,
-    /// `Q = Π q_i`.
-    q_big: UBig,
-    /// `Q/2`, for centering.
-    half_q: UBig,
-    /// Punctured products `Q/q_i`.
-    punctured: Vec<UBig>,
-    /// `[(Q/q_i)^{-1}]_{q_i}`.
-    inv_punctured: Vec<u64>,
-}
-
-impl CrtReconstructor {
-    /// Builds the reconstruction tables for the given primes.
-    pub fn new(primes: &[u64]) -> Self {
-        assert!(!primes.is_empty());
-        let mut q_big = UBig::from(1u64);
-        for &q in primes {
-            q_big.mul_u64(q);
-        }
-        let mut half_q = q_big.clone();
-        half_q.shr1();
-        let punctured: Vec<UBig> = (0..primes.len())
-            .map(|i| {
-                let mut p = UBig::from(1u64);
-                for (l, &q) in primes.iter().enumerate() {
-                    if l != i {
-                        p.mul_u64(q);
-                    }
-                }
-                p
-            })
-            .collect();
-        let inv_punctured = (0..primes.len())
-            .map(|i| {
-                let qi = primes[i];
-                let mut prod = 1u64;
-                for (l, &q) in primes.iter().enumerate() {
-                    if l != i {
-                        prod = mul_mod(prod, q % qi, qi);
-                    }
-                }
-                inv_mod(prod, qi)
-            })
-            .collect();
-        CrtReconstructor {
-            primes: primes.to_vec(),
-            q_big,
-            half_q,
-            punctured,
-            inv_punctured,
-        }
-    }
-
-    /// Reconstructs the centered value of the residue vector `rs`
-    /// (one residue per prime) and returns it divided by `2^scale_bits`.
-    ///
-    /// # Panics
-    /// Panics if `rs.len()` differs from the number of primes.
-    pub fn reconstruct_centered_f64(&self, rs: &[u64], scale_bits: f64) -> f64 {
-        assert_eq!(rs.len(), self.primes.len());
-        // x = Σ_i [r_i · inv_i]_{q_i} · (Q/q_i)  (mod Q), accumulated exactly.
-        let mut acc = UBig::zero();
-        for (i, &r) in rs.iter().enumerate() {
-            let coef = mul_mod(r % self.primes[i], self.inv_punctured[i], self.primes[i]);
-            let mut term = self.punctured[i].clone();
-            term.mul_u64(coef);
-            acc.add_assign(&term);
-        }
-        acc.rem_assign_small(&self.q_big);
-        // Center into (-Q/2, Q/2].
-        if acc.cmp_big(&self.half_q) == std::cmp::Ordering::Greater {
-            let mut neg = self.q_big.clone();
-            neg.sub_assign(&acc);
-            -neg.to_f64_scaled(scale_bits)
-        } else {
-            acc.to_f64_scaled(scale_bits)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modular::reduce_i64;
 
     fn basis() -> RnsBasis {
         RnsBasis::generate(64, 40, 30, 4, 40)
@@ -328,13 +236,19 @@ mod tests {
         }
     }
 
+    /// The centered value of coefficient 0 of `v` lifted from the prefix
+    /// of length `c`, divided by `2^scale_bits`.
+    fn lift(b: &RnsBasis, c: usize, v: i64, scale_bits: f64) -> f64 {
+        let mut coeffs = vec![0; b.degree()];
+        coeffs[0] = v;
+        crate::poly::RnsPoly::from_signed_coeffs(b, c, &coeffs).lift_centered(b, scale_bits)[0]
+    }
+
     #[test]
     fn crt_reconstruction_roundtrip() {
         let b = basis();
-        let rec = b.reconstructor(3);
         for v in [0i64, 1, -1, 123_456_789, -987_654_321] {
-            let rs: Vec<u64> = (0..3).map(|i| reduce_i64(v, b.prime(i))).collect();
-            let got = rec.reconstruct_centered_f64(&rs, 0.0);
+            let got = lift(&b, 3, v, 0.0);
             assert!((got - v as f64).abs() < 1e-6, "v={v} got={got}");
         }
     }
@@ -342,11 +256,9 @@ mod tests {
     #[test]
     fn crt_reconstruction_scaled() {
         let b = basis();
-        let rec = b.reconstructor(4);
         // Encode 3.25 at scale 2^20.
         let v = (3.25f64 * (1u64 << 20) as f64).round() as i64;
-        let rs: Vec<u64> = (0..4).map(|i| reduce_i64(v, b.prime(i))).collect();
-        let got = rec.reconstruct_centered_f64(&rs, 20.0);
+        let got = lift(&b, 4, v, 20.0);
         assert!((got - 3.25).abs() < 1e-6);
     }
 

@@ -1,6 +1,5 @@
 //! Property-based tests for the number-theoretic substrate.
 
-use hecate_math::bigint::UBig;
 use hecate_math::modular::{add_mod, inv_mod, mul_mod, pow_mod, sub_mod, ShoupMul};
 use hecate_math::ntt::NttTable;
 use hecate_math::poly::RnsPoly;
@@ -86,41 +85,55 @@ proptest! {
     }
 
     #[test]
-    fn bigint_mul_add_matches_u128(a in any::<u64>(), m in any::<u64>(), v in any::<u64>()) {
-        let mut x = UBig::from(a);
-        x.mul_u64(m);
-        x.add_u64(v);
-        let expect = a as u128 * m as u128 + v as u128;
-        // Compare via the scaled f64 conversion at scale 0 for values in
-        // f64-exact range, else via bit length.
-        if expect < (1u128 << 52) {
-            prop_assert_eq!(x.to_f64_scaled(0.0) as u128, expect);
-        } else {
-            let bits = 128 - expect.leading_zeros();
-            prop_assert_eq!(x.bit_len(), bits);
-        }
-    }
-
-    #[test]
-    fn bigint_sub_inverts_add(a in any::<u64>(), b in any::<u64>()) {
-        let mut x = UBig::from(a);
-        x.mul_u64(b); // arbitrary value
-        let y = x.clone();
-        let mut z = x.clone();
-        z.add_assign(&y);
-        z.sub_assign(&y);
-        prop_assert_eq!(z, x);
-    }
-
-    #[test]
     fn crt_reconstruction_roundtrip(v in -(1i64 << 40)..(1i64 << 40)) {
         let basis = RnsBasis::generate(16, 45, 30, 3, 45);
-        let rec = basis.reconstructor(3);
-        let rs: Vec<u64> = (0..3)
-            .map(|i| hecate_math::modular::reduce_i64(v, basis.prime(i)))
-            .collect();
-        let got = rec.reconstruct_centered_f64(&rs, 0.0);
+        let mut coeffs = vec![0; 16];
+        coeffs[0] = v;
+        let got = RnsPoly::from_signed_coeffs(&basis, 3, &coeffs).lift_centered(&basis, 0.0)[0];
         prop_assert!((got - v as f64).abs() < 1e-3, "{got} vs {v}");
+    }
+
+    /// The centered lift against `i128 → f64`: draws in bit-length bands
+    /// 1–126 of both signs, on every prefix of chains whose `q0` and `S_f`
+    /// are 30, 45 and 60 bits. Below 2^64 it is bit-equal. Up to 2^127 it
+    /// rounds from the top 64 bits, one ulp off at most when `2^−s` is a
+    /// power of two; a fractional `s` adds one rounding of `exp2`.
+    #[test]
+    fn lift_matches_i128_conversion(
+        draws in proptest::collection::vec((1u32..127, any::<u64>(), any::<u64>(), any::<bool>()), 16),
+    ) {
+        let xs: Vec<i128> = draws
+            .iter()
+            .map(|&(bits, hi, lo, neg)| {
+                let m = (hi as u128) << 64 | lo as u128;
+                let x = ((m >> (128 - bits)) | (1u128 << (bits - 1))) as i128;
+                if neg { -x } else { x }
+            })
+            .collect();
+        for (bits, len) in [(30, 5), (45, 3), (60, 3)] {
+            let basis = RnsBasis::generate(16, bits, bits, len, bits);
+            for c in 1..=len {
+                // `None`: Q_c ≥ 2^128 holds every draw.
+                let q = basis.primes()[..c].iter().try_fold(1u128, |p, &q| p.checked_mul(q as u128));
+                let fits = |x: i128| q.is_none_or(|q| 2 * x.unsigned_abs() < q);
+                let held: Vec<i128> = xs.iter().map(|&x| if fits(x) { x } else { 0 }).collect();
+                let poly = RnsPoly::from_i128_coeffs(&basis, c, &held);
+                for s in [0.0, 24.0, 30.29, 59.7] {
+                    for (&x, got) in held.iter().zip(poly.lift_centered(&basis, s)) {
+                        let want = x as f64 * (-s).exp2();
+                        let ulps = (got.to_bits() as i64 - want.to_bits() as i64).abs();
+                        let bound = if x.unsigned_abs() < 1 << 64 {
+                            0
+                        } else if s == s.round() {
+                            1
+                        } else {
+                            2
+                        };
+                        prop_assert!(ulps <= bound, "x={x} s={s} prefix {c}: {got} vs {want}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

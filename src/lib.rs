@@ -4,7 +4,7 @@
 //! *"HECATE: Performance-Aware Scale Optimization for Homomorphic Encryption
 //! Compiler"* (Lee et al.). It re-exports the workspace crates:
 //!
-//! - [`math`] — number theory substrate (NTT, RNS, FFT, bigint, sampling);
+//! - [`math`] — number theory substrate (NTT, RNS, FFT, sampling);
 //! - [`ckks`] — a from-scratch RNS-CKKS homomorphic encryption scheme;
 //! - [`ir`] — the HECATE IR and its `(scale, level)` type system;
 //! - [`compiler`] — EVA baseline, PARS, SMU analysis, SMSE, and the
