@@ -18,13 +18,14 @@
 //! each chosen by the scale rule (rescale if the waterline allows,
 //! otherwise downscale if there is scale to shed, otherwise modswitch).
 //!
-//! All emissions are type-checked incrementally; every helper is memoized
-//! per value so parallel uses share the inserted operations.
+//! All emissions are type-checked incrementally (the early-modswitch
+//! rebuild is typed once, by the caller's verifier); every helper is
+//! memoized per value so parallel uses share the inserted operations.
 
 use crate::options::CompileError;
 use crate::smu::SmuAnalysis;
-use hecate_ir::types::{infer_op, infer_types, Type, TypeConfig, SCALE_EPS};
-use hecate_ir::{ConstData, Function, Op, ValueId};
+use hecate_ir::types::{infer_op, Type, TypeConfig, SCALE_EPS};
+use hecate_ir::{Function, Op, ValueId};
 use std::collections::HashMap;
 
 /// A plan reference: an optimization degree per edge of a unit analysis.
@@ -114,6 +115,17 @@ impl Emitter {
 
     fn is_free(&self, v: ValueId) -> bool {
         matches!(self.ty(v), Type::Free)
+    }
+
+    /// Canonical input has no operation of constants only: those fold
+    /// before scale management.
+    fn check_canonical(&self, op: &Op, operands: &[ValueId]) -> Result<(), CompileError> {
+        if operands.iter().all(|&v| self.is_free(v)) {
+            return Err(CompileError::UnsupportedInput {
+                reason: format!("{} of constants only: canonicalize first", op.mnemonic()),
+            });
+        }
+        Ok(())
     }
 
     fn memoized(&mut self, key: MemoKey, op: Op) -> Result<ValueId, CompileError> {
@@ -206,54 +218,19 @@ impl Emitter {
     }
 }
 
-/// Folds an operation on free constants (constant folding keeps input
-/// programs flexible about scalar pre-processing).
-fn fold_free(out_vec: usize, op: &Op, data: &[&ConstData]) -> ConstData {
-    let get = |d: &ConstData, i: usize| d.at(i);
-    match op {
-        Op::Add(..) => ConstData::vector(
-            (0..out_vec)
-                .map(|i| get(data[0], i) + get(data[1], i))
-                .collect(),
-        ),
-        Op::Sub(..) => ConstData::vector(
-            (0..out_vec)
-                .map(|i| get(data[0], i) - get(data[1], i))
-                .collect(),
-        ),
-        Op::Mul(..) => ConstData::vector(
-            (0..out_vec)
-                .map(|i| get(data[0], i) * get(data[1], i))
-                .collect(),
-        ),
-        Op::Negate(..) => ConstData::vector((0..out_vec).map(|i| -get(data[0], i)).collect()),
-        Op::Rotate { step, .. } => ConstData::vector(
-            (0..out_vec)
-                .map(|i| get(data[0], (i + step) % out_vec))
-                .collect(),
-        ),
-        // UNREACHABLE: the only call sites are the Negate/Rotate/Add/Sub/Mul
-        // arms of `generate`'s dispatch, which are exactly the arms above.
-        _ => unreachable!("fold_free on non-foldable op"),
-    }
-}
-
-/// Runs scale-management code generation over an input program.
+/// Runs scale-management code generation over a canonical input program
+/// ([`hecate_ir::transform::canonicalize`]: no operation of constants
+/// only) and returns the lowered function, dead code removed. Its types
+/// come from the caller's verifier.
 ///
 /// # Errors
-/// Returns a [`CompileError`] if the input is malformed or a transformation
-/// would violate the type system (a planner bug, or an infeasible plan that
-/// the explorer must discard).
-pub fn generate(func: &Function, g: &GenOptions) -> Result<(Function, Vec<Type>), CompileError> {
+/// Returns a [`CompileError`] if the input is malformed or not canonical,
+/// or a transformation would violate the type system (a planner bug, or an
+/// infeasible plan that the explorer must discard).
+pub fn generate(func: &Function, g: &GenOptions) -> Result<Function, CompileError> {
     func.verify_structure()?;
-    let cfg = g.cfg;
-    let mut em = Emitter::new(&func.name, func.vec_size, cfg);
+    let mut em = Emitter::new(&func.name, func.vec_size, g.cfg);
     let mut map: Vec<Option<ValueId>> = vec![None; func.len()];
-    // Rotation CSE: two rotations of the same resolved value by congruent
-    // steps (mod the logical width) are the same value — emit one and
-    // reuse it, so the backend neither re-rotates nor requests spare
-    // Galois keys for wrapped steps like `vec_size + k`.
-    let mut rotate_memo: HashMap<(ValueId, usize), ValueId> = HashMap::new();
 
     for (i, op) in func.ops().iter().enumerate() {
         // The unit of this op's result, for SMU plan lookups.
@@ -291,57 +268,32 @@ pub fn generate(func: &Function, g: &GenOptions) -> Result<(Function, Vec<Type>)
             }
             Op::Negate(a) => {
                 let a = resolve(&mut em, *a)?;
-                if em.is_free(a) {
-                    let folded = fold_free(func.vec_size, op, &[const_data(&em, a)]);
-                    em.emit(Op::Const { data: folded })?
-                } else {
-                    em.emit(Op::Negate(a))?
-                }
+                em.check_canonical(op, &[a])?;
+                em.emit(Op::Negate(a))?
             }
             Op::Rotate { value, step } => {
-                let a = resolve(&mut em, *value)?;
-                if em.is_free(a) {
-                    let folded = fold_free(func.vec_size, op, &[const_data(&em, a)]);
-                    em.emit(Op::Const { data: folded })?
-                } else {
-                    // Wrapped steps reduce mod the logical width, and
-                    // congruent rotations of one value are emitted once.
-                    let s = step % func.vec_size;
-                    if s == 0 {
-                        // Full-width rotation is the identity.
-                        a
-                    } else if let Some(&prev) = rotate_memo.get(&(a, s)) {
-                        prev
-                    } else {
-                        let id = em.emit(Op::Rotate { value: a, step: s })?;
-                        rotate_memo.insert((a, s), id);
-                        id
-                    }
-                }
+                let value = resolve(&mut em, *value)?;
+                em.check_canonical(op, &[value])?;
+                em.emit(Op::Rotate { value, step: *step })?
             }
             Op::Add(a0, b0) | Op::Sub(a0, b0) | Op::Mul(a0, b0) => {
                 let a = resolve(&mut em, *a0)?;
                 let b = resolve(&mut em, *b0)?;
-                if em.is_free(a) && em.is_free(b) {
-                    let folded =
-                        fold_free(func.vec_size, op, &[const_data(&em, a), const_data(&em, b)]);
-                    em.emit(Op::Const { data: folded })?
+                em.check_canonical(op, &[a, b])?;
+                let is_mul = matches!(op, Op::Mul(..));
+                let (a, b) = prepare_binary(&mut em, a, b, is_mul, g.proactive)?;
+                let result = match op {
+                    Op::Add(..) => em.emit(Op::Add(a, b))?,
+                    Op::Sub(..) => em.emit(Op::Sub(a, b))?,
+                    Op::Mul(..) => em.emit(Op::Mul(a, b))?,
+                    // UNREACHABLE: the enclosing arm matched Add|Sub|Mul.
+                    _ => unreachable!(),
+                };
+                // EVA's reactive waterline rescaling on mul results.
+                if !g.proactive && is_mul {
+                    em.rescale_fully(result)?
                 } else {
-                    let is_mul = matches!(op, Op::Mul(..));
-                    let (a, b) = prepare_binary(&mut em, a, b, is_mul, g.proactive)?;
-                    let result = match op {
-                        Op::Add(..) => em.emit(Op::Add(a, b))?,
-                        Op::Sub(..) => em.emit(Op::Sub(a, b))?,
-                        Op::Mul(..) => em.emit(Op::Mul(a, b))?,
-                        // UNREACHABLE: the enclosing arm matched Add|Sub|Mul.
-                        _ => unreachable!(),
-                    };
-                    // EVA's reactive waterline rescaling on mul results.
-                    if !g.proactive && is_mul {
-                        em.rescale_fully(result)?
-                    } else {
-                        result
-                    }
+                    result
                 }
             }
         };
@@ -360,25 +312,17 @@ pub fn generate(func: &Function, g: &GenOptions) -> Result<(Function, Vec<Type>)
         em.out.mark_output(name.clone(), out_v);
     }
 
-    let (mut out, mut types) = (em.out, em.types);
-    if g.early_modswitch {
-        (out, types) = early_modswitch(&out, &cfg)?;
+    let out = if g.early_modswitch {
+        early_modswitch(em.out)
+    } else {
+        em.out
+    };
+    // Neither emission nor the motion leaves dead code on canonical input,
+    // so the function is copied again only if some value is dead.
+    if hecate_ir::analysis::live_values(&out).contains(&false) {
+        return Ok(hecate_ir::analysis::eliminate_dead_code(&out).0);
     }
-    let _ = types;
-    let (clean, _) = hecate_ir::analysis::eliminate_dead_code(&out);
-    // Re-infer on the cleaned function (cheap; also our final verifier).
-    let final_types = infer_types(&clean, &cfg)?;
-    Ok((clean, final_types))
-}
-
-fn const_data(em: &Emitter, v: ValueId) -> &ConstData {
-    match em.out.op(v) {
-        Op::Const { data } => data,
-        // UNREACHABLE: callers pass only `Free`-typed values, and `infer_op`
-        // assigns `Type::Free` exclusively to `Op::Const` results (inputs
-        // are cipher; every other op yields a scaled type).
-        _ => unreachable!("free value must be a constant"),
-    }
+    Ok(out)
 }
 
 /// Applies the policy's operand preparation for a binary operation and
@@ -466,89 +410,86 @@ fn prepare_binary(
     Ok((a, b))
 }
 
-/// EVA's early-modswitch motion: `modswitch(op(x, y))` with a single-use
-/// operand becomes `op(modswitch(x), modswitch(y))`, letting `op` execute
-/// at the higher (cheaper) level. Iterates to a fixpoint.
-fn early_modswitch(
-    func: &Function,
-    cfg: &TypeConfig,
-) -> Result<(Function, Vec<Type>), CompileError> {
-    let mut cur = func.clone();
-    for _ in 0..16 {
-        let use_lists = hecate_ir::analysis::users(&cur);
-        // Find a modswitch whose operand is a single-use homomorphic op.
-        let mut target: Option<(usize, usize)> = None; // (modswitch idx, def idx)
-        for (i, op) in cur.ops().iter().enumerate() {
-            if let Op::ModSwitch(v) = op {
-                let d = v.index();
-                let def = cur.op(*v);
-                let movable = matches!(
-                    def,
-                    Op::Add(..) | Op::Sub(..) | Op::Mul(..) | Op::Negate(..) | Op::Rotate { .. }
-                );
-                let single_use =
-                    use_lists[d].len() == 1 && !cur.outputs().iter().any(|(_, o)| o.index() == d);
-                if movable && single_use {
-                    target = Some((i, d));
-                    break;
-                }
-            }
-        }
-        let Some((ms_idx, def_idx)) = target else {
-            break;
-        };
-        // Rebuild with the rewrite applied.
-        let mut em = Emitter::new(&cur.name, cur.vec_size, *cfg);
-        let mut map: Vec<Option<ValueId>> = vec![None; cur.len()];
-        for (i, op) in cur.ops().iter().enumerate() {
-            if i == ms_idx {
-                // Emit op(modswitch(operands)) in place of modswitch(op).
-                let def = cur.op(ValueId(def_idx as u32)).clone();
-                let mut new_operands = Vec::new();
-                for v in def.operands() {
-                    // UNREACHABLE expect: `def_idx < ms_idx` (SSA order of
-                    // the verified input), so the def's operands were
-                    // remapped on earlier iterations of this loop.
-                    let cur_v = map[v.index()].expect("defined");
-                    new_operands.push(em.modswitch(cur_v)?);
-                }
-                let rewritten = match def {
-                    Op::Add(..) => Op::Add(new_operands[0], new_operands[1]),
-                    Op::Sub(..) => Op::Sub(new_operands[0], new_operands[1]),
-                    Op::Mul(..) => Op::Mul(new_operands[0], new_operands[1]),
-                    Op::Negate(..) => Op::Negate(new_operands[0]),
-                    Op::Rotate { step, .. } => Op::Rotate {
-                        value: new_operands[0],
-                        step,
-                    },
-                    // UNREACHABLE: `target` is only set when `def` matched
-                    // the `movable` pattern, which is exactly the arms above.
-                    _ => unreachable!(),
-                };
-                map[i] = Some(em.emit(rewritten)?);
-            } else {
-                let remapped = hecate_ir::analysis::remap_op(op, &map);
-                map[i] = Some(em.emit(remapped)?);
-            }
-        }
-        for (name, v) in cur.outputs() {
-            // UNREACHABLE expect: the rebuild loop above mapped every op.
-            em.out
-                .mark_output(name.clone(), map[v.index()].expect("output"));
-        }
-        let (cleaned, _) = hecate_ir::analysis::eliminate_dead_code(&em.out);
-        if cleaned == cur {
-            break;
-        }
-        cur = cleaned;
+/// EVA's early-modswitch motion: `modswitch(op(x, y))`, with `op` an add,
+/// sub, mul, negate or rotate that is no output and has no other user,
+/// becomes `op(modswitch(x), modswitch(y))`, so `op` runs at the higher
+/// (cheaper) level. One rebuild reaches the fixpoint: a reverse pass counts
+/// the modswitches pushed onto each op by its one user (`up`), then each
+/// absorbed modswitch maps to its operand and each moving op is re-emitted
+/// in place, after `up` fresh modswitches on each operand that stays.
+fn early_modswitch(func: Function) -> Function {
+    let ops = func.ops();
+    if !ops.iter().any(|op| matches!(op, Op::ModSwitch(_))) {
+        return func;
     }
-    let types = infer_types(&cur, cfg)?;
-    Ok((cur, types))
+    // `takes[v]`: v has one user (repeated slots count once), is no output,
+    // and is a movable op or a modswitch chain ending on one.
+    let users = hecate_ir::analysis::users(&func);
+    let mut takes: Vec<bool> = (users.iter())
+        .map(|u| u.first().is_some_and(|f| u.iter().all(|x| x == f)))
+        .collect();
+    for (_, v) in func.outputs() {
+        takes[v.index()] = false;
+    }
+    for (i, op) in ops.iter().enumerate() {
+        takes[i] &= match op {
+            Op::ModSwitch(v) => takes[v.index()],
+            Op::Add(..) | Op::Sub(..) | Op::Mul(..) | Op::Negate(_) | Op::Rotate { .. } => true,
+            _ => false,
+        };
+    }
+    // A modswitch pushes `1 + up` onto its operand, a moving op its `up`.
+    let mut up = vec![0u32; ops.len()];
+    for (i, op) in ops.iter().enumerate().rev() {
+        let push = up[i] + u32::from(matches!(op, Op::ModSwitch(_)));
+        if push > 0 {
+            for v in op.operands() {
+                if takes[v.index()] {
+                    up[v.index()] = push;
+                }
+            }
+        }
+    }
+    if up.iter().all(|&u| u == 0) {
+        return func;
+    }
+    let mut out = Function::new(func.name.clone(), func.vec_size);
+    let mut map: Vec<Option<ValueId>> = vec![None; ops.len()];
+    for (i, op) in ops.iter().enumerate() {
+        map[i] = match op {
+            Op::ModSwitch(v) if takes[v.index()] => map[v.index()],
+            _ => {
+                // A moving op lifts the operands that stay behind, through
+                // `map` for this op only.
+                let mut stay = if up[i] > 0 { op.operands() } else { Vec::new() };
+                stay.retain(|v| !takes[v.index()]);
+                stay.dedup();
+                let saved: Vec<_> = stay.iter().map(|v| map[v.index()]).collect();
+                for v in &stay {
+                    for _ in 0..up[i] {
+                        let lifted = out.push(Op::ModSwitch(map[v.index()].expect("mapped")));
+                        map[v.index()] = Some(lifted);
+                    }
+                }
+                let id = out.push(hecate_ir::analysis::remap_op(op, &map));
+                for (v, s) in stay.iter().zip(saved) {
+                    map[v.index()] = s;
+                }
+                Some(id)
+            }
+        };
+    }
+    for (name, v) in func.outputs() {
+        out.mark_output(name.clone(), map[v.index()].expect("output mapped"));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hecate_ir::transform::canonicalize;
+    use hecate_ir::types::infer_types;
     use hecate_ir::FunctionBuilder;
 
     fn motivating() -> Function {
@@ -564,9 +505,11 @@ mod tests {
         b.finish()
     }
 
+    /// Canonicalizes like the pipeline, lowers, and types the result.
     fn gen(func: &Function, proactive: bool, w: f64) -> (Function, Vec<Type>) {
+        let cfg = TypeConfig::new(w, 60.0);
         let g = GenOptions {
-            cfg: TypeConfig::new(w, 60.0),
+            cfg,
             proactive,
             plan: PlanRef {
                 smu: &SmuAnalysis::default(),
@@ -574,7 +517,9 @@ mod tests {
             },
             early_modswitch: true,
         };
-        generate(func, &g).unwrap()
+        let out = generate(&canonicalize(func), &g).unwrap();
+        let types = infer_types(&out, &cfg).unwrap();
+        (out, types)
     }
 
     fn count(f: &Function, name: &str) -> usize {
@@ -700,7 +645,7 @@ mod tests {
         for e in 0..smu.edges.len() {
             let mut degrees = zero.clone();
             degrees[e] = 1;
-            if let Ok((out, _)) = generate(
+            if let Ok(out) = generate(
                 &func,
                 &GenOptions {
                     cfg,
@@ -713,7 +658,7 @@ mod tests {
                 },
             ) {
                 infer_types(&out, &cfg).expect("plan output type-checks");
-                if out != base.0 {
+                if out != base {
                     changed_any = true;
                 }
             }
@@ -761,10 +706,6 @@ mod tests {
 
     #[test]
     fn scale_management_in_input_rejected() {
-        let mut f = Function::new("bad", 4);
-        let x = f.push(Op::Input { name: "x".into() });
-        let r = f.push(Op::Rescale(x));
-        f.mark_output("o", r);
         let g = GenOptions {
             cfg: TypeConfig::new(20.0, 60.0),
             proactive: true,
@@ -774,9 +715,24 @@ mod tests {
             },
             early_modswitch: false,
         };
+        let mut f = Function::new("bad", 4);
+        let x = f.push(Op::Input { name: "x".into() });
+        let r = f.push(Op::Rescale(x));
+        f.mark_output("o", r);
         assert!(matches!(
             generate(&f, &g),
             Err(CompileError::UnsupportedInput { .. })
+        ));
+        // So is an op of constants only: canonical input has folded it.
+        let mut b = FunctionBuilder::new("fold", 4);
+        let x = b.input_cipher("x");
+        let c = b.splat(2.0);
+        let c = b.neg(c);
+        let m = b.mul(x, c);
+        b.output(m);
+        assert!(matches!(
+            generate(&b.finish(), &g),
+            Err(CompileError::UnsupportedInput { reason }) if reason.contains("canonicalize first")
         ));
     }
 
@@ -811,6 +767,31 @@ mod tests {
             mul_levels.iter().any(|&l| l >= 1),
             "some multiply should run at a raised level: {mul_levels:?}"
         );
+    }
+
+    #[test]
+    fn early_modswitch_reaches_its_fixpoint_past_sixteen_moves() {
+        // Twenty chained negates of x meet y⁴ one level down: the level
+        // matching modswitch climbs every negate onto x.
+        let mut b = FunctionBuilder::new("negates", 4);
+        let x = b.input_cipher("x");
+        let y = b.input_cipher("y");
+        let mut n = x;
+        for _ in 0..20 {
+            n = b.neg(n);
+        }
+        let y2 = b.square(y);
+        let y4 = b.square(y2);
+        let z = b.mul(n, y4);
+        b.output(z);
+        let mut opts = crate::CompileOptions::with_waterline(20.0);
+        opts.degree = Some(4096);
+        let prog = crate::compile(&b.finish(), crate::Scheme::Eva, &opts).unwrap();
+        let levels: Vec<usize> = (prog.func.ops().iter().zip(&prog.types))
+            .filter(|(op, _)| matches!(op, Op::Negate(_)))
+            .map(|(_, t)| t.level().unwrap())
+            .collect();
+        assert_eq!(levels, [1; 20]);
     }
 
     #[test]

@@ -71,18 +71,19 @@ fn evaluate(
         },
         early_modswitch: opts.early_modswitch,
     };
-    let (out, types) = generate(func, &g)?;
+    let out = generate(func, &g)?;
     // Re-check the full invariant set on every lowered candidate — the
     // emitter type-checks incrementally, but the verifier additionally
     // guards the waterline, budget, monotonicity, and rescale conditions
-    // against bugs in the generation passes themselves.
+    // against bugs in the generation passes themselves. Its types are the
+    // candidate's.
     let pass = match (degrees.is_empty(), proactive) {
         (true, false) => "eva-codegen",
         (true, true) => "pars-codegen",
         (false, false) => "smse-candidate(eva)",
         (false, true) => "smse-candidate(pars)",
     };
-    hecate_ir::verify::verify_plan(&out, &g.cfg, pass)?;
+    let types = hecate_ir::verify::verify_plan(&out, &g.cfg, pass)?;
     let params = select_params(&out, &types, opts)?;
     let cost_us = estimate_latency_us(
         &out,
@@ -104,8 +105,13 @@ fn evaluate(
 /// evaluated (`capped`). An edge-less analysis (the default) evaluates the
 /// all-zero plan once and opens no `smse-iter` span.
 ///
+/// `func` must be canonical ([`hecate_ir::transform::canonicalize`], as
+/// [`crate::compile`] runs it). Each candidate is lowered once by
+/// [`generate`] and typed once, by the verifier.
+///
 /// # Errors
-/// Fails only if the *initial* (all-zero) plan cannot be lowered; bad
+/// Fails only if the *initial* (all-zero) plan cannot be lowered (a
+/// non-canonical `func` is [`CompileError::UnsupportedInput`]); bad
 /// neighbours are simply discarded.
 pub fn explore(
     func: &Function,

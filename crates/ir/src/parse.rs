@@ -80,10 +80,10 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
             let (vec_str, _) = rest
                 .split_once(')')
                 .ok_or_else(|| err(line, "unterminated '(vec N)'"))?;
-            let vec_size: usize = vec_str
-                .trim()
-                .parse()
-                .map_err(|_| err(line, "bad vector size"))?;
+            // A zero width would make every rotation step `% 0`.
+            let vec_size: usize = (vec_str.trim().parse().ok())
+                .filter(|&n| n > 0)
+                .ok_or_else(|| err(line, "bad vector size"))?;
             func = Some(Function::new(name.trim(), vec_size));
             continue;
         }
@@ -330,6 +330,10 @@ mod tests {
         let e2 = parse_function("func @t(vec 4) {\n  %1 = mul %0, %0\n}").unwrap_err();
         assert_eq!(e2.line, 2);
         assert!(e2.message.contains("unknown value"));
+
+        let e3 = parse_function("func @t(vec 0) {\n  %0 = input \"x\"\n}").unwrap_err();
+        assert_eq!(e3.line, 1);
+        assert!(e3.message.contains("bad vector size"));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! CSE merges them before scale management, shrinking both the compiled
 //! program and the SMU graph. Folding collapses arithmetic between
 //! constants so the scale manager only ever sees one `free` operand per
-//! operation.
+//! operation, and reduces rotation steps modulo the width so CSE merges
+//! congruent rotations.
 
 use crate::analysis::eliminate_dead_code;
 use crate::ir::{ConstData, Function, Op, ValueId};
@@ -91,7 +92,9 @@ pub fn eliminate_common_subexpressions(func: &Function) -> Function {
 
 /// Folds operations whose operands are all constants into constants, and
 /// applies the algebraic identities `x·1 → x`, `x+0 → x`, `x−0 → x`
-/// when the constant side is an exact splat. Returns the cleaned function.
+/// when the constant side is an exact splat. Rotation steps reduce modulo
+/// the width, and a full-width rotation is the identity, so congruent
+/// rotations reach CSE with one step. Returns the cleaned function.
 pub fn fold_constants(func: &Function) -> Function {
     let n = func.vec_size;
     let mut out = Function::new(func.name.clone(), n);
@@ -103,7 +106,10 @@ pub fn fold_constants(func: &Function) -> Function {
         (0..n).all(|i| c.at(i) == v0).then_some(v0)
     };
     for (i, op) in func.ops().iter().enumerate() {
-        let remapped = crate::analysis::remap_op(op, &remap);
+        let mut remapped = crate::analysis::remap_op(op, &remap);
+        if let Op::Rotate { step, .. } = &mut remapped {
+            *step %= n;
+        }
         let const_of = |v: &ValueId| consts.get(v).cloned();
         let materialize =
             |f: Box<dyn Fn(usize) -> f64>| ConstData::vector((0..n).map(&f).collect());
@@ -149,6 +155,7 @@ pub fn fold_constants(func: &Function) -> Function {
                     None
                 }
             }
+            Op::Rotate { value, step: 0 } => Some(*value),
             _ => None,
         };
         let id = if let Some(data) = folded {

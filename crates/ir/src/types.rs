@@ -15,8 +15,8 @@
 
 use crate::ir::{Function, Op, ValueId};
 
-/// Comparison slack for scale equality, in log2 bits. Nominal scales are
-/// integers, so anything below 1e-6 is a genuine mismatch.
+/// Comparison slack for scale equality, in log2 bits. Scales need not be
+/// integers (waterlines are fractional); the slack absorbs f64 rounding only.
 pub const SCALE_EPS: f64 = 1e-6;
 
 /// The type of an IR value.

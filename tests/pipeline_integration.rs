@@ -72,6 +72,46 @@ fn hecate_estimate_never_worse_than_eva() {
     }
 }
 
+/// The compiler's rows for the eight Small programs under HECATE at w24
+/// (security-selected degree) and for `exec-rot-wide`'s plan (MLP at
+/// degree 2048): estimate, plans explored, epochs, SMUs, ops out and chain
+/// length. A change that moves a plan updates this table and says so.
+#[test]
+fn hecate_rows_are_pinned() {
+    // (name, degree, est µs, plans, epochs, SMUs, ops out, chain)
+    let rows = [
+        ("SF", None, 383320.0640000001, 14, 0, 12, 56, 3),
+        ("HCD", None, 1255014.4000000001, 67, 2, 16, 132, 4),
+        ("MLP", None, 880672.7680000014, 27, 1, 10, 414, 3),
+        ("MLP", Some(2048), 192446.4640000001, 27, 1, 10, 414, 3),
+        ("LeNet", None, 19876282.36799992, 69, 1, 25, 2469, 6),
+        ("LR E2", None, 1870495.743999999, 106, 2, 29, 110, 4),
+        ("LR E3", None, 3856793.6000000006, 386, 6, 43, 167, 6),
+        ("PR E2", None, 3082092.5439999984, 291, 4, 46, 166, 5),
+        ("PR E3", None, 13236568.06399998, 991, 10, 68, 251, 7),
+    ];
+    let benches = all_benchmarks(Preset::Small);
+    for (name, degree, est_us, plans, epochs, smus, ops, chain) in rows {
+        let bench = benches.iter().find(|b| b.name == name).unwrap();
+        let mut o = CompileOptions::with_waterline(24.0);
+        o.degree = degree;
+        let prog = compile(&bench.func, Scheme::Hecate, &o).unwrap();
+        let s = &prog.stats;
+        assert_eq!(
+            (
+                s.estimated_latency_us,
+                s.plans_explored,
+                s.epochs,
+                s.smu_units,
+                prog.func.len(),
+                prog.params.chain_len
+            ),
+            (est_us, plans, epochs, smus, ops, chain),
+            "{name} at degree {degree:?}"
+        );
+    }
+}
+
 #[test]
 fn pars_cumulative_scale_never_exceeds_eva() {
     // The paper: "PARS always achieves a smaller cumulative scale which

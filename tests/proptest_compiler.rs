@@ -2,13 +2,16 @@
 //!
 //! Programs are random DAGs of homomorphic operations; the properties are
 //! the compiler's core invariants: compiled code always type-checks under
-//! C1–C3, preserves plaintext semantics exactly, the proactive scheme's
-//! modulus never exceeds the baseline's, and the consumers of the one
-//! noise rule and the one plaintext semantics agree with each other.
+//! C1–C3, preserves plaintext semantics exactly, leaves no modswitch that
+//! early modswitch could still move, the proactive scheme's modulus never
+//! exceeds the baseline's, exploration never estimates worse than the
+//! policy it starts from, and the consumers of the one noise rule and the
+//! one plaintext semantics agree with each other.
 
 use hecate::backend::exec::{execute_encrypted, BackendOptions, GuardOptions};
 use hecate::backend::noise::{max_rms_error, predict_rms, simulate};
 use hecate::compiler::{compile, compile_with_fallback, CompileOptions, Scheme};
+use hecate::ir::analysis::users;
 use hecate::ir::interp::{interpret, rms_error};
 use hecate::ir::types::infer_types;
 use hecate::ir::verify::verify_plan;
@@ -102,6 +105,23 @@ fn has_cipher_output(f: &Function) -> bool {
     f.outputs().iter().any(|(_, v)| cipher[v.index()])
 }
 
+/// A `modswitch` whose operand is an add, sub, mul, negate or rotate that
+/// is not an output and has no other user: early modswitch would still
+/// move it.
+fn movable_modswitch(f: &Function) -> Option<usize> {
+    let users = users(f);
+    f.ops().iter().enumerate().position(|(i, op)| {
+        let Op::ModSwitch(v) = op else {
+            return false;
+        };
+        matches!(
+            f.op(*v),
+            Op::Add(..) | Op::Sub(..) | Op::Mul(..) | Op::Negate(_) | Op::Rotate { .. }
+        ) && users[v.index()].iter().all(|u| u.index() == i)
+            && !f.outputs().iter().any(|(_, o)| o == v)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -117,17 +137,26 @@ proptest! {
 
         let mut opts = CompileOptions::with_waterline(24.0);
         opts.degree = Some(512);
-        for scheme in [Scheme::Eva, Scheme::Pars, Scheme::Hecate] {
+        // At Sf = 24 bits every product rescales down a level, so level
+        // matching, and with it early modswitch, runs on most programs.
+        for (scheme, sf) in Scheme::ALL.into_iter().flat_map(|s| [(s, 60.0), (s, 24.0)]) {
+            opts.rescale_bits = sf;
             match compile(&func, scheme, &opts) {
                 Ok(prog) => {
                     // Invariant 1: the result type-checks under C1–C3.
                     infer_types(&prog.func, &prog.cfg).expect("compiled code type-checks");
+                    // Early modswitch reached its fixpoint.
+                    let stuck = movable_modswitch(&prog.func);
+                    prop_assert!(
+                        stuck.is_none(),
+                        "{scheme} at Sf {sf}: modswitch at {stuck:?} can still move"
+                    );
                     // Invariant 2: plaintext semantics are preserved.
                     let out = interpret(&prog.func, &ins).unwrap();
                     for (name, expect) in &reference {
                         prop_assert!(
                             rms_error(&out[name], expect) < 1e-9,
-                            "{scheme}: output {name} drifted"
+                            "{scheme} at Sf {sf}: output {name} drifted"
                         );
                     }
                     // Invariant 3: parameters cover the program's levels.
@@ -165,6 +194,33 @@ proptest! {
                 "PARS {} bits > EVA {} bits",
                 p.params.total_bits,
                 e.params.total_bits
+            );
+        }
+    }
+
+    /// SMSE's climb starts at EVA's plan and HECATE's at PARS's, and only
+    /// an improving neighbour is accepted: exploration never estimates
+    /// worse than the policy it starts from (and compiles whenever it
+    /// does).
+    #[test]
+    fn exploration_never_estimates_worse_than_its_base_policy(
+        picks in proptest::collection::vec((pick_strategy(), any::<u64>(), any::<u64>()), 3..25),
+        n_inputs in 1usize..4,
+        centibits in 2200u32..3200,
+    ) {
+        let func = build_program(&picks, n_inputs);
+        prop_assume!(has_cipher_output(&func));
+        let mut opts = CompileOptions::with_waterline(f64::from(centibits) / 100.0);
+        opts.degree = Some(512);
+        let est = |scheme| compile(&func, scheme, &opts).map(|p| p.stats.estimated_latency_us);
+        for (explored, base) in [(Scheme::Smse, Scheme::Eva), (Scheme::Hecate, Scheme::Pars)] {
+            let Ok(base_us) = est(base) else {
+                continue;
+            };
+            let explored_us = est(explored).expect("exploration compiles whenever its base does");
+            prop_assert!(
+                explored_us <= base_us,
+                "{explored} estimates {explored_us} us > {base} {base_us} us"
             );
         }
     }
