@@ -44,14 +44,13 @@
 //!
 //! Two conventions matter:
 //!
-//! - **Nominal scales.** Compiler scales are nominal log2 bits, and after
-//!   every `rescale`, `upscale` and `downscale` the executor re-declares
-//!   the nominal scale, exactly as EVA does on SEAL. After a `rescale` the
-//!   actual scale differs from nominal by `S_f − log2(q_dropped)` (a ~2⁻²⁰
-//!   relative offset), absorbed into the measured error. An adjustment by
-//!   δ bits multiplies by the integer `round(2^δ)`, so its actual scale
-//!   moves by `log2(round(2^δ))`: δ exactly at an integral δ, and a value
-//!   error, not noise, at a fractional δ of a few bits.
+//! - **Nominal scales.** Compiler scales are nominal whole log2 bits
+//!   (the type system's invariant), and after every `rescale`, `upscale`
+//!   and `downscale` the executor re-declares the nominal scale, exactly
+//!   as EVA does on SEAL. After a `rescale` the actual scale differs from
+//!   nominal by `S_f − log2(q_dropped)` (a ~2⁻²⁰ relative offset),
+//!   absorbed into the measured error. An adjustment by δ bits multiplies
+//!   by the integer `2^δ`, exact because δ is whole.
 //! - **Replication.** A program with logical vector width `w` runs on a
 //!   ring with `N/2 ≥ w` slots by replicating every input and constant
 //!   `N/2 / w` times. Cyclic rotation of a periodic vector rotates every
@@ -904,8 +903,8 @@ impl ExecEngine {
                 Val::Free(_) => unreachable!("modswitch on a free operand"),
             },
             Op::Upscale { target_bits, .. } => {
-                // Multiply by round(2^δ), then declare the target scale
-                // (see module docs).
+                // Multiply by 2^δ, then declare the target scale (see
+                // module docs).
                 match &operands[0].0 {
                     Val::Cipher(c) => {
                         let m = scale_multiplier(target_bits - c.scale_bits)?;
@@ -927,8 +926,8 @@ impl ExecEngine {
                 let Val::Cipher(c) = &operands[0].0 else {
                     unreachable!("cipher downscale")
                 };
-                // Multiply by round(2^(S_f + S_w − j)), then rescale: the
-                // scale lands on the waterline (nominally).
+                // Multiply by 2^(S_f + S_w − j), then rescale: the scale
+                // lands on the waterline (nominally).
                 let target = prog.cfg.waterline;
                 let m = scale_multiplier(self.sf + target - c.scale_bits)?;
                 let mut out = eval.rescale(&eval.mul_integer(c, m)).map_err(eval_err)?;

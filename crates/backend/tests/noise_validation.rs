@@ -20,11 +20,15 @@
 //! the suite is ~5x (LR E2), so the bound has real headroom without
 //! being vacuous.
 
-use hecate_apps::{all_benchmarks, Preset};
-use hecate_backend::audit::AuditViolation;
-use hecate_backend::exec::BackendOptions;
+use hecate_apps::{all_benchmarks, harris, regression, sobel, Benchmark, Preset};
+use hecate_backend::exec::{execute_encrypted, BackendOptions};
 use hecate_backend::{audit_encrypted, AuditOptions};
-use hecate_compiler::{compile, CompileOptions, Scheme};
+use hecate_compiler::{
+    compile, serialize_plan, CompileOptions, CompiledProgram, CostModel, Scheme,
+};
+use hecate_ir::interp::{interpret, rms_error};
+use hecate_ir::Function;
+use std::collections::HashMap;
 
 fn backend(degree: usize) -> BackendOptions {
     BackendOptions {
@@ -113,54 +117,111 @@ fn audit_flags_under_waterlined_plan_via_public_api() {
     );
 }
 
-/// Pins the known fractional-waterline defect as *flagged*: the executor
-/// multiplies by the integer `round(2^δ)` at a scale adjustment but
-/// re-declares the nominal scale, so a fractional δ of under a bit is a
-/// 20–35 % value error. SF at w30.29 (one `upscale`, δ = 0.58) and LR E2 at
-/// w29.70 (four `downscale`s, δ = 0.60) must each fail the audit at an
-/// output, while w30 and w29 (integral δ) pass. When the codegen floor and
-/// the rule's rounding term land together, the flagged cases turn into
-/// correct or rejected plans and this test changes with them.
+/// A fractional waterline compiles at its ceiling. SF at w30.29 is the
+/// function of w31 and LR E2 at w29.70 that of w30, and both pass the
+/// audit. When scales could be fractional, SF carried an `upscale` by
+/// δ = 0.58 and LR E2 four `downscale`s by δ = 0.60; the executor
+/// multiplied by `round(2^δ)` but declared δ, and both failed at an output.
 #[test]
-fn fractional_waterline_scale_error_is_flagged_at_an_output() {
+fn fractional_waterline_compiles_at_its_ceiling_and_passes_the_audit() {
     let audit = AuditOptions::default();
     let benches = all_benchmarks(Preset::Small);
-    for (name, waterline, flagged) in [
-        ("SF", 30.29, true),
-        ("SF", 30.0, false),
-        ("LR E2", 29.70, true),
-        ("LR E2", 29.0, false),
-    ] {
+    for (name, waterline, ceiling) in [("SF", 30.29, 31.0), ("LR E2", 29.70, 30.0)] {
         let bench = benches.iter().find(|b| b.name == name).unwrap();
-        let mut opts = CompileOptions::with_waterline(waterline);
-        opts.degree = Some(512);
-        let prog = compile(&bench.func, Scheme::Hecate, &opts)
-            .unwrap_or_else(|e| panic!("{name} w{waterline}: compile failed: {e}"));
+        let prog = compile_hecate(&bench.func, waterline);
+        assert_eq!(prog.cfg.waterline, ceiling, "{name} w{waterline}");
+        assert_eq!(
+            prog.func,
+            compile_hecate(&bench.func, ceiling).func,
+            "{name} w{waterline}"
+        );
         let report = audit_encrypted(
             &prog,
             &bench.inputs,
             &backend(512),
             &audit,
-            &opts.cost_model,
+            &CostModel::default(),
         )
         .unwrap_or_else(|e| panic!("{name} w{waterline}: audited run failed: {e}"));
         let violations = report.violations(&audit);
-        let at_output = violations.iter().any(|v| {
-            matches!(v, AuditViolation::ErrorBound { op, .. }
-                if prog.func.outputs().iter().any(|(_, o)| o.index() == *op))
-        });
-        if flagged {
-            assert!(at_output, "{name} w{waterline}: no ErrorBound at an output");
-        } else {
-            assert!(
-                violations.is_empty(),
-                "{name} w{waterline}: {}",
-                violations
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            );
+        assert!(
+            violations.is_empty(),
+            "{name} w{waterline}: {}",
+            violations
+                .iter()
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join("; ")
+        );
+    }
+}
+
+/// HECATE at degree 512, the scheme and degree of `serve-mixed`.
+fn compile_hecate(func: &Function, waterline: f64) -> CompiledProgram {
+    let mut opts = CompileOptions::with_waterline(waterline);
+    opts.degree = Some(512);
+    compile(func, Scheme::Hecate, &opts)
+        .unwrap_or_else(|e| panic!("{} w{waterline}: compile failed: {e}", func.name))
+}
+
+/// `serve-mixed`'s three programs, Small shapes, with data seed `seed`.
+fn mixed_programs(seed: u64) -> [Benchmark; 3] {
+    let mk = |name: &str, (func, inputs)| Benchmark {
+        name: name.into(),
+        func,
+        inputs,
+    };
+    let (h, w) = (16, 16);
+    [
+        mk("SF", sobel::build(&sobel::SobelConfig { h, w, seed })),
+        mk("HCD", harris::build(&harris::HarrisConfig { h, w, seed })),
+        mk(
+            "LR E2",
+            regression::build_linear(&regression::RegressionConfig::small(2, seed)),
+        ),
+    ]
+}
+
+/// Every whole-bit waterline `serve-mixed`'s cold requests compile at
+/// (the ceilings of 22.00–31.99), encrypted: SF, HCD and LR E2 at degree
+/// 512 with data seed 1 + (w mod 4), each output within the paper's 2⁻⁸
+/// RMS bound. With the fractional points below compiling to these very
+/// plans, all three programs could be sent cold, not HCD alone.
+#[test]
+fn serve_mixed_programs_are_within_the_bound_on_every_whole_bit_waterline() {
+    for w in 22..=32u32 {
+        for b in mixed_programs(1 + u64::from(w % 4)) {
+            let prog = compile_hecate(&b.func, f64::from(w));
+            let run = execute_encrypted(&prog, &b.inputs, &backend(512))
+                .unwrap_or_else(|e| panic!("{} w{w}: run failed: {e}", b.name));
+            for (out, want) in interpret(&b.func, &b.inputs).unwrap() {
+                let rms = rms_error(&run.outputs[&out], &want);
+                assert!(rms < 2f64.powi(-8), "{} w{w} {out}: rms {rms:.3e}", b.name);
+            }
         }
+    }
+}
+
+/// A pass left reading the raw waterline would split a fractional request
+/// from its ceiling: 52 fractional points of the 22.00–31.99 grid, spread
+/// over SF, HCD and LR E2, each compile to exactly the plan (function,
+/// types, config, parameters, estimates) of their ceiling.
+#[test]
+fn fractional_grid_points_compile_to_the_plan_of_their_ceiling() {
+    let programs = mixed_programs(1);
+    let mut ceiling_plans = HashMap::new();
+    let points = (2200..3200u32).step_by(19).filter(|c| c % 100 != 0);
+    for (i, centibits) in points.enumerate() {
+        let b = &programs[i % programs.len()];
+        let (w, ceiling) = (f64::from(centibits) / 100.0, centibits.div_ceil(100));
+        let want = ceiling_plans
+            .entry((i % programs.len(), ceiling))
+            .or_insert_with(|| serialize_plan(&compile_hecate(&b.func, f64::from(ceiling))));
+        assert_eq!(
+            &serialize_plan(&compile_hecate(&b.func, w)),
+            want,
+            "{} w{w} vs w{ceiling}",
+            b.name
+        );
     }
 }

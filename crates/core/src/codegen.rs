@@ -24,7 +24,7 @@
 
 use crate::options::CompileError;
 use crate::smu::SmuAnalysis;
-use hecate_ir::types::{infer_op, Type, TypeConfig, SCALE_EPS};
+use hecate_ir::types::{infer_op, Type, TypeConfig};
 use hecate_ir::{Function, Op, ValueId};
 use std::collections::HashMap;
 
@@ -61,14 +61,14 @@ pub struct GenOptions<'a> {
     pub early_modswitch: bool,
 }
 
+/// Memo key: the operand, plus the whole-bit scale of an upscale/encode.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum MemoKey {
     Rescale(ValueId),
     ModSwitch(ValueId),
     Downscale(ValueId),
-    /// Target scale keyed by rounded milli-bits.
-    Upscale(ValueId, u64),
-    Encode(ValueId, u64, usize),
+    Upscale(ValueId, u32),
+    Encode(ValueId, u32, usize),
 }
 
 /// Incremental, type-checked function emission.
@@ -150,10 +150,7 @@ impl Emitter {
     }
 
     fn upscale(&mut self, v: ValueId, target_bits: f64) -> Result<ValueId, CompileError> {
-        if (self.scale(v) - target_bits).abs() <= SCALE_EPS {
-            return Ok(v);
-        }
-        let key = MemoKey::Upscale(v, (target_bits * 1000.0).round() as u64);
+        let key = MemoKey::Upscale(v, target_bits as u32);
         self.memoized(
             key,
             Op::Upscale {
@@ -169,7 +166,7 @@ impl Emitter {
         scale_bits: f64,
         level: usize,
     ) -> Result<ValueId, CompileError> {
-        let key = MemoKey::Encode(free, (scale_bits * 1000.0).round() as u64, level);
+        let key = MemoKey::Encode(free, scale_bits as u32, level);
         self.memoized(
             key,
             Op::Encode {
@@ -183,7 +180,7 @@ impl Emitter {
     /// `rescale` is applicable: the result would stay at or above the
     /// waterline.
     fn can_rescale(&self, v: ValueId) -> bool {
-        self.scale(v) - self.cfg.rescale_bits >= self.cfg.waterline - SCALE_EPS
+        self.scale(v) - self.cfg.rescale_bits >= self.cfg.waterline
     }
 
     /// Exhaustively rescale (the "while possible" loops of both policies).
@@ -194,24 +191,14 @@ impl Emitter {
         Ok(v)
     }
 
-    /// One plan-driven scale-management step, chosen by the scale rule.
+    /// One scale-management step on a cipher, chosen by the scale rule: a
+    /// plan step, and PARS level matching (modswitch at the waterline,
+    /// downscale above it).
     fn plan_step(&mut self, v: ValueId) -> Result<ValueId, CompileError> {
         if self.can_rescale(v) {
             self.rescale(v)
-        } else if self.scale(v) > self.cfg.waterline + SCALE_EPS {
+        } else if self.scale(v) > self.cfg.waterline {
             self.downscale(v)
-        } else {
-            self.modswitch(v)
-        }
-    }
-
-    /// Raise the level of `v` (cipher) by one, per PARS level matching:
-    /// modswitch at the waterline, downscale above it.
-    fn raise_level_proactive(&mut self, v: ValueId) -> Result<ValueId, CompileError> {
-        if self.scale(v) > self.cfg.waterline + SCALE_EPS && !self.can_rescale(v) {
-            self.downscale(v)
-        } else if self.can_rescale(v) {
-            self.rescale(v)
         } else {
             self.modswitch(v)
         }
@@ -371,14 +358,10 @@ fn prepare_binary(
         } else {
             (false, b)
         };
-        let raised = if em.ty(lo).is_cipher() {
-            if proactive {
-                em.raise_level_proactive(lo)?
-            } else {
-                em.modswitch(lo)?
-            }
+        // A plaintext's level is free at encode time; modswitch models it.
+        let raised = if proactive && em.ty(lo).is_cipher() {
+            em.plan_step(lo)?
         } else {
-            // Plaintext: level is free at encode time; modswitch models it.
             em.modswitch(lo)?
         };
         if lo_is_a {
@@ -390,7 +373,7 @@ fn prepare_binary(
     // (d) scale match for add/sub.
     if !is_mul {
         let (sa, sb) = (em.scale(a), em.scale(b));
-        if (sa - sb).abs() > SCALE_EPS {
+        if sa != sb {
             if sa < sb {
                 a = em.upscale(a, sb)?;
             } else {
@@ -401,8 +384,8 @@ fn prepare_binary(
     // (e) downscale analysis for multiplications (PARS only).
     if proactive && is_mul && em.ty(a).is_cipher() && em.ty(b).is_cipher() {
         let (sa, sb) = (em.scale(a), em.scale(b));
-        let both_reducible = sa > cfg.waterline + SCALE_EPS && sb > cfg.waterline + SCALE_EPS;
-        if both_reducible && sa + sb > 2.0 * cfg.rescale_bits + SCALE_EPS {
+        let both_reducible = sa > cfg.waterline && sb > cfg.waterline;
+        if both_reducible && sa + sb > 2.0 * cfg.rescale_bits {
             a = em.downscale(a)?;
             b = em.downscale(b)?;
         }

@@ -17,10 +17,8 @@
 //!   noise, divided by the special prime — `N²σ²/6`;
 //! - `rescale` / `downscale` round at the new scale: `N²/36`;
 //! - a product carries `m_a²·σ_b² + m_b²·σ_a²`; `modswitch` is exact in
-//!   RNS, and `upscale` is taken as exact. The backend multiplies by the
-//!   integer `round(2^δ)` and labels the result with the nominal target
-//!   scale, so the label is exact only at an integral δ; at a fractional
-//!   δ the rounding is a value error this rule does not model.
+//!   RNS, and so is `upscale`: scales are whole bits (the type system's
+//!   invariant), so the backend multiplies by exactly `2^δ`.
 
 use hecate_ir::{Function, Op, Type, ValueId};
 

@@ -91,9 +91,11 @@ impl CompileOptions {
         }
     }
 
-    /// The type-system environment these options induce.
+    /// The type-system environment these options induce, in whole bits:
+    /// the waterline rounded up (precision never drops below the request),
+    /// `S_f` to the nearest bit. Every pass reads this, not the raw fields.
     pub fn type_config(&self) -> TypeConfig {
-        TypeConfig::new(self.waterline_bits, self.rescale_bits)
+        TypeConfig::new(self.waterline_bits.ceil(), self.rescale_bits.round())
     }
 
     /// A canonical textual fingerprint of every option that can change the

@@ -67,7 +67,7 @@ pub fn select_params(
     types: &[Type],
     opts: &CompileOptions,
 ) -> Result<SelectedParams, CompileError> {
-    let sf = opts.rescale_bits;
+    let sf = opts.type_config().rescale_bits;
     let margin = opts.margin_bits;
     // Scale requirement per level.
     let mut max_level = 0usize;
@@ -98,7 +98,7 @@ pub fn select_params(
             .fold(Q0_MIN_BITS, f64::max);
         if q0_req <= Q0_MAX_BITS {
             let q0_bits = q0_req.ceil() as u32;
-            let sf_bits = sf.round() as u32;
+            let sf_bits = sf as u32;
             let special = q0_bits.max(sf_bits);
             let total_bits = q0_bits + sf_bits * (chain_len as u32 - 1) + special;
             let (degree, secure) = match opts.degree {

@@ -61,9 +61,10 @@ pub fn compile(
         canonical
     };
     let func = &canonical;
+    let cfg = opts.type_config();
     let analysis = {
         let _s = trace::span("pass:smu-analyze");
-        smu::analyze(func, opts.waterline_bits)
+        smu::analyze(func, cfg.waterline)
     };
     // EVA and PARS lower the all-zero plan of an edge-less analysis.
     let (pass, units) = if scheme.explores() {
@@ -105,7 +106,7 @@ pub fn compile(
     Ok(CompiledProgram {
         func: candidate.func,
         types: candidate.types,
-        cfg: opts.type_config(),
+        cfg,
         scheme,
         params: candidate.params,
         source_hash,
@@ -154,16 +155,17 @@ pub fn compile_with_fallback(
 ) -> Result<CompiledProgram, CompileError> {
     // Raise the waterline by half the rescale factor, staying inside the
     // sweep range the paper explores (15–50 bits).
-    let raised = (opts.waterline_bits + opts.rescale_bits / 2.0).min(50.0);
+    let cfg = opts.type_config();
+    let raised = (cfg.waterline + cfg.rescale_bits / 2.0).min(50.0);
     let mut ladder: Vec<(FallbackRung, Scheme, f64)> =
-        vec![(FallbackRung::Primary, scheme, opts.waterline_bits)];
+        vec![(FallbackRung::Primary, scheme, cfg.waterline)];
     if scheme.explores() && scheme != Scheme::Pars {
-        ladder.push((FallbackRung::Pars, Scheme::Pars, opts.waterline_bits));
+        ladder.push((FallbackRung::Pars, Scheme::Pars, cfg.waterline));
     }
     if scheme != Scheme::Eva {
-        ladder.push((FallbackRung::Eva, Scheme::Eva, opts.waterline_bits));
+        ladder.push((FallbackRung::Eva, Scheme::Eva, cfg.waterline));
     }
-    if raised > opts.waterline_bits {
+    if raised > cfg.waterline {
         ladder.push((FallbackRung::RaisedWaterline, Scheme::Eva, raised));
     }
 

@@ -183,7 +183,7 @@ pub fn analyze_with(func: &Function, waterline: f64, opts: &SmuOptions) -> SmuAn
                     uf.find(label[a.index()].expect("cipher labelled")),
                     uf.find(label[b.index()].expect("cipher labelled")),
                 );
-                if (scales[a.index()] - scales[b.index()]).abs() < 1e-9 {
+                if scales[a.index()] == scales[b.index()] {
                     // Same scale and level: merge operands and result.
                     uf.union(ua, ub)
                 } else {

@@ -2,8 +2,12 @@
 //!
 //! Every value has a type: `free` (an unencoded constant), `plain(j, k)`
 //! (encoded, scale `j`, level `k`), or `cipher(j, k)` (encrypted). Scales
-//! are tracked in log2 bits. Type inference implements the typing rules
-//! Eq. 1–6 and simultaneously checks the three RNS-CKKS constraints:
+//! are whole log2 bits, held exactly in an `f64`, so scale comparisons are
+//! exact: the compiler rounds a request in `CompileOptions::type_config`,
+//! and inference refuses a non-whole scale from outside (a plan file's
+//! config, an `encode` scale, an `upscale` target) with
+//! [`TypeError::FractionalScale`]. Type inference implements the typing
+//! rules Eq. 1–6 and simultaneously checks the three RNS-CKKS constraints:
 //!
 //! - **C1** — the scale never exceeds the available coefficient modulus;
 //! - **C2** — rescaling never pushes a scale below the waterline `S_w`;
@@ -14,10 +18,6 @@
 //! re-runs it after every transformation as a verifier.
 
 use crate::ir::{Function, Op, ValueId};
-
-/// Comparison slack for scale equality, in log2 bits. Scales need not be
-/// integers (waterlines are fractional); the slack absorbs f64 rounding only.
-pub const SCALE_EPS: f64 = 1e-6;
 
 /// The type of an IR value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,9 +81,9 @@ impl std::fmt::Display for Type {
 /// The scale-management environment type inference runs under.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TypeConfig {
-    /// The waterline `S_w` (minimum scale), log2 bits.
+    /// The waterline `S_w` (minimum scale), whole log2 bits.
     pub waterline: f64,
-    /// The rescale factor `S_f`, log2 bits.
+    /// The rescale factor `S_f`, whole log2 bits.
     pub rescale_bits: f64,
     /// Maximum level the modulus chain supports, if already fixed.
     pub max_level: Option<usize>,
@@ -180,6 +180,14 @@ pub enum TypeError {
         /// Requested target (bits).
         target: f64,
     },
+    /// A scale, or the config's waterline or `S_f` (`at: None`), that is
+    /// not a whole number of bits.
+    FractionalScale {
+        /// The offending instruction, if any.
+        at: Option<ValueId>,
+        /// The scale (bits).
+        bits: f64,
+    },
 }
 
 impl std::fmt::Display for TypeError {
@@ -220,6 +228,12 @@ impl std::fmt::Display for TypeError {
                     "{at}: upscale target 2^{target:.2} below current 2^{current:.2}"
                 )
             }
+            TypeError::FractionalScale { at: Some(at), bits } => {
+                write!(f, "{at}: scale 2^{bits} is not a whole number of bits")
+            }
+            TypeError::FractionalScale { at: None, bits } => {
+                write!(f, "config scale 2^{bits} is not a whole number of bits")
+            }
         }
     }
 }
@@ -230,8 +244,14 @@ impl std::error::Error for TypeError {}
 /// side conditions of Eq. 3–6).
 ///
 /// # Errors
-/// Returns the first [`TypeError`] encountered in definition order.
+/// Returns the first [`TypeError`]: a non-whole config, else in definition
+/// order.
 pub fn infer_types(func: &Function, cfg: &TypeConfig) -> Result<Vec<Type>, TypeError> {
+    for bits in [cfg.waterline, cfg.rescale_bits] {
+        if bits.fract() != 0.0 {
+            return Err(TypeError::FractionalScale { at: None, bits });
+        }
+    }
     let mut types: Vec<Type> = Vec::with_capacity(func.len());
     for (i, op) in func.ops().iter().enumerate() {
         let at = ValueId(i as u32);
@@ -249,15 +269,21 @@ pub fn infer_types(func: &Function, cfg: &TypeConfig) -> Result<Vec<Type>, TypeE
 /// Returns a [`TypeError`] if the operation violates a typing rule.
 pub fn infer_op(op: &Op, types: &[Type], cfg: &TypeConfig, at: ValueId) -> Result<Type, TypeError> {
     let ty = infer_one(op, types, cfg, at)?;
-    // C1 / level-bound checks for the produced value.
+    // Whole-bit and C1 / level-bound checks for the produced value.
     if let (Some(scale), Some(level)) = (ty.scale(), ty.level()) {
+        if scale.fract() != 0.0 {
+            return Err(TypeError::FractionalScale {
+                at: Some(at),
+                bits: scale,
+            });
+        }
         if let Some(max) = cfg.max_level {
             if level > max {
                 return Err(TypeError::LevelOverflow { at, level, max });
             }
         }
         if let Some(budget) = cfg.budget_at(level) {
-            if scale > budget + SCALE_EPS {
+            if scale > budget {
                 return Err(TypeError::ScaleOverflow { at, scale, budget });
             }
         }
@@ -287,7 +313,7 @@ fn infer_one(op: &Op, types: &[Type], cfg: &TypeConfig, at: ValueId) -> Result<T
                 rule: "encode requires a free operand",
             }),
         },
-        Op::Add(a, b) | Op::Sub(a, b) => {
+        Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
             let (ta, tb) = (ty(*a), ty(*b));
             let (sa, sb) = match (ta.scale(), tb.scale()) {
                 (Some(x), Some(y)) => (x, y),
@@ -301,7 +327,9 @@ fn infer_one(op: &Op, types: &[Type], cfg: &TypeConfig, at: ValueId) -> Result<T
                     rhs: lb,
                 });
             }
-            if (sa - sb).abs() > SCALE_EPS {
+            // `mul` adds scales; `add`/`sub` need equal ones (C3).
+            let is_mul = matches!(op, Op::Mul(..));
+            if !is_mul && sa != sb {
                 return Err(TypeError::ScaleMismatch {
                     at,
                     lhs: sa,
@@ -315,32 +343,7 @@ fn infer_one(op: &Op, types: &[Type], cfg: &TypeConfig, at: ValueId) -> Result<T
                 });
             }
             Ok(Type::Cipher {
-                scale: sa,
-                level: la,
-            })
-        }
-        Op::Mul(a, b) => {
-            let (ta, tb) = (ty(*a), ty(*b));
-            let (sa, sb) = match (ta.scale(), tb.scale()) {
-                (Some(x), Some(y)) => (x, y),
-                _ => return Err(TypeError::FreeOperand { at }),
-            };
-            let (la, lb) = (ta.level().unwrap(), tb.level().unwrap());
-            if la != lb {
-                return Err(TypeError::LevelMismatch {
-                    at,
-                    lhs: la,
-                    rhs: lb,
-                });
-            }
-            if !(ta.is_cipher() || tb.is_cipher()) {
-                return Err(TypeError::BadOperandKind {
-                    at,
-                    rule: "binary operation needs at least one cipher operand",
-                });
-            }
-            Ok(Type::Cipher {
-                scale: sa + sb,
+                scale: if is_mul { sa + sb } else { sa },
                 level: la,
             })
         }
@@ -361,7 +364,7 @@ fn infer_one(op: &Op, types: &[Type], cfg: &TypeConfig, at: ValueId) -> Result<T
         Op::Rescale(v) => match ty(*v) {
             Type::Cipher { scale, level } => {
                 let result = scale - cfg.rescale_bits;
-                if result < cfg.waterline - SCALE_EPS {
+                if result < cfg.waterline {
                     return Err(TypeError::BelowWaterline {
                         at,
                         result_scale: result,
@@ -402,7 +405,7 @@ fn infer_one(op: &Op, types: &[Type], cfg: &TypeConfig, at: ValueId) -> Result<T
                     })
                 }
             };
-            if *target_bits < scale - SCALE_EPS {
+            if *target_bits < scale {
                 return Err(TypeError::UpscaleBelowCurrent {
                     at,
                     current: scale,
@@ -424,13 +427,13 @@ fn infer_one(op: &Op, types: &[Type], cfg: &TypeConfig, at: ValueId) -> Result<T
             Type::Cipher { scale, level } => {
                 // Eq. 6: downscale only where rescale is not applicable and
                 // there is actually scale to shed.
-                if scale - cfg.rescale_bits >= cfg.waterline - SCALE_EPS {
+                if scale - cfg.rescale_bits >= cfg.waterline {
                     return Err(TypeError::BadOperandKind {
                         at,
                         rule: "downscale where rescale applies (Eq. 6)",
                     });
                 }
-                if scale < cfg.waterline - SCALE_EPS {
+                if scale < cfg.waterline {
                     return Err(TypeError::BelowWaterline {
                         at,
                         result_scale: scale,
@@ -655,6 +658,50 @@ mod tests {
             infer_types(&g, &cfg()),
             Err(TypeError::UpscaleBelowCurrent { .. })
         ));
+    }
+
+    #[test]
+    fn non_whole_scales_are_rejected() {
+        let mut f = Function::new("t", 4);
+        let x = f.push(Op::Input { name: "x".into() });
+        f.mark_output("o", x);
+        for (w, sf) in [(20.5, 40.0), (20.0, 39.9)] {
+            assert!(matches!(
+                infer_types(&f, &TypeConfig::new(w, sf)),
+                Err(TypeError::FractionalScale { at: None, .. })
+            ));
+        }
+
+        let c = f.push(Op::Const {
+            data: ConstData::splat(2.0),
+        });
+        let e = f.push(Op::Encode {
+            value: c,
+            scale_bits: 20.25,
+            level: 0,
+        });
+        assert_eq!(
+            infer_types(&f, &cfg()),
+            Err(TypeError::FractionalScale {
+                at: Some(e),
+                bits: 20.25
+            })
+        );
+
+        let mut g = Function::new("t", 4);
+        let x = g.push(Op::Input { name: "x".into() });
+        let u = g.push(Op::Upscale {
+            value: x,
+            target_bits: 30.5,
+        });
+        g.mark_output("o", u);
+        assert_eq!(
+            infer_types(&g, &cfg()),
+            Err(TypeError::FractionalScale {
+                at: Some(u),
+                bits: 30.5
+            })
+        );
     }
 
     #[test]

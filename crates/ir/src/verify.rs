@@ -13,7 +13,8 @@
 //!
 //! - **Structure** — SSA well-formedness (operands defined before use,
 //!   outputs in range, ≥ 1 output);
-//! - **Typing** — the inference rules Eq. 1–6 hold at every operation;
+//! - **Typing** — the inference rules Eq. 1–6 hold at every operation,
+//!   and the config and every scale are whole numbers of bits;
 //! - **Waterline** — every ciphertext scale stays at or above `S_w` (C2);
 //! - **ModulusBudget** — scale plus `level·S_f` fits the modulus budget at
 //!   every program point, and no level exceeds the chain's last (C1);
@@ -32,14 +33,14 @@
 //! no scale types), and [`verify_plan`] for scale-managed programs.
 
 use crate::ir::{Function, Op, StructureError, ValueId};
-use crate::types::{infer_types, Type, TypeConfig, TypeError, SCALE_EPS};
+use crate::types::{infer_types, Type, TypeConfig, TypeError};
 
 /// The invariant classes the verifier enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Invariant {
     /// SSA well-formedness.
     Structure,
-    /// The typing rules Eq. 1–6.
+    /// The typing rules Eq. 1–6, and whole-bit scales.
     Typing,
     /// C2: ciphertext scales never fall below the waterline.
     Waterline,
@@ -135,7 +136,8 @@ fn type_error(pass: &str, func: &Function, e: TypeError) -> VerifyError {
         | TypeError::ScaleOverflow { at, .. }
         | TypeError::LevelOverflow { at, .. }
         | TypeError::BadOperandKind { at, .. }
-        | TypeError::UpscaleBelowCurrent { at, .. } => *at,
+        | TypeError::UpscaleBelowCurrent { at, .. } => Some(*at),
+        TypeError::FractionalScale { at, .. } => *at,
     };
     // Classify the typing failure into the closest invariant class so the
     // report names what the pass actually broke.
@@ -151,8 +153,10 @@ fn type_error(pass: &str, func: &Function, e: TypeError) -> VerifyError {
         }
         _ => Invariant::Typing,
     };
-    let op = func.ops().get(at.index()).map(|o| o.mnemonic());
-    VerifyError::new(pass, Some(at), op, invariant, e.to_string())
+    let op = at
+        .and_then(|at| func.ops().get(at.index()))
+        .map(|o| o.mnemonic());
+    VerifyError::new(pass, at, op, invariant, e.to_string())
 }
 
 /// Verifies a *source* program (before scale management): SSA structure
@@ -205,7 +209,7 @@ pub fn verify_plan(
         // rescale/downscale rules, but a buggy pass could still construct
         // e.g. an encode below the waterline feeding a multiply.
         if let Type::Cipher { scale, .. } = ty {
-            if scale < cfg.waterline - SCALE_EPS {
+            if scale < cfg.waterline {
                 return Err(VerifyError::new(
                     pass,
                     Some(at),

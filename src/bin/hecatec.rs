@@ -782,7 +782,7 @@ fn run_single(cli: &Cli, func: &Function) -> u8 {
     }
     println!(
         "scheme {} | waterline 2^{} | Sf 2^{}",
-        prog.scheme, opts.waterline_bits, opts.rescale_bits
+        prog.scheme, prog.cfg.waterline, prog.cfg.rescale_bits
     );
     print_fallback(&prog);
     println!(

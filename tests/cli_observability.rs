@@ -530,3 +530,70 @@ fn a_reloaded_plan_prints_no_search_statistics() {
     );
     let _ = std::fs::remove_file(plan);
 }
+
+/// The summary line names the waterline the plan was compiled at, not the
+/// `--waterline` flag: a plan saved at 28 and reloaded under the default
+/// waterline prints 2^28, and a request of 30.29 is compiled at 2^31.
+#[test]
+fn the_summary_line_prints_the_compiled_waterline() {
+    let plan = tmp("w28.plan");
+    let plan_arg = plan.to_str().unwrap();
+    for (args, want) in [
+        (&["--waterline", "28", "--save-plan", plan_arg][..], "2^28"),
+        (&["--load-plan", plan_arg], "2^28"),
+        (&["--waterline", "30.29"], "2^31"),
+    ] {
+        let (code, stdout, stderr) = run_poly(&[args, &["--quiet"]].concat());
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert!(
+            stdout.contains(&format!("| waterline {want} |")),
+            "{args:?}: {stdout}"
+        );
+    }
+    let _ = std::fs::remove_file(plan);
+}
+
+/// A hand-edited plan with a scale that is not a whole number of bits (a
+/// config waterline of 30.29, or an `upscale` to 2^30.5) is a typed
+/// rejection from `verify_plan` and exit 3 from `--load-plan`: no panic,
+/// and no run.
+#[test]
+fn a_plan_with_a_fractional_scale_is_refused() {
+    use hecate::compiler::deserialize_plan;
+    use hecate::ir::verify::{verify_plan, Invariant};
+
+    let plan = tmp("fractional.plan");
+    let plan_arg = plan.to_str().unwrap();
+    let (code, _, stderr) = run_poly(&["--save-plan", plan_arg, "--quiet"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let saved = std::fs::read_to_string(&plan).unwrap();
+    let waterline = saved.replacen("waterline=24 ", "waterline=30.29 ", 1);
+    let upscale: String = saved
+        .lines()
+        .map(|line| match line.split_once("= upscale ") {
+            Some((def, args)) => format!(
+                "{def}= upscale {}, 2^30.5\n",
+                &args[..args.find(',').unwrap()]
+            ),
+            None => format!("{line}\n"),
+        })
+        .collect();
+    for (edit, bits) in [(waterline, "2^30.29"), (upscale, "2^30.5")] {
+        assert_ne!(edit, saved, "{bits}: the saved plan has no such line");
+        let prog = deserialize_plan(&edit).unwrap();
+        let e = verify_plan(&prog.func, &prog.bound_config(), "reload").unwrap_err();
+        assert_eq!(e.invariant, Invariant::Typing, "{e}");
+        assert!(
+            e.detail
+                .contains(&format!("{bits} is not a whole number of bits")),
+            "{e}"
+        );
+
+        std::fs::write(&plan, &edit).unwrap();
+        let (code, stdout, stderr) = run_poly(&["--load-plan", plan_arg, "--run", "--quiet"]);
+        assert_eq!(code, Some(3), "{bits}: {stdout}{stderr}");
+        assert!(stderr.contains("not a whole number of bits"), "{stderr}");
+        assert!(!stdout.contains("encrypted run"), "{stdout}");
+    }
+    let _ = std::fs::remove_file(plan);
+}
