@@ -318,7 +318,7 @@ pub fn audit_batched(
                 predicted_rms,
                 sim_rms: expected[t][i].var.sqrt(),
                 measured_rms: m,
-                margin_bits: ty.scale().unwrap_or(0.0) - prog.cfg.waterline,
+                margin_bits: ty.scale().unwrap_or(0.0) - prog.waterline,
                 is_output: prog.func.outputs().iter().any(|(_, v)| v.index() == i),
                 cost_op: lowered.label(),
                 active_primes: lowered.active_primes,
@@ -553,7 +553,7 @@ mod tests {
         let mut opts = CompileOptions::with_waterline(25.0);
         opts.degree = Some(256);
         let mut prog = compile(&b.finish(), Scheme::Eva, &opts).unwrap();
-        prog.cfg.waterline += 64.0;
+        prog.waterline += 64.0;
         let audit = AuditOptions::default();
         let report = audit_encrypted(
             &prog,

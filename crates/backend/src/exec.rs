@@ -67,6 +67,7 @@ use hecate_ckks::{
     KeyGenerator, Plaintext, PublicKey,
 };
 use hecate_compiler::{CompiledProgram, HoistRole, Lowering};
+use hecate_ir::types::TypeConfig;
 use hecate_ir::Op;
 use hecate_math::par;
 use hecate_telemetry::trace;
@@ -136,8 +137,8 @@ pub struct BackendOptions {
     pub degree_override: Option<usize>,
     /// Seed for key generation and encryption randomness.
     pub seed: u64,
-    /// Runtime guards (metadata checks, representation validation, noise
-    /// monitoring).
+    /// Runtime guards (representation validation, noise monitoring); the
+    /// scale/level/prefix check always runs.
     pub guard: GuardOptions,
     /// Fault to inject, for testing the guards. `None` in normal runs.
     pub fault: Option<FaultPlan>,
@@ -167,12 +168,11 @@ impl Default for BackendOptions {
     }
 }
 
-/// Which runtime guards the executor runs after every operation.
-#[derive(Debug, Clone)]
+/// Which optional runtime guards the executor runs after every operation,
+/// beside the check of each ciphertext's declared scale, level and RNS
+/// prefix against the compiled plan's types, which always runs.
+#[derive(Debug, Clone, Default)]
 pub struct GuardOptions {
-    /// Check each ciphertext's declared scale, level, and RNS prefix
-    /// against the compiled plan's types (cheap; on by default).
-    pub metadata_checks: bool,
     /// Scan every residue row of each result for values outside its
     /// prime's range (an `O(N·prefix)` pass per op; off by default).
     pub validate_repr: bool,
@@ -182,22 +182,11 @@ pub struct GuardOptions {
     pub max_rms: Option<f64>,
 }
 
-impl Default for GuardOptions {
-    fn default() -> Self {
-        GuardOptions {
-            metadata_checks: true,
-            validate_repr: false,
-            max_rms: None,
-        }
-    }
-}
-
 /// Guards with everything enabled (as the fault-injection suite runs).
 impl GuardOptions {
     /// All guards on, with the given noise budget (RMS bound).
     pub fn strict(max_rms: f64) -> Self {
         GuardOptions {
-            metadata_checks: true,
             validate_repr: true,
             max_rms: Some(max_rms),
         }
@@ -408,7 +397,7 @@ pub fn build_params(
     let degree = opts.degree_override.unwrap_or(prog.params.degree);
     Ok(CkksParams::new(
         degree,
-        prog.params.q0_bits.clamp(24, 60),
+        prog.params.q0_bits,
         prog.params.sf_bits,
         prog.params.chain_len - 1,
         false,
@@ -442,7 +431,9 @@ pub struct ExecEngine {
     chain_len: usize,
     slots: usize,
     vec_size: usize,
-    sf: f64,
+    /// The plan's type environment: `S_f` for rescale and downscale, the
+    /// waterline, and the per-level modulus budget of the precision marks.
+    cfg: TypeConfig,
     seed: u64,
     /// Slot-batching occupancy (1 = solo). Fixed at engine build: it
     /// determines key generation, the physical rotation mapping, and the
@@ -524,7 +515,7 @@ impl ExecEngine {
         let decryptor = Decryptor::new(&params, kg.secret_key().clone());
         let mut eval = Evaluator::new(&params, keys);
         eval.set_kernel_jobs(opts.kernel_jobs);
-        let sf = prog.cfg.rescale_bits;
+        let cfg = prog.params.type_config(prog.waterline);
         let n = prog.func.len();
         let (mut users, mut indegree, mut uses) = (vec![Vec::new(); n], vec![0; n], vec![0; n]);
         for (i, (op, lowered)) in prog.func.ops().iter().zip(lowering.ops()).enumerate() {
@@ -546,7 +537,7 @@ impl ExecEngine {
             .types
             .iter()
             .filter(|t| t.is_cipher())
-            .map(|t| t.scale().unwrap_or(0.0) - prog.cfg.waterline)
+            .map(|t| t.scale().unwrap_or(0.0) - cfg.waterline)
             .fold(f64::INFINITY, f64::min);
         let registry = hecate_telemetry::metrics::global();
         let ops_counter = registry.counter("hecate_exec_ops_total");
@@ -565,7 +556,7 @@ impl ExecEngine {
             chain_len,
             slots,
             vec_size,
-            sf,
+            cfg,
             seed: opts.seed,
             occupancy,
             block,
@@ -888,7 +879,7 @@ impl ExecEngine {
                 } else {
                     let mut out = eval.rescale(c).map_err(eval_err)?;
                     // Nominal scale declaration (see module docs).
-                    out.scale_bits = c.scale_bits - self.sf;
+                    out.scale_bits = c.scale_bits - self.cfg.sf_bits;
                     Val::Cipher(out)
                 }
             }
@@ -928,8 +919,8 @@ impl ExecEngine {
                 };
                 // Multiply by 2^(S_f + S_w − j), then rescale: the scale
                 // lands on the waterline (nominally).
-                let target = prog.cfg.waterline;
-                let m = scale_multiplier(self.sf + target - c.scale_bits)?;
+                let target = self.cfg.waterline;
+                let m = scale_multiplier(self.cfg.sf_bits + target - c.scale_bits)?;
                 let mut out = eval.rescale(&eval.mul_integer(c, m)).map_err(eval_err)?;
                 out.scale_bits = target;
                 Val::Cipher(out)
@@ -977,11 +968,11 @@ impl ExecEngine {
 
     fn check_guards(&self, i: usize, value: &OpValue) -> Result<(), ExecError> {
         let basis = self.params.basis();
-        if let (Val::Cipher(c), true) = (&value.0, self.guard.metadata_checks) {
+        if let Val::Cipher(c) = &value.0 {
             let ty = self.prog.types[i];
             let want_scale = ty.scale().unwrap_or(c.scale_bits);
             let want_level = ty.level().unwrap_or(c.level);
-            if (c.scale_bits - want_scale).abs() > 1e-3 {
+            if c.scale_bits != want_scale {
                 return Err(ExecError::Guard {
                     at: i,
                     detail: format!(
@@ -1319,16 +1310,15 @@ impl RunState<'_> {
         let predicted_rms = if ty.is_cipher() {
             trace::mark_with("precision", || {
                 let (level, scale_bits) = (ty.level().unwrap_or(0), ty.scale().unwrap_or(0.0));
-                let p = &prog.params;
-                let modulus_bits = p.q0_bits as f64
-                    + p.sf_bits as f64 * (p.chain_len - 1).saturating_sub(level) as f64;
+                let cfg = &engine.cfg;
+                let modulus_bits = cfg.budget_at(level).unwrap_or(0.0);
                 vec![
                     ("i", i.into()),
                     ("op", prog.func.ops()[i].mnemonic().into()),
                     ("level", level.into()),
                     ("scale_bits", scale_bits.into()),
                     ("predicted_rms", rms.into()),
-                    ("margin_bits", (scale_bits - prog.cfg.waterline).into()),
+                    ("margin_bits", (scale_bits - cfg.waterline).into()),
                     ("budget_bits", (modulus_bits - scale_bits).into()),
                 ]
             });

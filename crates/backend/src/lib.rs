@@ -19,11 +19,11 @@
 //! [`exec::execute`], which also does the liveness-driven memory release
 //! the paper's SEAL dialect performs.
 //!
-//! The executor carries runtime guards ([`GuardOptions`]): per-operation
-//! metadata checks against the compiled plan, residue-range validation,
-//! and a noise-budget check on the engine's noise prediction
-//! ([`predict_rms`]) that aborts with `BudgetExhausted` before a garbage
-//! decryption. [`fault`] injects
+//! The executor checks every ciphertext's scale, level and prefix against
+//! the compiled plan after each operation, and carries optional guards
+//! ([`GuardOptions`]): residue-range validation and a noise-budget check
+//! on the engine's noise prediction ([`predict_rms`]) that aborts with
+//! `BudgetExhausted` before a garbage decryption. [`fault`] injects
 //! runtime faults to prove the guards catch them.
 //!
 //! # Example

@@ -235,7 +235,7 @@ fn plain_upscale_plan(
     let y = f.push(combine(x, u));
     f.mark_output("out0", y);
     let mut prog = base.clone();
-    prog.types = verify_plan(&f, &base.bound_config(), "hand-built").unwrap();
+    prog.types = verify_plan(&f, &base.params.type_config(base.waterline), "hand-built").unwrap();
     prog.func = f;
     prog
 }

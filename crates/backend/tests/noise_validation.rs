@@ -100,7 +100,7 @@ fn audit_flags_under_waterlined_plan_via_public_api() {
     let mut opts = CompileOptions::with_waterline(24.0);
     opts.degree = Some(degree);
     let mut prog = compile(&bench.func, Scheme::Eva, &opts).expect("SF compiles");
-    prog.cfg.waterline += 64.0;
+    prog.waterline += 64.0;
     let audit = AuditOptions::default();
     let report = audit_encrypted(
         &prog,
@@ -129,7 +129,7 @@ fn fractional_waterline_compiles_at_its_ceiling_and_passes_the_audit() {
     for (name, waterline, ceiling) in [("SF", 30.29, 31.0), ("LR E2", 29.70, 30.0)] {
         let bench = benches.iter().find(|b| b.name == name).unwrap();
         let prog = compile_hecate(&bench.func, waterline);
-        assert_eq!(prog.cfg.waterline, ceiling, "{name} w{waterline}");
+        assert_eq!(prog.waterline, ceiling, "{name} w{waterline}");
         assert_eq!(
             prog.func,
             compile_hecate(&bench.func, ceiling).func,

@@ -180,7 +180,7 @@ impl Emitter {
     /// `rescale` is applicable: the result would stay at or above the
     /// waterline.
     fn can_rescale(&self, v: ValueId) -> bool {
-        self.scale(v) - self.cfg.rescale_bits >= self.cfg.waterline
+        self.scale(v) - self.cfg.sf_bits >= self.cfg.waterline
     }
 
     /// Exhaustively rescale (the "while possible" loops of both policies).
@@ -385,7 +385,7 @@ fn prepare_binary(
     if proactive && is_mul && em.ty(a).is_cipher() && em.ty(b).is_cipher() {
         let (sa, sb) = (em.scale(a), em.scale(b));
         let both_reducible = sa > cfg.waterline && sb > cfg.waterline;
-        if both_reducible && sa + sb > 2.0 * cfg.rescale_bits {
+        if both_reducible && sa + sb > 2.0 * cfg.sf_bits {
             a = em.downscale(a)?;
             b = em.downscale(b)?;
         }

@@ -82,4 +82,4 @@ pub use options::{
 };
 pub use params::SelectedParams;
 pub use pipeline::{compile, compile_with_fallback, default_waterlines, sweep_waterlines};
-pub use serialize::{deserialize_plan, serialize_plan, PlanFormatError};
+pub use serialize::{deserialize_plan, serialize_plan, PlanError};

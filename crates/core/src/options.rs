@@ -57,7 +57,7 @@ pub struct CompileOptions {
     pub waterline_bits: f64,
     /// The rescale factor `S_f` in log2 bits. EVA fixes rescale primes at
     /// 60 bits; that is the default here too.
-    pub rescale_bits: f64,
+    pub sf_bits: f64,
     /// Headroom added to the base prime beyond the largest bottom-level
     /// scale, to keep decoded values intact.
     pub margin_bits: f64,
@@ -81,7 +81,7 @@ impl CompileOptions {
     pub fn with_waterline(waterline_bits: f64) -> Self {
         CompileOptions {
             waterline_bits,
-            rescale_bits: 60.0,
+            sf_bits: 60.0,
             margin_bits: 22.0,
             degree: None,
             max_chain_len: 24,
@@ -95,7 +95,7 @@ impl CompileOptions {
     /// the waterline rounded up (precision never drops below the request),
     /// `S_f` to the nearest bit. Every pass reads this, not the raw fields.
     pub fn type_config(&self) -> TypeConfig {
-        TypeConfig::new(self.waterline_bits.ceil(), self.rescale_bits.round())
+        TypeConfig::new(self.waterline_bits.ceil(), self.sf_bits.round())
     }
 
     /// A canonical textual fingerprint of every option that can change the
@@ -119,7 +119,7 @@ impl CompileOptions {
         format!(
             "w={};sf={};margin={};degree={:?};chain<={};cost={};ems={};fault={:?}",
             self.waterline_bits,
-            self.rescale_bits,
+            self.sf_bits,
             self.margin_bits,
             self.degree,
             self.max_chain_len,
@@ -327,8 +327,10 @@ pub struct CompiledProgram {
     pub func: Function,
     /// The inferred type of every value.
     pub types: Vec<Type>,
-    /// The type environment it was compiled under.
-    pub cfg: TypeConfig,
+    /// The waterline `S_w` it was compiled at, whole log2 bits. With
+    /// `params` it fixes the plan's type environment,
+    /// [`SelectedParams::type_config`].
+    pub waterline: f64,
     /// Which scheme produced it.
     pub scheme: Scheme,
     /// The selected RNS parameters.
@@ -340,23 +342,4 @@ pub struct CompiledProgram {
     pub source_hash: u64,
     /// Compilation statistics.
     pub stats: CompileStats,
-}
-
-impl CompiledProgram {
-    /// The type environment with the C1 budget bound to the *selected*
-    /// modulus chain: at level `k`, scales must fit
-    /// `q0 + S_f·(chain_len − 1 − k)` bits. The verifier uses this to
-    /// catch plans that drifted from the parameters chosen for them.
-    pub fn bound_config(&self) -> TypeConfig {
-        bound_config(&self.cfg, &self.params)
-    }
-}
-
-/// See [`CompiledProgram::bound_config`].
-pub(crate) fn bound_config(cfg: &TypeConfig, params: &SelectedParams) -> TypeConfig {
-    let mut out = *cfg;
-    out.max_level = Some(params.chain_len - 1);
-    out.modulus_bits =
-        Some(params.q0_bits as f64 + cfg.rescale_bits * (params.chain_len - 1) as f64);
-    out
 }

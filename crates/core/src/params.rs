@@ -9,15 +9,17 @@
 //! the initial level of the program").
 
 use crate::options::{CompileError, CompileOptions};
-use hecate_ir::types::Type;
+use hecate_ir::types::{Type, TypeConfig};
 use hecate_ir::Function;
+use std::ops::RangeInclusive;
 
 /// The base-prime search range: NTT-friendly primes must fit in a word and
-/// stay clear of degenerate tiny moduli.
-const Q0_MIN_BITS: f64 = 24.0;
-const Q0_MAX_BITS: f64 = 60.0;
+/// stay clear of degenerate tiny moduli. A loaded plan's `q0` must lie here.
+pub const Q0_BITS: RangeInclusive<u32> = 24..=60;
 
-/// The selected RNS parameters for one compiled program.
+/// The selected RNS parameters for one compiled program. A plan stores
+/// `q0_bits`, `sf_bits`, `chain_len` and `degree`; [`SelectedParams::new`]
+/// derives the rest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectedParams {
     /// Base prime size (bits).
@@ -35,6 +37,52 @@ pub struct SelectedParams {
     pub degree: usize,
     /// Whether (degree, total_bits) meets the 128-bit security table.
     pub secure: bool,
+}
+
+impl SelectedParams {
+    /// The parameters of a `chain_len`-prime chain (`chain_len ≥ 1`) whose
+    /// values reach level `max_level`: the total counts the special prime
+    /// (sized like the largest chain prime), `degree: None` picks the
+    /// smallest 128-bit-secure degree for it, and `secure` is read off the
+    /// security table for the degree in hand.
+    pub fn new(
+        q0_bits: u32,
+        sf_bits: u32,
+        chain_len: usize,
+        degree: Option<usize>,
+        max_level: usize,
+    ) -> SelectedParams {
+        // Saturating: a loaded plan's chain length is outside input, and a
+        // wrapped total could read as secure.
+        let total = u64::from(sf_bits)
+            .saturating_mul(chain_len as u64 - 1)
+            .saturating_add(u64::from(q0_bits) + u64::from(q0_bits.max(sf_bits)));
+        let total_bits = u32::try_from(total).unwrap_or(u32::MAX);
+        let degree = degree.unwrap_or_else(|| min_secure_degree(total_bits).unwrap_or(32768));
+        SelectedParams {
+            q0_bits,
+            sf_bits,
+            chain_len,
+            max_level,
+            total_bits,
+            degree,
+            secure: max_modulus_bits_128(degree).is_some_and(|m| total_bits <= m),
+        }
+    }
+
+    /// The type environment of a plan compiled at `waterline` on this
+    /// chain: `S_f` is the rescale prime size, and C1 is bound to the
+    /// chain, so at level `k` scales must fit `q0 + S_f·(chain_len − 1 − k)`
+    /// bits. Final verification, the plan loader and the executor all
+    /// read this one config.
+    pub fn type_config(&self, waterline: f64) -> TypeConfig {
+        let sf = f64::from(self.sf_bits);
+        TypeConfig {
+            max_level: Some(self.chain_len - 1),
+            modulus_bits: Some(f64::from(self.q0_bits) + sf * (self.chain_len - 1) as f64),
+            ..TypeConfig::new(waterline, sf)
+        }
+    }
 }
 
 /// Security bound table (mirrors `hecate_ckks::params::max_modulus_bits_128`;
@@ -67,10 +115,9 @@ pub fn select_params(
     types: &[Type],
     opts: &CompileOptions,
 ) -> Result<SelectedParams, CompileError> {
-    let sf = opts.type_config().rescale_bits;
+    let sf = opts.type_config().sf_bits;
     let margin = opts.margin_bits;
     // Scale requirement per level.
-    let mut max_level = 0usize;
     let mut need: Vec<f64> = Vec::new();
     for v in func.value_ids() {
         let t = types[v.index()];
@@ -79,7 +126,6 @@ pub fn select_params(
                 need.resize(level + 1, 0.0);
             }
             need[level] = need[level].max(scale + margin);
-            max_level = max_level.max(level);
         }
     }
     if need.is_empty() {
@@ -88,35 +134,24 @@ pub fn select_params(
         });
     }
     // Find the smallest chain length ≥ max_level+1 for which a base prime
-    // in [Q0_MIN, Q0_MAX] covers every level's requirement.
+    // in `Q0_BITS` covers every level's requirement.
+    let max_level = need.len() - 1;
     for chain_len in (max_level + 1)..=opts.max_chain_len {
         // q0 + sf·(chain_len−1−k) ≥ need[k]  for all k.
         let q0_req = need
             .iter()
             .enumerate()
             .map(|(k, &n)| n - sf * (chain_len - 1 - k) as f64)
-            .fold(Q0_MIN_BITS, f64::max);
-        if q0_req <= Q0_MAX_BITS {
+            .fold(f64::from(*Q0_BITS.start()), f64::max);
+        if q0_req <= f64::from(*Q0_BITS.end()) {
             let q0_bits = q0_req.ceil() as u32;
-            let sf_bits = sf as u32;
-            let special = q0_bits.max(sf_bits);
-            let total_bits = q0_bits + sf_bits * (chain_len as u32 - 1) + special;
-            let (degree, secure) = match opts.degree {
-                Some(d) => (d, max_modulus_bits_128(d).is_some_and(|m| total_bits <= m)),
-                None => match min_secure_degree(total_bits) {
-                    Some(d) => (d, true),
-                    None => (32768, false),
-                },
-            };
-            return Ok(SelectedParams {
+            return Ok(SelectedParams::new(
                 q0_bits,
-                sf_bits,
+                sf as u32,
                 chain_len,
+                opts.degree,
                 max_level,
-                total_bits,
-                degree,
-                secure,
-            });
+            ));
         }
     }
     Err(CompileError::NoParameters {
@@ -135,7 +170,7 @@ mod tests {
 
     fn opts(w: f64, sf: f64) -> CompileOptions {
         let mut o = CompileOptions::with_waterline(w);
-        o.rescale_bits = sf;
+        o.sf_bits = sf;
         o
     }
 
@@ -205,6 +240,15 @@ mod tests {
         o.degree = Some(2048);
         let p = select_params(&f, &tys, &o).unwrap();
         assert_eq!(p.degree, 2048);
+        assert!(!p.secure);
+    }
+
+    #[test]
+    fn a_chain_too_long_to_count_is_not_secure() {
+        // 34 + 60·787 410 671 + 60 bits wraps a u32 to 98, which would
+        // fit degree 8192.
+        let p = SelectedParams::new(34, 60, 787_410_672, Some(8192), 1);
+        assert_eq!(p.total_bits, u32::MAX);
         assert!(!p.secure);
     }
 

@@ -106,7 +106,7 @@ pub fn compile(
     Ok(CompiledProgram {
         func: candidate.func,
         types: candidate.types,
-        cfg,
+        waterline: cfg.waterline,
         scheme,
         params: candidate.params,
         source_hash,
@@ -134,7 +134,7 @@ fn apply_fault_and_verify(
     }
     // The final check binds C1 to the *selected* modulus chain, so a plan
     // inconsistent with its own parameters cannot ship.
-    let cfg = crate::options::bound_config(&opts.type_config(), &candidate.params);
+    let cfg = candidate.params.type_config(opts.type_config().waterline);
     candidate.types = verify_plan(&candidate.func, &cfg, "final-plan")?;
     Ok(())
 }
@@ -156,7 +156,7 @@ pub fn compile_with_fallback(
     // Raise the waterline by half the rescale factor, staying inside the
     // sweep range the paper explores (15–50 bits).
     let cfg = opts.type_config();
-    let raised = (cfg.waterline + cfg.rescale_bits / 2.0).min(50.0);
+    let raised = (cfg.waterline + cfg.sf_bits / 2.0).min(50.0);
     let mut ladder: Vec<(FallbackRung, Scheme, f64)> =
         vec![(FallbackRung::Primary, scheme, cfg.waterline)];
     if scheme.explores() && scheme != Scheme::Pars {
@@ -276,7 +276,7 @@ mod tests {
         assert_eq!(results.len(), 3);
         for (w, r) in &results {
             let c = r.as_ref().expect("feasible waterline");
-            assert!((c.cfg.waterline - w).abs() < 1e-12);
+            assert_eq!(c.waterline, *w);
         }
     }
 

@@ -1,18 +1,34 @@
 //! (De)serialization of compiled plans.
 //!
 //! A [`CompiledProgram`] is the *compile once* artifact the serving layer
-//! amortizes: the scale-managed function, its types, the type-system
-//! environment, the selected RNS parameters, and the content hash of the
-//! source function it was compiled from. This module renders all of that
-//! as a line-oriented text document (`HECATE-PLAN v1`) that survives a
-//! round trip exactly — the function via the canonical re-parsable print
-//! form, floats in Rust's shortest round-trip rendering.
+//! amortizes. This module renders it as a line-oriented text document
+//! (`HECATE-PLAN v1`) holding only what cannot be derived:
 //!
-//! A reloaded plan is untrusted input: callers should re-verify it with
-//! [`hecate_ir::verify::verify_plan`] against
-//! [`CompiledProgram::bound_config`] before executing it (as `hecatec
-//! --load-plan` does), and can use the recorded source hash to detect a
-//! plan being replayed against a different source program.
+//! ```text
+//! HECATE-PLAN v1
+//! scheme hecate
+//! config waterline=24
+//! params q0=39 sf=60 chain=3 degree=4096
+//! estimate latency_us=… noise_bits=…
+//! source hash=…
+//! <the function, in the canonical re-parsable print form>
+//! ```
+//!
+//! The waterline and the chain (`q0`, `S_f`, length, degree) are the plan's
+//! whole type environment ([`SelectedParams::type_config`]); the type
+//! table, the highest level, the total modulus and the security label
+//! follow from them. Floats use Rust's shortest round-trip rendering, so a
+//! round trip is exact.
+//!
+//! A loaded plan is untrusted input, so [`deserialize_plan`] returns only
+//! a verified plan: it rejects a base prime outside [`Q0_BITS`], then
+//! infers the types with [`hecate_ir::verify::verify_plan`] on the plan's
+//! own chain. The recorded source hash lets a caller detect a plan being
+//! replayed against a different source program.
+//!
+//! Plans saved by earlier versions still load: the derived fields of their
+//! `config` and `params` lines are ignored, and their `slot footprint=`
+//! line and `types N` table are skipped.
 //!
 //! Exploration statistics (epochs, plans explored, SMU counts) and the
 //! use-edge count of the *source* program describe the compilation, not
@@ -22,35 +38,48 @@
 //! reportable without rerunning the explorer.
 
 use crate::options::{CompileStats, CompiledProgram, Scheme};
-use crate::params::SelectedParams;
+use crate::params::{SelectedParams, Q0_BITS};
 use hecate_ir::analysis::op_histogram;
 use hecate_ir::parse::parse_function;
 use hecate_ir::print::print_function_full;
-use hecate_ir::types::{Type, TypeConfig};
-use std::fmt::Write as _;
+use hecate_ir::types::Type;
+use hecate_ir::verify::{verify_plan, VerifyError};
+use std::num::NonZeroUsize;
 
 /// The format tag on the first line of every serialized plan.
 pub const PLAN_HEADER: &str = "HECATE-PLAN v1";
 
-/// A malformed serialized plan.
+/// Why a serialized plan was refused.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlanFormatError {
-    /// What was wrong, with enough context to locate it.
-    pub message: String,
+pub enum PlanError {
+    /// The text is not a well-formed plan document.
+    Format(String),
+    /// The base prime size lies outside [`Q0_BITS`], the range parameter
+    /// selection searches.
+    BasePrime(u32),
+    /// The function does not verify on the plan's own chain.
+    Verify(VerifyError),
 }
 
-impl std::fmt::Display for PlanFormatError {
+impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed plan: {}", self.message)
+        match self {
+            PlanError::Format(message) => write!(f, "malformed plan: {message}"),
+            PlanError::BasePrime(q0) => write!(
+                f,
+                "base prime of {q0} bits is outside the {}–{} bits parameter selection uses",
+                Q0_BITS.start(),
+                Q0_BITS.end()
+            ),
+            PlanError::Verify(e) => write!(f, "plan failed verification: {e}"),
+        }
     }
 }
 
-impl std::error::Error for PlanFormatError {}
+impl std::error::Error for PlanError {}
 
-fn bad(message: impl Into<String>) -> PlanFormatError {
-    PlanFormatError {
-        message: message.into(),
-    }
+fn bad(message: impl Into<String>) -> PlanError {
+    PlanError::Format(message.into())
 }
 
 fn scheme_tag(scheme: Scheme) -> &'static str {
@@ -62,7 +91,7 @@ fn scheme_tag(scheme: Scheme) -> &'static str {
     }
 }
 
-fn parse_scheme(tag: &str) -> Result<Scheme, PlanFormatError> {
+fn parse_scheme(tag: &str) -> Result<Scheme, PlanError> {
     match tag {
         "eva" => Ok(Scheme::Eva),
         "pars" => Ok(Scheme::Pars),
@@ -74,82 +103,43 @@ fn parse_scheme(tag: &str) -> Result<Scheme, PlanFormatError> {
 
 /// Renders a compiled plan as the `HECATE-PLAN v1` text form.
 pub fn serialize_plan(prog: &CompiledProgram) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{PLAN_HEADER}");
-    let _ = writeln!(s, "scheme {}", scheme_tag(prog.scheme));
-    let _ = writeln!(
-        s,
-        "config waterline={} rescale={} max_level={} modulus_bits={}",
-        prog.cfg.waterline,
-        prog.cfg.rescale_bits,
-        opt_to_str(prog.cfg.max_level.map(|v| v as f64)),
-        opt_to_str(prog.cfg.modulus_bits),
-    );
     let p = &prog.params;
-    let _ = writeln!(
-        s,
-        "params q0={} sf={} chain={} max_level={} total={} degree={} secure={}",
-        p.q0_bits, p.sf_bits, p.chain_len, p.max_level, p.total_bits, p.degree, p.secure
-    );
-    let _ = writeln!(
-        s,
-        "estimate latency_us={} noise_bits={}",
-        prog.stats.estimated_latency_us, prog.stats.estimated_noise_bits
-    );
-    let _ = writeln!(s, "source hash={:016x}", prog.source_hash);
-    let _ = writeln!(s, "types {}", prog.types.len());
-    for t in &prog.types {
-        match t {
-            Type::Free => {
-                let _ = writeln!(s, "free");
-            }
-            Type::Plain { scale, level } => {
-                let _ = writeln!(s, "plain {scale} {level}");
-            }
-            Type::Cipher { scale, level } => {
-                let _ = writeln!(s, "cipher {scale} {level}");
-            }
-        }
-    }
-    s.push_str(&print_function_full(&prog.func));
-    s
-}
-
-fn opt_to_str(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x}"),
-        None => "-".to_string(),
-    }
-}
-
-fn parse_opt_f64(s: &str) -> Result<Option<f64>, PlanFormatError> {
-    if s == "-" {
-        Ok(None)
-    } else {
-        s.parse()
-            .map(Some)
-            .map_err(|_| bad(format!("bad optional float '{s}'")))
-    }
+    format!(
+        "{PLAN_HEADER}\nscheme {}\nconfig waterline={}\nparams q0={} sf={} chain={} degree={}\n\
+         estimate latency_us={} noise_bits={}\nsource hash={:016x}\n{}",
+        scheme_tag(prog.scheme),
+        prog.waterline,
+        p.q0_bits,
+        p.sf_bits,
+        p.chain_len,
+        p.degree,
+        prog.stats.estimated_latency_us,
+        prog.stats.estimated_noise_bits,
+        prog.source_hash,
+        print_function_full(&prog.func),
+    )
 }
 
 /// One `key=value` field from a header line.
-fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, PlanFormatError> {
+fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, PlanError> {
     line.split_whitespace()
         .find_map(|tok| tok.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
         .ok_or_else(|| bad(format!("missing field '{key}' in '{line}'")))
 }
 
-fn parsed<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, PlanFormatError> {
+fn parsed<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, PlanError> {
     s.parse()
         .map_err(|_| bad(format!("bad {what} value '{s}'")))
 }
 
-/// Reconstructs a compiled plan from its `HECATE-PLAN v1` text form.
+/// Reconstructs a verified plan from its `HECATE-PLAN v1` text form.
 ///
 /// # Errors
-/// Returns [`PlanFormatError`] if the header, types, or function body are
-/// malformed, or if the type count disagrees with the function length.
-pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanFormatError> {
+/// [`PlanError::Format`] if the header lines or the function body are
+/// malformed, [`PlanError::BasePrime`] for a base prime outside
+/// [`Q0_BITS`], and [`PlanError::Verify`] if the function does not verify
+/// on the plan's own chain.
+pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanError> {
     let mut lines = text.lines().peekable();
     let header = lines.next().ok_or_else(|| bad("empty document"))?;
     if header.trim() != PLAN_HEADER {
@@ -165,23 +155,16 @@ pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanFormatError> 
     )?;
 
     let cfg_line = lines.next().ok_or_else(|| bad("missing config line"))?;
-    let cfg = TypeConfig {
-        waterline: parsed(field(cfg_line, "waterline")?, "waterline")?,
-        rescale_bits: parsed(field(cfg_line, "rescale")?, "rescale")?,
-        max_level: parse_opt_f64(field(cfg_line, "max_level")?)?.map(|v| v as usize),
-        modulus_bits: parse_opt_f64(field(cfg_line, "modulus_bits")?)?,
-    };
+    let waterline: f64 = parsed(field(cfg_line, "waterline")?, "waterline")?;
 
     let params_line = lines.next().ok_or_else(|| bad("missing params line"))?;
-    let params = SelectedParams {
-        q0_bits: parsed(field(params_line, "q0")?, "q0")?,
-        sf_bits: parsed(field(params_line, "sf")?, "sf")?,
-        chain_len: parsed(field(params_line, "chain")?, "chain")?,
-        max_level: parsed(field(params_line, "max_level")?, "max_level")?,
-        total_bits: parsed(field(params_line, "total")?, "total")?,
-        degree: parsed(field(params_line, "degree")?, "degree")?,
-        secure: parsed(field(params_line, "secure")?, "secure")?,
-    };
+    let q0_bits: u32 = parsed(field(params_line, "q0")?, "q0")?;
+    if !Q0_BITS.contains(&q0_bits) {
+        return Err(PlanError::BasePrime(q0_bits));
+    }
+    let sf_bits: u32 = parsed(field(params_line, "sf")?, "sf")?;
+    let chain_len: NonZeroUsize = parsed(field(params_line, "chain")?, "chain")?;
+    let degree: usize = parsed(field(params_line, "degree")?, "degree")?;
 
     let est_line = lines.next().ok_or_else(|| bad("missing estimate line"))?;
     let estimated_latency_us: f64 = parsed(field(est_line, "latency_us")?, "latency_us")?;
@@ -191,52 +174,25 @@ pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanFormatError> 
     let source_hash = u64::from_str_radix(field(source_line, "hash")?, 16)
         .map_err(|_| bad(format!("bad source hash in '{source_line}'")))?;
 
-    // Plans saved by earlier versions carry a `slot footprint=` line; the
-    // executor derives slot reaches from the function, so it is skipped.
+    // Earlier versions also saved a `slot footprint=` line and a `types N`
+    // table; slot reaches and types are derived here, so both are skipped.
     lines.next_if(|l| l.starts_with("slot footprint"));
-
-    let count_line = lines.next().ok_or_else(|| bad("missing types line"))?;
-    let n_types: usize = parsed(
-        count_line
-            .strip_prefix("types ")
-            .ok_or_else(|| bad("missing 'types N' line"))?,
-        "type count",
-    )?;
-    let mut types = Vec::with_capacity(n_types);
-    for _ in 0..n_types {
-        let line = lines.next().ok_or_else(|| bad("truncated type list"))?;
-        let mut toks = line.split_whitespace();
-        let ty = match toks.next() {
-            Some("free") => Type::Free,
-            Some(kind @ ("plain" | "cipher")) => {
-                let scale: f64 = parsed(
-                    toks.next().ok_or_else(|| bad("type missing scale"))?,
-                    "scale",
-                )?;
-                let level: usize = parsed(
-                    toks.next().ok_or_else(|| bad("type missing level"))?,
-                    "level",
-                )?;
-                if kind == "plain" {
-                    Type::Plain { scale, level }
-                } else {
-                    Type::Cipher { scale, level }
-                }
-            }
-            other => return Err(bad(format!("unknown type line {other:?}"))),
-        };
-        types.push(ty);
+    if let Some(count) = lines.next_if(|l| l.starts_with("types ")) {
+        let n: usize = parsed(&count["types ".len()..], "type count")?;
+        for _ in 0..n {
+            lines.next();
+        }
     }
 
     let body: String = lines.collect::<Vec<_>>().join("\n");
     let func = parse_function(&body).map_err(|e| bad(format!("function body: {e}")))?;
-    if func.len() != types.len() {
-        return Err(bad(format!(
-            "{} types for {} operations",
-            types.len(),
-            func.len()
-        )));
-    }
+    let chain = SelectedParams::new(q0_bits, sf_bits, chain_len.get(), Some(degree), 0);
+    let types =
+        verify_plan(&func, &chain.type_config(waterline), "reload").map_err(PlanError::Verify)?;
+    let params = SelectedParams {
+        max_level: types.iter().filter_map(Type::level).max().unwrap_or(0),
+        ..chain
+    };
 
     let stats = CompileStats {
         estimated_latency_us,
@@ -247,7 +203,7 @@ pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanFormatError> 
     Ok(CompiledProgram {
         func,
         types,
-        cfg,
+        waterline,
         scheme,
         params,
         source_hash,
@@ -278,15 +234,59 @@ mod tests {
         compile(&b.finish(), scheme, &opts).unwrap()
     }
 
+    /// The plan as the previous format saved it: every derived field on
+    /// the `config` and `params` lines, then the type table.
+    fn legacy_format(prog: &CompiledProgram) -> String {
+        let text = serialize_plan(prog);
+        let (head, body) = text.split_at(text.find("\nfunc").unwrap() + 1);
+        let p = &prog.params;
+        let cfg = p.type_config(prog.waterline);
+        let mut types = format!("types {}\n", prog.types.len());
+        for t in &prog.types {
+            types += &match t {
+                Type::Free => "free\n".to_string(),
+                Type::Plain { scale, level } => format!("plain {scale} {level}\n"),
+                Type::Cipher { scale, level } => format!("cipher {scale} {level}\n"),
+            };
+        }
+        let head = head
+            .replacen(
+                "\nparams ",
+                &format!(
+                    "\nparams max_level={} total={} secure={} ",
+                    p.max_level, p.total_bits, p.secure
+                ),
+                1,
+            )
+            .replacen(
+                &format!("waterline={}", prog.waterline),
+                &format!(
+                    "waterline={} rescale={} max_level={} modulus_bits={}",
+                    cfg.waterline,
+                    cfg.sf_bits,
+                    cfg.max_level.unwrap(),
+                    cfg.modulus_bits.unwrap()
+                ),
+                1,
+            );
+        format!("{head}{types}{body}")
+    }
+
     #[test]
     fn roundtrip_preserves_the_artifact() {
         for scheme in Scheme::ALL {
             let prog = compiled(scheme);
             let text = serialize_plan(&prog);
+            assert!(
+                !text
+                    .lines()
+                    .any(|l| l.starts_with("types ") || l.starts_with("cipher ")),
+                "{scheme}: a saved plan has no type table"
+            );
             let back = deserialize_plan(&text).unwrap();
             assert_eq!(back.func, prog.func, "{scheme}");
             assert_eq!(back.types, prog.types, "{scheme}");
-            assert_eq!(back.cfg, prog.cfg, "{scheme}");
+            assert_eq!(back.waterline, prog.waterline, "{scheme}");
             assert_eq!(back.params, prog.params, "{scheme}");
             assert_eq!(back.scheme, prog.scheme);
             assert_eq!(back.source_hash, prog.source_hash, "{scheme}");
@@ -302,10 +302,13 @@ mod tests {
 
     #[test]
     fn reloaded_plan_passes_bound_verification() {
+        // The loader's types are those the final verification infers on the
+        // plan's own chain.
         let prog = compiled(Scheme::Hecate);
         let back = deserialize_plan(&serialize_plan(&prog)).unwrap();
-        let tys =
-            hecate_ir::verify::verify_plan(&back.func, &back.bound_config(), "reload").unwrap();
+        let cfg = back.params.type_config(back.waterline);
+        assert_eq!(cfg.max_level, Some(back.params.chain_len - 1));
+        let tys = hecate_ir::verify::verify_plan(&back.func, &cfg, "reload").unwrap();
         assert_eq!(tys, back.types);
     }
 
@@ -334,37 +337,82 @@ mod tests {
 
     #[test]
     fn v1_plans_without_footprint_line_still_load() {
-        // Plans saved by earlier versions carry a `slot footprint=` line
-        // after the source hash; with or without it, the plan is the same.
+        // Plans saved by earlier versions carry derived header fields, a
+        // type table and (earlier still) a `slot footprint=` line; with or
+        // without them, the plan is the same.
+        for scheme in Scheme::ALL {
+            let prog = compiled(scheme);
+            let text = serialize_plan(&prog);
+            assert!(!text.contains("slot footprint"));
+            let old_layout = legacy_format(&prog);
+            let footprint = old_layout.replacen("\ntypes ", "\nslot footprint=4:0:0:6\ntypes ", 1);
+            for legacy in [&old_layout, &footprint] {
+                assert_ne!(*legacy, text);
+                let old = deserialize_plan(legacy).unwrap();
+                assert_eq!(old.func, prog.func, "{scheme}");
+                assert_eq!(old.types, prog.types, "{scheme}");
+                assert_eq!(old.params, prog.params, "{scheme}");
+                assert_eq!(old.source_hash, prog.source_hash, "{scheme}");
+                assert_eq!(serialize_plan(&old), text, "{scheme}");
+            }
+        }
+    }
+
+    #[test]
+    fn derived_fields_of_an_old_plan_are_ignored() {
+        // An earlier-layout plan whose derived fields contradict its chain
+        // loads as the chain says: `S_f`, the level budget and the
+        // security label all come from `q0 sf chain degree`.
         let prog = compiled(Scheme::Hecate);
-        let text = serialize_plan(&prog);
-        assert!(!text.contains("slot footprint"));
-        let legacy = text.replacen("\ntypes ", "\nslot footprint=4:0:0:6\ntypes ", 1);
-        assert_ne!(legacy, text);
-        let (old, new) = (
-            deserialize_plan(&legacy).unwrap(),
-            deserialize_plan(&text).unwrap(),
-        );
-        assert_eq!(old.func, new.func);
-        assert_eq!(old.types, new.types);
-        assert_eq!(old.params, new.params);
-        assert_eq!(old.source_hash, new.source_hash);
-        assert_eq!(serialize_plan(&old), text);
+        let p = prog.params;
+        let edited = legacy_format(&prog)
+            .replacen(
+                &format!("rescale={} ", p.sf_bits),
+                &format!("rescale={} ", p.sf_bits - 1),
+                1,
+            )
+            .replacen(
+                &format!("secure={}", p.secure),
+                &format!("secure={}", !p.secure),
+                1,
+            )
+            .replacen("\nplain ", "\nplain 7", 1);
+        let back = deserialize_plan(&edited).unwrap();
+        assert_eq!(back.types, prog.types);
+        assert_eq!(back.params, prog.params);
     }
 
     #[test]
     fn malformed_documents_rejected() {
         assert!(deserialize_plan("").is_err());
         assert!(deserialize_plan("NOT-A-PLAN").is_err());
-        let good = serialize_plan(&compiled(Scheme::Eva));
+        let prog = compiled(Scheme::Eva);
+        let good = serialize_plan(&prog);
         // Wrong header version.
         let bad_hdr = good.replacen("v1", "v9", 1);
         assert!(deserialize_plan(&bad_hdr).is_err());
         // Truncated body.
         let cut: String = good.lines().take(8).collect::<Vec<_>>().join("\n");
         assert!(deserialize_plan(&cut).is_err());
-        // Type count disagreeing with the function.
-        let miscounted = good.replacen("types ", "types 1 // was ", 1);
-        assert!(deserialize_plan(&miscounted).is_err());
+        // An old plan whose type count disagrees with its type table.
+        let miscounted = legacy_format(&prog).replacen("types ", "types 1 // was ", 1);
+        assert!(matches!(
+            deserialize_plan(&miscounted),
+            Err(PlanError::Format(_))
+        ));
+        // A chain of no primes, and base primes parameter selection never
+        // picks.
+        let q0 = format!("q0={} ", prog.params.q0_bits);
+        let chain = format!("chain={} ", prog.params.chain_len);
+        assert!(matches!(
+            deserialize_plan(&good.replacen(&chain, "chain=0 ", 1)),
+            Err(PlanError::Format(_))
+        ));
+        for bits in [23, 61] {
+            assert_eq!(
+                deserialize_plan(&good.replacen(&q0, &format!("q0={bits} "), 1)).unwrap_err(),
+                PlanError::BasePrime(bits)
+            );
+        }
     }
 }

@@ -56,7 +56,12 @@ fn sabotaged_hecate_rung_falls_back_to_pars() {
     assert_eq!(prog.stats.fallback_attempts, 1);
     assert_eq!(prog.scheme, Scheme::Pars);
     // The recovered program is a real compile: verified types and params.
-    hecate_ir::verify::verify_plan(&prog.func, &prog.cfg, "recovered").unwrap();
+    hecate_ir::verify::verify_plan(
+        &prog.func,
+        &prog.params.type_config(prog.waterline),
+        "recovered",
+    )
+    .unwrap();
     assert!(prog.params.chain_len >= 1);
 }
 

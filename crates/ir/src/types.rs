@@ -84,21 +84,21 @@ pub struct TypeConfig {
     /// The waterline `S_w` (minimum scale), whole log2 bits.
     pub waterline: f64,
     /// The rescale factor `S_f`, whole log2 bits.
-    pub rescale_bits: f64,
+    pub sf_bits: f64,
     /// Maximum level the modulus chain supports, if already fixed.
     pub max_level: Option<usize>,
     /// Modulus budget for C1: available modulus bits at level 0 (the whole
-    /// chain). At level `k` the budget shrinks by `k·rescale_bits`.
+    /// chain). At level `k` the budget shrinks by `k·sf_bits`.
     pub modulus_bits: Option<f64>,
 }
 
 impl TypeConfig {
     /// A config with the given waterline and rescale factor and no modulus
     /// budget (C1 deferred until parameter selection).
-    pub fn new(waterline: f64, rescale_bits: f64) -> Self {
+    pub fn new(waterline: f64, sf_bits: f64) -> Self {
         TypeConfig {
             waterline,
-            rescale_bits,
+            sf_bits,
             max_level: None,
             modulus_bits: None,
         }
@@ -106,8 +106,7 @@ impl TypeConfig {
 
     /// Modulus bits available at `level`, if a budget is set.
     pub fn budget_at(&self, level: usize) -> Option<f64> {
-        self.modulus_bits
-            .map(|m| m - level as f64 * self.rescale_bits)
+        self.modulus_bits.map(|m| m - level as f64 * self.sf_bits)
     }
 }
 
@@ -247,7 +246,7 @@ impl std::error::Error for TypeError {}
 /// Returns the first [`TypeError`]: a non-whole config, else in definition
 /// order.
 pub fn infer_types(func: &Function, cfg: &TypeConfig) -> Result<Vec<Type>, TypeError> {
-    for bits in [cfg.waterline, cfg.rescale_bits] {
+    for bits in [cfg.waterline, cfg.sf_bits] {
         if bits.fract() != 0.0 {
             return Err(TypeError::FractionalScale { at: None, bits });
         }
@@ -363,7 +362,7 @@ fn infer_one(op: &Op, types: &[Type], cfg: &TypeConfig, at: ValueId) -> Result<T
         },
         Op::Rescale(v) => match ty(*v) {
             Type::Cipher { scale, level } => {
-                let result = scale - cfg.rescale_bits;
+                let result = scale - cfg.sf_bits;
                 if result < cfg.waterline {
                     return Err(TypeError::BelowWaterline {
                         at,
@@ -427,7 +426,7 @@ fn infer_one(op: &Op, types: &[Type], cfg: &TypeConfig, at: ValueId) -> Result<T
             Type::Cipher { scale, level } => {
                 // Eq. 6: downscale only where rescale is not applicable and
                 // there is actually scale to shed.
-                if scale - cfg.rescale_bits >= cfg.waterline {
+                if scale - cfg.sf_bits >= cfg.waterline {
                     return Err(TypeError::BadOperandKind {
                         at,
                         rule: "downscale where rescale applies (Eq. 6)",

@@ -110,7 +110,6 @@ use hecate::compiler::{
 use hecate::ir::hash::function_hash;
 use hecate::ir::parse::parse_function;
 use hecate::ir::print::print_function;
-use hecate::ir::verify::verify_plan;
 use hecate::ir::Function;
 use hecate::math::rng::Xoshiro256;
 use hecate::runtime::{
@@ -264,7 +263,7 @@ flags! {
         other => return Err(format!("unknown scheme '{other}'")),
     };
     "--waterline" "BITS" ALL => |c, v| c.compile.waterline_bits = num(v)?;
-    "--sf" "BITS" ALL => |c, v| c.compile.rescale_bits = num(v)?;
+    "--sf" "BITS" ALL => |c, v| c.compile.sf_bits = num(v)?;
     "--degree" "N" ALL => |c, v| c.compile.degree = Some(num(v)?);
     "--run" "" ALL => |_c, _v| {};
     "--quiet" "" ALL => |c, _v| c.quiet = true;
@@ -501,21 +500,12 @@ fn obtain_plan(cli: &Cli, func: &Function, opts: &CompileOptions) -> Result<Comp
             eprintln!("hecatec: cannot read {path}: {e}");
             3
         })?;
+        // The loader verifies the plan on its own chain, so a stale or
+        // hand-edited file cannot execute an inconsistent program.
         let prog = deserialize_plan(&text).map_err(|e| {
             eprintln!("hecatec: {path}: {e}");
             3
         })?;
-        // A reloaded plan is untrusted input: re-run the full plan
-        // verification against its own selected parameters so a stale or
-        // hand-edited file cannot execute an inconsistent program.
-        let types = verify_plan(&prog.func, &prog.bound_config(), "reload").map_err(|e| {
-            eprintln!("hecatec: {path}: reloaded plan failed verification: {e}");
-            3
-        })?;
-        if types != prog.types {
-            eprintln!("hecatec: {path}: reloaded plan's type table disagrees with inference");
-            return Err(3);
-        }
         if prog.source_hash != function_hash(func) {
             eprintln!(
                 "hecatec: warning: {path} was compiled from a different source program \
@@ -782,7 +772,7 @@ fn run_single(cli: &Cli, func: &Function) -> u8 {
     }
     println!(
         "scheme {} | waterline 2^{} | Sf 2^{}",
-        prog.scheme, prog.cfg.waterline, prog.cfg.rescale_bits
+        prog.scheme, prog.waterline, prog.params.sf_bits
     );
     print_fallback(&prog);
     println!(

@@ -555,19 +555,19 @@ fn the_summary_line_prints_the_compiled_waterline() {
 
 /// A hand-edited plan with a scale that is not a whole number of bits (a
 /// config waterline of 30.29, or an `upscale` to 2^30.5) is a typed
-/// rejection from `verify_plan` and exit 3 from `--load-plan`: no panic,
-/// and no run.
+/// rejection from the loader and exit 3 from `--load-plan`: no panic, and
+/// no run.
 #[test]
 fn a_plan_with_a_fractional_scale_is_refused() {
-    use hecate::compiler::deserialize_plan;
-    use hecate::ir::verify::{verify_plan, Invariant};
+    use hecate::compiler::{deserialize_plan, PlanError};
+    use hecate::ir::verify::Invariant;
 
     let plan = tmp("fractional.plan");
     let plan_arg = plan.to_str().unwrap();
     let (code, _, stderr) = run_poly(&["--save-plan", plan_arg, "--quiet"]);
     assert_eq!(code, Some(0), "stderr: {stderr}");
     let saved = std::fs::read_to_string(&plan).unwrap();
-    let waterline = saved.replacen("waterline=24 ", "waterline=30.29 ", 1);
+    let waterline = saved.replacen("waterline=24\n", "waterline=30.29\n", 1);
     let upscale: String = saved
         .lines()
         .map(|line| match line.split_once("= upscale ") {
@@ -580,8 +580,10 @@ fn a_plan_with_a_fractional_scale_is_refused() {
         .collect();
     for (edit, bits) in [(waterline, "2^30.29"), (upscale, "2^30.5")] {
         assert_ne!(edit, saved, "{bits}: the saved plan has no such line");
-        let prog = deserialize_plan(&edit).unwrap();
-        let e = verify_plan(&prog.func, &prog.bound_config(), "reload").unwrap_err();
+        let e = match deserialize_plan(&edit) {
+            Err(PlanError::Verify(e)) => e,
+            other => panic!("{bits}: {other:?}"),
+        };
         assert_eq!(e.invariant, Invariant::Typing, "{e}");
         assert!(
             e.detail
@@ -595,5 +597,82 @@ fn a_plan_with_a_fractional_scale_is_refused() {
         assert!(stderr.contains("not a whole number of bits"), "{stderr}");
         assert!(!stdout.contains("encrypted run"), "{stdout}");
     }
+    let _ = std::fs::remove_file(plan);
+}
+
+/// The `output` lines of a `--run`.
+fn output_lines(stdout: &str) -> Vec<&str> {
+    stdout
+        .lines()
+        .filter(|l| l.starts_with("  output"))
+        .collect()
+}
+
+/// The security label follows the stored degree: the poly plan's 214-bit
+/// chain edited onto degree 1024 is reported as insecure.
+#[test]
+fn a_plan_edited_to_a_small_degree_is_labelled_insecure() {
+    let plan = tmp("degree.plan");
+    let plan_arg = plan.to_str().unwrap();
+    let (code, saved, stderr) = run_poly(&["--save-plan", plan_arg, "--quiet"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(
+        saved.contains("degree 8192 |") && saved.contains("| 128-bit secure"),
+        "{saved}"
+    );
+    let text = std::fs::read_to_string(&plan).unwrap();
+    let edit = text.replacen(" degree=8192\n", " degree=1024\n", 1);
+    assert_ne!(edit, text);
+    std::fs::write(&plan, edit).unwrap();
+    let (code, loaded, stderr) = run_poly(&["--load-plan", plan_arg, "--quiet"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(loaded.contains("degree 1024 |"), "{loaded}");
+    assert!(loaded.contains("| NOT 128-bit secure"), "{loaded}");
+    let _ = std::fs::remove_file(plan);
+}
+
+/// A plan in the earlier layout (every derived field on its `config` and
+/// `params` lines, then a type table) still loads, and its derived fields
+/// are not read: with `rescale=59` beside `sf=60` it runs exactly like the
+/// unedited plan and like a fresh compile.
+#[test]
+fn an_old_plan_runs_on_its_stored_chain_whatever_its_derived_fields_say() {
+    let legacy = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/poly-legacy.plan"),
+    )
+    .unwrap();
+    let edit = legacy.replacen(" rescale=60 ", " rescale=59 ", 1);
+    assert_ne!(edit, legacy);
+    let (code, direct, stderr) = run_poly(&["--run", "--quiet"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert_eq!(output_lines(&direct).len(), 1, "{direct}");
+    let plan = tmp("legacy.plan");
+    let plan_arg = plan.to_str().unwrap();
+    for text in [&legacy, &edit] {
+        std::fs::write(&plan, text).unwrap();
+        let (code, stdout, stderr) = run_poly(&["--load-plan", plan_arg, "--run", "--quiet"]);
+        assert_eq!(code, Some(0), "stderr: {stderr}");
+        assert!(stdout.contains("| Sf 2^60\n"), "{stdout}");
+        assert_eq!(output_lines(&stdout), output_lines(&direct));
+    }
+    let _ = std::fs::remove_file(plan);
+}
+
+/// A base prime outside the 24–60 bits parameter selection searches is a
+/// typed rejection (exit 3), not a silently different chain.
+#[test]
+fn a_base_prime_outside_the_search_range_is_refused() {
+    let plan = tmp("q0.plan");
+    let plan_arg = plan.to_str().unwrap();
+    let (code, _, stderr) = run_poly(&["--save-plan", plan_arg, "--quiet"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let text = std::fs::read_to_string(&plan).unwrap();
+    let edit = text.replacen("params q0=34 ", "params q0=70 ", 1);
+    assert_ne!(edit, text);
+    std::fs::write(&plan, edit).unwrap();
+    let (code, stdout, stderr) = run_poly(&["--load-plan", plan_arg, "--run", "--quiet"]);
+    assert_eq!(code, Some(3), "{stdout}{stderr}");
+    assert!(stderr.contains("base prime of 70 bits"), "{stderr}");
+    assert!(!stdout.contains("encrypted run"), "{stdout}");
     let _ = std::fs::remove_file(plan);
 }

@@ -1,9 +1,10 @@
 //! Cross-crate integration tests: every benchmark, every scheme, compiled
-//! and verified; the compiled code preserves plaintext semantics; the
-//! paper's qualitative claims hold in the estimates.
+//! and verified, and its plan file reloads to the same plan; the compiled
+//! code preserves plaintext semantics; the paper's qualitative claims hold
+//! in the estimates.
 
 use hecate::apps::{all_benchmarks, Preset};
-use hecate::compiler::{compile, CompileOptions, Scheme};
+use hecate::compiler::{compile, deserialize_plan, serialize_plan, CompileOptions, Scheme};
 use hecate::ir::interp::{interpret, rms_error};
 use hecate::ir::types::infer_types;
 
@@ -13,6 +14,31 @@ fn opts(w: f64) -> CompileOptions {
     o
 }
 
+/// A plan file states the chain once and no types: reloading it derives
+/// the same types and parameters (the security label included, from the
+/// auto-selected degree) as the compile that saved it.
+#[test]
+fn every_benchmark_plan_round_trips_through_a_plan_file() {
+    for bench in all_benchmarks(Preset::Small) {
+        for scheme in Scheme::ALL {
+            let prog = compile(&bench.func, scheme, &CompileOptions::with_waterline(26.0))
+                .unwrap_or_else(|e| panic!("{} under {scheme}: {e}", bench.name));
+            let text = serialize_plan(&prog);
+            let back = deserialize_plan(&text)
+                .unwrap_or_else(|e| panic!("{} under {scheme}: {e}", bench.name));
+            assert_eq!(back.func, prog.func, "{} under {scheme}", bench.name);
+            assert_eq!(back.types, prog.types, "{} under {scheme}", bench.name);
+            assert_eq!(back.params, prog.params, "{} under {scheme}", bench.name);
+            assert_eq!(
+                back.waterline, prog.waterline,
+                "{} under {scheme}",
+                bench.name
+            );
+            assert_eq!(serialize_plan(&back), text, "{} under {scheme}", bench.name);
+        }
+    }
+}
+
 #[test]
 fn every_benchmark_compiles_under_every_scheme() {
     for bench in all_benchmarks(Preset::Small) {
@@ -20,7 +46,7 @@ fn every_benchmark_compiles_under_every_scheme() {
             let prog = compile(&bench.func, scheme, &opts(26.0))
                 .unwrap_or_else(|e| panic!("{} under {scheme}: {e}", bench.name));
             // The compiled program passes the full type checker.
-            infer_types(&prog.func, &prog.cfg)
+            infer_types(&prog.func, &prog.params.type_config(prog.waterline))
                 .unwrap_or_else(|e| panic!("{} under {scheme} ill-typed: {e}", bench.name));
             assert!(prog.params.chain_len >= 1);
             assert!(prog.stats.estimated_latency_us > 0.0);

@@ -6,13 +6,14 @@
 //! early modswitch could still move, the proactive scheme's modulus never
 //! exceeds the baseline's, exploration never estimates worse than the
 //! policy it starts from, the consumers of the one noise rule and the one
-//! plaintext semantics agree with each other, and an encrypted run is
-//! never `Ok` and wrong.
+//! plaintext semantics agree with each other, an encrypted run is never
+//! `Ok` and wrong, and neither is a saved plan whose header was edited.
 
 use hecate::backend::exec::{execute_encrypted, BackendOptions, GuardOptions};
 use hecate::backend::noise::{max_rms_error, predict_rms, simulate};
 use hecate::compiler::{
-    compile, compile_with_fallback, CompileError, CompileOptions, Scheme, SelectedParams,
+    compile, compile_with_fallback, deserialize_plan, serialize_plan, CompileError, CompileOptions,
+    Scheme, SelectedParams,
 };
 use hecate::ir::analysis::users;
 use hecate::ir::interp::{interpret, rms_error};
@@ -151,11 +152,11 @@ proptest! {
         // At Sf = 24 bits every product rescales down a level, so level
         // matching, and with it early modswitch, runs on most programs.
         for (scheme, sf) in Scheme::ALL.into_iter().flat_map(|s| [(s, 60.0), (s, 24.0)]) {
-            opts.rescale_bits = sf;
+            opts.sf_bits = sf;
             match compile(&func, scheme, &opts) {
                 Ok(prog) => {
                     // Invariant 1: the result type-checks under C1–C3.
-                    infer_types(&prog.func, &prog.cfg).expect("compiled code type-checks");
+                    infer_types(&prog.func, &prog.params.type_config(prog.waterline)).expect("compiled code type-checks");
                     // Early modswitch reached its fixpoint.
                     let stuck = movable_modswitch(&prog.func);
                     prop_assert!(
@@ -292,7 +293,7 @@ proptest! {
             Ok(prog) => {
                 // A shipped plan must satisfy every invariant the verifier
                 // knows, bound to the modulus chain it actually selected.
-                verify_plan(&prog.func, &prog.bound_config(), "proptest-audit")
+                verify_plan(&prog.func, &prog.params.type_config(prog.waterline), "proptest-audit")
                     .expect("shipped plan re-verifies against its own parameters");
                 prop_assert!(prog.stats.fallback.is_some());
             }
@@ -407,5 +408,145 @@ proptest! {
         slots in proptest::collection::vec(-1.0f64..1.0, 2 * VEC),
     ) {
         encrypted_oracle(&picks, n_inputs, centibits, &slots)?;
+    }
+}
+
+/// `text` with the header token `key=…` set to `key=value`.
+fn set_field(text: &str, key: &str, value: impl std::fmt::Display) -> String {
+    let prefix = format!("{key}=");
+    let (head, body) = text.split_at(text.find("\nfunc").expect("plan has a body"));
+    let head: Vec<String> = head
+        .lines()
+        .map(|line| {
+            line.split(' ')
+                .map(|tok| match tok.starts_with(&prefix) {
+                    true => format!("{prefix}{value}"),
+                    false => tok.to_string(),
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect();
+    let edited = head.join("\n") + body;
+    assert_ne!(edited, text, "{key}={value}: no such field");
+    edited
+}
+
+/// Every single-field edit of a saved plan's header: waterline, `S_f` and
+/// chain length ±1, base primes just and far outside the 24–60 bits
+/// parameter selection searches, and the degree halved or doubled.
+fn hostile_edits(text: &str, w: f64, p: &SelectedParams) -> Vec<(String, String)> {
+    let mut edits: Vec<(&str, String)> = vec![
+        ("waterline", (w - 1.0).to_string()),
+        ("waterline", (w + 1.0).to_string()),
+        ("sf", (p.sf_bits - 1).to_string()),
+        ("sf", (p.sf_bits + 1).to_string()),
+        ("chain", (p.chain_len - 1).to_string()),
+        ("chain", (p.chain_len + 1).to_string()),
+        ("degree", (p.degree / 2).to_string()),
+        ("degree", (p.degree * 2).to_string()),
+    ];
+    edits.extend([22, 23, 61, 70].map(|q0| ("q0", q0.to_string())));
+    edits
+        .into_iter()
+        .map(|(key, value)| (format!("{key}={value}"), set_field(text, key, &value)))
+        .collect()
+}
+
+/// Loads every [`hostile_edits`] variant of `prog`'s saved plan and runs
+/// what loads: each is a typed rejection (a `PlanError` from the loader or
+/// an `ExecError` from the run), or it decrypts every output within
+/// 2⁻⁸·max(1, max|ref|) of `reference`, the source program's
+/// interpretation. Never a panic, never `Ok` and wrong.
+fn hostile_plans_are_refused_or_right(
+    prog: &hecate::compiler::CompiledProgram,
+    ins: &HashMap<String, Vec<f64>>,
+    reference: &HashMap<String, Vec<f64>>,
+) -> Result<(), String> {
+    let text = serialize_plan(prog);
+    let bound = 2f64.powi(-8)
+        * reference
+            .values()
+            .flatten()
+            .fold(1f64, |m, x| m.max(x.abs()));
+    for (edit, hostile) in hostile_edits(&text, prog.waterline, &prog.params) {
+        let Ok(loaded) = deserialize_plan(&hostile) else {
+            continue;
+        };
+        let Ok(run) = execute_encrypted(&loaded, ins, &BackendOptions::default()) else {
+            continue;
+        };
+        for (name, expect) in reference {
+            let err = run.outputs[name]
+                .iter()
+                .zip(expect)
+                .fold(0f64, |m, (a, b)| m.max((a - b).abs()));
+            if err > bound {
+                return Err(format!(
+                    "{} plan with {edit}: output {name} is off by {err:.3e} (bound {bound:.3e})",
+                    prog.scheme
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The poly example's saved plan under every scheme (at degree 2048, to
+/// keep the runs short), edited field by field.
+#[test]
+fn hostile_poly_plans_are_refused_or_run_correctly() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/ir/poly.heir");
+    let func = hecate::ir::parse::parse_function(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let ins: HashMap<String, Vec<f64>> = [(
+        "x".to_string(),
+        vec![0.5, -0.25, 0.75, 0.1, -0.9, 0.3, 0.0, 1.0],
+    )]
+    .into();
+    let reference = interpret(&func, &ins).unwrap();
+    let mut opts = CompileOptions::with_waterline(24.0);
+    opts.degree = Some(2048);
+    for scheme in Scheme::ALL {
+        let prog = compile(&func, scheme, &opts).unwrap();
+        hostile_plans_are_refused_or_right(&prog, &ins, &reference).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Generated programs at degree 512 and whole waterlines 22–31, under
+    /// every scheme, with every header field edited.
+    #[test]
+    fn hostile_generated_plans_are_refused_or_run_correctly(
+        picks in proptest::collection::vec((pick_strategy(), any::<u64>(), any::<u64>()), 3..10),
+        n_inputs in 1usize..3,
+        waterline in 22u32..32,
+        slots in proptest::collection::vec(-1.0f64..1.0, 2 * VEC),
+    ) {
+        let func = build_program(&picks, n_inputs);
+        prop_assume!(has_cipher_output(&func));
+        let ins: HashMap<String, Vec<f64>> = (0..n_inputs)
+            .map(|i| (format!("x{i}"), slots[i * VEC..(i + 1) * VEC].to_vec()))
+            .collect();
+        let reference = interpret(&func, &ins).unwrap();
+        let mut opts = CompileOptions::with_waterline(f64::from(waterline));
+        opts.degree = Some(512);
+        let mut seen: Vec<String> = Vec::new();
+        for scheme in Scheme::ALL {
+            let Ok(prog) = compile(&func, scheme, &opts) else {
+                continue;
+            };
+            // Runs are deterministic: a plan an earlier scheme saved is
+            // not edited again.
+            let text = serialize_plan(&prog);
+            let body = text[text.find("\nfunc").unwrap()..].to_string();
+            if seen.contains(&body) {
+                continue;
+            }
+            seen.push(body);
+            let verdict = hostile_plans_are_refused_or_right(&prog, &ins, &reference);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        }
     }
 }
