@@ -329,9 +329,9 @@ pub fn audit_batched(
         Ok(())
     };
 
-    // One worker: probes run between kernels in SSA order, so the rows
-    // come out in program order.
-    let runs = execute(engine, tenants, 1, Some(&mut observer), None)?;
+    // Probes run between kernels in SSA order, so the rows come out in
+    // program order.
+    let runs = execute(engine, tenants, Some(&mut observer), None)?;
 
     Ok(runs
         .into_iter()

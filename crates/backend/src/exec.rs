@@ -14,30 +14,25 @@
 //! - **Lowering.** The engine lowers the plan once ([`Lowering`]): keys,
 //!   physical rotation steps, hoist roles and `exec-op` cost labels all
 //!   come from it, so the executor runs what the estimator priced.
-//! - **Ready set.** The SSA arena, plus an edge from each hoist leader to
-//!   each of its followers, *is* the dependence DAG (its shape is built
-//!   once per engine). Operations whose in-edges are all done sit in a
-//!   min-heap on op index; workers pop, run the kernel, publish the value
-//!   (and a leader's decomposition beside it), and push the ops that
-//!   became ready. With one worker the pop order is exactly SSA order (op
-//!   `k` is ready once `0..k` are done, and nothing smaller is left), so
-//!   liveness peaks and observer order are those of a plain sequential walk.
-//!   A leader precedes its followers, so each hoist group decomposes once.
-//! - **Workers.** The caller is always worker 0; `jobs − 1` scoped
-//!   helpers ([`hecate_math::par::run_scoped`]) join it, so `jobs = 1`
-//!   spawns nothing. All scheduling state sits behind one mutex — ops run
-//!   for tens of microseconds to milliseconds, the lock is held for
-//!   bookkeeping only.
+//! - **One thread.** A run walks the ops in SSA order on the calling
+//!   thread: poll the cancel token, admit an encrypted input or run the
+//!   kernel, book the result, then drop the values whose last use that
+//!   op was. The per-op lists of those values are fixed when the engine
+//!   is built (outputs are never dropped), so liveness, peaks and
+//!   observer order are the same on every run. A hoist leader's
+//!   decomposition sits beside its operand and goes with it; the leader
+//!   precedes its followers in SSA order, so each hoist group decomposes
+//!   once. The only threads inside a run are a kernel's limb stripes
+//!   (`kernel_jobs`).
 //! - **Tenants.** A run serves `engine.occupancy()` tenants packed into
 //!   disjoint slot blocks of each ciphertext; solo execution is the
 //!   one-tenant case (one block spanning every slot is exactly
 //!   replication, and its contamination reach is empty).
 //! - **Determinism.** Randomness is confined to key generation (engine
-//!   construction) and input encryption, which happens on the caller in
-//!   operation order from a fresh [`Encryptor`] seeded with `seed + 1`
-//!   before any op is scheduled. Every homomorphic kernel is a
-//!   deterministic function of its operands, so the DAG's fixpoint is
-//!   bit-identical at every worker count and interleaving.
+//!   construction) and input encryption, which happens in operation
+//!   order from a fresh [`Encryptor`] seeded with `seed + 1` before any
+//!   op runs. Every homomorphic kernel is a deterministic function of its
+//!   operands, so a run is bit-identical at every `kernel_jobs`.
 //! - **Noise.** The engine predicts each value's RMS noise once, at build
 //!   ([`crate::noise::predict_rms`]); every run's `max_rms` guard,
 //!   `precision` marks, observer and margin read that prediction.
@@ -69,13 +64,11 @@ use hecate_ckks::{
 use hecate_compiler::{CompiledProgram, HoistRole, Lowering};
 use hecate_ir::types::TypeConfig;
 use hecate_ir::Op;
-use hecate_math::par;
 use hecate_telemetry::trace;
 use hecate_telemetry::{Counter, Gauge, Histogram};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A cooperative cancellation handle the executors poll between
@@ -335,17 +328,16 @@ pub struct EncryptedRun {
     /// This tenant's decrypted, demultiplexed outputs (`vec_size` slots).
     pub outputs: HashMap<String, Vec<f64>>,
     /// Total homomorphic execution time, microseconds (setup, encryption,
-    /// and decryption excluded — matching the paper's latency metric).
-    /// The sum of `op_us`, so it counts kernel time, not wall time, when
-    /// several workers overlap.
+    /// and decryption excluded — matching the paper's latency metric):
+    /// the sum of `op_us`.
     pub total_us: f64,
     /// Per-operation time, microseconds (zero for ops the lowering prices
     /// at nothing).
     pub op_us: Vec<f64>,
-    /// Peak number of simultaneously live ciphertexts. Values are freed
-    /// when their last consumer finishes (the paper's SEAL dialect
-    /// optimizes memory the same way); with more than one worker the peak
-    /// depends on the interleaving.
+    /// Peak number of simultaneously live ciphertexts. A value is freed
+    /// once the op that is its last use finishes (the paper's SEAL
+    /// dialect optimizes memory by the same liveness analysis), so the
+    /// peak is fixed by the plan.
     pub peak_live: usize,
     /// Peak ciphertext working set in bytes, under the same release rule.
     pub peak_bytes: usize,
@@ -418,7 +410,7 @@ pub fn build_params(
 /// creates a fresh [`Encryptor`] seeded with `seed + 1` and encrypts
 /// inputs in operation order. Homomorphic kernels are deterministic, so
 /// two runs over the same inputs produce bit-identical ciphertexts and
-/// outputs no matter how operations are scheduled after that.
+/// outputs.
 pub struct ExecEngine {
     prog: Arc<CompiledProgram>,
     params: CkksParams,
@@ -447,13 +439,10 @@ pub struct ExecEngine {
     /// The plan lowered at this engine's slots and occupancy: per-op cost
     /// labels, physical rotation steps and hoist roles.
     lowering: Lowering,
-    /// The DAG shape, fixed by the plan: the ops each op unblocks (one
-    /// per operand instance, plus a hoist leader's followers), the edges
-    /// entering each op, and each value's uses (+1 for an output, never
-    /// released, so outputs survive the run).
-    users: Vec<Vec<usize>>,
-    indegree: Vec<usize>,
-    uses: Vec<usize>,
+    /// Per op, the values whose last use it is, dropped once it is
+    /// booked. Outputs and unused values are in no list: they survive
+    /// the run.
+    frees: Vec<Vec<usize>>,
     /// Predicted decoded-domain RMS noise per value, and the tightest
     /// cipher scale-vs-waterline margin: fixed by the plan, degree,
     /// occupancy and fault plan, so every run shares them.
@@ -516,21 +505,20 @@ impl ExecEngine {
         let mut eval = Evaluator::new(&params, keys);
         eval.set_kernel_jobs(opts.kernel_jobs);
         let cfg = prog.params.type_config(prog.waterline);
-        let n = prog.func.len();
-        let (mut users, mut indegree, mut uses) = (vec![Vec::new(); n], vec![0; n], vec![0; n]);
-        for (i, (op, lowered)) in prog.func.ops().iter().zip(lowering.ops()).enumerate() {
+        let mut last_use = vec![None; prog.func.len()];
+        for (i, op) in prog.func.ops().iter().enumerate() {
             for v in op.operands() {
-                users[v.index()].push(i);
-                indegree[i] += 1;
-                uses[v.index()] += 1;
-            }
-            if let Some((_, HoistRole::Follower { leader })) = lowered.rotation {
-                users[leader].push(i);
-                indegree[i] += 1;
+                last_use[v.index()] = Some(i);
             }
         }
         for (_, v) in prog.func.outputs() {
-            uses[v.index()] += 1;
+            last_use[v.index()] = None;
+        }
+        let mut frees = vec![Vec::new(); prog.func.len()];
+        for (v, last) in last_use.into_iter().enumerate() {
+            if let Some(i) = last {
+                frees[i].push(v);
+            }
         }
         let predicted_rms = predict_rms(&prog, params.degree(), occupancy, opts.fault.as_ref());
         let min_margin_bits = prog
@@ -562,9 +550,7 @@ impl ExecEngine {
             block,
             reaches,
             lowering,
-            users,
-            indegree,
-            uses,
+            frees,
             predicted_rms,
             min_margin_bits,
             ops_counter,
@@ -730,16 +716,16 @@ impl ExecEngine {
     /// Executes operation `i` given its operand values (in
     /// [`Op::operands`] order), then applies fault injection and guards.
     /// Returns the value and the homomorphic kernel time in microseconds
-    /// (zero for operations the lowering prices at nothing). `hoisted` is
-    /// the operand's decomposition: a hoist follower reads it, a hoist
-    /// leader fills it. `input` operations are handled by
-    /// [`ExecEngine::encrypt_inputs`] and [`ExecEngine::admit_value`], not
-    /// here.
+    /// (zero for operations the lowering prices at nothing). `hoisted`
+    /// holds the decomposition beside each value: a hoist leader fills
+    /// its operand's, a follower reads it. `input` operations are handled
+    /// by [`ExecEngine::encrypt_inputs`] and [`ExecEngine::admit_value`],
+    /// not here.
     fn exec_op(
         &self,
         i: usize,
         operands: &[&OpValue],
-        hoisted: &mut Option<Arc<HoistedDecomp>>,
+        hoisted: &mut [Option<HoistedDecomp>],
     ) -> Result<(OpValue, f64), ExecError> {
         let lowered = &self.lowering.ops()[i];
         let mut span = trace::span_with("exec-op", || {
@@ -778,14 +764,14 @@ impl ExecEngine {
         &self,
         i: usize,
         operands: &[&OpValue],
-        hoisted: &mut Option<Arc<HoistedDecomp>>,
+        hoisted: &mut [Option<HoistedDecomp>],
     ) -> Result<Val, ExecError> {
         let prog = &self.prog;
         let op = &prog.func.ops()[i];
         let eval = &self.eval;
         let eval_err = |source: EvalError| ExecError::Eval { at: i, source };
         Ok(match op {
-            Op::Input { .. } => unreachable!("inputs are encrypted before scheduling"),
+            Op::Input { .. } => unreachable!("inputs are encrypted before the walk"),
             Op::Const { data } => Val::Free((0..self.vec_size).map(|k| data.at(k)).collect()),
             Op::Encode {
                 scale_bits, level, ..
@@ -846,6 +832,7 @@ impl ExecEngine {
                 let (s, role) = self.lowering.ops()[i]
                     .rotation
                     .expect("rotations are lowered");
+                let hoisted = &mut hoisted[value.index()];
                 let out = match role {
                     HoistRole::Lone => eval.rotate(c, s),
                     HoistRole::Leader => {
@@ -856,7 +843,7 @@ impl ExecEngine {
                                 ("active_primes", c.prefix().into()),
                             ]
                         });
-                        let hd = hoisted.insert(Arc::new(eval.hoist(c)));
+                        let hd = hoisted.insert(eval.hoist(c));
                         span.attr("us", (t0.elapsed().as_secs_f64() * 1e6).into());
                         drop(span);
                         eval.rotate_hoisted(c, hd, s)
@@ -1008,6 +995,41 @@ impl ExecEngine {
         }
         Ok(())
     }
+
+    /// The noise guard and `precision` mark of finished operation `i`.
+    /// Returns the predicted RMS the observer sees: the engine's
+    /// prediction for a cipher value, 0 for a plain or free one.
+    fn check_noise(&self, i: usize) -> Result<f64, ExecError> {
+        let prog = &self.prog;
+        let rms = self.predicted_rms[i];
+        if let Some(max_rms) = self.guard.max_rms {
+            if rms > max_rms {
+                return Err(ExecError::BudgetExhausted {
+                    at: i,
+                    deficit: (rms / max_rms).log2(),
+                });
+            }
+        }
+        let ty = prog.types[i];
+        if !ty.is_cipher() {
+            return Ok(0.0);
+        }
+        trace::mark_with("precision", || {
+            let (level, scale_bits) = (ty.level().unwrap_or(0), ty.scale().unwrap_or(0.0));
+            let cfg = &self.cfg;
+            let modulus_bits = cfg.budget_at(level).unwrap_or(0.0);
+            vec![
+                ("i", i.into()),
+                ("op", prog.func.ops()[i].mnemonic().into()),
+                ("level", level.into()),
+                ("scale_bits", scale_bits.into()),
+                ("predicted_rms", rms.into()),
+                ("margin_bits", (scale_bits - cfg.waterline).into()),
+                ("budget_bits", (modulus_bits - scale_bits).into()),
+            ]
+        });
+        Ok(rms)
+    }
 }
 
 /// Builds an engine for `prog` and runs it once, solo, on the calling
@@ -1025,7 +1047,7 @@ pub fn execute_encrypted(
 }
 
 /// One solo run on the calling thread over an already-built engine
-/// (setup amortized): [`execute`] with one tenant and one worker.
+/// (setup amortized): [`execute`] with one tenant.
 ///
 /// # Errors
 /// Returns [`ExecError`] on input, evaluator, or guard failures.
@@ -1033,21 +1055,21 @@ pub fn execute_sequential(
     engine: &ExecEngine,
     inputs: &HashMap<String, Vec<f64>>,
 ) -> Result<EncryptedRun, ExecError> {
-    let mut runs = execute(engine, &[inputs], 1, None, None)?;
+    let mut runs = execute(engine, &[inputs], None, None)?;
     Ok(runs.pop().expect("one run per tenant"))
 }
 
-/// A per-op observer for audited runs, called once per executed operation
-/// after fault injection and guards with `(op index, value, predicted
-/// RMS)`. The predicted RMS is the engine's noise prediction for cipher
-/// values (0 for plain/free values). Returning an error aborts the run.
-/// Calls are serialized in completion order — SSA order with one worker.
-pub type OpObserver<'a> = &'a mut (dyn FnMut(usize, &OpValue, f64) -> Result<(), ExecError> + Send);
+/// A per-op observer for audited runs, called once per executed operation,
+/// in SSA order, after fault injection and guards with `(op index, value,
+/// predicted RMS)`. The predicted RMS is the engine's noise prediction for
+/// cipher values (0 for plain/free values). Returning an error aborts the
+/// run.
+pub type OpObserver<'a> = &'a mut dyn FnMut(usize, &OpValue, f64) -> Result<(), ExecError>;
 
 /// Executes `engine`'s program once for `tenants.len()` tenants — which
-/// must equal the engine's occupancy — on `jobs` workers, and returns one
-/// [`EncryptedRun`] per tenant, in block order. See the module docs for
-/// the scheduling, determinism, and noise-model contract.
+/// must equal the engine's occupancy — on the calling thread, and returns
+/// one [`EncryptedRun`] per tenant, in block order. See the module docs
+/// for the walk, determinism, and noise-model contract.
 ///
 /// `observer` is the audit hook: it only *reads* values (decryption does
 /// not consume a ciphertext), so an observed run is bit-identical to an
@@ -1056,94 +1078,85 @@ pub type OpObserver<'a> = &'a mut (dyn FnMut(usize, &OpValue, f64) -> Result<(),
 ///
 /// # Errors
 /// Returns [`ExecError`] on input, evaluator, guard, observer, or
-/// cancellation failures — the first failure wins and remaining work is
-/// abandoned — and [`ExecError::BatchUnsupported`] on a tenant-count
-/// mismatch.
-///
-/// # Panics
-/// A panic in a kernel or the observer stops every worker and then
-/// propagates to the caller with its original payload.
+/// cancellation failures — the first failure ends the run — and
+/// [`ExecError::BatchUnsupported`] on a tenant-count mismatch.
 pub fn execute(
     engine: &ExecEngine,
     tenants: &[&HashMap<String, Vec<f64>>],
-    jobs: usize,
-    observer: Option<OpObserver<'_>>,
+    mut observer: Option<OpObserver<'_>>,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<EncryptedRun>, ExecError> {
-    let jobs = jobs.max(1);
     let prog = &engine.prog;
-    let n = prog.func.len();
+    let ops = prog.func.ops();
+    let n = ops.len();
+    let degree = engine.degree();
     let mut span = trace::span_with("execute", || {
         vec![
             ("func", prog.func.name.as_str().into()),
             ("ops", n.into()),
-            ("degree", engine.degree().into()),
+            ("degree", degree.into()),
             ("chain_len", engine.chain_len.into()),
-            ("jobs", jobs.into()),
             ("occupancy", engine.occupancy.into()),
             ("est_us", prog.stats.estimated_latency_us.into()),
         ]
     });
-    let inputs = engine.encrypt_inputs(tenants)?;
-
-    let driver = Driver {
-        engine,
-        cancel,
-        jobs,
-        wake: Condvar::new(),
-        state: Mutex::new(RunState {
-            ready: (0..n)
-                .filter(|&i| engine.indegree[i] == 0)
-                .map(Reverse)
-                .collect(),
-            indegree: engine.indegree.clone(),
-            uses: engine.uses.clone(),
-            inputs,
-            vals: vec![None; n],
-            hoisted: vec![None; n],
-            done: 0,
-            stop: false,
-            error: None,
-            observer,
-            op_us: vec![0.0; n],
-            live_cipher: 0,
-            peak_live: 0,
-            live_bytes: 0,
-            peak_bytes: 0,
-        }),
-    };
-    // The correlation context is thread-local; re-establish it in each
-    // helper so exec-op events keep the serving request's ids across the
-    // thread hop. A helper's panic reaches the caller with its payload.
-    let (ctx_req, ctx_batch) = trace::current_context();
-    par::run_scoped(jobs, |_| {
-        let _ctx = trace::push_context(ctx_req, ctx_batch);
-        driver.work();
-    });
-
-    let state = driver
-        .state
-        .into_inner()
-        .expect("a poisoned run already panicked out of the scope");
-    if let Some(e) = state.error {
-        return Err(e);
+    // Encrypted inputs wait in their op's slot until the walk admits them.
+    let mut vals = engine.encrypt_inputs(tenants)?;
+    let mut hoisted: Vec<Option<HoistedDecomp>> = (0..n).map(|_| None).collect();
+    let mut op_us = vec![0.0; n];
+    let (mut live, mut peak_live, mut live_bytes, mut peak_bytes) = (0, 0, 0, 0);
+    for i in 0..n {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(ExecError::Cancelled { at: i });
+        }
+        let (value, us) = match vals[i].take() {
+            Some(mut input) => {
+                engine.admit_value(i, &mut input)?;
+                (input, 0.0)
+            }
+            None => {
+                let operands: Vec<&OpValue> = ops[i]
+                    .operands()
+                    .iter()
+                    .map(|v| {
+                        vals[v.index()]
+                            .as_ref()
+                            .expect("operands precede consumers")
+                    })
+                    .collect();
+                engine.exec_op(i, &operands, &mut hoisted)?
+            }
+        };
+        let predicted_rms = engine.check_noise(i)?;
+        if let Some(observe) = observer.as_mut() {
+            observe(i, &value, predicted_rms)?;
+        }
+        op_us[i] = us;
+        if value.is_cipher() {
+            live += 1;
+            peak_live = peak_live.max(live);
+            live_bytes += value.cipher_bytes(degree);
+            peak_bytes = peak_bytes.max(live_bytes);
+        }
+        vals[i] = Some(value);
+        for &v in &engine.frees[i] {
+            hoisted[v] = None;
+            if let Some(dead) = vals[v].take().filter(OpValue::is_cipher) {
+                live -= 1;
+                live_bytes -= dead.cipher_bytes(degree);
+            }
+        }
     }
-    assert_eq!(
-        state.done, n,
-        "scheduler drained without completing the DAG"
-    );
 
     let mut outputs: Vec<HashMap<String, Vec<f64>>> = vec![HashMap::new(); engine.occupancy];
     for (name, v) in prog.func.outputs() {
-        let value = state.vals[v.index()]
-            .as_ref()
-            .expect("outputs are retained");
+        let value = vals[v.index()].as_ref().expect("outputs are retained");
         for (t, data) in engine.demux(value, v.index(), 1).into_iter().enumerate() {
             outputs[t].insert(name.clone(), data);
         }
     }
     engine.publish_precision();
-    let total_us: f64 = state.op_us.iter().sum();
+    let total_us: f64 = op_us.iter().sum();
     let min_margin_bits = engine.min_margin_bits;
     span.attr("total_us", total_us.into());
     span.attr("min_margin_bits", min_margin_bits.into());
@@ -1152,213 +1165,12 @@ pub fn execute(
         .map(|outputs| EncryptedRun {
             outputs,
             total_us,
-            op_us: state.op_us.clone(),
-            peak_live: state.peak_live,
-            peak_bytes: state.peak_bytes,
-            degree: engine.degree(),
+            op_us: op_us.clone(),
+            peak_live,
+            peak_bytes,
+            degree,
             chain_len: engine.chain_len,
             min_margin_bits,
         })
         .collect())
-}
-
-/// One run's scheduler: the engine (whose DAG shape it walks) plus the
-/// mutable [`RunState`] every worker shares.
-struct Driver<'a, 'o> {
-    engine: &'a ExecEngine,
-    cancel: Option<&'a CancelToken>,
-    jobs: usize,
-    state: Mutex<RunState<'o>>,
-    /// Signalled whenever ops become ready or the run ends.
-    wake: Condvar,
-}
-
-/// Everything a run mutates, behind the driver's one lock. Kernels run
-/// outside it; it is held only to pick an op and to book a finished one.
-struct RunState<'o> {
-    /// Ops whose in-edges are all done, smallest index first.
-    ready: BinaryHeap<Reverse<usize>>,
-    /// Remaining unfinished in-edges per op (operands and hoist leader).
-    indegree: Vec<usize>,
-    /// Remaining consumer instances per value (+1 for program outputs).
-    uses: Vec<usize>,
-    /// Encrypted inputs awaiting admission.
-    inputs: Vec<Option<OpValue>>,
-    /// Computed values still needed by a consumer or as an output.
-    vals: Vec<Option<Arc<OpValue>>>,
-    /// Beside each value in `vals`: the decomposition its hoist leader
-    /// made, released with the value.
-    hoisted: Vec<Option<Arc<HoistedDecomp>>>,
-    done: usize,
-    /// Set on the first failure (or a worker panic): workers drain.
-    stop: bool,
-    error: Option<ExecError>,
-    observer: Option<OpObserver<'o>>,
-    op_us: Vec<f64>,
-    live_cipher: usize,
-    peak_live: usize,
-    live_bytes: usize,
-    peak_bytes: usize,
-}
-
-/// Stops the run if its worker unwinds, so the peers parked on `wake`
-/// exit and `run_scoped` can re-raise the panic instead of hanging.
-struct StopOnUnwind<'d, 'a, 'o>(&'d Driver<'a, 'o>);
-
-impl Drop for StopOnUnwind<'_, '_, '_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            // Raising `stop` is valid whatever the panic interrupted.
-            self.0.state.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
-            self.0.wake.notify_all();
-        }
-    }
-}
-
-impl<'o> Driver<'_, 'o> {
-    fn lock(&self) -> MutexGuard<'_, RunState<'o>> {
-        self.state.lock().expect("a peer worker panicked mid-run")
-    }
-
-    /// The worker loop: pop the smallest ready op, run it unlocked, book
-    /// the result, until the DAG is complete or the run stops.
-    fn work(&self) {
-        let _stop = StopOnUnwind(self);
-        let engine = self.engine;
-        let ops = engine.prog.func.ops();
-        let mut state = self.lock();
-        loop {
-            let i = loop {
-                if state.stop || state.done == ops.len() {
-                    return;
-                }
-                if let Some(Reverse(i)) = state.ready.pop() {
-                    break i;
-                }
-                state = self
-                    .wake
-                    .wait(state)
-                    .expect("a peer worker panicked mid-run");
-            };
-            let result = if self.cancel.is_some_and(CancelToken::is_cancelled) {
-                Err(ExecError::Cancelled { at: i })
-            } else {
-                let input = state.inputs[i].take();
-                let operands = ops[i].operands();
-                let values: Vec<Arc<OpValue>> = operands
-                    .iter()
-                    .map(|v| {
-                        state.vals[v.index()]
-                            .clone()
-                            .expect("operands precede consumers")
-                    })
-                    .collect();
-                // A hoist follower takes the decomposition its leader
-                // booked beside the operand; a leader books it there below.
-                let role = engine.lowering.ops()[i].rotation.map(|(_, role)| role);
-                let mut hoisted = match role {
-                    Some(HoistRole::Follower { .. }) => state.hoisted[operands[0].index()].clone(),
-                    _ => None,
-                };
-                drop(state);
-                let result = match input {
-                    Some(mut value) => engine.admit_value(i, &mut value).map(|()| (value, 0.0)),
-                    None => {
-                        let refs: Vec<&OpValue> = values.iter().map(Arc::as_ref).collect();
-                        engine.exec_op(i, &refs, &mut hoisted)
-                    }
-                };
-                state = self.lock();
-                if role == Some(HoistRole::Leader) {
-                    state.hoisted[operands[0].index()] = hoisted;
-                }
-                result.and_then(|(value, us)| state.book(engine, i, value, us))
-            };
-            if let Err(e) = result {
-                state.error.get_or_insert(e);
-                state.stop = true;
-            }
-            if self.jobs > 1 {
-                self.wake.notify_all();
-            }
-        }
-    }
-}
-
-impl RunState<'_> {
-    /// Books finished operation `i`: noise guard, precision mark,
-    /// observer, liveness accounting, operand release, and the consumers
-    /// it makes ready.
-    fn book(
-        &mut self,
-        engine: &ExecEngine,
-        i: usize,
-        value: OpValue,
-        us: f64,
-    ) -> Result<(), ExecError> {
-        let prog = &engine.prog;
-        let rms = engine.predicted_rms[i];
-        if let Some(max_rms) = engine.guard.max_rms {
-            if rms > max_rms {
-                return Err(ExecError::BudgetExhausted {
-                    at: i,
-                    deficit: (rms / max_rms).log2(),
-                });
-            }
-        }
-        let ty = prog.types[i];
-        let predicted_rms = if ty.is_cipher() {
-            trace::mark_with("precision", || {
-                let (level, scale_bits) = (ty.level().unwrap_or(0), ty.scale().unwrap_or(0.0));
-                let cfg = &engine.cfg;
-                let modulus_bits = cfg.budget_at(level).unwrap_or(0.0);
-                vec![
-                    ("i", i.into()),
-                    ("op", prog.func.ops()[i].mnemonic().into()),
-                    ("level", level.into()),
-                    ("scale_bits", scale_bits.into()),
-                    ("predicted_rms", rms.into()),
-                    ("margin_bits", (scale_bits - cfg.waterline).into()),
-                    ("budget_bits", (modulus_bits - scale_bits).into()),
-                ]
-            });
-            rms
-        } else {
-            0.0
-        };
-        if let Some(observe) = self.observer.as_mut() {
-            observe(i, &value, predicted_rms)?;
-        }
-        self.op_us[i] = us;
-        let degree = engine.degree();
-        if value.is_cipher() {
-            self.live_cipher += 1;
-            self.peak_live = self.peak_live.max(self.live_cipher);
-            self.live_bytes += value.cipher_bytes(degree);
-            self.peak_bytes = self.peak_bytes.max(self.live_bytes);
-        }
-        self.vals[i] = Some(Arc::new(value));
-        // Liveness-driven release: drop operands whose last consumer
-        // this was.
-        for v in prog.func.ops()[i].operands() {
-            self.uses[v.index()] -= 1;
-            if self.uses[v.index()] == 0 {
-                self.hoisted[v.index()] = None;
-                if let Some(dead) = self.vals[v.index()].take() {
-                    if dead.is_cipher() {
-                        self.live_cipher -= 1;
-                        self.live_bytes -= dead.cipher_bytes(degree);
-                    }
-                }
-            }
-        }
-        for &user in &engine.users[i] {
-            self.indegree[user] -= 1;
-            if self.indegree[user] == 0 {
-                self.ready.push(Reverse(user));
-            }
-        }
-        self.done += 1;
-        Ok(())
-    }
 }

@@ -14,10 +14,11 @@
 //!
 //! [`calibrate`] builds the measured cost table for the compiler's
 //! performance estimator by running a calibration program through that
-//! same executor and folding its `exec-op` spans. Every encrypted run — solo or slot-batched, one
-//! worker or many, audited or not — goes through the one driver,
-//! [`exec::execute`], which also does the liveness-driven memory release
-//! the paper's SEAL dialect performs.
+//! same executor and folding its `exec-op` spans. Every encrypted run —
+//! solo or slot-batched, audited or not — goes through the one driver,
+//! [`exec::execute`], which walks the ops in SSA order and frees each
+//! value after its last use, from a liveness analysis done when the
+//! engine is built, as the paper's SEAL dialect does.
 //!
 //! The executor checks every ciphertext's scale, level and prefix against
 //! the compiled plan after each operation, and carries optional guards

@@ -8,7 +8,7 @@
 //! result approximates the same plaintext reference within the noise
 //! tolerance the solo path itself meets, across every benchmark workload,
 //! and that execution is fully deterministic: at a fixed occupancy the
-//! outputs agree to the bit across repeated runs and driver worker counts
+//! outputs agree to the bit across repeated runs and kernel thread counts
 //! — solo being occupancy 1 of the same driver.
 
 use hecate_apps::{all_benchmarks, Preset};
@@ -86,7 +86,7 @@ fn check_benchmark(bench: &hecate_apps::Benchmark, occupancy: usize) {
     assert_eq!(packed.occupancy(), occupancy);
 
     let refs: Vec<&HashMap<String, Vec<f64>>> = tenants.iter().collect();
-    let batch = execute(&packed, &refs, 1, None, None)
+    let batch = execute(&packed, &refs, None, None)
         .unwrap_or_else(|e| panic!("{}: batched run: {e}", bench.name));
     assert_eq!(batch.len(), occupancy, "one run per tenant");
 
@@ -157,20 +157,21 @@ fn runs_are_bit_identical_across_jobs_and_repeats() {
             .map(|t| tenant_inputs(&bench.inputs, t))
             .collect();
         let refs: Vec<&HashMap<String, Vec<f64>>> = tenants.iter().collect();
-        let engine = ExecEngine::new(
-            prog.clone(),
-            &BackendOptions {
-                degree_override: Some(degree),
-                batch_occupancy: occupancy,
-                ..BackendOptions::default()
-            },
-        )
-        .unwrap();
-        // Reference: the first run, one worker. The second jobs = 1 run is
-        // the plain repeat-determinism check.
+        // Reference: the first run, one kernel thread. The second
+        // kernel_jobs = 1 run is the plain repeat-determinism check.
         let mut reference: Option<Vec<HashMap<String, Vec<f64>>>> = None;
         for jobs in [1usize, 1, 2, 4] {
-            let runs = execute(&engine, &refs, jobs, None, None).unwrap();
+            let engine = ExecEngine::new(
+                prog.clone(),
+                &BackendOptions {
+                    degree_override: Some(degree),
+                    batch_occupancy: occupancy,
+                    kernel_jobs: jobs,
+                    ..BackendOptions::default()
+                },
+            )
+            .unwrap();
+            let runs = execute(&engine, &refs, None, None).unwrap();
             let got: Vec<_> = runs.into_iter().map(|r| r.outputs).collect();
             let want = reference.get_or_insert_with(|| got.clone());
             for (t, (got, want)) in got.iter().zip(want.iter()).enumerate() {
@@ -181,7 +182,7 @@ fn runs_are_bit_identical_across_jobs_and_repeats() {
                         assert_eq!(
                             x.to_bits(),
                             y.to_bits(),
-                            "occupancy {occupancy} jobs {jobs} tenant {t} output {name}"
+                            "occupancy {occupancy} kernel_jobs {jobs} tenant {t} output {name}"
                         );
                     }
                 }
@@ -203,7 +204,7 @@ fn tenant_count_must_match_the_engine_occupancy() {
     let prog = Arc::new(compile(&b.finish(), Scheme::Pars, &copts).unwrap());
     let inputs: HashMap<String, Vec<f64>> = [("x".to_string(), vec![0.5; 8])].into();
     let solo = ExecEngine::new(prog.clone(), &BackendOptions::default()).unwrap();
-    let err = execute(&solo, &[&inputs, &inputs], 1, None, None).unwrap_err();
+    let err = execute(&solo, &[&inputs, &inputs], None, None).unwrap_err();
     assert!(
         matches!(err, ExecError::BatchUnsupported { occupancy: 2, .. }),
         "{err}"

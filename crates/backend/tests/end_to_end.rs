@@ -1,8 +1,8 @@
 //! End-to-end tests: compile → execute encrypted → compare against the
 //! plaintext reference, across schemes and waterlines — and the one op
-//! driver's scheduling contract: SSA order with one worker, bit-identical
-//! outputs and identical noise predictions at any worker count, first
-//! failure wins, one shared decomposition per rotation fan-out.
+//! driver's contract: SSA order, bit-identical outputs at any kernel
+//! thread count, the first failure ends the run, one shared decomposition
+//! per rotation fan-out.
 
 use hecate_apps::{all_benchmarks, Preset};
 use hecate_backend::exec::{
@@ -179,12 +179,12 @@ fn missing_input_is_reported() {
     let prog = compile(&func, Scheme::Eva, &opts(25.0, 256)).unwrap();
     let err = execute_encrypted(&prog, &HashMap::new(), &BackendOptions::default());
     assert!(matches!(err, Err(ExecError::MissingInput { .. })));
-    // Inputs are encrypted before any op is scheduled, so a missing
-    // binding surfaces the same way at any worker count.
+    // Inputs are encrypted before any op runs, so a partly bound run
+    // fails the same way.
     let engine = ExecEngine::new(Arc::new(prog), &BackendOptions::default()).unwrap();
     let mut partial = inputs(8);
     partial.remove("y");
-    let err = execute(&engine, &[&partial], 4, None, None).unwrap_err();
+    let err = execute(&engine, &[&partial], None, None).unwrap_err();
     assert!(matches!(err, ExecError::MissingInput { .. }));
 }
 
@@ -252,9 +252,6 @@ fn plaintext_upscale_multiplies_its_operand() {
     let prog = plain_upscale_plan(&base, 30.0, Op::Add);
     let want = interpret(&prog.func, &ins).unwrap();
     let engine = ExecEngine::new(Arc::new(prog), &BackendOptions::default()).unwrap();
-    let bits = |run: &hecate_backend::EncryptedRun| -> Vec<u64> {
-        run.outputs["out0"].iter().map(|v| v.to_bits()).collect()
-    };
     let solo = execute_sequential(&engine, &ins).unwrap();
     for (j, (got, want)) in solo.outputs["out0"].iter().zip(&want["out0"]).enumerate() {
         assert!(
@@ -263,11 +260,6 @@ fn plaintext_upscale_multiplies_its_operand() {
         );
     }
     assert!(solo.op_us[3] > 0.0, "the plaintext upscale is timed");
-    let par = execute(&engine, &[&ins], 2, None, None)
-        .unwrap()
-        .pop()
-        .unwrap();
-    assert_eq!(bits(&par), bits(&solo), "bit-identical across jobs");
 
     // δ = 64: a verified plan whose multiplier does not fit a u64 is a
     // typed error, not a wrapped multiplier or a panic.
@@ -283,18 +275,17 @@ fn plaintext_upscale_multiplies_its_operand() {
 /// What an observer saw of one op: index, cipher or not, predicted RMS bits.
 type Seen = (usize, bool, u64);
 
-/// Runs `engine` on `jobs` workers with a recording observer.
+/// What an observed run of `engine` saw, op by op, and its result.
 fn observed_run(
     engine: &ExecEngine,
     ins: &HashMap<String, Vec<f64>>,
-    jobs: usize,
 ) -> (hecate_backend::EncryptedRun, Vec<Seen>) {
     let mut seen: Vec<Seen> = Vec::new();
     let mut observer = |i: usize, value: &OpValue, rms: f64| {
         seen.push((i, value.is_cipher(), rms.to_bits()));
         Ok(())
     };
-    let run = execute(engine, &[ins], jobs, Some(&mut observer), None)
+    let run = execute(engine, &[ins], Some(&mut observer), None)
         .unwrap()
         .pop()
         .unwrap();
@@ -302,33 +293,19 @@ fn observed_run(
 }
 
 #[test]
-fn one_worker_runs_in_ssa_order_and_the_ledger_is_the_same_at_four() {
+fn ops_run_in_ssa_order_and_observing_changes_no_bits() {
     let func = motivating(8);
     let ins = inputs(8);
     let prog = Arc::new(compile(&func, Scheme::Hecate, &opts(24.0, 256)).unwrap());
     let engine = ExecEngine::new(prog.clone(), &BackendOptions::default()).unwrap();
     let n = prog.func.len();
 
-    // jobs = 1: the min-heap ready set pops exactly SSA order, which is
-    // what pins the liveness peaks of the old sequential walk.
-    let (seq, seen_seq) = observed_run(&engine, &ins, 1);
-    let order: Vec<usize> = seen_seq.iter().map(|s| s.0).collect();
-    assert_eq!(order, (0..n).collect::<Vec<_>>(), "SSA order at jobs = 1");
-    let plain = execute_sequential(&engine, &ins).unwrap();
-    assert_eq!(plain.peak_live, seq.peak_live);
-    assert_eq!(plain.peak_bytes, seq.peak_bytes);
-
-    // jobs = 4: every op is booked exactly once, every cipher op is
-    // observed with a positive predicted RMS of the same bits as at
-    // jobs = 1 — the engine predicts once, from the plan alone — and the
-    // run reports the same margin and outputs.
-    let (par, mut seen_par) = observed_run(&engine, &ins, 4);
-    seen_par.sort_unstable();
-    assert_eq!(
-        seen_par, seen_seq,
-        "one booking per op, same predicted bits"
-    );
-    for &(i, is_cipher, rms_bits) in &seen_par {
+    // The observer sees every op once, in SSA order; exactly the cipher
+    // ops carry a (positive) predicted RMS.
+    let (seen_run, seen) = observed_run(&engine, &ins);
+    let order: Vec<usize> = seen.iter().map(|s| s.0).collect();
+    assert_eq!(order, (0..n).collect::<Vec<_>>(), "SSA order");
+    for &(i, is_cipher, rms_bits) in &seen {
         assert_eq!(is_cipher, prog.types[i].is_cipher());
         assert_eq!(
             is_cipher,
@@ -336,25 +313,31 @@ fn one_worker_runs_in_ssa_order_and_the_ledger_is_the_same_at_four() {
             "op {i}: exactly the cipher ops carry a prediction"
         );
     }
-    assert!(seq.min_margin_bits.is_finite());
+    assert!(seen_run.min_margin_bits.is_finite());
+
+    // An unobserved run frees and computes exactly the same.
+    let plain = execute_sequential(&engine, &ins).unwrap();
+    assert_eq!(plain.peak_live, seen_run.peak_live);
+    assert_eq!(plain.peak_bytes, seen_run.peak_bytes);
     assert_eq!(
-        par.min_margin_bits.to_bits(),
-        seq.min_margin_bits.to_bits(),
-        "the same margin at any worker count"
+        plain.min_margin_bits.to_bits(),
+        seen_run.min_margin_bits.to_bits()
     );
-    assert_eq!(par.outputs, seq.outputs);
-    assert_eq!(par.outputs, plain.outputs, "observing changes no bits");
+    assert_eq!(plain.outputs, seen_run.outputs, "observing changes no bits");
 }
 
 /// Randomness lives only in key generation and input encryption, both of
-/// which happen before DAG scheduling; every homomorphic kernel is
-/// deterministic. So the driver must agree with its one-worker self
-/// *exactly* on every benchmark workload, at every worker count.
+/// which happen before the first op runs; every homomorphic kernel is
+/// deterministic, and the limb stripes of `kernel_jobs` split only
+/// independent RNS limbs. So an engine striping its kernels over 4
+/// threads must agree with a one-thread engine *exactly* on every
+/// benchmark workload (`perf_smoke` adds 2 threads on three of them).
 #[test]
 fn every_app_workload_is_bit_identical_at_any_worker_count() {
     let copts = opts(24.0, 512);
-    let bopts = BackendOptions {
+    let bopts = |kernel_jobs| BackendOptions {
         degree_override: Some(512),
+        kernel_jobs,
         ..BackendOptions::default()
     };
     for bench in all_benchmarks(Preset::Small) {
@@ -368,19 +351,16 @@ fn every_app_workload_is_bit_identical_at_any_worker_count() {
         for &scheme in schemes {
             let prog = compile(&bench.func, scheme, &copts)
                 .unwrap_or_else(|e| panic!("{} failed to compile: {e}", bench.name));
-            let engine = ExecEngine::new(Arc::new(prog), &bopts).unwrap();
+            let prog = Arc::new(prog);
+            let engine = ExecEngine::new(prog.clone(), &bopts(1)).unwrap();
             let seq = execute_sequential(&engine, &bench.inputs).unwrap();
-            for jobs in [2, 4] {
-                let par = execute(&engine, &[&bench.inputs], jobs, None, None)
-                    .unwrap()
-                    .pop()
-                    .unwrap();
-                assert_eq!(
-                    par.outputs, seq.outputs,
-                    "{} ({scheme}) diverged at jobs={jobs}",
-                    bench.name
-                );
-            }
+            let striped = ExecEngine::new(prog, &bopts(4)).unwrap();
+            let par = execute_sequential(&striped, &bench.inputs).unwrap();
+            assert_eq!(
+                par.outputs, seq.outputs,
+                "{} ({scheme}) diverged at kernel_jobs=4",
+                bench.name
+            );
         }
     }
 }
@@ -392,22 +372,32 @@ fn cancelled_token_aborts_between_ops() {
     let ins = inputs(8);
     let token = CancelToken::new();
     token.cancel();
-    let err = execute(&engine, &[&ins], 2, None, Some(&token)).unwrap_err();
-    assert!(matches!(err, ExecError::Cancelled { .. }));
+    let err = execute(&engine, &[&ins], None, Some(&token)).unwrap_err();
+    assert!(matches!(err, ExecError::Cancelled { at: 0 }), "{err}");
     // An expired deadline trips the same path without an explicit
     // cancel() call.
     let expired = CancelToken::with_deadline(std::time::Instant::now());
-    let err = execute(&engine, &[&ins], 1, None, Some(&expired)).unwrap_err();
-    assert!(matches!(err, ExecError::Cancelled { at: 0 }));
+    let err = execute(&engine, &[&ins], None, Some(&expired)).unwrap_err();
+    assert!(matches!(err, ExecError::Cancelled { at: 0 }), "{err}");
+    // A token tripped mid-run stops the run at the op that sees it.
+    let mid = CancelToken::new();
+    let mut observer = |i: usize, _: &OpValue, _: f64| {
+        if i == 3 {
+            mid.cancel();
+        }
+        Ok(())
+    };
+    let err = execute(&engine, &[&ins], Some(&mut observer), Some(&mid)).unwrap_err();
+    assert!(matches!(err, ExecError::Cancelled { at: 4 }), "{err}");
     // An untripped token changes nothing.
     let idle = CancelToken::new();
-    let run = execute(&engine, &[&ins], 2, None, Some(&idle)).unwrap();
-    let clean = execute(&engine, &[&ins], 2, None, None).unwrap();
+    let run = execute(&engine, &[&ins], None, Some(&idle)).unwrap();
+    let clean = execute(&engine, &[&ins], None, None).unwrap();
     assert_eq!(run[0].outputs, clean[0].outputs);
 }
 
 #[test]
-fn noise_budget_failure_propagates_from_any_worker() {
+fn noise_budget_failure_is_a_typed_error_at_the_first_value() {
     let vec = 8;
     let mut b = FunctionBuilder::new("deep", vec);
     let x = b.input_cipher("x");
@@ -428,10 +418,11 @@ fn noise_budget_failure_propagates_from_any_worker() {
     let engine = ExecEngine::new(Arc::new(prog), &bopts).unwrap();
     let mut ins = HashMap::new();
     ins.insert("x".to_string(), vec![1.05; vec]);
-    for jobs in [1, 2] {
-        let err = execute(&engine, &[&ins], jobs, None, None).unwrap_err();
-        assert!(matches!(err, ExecError::BudgetExhausted { .. }), "{err}");
-    }
+    let err = execute(&engine, &[&ins], None, None).unwrap_err();
+    assert!(
+        matches!(err, ExecError::BudgetExhausted { at: 0, .. }),
+        "{err}"
+    );
 }
 
 /// The string attribute `key` of a trace event.
@@ -446,8 +437,7 @@ fn str_attr<'e>(event: &'e Event, key: &str) -> Option<&'e str> {
 /// `sum_{s=1..=8} rot(x*x, s)`: one value rotated by eight distinct
 /// steps, one hoist group. The group leader decomposes the value once,
 /// inside its own `exec-op` span, and all eight rotations reuse that
-/// decomposition — at every worker count, as an identity of the trace,
-/// not a timing.
+/// decomposition — an identity of the trace, not a timing.
 #[test]
 fn rotation_fan_out_decomposes_once() {
     let width = 64;
@@ -481,48 +471,42 @@ fn rotation_fan_out_decomposes_once() {
             .find(|(k, _)| *k == key)
             .and_then(|(_, v)| v.as_i64())
     };
-    let mut req = 0xF00D_0000;
-    for jobs in [1, 2, 4] {
-        for _ in 0..10 {
-            req += 1;
-            let (run, events) = trace::capture(|| {
-                let _ctx = trace::push_context(req, 0);
-                execute(&engine, &[&ins], jobs, None, None)
-            });
-            run.unwrap();
-            // Tests running alongside record too, and DAG helpers record on
-            // their own threads: keep the events carrying this run's id.
-            let mine = events
-                .iter()
-                .filter(|e| int_attr(e, "req_id") == Some(req as i64));
-            // Per thread, the span each `hoist-decompose` opens inside.
-            let mut open: HashMap<u64, Vec<&Event>> = HashMap::new();
-            let mut hoists = Vec::new();
-            let mut rotates = 0;
-            for e in mine {
-                match e.kind {
-                    EventKind::Begin => {
-                        let stack = open.entry(e.tid).or_default();
-                        if e.name == "hoist-decompose" {
-                            hoists.push(stack.last().copied());
-                        }
-                        if e.name == "exec-op" && str_attr(e, "op") == Some("rotate") {
-                            rotates += 1;
-                        }
-                        stack.push(e);
-                    }
-                    EventKind::End => {
-                        open.entry(e.tid).or_default().pop();
-                    }
-                    _ => {}
+    let req: u64 = 0xF00D_0001;
+    let (run, events) = trace::capture(|| {
+        let _ctx = trace::push_context(req, 0);
+        execute(&engine, &[&ins], None, None)
+    });
+    run.unwrap();
+    // Tests running alongside record too: keep the events carrying this
+    // run's id. The span each `hoist-decompose` opens inside is the top
+    // of the stack of open spans.
+    let mut open: Vec<&Event> = Vec::new();
+    let mut hoists = Vec::new();
+    let mut rotates = 0;
+    for e in events
+        .iter()
+        .filter(|e| int_attr(e, "req_id") == Some(req as i64))
+    {
+        match e.kind {
+            EventKind::Begin => {
+                if e.name == "hoist-decompose" {
+                    hoists.push(open.last().copied());
                 }
+                if e.name == "exec-op" && str_attr(e, "op") == Some("rotate") {
+                    rotates += 1;
+                }
+                open.push(e);
             }
-            assert_eq!(hoists.len(), 1, "jobs {jobs}: one decomposition per group");
-            let outer = hoists[0].expect("the decomposition runs inside an op");
-            assert_eq!(outer.name, "exec-op");
-            assert_eq!(int_attr(outer, "i"), Some(leader as i64), "jobs {jobs}");
-            assert_eq!(str_attr(outer, "cost_op"), Some("rotate"));
-            assert_eq!(rotates, 8);
+            EventKind::End => {
+                open.pop();
+            }
+            _ => {}
         }
     }
+    assert_eq!(hoists.len(), 1, "one decomposition per group");
+    let outer = hoists[0].expect("the decomposition runs inside an op");
+    assert_eq!(outer.name, "exec-op");
+    assert_eq!(int_attr(outer, "i"), Some(leader as i64));
+    assert_eq!(str_attr(outer, "cost_op"), Some("rotate"));
+    assert_eq!(rotates, 8);
 }

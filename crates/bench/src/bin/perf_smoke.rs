@@ -8,10 +8,9 @@
 //!
 //! 1. **Bit-identity**: LeNet, HCD (Harris), and SF (Sobel) decrypt to
 //!    *bit-identical* outputs (`f64::to_bits`) with `kernel_jobs` ∈
-//!    {1, 2, 4} and the op driver on 1, 2, or 4 DAG workers. The per-limb
-//!    kernels split only independent RNS limbs, and the driver's schedule
-//!    decides *when* an op runs, never *what* it computes — so any drift
-//!    is a real bug, not tolerance noise.
+//!    {1, 2, 4}. The per-limb kernels split only independent RNS limbs,
+//!    so the stripes decide *where* a limb is computed, never *what* —
+//!    any drift is a real bug, not tolerance noise.
 //! 2. **Batching pays**: four tenants of SF (and of HCD) coalesced into
 //!    one packed ciphertext are served at ≥ 2× the solo request rate.
 //!    Both sides run at degree 4096 so the ratio isolates amortization
@@ -24,7 +23,7 @@
 //! Exit code 0 on success, 1 with a message on any violation.
 
 use hecate_apps::{benchmark, Benchmark, Preset};
-use hecate_backend::exec::{execute, BackendOptions, ExecEngine};
+use hecate_backend::exec::{execute_sequential, BackendOptions, ExecEngine};
 use hecate_compiler::{compile, CompileOptions, Scheme};
 use hecate_runtime::{Request, Runtime, RuntimeConfig};
 use hecate_telemetry::recorder::{self, Level};
@@ -35,11 +34,9 @@ use std::time::{Duration, Instant};
 
 const DEGREE: usize = 512;
 const WORKLOADS: [&str; 3] = ["LeNet", "HCD", "SF"];
-/// Engine `kernel_jobs`, each run on every [`DRIVER_JOBS`] count and
-/// compared against the reference run (one kernel thread, one DAG
-/// worker).
+/// Engine `kernel_jobs`, each run compared against the reference run
+/// (one kernel thread).
 const KERNEL_JOBS: [usize; 3] = [1, 2, 4];
-const DRIVER_JOBS: [usize; 3] = [1, 2, 4];
 /// The batching study runs both sides at this one degree (2048 slots:
 /// four 512-slot blocks hold the SF/HCD footprints with guard bands).
 const BATCH_DEGREE: usize = 4096;
@@ -59,7 +56,7 @@ fn backend(jobs: usize) -> BackendOptions {
 }
 
 /// Runs every workload under every variant and compares the decrypted
-/// outputs bit-for-bit against the (kernel_jobs=1, jobs=1) reference.
+/// outputs bit-for-bit against the kernel_jobs=1 reference.
 fn check_bit_identity() -> Result<(), String> {
     let mut opts = CompileOptions::with_waterline(24.0);
     opts.degree = Some(DEGREE);
@@ -72,25 +69,21 @@ fn check_bit_identity() -> Result<(), String> {
         for kernel_jobs in KERNEL_JOBS {
             let engine = ExecEngine::new(prog.clone(), &backend(kernel_jobs))
                 .map_err(|e| format!("{name}: engine build failed: {e}"))?;
-            for jobs in DRIVER_JOBS {
-                let variant = format!("kernel_jobs={kernel_jobs} jobs={jobs}");
-                let run = execute(&engine, &[&bench.inputs], jobs, None, None)
-                    .map_err(|e| format!("{name}: {variant} failed: {e}"))?
-                    .pop()
-                    .expect("one run per tenant");
-                let want = reference.get_or_insert_with(|| run.outputs.clone());
-                for (out, want) in want.iter() {
-                    let got = &run.outputs[out];
-                    for (k, (a, b)) in want.iter().zip(got).enumerate() {
-                        if a.to_bits() != b.to_bits() {
-                            return Err(format!(
-                                "{name}: output {out}[{k}] differs with {variant}: {a:e} vs {b:e}"
-                            ));
-                        }
+            let run = execute_sequential(&engine, &bench.inputs)
+                .map_err(|e| format!("{name}: kernel_jobs={kernel_jobs} failed: {e}"))?;
+            let want = reference.get_or_insert_with(|| run.outputs.clone());
+            for (out, want) in want.iter() {
+                let got = &run.outputs[out];
+                for (k, (a, b)) in want.iter().zip(got).enumerate() {
+                    if a.to_bits() != b.to_bits() {
+                        return Err(format!(
+                            "{name}: output {out}[{k}] differs with kernel_jobs={kernel_jobs}: \
+                             {a:e} vs {b:e}"
+                        ));
                     }
                 }
             }
-            println!("  {name:<6} kernel_jobs={kernel_jobs} jobs=1,2,4  bit-identical");
+            println!("  {name:<6} kernel_jobs={kernel_jobs}  bit-identical");
         }
     }
     Ok(())
@@ -208,7 +201,7 @@ fn check_span_share(level: Level, req_per_s: f64, max_ops: usize) -> Result<(), 
 }
 
 fn run() -> Result<(), String> {
-    println!("perf smoke: bit-identity across kernel_jobs x driver jobs");
+    println!("perf smoke: bit-identity across kernel_jobs");
     check_bit_identity()?;
 
     let served: Vec<Benchmark> = ["SF", "HCD"]

@@ -17,6 +17,14 @@ use std::ops::RangeInclusive;
 /// stay clear of degenerate tiny moduli. A loaded plan's `q0` must lie here.
 pub const Q0_BITS: RangeInclusive<u32> = 24..=60;
 
+/// The rescale prime sizes (`S_f`) a loaded plan may name: those the
+/// backend's `CkksParams::new` generates primes for.
+pub const SF_BITS: RangeInclusive<u32> = 20..=61;
+
+/// The largest ring degree parameter selection picks (and a loaded plan
+/// may name).
+pub const MAX_DEGREE: usize = 32768;
+
 /// The selected RNS parameters for one compiled program. A plan stores
 /// `q0_bits`, `sf_bits`, `chain_len` and `degree`; [`SelectedParams::new`]
 /// derives the rest.
@@ -58,7 +66,7 @@ impl SelectedParams {
             .saturating_mul(chain_len as u64 - 1)
             .saturating_add(u64::from(q0_bits) + u64::from(q0_bits.max(sf_bits)));
         let total_bits = u32::try_from(total).unwrap_or(u32::MAX);
-        let degree = degree.unwrap_or_else(|| min_secure_degree(total_bits).unwrap_or(32768));
+        let degree = degree.unwrap_or_else(|| min_secure_degree(total_bits).unwrap_or(MAX_DEGREE));
         SelectedParams {
             q0_bits,
             sf_bits,

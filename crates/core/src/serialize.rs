@@ -21,9 +21,13 @@
 //! round trip is exact.
 //!
 //! A loaded plan is untrusted input, so [`deserialize_plan`] returns only
-//! a verified plan: it rejects a base prime outside [`Q0_BITS`], then
+//! a verified plan: it rejects a chain parameter selection never builds
+//! (a base prime outside [`Q0_BITS`], an `S_f` the backend has no primes
+//! for, a chain longer than [`CompileOptions::max_chain_len`]'s default,
+//! a degree that is not a power of two in 8..=[`MAX_DEGREE`]), then
 //! infers the types with [`hecate_ir::verify::verify_plan`] on the plan's
-//! own chain. The recorded source hash lets a caller detect a plan being
+//! own chain. The bounds keep an edited plan from asking key generation
+//! for gigabytes. The recorded source hash lets a caller detect a plan being
 //! replayed against a different source program.
 //!
 //! Plans saved by earlier versions still load: the derived fields of their
@@ -37,8 +41,8 @@
 //! latency/noise estimates, so a reloaded plan is executable and
 //! reportable without rerunning the explorer.
 
-use crate::options::{CompileStats, CompiledProgram, Scheme};
-use crate::params::{SelectedParams, Q0_BITS};
+use crate::options::{CompileOptions, CompileStats, CompiledProgram, Scheme};
+use crate::params::{SelectedParams, MAX_DEGREE, Q0_BITS, SF_BITS};
 use hecate_ir::analysis::op_histogram;
 use hecate_ir::parse::parse_function;
 use hecate_ir::print::print_function_full;
@@ -57,6 +61,14 @@ pub enum PlanError {
     /// The base prime size lies outside [`Q0_BITS`], the range parameter
     /// selection searches.
     BasePrime(u32),
+    /// The rescale prime size `S_f` lies outside [`SF_BITS`], the prime
+    /// sizes the backend generates.
+    ScaleFactor(u32),
+    /// The chain is longer than parameter selection builds
+    /// ([`CompileOptions::max_chain_len`]'s default).
+    ChainLength(usize),
+    /// The ring degree is not a power of two in 8..=[`MAX_DEGREE`].
+    Degree(usize),
     /// The function does not verify on the plan's own chain.
     Verify(VerifyError),
 }
@@ -70,6 +82,21 @@ impl std::fmt::Display for PlanError {
                 "base prime of {q0} bits is outside the {}–{} bits parameter selection uses",
                 Q0_BITS.start(),
                 Q0_BITS.end()
+            ),
+            PlanError::ScaleFactor(sf) => write!(
+                f,
+                "rescale prime of {sf} bits is outside the {}–{} bits the backend supports",
+                SF_BITS.start(),
+                SF_BITS.end()
+            ),
+            PlanError::ChainLength(len) => write!(
+                f,
+                "a chain of {len} primes is longer than the {} parameter selection builds",
+                CompileOptions::default().max_chain_len
+            ),
+            PlanError::Degree(degree) => write!(
+                f,
+                "ring degree {degree} is not one of the powers of two 8..={MAX_DEGREE}"
             ),
             PlanError::Verify(e) => write!(f, "plan failed verification: {e}"),
         }
@@ -136,9 +163,10 @@ fn parsed<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, PlanError> {
 ///
 /// # Errors
 /// [`PlanError::Format`] if the header lines or the function body are
-/// malformed, [`PlanError::BasePrime`] for a base prime outside
-/// [`Q0_BITS`], and [`PlanError::Verify`] if the function does not verify
-/// on the plan's own chain.
+/// malformed; [`PlanError::BasePrime`], [`PlanError::ScaleFactor`],
+/// [`PlanError::ChainLength`] or [`PlanError::Degree`] for a chain
+/// outside the bounds in the module docs; and [`PlanError::Verify`] if the
+/// function does not verify on the plan's own chain.
 pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanError> {
     let mut lines = text.lines().peekable();
     let header = lines.next().ok_or_else(|| bad("empty document"))?;
@@ -163,8 +191,17 @@ pub fn deserialize_plan(text: &str) -> Result<CompiledProgram, PlanError> {
         return Err(PlanError::BasePrime(q0_bits));
     }
     let sf_bits: u32 = parsed(field(params_line, "sf")?, "sf")?;
+    if !SF_BITS.contains(&sf_bits) {
+        return Err(PlanError::ScaleFactor(sf_bits));
+    }
     let chain_len: NonZeroUsize = parsed(field(params_line, "chain")?, "chain")?;
+    if chain_len.get() > CompileOptions::default().max_chain_len {
+        return Err(PlanError::ChainLength(chain_len.get()));
+    }
     let degree: usize = parsed(field(params_line, "degree")?, "degree")?;
+    if !degree.is_power_of_two() || !(8..=MAX_DEGREE).contains(&degree) {
+        return Err(PlanError::Degree(degree));
+    }
 
     let est_line = lines.next().ok_or_else(|| bad("missing estimate line"))?;
     let estimated_latency_us: f64 = parsed(field(est_line, "latency_us")?, "latency_us")?;
@@ -414,5 +451,35 @@ mod tests {
                 PlanError::BasePrime(bits)
             );
         }
+        // Chains parameter selection never builds: an `S_f` the backend
+        // has no primes for, more primes than selection ever uses, and
+        // degrees that are not a power of two in 8..=32768.
+        let sf = format!("sf={} ", prog.params.sf_bits);
+        for bits in [19, 62] {
+            assert_eq!(
+                deserialize_plan(&good.replacen(&sf, &format!("sf={bits} "), 1)).unwrap_err(),
+                PlanError::ScaleFactor(bits)
+            );
+        }
+        let max_chain = CompileOptions::default().max_chain_len;
+        for len in [max_chain + 1, 2000] {
+            assert_eq!(
+                deserialize_plan(&good.replacen(&chain, &format!("chain={len} "), 1)).unwrap_err(),
+                PlanError::ChainLength(len)
+            );
+        }
+        let degree = format!("degree={}\n", prog.params.degree);
+        for d in [0, 4, 1000, 65536, 1 << 30] {
+            assert_eq!(
+                deserialize_plan(&good.replacen(&degree, &format!("degree={d}\n"), 1)).unwrap_err(),
+                PlanError::Degree(d)
+            );
+        }
+        // The largest chain and degree selection builds still load.
+        let widest = good
+            .replacen(&chain, &format!("chain={max_chain} "), 1)
+            .replacen(&degree, "degree=32768\n", 1);
+        let loaded = deserialize_plan(&widest).unwrap();
+        assert_eq!((loaded.params.chain_len, loaded.params.degree), (24, 32768));
     }
 }

@@ -1,5 +1,4 @@
-//! Scoped threads inside one request: striping over independent limbs,
-//! and the one spawn-and-join helper every intra-request thread uses.
+//! Scoped threads inside one request: striping over independent limbs.
 //!
 //! RNS keeps every prime's residue polynomial independent, so the hot
 //! per-limb loops (NTTs, key-switch inner products) parallelize without
@@ -9,11 +8,10 @@
 //! bit-identical at every job count — parallelism here only changes
 //! *when* a limb is computed, never *what* is computed.
 //!
-//! [`run_scoped`] is the only way code below a request starts threads:
-//! [`for_each_limb`] stripes limbs over it, and the backend's op driver
-//! runs its DAG helpers on it. The caller's own thread is always job 0,
-//! the helpers live for one call (`std::thread::scope`), and a helper's
-//! panic reaches the caller with its original payload.
+//! [`for_each_limb`] is the only way code below a request starts
+//! threads. The caller's own thread always works the first stripe, the
+//! helpers live for one call (`std::thread::scope`), and a helper's panic
+//! reaches the caller with its original payload.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -31,7 +29,7 @@ type StripeCell<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
 /// generic "a scoped thread panicked" message; once every job has
 /// finished, the first payload caught is re-raised on the caller with
 /// `resume_unwind`, exactly as if the panic had happened inline.
-pub fn run_scoped<F>(jobs: usize, f: F)
+fn run_scoped<F>(jobs: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
@@ -60,7 +58,7 @@ where
 }
 
 /// Applies `f(index, item)` to every item, striped in contiguous chunks
-/// over at most `jobs` threads through [`run_scoped`]. `jobs <= 1` (or a
+/// over at most `jobs` threads. `jobs <= 1` (or a
 /// single item) runs inline with no spawn. The closure receives the
 /// item's absolute index so per-limb tables can be looked up.
 pub fn for_each_limb<T, F>(items: &mut [T], jobs: usize, f: F)

@@ -4,7 +4,7 @@
 //! short-lived residue-sized buffers (one per digit × extended modulus).
 //! Allocating them per op puts the allocator on the hot path; instead,
 //! long-lived request workers recycle buffers here. A scoped helper
-//! thread ([`crate::par::run_scoped`]) lives for one call, so its pool
+//! thread ([`crate::par::for_each_limb`]) lives for one call, so its pool
 //! starts empty and is dropped with the thread. The pool is
 //! thread-local (no locks, no cross-thread traffic) and bounded, so a
 //! burst of large ops cannot pin memory forever. Buffers handed out are

@@ -202,6 +202,11 @@ impl PlanCache {
         self.len() == 0
     }
 
+    /// Whether the artifact for `key` is published.
+    pub(crate) fn contains(&self, key: u64) -> bool {
+        matches!(self.lock_inner().slots.get(&key), Some(Slot::Ready(..)))
+    }
+
     /// The configured bound on published artifacts.
     pub fn capacity(&self) -> usize {
         self.capacity

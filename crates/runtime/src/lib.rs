@@ -19,14 +19,14 @@
 //!
 //! Execution itself is not this crate's: every request, solo or
 //! slot-batched, runs through the backend's one op driver
-//! ([`hecate_backend::exec::execute`]), a ready-set loop over the SSA
-//! dependence DAG on [`RuntimeConfig::jobs_per_request`] workers that is
-//! bit-identical at any worker count.
+//! ([`hecate_backend::exec::execute`]), a walk of the ops in SSA order
+//! on the serving thread.
 //!
 //! [`Runtime`] wires them together behind one bounded request queue
 //! feeding a supervised worker pool ([`pool`]); the only threads inside
-//! a request are scoped to it (DAG helpers and limb stripes, both on
-//! [`hecate_math::par::run_scoped`]). [`stats`]
+//! a request are its kernels' limb stripes
+//! ([`RuntimeConfig::jobs_per_request`] × `backend.kernel_jobs` of them,
+//! scoped to one kernel call). [`stats`]
 //! declares every runtime metric once, in one table, and renders it as
 //! JSON and Prometheus text.
 //!

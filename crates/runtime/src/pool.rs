@@ -3,14 +3,14 @@
 //! [`Runtime`] owns the three subsystems: the [`PlanCache`] resolves (or
 //! compiles, once) a request's plan, the [`SessionManager`] resolves the
 //! tenant's engine (building keys on first use), and the backend's one op
-//! driver ([`hecate_backend::exec::execute`]) runs the request on
-//! `jobs_per_request` DAG workers. Worker
+//! driver ([`hecate_backend::exec::execute`]) runs the request's ops one
+//! at a time on the serving thread. Worker
 //! threads pull from one bounded FIFO queue (`JobQueue`: a deque under
 //! one mutex, idle workers parked on one condvar), and [`RuntimeStats`]
-//! observes every stage. Threads inside a request (DAG helpers, limb
-//! stripes) are scoped to it ([`hecate_math::par::run_scoped`]); a
-//! request runs on at most `jobs_per_request × backend.kernel_jobs`
-//! threads.
+//! observes every stage. The only threads inside a request are the limb
+//! stripes of its kernels, scoped to one kernel call: every engine
+//! stripes over `jobs_per_request × backend.kernel_jobs` threads, so a
+//! request runs on at most that many.
 //!
 //! Every dequeued request is served by the `serve` module's one path, as
 //! a group of 1..=[`RuntimeConfig::max_batch`] same-plan requests; its
@@ -67,9 +67,10 @@ pub struct RuntimeConfig {
     /// Worker threads pulling from the request queue (inter-request
     /// parallelism).
     pub workers: usize,
-    /// DAG workers per request (intra-request op parallelism), for solo
-    /// and slot-batched runs alike. The serving thread is always one of
-    /// them, so `1` runs each request on that thread alone, in SSA order.
+    /// Threads per request, for solo and slot-batched runs alike: every
+    /// engine stripes its kernels' limbs over `jobs_per_request ×
+    /// backend.kernel_jobs` threads. The serving thread is always one of
+    /// them, and ops always run one at a time, in SSA order.
     pub jobs_per_request: usize,
     /// Backend options applied to every engine. The seed field is
     /// overridden per session.
@@ -369,13 +370,13 @@ pub struct Runtime {
 
 impl Runtime {
     /// Starts a runtime with `config.workers` serving threads.
-    pub fn new(config: RuntimeConfig) -> Runtime {
+    pub fn new(mut config: RuntimeConfig) -> Runtime {
         let workers_n = config.workers.max(1);
         let recorder_hold = recorder::hold(recorder::Level::Ring);
         let stats = Arc::new(RuntimeStats::new());
-        stats
-            .kernel_jobs
-            .set(config.backend.kernel_jobs.max(1) as i64);
+        let kernel_jobs = config.backend.kernel_jobs.max(1);
+        config.backend.kernel_jobs = kernel_jobs.saturating_mul(config.jobs_per_request.max(1));
+        stats.kernel_jobs.set(config.backend.kernel_jobs as i64);
         let inner = Arc::new(Inner {
             cache: PlanCache::new(stats.clone()),
             sessions: SessionManager::new(config.backend.seed),
@@ -693,5 +694,57 @@ mod tests {
         }
         assert_eq!(len(&q), 0);
         assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
+    }
+
+    /// The shared session runs every packed group and is never closed,
+    /// so its engines must go with their evicted plans: 40 plans packed
+    /// in pairs leave at most the plan cache's capacity of engines.
+    #[test]
+    fn packed_engines_go_with_their_evicted_plans() {
+        use super::{Request, Runtime, RuntimeConfig};
+        use crate::cache::DEFAULT_PLAN_CACHE_CAPACITY;
+        use hecate_compiler::{CompileOptions, Scheme};
+        use hecate_ir::FunctionBuilder;
+        use std::collections::HashMap;
+
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 1,
+            max_batch: 2,
+            batch_window: Duration::from_millis(200),
+            ..RuntimeConfig::default()
+        });
+        let mut b = FunctionBuilder::new("sq", 8);
+        let x = b.input_cipher("x");
+        let sq = b.square(x);
+        b.output(sq);
+        let func = b.finish();
+        let sessions = [rt.open_session(), rt.open_session()];
+        for waterline in 20..60 {
+            let mut options = CompileOptions::with_waterline(f64::from(waterline));
+            options.degree = Some(512);
+            let pair = sessions.map(|session| Request {
+                session,
+                func: func.clone(),
+                scheme: Scheme::Pars,
+                options: options.clone(),
+                inputs: HashMap::from([("x".to_string(), vec![0.5; 8])]),
+                deadline: None,
+                max_retries: 0,
+            });
+            for resp in rt.run_batch(pair.to_vec()) {
+                let resp = resp.unwrap_or_else(|e| panic!("waterline {waterline}: {e}"));
+                assert_eq!(resp.batch_occupancy, 2, "waterline {waterline}");
+            }
+        }
+        assert_eq!(
+            rt.stats().cache_evictions,
+            40 - DEFAULT_PLAN_CACHE_CAPACITY as u64
+        );
+        let shared = rt.inner.sessions.shared().engine_count();
+        assert!(
+            shared <= DEFAULT_PLAN_CACHE_CAPACITY,
+            "{shared} shared engines outlive a cache of {DEFAULT_PLAN_CACHE_CAPACITY} plans"
+        );
+        rt.shutdown();
     }
 }

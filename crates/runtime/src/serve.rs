@@ -16,8 +16,8 @@
 //! One `run` serves a group, whatever its size: plan resolution
 //! ([`crate::PlanCache`]), engine acquisition ([`Session::engine`]), a
 //! cancel token from the earliest member deadline, and the backend's one
-//! op driver ([`hecate_backend::exec::execute`], on `jobs_per_request`
-//! DAG workers). A group of one runs on its tenant's session at
+//! op driver ([`hecate_backend::exec::execute`], on the serving
+//! thread). A group of one runs on its tenant's session at
 //! occupancy 1; a larger group packs each member's inputs into a
 //! disjoint slot block of one ciphertext on the shared session, and the
 //! per-tenant runs it returns become the per-member responses. One
@@ -314,6 +314,12 @@ fn run(
         inner
             .cache
             .get_or_compile_keyed(key, &req.func, req.scheme, &req.options)?;
+    if !cache_hit {
+        // Publishing may have evicted a plan; the shared session, never
+        // closed, drops the evicted plans' packed engines with them.
+        let shared = inner.sessions.shared();
+        shared.retain_plans(|plan| inner.cache.contains(plan));
+    }
     let session = session.ok_or(RuntimeError::UnknownSession(req.session))?;
     if let Some(ChaosInjection::Panic) = injection {
         panic!("chaos: injected worker panic");
@@ -351,8 +357,7 @@ fn run(
         .min()
         .map(CancelToken::with_deadline);
     let inputs: Vec<&HashMap<String, Vec<f64>>> = jobs.iter().map(|j| &j.req.inputs).collect();
-    let dag_jobs = inner.config.jobs_per_request;
-    let execute_group = || execute(&engine, &inputs, dag_jobs, None, cancel.as_ref());
+    let execute_group = || execute(&engine, &inputs, None, cancel.as_ref());
     let respond = |runs: Vec<_>| {
         let responses = runs.into_iter().zip(jobs).map(|(run, job)| Response {
             run,

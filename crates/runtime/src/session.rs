@@ -25,7 +25,9 @@
 //! worker threads — every `ExecEngine` method takes `&self`. Solo
 //! requests run at occupancy 1 under their own session; slot-batched
 //! runs use the manager's shared session (id 0, never handed out),
-//! because a packed ciphertext is one ciphertext under one key.
+//! because a packed ciphertext is one ciphertext under one key. A tenant
+//! session's engines go when it closes; the shared session is never
+//! closed, so its engines go when the plan cache evicts their plan.
 
 use crate::cache::PlanArtifact;
 use crate::RuntimeError;
@@ -127,6 +129,11 @@ impl Session {
             Err(e) => return Err(RuntimeError::Exec(e)),
         };
         Ok(lock(&self.engines).entry(key).or_insert(engine).clone())
+    }
+
+    /// Drops the engines (and tombstones) of every plan `keep` rejects.
+    pub(crate) fn retain_plans(&self, keep: impl Fn(u64) -> bool) {
+        lock(&self.engines).retain(|&(plan, _), _| keep(plan));
     }
 
     /// Builds an uncached engine running `artifact` at `occupancy` under

@@ -197,8 +197,8 @@ metric_table! {
     busy_us: u64 = Counter("hecate_runtime_busy_us_total");
     /// Number of worker threads the runtime was configured with.
     workers: usize;
-    /// Threads each op's limb kernels stripe over (the configured
-    /// `backend.kernel_jobs`, at least 1).
+    /// Threads each op's limb kernels stripe over (`backend.kernel_jobs
+    /// × jobs_per_request`, each at least 1).
     kernel_jobs: usize = Gauge("hecate_runtime_kernel_jobs");
     /// Fraction of worker wall-clock spent busy since startup, in `[0,1]`.
     utilization: f64 => fixed(4);

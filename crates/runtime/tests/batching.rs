@@ -72,10 +72,9 @@ fn batching_config(max_batch: usize) -> RuntimeConfig {
 
 #[test]
 fn coalesced_batch_serves_every_member_correctly() {
-    // A packed run goes through the same op driver as a solo one, so it
-    // takes `jobs_per_request` DAG workers too — and must not change a
-    // bit for it.
-    let mut one_worker: Vec<HashMap<String, Vec<f64>>> = Vec::new();
+    // A packed run's engine stripes its kernels over `jobs_per_request`
+    // threads like a solo one's — and must not change a bit for it.
+    let mut one_thread: Vec<HashMap<String, Vec<f64>>> = Vec::new();
     for jobs_per_request in [1, 4] {
         let rt = Runtime::new(RuntimeConfig {
             jobs_per_request,
@@ -98,11 +97,11 @@ fn coalesced_batch_serves_every_member_correctly() {
                 assert!(rms < 1e-2, "member {t} output {name}: rms {rms}");
             }
             if jobs_per_request == 1 {
-                one_worker.push(resp.run.outputs);
+                one_thread.push(resp.run.outputs);
             } else {
                 assert_eq!(
-                    resp.run.outputs, one_worker[t],
-                    "member {t}: {jobs_per_request} DAG workers changed the packed result"
+                    resp.run.outputs, one_thread[t],
+                    "member {t}: {jobs_per_request} threads changed the packed result"
                 );
             }
         }

@@ -113,7 +113,7 @@ fn slow_request_retains_the_full_span_tree() {
         .filter(|e| e.name == "execute")
         .flat_map(|e| e.attrs.iter().map(|(k, _)| *k))
         .collect();
-    for key in ["jobs", "occupancy", "est_us", "total_us", "min_margin_bits"] {
+    for key in ["occupancy", "est_us", "total_us", "min_margin_bits"] {
         assert!(
             execute_keys.contains(&key),
             "execute span lacks {key}: {execute_keys:?}"

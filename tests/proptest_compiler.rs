@@ -13,7 +13,7 @@ use hecate::backend::exec::{execute_encrypted, BackendOptions, GuardOptions};
 use hecate::backend::noise::{max_rms_error, predict_rms, simulate};
 use hecate::compiler::{
     compile, compile_with_fallback, deserialize_plan, serialize_plan, CompileError, CompileOptions,
-    Scheme, SelectedParams,
+    PlanError, Scheme, SelectedParams,
 };
 use hecate::ir::analysis::users;
 use hecate::ir::interp::{interpret, rms_error};
@@ -453,17 +453,54 @@ fn hostile_edits(text: &str, w: f64, p: &SelectedParams) -> Vec<(String, String)
         .collect()
 }
 
+/// Header edits naming a chain parameter selection never builds, each
+/// with the `PlanError` the loader must refuse it with: `S_f` outside the
+/// backend's prime sizes, more primes than selection uses (2 000 would ask
+/// key generation for tens of GiB), and degrees that are not a power of
+/// two in 8..=32768 (2³⁰ would allocate 8 GiB per limb).
+fn out_of_bounds_edits(text: &str) -> Vec<(String, String, PlanError)> {
+    let max_chain = CompileOptions::default().max_chain_len;
+    let mut edits = vec![
+        ("sf", 19, PlanError::ScaleFactor(19)),
+        ("sf", 62, PlanError::ScaleFactor(62)),
+        (
+            "chain",
+            max_chain + 1,
+            PlanError::ChainLength(max_chain + 1),
+        ),
+        ("chain", 2000, PlanError::ChainLength(2000)),
+    ];
+    edits.extend([4, 1000, 65536, 1 << 30].map(|d| ("degree", d, PlanError::Degree(d))));
+    edits
+        .into_iter()
+        .map(|(key, value, err)| (format!("{key}={value}"), set_field(text, key, value), err))
+        .collect()
+}
+
 /// Loads every [`hostile_edits`] variant of `prog`'s saved plan and runs
 /// what loads: each is a typed rejection (a `PlanError` from the loader or
 /// an `ExecError` from the run), or it decrypts every output within
 /// 2⁻⁸·max(1, max|ref|) of `reference`, the source program's
-/// interpretation. Never a panic, never `Ok` and wrong.
+/// interpretation. Never a panic, never `Ok` and wrong. Every
+/// [`out_of_bounds_edits`] variant is refused by the loader, unrun.
 fn hostile_plans_are_refused_or_right(
     prog: &hecate::compiler::CompiledProgram,
     ins: &HashMap<String, Vec<f64>>,
     reference: &HashMap<String, Vec<f64>>,
 ) -> Result<(), String> {
     let text = serialize_plan(prog);
+    for (edit, hostile, want) in out_of_bounds_edits(&text) {
+        match deserialize_plan(&hostile) {
+            Err(e) if e == want => {}
+            other => {
+                return Err(format!(
+                    "{} plan with {edit}: loaded as {:?}, want {want:?}",
+                    prog.scheme,
+                    other.map(|p| p.params)
+                ))
+            }
+        }
+    }
     let bound = 2f64.powi(-8)
         * reference
             .values()
@@ -548,5 +585,91 @@ proptest! {
             let verdict = hostile_plans_are_refused_or_right(&prog, &ins, &reference);
             prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
         }
+    }
+}
+
+/// `text` with one edit drawn from `(kind, a, b)`: delete, duplicate or
+/// swap a line, replace a token with another token of the same text, or
+/// change a digit.
+fn mutate_heir(text: &str, (kind, a, b): (u64, u64, u64)) -> String {
+    let at = |x: u64, n: usize| (x % n.max(1) as u64) as usize;
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    match kind % 5 {
+        0 => {
+            lines.remove(at(a, lines.len()));
+        }
+        1 => {
+            let i = at(a, lines.len());
+            lines.insert(i, lines[i].clone());
+        }
+        2 => {
+            let (i, j) = (at(a, lines.len()), at(b, lines.len()));
+            lines.swap(i, j);
+        }
+        3 => {
+            let mut words: Vec<Vec<String>> = lines
+                .iter()
+                .map(|l| l.split(' ').map(str::to_string).collect())
+                .collect();
+            let spots: Vec<(usize, usize)> = words
+                .iter()
+                .enumerate()
+                .flat_map(|(i, ws)| (0..ws.len()).map(move |k| (i, k)))
+                .filter(|&(i, k)| !words[i][k].is_empty())
+                .collect();
+            let (si, sk) = spots[at(b, spots.len())];
+            let (ti, tk) = spots[at(a, spots.len())];
+            words[ti][tk] = words[si][sk].clone();
+            lines = words.iter().map(|ws| ws.join(" ")).collect();
+        }
+        _ => {
+            let joined = lines.join("\n");
+            let digits: Vec<usize> = joined
+                .char_indices()
+                .filter(|(_, c)| c.is_ascii_digit())
+                .map(|(i, _)| i)
+                .collect();
+            let mut bytes = joined.into_bytes();
+            if !digits.is_empty() {
+                bytes[digits[at(a, digits.len())]] = b'0' + (b % 10) as u8;
+            }
+            return String::from_utf8(bytes).expect("a digit for a digit");
+        }
+    }
+    lines.join("\n")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Hostile `.heir` text: the printed form of a generated program (or,
+    /// one case in four, `examples/ir/poly.heir`) with one to three
+    /// [`mutate_heir`] edits. Parsing, and compiling under HECATE at
+    /// degree 512 whatever parses, return `Ok` or a typed error and never
+    /// panic.
+    #[test]
+    fn hostile_heir_text_is_parsed_or_refused(
+        picks in proptest::collection::vec((pick_strategy(), any::<u64>(), any::<u64>()), 3..10),
+        n_inputs in 1usize..3,
+        poly in 0u32..4,
+        edits in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..4),
+    ) {
+        let mut text = if poly == 0 {
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/ir/poly.heir");
+            std::fs::read_to_string(path).unwrap()
+        } else {
+            hecate::ir::print::print_function_full(&build_program(&picks, n_inputs))
+        };
+        for &edit in &edits {
+            text = mutate_heir(&text, edit);
+        }
+        let mut opts = CompileOptions::with_waterline(24.0);
+        opts.degree = Some(512);
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(func) = hecate::ir::parse::parse_function(&text) {
+                let _ = compile(&func, Scheme::Hecate, &opts);
+            }
+        });
+        prop_assert!(outcome.is_ok(), "panicked on:\n{text}");
     }
 }
