@@ -6,11 +6,13 @@
 //! baseline file and means the same on any machine. Three checks, all
 //! hard failures:
 //!
-//! 1. **Bit-identity**: LeNet, HCD (Harris), and SF (Sobel) decrypt to
-//!    *bit-identical* outputs (`f64::to_bits`) with `kernel_jobs` ∈
-//!    {1, 2, 4}. The per-limb kernels split only independent RNS limbs,
-//!    so the stripes decide *where* a limb is computed, never *what* —
-//!    any drift is a real bug, not tolerance noise.
+//! 1. **Bit-identity**: LeNet, HCD (Harris), SF (Sobel) and MLP (81
+//!    hoisted rotations on a 3-prime chain, so the striped key-switch
+//!    mod-down runs on every one) decrypt to *bit-identical* outputs
+//!    (`f64::to_bits`) with `kernel_jobs` ∈ {1, 2, 4}. The per-limb
+//!    kernels split only independent RNS limbs, so the stripes decide
+//!    *where* a limb is computed, never *what* — any drift is a real
+//!    bug, not tolerance noise.
 //! 2. **Batching pays**: four tenants of SF (and of HCD) coalesced into
 //!    one packed ciphertext are served at ≥ 2× the solo request rate.
 //!    Both sides run at degree 4096 so the ratio isolates amortization
@@ -33,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const DEGREE: usize = 512;
-const WORKLOADS: [&str; 3] = ["LeNet", "HCD", "SF"];
+const WORKLOADS: [&str; 4] = ["LeNet", "HCD", "SF", "MLP"];
 /// Engine `kernel_jobs`, each run compared against the reference run
 /// (one kernel thread).
 const KERNEL_JOBS: [usize; 3] = [1, 2, 4];

@@ -8,8 +8,11 @@
 //! for binary operations (C3) and matching scales for addition — so a
 //! miscompiled program fails loudly rather than decrypting garbage.
 //!
-//! Ciphertexts are kept in NTT form between operations; `rescale`,
-//! `modswitch`, rotation, and relinearization convert internally as needed.
+//! Ciphertexts are kept in NTT form between operations. `rescale` and the
+//! key-switch mod-down inverse-transform only the limb they drop, and the
+//! digit decomposition behind rotation and relinearization reads the
+//! coefficients of a copy of the one component it splits, reusing that
+//! component's own NTT limbs.
 //! This matches how SEAL executes CKKS and gives operations the latency
 //! structure the paper's cost model describes: an operation at level `k`
 //! touches `L+1−k` primes, so deeper levels are cheaper.
@@ -324,7 +327,6 @@ impl Evaluator {
         let mut t2 = a.c1.clone();
         t2.mul_assign_pointwise(&b.c1, basis);
         // Relinearize the quadratic component.
-        t2.to_coeff_jobs(basis, self.kernel_jobs);
         let hd = hoisted_decompose(&t2, &self.params, self.kernel_jobs);
         let (kb, ka) = self.switch(&hd, None, rk);
         t0.add_assign(&kb, basis);
@@ -361,10 +363,8 @@ impl Evaluator {
         let dropped_bits = (basis.prime(a.prefix() - 1) as f64).log2();
         let mut c0 = a.c0.clone();
         let mut c1 = a.c1.clone();
-        c0.rescale_last(basis);
-        c1.rescale_last(basis);
-        c0.to_ntt(basis);
-        c1.to_ntt(basis);
+        c0.rescale_last_jobs(basis, self.kernel_jobs);
+        c1.rescale_last_jobs(basis, self.kernel_jobs);
         Ok(Ciphertext {
             c0,
             c1,
@@ -423,14 +423,13 @@ impl Evaluator {
     /// Precomputes the shared (Halevi–Shoup hoisted) part of rotating
     /// `a`: the RNS digit decomposition of `c1` over the extended basis.
     /// One decomposition serves every [`rotate_hoisted`] of the same
-    /// ciphertext — the decomposition's `c·(c+1)` forward NTTs, which
-    /// dominate a rotation, are paid once instead of once per step.
+    /// ciphertext — its `c` inverse and `c²` forward NTTs (`c1`'s own NTT
+    /// limbs are the other `c` rows), which dominate a rotation, are paid
+    /// once instead of once per step.
     ///
     /// [`rotate_hoisted`]: Evaluator::rotate_hoisted
     pub fn hoist(&self, a: &Ciphertext) -> HoistedDecomp {
-        let mut c1 = a.c1.clone();
-        c1.to_coeff_jobs(self.params.basis(), self.kernel_jobs);
-        hoisted_decompose(&c1, &self.params, self.kernel_jobs)
+        hoisted_decompose(&a.c1, &self.params, self.kernel_jobs)
     }
 
     /// Rotates using a decomposition precomputed by [`Evaluator::hoist`]
@@ -485,18 +484,17 @@ impl Evaluator {
     }
 
     /// Key-switches a decomposition with `key` (through the slot
-    /// permutation `perm`, if any) and returns `(b, a)` in NTT form.
+    /// permutation `perm`, if any) and returns `(b, a)` in NTT form. The
+    /// mod-down stays in the evaluation domain, so a switch after its MAC
+    /// runs `2c + 2` transforms (two inverse, on the special prime), not
+    /// the `4c + 2` of a coefficient-domain mod-down and its way back.
     fn switch(
         &self,
         hd: &HoistedDecomp,
         perm: Option<&[usize]>,
         key: &KeySwitchKey,
     ) -> (RnsPoly, RnsPoly) {
-        let basis = self.params.basis();
-        let (mut b, mut a) = key_switch_hoisted(hd, perm, key, &self.params, self.kernel_jobs);
-        b.to_ntt_jobs(basis, self.kernel_jobs);
-        a.to_ntt_jobs(basis, self.kernel_jobs);
-        (b, a)
+        key_switch_hoisted(hd, perm, key, &self.params, self.kernel_jobs)
     }
 }
 

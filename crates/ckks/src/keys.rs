@@ -17,12 +17,13 @@
 //! at the top of the chain, sliced by level at use.
 //!
 //! Every key switch is one pipeline: [`hoisted_decompose`] (the digit
-//! NTTs), then [`key_switch_hoisted`] (the multiply-accumulate and
-//! mod-down), with a Galois slot permutation for rotations and none for
-//! relinearization.
+//! NTTs), then one multiply-accumulate and mod-down, with a Galois slot
+//! permutation for rotations and none for relinearization. It ends in NTT
+//! form for the evaluator ([`key_switch_hoisted`]) and in coefficient form
+//! for [`key_switch`].
 
 use crate::params::CkksParams;
-use hecate_math::modular::{add_mod, mul_mod, neg_mod, reduce_i64, sub_mod};
+use hecate_math::modular::{add_mod, mul_mod, neg_mod, reduce_i64};
 use hecate_math::ntt::NttTable;
 use hecate_math::poly::RnsPoly;
 use hecate_math::rng::Xoshiro256;
@@ -285,39 +286,32 @@ fn extended_basis(params: &CkksParams, c: usize) -> (Vec<u64>, Vec<&NttTable>) {
     (moduli, tables)
 }
 
-/// Divides an extended-basis accumulator (coefficient domain, special
-/// row last) by the special prime `P`, returning a poly over the chain
-/// prefix. This is the SEAL-style mod-down that ends every key switch.
-fn mod_down(mut rows: Vec<Vec<u64>>, c: usize, params: &CkksParams) -> RnsPoly {
+/// Divides an extended-basis accumulator (chain rows in NTT form, special
+/// row last in coefficient form) by the special prime `P`, returning a
+/// poly over the chain prefix in NTT form iff `ntt`. This is the
+/// SEAL-style mod-down that ends every key switch. In NTT form the chain
+/// rows never leave the evaluation domain: the special row's centered lift
+/// is transformed at each `q_i` instead (see [`RnsPoly::divide_out`]), so
+/// the mod-down costs `c` forward transforms and no inverse one.
+fn mod_down(mut rows: Vec<Vec<u64>>, ntt: bool, params: &CkksParams, jobs: usize) -> RnsPoly {
     let basis = params.basis();
-    let special = basis.special_prime();
-    let n = params.degree();
-    let special_row = rows.pop().expect("extended basis");
-    let mut out = RnsPoly::zero(basis, c, false);
-    for (i, row) in rows.iter().enumerate().take(c) {
-        let q = basis.prime(i);
-        let inv_p = basis.inv_special(i);
-        let dst = out.residue_mut(i);
-        for idx in 0..n {
-            let lifted = RnsBasis::center(special_row[idx], special);
-            let l = reduce_i64(lifted, q);
-            dst[idx] = mul_mod(sub_mod(row[idx], l, q), inv_p, q);
-        }
+    let special = rows.pop().expect("extended basis");
+    let mut out = RnsPoly::from_residues(rows, true);
+    if !ntt {
+        out.to_coeff_jobs(basis, jobs);
     }
-    for row in rows {
-        scratch::recycle(row);
-    }
-    scratch::recycle(special_row);
+    let inv = |i| basis.inv_special(i);
+    out.divide_out(&special, basis.special_prime(), inv, basis, jobs);
+    scratch::recycle(special);
     out
 }
 
-/// Switches the key of a single polynomial `d` (coefficient domain, over
-/// `c` primes) from `s_target` to `s`, returning `(b, a)` in coefficient
+/// Switches the key of a single polynomial `d` (either domain, over `c`
+/// primes) from `s_target` to `s`, returning `(b, a)` in coefficient
 /// domain such that `b + a·s ≈ d·s_target`.
 ///
 /// # Panics
-/// Panics if `d` is in NTT form or the key serves only a prefix shorter
-/// than `c`.
+/// Panics if the key serves only a prefix shorter than `c`.
 pub fn key_switch(d: &RnsPoly, key: &KeySwitchKey, params: &CkksParams) -> (RnsPoly, RnsPoly) {
     key_switch_jobs(d, key, params, 1)
 }
@@ -333,12 +327,16 @@ pub fn key_switch_jobs(
     params: &CkksParams,
     jobs: usize,
 ) -> (RnsPoly, RnsPoly) {
-    key_switch_hoisted(&hoisted_decompose(d, params, jobs), None, key, params, jobs)
+    let hd = hoisted_decompose(d, params, jobs);
+    multiply_mod_down(&hd, None, key, params, jobs, false)
 }
 
 /// The input-only part of a key switch: the RNS digit decomposition of
-/// one polynomial, lifted to the extended basis and transformed to NTT
-/// form — the `c·(c+1)` forward NTTs that dominate a key switch.
+/// one polynomial, lifted to the extended basis and in NTT form — the
+/// `c·(c+1)` digit rows that dominate a key switch. Digit `j`'s row at its
+/// own prime `q_j` is the operand's NTT limb `j`, so decomposing an
+/// NTT-form operand copies those `c` rows and forward-transforms the other
+/// `c²`.
 ///
 /// Digit decomposition commutes with the Galois automorphism (centering
 /// is odd-symmetric, and in the evaluation domain the automorphism is a
@@ -372,24 +370,36 @@ impl Drop for HoistedDecomp {
     }
 }
 
-/// Decomposes `d` (coefficient domain) into centered RNS digits over the
+/// Decomposes `d` (either domain) into centered RNS digits over the
 /// extended basis, NTT-transformed, striping the rows over up to `jobs`
 /// threads. The expensive shared prefix of every key switch.
 ///
-/// # Panics
-/// Panics if `d` is in NTT form.
+/// The digits are read from `d`'s coefficients: an NTT-form `d` is
+/// inverse-transformed on a copy (`c` transforms), and its own NTT limbs
+/// are the `c` rows of each digit at its own prime — reducing the centered
+/// lift of `[d]_{q_j}` modulo `q_j` is the identity. Either way the rows
+/// are the same, bit for bit.
 pub fn hoisted_decompose(d: &RnsPoly, params: &CkksParams, jobs: usize) -> HoistedDecomp {
-    assert!(!d.is_ntt(), "hoisted_decompose expects coefficient domain");
     let c = d.prefix();
     let n = params.degree();
     let (moduli, tables) = extended_basis(params, c);
     let width = moduli.len();
+    let coeff = d.is_ntt().then(|| {
+        let mut coeff = d.clone();
+        coeff.to_coeff_jobs(params.basis(), jobs);
+        coeff
+    });
+    let digits = coeff.as_ref().unwrap_or(d);
     let mut rows: Vec<Vec<u64>> = (0..c * width).map(|_| scratch::take_zeroed(n)).collect();
     par::for_each_limb(&mut rows, jobs, |k, row| {
         let (j, m) = (k / width, k % width);
+        if d.is_ntt() && m == j {
+            row.copy_from_slice(d.residue(j));
+            return;
+        }
         let (qj, q) = (params.basis().prime(j), moduli[m]);
         // The centered lift keeps the key-switch noise at ~q_max/2.
-        for (dst, &v) in row.iter_mut().zip(d.residue(j)) {
+        for (dst, &v) in row.iter_mut().zip(digits.residue(j)) {
             *dst = reduce_i64(RnsBasis::center(v, qj), q);
         }
         tables[m].forward(row);
@@ -404,6 +414,12 @@ pub fn hoisted_decompose(d: &RnsPoly, params: &CkksParams, jobs: usize) -> Hoist
 /// — exactly equivalent to decomposing the rotated polynomial, bit for bit
 /// — so all rotations of one ciphertext share the forward digit NTTs.
 ///
+/// Returns `(b, a)` in NTT form. The mod-down inverse-transforms only the
+/// special prime's two accumulator rows and transforms their centered lift
+/// at each `q_i` ([`RnsPoly::divide_out`]), so after the MAC a switch costs
+/// `2c + 2` transforms, where a coefficient-domain mod-down and the way
+/// back cost `4c + 2`.
+///
 /// # Panics
 /// Panics if the key serves only a prefix shorter than the
 /// decomposition's.
@@ -413,6 +429,19 @@ pub fn key_switch_hoisted(
     key: &KeySwitchKey,
     params: &CkksParams,
     jobs: usize,
+) -> (RnsPoly, RnsPoly) {
+    multiply_mod_down(hd, perm, key, params, jobs, true)
+}
+
+/// [`key_switch_hoisted`] with its result in NTT form iff `ntt`; the
+/// coefficient form is [`key_switch`]'s.
+fn multiply_mod_down(
+    hd: &HoistedDecomp,
+    perm: Option<&[usize]>,
+    key: &KeySwitchKey,
+    params: &CkksParams,
+    jobs: usize,
+    ntt: bool,
 ) -> (RnsPoly, RnsPoly) {
     let c = hd.prefix;
     assert!(c <= key.prefix, "key serves prefix {}, not {c}", key.prefix);
@@ -445,11 +474,17 @@ pub fn key_switch_hoisted(
         if let Some(buf) = permuted {
             scratch::recycle(buf);
         }
-        t.backward(acc_b);
-        t.backward(acc_a);
+        // The mod-down lifts the special rows from their coefficients.
+        if m == c {
+            t.backward(acc_b);
+            t.backward(acc_a);
+        }
     });
     let (acc_b, acc_a): (Vec<_>, Vec<_>) = acc.into_iter().unzip();
-    (mod_down(acc_b, c, params), mod_down(acc_a, c, params))
+    (
+        mod_down(acc_b, ntt, params, jobs),
+        mod_down(acc_a, ntt, params, jobs),
+    )
 }
 
 #[cfg(test)]
@@ -574,8 +609,66 @@ mod tests {
             let perm = p.basis().ntt(0).galois_permutation(g);
             for jobs in [1usize, 2, 4] {
                 let hd = hoisted_decompose(&d, &p, jobs);
-                let hoisted = key_switch_hoisted(&hd, Some(&perm), &gk, &p, jobs);
-                assert_eq!(hoisted, baseline, "step = {step}, jobs = {jobs}");
+                let (mut b, mut a) = key_switch_hoisted(&hd, Some(&perm), &gk, &p, jobs);
+                b.to_coeff(p.basis());
+                a.to_coeff(p.basis());
+                assert_eq!((b, a), baseline, "step = {step}, jobs = {jobs}");
+            }
+        }
+    }
+
+    /// Parameters over six chain primes.
+    fn wide_params() -> CkksParams {
+        let p = CkksParams::new(64, 45, 30, 5, false).unwrap();
+        assert!(p.basis().chain_len() >= 5);
+        p
+    }
+
+    /// A polynomial with uniform residues on each of `c` limbs.
+    fn uniform_poly(p: &CkksParams, c: usize, seed: u64) -> RnsPoly {
+        let mut rng = hecate_math::rng::Xoshiro256::seed_from_u64(seed);
+        let mut d = RnsPoly::zero(p.basis(), c, false);
+        for i in 0..c {
+            rng.fill_uniform_mod(d.residue_mut(i), p.basis().prime(i));
+        }
+        d
+    }
+
+    #[test]
+    fn ntt_mod_down_equals_coefficient_mod_down_at_every_prefix() {
+        let p = wide_params();
+        let basis = p.basis();
+        for c in 2..=basis.chain_len() {
+            // The accumulator's chain rows in NTT form, its special row in
+            // coefficient form, as the MAC leaves them.
+            let chain = uniform_poly(&p, c, c as u64);
+            let mut rows: Vec<Vec<u64>> = (0..c).map(|i| chain.residue(i).to_vec()).collect();
+            let mut special = vec![0u64; p.degree()];
+            let mut rng = hecate_math::rng::Xoshiro256::seed_from_u64(100 + c as u64);
+            rng.fill_uniform_mod(&mut special, basis.special_prime());
+            rows.push(special);
+            for jobs in [1usize, 2, 4] {
+                let mut want = mod_down(rows.clone(), false, &p, jobs);
+                want.to_ntt(basis);
+                let got = mod_down(rows.clone(), true, &p, jobs);
+                assert!(got.is_ntt());
+                assert_eq!(got, want, "prefix {c}, jobs {jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn decomposing_an_ntt_operand_equals_decomposing_its_coefficients() {
+        let p = wide_params();
+        for c in 2..=p.basis().chain_len() {
+            let d = uniform_poly(&p, c, c as u64);
+            let mut d_ntt = d.clone();
+            d_ntt.to_ntt(p.basis());
+            for jobs in [1usize, 2, 4] {
+                let want = hoisted_decompose(&d, &p, jobs);
+                let got = hoisted_decompose(&d_ntt, &p, jobs);
+                assert_eq!(got.prefix(), c);
+                assert_eq!(got.rows, want.rows, "prefix {c}, jobs {jobs}");
             }
         }
     }

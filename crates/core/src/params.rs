@@ -25,6 +25,10 @@ pub const SF_BITS: RangeInclusive<u32> = 20..=61;
 /// may name).
 pub const MAX_DEGREE: usize = 32768;
 
+// `parse_function` refuses a program wider than the slots of the largest
+// ring, so no parsed program asks the executor for more.
+const _: () = assert!(hecate_ir::parse::MAX_VEC_SIZE == MAX_DEGREE / 2);
+
 /// The selected RNS parameters for one compiled program. A plan stores
 /// `q0_bits`, `sf_bits`, `chain_len` and `degree`; [`SelectedParams::new`]
 /// derives the rest.

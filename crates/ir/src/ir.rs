@@ -186,6 +186,11 @@ pub enum StructureError {
         /// The output name.
         name: String,
     },
+    /// Two outputs share a name, so one would shadow the other.
+    DuplicateOutput {
+        /// The repeated output name.
+        name: String,
+    },
     /// The function has no outputs.
     NoOutputs,
 }
@@ -201,6 +206,9 @@ impl fmt::Display for StructureError {
             }
             StructureError::DanglingOutput { name } => {
                 write!(f, "output '{name}' refers to a missing value")
+            }
+            StructureError::DuplicateOutput { name } => {
+                write!(f, "output '{name}' is declared twice")
             }
             StructureError::NoOutputs => write!(f, "function has no outputs"),
         }
@@ -293,9 +301,12 @@ impl Function {
         if self.outputs.is_empty() {
             return Err(StructureError::NoOutputs);
         }
-        for (name, v) in &self.outputs {
+        for (k, (name, v)) in self.outputs.iter().enumerate() {
             if v.index() >= self.ops.len() {
                 return Err(StructureError::DanglingOutput { name: name.clone() });
+            }
+            if self.outputs[..k].iter().any(|(earlier, _)| earlier == name) {
+                return Err(StructureError::DuplicateOutput { name: name.clone() });
             }
         }
         Ok(())
@@ -359,6 +370,21 @@ mod tests {
             f.verify_structure(),
             Err(StructureError::DanglingOutput { .. })
         ));
+    }
+
+    #[test]
+    fn duplicate_output_names_rejected() {
+        let mut f = Function::new("t", 4);
+        let x = f.push(Op::Input { name: "x".into() });
+        let sq = f.push(Op::Mul(x, x));
+        f.mark_output("y", sq);
+        f.mark_output("z", x);
+        assert_eq!(f.verify_structure(), Ok(()));
+        f.mark_output("y", x);
+        assert_eq!(
+            f.verify_structure(),
+            Err(StructureError::DuplicateOutput { name: "y".into() })
+        );
     }
 
     #[test]

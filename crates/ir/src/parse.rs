@@ -27,6 +27,12 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The widest `vec` [`parse_function`] accepts: the slot count of the
+/// largest ring degree parameter selection picks (`hecate_compiler`'s
+/// `params::MAX_DEGREE`, which asserts the relation). A wider program can
+/// never run, and its inputs alone would be terabytes.
+pub const MAX_VEC_SIZE: usize = 16_384;
+
 fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError {
         line,
@@ -82,7 +88,7 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
                 .ok_or_else(|| err(line, "unterminated '(vec N)'"))?;
             // A zero width would make every rotation step `% 0`.
             let vec_size: usize = (vec_str.trim().parse().ok())
-                .filter(|&n| n > 0)
+                .filter(|n| (1..=MAX_VEC_SIZE).contains(n))
                 .ok_or_else(|| err(line, "bad vector size"))?;
             func = Some(Function::new(name.trim(), vec_size));
             continue;
@@ -97,6 +103,9 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
         if let Some(rest) = text.strip_prefix("output ") {
             // output "name" = %v
             let (name, v) = parse_output(rest).ok_or_else(|| err(line, "bad output"))?;
+            if f.outputs().iter().any(|(earlier, _)| *earlier == name) {
+                return Err(err(line, format!("output \"{name}\" declared twice")));
+            }
             let vid = *ids
                 .get(&v)
                 .ok_or_else(|| err(line, format!("unknown value %{v}")))?;
@@ -112,6 +121,9 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
             .strip_prefix('%')
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| err(line, "bad value id"))?;
+        if ids.contains_key(&def) {
+            return Err(err(line, format!("value %{def} defined twice")));
+        }
         let rhs = rhs.trim();
         let (mnemonic, args) = rhs.split_once(' ').unwrap_or((rhs, ""));
         let args = args.trim();
@@ -334,6 +346,33 @@ mod tests {
         let e3 = parse_function("func @t(vec 0) {\n  %0 = input \"x\"\n}").unwrap_err();
         assert_eq!(e3.line, 1);
         assert!(e3.message.contains("bad vector size"));
+
+        let body = "  %0 = input \"x\"\n  output \"y\" = %0\n}";
+        let widest = format!("func @t(vec {MAX_VEC_SIZE}) {{\n{body}");
+        assert_eq!(parse_function(&widest).unwrap().vec_size, MAX_VEC_SIZE);
+        let wide = format!("func @t(vec {}) {{\n{body}", MAX_VEC_SIZE + 1);
+        let e4 = parse_function(&wide).unwrap_err();
+        assert_eq!(e4.line, 1);
+        assert!(e4.message.contains("bad vector size"));
+
+        let e5 = parse_function(
+            "func @t(vec 4) {\n  %0 = input \"x\"\n  %0 = mul %0, %0\n  output \"y\" = %0\n}",
+        )
+        .unwrap_err();
+        assert_eq!(e5.line, 3);
+        assert!(e5.message.contains("%0 defined twice"), "{}", e5.message);
+
+        let e6 = parse_function(
+            "func @t(vec 4) {\n  %0 = input \"x\"\n  %1 = mul %0, %0\n  \
+             output \"y\" = %1\n  output \"y\" = %0\n}",
+        )
+        .unwrap_err();
+        assert_eq!(e6.line, 5);
+        assert!(
+            e6.message.contains("\"y\" declared twice"),
+            "{}",
+            e6.message
+        );
     }
 
     #[test]

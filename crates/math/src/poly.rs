@@ -60,6 +60,19 @@ impl RnsPoly {
         }
     }
 
+    /// Wraps residue rows (one per active prime, each of the ring degree)
+    /// that are in NTT form iff `is_ntt`.
+    ///
+    /// # Panics
+    /// Panics if `residues` is empty.
+    pub fn from_residues(residues: Vec<Vec<u64>>, is_ntt: bool) -> Self {
+        assert!(
+            !residues.is_empty(),
+            "a polynomial needs at least one prime"
+        );
+        RnsPoly { residues, is_ntt }
+    }
+
     /// Number of active primes (prefix length).
     pub fn prefix(&self) -> usize {
         self.residues.len()
@@ -187,25 +200,68 @@ impl RnsPoly {
 
     /// Divides by the last active prime and drops it — the RNS realization
     /// of `rescale`. The result is the rounded quotient (error ≤ 1 per
-    /// coefficient). Converts to coefficient domain; the result is left in
-    /// coefficient domain.
+    /// coefficient), in the domain the polynomial was given in.
     ///
     /// # Panics
     /// Panics if only one prime is active.
     pub fn rescale_last(&mut self, basis: &RnsBasis) {
+        self.rescale_last_jobs(basis, 1);
+    }
+
+    /// [`RnsPoly::rescale_last`], striping the remaining limbs over up to
+    /// `jobs` scoped threads (bit-identical at any count). In NTT form
+    /// only the dropped limb is inverse-transformed; its centered lift is
+    /// transformed at each remaining prime by [`RnsPoly::divide_out`], so
+    /// a rescale costs `c` transforms instead of `2c − 1`.
+    ///
+    /// # Panics
+    /// Panics if only one prime is active.
+    pub fn rescale_last_jobs(&mut self, basis: &RnsBasis, jobs: usize) {
         assert!(self.prefix() > 1, "cannot rescale away the base prime");
-        self.to_coeff(basis);
         let c = self.prefix();
-        let last = self.residues.pop().expect("non-empty");
-        let q_last = basis.prime(c - 1);
-        for i in 0..c - 1 {
-            let q = basis.prime(i);
-            let inv = basis.inv_last_prime(c, i);
-            for (x, &l) in self.residues[i].iter_mut().zip(&last) {
-                let lifted = RnsBasis::center(l, q_last);
-                *x = RnsBasis::div_round_step(*x, lifted, inv, q);
-            }
+        let mut last = self.residues.pop().expect("non-empty");
+        if self.is_ntt {
+            basis.ntt(c - 1).backward(&mut last);
         }
+        let inv = |i| basis.inv_last_prime(c, i);
+        self.divide_out(&last, basis.prime(c - 1), inv, basis, jobs);
+    }
+
+    /// Divides by a modulus `p` that is not among the active primes, given
+    /// this polynomial's residues modulo `p` as `dropped` (coefficient
+    /// form) and `inv(i) = p⁻¹ mod q_i`: every limb becomes
+    /// `(x − [v]_{q_i})·p⁻¹`, where `v` is the centered lift of `dropped`.
+    /// The step shared by rescale (`p` the last prime) and key-switch
+    /// mod-down (`p` the special prime), striped over up to `jobs` threads.
+    ///
+    /// Works in either domain. In NTT form the lifted row is transformed
+    /// at `q_i` first; the NTT is linear over `Z_{q_i}` and both forms hold
+    /// canonical residues, so the result is the NTT of the
+    /// coefficient-form result, bit for bit. The lifted rows come from
+    /// the thread's [`crate::scratch`] pool.
+    pub fn divide_out(
+        &mut self,
+        dropped: &[u64],
+        p: u64,
+        inv: impl Fn(usize) -> u64 + Sync,
+        basis: &RnsBasis,
+        jobs: usize,
+    ) {
+        let ntt = self.is_ntt;
+        crate::par::for_each_limb(&mut self.residues, jobs, |i, row| {
+            let (q, inv) = (basis.prime(i), inv(i));
+            let mut lifted = crate::scratch::take_zeroed(row.len());
+            for (l, &v) in lifted.iter_mut().zip(dropped) {
+                *l = reduce_i64(RnsBasis::center(v, p), q);
+            }
+            if ntt {
+                basis.ntt(i).forward(&mut lifted);
+            }
+            for (x, &l) in row.iter_mut().zip(&lifted) {
+                *x = mul_mod(sub_mod(*x, l, q), inv, q);
+            }
+            crate::scratch::recycle(lifted);
+        });
     }
 
     /// Lifts every coefficient to its centered value modulo `Q_c`, the
@@ -422,6 +478,35 @@ mod tests {
         assert_eq!(p.prefix(), 2);
         let v = p.lift_centered(&b, 0.0)[0];
         assert!((v - 1000.0).abs() <= 1.0, "got {v}");
+    }
+
+    /// A polynomial with uniform residues on each of `c` limbs.
+    fn uniform_poly(basis: &RnsBasis, c: usize, seed: u64) -> RnsPoly {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut p = RnsPoly::zero(basis, c, false);
+        for i in 0..c {
+            rng.fill_uniform_mod(p.residue_mut(i), basis.prime(i));
+        }
+        p
+    }
+
+    #[test]
+    fn ntt_rescale_equals_coefficient_rescale_at_every_prefix() {
+        let b = RnsBasis::generate(64, 45, 30, 6, 45);
+        for c in 2..=b.chain_len() {
+            let mut p = uniform_poly(&b, c, c as u64);
+            p.to_ntt(&b);
+            let mut want = p.clone();
+            want.to_coeff(&b);
+            want.rescale_last(&b);
+            want.to_ntt(&b);
+            for jobs in [1usize, 2, 4] {
+                let mut got = p.clone();
+                got.rescale_last_jobs(&b, jobs);
+                assert!(got.is_ntt());
+                assert_eq!(got, want, "prefix {c}, jobs {jobs}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! peels off balanced mixed-radix digits with the rescaling inverses, in
 //! word arithmetic.
 
-use crate::modular::{inv_mod, mul_mod, sub_mod};
+use crate::modular::inv_mod;
 use crate::ntt::NttTable;
 use crate::prime::generate_ntt_primes;
 
@@ -149,20 +149,12 @@ impl RnsBasis {
             x as i64
         }
     }
-
-    /// Computes `(x - v) · q_drop^{-1} mod q_i` where `v` is the centered
-    /// lift of the dropped prime's residue — the per-coefficient step of
-    /// RNS rescaling and mod-down.
-    #[inline]
-    pub fn div_round_step(x: u64, lifted: i64, inv_drop: u64, q: u64) -> u64 {
-        let l = crate::modular::reduce_i64(lifted, q);
-        mul_mod(sub_mod(x, l, q), inv_drop, q)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modular::mul_mod;
 
     fn basis() -> RnsBasis {
         RnsBasis::generate(64, 40, 30, 4, 40)
