@@ -22,7 +22,6 @@
 pub mod harris;
 pub mod lenet;
 pub mod linear;
-pub mod logistic;
 pub mod mlp;
 pub mod regression;
 pub mod sobel;

@@ -34,8 +34,10 @@
 //!   op runs. Every homomorphic kernel is a deterministic function of its
 //!   operands, so a run is bit-identical at every `kernel_jobs`.
 //! - **Noise.** The engine predicts each value's RMS noise once, at build
-//!   ([`crate::noise::predict_rms`]); every run's `max_rms` guard,
-//!   `precision` marks, observer and margin read that prediction.
+//!   ([`crate::noise::predict_rms`]). The `max_rms` budget is judged on
+//!   that prediction then, so a plan over it is refused before any key is
+//!   generated; every run's `precision` marks, observer and margin read
+//!   the same prediction.
 //!
 //! Two conventions matter:
 //!
@@ -130,8 +132,8 @@ pub struct BackendOptions {
     pub degree_override: Option<usize>,
     /// Seed for key generation and encryption randomness.
     pub seed: u64,
-    /// Runtime guards (representation validation, noise monitoring); the
-    /// scale/level/prefix check always runs.
+    /// Guards (representation validation per op, the noise budget at
+    /// engine build); the scale/level/prefix check always runs.
     pub guard: GuardOptions,
     /// Fault to inject, for testing the guards. `None` in normal runs.
     pub fault: Option<FaultPlan>,
@@ -161,16 +163,19 @@ impl Default for BackendOptions {
     }
 }
 
-/// Which optional runtime guards the executor runs after every operation,
-/// beside the check of each ciphertext's declared scale, level and RNS
-/// prefix against the compiled plan's types, which always runs.
+/// Which optional guards the executor runs, beside the check of each
+/// ciphertext's declared scale, level and RNS prefix against the compiled
+/// plan's types, which always runs after every operation.
 #[derive(Debug, Clone, Default)]
 pub struct GuardOptions {
     /// Scan every residue row of each result for values outside its
     /// prime's range (an `O(N·prefix)` pass per op; off by default).
     pub validate_repr: bool,
-    /// Abort with [`ExecError::BudgetExhausted`] once the engine's
-    /// predicted RMS noise of an executed value exceeds this bound. `None`
+    /// Refuse the plan with [`ExecError::BudgetExhausted`] when the
+    /// engine's predicted RMS noise of any value exceeds this bound. The
+    /// prediction is a fact of the plan, so [`ExecEngine::new`] judges it
+    /// once, before key generation: a refused plan never encrypts an
+    /// input, so its budget error comes before any input error. `None`
     /// disables the check.
     pub max_rms: Option<f64>,
 }
@@ -232,12 +237,16 @@ pub enum ExecError {
         /// What was inconsistent.
         detail: String,
     },
-    /// The noise monitor saw the budget run out: decryption would no
-    /// longer recover the plaintext within the configured error bound.
+    /// The engine's noise prediction exceeds the configured budget
+    /// ([`GuardOptions::max_rms`]): decryption would no longer recover the
+    /// plaintext within the bound. [`ExecEngine::new`] returns it before
+    /// key generation, so no run starts and it precedes any input error
+    /// ([`ExecError::MissingInput`], [`ExecError::InputTooLong`]).
     BudgetExhausted {
-        /// The operation index at which the budget was exceeded.
+        /// The first operation whose predicted noise exceeds the budget.
         at: usize,
-        /// Log2 bits by which the tracked RMS noise exceeds the budget.
+        /// Log2 bits by which that op's predicted RMS noise exceeds the
+        /// budget.
         deficit: f64,
     },
     /// The run's [`CancelToken`] tripped (explicit cancellation or an
@@ -418,7 +427,8 @@ pub struct ExecEngine {
     eval: Evaluator,
     decryptor: Decryptor,
     pk: PublicKey,
-    guard: GuardOptions,
+    /// [`GuardOptions::validate_repr`]: the one optional guard run per op.
+    validate_repr: bool,
     fault: Option<FaultPlan>,
     chain_len: usize,
     slots: usize,
@@ -460,8 +470,10 @@ impl ExecEngine {
     /// Builds parameters and all required keys for `prog`.
     ///
     /// # Errors
-    /// Returns [`ExecError`] on parameter failures or an incompatible
-    /// vector width.
+    /// Returns [`ExecError`] on parameter failures, an incompatible
+    /// vector width or occupancy, or a plan whose predicted noise exceeds
+    /// [`GuardOptions::max_rms`] ([`ExecError::BudgetExhausted`], before
+    /// any key is generated).
     pub fn new(prog: Arc<CompiledProgram>, opts: &BackendOptions) -> Result<ExecEngine, ExecError> {
         let params = build_params(&prog, opts)?;
         let slots = params.slots();
@@ -488,6 +500,21 @@ impl ExecEngine {
                     occupancy,
                     block,
                     needed,
+                });
+            }
+        }
+        // The budget verdict is a fact of the plan: a refused plan pays
+        // for no keygen.
+        let predicted_rms = predict_rms(&prog, params.degree(), occupancy, opts.fault.as_ref());
+        if let Some(max_rms) = opts.guard.max_rms {
+            if let Some((at, rms)) = predicted_rms
+                .iter()
+                .enumerate()
+                .find(|&(_, &rms)| rms > max_rms)
+            {
+                return Err(ExecError::BudgetExhausted {
+                    at,
+                    deficit: (rms / max_rms).log2(),
                 });
             }
         }
@@ -520,7 +547,6 @@ impl ExecEngine {
                 frees[i].push(v);
             }
         }
-        let predicted_rms = predict_rms(&prog, params.degree(), occupancy, opts.fault.as_ref());
         let min_margin_bits = prog
             .types
             .iter()
@@ -539,7 +565,7 @@ impl ExecEngine {
             eval,
             decryptor,
             pk,
-            guard: opts.guard.clone(),
+            validate_repr: opts.guard.validate_repr,
             fault: opts.fault.clone(),
             chain_len,
             slots,
@@ -980,7 +1006,7 @@ impl ExecEngine {
                 });
             }
         }
-        if let (Val::Cipher(c), true) = (&value.0, self.guard.validate_repr) {
+        if let (Val::Cipher(c), true) = (&value.0, self.validate_repr) {
             for poly in [&c.c0, &c.c1] {
                 for row in 0..poly.prefix() {
                     let p = basis.prime(row);
@@ -996,23 +1022,15 @@ impl ExecEngine {
         Ok(())
     }
 
-    /// The noise guard and `precision` mark of finished operation `i`.
-    /// Returns the predicted RMS the observer sees: the engine's
-    /// prediction for a cipher value, 0 for a plain or free one.
-    fn check_noise(&self, i: usize) -> Result<f64, ExecError> {
+    /// The `precision` mark of finished operation `i`. Returns the
+    /// predicted RMS the observer sees: the engine's prediction for a
+    /// cipher value, 0 for a plain or free one.
+    fn mark_precision(&self, i: usize) -> f64 {
         let prog = &self.prog;
         let rms = self.predicted_rms[i];
-        if let Some(max_rms) = self.guard.max_rms {
-            if rms > max_rms {
-                return Err(ExecError::BudgetExhausted {
-                    at: i,
-                    deficit: (rms / max_rms).log2(),
-                });
-            }
-        }
         let ty = prog.types[i];
         if !ty.is_cipher() {
-            return Ok(0.0);
+            return 0.0;
         }
         trace::mark_with("precision", || {
             let (level, scale_bits) = (ty.level().unwrap_or(0), ty.scale().unwrap_or(0.0));
@@ -1028,7 +1046,7 @@ impl ExecEngine {
                 ("budget_bits", (modulus_bits - scale_bits).into()),
             ]
         });
-        Ok(rms)
+        rms
     }
 }
 
@@ -1127,7 +1145,7 @@ pub fn execute(
                 engine.exec_op(i, &operands, &mut hoisted)?
             }
         };
-        let predicted_rms = engine.check_noise(i)?;
+        let predicted_rms = engine.mark_precision(i);
         if let Some(observe) = observer.as_mut() {
             observe(i, &value, predicted_rms)?;
         }

@@ -12,7 +12,7 @@
 //! | [`FaultPlan::PerturbScale`] | metadata check against the compiled types |
 //! | [`FaultPlan::DropRescale`] | metadata check (level and scale both wrong) |
 //! | [`FaultPlan::SkipRelin`] | clean `MissingKey` error from the evaluator |
-//! | [`FaultPlan::ExhaustNoise`] | noise-budget monitor (`BudgetExhausted`) |
+//! | [`FaultPlan::ExhaustNoise`] | noise budget, judged at engine build (`BudgetExhausted`) |
 //!
 //! The fault-injection tests in `crates/backend/tests/fault_injection.rs`
 //! prove the table: every variant yields a structured error, never a panic

@@ -22,9 +22,10 @@
 //!
 //! The executor checks every ciphertext's scale, level and prefix against
 //! the compiled plan after each operation, and carries optional guards
-//! ([`GuardOptions`]): residue-range validation and a noise-budget check
-//! on the engine's noise prediction ([`predict_rms`]) that aborts with
-//! `BudgetExhausted` before a garbage decryption. [`fault`] injects
+//! ([`GuardOptions`]): residue-range validation and a noise budget on the
+//! engine's noise prediction ([`predict_rms`]), judged once at engine
+//! build, that refuses a plan with `BudgetExhausted` before a garbage
+//! decryption. [`fault`] injects
 //! runtime faults to prove the guards catch them.
 //!
 //! # Example

@@ -407,7 +407,8 @@ fn noise_budget_failure_is_a_typed_error_at_the_first_value() {
     }
     b.output(acc);
     let prog = compile(&b.finish(), Scheme::Hecate, &opts(18.0, 64)).unwrap();
-    // An absurdly tight RMS budget: the first value already exceeds it.
+    // An absurdly tight RMS budget: the first value already exceeds it,
+    // so the engine is refused at build and no run starts.
     let bopts = BackendOptions {
         guard: GuardOptions {
             max_rms: Some(1e-12),
@@ -415,10 +416,16 @@ fn noise_budget_failure_is_a_typed_error_at_the_first_value() {
         },
         ..BackendOptions::default()
     };
-    let engine = ExecEngine::new(Arc::new(prog), &bopts).unwrap();
-    let mut ins = HashMap::new();
-    ins.insert("x".to_string(), vec![1.05; vec]);
-    let err = execute(&engine, &[&ins], None, None).unwrap_err();
+    let err = ExecEngine::new(Arc::new(prog.clone()), &bopts)
+        .err()
+        .expect("the plan is refused at engine build");
+    assert!(
+        matches!(err, ExecError::BudgetExhausted { at: 0, .. }),
+        "{err}"
+    );
+    // A refused plan never encrypts an input: its budget error comes
+    // before the missing input's.
+    let err = execute_encrypted(&prog, &HashMap::new(), &bopts).unwrap_err();
     assert!(
         matches!(err, ExecError::BudgetExhausted { at: 0, .. }),
         "{err}"

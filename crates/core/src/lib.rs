@@ -22,9 +22,7 @@
 //!   backend's simulator and its per-engine prediction all fold;
 //! - [`params`] — RNS modulus-chain and ring-degree selection under the
 //!   128-bit security table;
-//! - [`pipeline`] — the [`compile`] entry point, the
-//!   [`compile_with_fallback`] graceful-degradation driver, and the
-//!   waterline sweep;
+//! - [`pipeline`] — the [`compile`] entry point and the waterline sweep;
 //! - [`serialize`] — exact text (de)serialization of compiled plans, so
 //!   the serving layer can persist and reload cache artifacts.
 //!
@@ -77,9 +75,8 @@ pub mod smu;
 pub use estimator::{CostModel, CostOp, CostTable};
 pub use lowering::{HoistRole, LoweredOp, Lowering};
 pub use options::{
-    CompileError, CompileFault, CompileFaultKind, CompileOptions, CompileStats, CompiledProgram,
-    FallbackRung, Scheme,
+    CompileError, CompileFault, CompileOptions, CompileStats, CompiledProgram, Scheme,
 };
 pub use params::SelectedParams;
-pub use pipeline::{compile, compile_with_fallback, default_waterlines, sweep_waterlines};
+pub use pipeline::{compile, default_waterlines, sweep_waterlines};
 pub use serialize::{deserialize_plan, serialize_plan, PlanError};

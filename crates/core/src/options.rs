@@ -72,7 +72,7 @@ pub struct CompileOptions {
     /// EVA and HECATE pipelines).
     pub early_modswitch: bool,
     /// Sabotage injected into generated plans, for testing that the
-    /// per-pass verifier and the fallback driver catch compiler faults.
+    /// per-pass verifier catches compiler faults.
     pub fault: Option<CompileFault>,
 }
 
@@ -138,22 +138,11 @@ impl Default for CompileOptions {
 
 /// A fault injected into generated plans, for testing the guard rails.
 ///
-/// The fault is applied to each lowered candidate *before* per-pass
+/// The fault is applied to the winning candidate *before* the final
 /// verification, so a correctly working verifier turns every injected
-/// fault into a [`CompileError::Verify`]. Restricting `scheme` lets a
-/// test sabotage one rung of the fallback ladder while leaving the
-/// others sound.
+/// fault into a [`CompileError::Verify`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompileFault {
-    /// Apply only when compiling under this scheme (`None`: always).
-    pub scheme: Option<Scheme>,
-    /// What to break.
-    pub kind: CompileFaultKind,
-}
-
-/// The compile-side sabotage repertoire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompileFaultKind {
+pub enum CompileFault {
     /// Replace the `nth` rescale with a modswitch: the level still drops
     /// but the scale is never reduced, violating C1/C3 downstream.
     DropRescale {
@@ -166,17 +155,12 @@ pub enum CompileFaultKind {
 }
 
 impl CompileFault {
-    /// Whether this fault applies when compiling under `scheme`.
-    pub fn applies_to(&self, scheme: Scheme) -> bool {
-        self.scheme.map(|s| s == scheme).unwrap_or(true)
-    }
-
     /// Returns the sabotaged copy of `func`, or `None` if the fault found
     /// no site to corrupt (e.g. no `nth` rescale exists).
     pub fn apply(&self, func: &Function) -> Option<Function> {
         let mut ops: Vec<Op> = func.ops().to_vec();
-        match self.kind {
-            CompileFaultKind::DropRescale { nth } => {
+        match *self {
+            CompileFault::DropRescale { nth } => {
                 let site = ops
                     .iter()
                     .enumerate()
@@ -188,7 +172,7 @@ impl CompileFault {
                 };
                 ops[site] = Op::ModSwitch(v);
             }
-            CompileFaultKind::ForwardReference => {
+            CompileFault::ForwardReference => {
                 let last = ValueId((ops.len() - 1) as u32);
                 let site = ops.iter().position(|op| !op.operands().is_empty())?;
                 ops[site] = match &ops[site] {
@@ -285,38 +269,6 @@ pub struct CompileStats {
     pub use_edges: usize,
     /// Operation histogram of the compiled program.
     pub op_counts: BTreeMap<&'static str, usize>,
-    /// Which rung of the degradation ladder produced this program.
-    /// `None` when compiled directly (no fallback driver involved).
-    pub fallback: Option<FallbackRung>,
-    /// Rungs that failed before the succeeding one (fallback driver only).
-    pub fallback_attempts: usize,
-}
-
-/// The degradation ladder the fallback driver descends: the requested
-/// scheme first, then progressively simpler scale management, and finally
-/// a recompile at a raised waterline that trades precision for headroom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FallbackRung {
-    /// The requested scheme succeeded as-is.
-    Primary,
-    /// Fell back to proactive rescaling without exploration.
-    Pars,
-    /// Fell back to the EVA waterline-rescaling baseline.
-    Eva,
-    /// Recompiled the EVA baseline at a raised waterline.
-    RaisedWaterline,
-}
-
-impl std::fmt::Display for FallbackRung {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            FallbackRung::Primary => "primary",
-            FallbackRung::Pars => "pars",
-            FallbackRung::Eva => "eva",
-            FallbackRung::RaisedWaterline => "raised-waterline",
-        };
-        f.write_str(s)
-    }
 }
 
 /// A fully compiled FHE program: scale-managed IR, its types, and the

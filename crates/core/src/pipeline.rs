@@ -1,10 +1,7 @@
-//! The end-to-end compilation pipeline, the graceful-degradation fallback
-//! driver, and the waterline sweep driver.
+//! The end-to-end compilation pipeline and the waterline sweep driver.
 
 use crate::estimator::estimate_noise_bits;
-use crate::options::{
-    CompileError, CompileOptions, CompileStats, CompiledProgram, FallbackRung, Scheme,
-};
+use crate::options::{CompileError, CompileOptions, CompileStats, CompiledProgram, Scheme};
 use crate::planner::{explore, Candidate, ExploreOutcome};
 use crate::smu::{self, SmuAnalysis};
 use hecate_ir::analysis::{op_histogram, use_edge_count};
@@ -87,7 +84,7 @@ pub fn compile(
         estimate_noise_bits(&candidate.func, &candidate.types, candidate.params.degree);
     {
         let _s = trace::span("pass:final-verify");
-        apply_fault_and_verify(&mut candidate, scheme, opts)?;
+        apply_fault_and_verify(&mut candidate, opts)?;
     }
     compile_span.attr("est_us", candidate.cost_us.into());
     compile_span.attr("plans_explored", plans_explored.into());
@@ -100,8 +97,6 @@ pub fn compile(
         smu_edges: analysis.edges.len(),
         use_edges: use_edge_count(func),
         op_counts: op_histogram(&candidate.func),
-        fallback: None,
-        fallback_attempts: 0,
     };
     Ok(CompiledProgram {
         func: candidate.func,
@@ -122,71 +117,16 @@ pub fn compile(
 /// program.
 fn apply_fault_and_verify(
     candidate: &mut Candidate,
-    scheme: Scheme,
     opts: &CompileOptions,
 ) -> Result<(), CompileError> {
-    if let Some(fault) = &opts.fault {
-        if fault.applies_to(scheme) {
-            if let Some(sabotaged) = fault.apply(&candidate.func) {
-                candidate.func = sabotaged;
-            }
-        }
+    if let Some(sabotaged) = opts.fault.as_ref().and_then(|f| f.apply(&candidate.func)) {
+        candidate.func = sabotaged;
     }
     // The final check binds C1 to the *selected* modulus chain, so a plan
     // inconsistent with its own parameters cannot ship.
     let cfg = candidate.params.type_config(opts.type_config().waterline);
     candidate.types = verify_plan(&candidate.func, &cfg, "final-plan")?;
     Ok(())
-}
-
-/// Compiles with graceful degradation: the requested scheme first, then
-/// progressively simpler scale management (PARS, then the EVA baseline),
-/// and finally an EVA recompile at a raised waterline. The first rung that
-/// compiles wins; its position on the ladder is recorded in
-/// [`CompileStats::fallback`].
-///
-/// # Errors
-/// Returns the *first* rung's error if every rung fails — the primary
-/// scheme's diagnosis is the one worth reporting.
-pub fn compile_with_fallback(
-    func: &Function,
-    scheme: Scheme,
-    opts: &CompileOptions,
-) -> Result<CompiledProgram, CompileError> {
-    // Raise the waterline by half the rescale factor, staying inside the
-    // sweep range the paper explores (15–50 bits).
-    let cfg = opts.type_config();
-    let raised = (cfg.waterline + cfg.sf_bits / 2.0).min(50.0);
-    let mut ladder: Vec<(FallbackRung, Scheme, f64)> =
-        vec![(FallbackRung::Primary, scheme, cfg.waterline)];
-    if scheme.explores() && scheme != Scheme::Pars {
-        ladder.push((FallbackRung::Pars, Scheme::Pars, cfg.waterline));
-    }
-    if scheme != Scheme::Eva {
-        ladder.push((FallbackRung::Eva, Scheme::Eva, cfg.waterline));
-    }
-    if raised > cfg.waterline {
-        ladder.push((FallbackRung::RaisedWaterline, Scheme::Eva, raised));
-    }
-
-    let mut first_error = None;
-    for (attempts, (rung, rung_scheme, waterline)) in ladder.into_iter().enumerate() {
-        let mut o = opts.clone();
-        o.waterline_bits = waterline;
-        match compile(func, rung_scheme, &o) {
-            Ok(mut compiled) => {
-                compiled.stats.fallback = Some(rung);
-                compiled.stats.fallback_attempts = attempts;
-                return Ok(compiled);
-            }
-            Err(e) => {
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
-            }
-        }
-    }
-    Err(first_error.expect("ladder always has at least one rung"))
 }
 
 /// Compiles one program at every waterline and returns the results paired

@@ -1,10 +1,8 @@
-//! Graceful-degradation tests: the fallback driver descends the ladder
-//! when a rung is sabotaged, and records where it landed.
+//! Compiler sabotage tests: an injected [`CompileFault`] never ships as a
+//! miscompiled program; the per-pass verifier turns it into a
+//! [`CompileError::Verify`] naming the pass and the offending op.
 
-use hecate_compiler::{
-    compile, compile_with_fallback, CompileError, CompileFault, CompileFaultKind, CompileOptions,
-    FallbackRung, Scheme,
-};
+use hecate_compiler::{compile, CompileError, CompileFault, CompileOptions, Scheme};
 use hecate_ir::{Function, FunctionBuilder};
 
 /// The paper's motivating example, (x² + y²)³.
@@ -28,67 +26,18 @@ fn opts(w: f64) -> CompileOptions {
 }
 
 #[test]
-fn healthy_compile_reports_primary_rung() {
-    let prog = compile_with_fallback(&motivating(), Scheme::Hecate, &opts(20.0)).unwrap();
-    assert_eq!(prog.stats.fallback, Some(FallbackRung::Primary));
-    assert_eq!(prog.stats.fallback_attempts, 0);
-    assert_eq!(prog.scheme, Scheme::Hecate);
-}
-
-#[test]
-fn sabotaged_hecate_rung_falls_back_to_pars() {
-    // Sabotage only the HECATE rung: every plan it produces loses a
-    // scale-management step, which the per-pass verifier rejects. The
-    // PARS rung is untouched and must recover the program.
+fn sabotage_under_every_scheme_is_a_verify_error() {
+    // A structural fault corrupts the winning plan; the final verifier
+    // refuses it under every scheme, so no miscompiled program ships.
     let mut o = opts(20.0);
-    o.fault = Some(CompileFault {
-        scheme: Some(Scheme::Hecate),
-        kind: CompileFaultKind::ForwardReference,
-    });
-    let direct = compile(&motivating(), Scheme::Hecate, &o);
-    assert!(
-        matches!(direct, Err(CompileError::Verify(_))),
-        "sabotage must be caught, got {direct:?}"
-    );
-
-    let prog = compile_with_fallback(&motivating(), Scheme::Hecate, &o).unwrap();
-    assert_eq!(prog.stats.fallback, Some(FallbackRung::Pars));
-    assert_eq!(prog.stats.fallback_attempts, 1);
-    assert_eq!(prog.scheme, Scheme::Pars);
-    // The recovered program is a real compile: verified types and params.
-    hecate_ir::verify::verify_plan(
-        &prog.func,
-        &prog.params.type_config(prog.waterline),
-        "recovered",
-    )
-    .unwrap();
-    assert!(prog.params.chain_len >= 1);
-}
-
-#[test]
-fn sabotage_of_every_rung_reports_the_primary_error() {
-    // An unrestricted structural fault corrupts every rung's plan; the
-    // ladder runs dry and the primary scheme's diagnosis comes back.
-    let mut o = opts(20.0);
-    o.fault = Some(CompileFault {
-        scheme: None,
-        kind: CompileFaultKind::ForwardReference,
-    });
-    let all = compile_with_fallback(&motivating(), Scheme::Hecate, &o);
-    assert!(matches!(all, Err(CompileError::Verify(_))), "{all:?}");
-}
-
-#[test]
-fn sabotaged_pars_falls_back_to_eva() {
-    let mut o = opts(20.0);
-    o.fault = Some(CompileFault {
-        scheme: Some(Scheme::Pars),
-        kind: CompileFaultKind::ForwardReference,
-    });
-    let prog = compile_with_fallback(&motivating(), Scheme::Pars, &o).unwrap();
-    assert_eq!(prog.stats.fallback, Some(FallbackRung::Eva));
-    assert_eq!(prog.scheme, Scheme::Eva);
-    assert_eq!(prog.stats.fallback_attempts, 1);
+    o.fault = Some(CompileFault::ForwardReference);
+    for scheme in Scheme::ALL {
+        let got = compile(&motivating(), scheme, &o);
+        assert!(
+            matches!(got, Err(CompileError::Verify(_))),
+            "{scheme}: sabotage must be caught, got {got:?}"
+        );
+    }
 }
 
 #[test]
@@ -97,10 +46,7 @@ fn dropped_rescale_is_reported_with_pass_and_invariant() {
     // (52-bit products cross the 86-bit threshold after squaring).
     // Dropping it leaves scales that no longer fit the selected chain.
     let mut o = opts(26.0);
-    o.fault = Some(CompileFault {
-        scheme: Some(Scheme::Eva),
-        kind: CompileFaultKind::DropRescale { nth: 0 },
-    });
+    o.fault = Some(CompileFault::DropRescale { nth: 0 });
     match compile(&motivating(), Scheme::Eva, &o) {
         Err(CompileError::Verify(v)) => {
             assert_eq!(v.pass, "final-plan");

@@ -2,16 +2,16 @@
 //!
 //! A [`ChaosOptions`] attached to [`crate::RuntimeConfig`] makes the
 //! worker pool sabotage every Nth served request *before* it executes:
-//! a backend [`FaultPlan`] (exercising guards and the retry path),
+//! a backend [`FaultPlan`] (exercising the guards and typed failures),
 //! synthetic added latency (exercising deadlines and queue backpressure),
 //! or an outright worker panic (exercising panic isolation and
 //! poison-recovery). The injection kinds rotate deterministically through
 //! [`ChaosOptions::mix`], so a chaos run is reproducible: the same
 //! request sequence sees the same injections.
 //!
-//! Chaos targets only a request's *first* attempt. A retry runs clean —
-//! deliberately, so the suite proves the retry path actually recovers
-//! from a transient fault rather than re-tripping it forever.
+//! An injected fault runs on a one-off engine that is never cached, and
+//! its failure is the request's final answer: the tenant's next request
+//! runs clean on the session's cached engine.
 //!
 //! This is the machinery behind `hecatec --serve --chaos N` and the
 //! `chaos_soak` test: ≥500 requests with ~10% injected faults must
@@ -25,7 +25,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosKind {
     /// Inject [`ChaosOptions::fault`] into the request's backend
-    /// execution (a guard catches it; the request may then retry).
+    /// execution (a guard catches it; the request fails, typed).
     Fault,
     /// Sleep [`ChaosOptions::latency`] before executing (drives requests
     /// past their deadlines and backs the queue up).
@@ -63,7 +63,7 @@ pub struct ChaosOptions {
     pub mix: Vec<ChaosKind>,
     /// The fault injected on [`ChaosKind::Fault`] hits. The default —
     /// `perturb-scale@0:1.0` — is caught by the always-on metadata guard
-    /// at the first op, making it a fast, reliably *transient* failure.
+    /// at the first op, making it a fast, reliably typed failure.
     pub fault: FaultPlan,
     /// Latency injected on [`ChaosKind::Latency`] hits.
     pub latency: Duration,

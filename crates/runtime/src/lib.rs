@@ -33,7 +33,7 @@
 //! The serving layer is failure-isolated: a worker panic is caught at
 //! the request boundary and returned as [`RuntimeError::Panicked`] (the
 //! worker survives; shared locks recover from poisoning), requests carry
-//! optional deadlines and retry budgets, the bounded queue sheds load
+//! optional deadlines, a failed run is final, the bounded queue sheds load
 //! through a cost-priced admission policy, and the [`chaos`] harness
 //! injects faults, latency, and panics on demand to prove all of it
 //! under stress.
@@ -119,8 +119,8 @@ pub enum RuntimeError {
         /// The panic payload, when it was a string (the common case).
         message: String,
     },
-    /// The request's deadline expired before it finished (in queue,
-    /// between retry attempts, or mid-execution via the cancel token).
+    /// The request's deadline expired before it finished (in queue or
+    /// mid-execution via the cancel token).
     TimedOut {
         /// Time from enqueue until the deadline was observed expired.
         elapsed: std::time::Duration,

@@ -146,13 +146,13 @@ pub struct Request {
     /// Input bindings.
     pub inputs: HashMap<String, Vec<f64>>,
     /// End-to-end deadline, measured from submission. Expiry anywhere —
-    /// in queue, mid-execution (checked between ops), or between retry
-    /// attempts — fails the request with [`RuntimeError::TimedOut`].
-    /// `None` means no deadline.
+    /// in queue or mid-execution (checked between ops) — fails the
+    /// request with [`RuntimeError::TimedOut`]. `None` means no deadline.
     pub deadline: Option<Duration>,
-    /// Additional execution attempts allowed after a *transient* failure
-    /// (a guard trip or noise-budget exhaustion). Retries run on the
-    /// session's cached engine with exponential backoff. `0` fails fast.
+    /// Has no effect: a failed run is final, because engines are
+    /// deterministic and would repeat it bit for bit. The field stays
+    /// only because the benchmark harness builds `Request` as a struct
+    /// literal; it goes at that harness's next change.
     pub max_retries: u32,
 }
 
@@ -168,8 +168,6 @@ pub struct Response {
     /// End-to-end latency (queue wait + compile/lookup + execution),
     /// microseconds.
     pub latency_us: f64,
-    /// Re-execution attempts this response needed (0 = first try).
-    pub retries: u32,
     /// How many requests shared the packed ciphertext that produced this
     /// response (`1` = solo execution).
     pub batch_occupancy: usize,

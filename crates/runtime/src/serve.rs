@@ -39,14 +39,13 @@
 //!   are unaffected.
 //! - **Deadlines** — a [`crate::Request::deadline`] becomes a
 //!   [`CancelToken`] the op driver polls between ops; expiry anywhere
-//!   (queued, executing, or between retries) yields
-//!   [`RuntimeError::TimedOut`]. Members whose deadline already expired
-//!   are served alone instead of holding a group.
-//! - **Retries** — transient failures (guard trips, noise-budget
-//!   exhaustion) of a group of one re-execute up to
-//!   [`crate::Request::max_retries`] times with exponential backoff, on
-//!   the session's cached engine (engines are immutable and
-//!   deterministic, so a rebuilt one would be bit-identical).
+//!   (queued or executing) yields [`RuntimeError::TimedOut`]. Members
+//!   whose deadline already expired are served alone instead of holding
+//!   a group.
+//! - **Final failures** — engines are immutable and deterministic, and a
+//!   plan over the noise budget is refused when its engine is built, so a
+//!   group of one's failure would repeat bit for bit: it is the
+//!   request's answer, never re-run.
 //! - **Admission control** — the queue is bounded
 //!   ([`crate::RuntimeConfig::queue_capacity`]), and with
 //!   [`crate::RuntimeConfig::admission_budget_us`] set, requests whose
@@ -56,14 +55,15 @@
 //!   itself: injected faults, latency, and panics on every Nth request,
 //!   used by the `chaos_soak` test and `hecatec --serve --chaos`. Chaos is
 //!   decided once per collected member; members drawing an injection are
-//!   served alone so the injection hits exactly one request, and only
-//!   their first attempt, on a one-off engine that is never cached.
+//!   served alone so the injection hits exactly one request, on a
+//!   one-off engine that is never cached.
 //! - **Slot batching** — an infeasible occupancy (the plan's slot
 //!   footprint does not fit the block) halves the group's occupancy; the
 //!   members it leaves out are served alone. Any failure of a group of
 //!   two or more — a guard trip, a cancellation, even a panic — serves
-//!   every member again as a group of one with its own retry budget. One
-//!   poisoned member cannot fail its batch-mates.
+//!   every member again as a group of one (occupancy changes the noise
+//!   prediction, so a solo run can pass where the packed one was
+//!   refused). One poisoned member cannot fail its batch-mates.
 //!
 //! # Key honesty
 //!
@@ -87,31 +87,13 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Process-wide batch-id mint (ids start at 1; `0` means "no batch" in
 /// [`trace::push_context`]). A `batch_id` attr links the shared
 /// `batch-execute` span with each member's `batch-member` mark, so a
 /// retained trace for one request pulls in the batch work it shared.
 static NEXT_BATCH_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Delay before the first retry attempt; doubles per attempt up to
-/// [`RETRY_BACKOFF_CAP`], and never sleeps past the request's deadline.
-const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(1);
-
-/// Retry backoff ceiling: exponential growth stops doubling here.
-const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(100);
-
-/// True for failures worth re-executing: a guard trip or noise-budget
-/// blow-up can stem from an injected fault, and a clean re-run
-/// legitimately recovers. Compile errors, missing inputs, and evaluator
-/// bugs are deterministic — a retry would only repeat them.
-fn is_transient(e: &ExecError) -> bool {
-    matches!(
-        e,
-        ExecError::Guard { .. } | ExecError::BudgetExhausted { .. }
-    )
-}
 
 /// Renders a caught panic payload (the `&str`/`String` cases cover
 /// `panic!` with a message; anything else is typed opaquely).
@@ -187,7 +169,7 @@ fn serve_group(inner: &Inner, key: u64, mut group: Vec<Member>) -> Vec<Member> {
     let jobs: Vec<&Job> = group.iter().map(|(job, ..)| job).collect();
     let shared = Some(inner.sessions.shared());
     let (responses, batch_id) =
-        match catch_unwind(AssertUnwindSafe(|| run(inner, key, &jobs, shared, None, 0))) {
+        match catch_unwind(AssertUnwindSafe(|| run(inner, key, &jobs, shared, None))) {
             Ok(Ok((responses, batch_id))) if !responses.is_empty() => (responses, batch_id),
             _ => return group,
         };
@@ -203,8 +185,8 @@ fn serve_group(inner: &Inner, key: u64, mut group: Vec<Member>) -> Vec<Member> {
     rest
 }
 
-/// Serves one member as a group of one: its `request` span, the retry
-/// loop, and panic isolation. A panic is replied to as
+/// Serves one member as a group of one: its `request` span, its one run
+/// and panic isolation. A panic is replied to as
 /// [`RuntimeError::Panicked`] and then re-raised.
 fn serve_one(inner: &Inner, (job, session, injection): Member) {
     // Every event this request produces from here on — including backend
@@ -222,51 +204,24 @@ fn serve_one(inner: &Inner, (job, session, injection): Member) {
         span.attr("chaos", inj.kind_str().into());
     }
     let t0 = Instant::now();
-    let deadline = job.req.deadline.map(|d| job.enqueued + d);
-    let session = session.as_deref();
+    let (session, injection) = (session.as_deref(), injection.as_ref());
     let timed_out = || {
         inner.stats.timeouts.inc();
         RuntimeError::TimedOut {
             elapsed: job.enqueued.elapsed(),
         }
     };
-    // The injection hits the first attempt only: a retry of an injected
-    // failure runs clean, on the session's cached engine, so the soak
-    // test proves the retry path actually recovers.
-    let attempts = || {
-        let mut attempt: u32 = 0;
-        loop {
-            if expired(&job) {
-                return Err(timed_out());
-            }
-            let injected = injection.as_ref().filter(|_| attempt == 0);
-            match run(inner, job.key, &[&job], session, injected, attempt) {
-                Ok((mut responses, _)) => return Ok(responses.pop().expect("one run")),
-                Err(RuntimeError::Exec(ExecError::Cancelled { .. })) => return Err(timed_out()),
-                Err(RuntimeError::Exec(e)) if attempt < job.req.max_retries && is_transient(&e) => {
-                    attempt += 1;
-                    inner.stats.retries.inc();
-                    trace::mark_with("retry", || {
-                        vec![
-                            ("attempt", u64::from(attempt).into()),
-                            ("plan_key", job.key.into()),
-                            ("cause", e.to_string().into()),
-                        ]
-                    });
-                    let backoff = RETRY_BACKOFF_BASE
-                        .saturating_mul(1 << (attempt - 1).min(7))
-                        .min(RETRY_BACKOFF_CAP);
-                    // Never sleep past the deadline; the loop head turns
-                    // the expiry into a typed timeout.
-                    std::thread::sleep(deadline.map_or(backoff, |d| {
-                        backoff.min(d.saturating_duration_since(Instant::now()))
-                    }));
-                }
-                Err(e) => return Err(e),
-            }
+    let outcome = || {
+        if expired(&job) {
+            return Err(timed_out());
+        }
+        match run(inner, job.key, &[&job], session, injection) {
+            Ok((mut responses, _)) => Ok(responses.pop().expect("one run")),
+            Err(RuntimeError::Exec(ExecError::Cancelled { .. })) => Err(timed_out()),
+            Err(e) => Err(e),
         }
     };
-    let (result, repanic) = match catch_unwind(AssertUnwindSafe(attempts)) {
+    let (result, repanic) = match catch_unwind(AssertUnwindSafe(outcome)) {
         Ok(result) => (result, None),
         Err(payload) => {
             inner.stats.panics.inc();
@@ -296,15 +251,13 @@ fn serve_one(inner: &Inner, (job, session, injection): Member) {
 /// for a group of one). A group of one runs at occupancy 1; a larger
 /// group at the largest power of two its members and the plan's slot
 /// footprint allow — the members beyond it are not run, and none is when
-/// no packing of two fits. `injection` and `retries` (the attempts before
-/// this one) apply to a group of one.
+/// no packing of two fits. `injection` applies to a group of one.
 fn run(
     inner: &Inner,
     key: u64,
     jobs: &[&Job],
     session: Option<&Session>,
     injection: Option<&ChaosInjection>,
-    retries: u32,
 ) -> Result<(Vec<Response>, u64), RuntimeError> {
     let req = &jobs[0].req;
     // The hit flag comes from inside the cache's own lock — a separate
@@ -364,7 +317,6 @@ fn run(
             cache_hit,
             plan_key: key,
             latency_us: 0.0,
-            retries,
             batch_occupancy: occupancy,
             req_id: job.req_id,
         });
@@ -448,7 +400,9 @@ fn reply(
     let reason = match &result {
         Err(RuntimeError::Panicked { .. }) => Some("panicked"),
         Err(RuntimeError::TimedOut { .. }) => Some("timed-out"),
-        Err(RuntimeError::Exec(e)) if is_transient(e) => Some("guard-failed"),
+        Err(RuntimeError::Exec(ExecError::Guard { .. } | ExecError::BudgetExhausted { .. })) => {
+            Some("guard-failed")
+        }
         Err(_) => Some("failed"),
         Ok(_) => inner
             .config

@@ -101,9 +101,9 @@ impl Session {
     /// work, never an inconsistency).
     ///
     /// # Errors
-    /// Propagates other engine construction failures as
-    /// [`RuntimeError::Exec`]; they are not cached, so a later attempt
-    /// may succeed.
+    /// Propagates other engine construction failures (a plan over the
+    /// noise budget among them) as [`RuntimeError::Exec`]; they are not
+    /// cached.
     pub fn engine(
         &self,
         artifact: &PlanArtifact,

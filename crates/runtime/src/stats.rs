@@ -175,8 +175,6 @@ metric_table! {
     /// Worker panics isolated into `Panicked` responses (a subset of
     /// `failed`).
     panics: u64 = Counter("hecate_runtime_panics_total");
-    /// Re-execution attempts after transient failures.
-    retries: u64 = Counter("hecate_runtime_retries_total");
     /// Requests that missed their deadline (a subset of `failed`).
     timeouts: u64 = Counter("hecate_runtime_timeouts_total");
     /// Requests rejected at admission (`QueueFull` or `Shed`); disjoint
@@ -401,8 +399,6 @@ mod tests {
         s.record_done(false, 3.0, 2.0);
         s.cache_evictions.inc();
         s.panics.inc();
-        s.retries.inc();
-        s.retries.inc();
         s.timeouts.inc();
         s.shed.inc();
         s.worker_respawns.inc();
@@ -416,7 +412,6 @@ mod tests {
         assert_eq!(snap.completed, 1);
         assert_eq!(snap.failed, 1);
         assert_eq!(snap.panics, 1);
-        assert_eq!(snap.retries, 2);
         assert_eq!(snap.timeouts, 1);
         assert_eq!(snap.shed, 1);
         assert_eq!(snap.worker_respawns, 1);
@@ -467,7 +462,6 @@ mod tests {
             completed: 1,
             failed: 1,
             panics: 1,
-            retries: 2,
             timeouts: 0,
             shed: 3,
             worker_respawns: 1,
@@ -491,7 +485,7 @@ mod tests {
                 "{\"cache_hits\":2,\"cache_misses\":1,",
                 "\"cache_evictions\":0,\"compiles\":1,",
                 "\"completed\":1,\"failed\":1,\"panics\":1,",
-                "\"retries\":2,\"timeouts\":0,\"shed\":3,",
+                "\"timeouts\":0,\"shed\":3,",
                 "\"worker_respawns\":1,\"batched_requests\":4,",
                 "\"batches_executed\":1,\"queue_depth\":1,",
                 "\"peak_queue_depth\":2,\"busy_us\":82,\"workers\":2,",
@@ -527,7 +521,6 @@ mod tests {
         assert!(text.contains("hecate_runtime_request_latency_us_sum 10"));
         assert!(text.contains("hecate_runtime_panics_total 1"));
         assert!(text.contains("hecate_runtime_shed_total 1"));
-        assert!(text.contains("hecate_runtime_retries_total 0"));
         assert!(text.contains("hecate_runtime_timeouts_total 0"));
         assert!(text.contains("hecate_runtime_worker_respawns_total 0"));
         assert!(text.contains("hecate_runtime_kernel_jobs 1"));

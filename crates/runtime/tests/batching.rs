@@ -1,9 +1,10 @@
 //! Scheduler-level slot batching: coalescing compatible requests into one
 //! packed execution, demux correctness against the plaintext reference,
 //! stats accounting, and the degradation paths (chaos member, expired
-//! deadline, infeasible footprint).
+//! deadline, infeasible footprint, packed plan over the noise budget).
 
-use hecate_compiler::{CompileOptions, Scheme};
+use hecate_backend::noise::predict_rms;
+use hecate_compiler::{compile, CompileOptions, Scheme};
 use hecate_ir::interp::interpret;
 use hecate_ir::FunctionBuilder;
 use hecate_runtime::{ChaosKind, ChaosOptions, Request, Runtime, RuntimeConfig, RuntimeError};
@@ -57,7 +58,7 @@ fn request(session: u64, t: usize) -> Request {
         options: options(),
         inputs: member_inputs(t),
         deadline: None,
-        max_retries: 2,
+        max_retries: 0,
     }
 }
 
@@ -197,6 +198,42 @@ fn expired_member_times_out_while_peers_complete() {
     let snap = rt.stats();
     assert_eq!(snap.timeouts, 1);
     assert_eq!(snap.batches_executed, 1);
+    rt.shutdown();
+}
+
+/// Occupancy changes the noise prediction: under a budget the solo plan
+/// meets but the packed one exceeds, the packed engine is refused at
+/// build and every member is served, correctly, alone.
+#[test]
+fn packed_engine_over_the_noise_budget_degrades_to_solo() {
+    let prog = compile(&batched_func(), Scheme::Pars, &options()).unwrap();
+    let worst = |occupancy| {
+        predict_rms(&prog, prog.params.degree, occupancy, None)
+            .into_iter()
+            .fold(0.0, f64::max)
+    };
+    let (solo, packed) = (worst(1), worst(2));
+    assert!(
+        packed > solo,
+        "packing raises the prediction: {solo} vs {packed}"
+    );
+    let mut config = batching_config(2);
+    config.backend.guard.max_rms = Some(solo);
+    let rt = Runtime::new(config);
+    let sessions = [rt.open_session(), rt.open_session()];
+    let reqs = (0..2).map(|t| request(sessions[t], t)).collect();
+    for (t, resp) in rt.run_batch(reqs).into_iter().enumerate() {
+        let resp = resp.unwrap_or_else(|e| panic!("member {t}: {e}"));
+        assert_eq!(resp.batch_occupancy, 1, "member {t} must run solo");
+        let truth = interpret(&batched_func(), &member_inputs(t)).unwrap();
+        for (name, expected) in &truth {
+            let got = &resp.run.outputs[name];
+            let rms = hecate_backend::rms_error(&got[..expected.len()], expected);
+            assert!(rms < 1e-2, "member {t} output {name}: rms {rms}");
+        }
+    }
+    let snap = rt.stats();
+    assert_eq!((snap.completed, snap.batches_executed), (2, 0));
     rt.shutdown();
 }
 

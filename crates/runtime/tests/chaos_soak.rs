@@ -1,6 +1,6 @@
 //! Resilience of the serving layer under injected failure: panic
-//! isolation, deadlines, retries, bounded-queue rejection, cost-priced
-//! shedding, and the full chaos soak.
+//! isolation, deadlines, final typed failures, bounded-queue rejection,
+//! cost-priced shedding, and the full chaos soak.
 //!
 //! The invariant every test here defends: **every submitted request
 //! yields exactly one terminal response** — `Ok`, or a typed error
@@ -8,11 +8,14 @@
 //! never hangs, and the stats counters reconcile exactly with the
 //! response set.
 
+use hecate_backend::exec::ExecError;
+use hecate_backend::FaultPlan;
 use hecate_compiler::{CompileOptions, Scheme};
 use hecate_ir::FunctionBuilder;
 use hecate_runtime::{
     ChaosKind, ChaosOptions, Request, Runtime, RuntimeConfig, RuntimeError, StatsSnapshot,
 };
+use hecate_telemetry::{recorder, Event};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -167,38 +170,44 @@ fn deadline_expires_mid_execution() {
     rt.shutdown();
 }
 
-/// A transient injected fault (guard trip) recovers on retry: the
-/// request re-executes on a fresh engine and succeeds, reporting the
-/// attempt count.
+/// An injected fault is the request's final, typed answer: engines are
+/// deterministic, so nothing re-runs it. A guard-tripping fault fails at
+/// its op; a noise blow-up under a noise budget is refused when its
+/// one-off engine is built, before any input is encrypted. The fault
+/// engine is never cached, so the tenant's next request on the same
+/// session runs clean and succeeds.
 #[test]
-fn transient_fault_retries_to_success() {
-    let rt = Runtime::new(RuntimeConfig {
-        workers: 1,
-        chaos: Some(ChaosOptions::only(ChaosKind::Fault, 1)),
-        ..RuntimeConfig::default()
-    });
-    let session = rt.open_session();
-    let mut req = request(session);
-    req.max_retries = 1;
-    let resp = rt.run_batch(vec![req]).remove(0).unwrap();
-    assert_eq!(resp.retries, 1, "recovered on the second attempt");
-    let snap = rt.stats();
-    assert_eq!(snap.retries, 1);
-    assert_eq!(snap.completed, 1);
-    assert_eq!(snap.failed, 0);
-    rt.shutdown();
-
-    // Without a retry budget the same fault is a typed guard error.
-    let rt = Runtime::new(RuntimeConfig {
-        workers: 1,
-        chaos: Some(ChaosOptions::only(ChaosKind::Fault, 1)),
-        ..RuntimeConfig::default()
-    });
-    let session = rt.open_session();
-    let err = rt.run_batch(vec![request(session)]).remove(0).unwrap_err();
-    assert!(matches!(err, RuntimeError::Exec(_)), "{err:?}");
-    assert_eq!(rt.stats().retries, 0);
-    rt.shutdown();
+fn injected_fault_is_final_and_the_next_request_succeeds() {
+    let cases = [
+        (ChaosOptions::default().fault, None),
+        (FaultPlan::ExhaustNoise { at: 0 }, Some(0.5)),
+    ];
+    for (fault, max_rms) in cases {
+        let mut config = RuntimeConfig {
+            workers: 1,
+            // Every 2nd request: the first is hit, the second is not.
+            chaos: Some(ChaosOptions {
+                fault: fault.clone(),
+                ..ChaosOptions::only(ChaosKind::Fault, 2)
+            }),
+            ..RuntimeConfig::default()
+        };
+        config.backend.guard.max_rms = max_rms;
+        let rt = Runtime::new(config);
+        let session = rt.open_session();
+        let err = rt.run_batch(vec![request(session)]).remove(0).unwrap_err();
+        let want = match &err {
+            RuntimeError::Exec(ExecError::Guard { at: 0, .. }) => max_rms.is_none(),
+            RuntimeError::Exec(ExecError::BudgetExhausted { at: 0, .. }) => max_rms.is_some(),
+            _ => false,
+        };
+        assert!(want, "{fault:?}: {err:?}");
+        let resp = rt.run_batch(vec![request(session)]).remove(0);
+        assert!(resp.is_ok(), "{fault:?}: {resp:?}");
+        let snap = rt.stats();
+        assert_eq!((snap.completed, snap.failed), (1, 1), "{fault:?}");
+        rt.shutdown();
+    }
 }
 
 /// The bounded queue rejects overflow with a typed error instead of
@@ -270,6 +279,14 @@ fn admission_sheds_priced_out_requests() {
     rt.shutdown();
 }
 
+/// Whether `e` is a `request` span carrying the string attr `key=want`.
+fn request_attr(e: &Event, key: &str, want: &str) -> bool {
+    e.name == "request"
+        && e.attrs
+            .iter()
+            .any(|(k, v)| *k == key && v.as_str() == Some(want))
+}
+
 /// Chaos injections are visible in telemetry: the request span carries a
 /// `chaos=<kind>` attr, so a soak's retained traces say *which* requests
 /// were hit and how — no guessing from timings.
@@ -278,34 +295,41 @@ fn chaos_injection_is_attributed_on_the_request_span() {
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         chaos: Some(ChaosOptions::only(ChaosKind::Fault, 1)),
-        // Threshold zero retains every request, so the trace is
-        // addressable by the response's correlation id.
-        slow_threshold: Some(Duration::ZERO),
         ..RuntimeConfig::default()
     });
     let session = rt.open_session();
     let mut req = request(session);
-    req.max_retries = 1;
-    let resp = rt.run_batch(vec![req]).remove(0).unwrap();
-    assert_eq!(resp.retries, 1, "the fault hit and the retry recovered");
-    let trace = hecate_telemetry::recorder::retained_trace(resp.req_id)
-        .expect("slow-threshold-zero retains the request");
-    let attributed = trace.events.iter().any(|e| {
-        e.name == "request"
-            && e.attrs
-                .iter()
-                .any(|(k, v)| *k == "chaos" && v.as_str() == Some("fault"))
-    });
+    req.func.name = "attributed".to_string();
+    let err = rt.run_batch(vec![req]).remove(0).unwrap_err();
     assert!(
-        attributed,
+        matches!(err, RuntimeError::Exec(ExecError::Guard { .. })),
+        "{err:?}"
+    );
+    // A failure has no response to carry its correlation id: find its
+    // retained trace by the request span's function name.
+    let trace = recorder::retained_index()
+        .into_iter()
+        .filter(|s| s.reason == "guard-failed")
+        .filter_map(|s| recorder::retained_trace(s.req_id))
+        .find(|t| {
+            t.events
+                .iter()
+                .any(|e| request_attr(e, "func", "attributed"))
+        })
+        .expect("a guard failure is retained");
+    assert!(
+        trace
+            .events
+            .iter()
+            .any(|e| request_attr(e, "chaos", "fault")),
         "request span must carry chaos=fault: {:?}",
         trace.events
     );
     rt.shutdown();
 }
 
-/// Randomized accounting stress: random chaos policies, deadlines, retry
-/// budgets, and queue bounds. Whatever the mix, every request gets
+/// Randomized accounting stress: random chaos policies, deadlines and
+/// queue bounds. Whatever the mix, every request gets
 /// exactly one terminal response, the counters reconcile, and shutdown
 /// joins cleanly.
 #[test]
@@ -346,7 +370,6 @@ fn randomized_chaos_accounting_reconciles() {
                     1 => Some(Duration::from_millis(1 + next() % 5)),
                     _ => Some(Duration::from_secs(30)),
                 };
-                req.max_retries = (next() % 3) as u32;
                 req
             })
             .collect();
@@ -371,11 +394,12 @@ fn randomized_chaos_accounting_reconciles() {
 }
 
 /// The acceptance soak: 500 requests with ~10% injected failures
-/// (rotating fault/latency/panic), retry budget 1. Zero hangs, exactly
-/// one terminal response per request, and fully deterministic counters:
-/// the chaos sequence hits every 10th request, so of 50 hits 17 are
-/// faults (all recovered by retry), 17 latency (merely slowed), and 16
-/// panics (isolated, worker recycled). Run explicitly (CI does, in the
+/// (rotating fault/latency/panic). Zero hangs, exactly one terminal
+/// response per request, and fully deterministic counters: the chaos
+/// sequence hits every 10th request, so of 50 hits 17 are faults (each a
+/// final typed guard failure at op 0: an engine is deterministic, so no
+/// run is retried), 17 latency (merely slowed), and 16 panics (isolated,
+/// worker recycled). Run explicitly (CI does, in the
 /// soaks job): `cargo test -p hecate-runtime --test chaos_soak -- --ignored`.
 #[test]
 #[ignore = "soak run; exercised by the CI soaks job"]
@@ -386,33 +410,28 @@ fn chaos_soak_500() {
         ..RuntimeConfig::default()
     });
     let sessions = [rt.open_session(), rt.open_session()];
-    let reqs: Vec<Request> = (0..500)
-        .map(|i| {
-            let mut req = request(sessions[i % 2]);
-            req.max_retries = 1;
-            req
-        })
-        .collect();
+    let reqs: Vec<Request> = (0..500).map(|i| request(sessions[i % 2])).collect();
     let results = rt.run_batch(reqs);
     assert_eq!(results.len(), 500, "exactly one response per request");
     assert_reconciled(&rt.stats(), &results);
 
     let snap = rt.stats();
-    assert_eq!(snap.completed, 484, "500 - 16 panic hits");
-    assert_eq!(snap.failed, 16, "only the panic hits fail");
+    assert_eq!(snap.completed, 467, "500 - 16 panic hits - 17 fault hits");
+    assert_eq!(snap.failed, 33, "only the panic and fault hits fail");
     assert_eq!(snap.panics, 16);
     assert_eq!(snap.worker_respawns, 16, "every panic recycles a worker");
-    assert_eq!(snap.retries, 17, "every fault hit recovers on retry");
     assert_eq!(snap.timeouts, 0);
     assert_eq!(snap.shed, 0);
     assert_eq!(snap.compiles, 1, "single-flight holds under chaos");
+    let (mut panicked, mut guarded) = (0, 0);
     for r in results {
-        if let Err(e) = r {
-            assert!(
-                matches!(e, RuntimeError::Panicked { .. }),
-                "only panics may fail in this configuration: {e:?}"
-            );
+        match r {
+            Ok(_) => {}
+            Err(RuntimeError::Panicked { .. }) => panicked += 1,
+            Err(RuntimeError::Exec(ExecError::Guard { at: 0, .. })) => guarded += 1,
+            Err(e) => panic!("only panic and fault hits may fail: {e:?}"),
         }
     }
+    assert_eq!((panicked, guarded), (16, 17));
     rt.shutdown();
 }

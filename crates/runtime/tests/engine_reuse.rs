@@ -1,12 +1,15 @@
-//! A retry re-runs on the session's cached engine. Engines are immutable
-//! and deterministic in plan, seed and occupancy, so a rebuilt one would
-//! be bit-identical and only pay for key generation again; the chaos
-//! fault engine is one-off and never cached, so a chaos retry still
-//! recovers on the clean engine.
+//! A session's cached engine serves every clean request. Engines are
+//! immutable and deterministic in plan, seed and occupancy, so a rebuilt
+//! one would be bit-identical and only pay for key generation again; the
+//! chaos fault engine is one-off and never cached, so the tenant's next
+//! clean request runs on the clean engine.
 
+use hecate_backend::exec::ExecError;
 use hecate_compiler::{CompileOptions, Scheme};
 use hecate_ir::FunctionBuilder;
-use hecate_runtime::{plan_key, ChaosKind, ChaosOptions, Request, Runtime, RuntimeConfig};
+use hecate_runtime::{
+    plan_key, ChaosKind, ChaosOptions, Request, Runtime, RuntimeConfig, RuntimeError,
+};
 use hecate_telemetry::{trace, AttrValue};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -27,17 +30,18 @@ fn request(session: u64) -> Request {
         options,
         inputs,
         deadline: None,
-        max_retries: 1,
+        max_retries: 0,
     }
 }
 
-/// One clean request builds the session's engine; a later chaos-fault
-/// request fails once on its one-off engine and retries on the cached
-/// one, building nothing.
+/// One clean request builds the session's engine; a chaos-fault request
+/// then fails, final and typed, on its one-off engine; the next clean
+/// request finds the cached engine, building nothing, and returns the
+/// warm run's bits: the fault engine was never cached.
 #[test]
-fn a_retry_reuses_the_cached_engine() {
-    // Every request draws an injection; the first draws a zero-length
-    // latency (a clean run), the second the default guard-tripping fault.
+fn a_fault_engine_is_never_cached() {
+    // Every request draws an injection, rotating a zero-length latency
+    // (a clean run) and the default guard-tripping fault.
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,
         chaos: Some(ChaosOptions {
@@ -51,17 +55,23 @@ fn a_retry_reuses_the_cached_engine() {
     let session = rt.open_session();
     let req = request(session);
     let key = plan_key(&req.func, req.scheme, &req.options);
-    let ((warm, retried), events) = trace::capture(|| {
+    let ((warm, faulted, clean), events) = trace::capture(|| {
         let warm = rt.run_batch(vec![req.clone()]).remove(0).unwrap();
-        let retried = rt.run_batch(vec![req]).remove(0).unwrap();
-        (warm, retried)
+        let faulted = rt.run_batch(vec![req.clone()]).remove(0);
+        let clean = rt.run_batch(vec![req]).remove(0).unwrap();
+        (warm, faulted, clean)
     });
-    assert_eq!((warm.retries, retried.retries), (0, 1));
-    assert_eq!(rt.stats().retries, 1);
-    assert_eq!(
-        warm.run.outputs, retried.run.outputs,
-        "same engine, same result"
+    assert!(
+        matches!(
+            faulted,
+            Err(RuntimeError::Exec(ExecError::Guard { at: 0, .. }))
+        ),
+        "{faulted:?}"
     );
+    let bits = |run: &hecate_backend::EncryptedRun| -> Vec<u64> {
+        run.outputs["out0"].iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&warm.run), bits(&clean.run), "same engine, same bits");
 
     let spans = trace::pair_spans(&events).expect("balanced trace");
     let plan = AttrValue::from(key);
@@ -73,6 +83,6 @@ fn a_retry_reuses_the_cached_engine() {
     assert_eq!(
         built,
         [true, false],
-        "the warm-up builds the engine; the retry finds it cached"
+        "the warm-up builds the engine; the clean request finds it cached"
     );
 }

@@ -178,7 +178,7 @@ fn failure_classes_are_retained_under_their_reason() {
     );
     rt.shutdown();
 
-    // Guard-failed: an injected transient fault with no retry budget.
+    // Guard-failed: an injected fault, a final typed failure.
     recorder::clear();
     let rt = Runtime::new(RuntimeConfig {
         workers: 1,

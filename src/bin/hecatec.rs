@@ -14,8 +14,6 @@
 //!   --degree N                      fixed ring degree (default: security-selected)
 //!   --run                           execute under encryption with random inputs
 //!   --quiet                         suppress the compiled IR listing
-//!   --strict                        fail on the first error; no fallback (default)
-//!   --fallback                      degrade gracefully down the scheme ladder
 //!   --save-plan PATH                write the compiled plan (HECATE-PLAN v1 text)
 //!   --load-plan PATH                reuse a saved plan instead of compiling
 //!                                   (re-verified against its parameters;
@@ -46,8 +44,6 @@
 //!                                   drop-rescale@AT, skip-relin, exhaust-noise@AT)
 //!   --deadline-ms D                 serve mode: per-request deadline; expiry in queue
 //!                                   or mid-run fails the request as timed out
-//!   --retries R                     serve mode: re-execute transient failures up to R
-//!                                   times on the session's engine (default 0)
 //!   --queue-cap N                   serve mode: bound on queued requests; a full
 //!                                   queue rejects submissions (default 4096)
 //!   --admission-budget-ms B         serve mode: shed cached-plan requests whose
@@ -77,8 +73,9 @@
 //!   --bench NAME|all                explain a named paper benchmark (Small preset)
 //!                                   instead of an input file; `all` explains all 8
 //!                                   (it compiles them, so takes no --load-plan)
-//!   --max-rms BOUND                 abort encrypted execution once the modeled
-//!                                   RMS noise of any value exceeds BOUND
+//!   --max-rms BOUND                 refuse the plan, before any key is generated,
+//!                                   when the modeled RMS noise of any value
+//!                                   exceeds BOUND
 //! ```
 //!
 //! Serve mode compiles each file once through the content-addressed plan
@@ -96,16 +93,15 @@
 //! A flag given where it would be ignored is a usage error (see [`FLAGS`]).
 //!
 //! Exit codes: 0 success; 2 usage error; 3 input unreadable/unparsable
-//! (or a trace/metrics file could not be written); 4 compilation failed
-//! (in `--fallback` mode: every rung failed); 5 encrypted execution
-//! failed; 6 audit violation under `--explain` (measured error above the
+//! (or a trace/metrics file could not be written); 4 compilation failed;
+//! 5 encrypted execution failed (a plan over `--max-rms` is refused before
+//! it runs); 6 audit violation under `--explain` (measured error above the
 //! predicted bound or a negative waterline margin).
 
 use hecate::backend::exec::execute_encrypted;
 use hecate::backend::{AuditOptions, AuditReport, FaultPlan};
 use hecate::compiler::{
-    compile, compile_with_fallback, deserialize_plan, serialize_plan, CompileOptions,
-    CompiledProgram, FallbackRung, Scheme,
+    compile, deserialize_plan, serialize_plan, CompileOptions, CompiledProgram, Scheme,
 };
 use hecate::ir::hash::function_hash;
 use hecate::ir::parse::parse_function;
@@ -163,12 +159,10 @@ struct Cli {
     runtime: RuntimeConfig,
     bench: Option<String>,
     /// Serve mode's request shape: submissions per file, and each
-    /// request's deadline and retry budget.
+    /// request's deadline.
     repeat: usize,
     deadline: Option<Duration>,
-    retries: u32,
     quiet: bool,
-    fallback: bool,
     save_plan: Option<String>,
     load_plan: Option<String>,
     trace: Option<String>,
@@ -187,9 +181,7 @@ impl Cli {
             bench: None,
             repeat: 2,
             deadline: None,
-            retries: 0,
             quiet: false,
-            fallback: false,
             save_plan: None,
             load_plan: None,
             trace: None,
@@ -267,8 +259,6 @@ flags! {
     "--degree" "N" ALL => |c, v| c.compile.degree = Some(num(v)?);
     "--run" "" ALL => |_c, _v| {};
     "--quiet" "" ALL => |c, _v| c.quiet = true;
-    "--strict" "" PLANNED => |c, _v| c.fallback = false;
-    "--fallback" "" PLANNED => |c, _v| c.fallback = true;
     "--save-plan" "PATH" PLAIN | RUN => |c, v| c.save_plan = Some(v.into());
     "--load-plan" "PATH" PLANNED => |c, v| c.load_plan = Some(v.into());
     "--serve" "" ALL => |_c, _v| {};
@@ -295,7 +285,6 @@ flags! {
     "--chaos-latency-us" "U" CHAOS => |c, v| c.chaos().latency = Duration::from_micros(num(v)?);
     "--chaos-fault" "SPEC" CHAOS => |c, v| c.chaos().fault = FaultPlan::parse(v)?;
     "--deadline-ms" "D" SERVE => |c, v| c.deadline = Some(Duration::from_millis(num(v)?));
-    "--retries" "R" SERVE => |c, v| c.retries = num(v)?;
     "--queue-cap" "N" SERVE => |c, v| c.runtime.queue_capacity = at_least(1, v)?;
     "--admission-budget-ms" "B" SERVE => |c, v|
         c.runtime.admission_budget_us = Some(above_zero(v)? * 1e3);
@@ -430,7 +419,7 @@ fn serve(cli: &Cli, funcs: &[(String, Function)], metrics_extra: &mut String) ->
                 options: cli.compile.clone(),
                 inputs: inputs.clone(),
                 deadline: cli.deadline,
-                max_retries: cli.retries,
+                max_retries: 0,
             });
         }
     }
@@ -516,14 +505,8 @@ fn obtain_plan(cli: &Cli, func: &Function, opts: &CompileOptions) -> Result<Comp
         }
         return Ok(prog);
     }
-    let (result, rungs) = if cli.fallback {
-        let result = compile_with_fallback(func, cli.scheme, opts);
-        (result, " on every fallback rung")
-    } else {
-        (compile(func, cli.scheme, opts), "")
-    };
-    result.map_err(|e| {
-        eprintln!("hecatec: compilation failed{rungs}: {e}");
+    compile(func, cli.scheme, opts).map_err(|e| {
+        eprintln!("hecatec: compilation failed: {e}");
         4
     })
 }
@@ -579,7 +562,6 @@ fn explain(cli: &Cli, funcs: &[(String, Function)]) -> u8 {
             Ok(p) => Arc::new(p),
             Err(code) => return code,
         };
-        print_fallback(&prog);
         // With --max-batch N, explain one slot-batched run at the largest
         // power-of-two occupancy <= N (the packed layout needs a power of
         // two). An infeasible footprint degrades to a solo run, mirroring
@@ -740,16 +722,6 @@ fn print_report(label: &str, report: &AuditReport, audit_opts: &AuditOptions) ->
     violations.len()
 }
 
-/// Announces a compile that degraded down the `--fallback` ladder.
-fn print_fallback(prog: &CompiledProgram) {
-    if let Some(rung) = prog.stats.fallback.filter(|r| *r != FallbackRung::Primary) {
-        println!(
-            "fallback: degraded to rung '{rung}' after {} failed attempt(s)",
-            prog.stats.fallback_attempts
-        );
-    }
-}
-
 /// Compile (or reload) a single file, print the plan, and optionally
 /// execute it — the classic single-shot driver path.
 fn run_single(cli: &Cli, func: &Function) -> u8 {
@@ -774,7 +746,6 @@ fn run_single(cli: &Cli, func: &Function) -> u8 {
         "scheme {} | waterline 2^{} | Sf 2^{}",
         prog.scheme, prog.waterline, prog.params.sf_bits
     );
-    print_fallback(&prog);
     println!(
         "parameters: degree {} | chain {} primes (q0 {} bits + {}×{} bits) | max level {} | {}",
         prog.params.degree,

@@ -68,9 +68,9 @@ fn failing_run_still_writes_valid_observability_files() {
     let trace = tmp("fail.trace.jsonl");
     let metrics = tmp("fail.metrics.prom");
     // poly.heir's modeled noise spans ~2.5e-5 (fresh input) to ~1.3e-4
-    // (deepest op), so a 5e-5 budget admits the first ops and then
-    // trips BudgetExhausted mid-run — the exact path that used to lose
-    // the buffered telemetry.
+    // (deepest op), so a 5e-5 budget refuses the plan at op 3, when its
+    // engine is built and before any op runs: a failure path that must
+    // still write its telemetry.
     let out = hecatec()
         .arg(example("poly.heir"))
         .args(["--run", "--quiet", "--max-rms", "5e-5"])
@@ -95,18 +95,16 @@ fn failing_run_still_writes_valid_observability_files() {
         stderr.contains("noise budget"),
         "guard failure not reported: {stderr}"
     );
+    // The first op whose prediction exceeds the budget: where the run
+    // stopped when the budget was checked per op.
+    assert!(
+        stderr.contains("noise budget exhausted at op 3 "),
+        "the verdict names the first op over budget: {stderr}"
+    );
 
     // Both files exist and are valid despite the failure.
     let trace_events = assert_valid_jsonl(&trace);
     assert!(trace_events > 0, "trace is empty on the error path");
-    let precision = precision_marks(&trace, "precision");
-    assert!(
-        precision.len() >= 2,
-        "expected the ops executed before the failure as precision marks, \
-         got {}",
-        precision.len()
-    );
-    assert!(precision.iter().all(|mark| mark.contains("margin_bits")));
     let metrics_text = std::fs::read_to_string(&metrics).unwrap();
     assert!(
         metrics_text.contains("hecate_"),
@@ -259,7 +257,7 @@ fn run_poly(args: &[&str]) -> (Option<i32>, String, String) {
 fn mode_scoped_flags_are_usage_errors_not_silently_ignored() {
     let plan = tmp("ignored.plan");
     let plan_s = plan.to_str().unwrap();
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["--serve", "--save-plan", plan_s], "--save-plan requires"),
         (&["--jobs", "2"], "--jobs requires --serve"),
         (&["--run", "--repeat", "3"], "--repeat requires --serve"),
@@ -287,6 +285,12 @@ fn mode_scoped_flags_are_usage_errors_not_silently_ignored() {
         // The recorder opt-out is gone: a panicked request's black box
         // can no longer be switched off by accident.
         (&["--serve", "--no-flight-recorder"], "--no-flight-recorder"),
+        // Removed with the retry loop and the compile fallback ladder.
+        (
+            &["--serve", "--retries", "1"],
+            "unknown argument '--retries'",
+        ),
+        (&["--fallback"], "unknown argument '--fallback'"),
     ];
     for (args, want) in cases {
         let (code, _, stderr) = run_poly(args);
@@ -299,7 +303,7 @@ fn mode_scoped_flags_are_usage_errors_not_silently_ignored() {
     // `--bench` compiles its own programs: a plan file to reload with it
     // is a usage error, not silently ignored.
     let out = hecatec()
-        .args(["--explain", "--bench", "SF", "--fallback"])
+        .args(["--explain", "--bench", "SF", "--sf", "60"])
         .args(["--load-plan", tmp("missing.plan").to_str().unwrap()])
         .output()
         .expect("hecatec runs");

@@ -9,11 +9,13 @@
 //! plaintext semantics agree with each other, an encrypted run is never
 //! `Ok` and wrong, and neither is a saved plan whose header was edited.
 
-use hecate::backend::exec::{execute_encrypted, BackendOptions, GuardOptions};
+use hecate::backend::exec::{
+    execute_encrypted, BackendOptions, ExecEngine, ExecError, GuardOptions,
+};
 use hecate::backend::noise::{max_rms_error, predict_rms, simulate};
 use hecate::compiler::{
-    compile, compile_with_fallback, deserialize_plan, serialize_plan, CompileError, CompileOptions,
-    PlanError, Scheme, SelectedParams,
+    compile, deserialize_plan, serialize_plan, CompileError, CompileOptions, PlanError, Scheme,
+    SelectedParams,
 };
 use hecate::ir::analysis::users;
 use hecate::ir::interp::{interpret, rms_error};
@@ -22,6 +24,7 @@ use hecate::ir::verify::verify_plan;
 use hecate::ir::{ConstData, Function, Op, ValueId};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const VEC: usize = 8;
 
@@ -276,12 +279,49 @@ proptest! {
         }
     }
 
+    /// The noise budget is a fact of the plan, judged when the engine is
+    /// built: a bound just below a random cipher value's prediction
+    /// refuses the plan at the first op whose prediction exceeds it, and a
+    /// bound at the largest prediction builds.
+    #[test]
+    fn budget_verdict_names_the_first_op_over_the_bound(
+        picks in proptest::collection::vec((pick_strategy(), any::<u64>(), any::<u64>()), 3..25),
+        n_inputs in 1usize..4,
+        pick in any::<u64>(),
+    ) {
+        let func = build_program(&picks, n_inputs);
+        prop_assume!(has_cipher_output(&func));
+        let mut opts = CompileOptions::with_waterline(24.0);
+        opts.degree = Some(512);
+        let compiled = compile(&func, Scheme::Hecate, &opts);
+        prop_assume!(compiled.is_ok());
+        let prog = Arc::new(compiled.unwrap());
+        let rms = predict_rms(&prog, prog.params.degree, 1, None);
+        let cipher: Vec<usize> = (0..rms.len()).filter(|&i| prog.types[i].is_cipher()).collect();
+        let k = cipher[(pick % cipher.len() as u64) as usize];
+        let bound = rms[k].next_down();
+        let first = rms.iter().position(|&r| r > bound).expect("op k exceeds its bound");
+        let budget = |max_rms| BackendOptions {
+            guard: GuardOptions {
+                max_rms: Some(max_rms),
+                ..GuardOptions::default()
+            },
+            ..BackendOptions::default()
+        };
+        match ExecEngine::new(prog.clone(), &budget(bound)) {
+            Err(ExecError::BudgetExhausted { at, .. }) => prop_assert_eq!(at, first),
+            Err(e) => prop_assert!(false, "op {k}: expected BudgetExhausted at {first}, got {e}"),
+            Ok(_) => prop_assert!(false, "op {k}: a bound below its prediction built"),
+        }
+        let max = rms.iter().copied().fold(0.0, f64::max);
+        prop_assert!(ExecEngine::new(prog, &budget(max)).is_ok());
+    }
+
     /// The guarded pipeline never panics on random input: every program
     /// either compiles (and the result re-verifies against the parameters
-    /// it selected) or fails with a structured, classifiable error — under
-    /// both the plain driver and the fallback ladder.
+    /// it selected) or fails with a structured, classifiable error.
     #[test]
-    fn random_programs_never_panic_through_verifier_and_fallback(
+    fn random_programs_never_panic_through_the_verifier(
         picks in proptest::collection::vec((pick_strategy(), any::<u64>(), any::<u64>()), 3..25),
         n_inputs in 1usize..4,
     ) {
@@ -289,13 +329,12 @@ proptest! {
         prop_assume!(has_cipher_output(&func));
         let mut opts = CompileOptions::with_waterline(24.0);
         opts.degree = Some(512);
-        match compile_with_fallback(&func, Scheme::Hecate, &opts) {
+        match compile(&func, Scheme::Hecate, &opts) {
             Ok(prog) => {
                 // A shipped plan must satisfy every invariant the verifier
                 // knows, bound to the modulus chain it actually selected.
                 verify_plan(&prog.func, &prog.params.type_config(prog.waterline), "proptest-audit")
                     .expect("shipped plan re-verifies against its own parameters");
-                prop_assert!(prog.stats.fallback.is_some());
             }
             Err(e) => prop_assert!(only_infeasible(&e), "unexpected error: {e}"),
         }
